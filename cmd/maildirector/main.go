@@ -21,20 +21,17 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/admin"
+	"repro/cmd/internal/node"
 	"repro/internal/director"
-	"repro/internal/dnsbl"
 	"repro/internal/eventlog"
 	"repro/internal/metrics"
 	"repro/internal/policy"
-	"repro/internal/trace"
 )
 
 // backendFlags collects repeated -backend name=addr pairs.
@@ -51,7 +48,6 @@ func main() {
 	flag.Var(&backends, "backend", "delivery shard as name=host:port (repeatable; name is hashed onto the ring)")
 	var (
 		listen     = flag.String("addr", "127.0.0.1:2525", "SMTP listen address")
-		adminAddr  = flag.String("admin", "", "serve /metrics, /debug/vars, and /events on this address (empty disables)")
 		hostname   = flag.String("hostname", "director.local", "banner hostname")
 		domain     = flag.String("domain", "", "accept recipients at this domain only (empty accepts all)")
 		vnodes     = flag.Int("vnodes", 64, "virtual nodes per shard on the recipient ring")
@@ -60,102 +56,41 @@ func main() {
 		gossipAddr = flag.String("gossip-addr", "", "listen for peer anti-entropy exchanges on this address (empty disables)")
 		peers      = flag.String("peers", "", "comma-separated peer gossip addresses to dial")
 		gossipIvl  = flag.Duration("gossip-interval", time.Second, "anti-entropy exchange period")
-		policyOn   = flag.Bool("policy", true, "run the pre-trust policy engine (rate limits, greylist, reputation)")
-		greyRetry  = flag.Duration("grey-retry", time.Minute, "greylist minimum retry window (0 disables greylisting)")
-		connRate   = flag.Float64("conn-rate", 2, "connections/sec admitted per client IP (0 disables rate limiting)")
-		dnsblAddr  = flag.String("dnsbl", "", "comma-separated DNSBL replica addresses; empty disables")
-		dnsblZone  = flag.String("dnsbl-zone", "bl.example.org", "DNSBL zone name")
-		statsSec   = flag.Int("stats", 10, "stats period in seconds (0 disables)")
-		logLevel   = flag.String("log", "info", "echo events at or above this level to stderr")
-
-		traceSample = flag.Int("trace-sample", 0, "message-lifecycle tracing: mint a trace id for 1 in N client connections and propagate it to XTRACE-capable shards (0 disables; 1 traces everything); spans serve at /trace/{id} on -admin")
-		nodeName    = flag.String("node", "", "node name stamped on message-trace spans (default: -hostname)")
 	)
+	// The policy, DNSBL, tracing, logging and admin flags are the ones
+	// every front-end binary takes.
+	n := node.Declare("maildirector", "director", true)
 	flag.Parse()
 
 	if len(backends) == 0 {
 		log.Fatal("maildirector: at least one -backend name=addr is required")
 	}
 
-	reg := metrics.Default()
-	stderrLevel, err := eventlog.ParseLevel(*logLevel)
-	if err != nil {
-		log.Fatalf("maildirector: -log: %v", err)
-	}
-	evOpts := []eventlog.Option{eventlog.WithLevel(eventlog.LevelDebug)}
-	if stderrLevel < eventlog.LevelOff {
-		evOpts = append(evOpts, eventlog.WithSink(eventlog.NewTextSink(os.Stderr, stderrLevel)))
-	}
-	events := eventlog.New(evOpts...)
+	n.Start(*hostname, eventlog.WithLevel(eventlog.LevelDebug))
+	events := n.Events
 
-	// Node-local pre-trust stores, exposed to gossip through the
-	// transport-agnostic sync contracts.
-	rep := policy.NewReputation(policy.ReputationConfig{})
-	var grey *policy.Greylist
-	if *greyRetry > 0 {
-		grey = policy.NewGreylist(policy.GreyConfig{MinRetry: *greyRetry})
-	}
-
+	// The gossip-shared verdict cache sits in front of the DNSBL client:
+	// a verdict any peer paid for is served locally.
 	var verd *director.Verdicts
-	var scorer *policy.Scorer
-	if *dnsblAddr != "" {
-		client := dnsbl.New(*dnsblZone,
-			dnsbl.WithRegistry(reg),
-			dnsbl.WithEventLog(events),
-			dnsbl.WithUpstreams(strings.Split(*dnsblAddr, ",")...),
-			dnsbl.WithPolicy(dnsbl.CachePrefix))
+	if client := n.DNSBL(); client != nil {
 		defer client.Close()
-		// The gossip-shared verdict cache sits in front of the client:
-		// a verdict any peer paid for is served locally.
 		verd = director.NewVerdicts(client)
-		scorer = policy.NewScorer(
-			policy.WithLists(policy.List{Name: *dnsblZone, Resolver: verd, Weight: 1}),
-			policy.WithThreshold(1),
-			policy.WithScorerRegistry(reg),
-		)
 	}
-
-	var pol *policy.ServerPolicy
-	if *policyOn {
-		pOpts := []policy.Option{policy.WithReputationStore(rep)}
-		if grey != nil {
-			pOpts = append(pOpts, policy.WithGreylistStore(grey))
-		}
-		if *connRate > 0 {
-			pOpts = append(pOpts, policy.WithRate(policy.RateConfig{
-				ConnPerSec: *connRate,
-				ConnBurst:  5 * *connRate,
-			}))
-		}
-		if scorer != nil {
-			pOpts = append(pOpts, policy.WithDNSBLReject(1))
-		}
-		// WithClock(time.Now) stamps store entries with absolute wall
-		// time, so deltas gossiped to peers decay on a shared timeline.
-		pol = policy.NewServerPolicy(policy.New(pOpts...), scorer,
-			policy.WithRegistry(reg), policy.WithEventLog(events),
-			policy.WithClock(time.Now))
-	}
-
-	var mtrace *trace.MessageRecorder
-	if *traceSample > 0 {
-		node := *nodeName
-		if node == "" {
-			node = *hostname
-		}
-		mtrace = trace.NewMessageRecorder(node, 65536, *traceSample)
-	}
+	// The node-local pre-trust stores are exposed to gossip through the
+	// transport-agnostic sync contracts. WithClock(time.Now) stamps their
+	// entries with absolute wall time, so deltas gossiped to peers decay
+	// on a shared timeline.
+	pol, rep, grey := n.Policy(verd, policy.WithClock(time.Now))
 
 	dOpts := []director.Option{
 		director.WithHostname(*hostname),
 		director.WithVnodes(*vnodes),
 		director.WithCooldown(*cooldown),
 		director.WithForwardTimeout(*fwdTimeout),
-		director.WithRegistry(reg),
+		director.WithRegistry(n.Reg),
 		director.WithEventLog(events),
-	}
-	if mtrace != nil {
-		dOpts = append(dOpts, director.WithMessageTracer(mtrace))
+		director.WithMessageTracer(n.Tracer),
+		director.WithPolicy(pol),
 	}
 	for _, spec := range backends {
 		name, addr, ok := strings.Cut(spec, "=")
@@ -163,9 +98,6 @@ func main() {
 			log.Fatalf("maildirector: -backend %q is not name=addr", spec)
 		}
 		dOpts = append(dOpts, director.WithBackend(name, addr))
-	}
-	if pol != nil {
-		dOpts = append(dOpts, director.WithPolicy(pol))
 	}
 	if *domain != "" {
 		suffix := "@" + *domain
@@ -209,20 +141,7 @@ func main() {
 			eventlog.Str("component", "gossip"), eventlog.Str("addr", gln.Addr().String()))
 	}
 
-	if *adminAddr != "" {
-		adminLn, err := net.Listen("tcp", *adminAddr)
-		if err != nil {
-			log.Fatalf("maildirector: admin listen: %v", err)
-		}
-		adminOpts := []admin.HandlerOption{admin.WithEvents(events)}
-		if mtrace != nil {
-			adminOpts = append(adminOpts, admin.WithTrace(mtrace))
-		}
-		handler := admin.NewHandler(reg, trace.NewSpanRecorder(1024), adminOpts...)
-		go http.Serve(adminLn, handler) //nolint:errcheck // dies with the process
-		events.Info("director.start", 0,
-			eventlog.Str("component", "admin"), eventlog.Str("addr", adminLn.Addr().String()))
-	}
+	n.ServeAdmin(nil) // the director records no connection spans
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -237,12 +156,7 @@ func main() {
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	var tick <-chan time.Time
-	if *statsSec > 0 {
-		ticker := time.NewTicker(time.Duration(*statsSec) * time.Second)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
+	tick := n.StatsTick()
 	for {
 		select {
 		case <-tick:

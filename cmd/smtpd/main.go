@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -24,9 +23,9 @@ import (
 	"syscall"
 	"time"
 
+	"repro/cmd/internal/node"
 	"repro/internal/access"
 	"repro/internal/addr"
-	"repro/internal/admin"
 	"repro/internal/bounce"
 	"repro/internal/delivery"
 	"repro/internal/dnsbl"
@@ -40,14 +39,12 @@ import (
 	"repro/internal/queue"
 	"repro/internal/smtpserver"
 	"repro/internal/spool"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
 func main() {
 	var (
 		listen      = flag.String("addr", "127.0.0.1:2525", "listen address")
-		adminAddr   = flag.String("admin", "", "serve /metrics, /debug/vars, /debug/pprof, and /spans on this address (empty disables)")
 		archName    = flag.String("arch", "hybrid", "architecture: vanilla or hybrid")
 		storeName   = flag.String("store", "mfs", "mailbox store: mbox, maildir, hardlink, mfs")
 		root        = flag.String("root", "", "mail root directory (required)")
@@ -56,28 +53,22 @@ func main() {
 		workers     = flag.Int("workers", 100, "smtpd worker limit")
 		shards      = flag.Int("accept-shards", 1, "independent accept shards, each with its own listener (SO_REUSEPORT on Linux) and worker ring; 1 keeps the classic single accept loop")
 		pop3Addr    = flag.String("pop3", "", "also serve POP3 on this address (empty disables)")
-		dnsblAddr   = flag.String("dnsbl", "", "comma-separated DNSBL replica addresses (host:port,...); empty disables")
-		dnsblZone   = flag.String("dnsbl-zone", "bl.example.org", "DNSBL zone name")
 		dnsblHedge  = flag.Duration("dnsbl-hedge", 20*time.Millisecond, "hedge DNSBL queries to the next replica after this delay (0 disables)")
 		dnsblStale  = flag.Duration("dnsbl-stale", time.Hour, "serve expired DNSBL cache entries up to this long past expiry when the blacklist is unreachable (0 disables)")
-		statsSec    = flag.Int("stats", 10, "stats period in seconds (0 disables)")
 		spoolDir    = flag.String("spool-dir", "queue", "spool directory (under -root) holding the active/deferred/hold lanes")
 		mfsSync     = flag.Bool("mfs-sync", false, "MFS: write-ahead log every commit batch (crash-consistent durable mode; one fsync per batch)")
 		ckptDir     = flag.String("checkpoint-dir", "", "MFS: write online checkpoints under this directory (under -root; empty disables)")
 		ckptEvery   = flag.Duration("checkpoint-interval", 5*time.Minute, "MFS: interval between online checkpoints when -checkpoint-dir is set")
 		maxAttempts = flag.Int("max-attempts", 3, "delivery attempts before a mail bounces")
 		bounceOn    = flag.Bool("bounce", true, "synthesize DSN bounces for undeliverable mail (off: drop dead)")
-		policyOn    = flag.Bool("policy", false, "enable the pre-trust policy engine (rate limits, greylist, reputation; DNSBL scoring when -dnsbl is set)")
-		traceSample = flag.Int("trace-sample", 0, "message-lifecycle tracing: trace 1 in N accepted edge connections (0 disables; 1 traces everything); spans serve at /trace/{id} on -admin")
-		nodeName    = flag.String("node", "", "node name stamped on message-trace spans (default: the -domain MX hostname)")
-		greyRetry   = flag.Duration("grey-retry", time.Minute, "policy: greylist minimum retry window (0 disables greylisting)")
-		connRate    = flag.Float64("conn-rate", 2, "policy: connections/sec admitted per client IP (0 disables rate limiting)")
 
 		eventsLevel  = flag.String("events-level", "info", "event log ring retention level: debug, info, warn, error, or off")
 		eventsCap    = flag.Int("events-cap", 4096, "event log ring capacity (events retained for /events)")
 		eventsSample = flag.String("events-sample", "dnsbl.lookup=16,smtpd.policy=16", "per-event-name 1-in-N sampling, comma-separated name=N pairs (empty disables)")
-		logLevel     = flag.String("log", "info", "echo events at or above this level to stderr: debug, info, warn, error, or off (postfix-style per-connection lines at info)")
 	)
+	// The policy, DNSBL, tracing, logging and admin flags are the ones
+	// every front-end binary takes.
+	n := node.Declare("smtpd", "smtpd", false)
 	flag.Parse()
 
 	if *root == "" {
@@ -88,38 +79,11 @@ func main() {
 	}
 	fs := fsim.NewOS(*root)
 
-	// Every component shares the process-wide default registry, so the
-	// admin endpoint exposes the whole pipeline — accept to mailbox
-	// commit — under one scrape. The span recorder keeps the last 64k
-	// stage events for /spans and cmd/traceinfo.
-	reg := metrics.Default()
-	spans := trace.NewSpanRecorder(65536)
-	// Per-source telemetry gauges are bounded by the tracker itself, but
-	// the registry's cardinality guard is the backstop: no label key can
-	// accumulate more than 64 values, the rest fold into "other".
-	reg.SetLabelValueLimit(64)
-
-	// The structured event log is the process's one logging path: every
-	// component emits into it, the ring serves /events, the telemetry
-	// tracker observes it for /workload, and -log echoes it to stderr.
 	ringLevel, err := eventlog.ParseLevel(*eventsLevel)
 	if err != nil {
 		log.Fatalf("smtpd: -events-level: %v", err)
 	}
-	stderrLevel, err := eventlog.ParseLevel(*logLevel)
-	if err != nil {
-		log.Fatalf("smtpd: -log: %v", err)
-	}
-	tracker := telemetry.New()
-	tracker.Register(reg)
-	evOpts := []eventlog.Option{
-		eventlog.WithLevel(ringLevel),
-		eventlog.WithCapacity(*eventsCap),
-		eventlog.WithObserver(tracker),
-	}
-	if stderrLevel < eventlog.LevelOff {
-		evOpts = append(evOpts, eventlog.WithSink(eventlog.NewTextSink(os.Stderr, stderrLevel)))
-	}
+	evOpts := []eventlog.Option{eventlog.WithLevel(ringLevel), eventlog.WithCapacity(*eventsCap)}
 	for _, kv := range strings.Split(*eventsSample, ",") {
 		if kv == "" {
 			continue
@@ -134,7 +98,11 @@ func main() {
 		}
 		evOpts = append(evOpts, eventlog.WithSampling(name, n))
 	}
-	events := eventlog.New(evOpts...)
+	n.Start("mx."+*domain, evOpts...)
+	reg, events, mtrace := n.Reg, n.Events, n.Tracer
+	// The span recorder keeps the last 64k stage events for /spans and
+	// cmd/traceinfo.
+	spans := trace.NewSpanRecorder(65536)
 
 	var arch smtpserver.Architecture
 	switch *archName {
@@ -193,17 +161,6 @@ func main() {
 		log.Fatalf("smtpd: %v", err)
 	}
 
-	// The message-trace recorder is shared by every pipeline stage in
-	// this process; nil (tracing off) makes every span call a no-op.
-	var mtrace *trace.MessageRecorder
-	if *traceSample > 0 {
-		node := *nodeName
-		if node == "" {
-			node = "mx." + *domain
-		}
-		mtrace = trace.NewMessageRecorder(node, 65536, *traceSample)
-	}
-
 	agent := delivery.NewAgent(db, store, delivery.WithRegistry(reg), delivery.WithEventLog(events),
 		delivery.WithMessageTracer(mtrace))
 	qcfg := queue.Config{
@@ -234,50 +191,18 @@ func main() {
 		smtpserver.WithRegistry(reg),
 		smtpserver.WithSpans(spans),
 		smtpserver.WithEventLog(events),
+		smtpserver.WithMessageTracer(mtrace),
+		smtpserver.WithEnqueueTraced(qm.EnqueueTraced), // qm.Enqueue plus the trace context
 	}
-	if mtrace != nil {
-		srvOpts = append(srvOpts,
-			smtpserver.WithMessageTracer(mtrace),
-			smtpserver.WithEnqueueTraced(qm.EnqueueTraced))
-	}
-	var dnsblClient *dnsbl.Client
-	if *dnsblAddr != "" {
-		// The resilient resolver stack: one shared pipelined socket per
-		// replica, hedged queries across them, and stale bitmaps served
-		// when every replica is down.
-		dnsblClient = dnsbl.New(*dnsblZone,
-			dnsbl.WithRegistry(reg),
-			dnsbl.WithEventLog(events),
-			dnsbl.WithUpstreams(strings.Split(*dnsblAddr, ",")...),
-			dnsbl.WithHedge(*dnsblHedge),
-			dnsbl.WithStale(*dnsblStale),
-			dnsbl.WithNegativeTTL(5*time.Second),
-			dnsbl.WithPolicy(dnsbl.CachePrefix))
+	// The resilient resolver stack: one shared pipelined socket per
+	// replica, hedged queries across them, and stale bitmaps served when
+	// every replica is down.
+	dnsblClient := n.DNSBL(dnsbl.WithHedge(*dnsblHedge), dnsbl.WithStale(*dnsblStale), dnsbl.WithNegativeTTL(5*time.Second))
+	if dnsblClient != nil {
 		defer dnsblClient.Close()
 	}
-	var pol *policy.ServerPolicy
-	if *policyOn {
-		pOpts := []policy.Option{policy.WithReputation(policy.ReputationConfig{})}
-		if *connRate > 0 {
-			pOpts = append(pOpts, policy.WithRate(policy.RateConfig{
-				ConnPerSec: *connRate,
-				ConnBurst:  5 * *connRate,
-			}))
-		}
-		if *greyRetry > 0 {
-			pOpts = append(pOpts, policy.WithGreylist(policy.GreyConfig{MinRetry: *greyRetry}))
-		}
-		var scorer *policy.Scorer
-		if dnsblClient != nil {
-			pOpts = append(pOpts, policy.WithDNSBLReject(1))
-			scorer = policy.NewScorer(
-				policy.WithLists(policy.List{Name: *dnsblZone, Resolver: dnsblClient, Weight: 1}),
-				policy.WithThreshold(1),
-				policy.WithScorerRegistry(reg),
-			)
-		}
-		pol = policy.NewServerPolicy(policy.New(pOpts...), scorer,
-			policy.WithRegistry(reg), policy.WithEventLog(events))
+	pol, _, _ := n.Policy(dnsblClient)
+	if pol != nil {
 		srvOpts = append(srvOpts, smtpserver.WithPolicy(pol))
 	} else if dnsblClient != nil {
 		// Without the policy engine the DNSBL check is the bare
@@ -318,26 +243,7 @@ func main() {
 			eventlog.Str("component", "pop3"), eventlog.Str("addr", *pop3Addr))
 	}
 
-	if *adminAddr != "" {
-		adminLn, err := net.Listen("tcp", *adminAddr)
-		if err != nil {
-			log.Fatalf("smtpd: admin listen: %v", err)
-		}
-		adminOpts := []admin.HandlerOption{
-			admin.WithEvents(events), admin.WithWorkload(tracker)}
-		if mtrace != nil {
-			adminOpts = append(adminOpts, admin.WithTrace(mtrace))
-		}
-		handler := admin.NewHandler(reg, spans, adminOpts...)
-		go func() {
-			if err := http.Serve(adminLn, handler); err != nil {
-				events.Error("smtpd.error", 0,
-					eventlog.Str("component", "admin"), eventlog.Str("err", err.Error()))
-			}
-		}()
-		events.Info("smtpd.start", 0,
-			eventlog.Str("component", "admin"), eventlog.Str("addr", adminLn.Addr().String()))
-	}
+	n.ServeAdmin(spans)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
@@ -352,13 +258,7 @@ func main() {
 		eventlog.Str("addr", *listen),
 	)
 
-	var ticker *time.Ticker
-	var tick <-chan time.Time
-	if *statsSec > 0 {
-		ticker = time.NewTicker(time.Duration(*statsSec) * time.Second)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
+	tick := n.StatsTick()
 	for {
 		select {
 		case <-tick:

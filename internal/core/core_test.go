@@ -5,6 +5,10 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/smtp"
+	"repro/internal/trace"
 )
 
 // quick runs one experiment at Quick scale and returns its metrics.
@@ -537,5 +541,73 @@ func TestTracePropagationShape(t *testing.T) {
 	// A mail crashed in the spool must resume its original trace id.
 	if m["recovered_trace_ok"] != 1 {
 		t.Errorf("recovered_trace_ok = %v, want 1 (spooled trace context lost)", m["recovered_trace_ok"])
+	}
+}
+
+// TestTraceChainedDirectors: director → director → shard, every node
+// tracing at sample 1. The inner director is a front end like any other,
+// so it must advertise XTRACE, adopt the context the outer one sends
+// instead of minting its own, and pass it on: one trace id across all
+// three nodes, each hop's spans parented under the previous hop's.
+func TestTraceChainedDirectors(t *testing.T) {
+	shard, err := startTraceShard("shard", "example.org", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shard.close()
+	inner, innerRec, innerAddr, err := startTraceDirector("inner", map[string]string{"shard": shard.ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inner.Close()
+	outer, outerRec, outerAddr, err := startTraceDirector("outer", map[string]string{"inner": innerAddr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer outer.Close()
+
+	c, err := smtp.Dial(outerAddr, 2*time.Second, smtp.WithCommandTimeout(2*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Helo("client.test"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.Send("s@relay.example.net", []string{"user0001@example.org"}, []byte("Subject: chained\r\n\r\nx\r\n")); err != nil || n != 1 {
+		t.Fatalf("send: accepted %d, err %v", n, err)
+	}
+	c.Quit() //nolint:errcheck
+	shard.qm.WaitIdle(5 * time.Second)
+
+	var all []trace.MessageSpan
+	for _, rec := range []*trace.MessageRecorder{outerRec, innerRec, shard.rec} {
+		all = append(all, rec.Spans()...)
+	}
+	ids, stages := map[string]bool{}, map[string]bool{}
+	for _, sp := range all {
+		ids[sp.TraceID()] = true
+		stages[sp.Node+"/"+sp.Stage] = true
+	}
+	if len(ids) != 1 {
+		t.Fatalf("spans carry %d trace ids, want 1 (a tier minted instead of adopting): %v", len(ids), all)
+	}
+	for _, want := range []string{
+		"outer/pretrust", "outer/smtp", "outer/forward",
+		"inner/pretrust", "inner/smtp", "inner/forward",
+		"shard/smtp", "shard/queue", "shard/delivery", "shard/store",
+	} {
+		if !stages[want] {
+			t.Errorf("no %s span in the stitched trace; have %v", want, stages)
+		}
+	}
+	// One tree: a single root (the outer pretrust and smtp spans hang off
+	// the minted root context, everything else nests under them).
+	for _, root := range trace.BuildSpanTree(all) {
+		if root.Span.Node != "outer" {
+			t.Errorf("span tree has a root on %s (%s): the hop did not parent under its upstream", root.Span.Node, root.Span.Stage)
+		}
+	}
+	if got := stitchedCounter(outer) + stitchedCounter(inner); got != 2 {
+		t.Errorf("director_trace_stitched_total outer+inner = %v, want 2", got)
 	}
 }

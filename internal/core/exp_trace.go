@@ -100,6 +100,31 @@ func (s *traceShard) close() {
 	s.qm.Close()  //nolint:errcheck
 }
 
+// startTraceDirector boots a director tracing at sample 1 into its own
+// node recorder, in front of the name→address backends (shards, or —
+// chained tiers — another director). It returns the serving address.
+func startTraceDirector(node string, backends map[string]string) (*director.Server, *trace.MessageRecorder, string, error) {
+	rec := trace.NewMessageRecorder(node, 4096, 1)
+	opts := []director.Option{
+		director.WithHostname(node + ".test"),
+		director.WithForwardTimeout(2 * time.Second),
+		director.WithMessageTracer(rec),
+	}
+	for name, addr := range backends {
+		opts = append(opts, director.WithBackend(name, addr))
+	}
+	d, err := director.New(opts...)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, nil, "", err
+	}
+	go d.Serve(ln)
+	return d, rec, ln.Addr().String(), nil
+}
+
 // runTracePropagation drives mails through a director and two shards
 // with tracing at sample 1, then replays the cluster read side: the
 // aggregator fetches each node's span fragments over HTTP and stitches
@@ -121,23 +146,14 @@ func runTracePropagation(w io.Writer, opts Options) (Metrics, error) {
 	}
 	defer shardB.close()
 
-	drec := trace.NewMessageRecorder("director", 4096, 1)
-	d, err := director.New(
-		director.WithHostname("director.test"),
-		director.WithBackend("shard-a", shardA.ln.Addr().String()),
-		director.WithBackend("shard-b", shardB.ln.Addr().String()),
-		director.WithForwardTimeout(2*time.Second),
-		director.WithMessageTracer(drec),
-	)
+	d, drec, daddr, err := startTraceDirector("director", map[string]string{
+		"shard-a": shardA.ln.Addr().String(),
+		"shard-b": shardB.ln.Addr().String(),
+	})
 	if err != nil {
 		return nil, err
 	}
 	defer d.Close()
-	dln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	go d.Serve(dln)
 	dadm, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -153,7 +169,7 @@ func runTracePropagation(w io.Writer, opts Options) (Metrics, error) {
 	for i := 0; i < mails; i++ {
 		r1 := fmt.Sprintf("user%04d@%s", i%users, domain)
 		r2 := fmt.Sprintf("user%04d@%s", (i*7+3)%users, domain)
-		c, err := smtp.Dial(dln.Addr().String(), 2*time.Second, smtp.WithCommandTimeout(2*time.Second))
+		c, err := smtp.Dial(daddr, 2*time.Second, smtp.WithCommandTimeout(2*time.Second))
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/smtp"
 	"repro/internal/trace"
 )
@@ -21,10 +22,12 @@ type backend struct {
 	name string
 	addr string
 
+	forwarded  *metrics.Counter   // director_shard_forwarded_total{shard}
+	forwardSec *metrics.Histogram // director_forward_seconds{shard}: replay wall time
+
 	mu        sync.Mutex
 	idle      []*smtp.Client
 	downUntil time.Time
-	fails     int64
 }
 
 // get returns a pooled connection or dials a fresh one.
@@ -76,7 +79,6 @@ func (b *backend) markDown(now time.Time, cooldown time.Duration) {
 	idle := b.idle
 	b.idle = nil
 	b.downUntil = now.Add(cooldown)
-	b.fails++
 	b.mu.Unlock()
 	for _, c := range idle {
 		c.Abort() //nolint:errcheck

@@ -1,35 +1,33 @@
 package director
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/eventlog"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/smtp"
+	"repro/internal/smtpserver"
 	"repro/internal/trace"
 )
 
-// settings collects the director's tunables.
+// settings collects the director's tunables. The client-facing dialog is
+// an smtpserver.Server, so its knobs are kept as that package's options
+// (front) rather than copied; only what the forwarding side also needs
+// is held by value.
 type settings struct {
 	hostname       string
 	backends       []backendSpec
-	pol            *policy.ServerPolicy
-	validateRcpt   func(string) bool
+	front          []smtpserver.Option
 	registry       *metrics.Registry
 	events         *eventlog.Log
-	idleTimeout    time.Duration
+	mtrace         *trace.MessageRecorder
 	forwardTimeout time.Duration
 	vnodes         int
 	cooldown       time.Duration
-	maxRcpts       int
-	maxMessage     int
-	mtrace         *trace.MessageRecorder
 }
 
 type backendSpec struct {
@@ -40,7 +38,13 @@ type backendSpec struct {
 // Option configures a director Server.
 type Option func(*settings)
 
-// WithHostname sets the banner hostname (default "director.local").
+// front passes a dialog-side option through to the SMTP front end.
+func front(o smtpserver.Option) Option {
+	return func(s *settings) { s.front = append(s.front, o) }
+}
+
+// WithHostname sets the banner hostname, also the HELO name toward the
+// shards (default "director.local").
 func WithHostname(h string) Option {
 	return func(s *settings) { s.hostname = h }
 }
@@ -56,31 +60,28 @@ func WithBackend(name, addr string) Option {
 // (with DNSBL scan), MAIL/RCPT checks, and bounce/reject reputation
 // feedback. Nil (the default) admits everything — the director still
 // validates recipients and forwards.
-func WithPolicy(p *policy.ServerPolicy) Option {
-	return func(s *settings) { s.pol = p }
-}
+func WithPolicy(p *policy.ServerPolicy) Option { return front(smtpserver.WithPolicy(p)) }
 
 // WithValidateRcpt installs the recipient-existence check (the access
 // database). nil accepts every recipient.
-func WithValidateRcpt(f func(string) bool) Option {
-	return func(s *settings) { s.validateRcpt = f }
-}
+func WithValidateRcpt(f func(string) bool) Option { return front(smtpserver.WithValidateRcpt(f)) }
 
-// WithRegistry directs the director's metrics into r (default private).
+// WithRegistry directs the director's metrics — the director_* forwarding
+// series and the front end's smtpd_*{arch="hybrid"} — into r (default
+// private).
 func WithRegistry(r *metrics.Registry) Option {
 	return func(s *settings) { s.registry = r }
 }
 
-// WithEventLog emits director.conn / director.forward / director.shard
-// events into log (default off).
+// WithEventLog emits the front end's smtpd.conn / smtpd.policy events
+// and the director.forward / director.skew / director.shard events into
+// log (default off).
 func WithEventLog(log *eventlog.Log) Option {
 	return func(s *settings) { s.events = log }
 }
 
 // WithIdleTimeout bounds client inactivity per read (default 60s).
-func WithIdleTimeout(d time.Duration) Option {
-	return func(s *settings) { s.idleTimeout = d }
-}
+func WithIdleTimeout(d time.Duration) Option { return front(smtpserver.WithIdleTimeout(d)) }
 
 // WithForwardTimeout bounds the back-end dial and each replay command
 // (default 10s).
@@ -99,15 +100,11 @@ func WithCooldown(d time.Duration) Option {
 	return func(s *settings) { s.cooldown = d }
 }
 
-// WithMaxRcpts caps accepted recipients per mail (default smtp's 50).
-func WithMaxRcpts(n int) Option {
-	return func(s *settings) { s.maxRcpts = n }
-}
-
 // WithMessageTracer enables message-lifecycle tracing at the director:
-// the edge of the tier mints each sampled mail's trace id, records a
-// "pretrust" span per client dialog and a "forward" span per shard
-// replay, and propagates the context to XTRACE-capable shards as a MAIL
+// the edge of the tier mints each sampled mail's trace id (or adopts the
+// one a director upstream sent), the front end records its "pretrust"
+// and "smtp" spans, each shard replay records a "forward" span under the
+// "smtp" one, and the context crosses to XTRACE-capable shards as a MAIL
 // parameter so their spans stitch into the same trace. Nil disables
 // (the default); sampled-out connections carry the zero context and
 // cost no allocations.
@@ -115,10 +112,11 @@ func WithMessageTracer(rec *trace.MessageRecorder) Option {
 	return func(s *settings) { s.mtrace = rec }
 }
 
-// Stats is a snapshot of a director's counters.
+// Stats is a snapshot of a director's counters. The dialog-side fields
+// are the front end's (smtpserver.Stats); the rest count forwarding.
 type Stats struct {
 	Connections    int64 // accepted TCP connections
-	PolicyRejected int64 // refused 554 at connect time
+	PolicyRejected int64 // refused 554 by policy, at connect or mid-dialog
 	PolicyTempfail int64 // refused 421 at connect time
 	MailsForwarded int64 // envelopes replayed to a shard successfully
 	MailsFailed    int64 // envelopes tempfailed 451 (every candidate down)
@@ -126,46 +124,34 @@ type Stats struct {
 	ForwardRetries int64 // pooled-connection retries + candidate failovers
 	RcptRejected   int64 // 550s issued (bounce evidence)
 	RcptSkew       int64 // recipients the director admitted but a shard refused
-	PreTrustClosed int64 // connections finished without a forwarded mail
+	PreTrustClosed int64 // connections that ended before any valid RCPT
 }
 
-// Server is one director front end. Create with New, start with Serve,
+// Server is one director front end: an smtpserver.Server — always the
+// hybrid architecture, a director being exactly fork-after-trust with a
+// remote worker — whose enqueue hook replays each accepted envelope to
+// the shards owning its recipients. Create with New, start with Serve,
 // stop with Close.
 type Server struct {
 	cfg  settings
+	srv  *smtpserver.Server
 	ring *Ring
-	bmu  sync.Mutex
 	bk   map[string]*backend
 
-	ln     net.Listener
-	connWG sync.WaitGroup
-	closed chan struct{}
-	ids    uint64
-	idsMu  sync.Mutex
-
-	reg            *metrics.Registry
-	connections    *metrics.Counter
-	policyRejected *metrics.Counter
-	policyTempfail *metrics.Counter
 	mailsForwarded *metrics.Counter
 	mailsFailed    *metrics.Counter
 	mailsRefused   *metrics.Counter
 	forwardRetries *metrics.Counter
-	rcptRejected   *metrics.Counter
 	rcptSkew       *metrics.Counter
-	preTrustClosed *metrics.Counter
 	shardDown      *metrics.Counter
 	traceStitched  *metrics.Counter
 	handoff        *metrics.Histogram // per-envelope replay wall time
-	perShard       map[string]*metrics.Counter
-	forwardSec     map[string]*metrics.Histogram // per-shard replay wall time
 }
 
 // New builds a director over at least one backend shard.
 func New(opts ...Option) (*Server, error) {
 	st := settings{
 		hostname:       "director.local",
-		idleTimeout:    60 * time.Second,
 		forwardTimeout: 10 * time.Second,
 		cooldown:       2 * time.Second,
 	}
@@ -183,55 +169,58 @@ func New(opts ...Option) (*Server, error) {
 		cfg:            st,
 		ring:           NewRing(st.vnodes),
 		bk:             make(map[string]*backend, len(st.backends)),
-		closed:         make(chan struct{}),
-		reg:            reg,
-		connections:    reg.Counter("director_connections_total"),
-		policyRejected: reg.Counter("director_policy_rejected_total"),
-		policyTempfail: reg.Counter("director_policy_tempfail_total"),
 		mailsForwarded: reg.Counter("director_mails_forwarded_total"),
 		mailsFailed:    reg.Counter("director_mails_failed_total"),
 		mailsRefused:   reg.Counter("director_mails_refused_total"),
 		forwardRetries: reg.Counter("director_forward_retries_total"),
-		rcptRejected:   reg.Counter("director_rcpt_rejected_total"),
 		rcptSkew:       reg.Counter("director_rcpt_skew_total"),
-		preTrustClosed: reg.Counter("director_pretrust_closed_total"),
 		shardDown:      reg.Counter("director_shard_down_total"),
 		traceStitched:  reg.Counter("director_trace_stitched_total"),
 		handoff:        reg.Histogram("director_handoff_seconds", metrics.LatencyBounds()),
-		perShard:       make(map[string]*metrics.Counter, len(st.backends)),
-		forwardSec:     make(map[string]*metrics.Histogram, len(st.backends)),
 	}
 	for _, spec := range st.backends {
 		if _, dup := s.bk[spec.name]; dup {
 			return nil, fmt.Errorf("director: duplicate backend %q", spec.name)
 		}
-		s.bk[spec.name] = &backend{name: spec.name, addr: spec.addr}
+		s.bk[spec.name] = &backend{
+			name: spec.name, addr: spec.addr,
+			forwarded:  reg.Counter("director_shard_forwarded_total", "shard", spec.name),
+			forwardSec: reg.Histogram("director_forward_seconds", metrics.LatencyBounds(), "shard", spec.name),
+		}
 		s.ring.Add(spec.name)
-		s.perShard[spec.name] = reg.Counter("director_shard_forwarded_total", "shard", spec.name)
-		s.forwardSec[spec.name] = reg.Histogram("director_forward_seconds", metrics.LatencyBounds(), "shard", spec.name)
 	}
+	// The front end takes no plain Enqueue: its hook is the traced form.
+	srv, err := smtpserver.New(nil, append(st.front,
+		smtpserver.WithHostname(st.hostname),
+		smtpserver.WithRegistry(reg),
+		smtpserver.WithEventLog(st.events),
+		smtpserver.WithMessageTracer(st.mtrace),
+		smtpserver.WithEnqueueTraced(s.enqueue),
+	)...)
+	if err != nil {
+		return nil, err
+	}
+	s.srv = srv
 	return s, nil
 }
 
 // Registry returns the registry holding the director's metrics.
-func (s *Server) Registry() *metrics.Registry { return s.reg }
-
-// Ring returns the recipient ring, for observability and tests.
-func (s *Server) Ring() *Ring { return s.ring }
+func (s *Server) Registry() *metrics.Registry { return s.srv.Registry() }
 
 // Stats snapshots the counters.
 func (s *Server) Stats() Stats {
+	fe := s.srv.Stats()
 	return Stats{
-		Connections:    s.connections.Value(),
-		PolicyRejected: s.policyRejected.Value(),
-		PolicyTempfail: s.policyTempfail.Value(),
+		Connections:    fe.Connections,
+		PolicyRejected: fe.PolicyRejected,
+		PolicyTempfail: fe.PolicyTempfail,
 		MailsForwarded: s.mailsForwarded.Value(),
 		MailsFailed:    s.mailsFailed.Value(),
 		MailsRefused:   s.mailsRefused.Value(),
 		ForwardRetries: s.forwardRetries.Value(),
-		RcptRejected:   s.rcptRejected.Value(),
+		RcptRejected:   fe.RcptRejected,
 		RcptSkew:       s.rcptSkew.Value(),
-		PreTrustClosed: s.preTrustClosed.Value(),
+		PreTrustClosed: fe.PreTrustClosed,
 	}
 }
 
@@ -239,238 +228,42 @@ func (s *Server) Stats() Stats {
 // in seconds.
 func (s *Server) HandoffQuantile(q float64) float64 { return s.handoff.Quantile(q) }
 
-// Serve accepts connections on ln until Close. It owns ln.
+// Serve accepts connections on ln until Close. It owns ln: a Serve that
+// loses the race with Close closes ln itself and returns.
 func (s *Server) Serve(ln net.Listener) {
-	s.ln = ln
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-			}
-			continue
-		}
-		s.connWG.Add(1)
-		go s.serveConn(nc)
-	}
+	s.srv.Serve(ln) //nolint:errcheck // nil on Close; a refused or failed Serve has closed ln
 }
 
 // Close stops accepting, waits for in-flight dialogs, and drains the
-// back-end connection pools.
+// back-end connection pools. It is idempotent.
 func (s *Server) Close() {
-	select {
-	case <-s.closed:
-		return
-	default:
+	if s.srv.Close() != nil {
+		return // already closed
 	}
-	close(s.closed)
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	s.connWG.Wait()
 	for _, b := range s.bk {
 		b.closeIdle()
 	}
 }
 
-func (s *Server) nextID() uint64 {
-	s.idsMu.Lock()
-	defer s.idsMu.Unlock()
-	s.ids++
-	return s.ids
-}
-
-// remoteIP extracts the peer IP.
-func remoteIP(nc net.Conn) string {
-	a := nc.RemoteAddr()
-	if a == nil {
-		return ""
+// enqueue is the front end's enqueue hook: what a shard's queue manager
+// is to an smtpd, the ring fan-out is to a director. tc is the mail's
+// "smtp" span, so the forward spans nest under it. The two refusals ride
+// back as the replies the client must see.
+func (s *Server) enqueue(sender string, rcpts []string, data []byte, tc trace.Context) (string, error) {
+	accepted, ok := s.deliver(sender, rcpts, data, tc)
+	switch {
+	case !ok:
+		s.mailsFailed.Inc()
+		return "", smtp.ReplyError{Code: 451, Text: "delivery shards unavailable, try again later"}
+	case accepted == 0:
+		// Every shard answered and cleanly refused every recipient: a
+		// permanent recipient problem, not an outage. Acking would drop
+		// the mail silently and a retry cannot help — fail the
+		// transaction for good.
+		s.mailsRefused.Inc()
+		return "", smtp.ReplyError{Code: 554, Text: "all recipients refused by delivery shards"}
 	}
-	host, _, err := net.SplitHostPort(a.String())
-	if err != nil {
-		return a.String()
-	}
-	return host
-}
-
-// serveConn runs one client dialog: admission, pre-trust SMTP, and
-// per-mail replay to the owning shard.
-func (s *Server) serveConn(nc net.Conn) {
-	defer s.connWG.Done()
-	defer nc.Close()
-	id := s.nextID()
-	s.connections.Inc()
-	ip := remoteIP(nc)
-	c := smtp.AcquireConn(nc)
-	defer smtp.ReleaseConn(c)
-
-	if !s.admitPolicy(nc, c, id, ip) {
-		return
-	}
-
-	sess := smtp.AcquireSession(s.sessionConfig(ip))
-	defer smtp.ReleaseSession(sess)
-	// The director is the trace edge: the id minted here follows the
-	// mail through every shard and queue it crosses. The pretrust span
-	// covers the whole client dialog; forward spans nest per replay.
-	tc := s.cfg.mtrace.Mint()
-	preStart := time.Now()
-	if err := c.WriteReply(sess.Greeting()); err != nil {
-		return
-	}
-	forwarded := s.runDialog(nc, c, sess, ip, id, tc)
-	psp := s.cfg.mtrace.NewSpan(tc)
-	s.cfg.mtrace.FinishAt(psp, trace.MStagePretrust, preStart, time.Now(), "director")
-	if forwarded == 0 {
-		s.preTrustClosed.Inc()
-		// A connection that drew 550s and forwarded nothing is the §4.1
-		// bounce: feed it back so the next visit is refused at connect.
-		if s.cfg.pol != nil && sess.RejectedRcpts() > 0 {
-			s.cfg.pol.RecordBounce(ip)
-		}
-	}
-	s.cfg.events.Debug("director.conn", id,
-		eventlog.Str("ip", ip),
-		eventlog.Int("forwarded", int64(forwarded)),
-	)
-}
-
-// admitPolicy runs the connect-time verdict; false means a refusal has
-// been written.
-func (s *Server) admitPolicy(nc net.Conn, c *smtp.Conn, id uint64, ip string) bool {
-	if s.cfg.pol == nil {
-		return true
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.idleTimeout)
-	defer cancel()
-	d := s.cfg.pol.Connect(ctx, ip)
-	switch d.Verdict {
-	case policy.Reject:
-		s.policyRejected.Inc()
-		c.WriteReply(smtp.Reply{Code: 554, Text: d.Reason}) //nolint:errcheck // closing anyway
-		return false
-	case policy.Tempfail:
-		s.policyTempfail.Inc()
-		c.WriteReply(smtp.Reply{Code: 421, Text: d.Reason}) //nolint:errcheck // closing anyway
-		return false
-	default:
-		return true
-	}
-}
-
-// sessionConfig wires the policy hooks into the session state machine,
-// mirroring smtpserver so both tiers speak identical SMTP.
-func (s *Server) sessionConfig(ip string) smtp.Config {
-	cfg := smtp.Config{
-		Hostname:        s.cfg.hostname,
-		ValidateRcpt:    s.cfg.validateRcpt,
-		MaxRcpts:        s.cfg.maxRcpts,
-		MaxMessageBytes: s.cfg.maxMessage,
-	}
-	if p := s.cfg.pol; p != nil {
-		cfg.CheckMail = func(sender string) *smtp.Reply {
-			return policyReply(p.Mail(context.Background(), ip, sender))
-		}
-		cfg.CheckRcpt = func(sender, rcpt string) *smtp.Reply {
-			return policyReply(p.Rcpt(context.Background(), ip, sender, rcpt))
-		}
-	}
-	return cfg
-}
-
-func policyReply(d policy.Decision) *smtp.Reply {
-	switch d.Verdict {
-	case policy.Reject:
-		return &smtp.Reply{Code: 554, Text: d.Reason}
-	case policy.Tempfail:
-		return &smtp.Reply{Code: 450, Text: d.Reason}
-	default:
-		return nil
-	}
-}
-
-// runDialog drives the client session until QUIT or drop, replaying
-// each completed envelope to its shards. Returns envelopes forwarded.
-// connTC is the connection's minted trace context; a context arriving
-// on the wire as an XTRACE MAIL parameter (a director upstream of this
-// one) takes precedence, so chained tiers share one trace.
-func (s *Server) runDialog(nc net.Conn, c *smtp.Conn, sess *smtp.Session, ip string, id uint64, connTC trace.Context) int {
-	forwarded := 0
-	for {
-		if err := nc.SetReadDeadline(time.Now().Add(s.cfg.idleTimeout)); err != nil {
-			return forwarded
-		}
-		line, err := c.ReadLine()
-		if err != nil {
-			if errors.Is(err, smtp.ErrLineTooLong) {
-				if c.WriteReply(smtp.ReplyLineTooLong) == nil {
-					continue
-				}
-			}
-			return forwarded
-		}
-		reply, action := sess.CommandBytes(line)
-		if reply.Code == smtp.ReplyUserUnknown.Code {
-			s.rcptRejected.Inc()
-			if s.cfg.pol != nil {
-				s.cfg.pol.RecordRejectedRcpt(ip)
-			}
-		}
-		switch action {
-		case smtp.ActionData:
-			if err := c.WriteReply(reply); err != nil {
-				return forwarded
-			}
-			if err := nc.SetReadDeadline(time.Now().Add(s.cfg.idleTimeout)); err != nil {
-				return forwarded
-			}
-			body, err := c.ReadData(sess.MaxMessageBytes())
-			if err != nil {
-				if errors.Is(err, smtp.ErrMessageTooBig) {
-					if c.WriteReply(sess.AbortData()) == nil {
-						continue
-					}
-				}
-				return forwarded
-			}
-			env, done := sess.FinishData(body)
-			base := env.Trace
-			if !base.Valid() {
-				base = connTC
-			}
-			accepted, ok := s.deliver(env, id, base)
-			switch {
-			case !ok:
-				s.mailsFailed.Inc()
-				done = smtp.Reply{Code: 451, Text: "delivery shards unavailable, try again later"}
-			case accepted == 0:
-				// Every shard answered and cleanly refused every
-				// recipient: a permanent recipient problem, not an
-				// outage. Acking would drop the mail silently and a
-				// retry cannot help — fail the transaction for good.
-				s.mailsRefused.Inc()
-				done = smtp.Reply{Code: 554, Text: "all recipients refused by delivery shards"}
-			default:
-				forwarded++
-			}
-			if err := c.WriteReply(done); err != nil {
-				return forwarded
-			}
-		case smtp.ActionQuit:
-			c.WriteReply(reply) //nolint:errcheck // closing anyway
-			return forwarded
-		default:
-			if c.InputPending() {
-				if err := c.WriteReplyLazy(reply); err != nil {
-					return forwarded
-				}
-			} else if err := c.WriteReply(reply); err != nil {
-				return forwarded
-			}
-		}
-	}
+	return "", nil
 }
 
 // deliver fans one accepted envelope out to the shards owning its
@@ -479,11 +272,11 @@ func (s *Server) runDialog(nc net.Conn, c *smtp.Conn, sess *smtp.Session, ip str
 // It returns the recipients a shard took and whether every group found
 // a live shard; ok with accepted == 0 means the shards cleanly refused
 // everything (config skew), which the caller must not ack.
-func (s *Server) deliver(env smtp.Envelope, id uint64, tc trace.Context) (accepted int, ok bool) {
+func (s *Server) deliver(sender string, rcpts []string, data []byte, tc trace.Context) (accepted int, ok bool) {
 	start := time.Now()
 	ok = true
-	for shard, rcpts := range s.groupByShard(env.Rcpts) {
-		n, groupOK := s.forwardGroup(shard, env.Sender, rcpts, env.Data, id, tc)
+	for _, group := range s.groupByShard(rcpts) {
+		n, groupOK := s.forwardGroup(sender, group, data, tc)
 		accepted += n
 		if !groupOK {
 			ok = false
@@ -510,7 +303,7 @@ func (s *Server) groupByShard(rcpts []string) map[string][]string {
 // a shard takes the mail. Down shards are skipped inside their
 // cooldown unless every candidate is down — then each is probed anyway
 // rather than failing mail on a stale latch.
-func (s *Server) forwardGroup(owner, sender string, rcpts []string, data []byte, id uint64, tc trace.Context) (int, bool) {
+func (s *Server) forwardGroup(sender string, rcpts []string, data []byte, tc trace.Context) (int, bool) {
 	candidates := s.ring.Candidates(rcpts[0], len(s.ring.Nodes()))
 	now := time.Now()
 	// Pass 0 probes the candidates whose cooldown is clear. If every
@@ -541,8 +334,8 @@ func (s *Server) forwardGroup(owner, sender string, rcpts []string, data []byte,
 			}
 			if err == nil {
 				b.markUp()
-				s.perShard[name].Inc()
-				s.forwardSec[name].ObserveDuration(time.Since(probeStart))
+				b.forwarded.Inc()
+				b.forwardSec.ObserveDuration(time.Since(probeStart))
 				s.cfg.mtrace.FinishAt(fsp, trace.MStageForward, probeStart, time.Now(), name)
 				if traced {
 					// The shard advertised XTRACE and took the context:
@@ -557,12 +350,12 @@ func (s *Server) forwardGroup(owner, sender string, rcpts []string, data []byte,
 					// and move on. Keep the tiers' -domain/mailbox
 					// config in lockstep to keep this at zero.
 					s.rcptSkew.Add(int64(len(rcpts) - accepted))
-					s.cfg.events.Warn("director.skew", id,
+					s.cfg.events.Warn("director.skew", 0,
 						eventlog.Str("shard", name),
 						eventlog.Int("refused", int64(len(rcpts)-accepted)),
 					)
 				}
-				s.cfg.events.Debug("director.forward", id,
+				s.cfg.events.Debug("director.forward", 0,
 					eventlog.Str("shard", name),
 					eventlog.Int("rcpts", int64(len(rcpts))),
 				)
@@ -570,7 +363,7 @@ func (s *Server) forwardGroup(owner, sender string, rcpts []string, data []byte,
 			}
 			b.markDown(time.Now(), s.cfg.cooldown)
 			s.shardDown.Inc()
-			s.cfg.events.Warn("director.shard", id,
+			s.cfg.events.Warn("director.shard", 0,
 				eventlog.Str("shard", name),
 				eventlog.Str("err", err.Error()),
 			)

@@ -127,7 +127,7 @@ func TestDirectorForwardsToOwningShard(t *testing.T) {
 		if got := sendMail(t, feAddr, "sender@remote.net", []string{rcpt}); got != 1 {
 			t.Fatalf("accepted %d rcpts for %s", got, rcpt)
 		}
-		owner := d.Ring().Pick(rcpt)
+		owner := d.ring.Pick(rcpt)
 		other := "shard-a"
 		if owner == other {
 			other = "shard-b"
@@ -159,7 +159,7 @@ func TestDirectorMultiRcptFanout(t *testing.T) {
 	corpus := rcptCorpus(100)
 	var onA, onB string
 	for _, rc := range corpus {
-		switch d.Ring().Pick(rc) {
+		switch d.ring.Pick(rc) {
 		case "shard-a":
 			if onA == "" {
 				onA = rc
@@ -193,7 +193,7 @@ func TestDirectorFailsOverOnShardDeath(t *testing.T) {
 	)
 
 	rcpt := "victim@example.org"
-	owner := d.Ring().Pick(rcpt)
+	owner := d.ring.Pick(rcpt)
 	// Prime a pooled connection to the owner so the failover also
 	// exercises the stale-pool drain.
 	if got := sendMail(t, feAddr, "s@remote.net", []string{rcpt}); got != 1 {

@@ -29,6 +29,13 @@ func (r Reply) String() string { return fmt.Sprintf("%d %s", r.Code, r.Text) }
 // IsPositive reports whether the reply is a 2xx or 3xx success code.
 func (r Reply) IsPositive() bool { return r.Code >= 200 && r.Code < 400 }
 
+// ReplyError is a Reply travelling as an error: a server's enqueue hook
+// returns one to have that reply, rather than the generic 452, answer the
+// transaction it could not take.
+type ReplyError Reply
+
+func (e ReplyError) Error() string { return Reply(e).String() }
+
 // Standard replies used by the server. Texts follow postfix's wording
 // where the paper quotes it ("550 User unknown").
 var (

@@ -178,6 +178,10 @@ func (s *Session) RejectedRcpts() int { return s.rejectedRcpts }
 // MailsCompleted returns the number of completed DATA transactions.
 func (s *Session) MailsCompleted() int { return s.mailsDone }
 
+// Trace returns the trace context the current transaction's MAIL carried
+// as an XTRACE parameter; the zero Context outside a traced transaction.
+func (s *Session) Trace() trace.Context { return s.xtrace }
+
 // MaxMessageBytes returns the configured DATA cap for Conn.ReadData.
 func (s *Session) MaxMessageBytes() int { return s.cfg.MaxMessageBytes }
 

@@ -32,7 +32,7 @@ const (
 // parameter — a director upstream — takes precedence over it.
 func (s *Server) runDialog(nc net.Conn, c *smtp.Conn, sess *smtp.Session, stopWhen func(*smtp.Session) bool, connTC trace.Context) outcome {
 	for {
-		if err := nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
+		if err := nc.SetReadDeadline(time.Now().Add(s.cfg.idleTimeout)); err != nil {
 			return outcomeDropped
 		}
 		line, err := c.ReadLine()
@@ -47,11 +47,11 @@ func (s *Server) runDialog(nc net.Conn, c *smtp.Conn, sess *smtp.Session, stopWh
 		reply, action := sess.CommandBytes(line)
 		if reply.Code == smtp.ReplyUserUnknown.Code {
 			s.rcptRejected.Inc()
-			if s.cfg.Policy != nil {
+			if s.cfg.policy != nil {
 				// Each 550 is a §4.1 bounce signal; feed it to the
 				// reputation store so repeat offenders are refused at
 				// connect time on their next visit.
-				s.cfg.Policy.RecordRejectedRcpt(remoteIP(nc))
+				s.cfg.policy.RecordRejectedRcpt(remoteIP(nc))
 			}
 		}
 		switch action {
@@ -62,7 +62,7 @@ func (s *Server) runDialog(nc net.Conn, c *smtp.Conn, sess *smtp.Session, stopWh
 			if err := c.WriteReply(reply); err != nil {
 				return outcomeDropped
 			}
-			if err := nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
+			if err := nc.SetReadDeadline(time.Now().Add(s.cfg.idleTimeout)); err != nil {
 				return outcomeDropped
 			}
 			body, err := c.ReadData(sess.MaxMessageBytes())
@@ -75,28 +75,21 @@ func (s *Server) runDialog(nc net.Conn, c *smtp.Conn, sess *smtp.Session, stopWh
 				return outcomeDropped
 			}
 			env, done := sess.FinishData(body)
-			// The mail's trace base: the context the upstream hop sent
-			// (XTRACE), else this connection's minted root. NewSpan on an
-			// invalid base is a free no-op, keeping the sampled-out path
-			// allocation-free.
-			base := env.Trace
-			if !base.Valid() {
-				base = connTC
-			}
-			sp := s.mtrace.NewSpan(base)
-			var qerr error
-			if s.enqueueTraced != nil {
-				_, qerr = s.enqueueTraced(env.Sender, env.Rcpts, env.Data, sp)
-			} else {
-				_, qerr = s.cfg.Enqueue(env.Sender, env.Rcpts, env.Data)
-			}
-			if qerr != nil {
+			// NewSpan on an invalid base is a free no-op, keeping the
+			// sampled-out path allocation-free.
+			sp := s.cfg.mtrace.NewSpan(traceBase(env.Trace, connTC))
+			if _, err := s.cfg.enqueue(env.Sender, env.Rcpts, env.Data, sp); err != nil {
 				s.enqueueFailures.Inc()
 				done = smtp.ReplyInsufficient
+				// A hook that knows better than "queue full" says so.
+				var re smtp.ReplyError
+				if errors.As(err, &re) {
+					done = smtp.Reply(re)
+				}
 			} else {
 				s.mailsAccepted.Inc()
 			}
-			s.mtrace.FinishAt(sp, trace.MStageSMTP, dataStart, time.Now(), s.arch)
+			s.cfg.mtrace.FinishAt(sp, trace.MStageSMTP, dataStart, time.Now(), s.cfg.arch.String())
 			if err := c.WriteReply(done); err != nil {
 				return outcomeDropped
 			}
@@ -135,6 +128,25 @@ func outcomeNote(out outcome) string {
 	}
 }
 
+// traceBase picks the context a connection's spans hang under: the one
+// the upstream hop sent on the wire (XTRACE), else this connection's
+// minted root.
+func traceBase(wire, conn trace.Context) trace.Context {
+	if wire.Valid() {
+		return wire
+	}
+	return conn
+}
+
+// finish tears a connection down: the socket is closed and the Conn and
+// Session (nil when the dialog never started) go back to their pools.
+func (s *Server) finish(nc net.Conn, c *smtp.Conn, sess *smtp.Session) {
+	s.untrack(nc)
+	nc.Close()
+	smtp.ReleaseConn(c)
+	smtp.ReleaseSession(sess)
+}
+
 // vanillaWorker is one smtpd process of Figure 6: it takes whole
 // connections and serves the entire dialog, bounces included.
 func (s *Server) vanillaWorker(conns <-chan accepted) {
@@ -149,34 +161,26 @@ func (s *Server) vanillaWorker(conns <-chan accepted) {
 		// The vanilla architecture pays a worker for the policy check
 		// itself — the cost contrast the policy-sweep experiment measures.
 		if !s.admitPolicy(nc, c, a.id, true) {
-			s.untrack(nc)
-			nc.Close()
-			smtp.ReleaseConn(c)
+			s.finish(nc, c, nil)
 			continue
 		}
 		dialogStart := time.Now()
 		sess := smtp.AcquireSession(s.sessionConfig(ip, a.id))
-		tc := s.mtrace.Mint()
-		if err := c.WriteReply(sess.Greeting()); err == nil {
-			out := s.runDialog(nc, c, sess, nil, tc)
+		out, bounce := outcomeDropped, true
+		if c.WriteReply(sess.Greeting()) == nil {
+			out = s.runDialog(nc, c, sess, nil, s.cfg.mtrace.Mint())
 			if out == outcomeQuit {
 				s.sessionsServed.Inc()
 			}
-			bounce := !sess.HasValidRcpt() && sess.MailsCompleted() == 0
+			bounce = !sess.HasValidRcpt() && sess.MailsCompleted() == 0
 			if bounce {
+				s.recordBounce(ip, sess)
 				s.preTrustClosed.Inc()
-				s.recordBounce(nc, sess)
 			}
-			s.observeStage(StageDialog, a.id, dialogStart, outcomeNote(out))
-			s.logConn(a.id, ip, outcomeNote(out), true, bounce)
-		} else {
-			s.observeStage(StageDialog, a.id, dialogStart, "dropped")
-			s.logConn(a.id, ip, "dropped", true, true)
 		}
-		s.untrack(nc)
-		nc.Close()
-		smtp.ReleaseConn(c)
-		smtp.ReleaseSession(sess)
+		s.observeStage(StageDialog, a.id, dialogStart, outcomeNote(out))
+		s.logConn(a.id, ip, outcomeNote(out), true, bounce)
+		s.finish(nc, c, sess)
 	}
 }
 
@@ -193,27 +197,24 @@ func (s *Server) hybridFrontEnd(nc net.Conn, id uint64, sh *shard) {
 	// finished here, before any worker is committed — the paper's
 	// fork-after-trust thesis extended from bounces to policy verdicts.
 	if !s.admitPolicy(nc, c, id, false) {
-		s.untrack(nc)
-		nc.Close()
-		smtp.ReleaseConn(c)
+		s.finish(nc, c, nil)
 		return
 	}
 	preTrustStart := time.Now()
 	sess := smtp.AcquireSession(s.sessionConfig(ip, id))
-	tc := s.mtrace.Mint()
-	if err := c.WriteReply(sess.Greeting()); err != nil {
-		s.observeStage(StagePreTrust, id, preTrustStart, "dropped")
-		s.logConn(id, ip, "dropped", false, true)
-		s.untrack(nc)
-		nc.Close()
-		smtp.ReleaseConn(c)
-		smtp.ReleaseSession(sess)
-		return
+	tc := s.cfg.mtrace.Mint()
+	out := outcomeDropped
+	greeted := c.WriteReply(sess.Greeting()) == nil
+	if greeted {
+		out = s.runDialog(nc, c, sess, (*smtp.Session).HasValidRcpt, tc)
 	}
-	out := s.runDialog(nc, c, sess, (*smtp.Session).HasValidRcpt, tc)
 	s.observeStage(StagePreTrust, id, preTrustStart, outcomeNote(out))
-	switch out {
-	case outcomeTrusted:
+	// The edge span of the mail's trace: what the front end spent before
+	// trusting (or finishing) the connection. A trusted connection has seen
+	// its MAIL, so a context the upstream hop sent is already known.
+	psp := s.cfg.mtrace.NewSpan(traceBase(sess.Trace(), tc))
+	s.cfg.mtrace.Finish(psp, trace.MStagePretrust, preTrustStart, outcomeNote(out))
+	if out == outcomeTrusted {
 		s.handoffs.Inc()
 		// A full queue blocks the front end — the finite socket buffer
 		// acting "as a natural throttle for the master process" (§5.3).
@@ -221,34 +222,27 @@ func (s *Server) hybridFrontEnd(nc net.Conn, id uint64, sh *shard) {
 		// them back to the pools when the connection finishes. The minted
 		// trace context travels with the task so post-trust mails keep
 		// the connection's trace.
-		sh.tasks <- &task{nc: nc, c: c, sess: sess, id: id, at: time.Now(), tc: tc}
-	case outcomeQuit:
-		s.sessionsServed.Inc()
-		s.preTrustClosed.Inc()
-		s.recordBounce(nc, sess)
-		// Finished in the front end with no valid RCPT: a bounce that
-		// never cost a worker — the connection fork-after-trust saves.
-		s.logConn(id, ip, outcomeNote(out), false, true)
-		s.untrack(nc)
-		nc.Close()
-		smtp.ReleaseConn(c)
-		smtp.ReleaseSession(sess)
-	default:
-		s.preTrustClosed.Inc()
-		s.recordBounce(nc, sess)
-		s.logConn(id, ip, outcomeNote(out), false, true)
-		s.untrack(nc)
-		nc.Close()
-		smtp.ReleaseConn(c)
-		smtp.ReleaseSession(sess)
+		sh.tasks <- &task{nc: nc, c: c, sess: sess, id: id, ip: ip, at: time.Now(), tc: tc}
+		return
 	}
+	// Finished in the front end with no valid RCPT: a bounce that never
+	// cost a worker — the connection fork-after-trust saves.
+	if out == outcomeQuit {
+		s.sessionsServed.Inc()
+	}
+	if greeted {
+		s.recordBounce(ip, sess)
+		s.preTrustClosed.Inc()
+	}
+	s.logConn(id, ip, outcomeNote(out), false, true)
+	s.finish(nc, c, sess)
 }
 
 // recordBounce feeds a finished pre-trust connection that drew at least
 // one 550 to the reputation store as a completed bounce.
-func (s *Server) recordBounce(nc net.Conn, sess *smtp.Session) {
-	if s.cfg.Policy != nil && sess.RejectedRcpts() > 0 {
-		s.cfg.Policy.RecordBounce(remoteIP(nc))
+func (s *Server) recordBounce(ip string, sess *smtp.Session) {
+	if s.cfg.policy != nil && sess.RejectedRcpts() > 0 {
+		s.cfg.policy.RecordBounce(ip)
 	}
 }
 
@@ -261,7 +255,6 @@ func (s *Server) hybridWorker(tasks <-chan *task) {
 		// Queue wait: from the front end's enqueue attempt to this
 		// pickup — the §5.3 socket-buffer throttle made visible.
 		s.observeStage(StageHandoffWait, t.id, t.at, "")
-		ip := remoteIP(t.nc)
 		dialogStart := time.Now()
 		out := s.runDialog(t.nc, t.c, t.sess, nil, t.tc)
 		if out == outcomeQuit {
@@ -269,10 +262,7 @@ func (s *Server) hybridWorker(tasks <-chan *task) {
 		}
 		s.observeStage(StageDialog, t.id, dialogStart, outcomeNote(out))
 		// Trusted by definition (it was handed off), so never a bounce.
-		s.logConn(t.id, ip, outcomeNote(out), true, false)
-		s.untrack(t.nc)
-		t.nc.Close()
-		smtp.ReleaseConn(t.c)
-		smtp.ReleaseSession(t.sess)
+		s.logConn(t.id, t.ip, outcomeNote(out), true, false)
+		s.finish(t.nc, t.c, t.sess)
 	}
 }

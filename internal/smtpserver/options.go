@@ -11,7 +11,8 @@ import (
 
 // Enqueue hands an accepted mail to the queue manager and returns its
 // queue id. It is the one required collaborator of a Server — everything
-// else is optional configuration.
+// else is optional configuration. An error answers the transaction with
+// 452, or with the reply it carries when it is an smtp.ReplyError.
 type Enqueue func(sender string, rcpts []string, data []byte) (string, error)
 
 // EnqueueTraced is Enqueue carrying the mail's message trace context,
@@ -19,16 +20,28 @@ type Enqueue func(sender string, rcpts []string, data []byte) (string, error)
 // the same trace as the SMTP dialog that accepted the mail.
 type EnqueueTraced func(sender string, rcpts []string, data []byte, tc trace.Context) (string, error)
 
-// settings is the resolved configuration New builds from its options:
-// the legacy Config plus the observability wiring that never existed on
-// the Config struct.
+// settings is the resolved configuration New builds from its options;
+// each field is documented on the option that sets it.
 type settings struct {
-	Config
-	registry      *metrics.Registry
-	spans         *trace.SpanRecorder
-	events        *eventlog.Log
-	mtrace        *trace.MessageRecorder
-	enqueueTraced EnqueueTraced
+	hostname          string
+	arch              Architecture
+	maxWorkers        int
+	validateRcpt      func(addr string) bool
+	validateRcptBytes func(addr []byte) bool
+	checkClient       func(ip string) bool
+	policy            *policy.ServerPolicy
+	maxMessageBytes   int
+	idleTimeout       time.Duration
+	acceptShards      int
+
+	// enqueue is the one hook the dialog calls: EnqueueTraced when set,
+	// else New's plain Enqueue adapted to ignore the context.
+	enqueue EnqueueTraced
+
+	registry *metrics.Registry
+	spans    *trace.SpanRecorder
+	events   *eventlog.Log
+	mtrace   *trace.MessageRecorder
 }
 
 // Option configures a Server (see New).
@@ -36,31 +49,25 @@ type Option func(*settings)
 
 // WithHostname sets the banner hostname (default "mail.example.org").
 func WithHostname(h string) Option {
-	return func(s *settings) { s.Hostname = h }
+	return func(s *settings) { s.hostname = h }
 }
 
 // WithArchitecture selects the concurrency model (default Hybrid, the
 // paper's contribution).
 func WithArchitecture(a Architecture) Option {
-	return func(s *settings) { s.Arch = a }
+	return func(s *settings) { s.arch = a }
 }
 
-// WithMaxWorkers sets the smtpd pool size (default 100, like stock
-// postfix).
+// WithMaxWorkers sets the smtpd pool size — the paper's process limit
+// (default 100, like stock postfix). It is divided across accept shards.
 func WithMaxWorkers(n int) Option {
-	return func(s *settings) { s.MaxWorkers = n }
-}
-
-// WithTaskDepthPerWorker sizes the hybrid handoff queue per worker
-// (default ≈28, the §5.3 estimate of tasks per 64 KB socket buffer).
-func WithTaskDepthPerWorker(n int) Option {
-	return func(s *settings) { s.TaskDepthPerWorker = n }
+	return func(s *settings) { s.maxWorkers = n }
 }
 
 // WithValidateRcpt sets the access-database hook; nil accepts
 // everything.
 func WithValidateRcpt(f func(addr string) bool) Option {
-	return func(s *settings) { s.ValidateRcpt = f }
+	return func(s *settings) { s.validateRcpt = f }
 }
 
 // WithValidateRcptBytes sets the allocation-free access-database hook,
@@ -68,42 +75,44 @@ func WithValidateRcpt(f func(addr string) bool) Option {
 // recipient addresses as views into the command line, so validation adds
 // no per-RCPT heap traffic. The callee must not retain the slice.
 func WithValidateRcptBytes(f func(addr []byte) bool) Option {
-	return func(s *settings) { s.ValidateRcptBytes = f }
+	return func(s *settings) { s.validateRcptBytes = f }
 }
 
 // WithAcceptShards splits the accept path into n independent shards —
-// one accept loop and worker ring each, over SO_REUSEPORT listeners
-// where the platform supports it (see Config.AcceptShards). 0 or 1 keeps
-// the single classic accept loop.
+// one accept loop and worker ring each — so a single accept loop stops
+// being the ceiling on connection turnover (the reuseport pattern of
+// modern event-driven servers). ListenAndServe opens n SO_REUSEPORT
+// listeners where the platform supports it; Serve runs n accept
+// goroutines on its one listener. 0 or 1 keeps the single classic accept
+// loop.
 func WithAcceptShards(n int) Option {
-	return func(s *settings) { s.AcceptShards = n }
+	return func(s *settings) { s.acceptShards = n }
 }
 
 // WithCheckClient sets the bare DNSBL hook: return true to reject the
 // connecting IP with 554 at accept time.
 func WithCheckClient(f func(ip string) bool) Option {
-	return func(s *settings) { s.CheckClient = f }
+	return func(s *settings) { s.checkClient = f }
 }
 
 // WithPolicy installs the pre-trust policy engine, consulted at connect
-// time and on each MAIL FROM / RCPT TO.
+// time and on each MAIL FROM / RCPT TO. The check runs where the
+// corresponding postfix code would: inside the worker for Vanilla,
+// inside the master's front end for Hybrid — so a policy-rejected
+// connection never costs a Hybrid worker, extending the paper's
+// fork-after-trust thesis from bounces to policy rejects.
 func WithPolicy(p *policy.ServerPolicy) Option {
-	return func(s *settings) { s.Policy = p }
-}
-
-// WithMaxRcpts bounds recipients per transaction (see smtp.Config).
-func WithMaxRcpts(n int) Option {
-	return func(s *settings) { s.MaxRcpts = n }
+	return func(s *settings) { s.policy = p }
 }
 
 // WithMaxMessageBytes bounds message size (see smtp.Config).
 func WithMaxMessageBytes(n int) Option {
-	return func(s *settings) { s.MaxMessageBytes = n }
+	return func(s *settings) { s.maxMessageBytes = n }
 }
 
 // WithIdleTimeout bounds each wait for a client command (default 60s).
 func WithIdleTimeout(d time.Duration) Option {
-	return func(s *settings) { s.IdleTimeout = d }
+	return func(s *settings) { s.idleTimeout = d }
 }
 
 // WithRegistry directs the server's metrics — stage histograms and every
@@ -125,18 +134,23 @@ func WithSpans(rec *trace.SpanRecorder) Option {
 // WithMessageTracer enables message-lifecycle tracing: the server
 // advertises the XTRACE extension on EHLO, adopts trace contexts from
 // incoming XTRACE MAIL parameters (a director upstream), mints fresh
-// ones for edge connections rec samples in, and records an "smtp" span
-// per accepted mail into rec. Nil disables (the default); sampled-out
-// connections carry the zero context and cost no allocations.
+// ones for edge connections rec samples in, and records into rec an
+// "smtp" span per accepted mail plus, under Hybrid, a "pretrust" span
+// per connection. Nil disables (the default); sampled-out connections
+// carry the zero context and cost no allocations.
 func WithMessageTracer(rec *trace.MessageRecorder) Option {
 	return func(s *settings) { s.mtrace = rec }
 }
 
-// WithEnqueueTraced installs the trace-aware enqueue hook, preferred
-// over the plain Enqueue when both are set, so the queue receives each
-// mail's trace context alongside its envelope.
+// WithEnqueueTraced installs the trace-aware enqueue hook, replacing
+// New's plain Enqueue, so the queue receives each mail's trace context
+// alongside its envelope.
 func WithEnqueueTraced(f EnqueueTraced) Option {
-	return func(s *settings) { s.enqueueTraced = f }
+	return func(s *settings) {
+		if f != nil {
+			s.enqueue = f
+		}
+	}
 }
 
 // WithEventLog emits structured events into log: one smtpd.conn event

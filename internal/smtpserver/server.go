@@ -93,54 +93,6 @@ func (a Architecture) String() string {
 	}
 }
 
-// Config parameterizes a Server.
-type Config struct {
-	// Hostname appears in the banner.
-	Hostname string
-	// Arch selects the concurrency architecture.
-	Arch Architecture
-	// MaxWorkers is the smtpd pool size (the paper's process limit;
-	// default 100 like stock postfix).
-	MaxWorkers int
-	// TaskDepthPerWorker sizes the hybrid handoff queue per worker.
-	// Default ≈28, the §5.3 estimate of tasks per 64 KB socket buffer at
-	// 7 recipients/mail.
-	TaskDepthPerWorker int
-	// ValidateRcpt is the access-database hook; nil accepts everything.
-	ValidateRcpt func(addr string) bool
-	// ValidateRcptBytes is the allocation-free form of ValidateRcpt,
-	// preferred by the session when both are set (see smtp.Config).
-	ValidateRcptBytes func(addr []byte) bool
-	// CheckClient, if non-nil, is the DNSBL hook: it returns true when
-	// the connecting IP is blacklisted and the connection should be
-	// rejected with 554 at accept time.
-	CheckClient func(ip string) bool
-	// Policy, if non-nil, is the pre-trust policy engine, consulted at
-	// connect time and on each MAIL FROM / RCPT TO. The check runs where
-	// the corresponding postfix code would: inside the worker for
-	// Vanilla, inside the master's front end for Hybrid — so a
-	// policy-rejected connection never costs a Hybrid worker, extending
-	// the paper's fork-after-trust thesis from bounces to policy
-	// rejects.
-	Policy *policy.ServerPolicy
-	// Enqueue hands an accepted mail to the queue manager and returns
-	// its queue id. Required.
-	Enqueue func(sender string, rcpts []string, data []byte) (string, error)
-	// MaxRcpts and MaxMessageBytes bound transactions (see smtp.Config).
-	MaxRcpts        int
-	MaxMessageBytes int
-	// IdleTimeout bounds each wait for a client command (default 60s).
-	IdleTimeout time.Duration
-	// AcceptShards splits the accept path across n independent shards,
-	// each with its own accept loop and worker ring, so a single accept
-	// loop stops being the ceiling on connection turnover (the reuseport
-	// pattern of modern event-driven servers). ListenAndServe opens n
-	// SO_REUSEPORT listeners where the platform supports it and otherwise
-	// runs n accept goroutines on one listener. 0 or 1 keeps the single
-	// classic accept loop. MaxWorkers is divided across the shards.
-	AcceptShards int
-}
-
 // Stats counts server activity. All fields are monotone counters except
 // where noted.
 type Stats struct {
@@ -159,18 +111,11 @@ type Stats struct {
 
 // Server is a runnable mail server front end.
 type Server struct {
-	cfg    Config
-	reg    *metrics.Registry
-	spans  *trace.SpanRecorder
-	events *eventlog.Log
-	arch   string
+	cfg settings
 
-	// Message-lifecycle tracing (nil mtrace disables): the server
-	// advertises XTRACE via the precomputed ehlo reply, adopts incoming
-	// contexts, and mints fresh ones for sampled edge connections.
-	mtrace        *trace.MessageRecorder
-	enqueueTraced EnqueueTraced
-	ehlo          *smtp.Reply
+	// ehlo is the precomputed EHLO reply advertising XTRACE; nil (message
+	// tracing off) answers EHLO like HELO.
+	ehlo *smtp.Reply
 
 	mu     sync.Mutex
 	lns    []net.Listener
@@ -211,6 +156,7 @@ type task struct {
 	c    *smtp.Conn
 	sess *smtp.Session
 	id   uint64
+	ip   string        // peer IP, resolved once by the front end
 	at   time.Time     // when the front end enqueued the task
 	tc   trace.Context // the connection's minted message-trace context
 }
@@ -240,50 +186,37 @@ type shard struct {
 // the server on a shared /metrics endpoint and WithSpans for
 // per-connection stage spans.
 func New(enqueue Enqueue, opts ...Option) (*Server, error) {
-	st := settings{}
-	st.Enqueue = enqueue
-	st.Arch = Hybrid
-	for _, o := range opts {
-		o(&st)
+	cfg := settings{arch: Hybrid}
+	if enqueue != nil {
+		cfg.enqueue = func(sender string, rcpts []string, data []byte, _ trace.Context) (string, error) {
+			return enqueue(sender, rcpts, data)
+		}
 	}
-	return newServer(st)
-}
-
-// newServer validates, defaults, and wires the instrumentation.
-func newServer(st settings) (*Server, error) {
-	cfg := st.Config
-	if cfg.Enqueue == nil {
+	for _, o := range opts {
+		o(&cfg)
+	}
+	if cfg.enqueue == nil {
 		return nil, errors.New("smtpserver: Enqueue is required")
 	}
-	if cfg.Arch != Vanilla && cfg.Arch != Hybrid {
-		return nil, fmt.Errorf("smtpserver: unknown architecture %d", cfg.Arch)
+	if cfg.arch != Vanilla && cfg.arch != Hybrid {
+		return nil, fmt.Errorf("smtpserver: unknown architecture %d", cfg.arch)
 	}
-	if cfg.Hostname == "" {
-		cfg.Hostname = "mail.example.org"
+	if cfg.hostname == "" {
+		cfg.hostname = "mail.example.org"
 	}
-	if cfg.MaxWorkers <= 0 {
-		cfg.MaxWorkers = 100
+	if cfg.maxWorkers <= 0 {
+		cfg.maxWorkers = 100
 	}
-	if cfg.TaskDepthPerWorker <= 0 {
-		cfg.TaskDepthPerWorker = costmodel.TasksPerSocketBuffer(7)
+	if cfg.idleTimeout <= 0 {
+		cfg.idleTimeout = 60 * time.Second
 	}
-	if cfg.IdleTimeout <= 0 {
-		cfg.IdleTimeout = 60 * time.Second
+	if cfg.registry == nil {
+		cfg.registry = metrics.NewRegistry()
 	}
-	reg := st.registry
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	arch := cfg.Arch.String()
+	reg, arch := cfg.registry, cfg.arch.String()
 	s := &Server{
-		cfg:           cfg,
-		reg:           reg,
-		spans:         st.spans,
-		events:        st.events,
-		arch:          arch,
-		mtrace:        st.mtrace,
-		enqueueTraced: st.enqueueTraced,
-		conns:         make(map[net.Conn]bool),
+		cfg:   cfg,
+		conns: make(map[net.Conn]bool),
 
 		connections:     reg.Counter("smtpd_connections_total", "arch", arch),
 		blacklisted:     reg.Counter("smtpd_blacklisted_total", "arch", arch),
@@ -302,24 +235,24 @@ func newServer(st settings) (*Server, error) {
 	for _, name := range Stages() {
 		s.stage[name] = reg.Histogram(StageMetric, metrics.LatencyBounds(), "arch", arch, "stage", name)
 	}
-	if s.mtrace != nil {
+	if s.cfg.mtrace != nil {
 		// One preformatted multiline EHLO reply for the server's
 		// lifetime; advertising XTRACE costs nothing per connection.
-		ehlo := smtp.EhloReply(cfg.Hostname, "XTRACE")
+		ehlo := smtp.EhloReply(cfg.hostname, "XTRACE")
 		s.ehlo = &ehlo
 	}
 	return s, nil
 }
 
 // Registry returns the registry holding the server's metrics.
-func (s *Server) Registry() *metrics.Registry { return s.reg }
+func (s *Server) Registry() *metrics.Registry { return s.cfg.registry }
 
 // connID allocates a span connection id, or 0 when spans are off.
 func (s *Server) connID() uint64 {
-	if s.spans == nil {
+	if s.cfg.spans == nil {
 		return 0
 	}
-	return s.spans.ConnID()
+	return s.cfg.spans.ConnID()
 }
 
 // observeStage records one completed stage into the stage histogram and,
@@ -327,12 +260,12 @@ func (s *Server) connID() uint64 {
 func (s *Server) observeStage(stage string, id uint64, start time.Time, note string) {
 	end := time.Now()
 	s.stage[stage].Observe(end.Sub(start).Seconds())
-	if s.spans != nil && id != 0 {
-		s.spans.Record(trace.SpanEvent{
+	if s.cfg.spans != nil && id != 0 {
+		s.cfg.spans.Record(trace.SpanEvent{
 			Conn:  id,
 			Stage: stage,
-			Start: s.spans.Offset(start),
-			End:   s.spans.Offset(end),
+			Start: s.cfg.spans.Offset(start),
+			End:   s.cfg.spans.Offset(end),
 			Note:  note,
 		})
 	}
@@ -344,12 +277,12 @@ func (s *Server) observeStage(stage string, id uint64, start time.Time, note str
 // worker (always true under vanilla; only on handoff under hybrid), and
 // bounce whether it ended without delivering mail — the §4.1 signal.
 func (s *Server) logConn(id uint64, ip, outcome string, worker, bounce bool) {
-	s.events.Info("smtpd.conn", id,
+	s.cfg.events.Info("smtpd.conn", id,
 		eventlog.Str("ip", ip),
 		eventlog.Str("outcome", outcome),
 		eventlog.Bool("worker", worker),
 		eventlog.Bool("bounce", bounce),
-		eventlog.Str("arch", s.arch),
+		eventlog.Str("arch", s.cfg.arch.String()),
 	)
 }
 
@@ -360,7 +293,7 @@ func (s *Server) logPolicy(id uint64, ip, phase string, d policy.Decision, took 
 	if d.Verdict == policy.Allow {
 		lv = eventlog.LevelDebug
 	}
-	s.events.Log(lv, "smtpd.policy", id,
+	s.cfg.events.Log(lv, "smtpd.policy", id,
 		eventlog.Str("ip", ip),
 		eventlog.Str("phase", phase),
 		eventlog.Str("verdict", d.Verdict.String()),
@@ -402,27 +335,35 @@ func (s *Server) Serve(ln net.Listener) error {
 // each with its own worker ring. When there are more shards than
 // listeners the extra accept loops share the existing listeners — the
 // non-reuseport fallback. It blocks until all accept loops exit and
-// returns the first accept error, or nil on Close.
+// returns the first accept error, or nil on Close. The listeners are the
+// server's from the call on: a refused call (server closed, already
+// serving) closes them before returning its error.
 func (s *Server) ServeListeners(lns []net.Listener) error {
 	if len(lns) == 0 {
 		return errors.New("smtpserver: no listeners")
 	}
-	nshards := s.cfg.AcceptShards
+	nshards := s.cfg.acceptShards
 	if nshards < len(lns) {
 		nshards = len(lns)
 	}
-	workers := s.cfg.MaxWorkers / nshards
+	workers := s.cfg.maxWorkers / nshards
 	if workers < 1 {
 		workers = 1
 	}
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("smtpserver: server closed")
+	var refused error
+	switch {
+	case s.closed:
+		refused = errors.New("smtpserver: server closed")
+	case s.lns != nil:
+		refused = errors.New("smtpserver: already serving")
 	}
-	if s.lns != nil {
+	if refused != nil {
 		s.mu.Unlock()
-		return errors.New("smtpserver: already serving")
+		for _, ln := range lns {
+			ln.Close()
+		}
+		return refused
 	}
 	s.lns = append([]net.Listener(nil), lns...)
 	shards := make([]*shard, nshards)
@@ -455,9 +396,11 @@ func (s *Server) ServeListeners(lns []net.Listener) error {
 // startShard launches one shard's worker ring and returns its channels.
 func (s *Server) startShard(workers int) *shard {
 	sh := &shard{}
-	switch s.cfg.Arch {
+	switch s.cfg.arch {
 	case Hybrid:
-		sh.tasks = make(chan *task, workers*s.cfg.TaskDepthPerWorker)
+		// Queue depth per worker ≈28: the §5.3 estimate of tasks per 64 KB
+		// socket buffer at 7 recipients/mail.
+		sh.tasks = make(chan *task, workers*costmodel.TasksPerSocketBuffer(7))
 		for i := 0; i < workers; i++ {
 			s.workerWG.Add(1)
 			go s.hybridWorker(sh.tasks)
@@ -501,19 +444,17 @@ func (s *Server) acceptLoop(ln net.Listener, sh *shard) error {
 			nc.Close()
 			continue
 		}
-		if s.cfg.CheckClient != nil && s.cfg.CheckClient(remoteIP(nc)) {
+		if s.cfg.checkClient != nil && s.cfg.checkClient(remoteIP(nc)) {
 			s.blacklisted.Inc()
 			ip := remoteIP(nc)
 			c := smtp.AcquireConn(nc)
 			c.WriteReply(smtp.ReplyBlacklisted) //nolint:errcheck // closing anyway
-			smtp.ReleaseConn(c)
-			s.untrack(nc)
-			nc.Close()
+			s.finish(nc, c, nil)
 			s.observeStage(StageAccept, id, acceptedAt, "blacklisted")
 			s.logConn(id, ip, "blacklisted", false, true)
 			continue
 		}
-		switch s.cfg.Arch {
+		switch s.cfg.arch {
 		case Vanilla:
 			// Under vanilla, waiting here IS the architecture's cost:
 			// master blocked on the process limit. The wait lands in the
@@ -533,7 +474,7 @@ func (s *Server) acceptLoop(ln net.Listener, sh *shard) error {
 // AcceptShards > 1 it opens one listener per shard via ListenShards
 // (SO_REUSEPORT where supported).
 func (s *Server) ListenAndServe(addr string) error {
-	lns, err := ListenShards(addr, s.cfg.AcceptShards)
+	lns, err := ListenShards(addr, s.cfg.acceptShards)
 	if err != nil {
 		return fmt.Errorf("smtpserver: listen %s: %w", addr, err)
 	}
@@ -607,36 +548,32 @@ func remoteIP(nc net.Conn) string {
 // un-trusted and is finished without costing a worker.
 func (s *Server) sessionConfig(ip string, id uint64) smtp.Config {
 	cfg := smtp.Config{
-		Hostname:          s.cfg.Hostname,
-		ValidateRcpt:      s.cfg.ValidateRcpt,
-		ValidateRcptBytes: s.cfg.ValidateRcptBytes,
-		MaxRcpts:          s.cfg.MaxRcpts,
-		MaxMessageBytes:   s.cfg.MaxMessageBytes,
+		Hostname:          s.cfg.hostname,
+		ValidateRcpt:      s.cfg.validateRcpt,
+		ValidateRcptBytes: s.cfg.validateRcptBytes,
+		MaxMessageBytes:   s.cfg.maxMessageBytes,
 		Ehlo:              s.ehlo,
 	}
-	if p := s.cfg.Policy; p != nil {
+	if p := s.cfg.policy; p != nil {
 		// Mid-dialog checks are local (rate buckets, greylist); the
 		// background context is bounded by the engine itself, and a dead
 		// connection is detected by the socket, not the verdict path.
 		cfg.CheckMail = func(sender string) *smtp.Reply {
 			start := time.Now()
-			d := p.Mail(context.Background(), ip, sender)
-			s.logPolicy(id, ip, "mail", d, time.Since(start))
-			return s.policyReply(d)
+			return s.policyReply(id, ip, "mail", p.Mail(context.Background(), ip, sender), start)
 		}
 		cfg.CheckRcpt = func(sender, rcpt string) *smtp.Reply {
 			start := time.Now()
-			d := p.Rcpt(context.Background(), ip, sender, rcpt)
-			s.logPolicy(id, ip, "rcpt", d, time.Since(start))
-			return s.policyReply(d)
+			return s.policyReply(id, ip, "rcpt", p.Rcpt(context.Background(), ip, sender, rcpt), start)
 		}
 	}
 	return cfg
 }
 
-// policyReply maps a mid-dialog policy decision to an overriding reply,
-// or nil for Allow.
-func (s *Server) policyReply(d policy.Decision) *smtp.Reply {
+// policyReply logs a mid-dialog policy decision, begun at start, and
+// maps it to an overriding reply, or nil for Allow.
+func (s *Server) policyReply(id uint64, ip, phase string, d policy.Decision, start time.Time) *smtp.Reply {
+	s.logPolicy(id, ip, phase, d, time.Since(start))
 	switch d.Verdict {
 	case policy.Reject:
 		s.policyRejected.Inc()
@@ -656,33 +593,30 @@ func (s *Server) policyReply(d policy.Decision) *smtp.Reply {
 // connection it concerns. The verdict is timed as the policy stage and
 // noted on the connection's span (allow/reject/tempfail).
 func (s *Server) admitPolicy(nc net.Conn, c *smtp.Conn, id uint64, worker bool) bool {
-	if s.cfg.Policy == nil {
+	if s.cfg.policy == nil {
 		return true
 	}
 	// The connect-time verdict includes the DNSBL scan; bound it by the
 	// idle timeout so a sick resolver stack can never pin the connection
 	// longer than a silent client could.
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.IdleTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.idleTimeout)
 	defer cancel()
 	ip := remoteIP(nc)
 	start := time.Now()
-	d := s.cfg.Policy.Connect(ctx, ip)
+	d := s.cfg.policy.Connect(ctx, ip)
 	s.logPolicy(id, ip, "connect", d, time.Since(start))
+	s.observeStage(StagePolicy, id, start, d.Verdict.String())
 	switch d.Verdict {
 	case policy.Reject:
-		s.observeStage(StagePolicy, id, start, "reject")
 		s.policyRejected.Inc()
 		c.WriteReply(smtp.Reply{Code: 554, Text: d.Reason}) //nolint:errcheck // closing anyway
 		s.logConn(id, ip, "policy_reject", worker, true)
 		return false
 	case policy.Tempfail:
-		s.observeStage(StagePolicy, id, start, "tempfail")
 		s.policyTempfail.Inc()
 		c.WriteReply(smtp.Reply{Code: 421, Text: d.Reason}) //nolint:errcheck // closing anyway
 		s.logConn(id, ip, "policy_tempfail", worker, true)
 		return false
-	default:
-		s.observeStage(StagePolicy, id, start, "allow")
-		return true
 	}
+	return true
 }

@@ -323,8 +323,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.cfg.Arch != Hybrid {
-		t.Fatalf("default arch = %v, want Hybrid", srv.cfg.Arch)
+	if srv.cfg.arch != Hybrid {
+		t.Fatalf("default arch = %v, want Hybrid", srv.cfg.arch)
 	}
 	// ...and an explicit zero Architecture is still rejected, not
 	// silently re-defaulted.
