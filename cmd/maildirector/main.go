@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/cmd/internal/node"
+	"repro/internal/cluster"
 	"repro/internal/director"
 	"repro/internal/eventlog"
 	"repro/internal/metrics"
@@ -105,10 +106,6 @@ func main() {
 			return strings.HasSuffix(a, suffix)
 		}))
 	}
-	d, err := director.New(dOpts...)
-	if err != nil {
-		log.Fatalf("maildirector: %v", err)
-	}
 
 	var gossip *director.Gossip
 	if *gossipAddr != "" {
@@ -143,11 +140,11 @@ func main() {
 
 	n.ServeAdmin(nil) // the director records no connection spans
 
-	ln, err := net.Listen("tcp", *listen)
+	dir, err := cluster.StartDirector(cluster.DirectorSpec{Addr: *listen, Options: dOpts})
 	if err != nil {
 		log.Fatalf("maildirector: %v", err)
 	}
-	go d.Serve(ln)
+	d := dir.Server
 	events.Info("director.start", 0,
 		eventlog.Str("component", "director"),
 		eventlog.Str("addr", *listen),
@@ -163,7 +160,7 @@ func main() {
 			logStats(d, gossip)
 		case <-sigCh:
 			events.Info("director.stop", 0, eventlog.Str("component", "director"))
-			d.Close()
+			dir.Close()
 			logStats(d, gossip)
 			return
 		}

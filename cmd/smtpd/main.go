@@ -24,21 +24,18 @@ import (
 	"time"
 
 	"repro/cmd/internal/node"
-	"repro/internal/access"
 	"repro/internal/addr"
 	"repro/internal/bounce"
-	"repro/internal/delivery"
+	"repro/internal/cluster"
 	"repro/internal/dnsbl"
 	"repro/internal/eventlog"
 	"repro/internal/fsim"
-	"repro/internal/mailstore"
 	"repro/internal/metrics"
 	"repro/internal/mfs"
 	"repro/internal/policy"
 	"repro/internal/pop3"
 	"repro/internal/queue"
 	"repro/internal/smtpserver"
-	"repro/internal/spool"
 	"repro/internal/trace"
 )
 
@@ -46,20 +43,20 @@ func main() {
 	var (
 		listen      = flag.String("addr", "127.0.0.1:2525", "listen address")
 		archName    = flag.String("arch", "hybrid", "architecture: vanilla or hybrid")
-		storeName   = flag.String("store", "mfs", "mailbox store: mbox, maildir, hardlink, mfs")
+		storeName   = flag.String("store", cluster.DefaultStore, "mailbox store: mbox, maildir, hardlink, mfs")
 		root        = flag.String("root", "", "mail root directory (required)")
-		domain      = flag.String("domain", "dept.example.edu", "local domain")
-		mailboxes   = flag.Int("mailboxes", 400, "number of local user mailboxes (user0000…)")
-		workers     = flag.Int("workers", 100, "smtpd worker limit")
+		domain      = flag.String("domain", cluster.DefaultDomain, "local domain")
+		mailboxes   = flag.Int("mailboxes", cluster.DefaultMailboxes, "number of local user mailboxes (user0000…)")
+		workers     = flag.Int("workers", cluster.Workers, "smtpd worker limit")
 		shards      = flag.Int("accept-shards", 1, "independent accept shards, each with its own listener (SO_REUSEPORT on Linux) and worker ring; 1 keeps the classic single accept loop")
 		pop3Addr    = flag.String("pop3", "", "also serve POP3 on this address (empty disables)")
 		dnsblHedge  = flag.Duration("dnsbl-hedge", 20*time.Millisecond, "hedge DNSBL queries to the next replica after this delay (0 disables)")
 		dnsblStale  = flag.Duration("dnsbl-stale", time.Hour, "serve expired DNSBL cache entries up to this long past expiry when the blacklist is unreachable (0 disables)")
-		spoolDir    = flag.String("spool-dir", "queue", "spool directory (under -root) holding the active/deferred/hold lanes")
+		spoolDir    = flag.String("spool-dir", cluster.DefaultSpoolDir, "spool directory (under -root) holding the active/deferred/hold lanes")
 		mfsSync     = flag.Bool("mfs-sync", false, "MFS: write-ahead log every commit batch (crash-consistent durable mode; one fsync per batch)")
 		ckptDir     = flag.String("checkpoint-dir", "", "MFS: write online checkpoints under this directory (under -root; empty disables)")
 		ckptEvery   = flag.Duration("checkpoint-interval", 5*time.Minute, "MFS: interval between online checkpoints when -checkpoint-dir is set")
-		maxAttempts = flag.Int("max-attempts", 3, "delivery attempts before a mail bounces")
+		maxAttempts = flag.Int("max-attempts", cluster.MaxAttempts, "delivery attempts before a mail bounces")
 		bounceOn    = flag.Bool("bounce", true, "synthesize DSN bounces for undeliverable mail (off: drop dead)")
 
 		eventsLevel  = flag.String("events-level", "info", "event log ring retention level: debug, info, warn, error, or off")
@@ -77,8 +74,6 @@ func main() {
 	if err := os.MkdirAll(*root, 0o755); err != nil {
 		log.Fatalf("smtpd: %v", err)
 	}
-	fs := fsim.NewOS(*root)
-
 	ringLevel, err := eventlog.ParseLevel(*eventsLevel)
 	if err != nil {
 		log.Fatalf("smtpd: -events-level: %v", err)
@@ -98,7 +93,8 @@ func main() {
 		}
 		evOpts = append(evOpts, eventlog.WithSampling(name, n))
 	}
-	n.Start("mx."+*domain, evOpts...)
+	hostname := cluster.Hostname(*domain)
+	n.Start(hostname, evOpts...)
 	reg, events, mtrace := n.Reg, n.Events, n.Tracer
 	// The span recorder keeps the last 64k stage events for /spans and
 	// cmd/traceinfo.
@@ -114,93 +110,16 @@ func main() {
 		log.Fatalf("smtpd: unknown architecture %q", *archName)
 	}
 
-	var store mailstore.Store
-	switch *storeName {
-	case "mbox":
-		store = mailstore.NewMbox(fs)
-	case "maildir":
-		store = mailstore.NewMaildir(fs)
-	case "hardlink":
-		store = mailstore.NewHardlink(fs)
-	case "mfs":
-		var mfsStore *mailstore.MFS
-		mfsStore, err = mailstore.NewMFS(fs, "mfs", mfs.WithSync(*mfsSync))
-		if err != nil {
-			log.Fatalf("smtpd: %v", err)
-		}
-		if rs := mfsStore.Recovery(); rs != (mfs.RecoveryStats{}) {
-			log.Printf("smtpd: mfs recovery: replayed %d WAL records (%d bytes, %d torn tail), reconciled=%v refs_fixed=%d pointers_dropped=%d torn_dropped=%d shared_dropped=%d",
-				rs.Replayed, rs.ReplayedBytes, rs.DiscardedTail, rs.Reconciled,
-				rs.RefsFixed, rs.PointersDropped, rs.TornDropped, rs.SharedDropped)
-		}
-		if *ckptDir != "" {
-			go func() {
-				for i := 0; ; i++ {
-					time.Sleep(*ckptEvery)
-					dest := fmt.Sprintf("%s/ckpt%06d", *ckptDir, i)
-					st, err := mfsStore.Checkpoint(dest)
-					if err != nil {
-						log.Printf("smtpd: checkpoint %s: %v", dest, err)
-						continue
-					}
-					log.Printf("smtpd: checkpoint %s: %d files, %d bytes", dest, st.Files, st.Bytes)
-				}
-			}()
-		}
-		store = mfsStore
-	default:
-		log.Fatalf("smtpd: unknown store %q", *storeName)
-	}
-	defer store.Close()
-
-	db := access.NewDB(*domain)
-	if err := access.Populate(db, *domain, *mailboxes); err != nil {
-		log.Fatalf("smtpd: %v", err)
-	}
-	if err := db.AddAlias("postmaster@"+*domain, fmt.Sprintf("user%04d@%s", 0, *domain)); err != nil {
-		log.Fatalf("smtpd: %v", err)
-	}
-
-	agent := delivery.NewAgent(db, store, delivery.WithRegistry(reg), delivery.WithEventLog(events),
-		delivery.WithMessageTracer(mtrace))
-	qcfg := queue.Config{
-		Deliverer:   agent,
-		Store:       spool.New(fs, *spoolDir),
-		ActiveLimit: 8,
-		MaxAttempts: *maxAttempts,
-		Registry:    reg,
-		Events:      events,
-		Tracer:      mtrace,
-	}
-	if *bounceOn {
-		qcfg.Bounce = bounce.New("mx." + *domain).Synthesize
-	}
-	qm, err := queue.NewManager(qcfg)
-	if err != nil {
-		log.Fatalf("smtpd: %v", err)
-	}
-	defer qm.Close()
-
 	srvOpts := []smtpserver.Option{
-		smtpserver.WithHostname("mx." + *domain),
 		smtpserver.WithArchitecture(arch),
 		smtpserver.WithMaxWorkers(*workers),
 		smtpserver.WithAcceptShards(*shards),
-		smtpserver.WithValidateRcpt(db.Valid),
-		smtpserver.WithValidateRcptBytes(db.ValidBytes),
-		smtpserver.WithRegistry(reg),
 		smtpserver.WithSpans(spans),
-		smtpserver.WithEventLog(events),
-		smtpserver.WithMessageTracer(mtrace),
-		smtpserver.WithEnqueueTraced(qm.EnqueueTraced), // qm.Enqueue plus the trace context
 	}
 	// The resilient resolver stack: one shared pipelined socket per
 	// replica, hedged queries across them, and stale bitmaps served when
 	// every replica is down.
 	dnsblClient := n.DNSBL(dnsbl.WithHedge(*dnsblHedge), dnsbl.WithStale(*dnsblStale), dnsbl.WithNegativeTTL(5*time.Second))
-	if dnsblClient != nil {
-		defer dnsblClient.Close()
-	}
 	pol, _, _ := n.Policy(dnsblClient)
 	if pol != nil {
 		srvOpts = append(srvOpts, smtpserver.WithPolicy(pol))
@@ -223,13 +142,55 @@ func main() {
 		}))
 	}
 
-	srv, err := smtpserver.New(qm.Enqueue, srvOpts...)
+	qcfg := queue.Config{MaxAttempts: *maxAttempts}
+	if *bounceOn {
+		qcfg.Bounce = bounce.New(hostname).Synthesize
+	}
+	// The node itself — access DB, store, agent, spool, queue, front end,
+	// in that order, listening on return — is internal/cluster's.
+	sh, err := cluster.StartShard(cluster.ShardSpec{
+		Addr:      *listen,
+		FS:        fsim.NewOS(*root),
+		Domain:    *domain,
+		Mailboxes: *mailboxes,
+		Store:     *storeName,
+		MFSNoSync: !*mfsSync,
+		SpoolDir:  *spoolDir,
+		Queue:     qcfg,
+		Options:   srvOpts,
+		Registry:  reg,
+		Events:    events,
+		Tracer:    mtrace,
+	})
 	if err != nil {
 		log.Fatalf("smtpd: %v", err)
 	}
 
+	if mfsStore := sh.MFS(); mfsStore != nil {
+		if rs := mfsStore.Recovery(); rs != (mfs.RecoveryStats{}) {
+			log.Printf("smtpd: mfs recovery: replayed %d WAL records (%d bytes, %d torn tail), reconciled=%v refs_fixed=%d pointers_dropped=%d torn_dropped=%d shared_dropped=%d",
+				rs.Replayed, rs.ReplayedBytes, rs.DiscardedTail, rs.Reconciled,
+				rs.RefsFixed, rs.PointersDropped, rs.TornDropped, rs.SharedDropped)
+		}
+		if *ckptDir != "" {
+			go func() {
+				for i := 0; ; i++ {
+					time.Sleep(*ckptEvery)
+					dest := fmt.Sprintf("%s/ckpt%06d", *ckptDir, i)
+					st, err := mfsStore.Checkpoint(dest)
+					if err != nil {
+						log.Printf("smtpd: checkpoint %s: %v", dest, err)
+						continue
+					}
+					log.Printf("smtpd: checkpoint %s: %d files, %d bytes", dest, st.Files, st.Bytes)
+				}
+			}()
+		}
+	}
+
+	var pop *pop3.Server
 	if *pop3Addr != "" {
-		pop, err := pop3.New(pop3.Config{Store: store, Hostname: "pop." + *domain})
+		pop, err = pop3.New(pop3.Config{Store: sh.Store, Hostname: "pop." + *domain})
 		if err != nil {
 			log.Fatalf("smtpd: %v", err)
 		}
@@ -238,7 +199,6 @@ func main() {
 			log.Fatalf("smtpd: pop3 listen: %v", err)
 		}
 		go pop.Serve(ln) //nolint:errcheck // exits on Close
-		defer pop.Close()
 		events.Info("smtpd.start", 0,
 			eventlog.Str("component", "pop3"), eventlog.Str("addr", *pop3Addr))
 	}
@@ -247,13 +207,11 @@ func main() {
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe(*listen) }()
 
 	events.Info("smtpd.start", 0,
 		eventlog.Str("component", "smtpd"),
 		eventlog.Str("arch", arch.String()),
-		eventlog.Str("store", store.Name()),
+		eventlog.Str("store", sh.Store.Name()),
 		eventlog.Str("domain", *domain),
 		eventlog.Str("addr", *listen),
 	)
@@ -262,20 +220,26 @@ func main() {
 	for {
 		select {
 		case <-tick:
-			logStats(srv, qm, agent, pol)
-		case err := <-done:
+			logStats(sh, pol)
+		case err := <-sh.Served():
 			if err != nil {
 				log.Fatalf("smtpd: %v", err)
 			}
 			return
 		case <-sigCh:
 			events.Info("smtpd.stop", 0, eventlog.Str("component", "smtpd"))
-			if err := srv.Close(); err != nil {
+			if pop != nil {
+				pop.Close() // it reads the store the shard is about to close
+			}
+			// Stop accepting, drain the queue, close the store.
+			if err := sh.Close(); err != nil {
 				events.Error("smtpd.error", 0,
 					eventlog.Str("component", "smtpd"), eventlog.Str("err", err.Error()))
 			}
-			qm.WaitIdle(5 * time.Second)
-			logStats(srv, qm, agent, pol)
+			if dnsblClient != nil {
+				dnsblClient.Close()
+			}
+			logStats(sh, pol)
 			return
 		}
 	}
@@ -283,10 +247,10 @@ func main() {
 
 // logStats dumps a counters table: the SMTP front end (policy verdicts
 // included), the queue pipeline, and delivery.
-func logStats(srv *smtpserver.Server, qm *queue.Manager, agent *delivery.Agent, pol *policy.ServerPolicy) {
-	s := srv.Stats()
-	q := qm.Stats()
-	d := agent.Stats()
+func logStats(sh *cluster.Shard, pol *policy.ServerPolicy) {
+	s := sh.Server.Stats()
+	q := sh.Queue.Stats()
+	d := sh.Agent.Stats()
 	t := metrics.NewTable("counter", "value")
 	t.AddRow("connections", s.Connections)
 	t.AddRow("mails accepted", s.MailsAccepted)

@@ -20,9 +20,10 @@
 // caching clients, a postfix-style queue pipeline, seeded workload
 // generators reproducing the paper's trace statistics, and a
 // discrete-event simulation that regenerates every cost-sensitive figure
-// deterministically. The experiment registry (internal/core, surfaced by
-// cmd/mailbench and the benchmarks in bench_test.go) maps each table and
-// figure of the evaluation to a runner.
+// deterministically. A whole mail node is stood up in one place,
+// internal/cluster. The experiment registry (internal/core, surfaced by
+// cmd/mailbench) maps each table and figure of the evaluation to a
+// runner; bench/ is the end-to-end benchmark.
 //
 // Start with README.md, DESIGN.md (system inventory and substitutions),
 // and EXPERIMENTS.md (paper-vs-measured for every table and figure).

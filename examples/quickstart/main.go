@@ -9,17 +9,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
 	"time"
 
-	"repro/internal/access"
-	"repro/internal/costmodel"
-	"repro/internal/delivery"
-	"repro/internal/fsim"
-	"repro/internal/mailstore"
-	"repro/internal/queue"
+	"repro/internal/cluster"
 	"repro/internal/smtp"
-	"repro/internal/smtpserver"
 )
 
 func main() {
@@ -29,46 +22,24 @@ func main() {
 }
 
 func run() error {
-	// --- Server side: access DB, MFS store, queue, hybrid front end. ---
-	db := access.NewDB("example.org")
+	// --- Server side: one full node — access DB, MFS store, delivery
+	// agent, spool, queue, hybrid fork-after-trust front end (§5) — in
+	// its production defaults, on an in-memory filesystem. ---
+	node, err := cluster.StartShard(cluster.ShardSpec{Domain: "example.org"})
+	if err != nil {
+		return err
+	}
+	defer node.Close()
 	for _, u := range []string{"alice@example.org", "bob@example.org", "carol@example.org"} {
-		if err := db.AddUser(u); err != nil {
+		if err := node.DB.AddUser(u); err != nil {
 			return err
 		}
 	}
-
-	store, err := mailstore.NewMFS(fsim.NewMem(costmodel.FSModel{}), "mfs")
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-
-	qm, err := queue.NewManager(queue.Config{
-		Deliverer: delivery.NewAgent(db, store),
-	})
-	if err != nil {
-		return err
-	}
-	defer qm.Close()
-
-	srv, err := smtpserver.New(qm.Enqueue,
-		smtpserver.WithHostname("mx.example.org"),
-		smtpserver.WithArchitecture(smtpserver.Hybrid), // fork-after-trust (§5)
-		smtpserver.WithValidateRcpt(db.Valid),
-	)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go srv.Serve(ln) //nolint:errcheck // exits on Close
-	defer srv.Close()
-	fmt.Println("server listening on", ln.Addr())
+	store := node.MFS()
+	fmt.Println("server listening on", node.Addr)
 
 	// --- Client side: one spam-style multi-recipient mail... ---
-	client, err := smtp.Dial(ln.Addr().String(), 5*time.Second)
+	client, err := smtp.Dial(node.Addr, 5*time.Second)
 	if err != nil {
 		return err
 	}
@@ -95,7 +66,7 @@ func run() error {
 		return err
 	}
 
-	if !qm.WaitIdle(5 * time.Second) {
+	if !node.Queue.WaitIdle(5 * time.Second) {
 		return fmt.Errorf("queue never drained")
 	}
 
@@ -117,7 +88,7 @@ func run() error {
 	fmt.Printf("MFS shared store: %d record(s) serving %d mailbox pointer(s)\n",
 		st.SharedRecords, st.SharedRefs)
 
-	stats := srv.Stats()
+	stats := node.Server.Stats()
 	fmt.Printf("server: %d connection(s), %d delegated to workers, %d recipients rejected with 550\n",
 		stats.Connections, stats.Handoffs, stats.RcptRejected)
 	return nil

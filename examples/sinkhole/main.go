@@ -14,14 +14,10 @@ import (
 	"net"
 	"time"
 
-	"repro/internal/access"
 	"repro/internal/addr"
-	"repro/internal/costmodel"
-	"repro/internal/delivery"
+	"repro/internal/cluster"
 	"repro/internal/dns"
 	"repro/internal/dnsbl"
-	"repro/internal/fsim"
-	"repro/internal/mailstore"
 	"repro/internal/queue"
 	"repro/internal/smtpserver"
 	"repro/internal/trace"
@@ -78,37 +74,17 @@ func run() error {
 		return false
 	}
 
-	db := access.NewDB("sink.example.org")
-	if err := access.Populate(db, "sink.example.org", 50); err != nil {
-		return err
-	}
-	store := mailstore.NewMbox(fsim.NewMem(costmodel.FSModel{}))
-	defer store.Close()
-	qm, err := queue.NewManager(queue.Config{
-		Deliverer:   delivery.NewAgent(db, store),
-		ActiveLimit: 8,
-		IntakeLimit: 4096,
+	node, err := cluster.StartShard(cluster.ShardSpec{
+		Domain:    "sink.example.org",
+		Mailboxes: 50,
+		Store:     "mbox",
+		Queue:     queue.Config{IntakeLimit: 4096},
+		Options:   []smtpserver.Option{smtpserver.WithMaxWorkers(32), smtpserver.WithCheckClient(check)},
 	})
 	if err != nil {
 		return err
 	}
-	defer qm.Close()
-	srv, err := smtpserver.New(qm.Enqueue,
-		smtpserver.WithHostname("sinkhole.example.org"),
-		smtpserver.WithArchitecture(smtpserver.Hybrid),
-		smtpserver.WithMaxWorkers(32),
-		smtpserver.WithValidateRcpt(db.Valid),
-		smtpserver.WithCheckClient(check),
-	)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go srv.Serve(ln) //nolint:errcheck
-	defer srv.Close()
+	defer node.Close()
 
 	// Probe the DNSBL for every trace origin as the connections replay —
 	// the §7.2 measurement: how many lookups go upstream under prefix
@@ -124,11 +100,11 @@ func run() error {
 	}
 
 	res := workload.RunClosed(workload.ClosedConfig{
-		Addr:        ln.Addr().String(),
+		Addr:        node.Addr,
 		Concurrency: 16,
 		Timeout:     10 * time.Second,
 	}, conns)
-	if !qm.WaitIdle(10 * time.Second) {
+	if !node.Queue.WaitIdle(10 * time.Second) {
 		return fmt.Errorf("queue never drained")
 	}
 

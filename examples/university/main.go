@@ -9,14 +9,9 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
 	"time"
 
-	"repro/internal/access"
-	"repro/internal/costmodel"
-	"repro/internal/delivery"
-	"repro/internal/fsim"
-	"repro/internal/mailstore"
+	"repro/internal/cluster"
 	"repro/internal/queue"
 	"repro/internal/smtpserver"
 	"repro/internal/trace"
@@ -28,8 +23,6 @@ func main() {
 		log.Fatal(err)
 	}
 }
-
-const domain = "dept.example.edu"
 
 func run() error {
 	// The departmental trace: >400 mailboxes, 67% spam, random-guess
@@ -50,48 +43,29 @@ func run() error {
 }
 
 func serveTrace(arch smtpserver.Architecture, conns []trace.Conn) error {
-	db := access.NewDB(domain)
-	if err := access.Populate(db, domain, 400); err != nil {
-		return err
-	}
-	store, err := mailstore.NewMFS(fsim.NewMem(costmodel.FSModel{}), "mfs")
+	// One full node in its production defaults (400 mailboxes at
+	// dept.example.edu, MFS, 8 delivery workers) but for the architecture
+	// under comparison and a 32-process limit.
+	node, err := cluster.StartShard(cluster.ShardSpec{
+		Queue:   queue.Config{IntakeLimit: 4096},
+		Options: []smtpserver.Option{smtpserver.WithArchitecture(arch), smtpserver.WithMaxWorkers(32)},
+	})
 	if err != nil {
 		return err
 	}
-	defer store.Close()
-	agent := delivery.NewAgent(db, store)
-	qm, err := queue.NewManager(queue.Config{Deliverer: agent, ActiveLimit: 8, IntakeLimit: 4096})
-	if err != nil {
-		return err
-	}
-	defer qm.Close()
-	srv, err := smtpserver.New(qm.Enqueue,
-		smtpserver.WithHostname("mx."+domain),
-		smtpserver.WithArchitecture(arch),
-		smtpserver.WithMaxWorkers(32),
-		smtpserver.WithValidateRcpt(db.Valid),
-	)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go srv.Serve(ln) //nolint:errcheck
-	defer srv.Close()
+	defer node.Close()
 
 	res := workload.RunClosed(workload.ClosedConfig{
-		Addr:        ln.Addr().String(),
+		Addr:        node.Addr,
 		Concurrency: 24,
 		Timeout:     10 * time.Second,
 	}, conns)
-	if !qm.WaitIdle(10 * time.Second) {
+	if !node.Queue.WaitIdle(10 * time.Second) {
 		return fmt.Errorf("%s: queue never drained", arch)
 	}
 
-	s := srv.Stats()
-	d := agent.Stats()
+	s := node.Server.Stats()
+	d := node.Agent.Stats()
 	fmt.Printf("\n%s architecture:\n", arch)
 	fmt.Printf("  goodput %.0f mails/s over %v (replay is wall-clock, not the paper's testbed)\n",
 		res.Goodput(), res.Elapsed.Round(time.Millisecond))
@@ -100,7 +74,7 @@ func serveTrace(arch smtpserver.Architecture, conns []trace.Conn) error {
 	fmt.Printf("  server: handoffs=%d pre-trust closes=%d rcpt-550=%d\n",
 		s.Handoffs, s.PreTrustClosed, s.RcptRejected)
 	fmt.Printf("  delivered %d mails into %d mailbox copies (MFS shared records: %d)\n",
-		d.Mails, d.RcptDeliveries, store.Underlying().Stats().SharedRecords)
+		d.Mails, d.RcptDeliveries, node.MFS().Underlying().Stats().SharedRecords)
 	if arch == smtpserver.Hybrid && s.Handoffs >= s.Connections {
 		return fmt.Errorf("hybrid should not delegate every connection")
 	}

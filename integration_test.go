@@ -14,8 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/access"
 	"repro/internal/addr"
+	"repro/internal/cluster"
 	"repro/internal/delivery"
 	"repro/internal/dns"
 	"repro/internal/dnsbl"
@@ -24,88 +24,46 @@ import (
 	"repro/internal/queue"
 	"repro/internal/smtp"
 	"repro/internal/smtpserver"
-	"repro/internal/spool"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// stack is one fully wired mail server.
+// stack is one fully wired mail server: a cluster.Shard on real files.
 type stack struct {
-	fs    fsim.FS
-	db    *access.DB
-	store mailstore.Store
-	agent *delivery.Agent
-	qm    *queue.Manager
-	srv   *smtpserver.Server
-	addr  string
+	*cluster.Shard
+	fs fsim.FS
 }
 
-func startStack(t *testing.T, arch smtpserver.Architecture, storeName string, opts ...smtpserver.Option) *stack {
+func startStack(t *testing.T, arch smtpserver.Architecture, opts ...smtpserver.Option) *stack {
 	t.Helper()
-	const domain = "dept.example.edu"
 	s := &stack{fs: fsim.NewOS(t.TempDir())}
-
-	s.db = access.NewDB(domain)
-	if err := access.Populate(s.db, domain, 400); err != nil {
-		t.Fatal(err)
-	}
-
 	var err error
-	switch storeName {
-	case "mbox":
-		s.store = mailstore.NewMbox(s.fs)
-	case "mfs":
-		s.store, err = mailstore.NewMFS(s.fs, "mfs")
-		if err != nil {
-			t.Fatal(err)
-		}
-	default:
-		t.Fatalf("bad store %q", storeName)
-	}
-	t.Cleanup(func() { s.store.Close() })
-
-	s.agent = delivery.NewAgent(s.db, s.store)
-	s.qm, err = queue.NewManager(queue.Config{
-		Deliverer:   s.agent,
-		Store:       spool.New(s.fs, ""),
-		ActiveLimit: 8,
-		IntakeLimit: 8192,
+	s.Shard, err = cluster.StartShard(cluster.ShardSpec{
+		FS:        s.fs,
+		MFSNoSync: true,
+		Queue:     queue.Config{IntakeLimit: 8192},
+		Options: append([]smtpserver.Option{
+			smtpserver.WithArchitecture(arch),
+			smtpserver.WithMaxWorkers(16),
+			smtpserver.WithIdleTimeout(10 * time.Second),
+		}, opts...),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.qm.Close() })
-
-	all := append([]smtpserver.Option{
-		smtpserver.WithHostname("mx." + domain),
-		smtpserver.WithArchitecture(arch),
-		smtpserver.WithMaxWorkers(16),
-		smtpserver.WithValidateRcpt(s.db.Valid),
-		smtpserver.WithIdleTimeout(10 * time.Second),
-	}, opts...)
-	s.srv, err = smtpserver.New(s.qm.Enqueue, all...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go s.srv.Serve(ln) //nolint:errcheck // exits on Close
-	t.Cleanup(func() { s.srv.Close() })
-	s.addr = ln.Addr().String()
+	t.Cleanup(func() { s.Close() })
 	return s
 }
 
 func TestFullStackUnivWorkload(t *testing.T) {
 	for _, arch := range []smtpserver.Architecture{smtpserver.Vanilla, smtpserver.Hybrid} {
 		t.Run(arch.String(), func(t *testing.T) {
-			s := startStack(t, arch, "mfs")
+			s := startStack(t, arch)
 			conns := trace.NewUniv(trace.UnivConfig{Seed: 21, Connections: 400}).Generate()
 			want := trace.Summarize(conns)
 
 			res := workload.RunClosed(workload.ClosedConfig{
-				Addr: s.addr, Concurrency: 12, Timeout: 10 * time.Second,
+				Addr: s.Addr, Concurrency: 12, Timeout: 10 * time.Second,
 			}, conns)
 			if res.Errors != 0 {
 				t.Fatalf("replay errors: %+v", res)
@@ -117,16 +75,16 @@ func TestFullStackUnivWorkload(t *testing.T) {
 				t.Fatalf("bounce/unfinished mismatch: %+v vs %+v", res, want)
 			}
 
-			if !s.qm.WaitIdle(10 * time.Second) {
+			if !s.Queue.WaitIdle(10 * time.Second) {
 				t.Fatal("queue never drained")
 			}
-			qs := s.qm.Stats()
+			qs := s.Queue.Stats()
 			if qs.Delivered != int64(want.Delivering) || qs.Dead != 0 {
 				t.Fatalf("queue stats = %+v", qs)
 			}
 
 			// Every valid recipient copy landed in a mailbox.
-			ds := s.agent.Stats()
+			ds := s.Agent.Stats()
 			if ds.Mails != int64(want.Delivering) {
 				t.Fatalf("delivered mails = %d, want %d", ds.Mails, want.Delivering)
 			}
@@ -137,7 +95,7 @@ func TestFullStackUnivWorkload(t *testing.T) {
 			}
 
 			// Hybrid never delegates bounce-only or unfinished connections.
-			st := s.srv.Stats()
+			st := s.Server.Stats()
 			if arch == smtpserver.Hybrid {
 				if st.Handoffs != int64(want.Delivering) {
 					t.Fatalf("handoffs = %d, want %d", st.Handoffs, want.Delivering)
@@ -148,8 +106,8 @@ func TestFullStackUnivWorkload(t *testing.T) {
 }
 
 func TestFullStackMailboxContentsExact(t *testing.T) {
-	s := startStack(t, smtpserver.Hybrid, "mfs")
-	client, err := smtp.Dial(s.addr, 5*time.Second)
+	s := startStack(t, smtpserver.Hybrid)
+	client, err := smtp.Dial(s.Addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,15 +121,15 @@ func TestFullStackMailboxContentsExact(t *testing.T) {
 		t.Fatalf("send = %d, %v", n, err)
 	}
 	client.Quit()
-	if !s.qm.WaitIdle(5 * time.Second) {
+	if !s.Queue.WaitIdle(5 * time.Second) {
 		t.Fatal("queue never drained")
 	}
 	for _, box := range []string{"user0001", "user0002"} {
-		ids, err := s.store.List(box)
+		ids, err := s.Store.List(box)
 		if err != nil || len(ids) != 1 {
 			t.Fatalf("%s: list = %v, %v", box, ids, err)
 		}
-		got, err := s.store.Read(box, ids[0])
+		got, err := s.Store.Read(box, ids[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,8 +138,7 @@ func TestFullStackMailboxContentsExact(t *testing.T) {
 		}
 	}
 	// Single copy on disk: the MFS shared store holds exactly one record.
-	mfsStore := s.store.(*mailstore.MFS)
-	if st := mfsStore.Underlying().Stats(); st.SharedRecords != 1 || st.SharedRefs != 2 {
+	if st := s.MFS().Underlying().Stats(); st.SharedRecords != 1 || st.SharedRefs != 2 {
 		t.Fatalf("MFS stats = %+v", st)
 	}
 }
@@ -204,7 +161,7 @@ func TestFullStackWithLiveDNSBL(t *testing.T) {
 		dnsbl.WithUpstreams(dnsSrv.Addr().String()),
 		dnsbl.WithTTL(10*time.Millisecond))
 	defer lookup.Close()
-	s := startStack(t, smtpserver.Hybrid, "mfs", smtpserver.WithCheckClient(
+	s := startStack(t, smtpserver.Hybrid, smtpserver.WithCheckClient(
 		func(ipText string) bool {
 			ip, err := addr.ParseIPv4(ipText)
 			if err != nil {
@@ -217,7 +174,7 @@ func TestFullStackWithLiveDNSBL(t *testing.T) {
 		}))
 
 	send := func() error {
-		client, err := smtp.Dial(s.addr, 5*time.Second)
+		client, err := smtp.Dial(s.Addr, 5*time.Second)
 		if err != nil {
 			return err
 		}
@@ -243,8 +200,8 @@ func TestFullStackWithLiveDNSBL(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "554") {
 		t.Fatalf("listed client err = %v, want 554 banner", err)
 	}
-	if s.srv.Stats().Blacklisted != 1 {
-		t.Fatalf("blacklisted count = %d", s.srv.Stats().Blacklisted)
+	if s.Server.Stats().Blacklisted != 1 {
+		t.Fatalf("blacklisted count = %d", s.Server.Stats().Blacklisted)
 	}
 	// Delist (cache expires quickly): accepted again.
 	list.Remove(addr.MustParseIPv4("127.0.0.1"))
@@ -302,29 +259,18 @@ func TestFullStackBackpressure(t *testing.T) {
 		<-block
 		return nil
 	}
-	qm, err := queue.NewManager(queue.Config{Deliverer: blocked, ActiveLimit: 1, IntakeLimit: 1})
+	sh, err := cluster.StartShard(cluster.ShardSpec{
+		Mailboxes: 10,
+		Deliverer: func(*delivery.Agent) queue.Deliverer { return blocked },
+		Queue:     queue.Config{ActiveLimit: 1, IntakeLimit: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer qm.Close()
-	db := access.NewDB(domain)
-	access.Populate(db, domain, 10)
-	srv, err := smtpserver.New(qm.Enqueue,
-		smtpserver.WithHostname("mx."+domain),
-		smtpserver.WithArchitecture(smtpserver.Hybrid),
-		smtpserver.WithValidateRcpt(db.Valid),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln) //nolint:errcheck
-	defer srv.Close()
+	defer sh.Close()
+	qm := sh.Queue
 
-	client, err := smtp.Dial(ln.Addr().String(), 5*time.Second)
+	client, err := smtp.Dial(sh.Addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,282 @@
+package cluster
+
+import (
+	"fmt"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/delivery"
+	"repro/internal/director"
+	"repro/internal/fsim"
+	"repro/internal/queue"
+	"repro/internal/smtpserver"
+	"repro/internal/spool"
+	"repro/internal/trace"
+	"repro/internal/workload"
+)
+
+const users = 8
+
+// mails builds n single-recipient mails spread over the users.
+func mails(n int) []trace.Conn {
+	conns := make([]trace.Conn, n)
+	for i := range conns {
+		conns[i] = trace.Conn{
+			Helo:   "client.test",
+			Sender: fmt.Sprintf("s%d@remote.example", i),
+			Rcpts:  []trace.Rcpt{{Addr: fmt.Sprintf("user%04d@%s", i%users, DefaultDomain), Valid: true}},
+		}
+	}
+	return conns
+}
+
+// send replays conns against addr and fails the test unless every one
+// was acknowledged.
+func send(t *testing.T, addr string, conns []trace.Conn) {
+	t.Helper()
+	res := workload.RunClosed(workload.ClosedConfig{Addr: addr, Concurrency: 4, Timeout: 5 * time.Second}, conns)
+	if res.Errors != 0 || res.GoodMails != int64(len(conns)) {
+		t.Fatalf("sent %d mails: %d acked, %d errors", len(conns), res.GoodMails, res.Errors)
+	}
+}
+
+// mailboxEntries reopens the node on fs and counts what its mailboxes hold.
+func mailboxEntries(t *testing.T, fs fsim.FS) int {
+	t.Helper()
+	sh, err := StartShard(ShardSpec{FS: fs, Mailboxes: users})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer sh.Close()
+	total := 0
+	for i := 0; i < users; i++ {
+		box := fmt.Sprintf("user%04d", i)
+		ids, err := sh.Store.List(box)
+		if err != nil {
+			t.Fatalf("list %s: %v", box, err)
+		}
+		for _, id := range ids {
+			if _, err := sh.Store.Read(box, id); err != nil {
+				t.Fatalf("read %s/%s: %v", box, id, err)
+			}
+		}
+		total += len(ids)
+	}
+	return total
+}
+
+// waitGoroutines waits for the goroutine count to fall back to base.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines left, started with %d:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// flaky fails every mail's first delivery attempt and is slow on the
+// second, so when the client has its last 250 part of the backlog is
+// still queued and part is parked on a retry timer.
+type flaky struct{ inner queue.Deliverer }
+
+func (f flaky) Deliver(item *queue.Item) error {
+	if item.Attempts == 1 {
+		return fmt.Errorf("transient")
+	}
+	time.Sleep(time.Millisecond)
+	return f.inner.Deliver(item)
+}
+
+func TestCloseDrainsBeforeTheStoreCloses(t *testing.T) {
+	const n = 60
+	fs := fsim.NewFault()
+	sh, err := StartShard(ShardSpec{
+		FS:        fs,
+		Mailboxes: users,
+		Deliverer: func(local *delivery.Agent) queue.Deliverer { return flaky{local} },
+		Queue:     queue.Config{ActiveLimit: 1, RetryDelay: 30 * time.Millisecond, MaxRetryDelay: 30 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(t, sh.Addr, mails(n))
+	if sh.Queue.Stats().Delivered == n {
+		t.Fatal("nothing left to drain: the test does not exercise Close's order")
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	// Every acked mail was delivered — retries included — while the store
+	// was still open …
+	if st := sh.Queue.Stats(); st.Delivered != n {
+		t.Fatalf("after Close: %+v, want %d delivered", st, n)
+	}
+	if _, err := net.DialTimeout("tcp", sh.Addr, time.Second); err == nil {
+		t.Fatal("still listening after Close")
+	}
+	// … and is readable from the files Close left behind.
+	if got := mailboxEntries(t, fs); got != n {
+		t.Fatalf("%d mailbox entries after Close, want %d", got, n)
+	}
+}
+
+func TestTeardownIsIdempotent(t *testing.T) {
+	base := runtime.NumGoroutine()
+	closed, err := StartShard(ShardSpec{Mailboxes: users})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(t, closed.Addr, mails(4))
+	if err := closed.Close(); err != nil {
+		t.Fatalf("first Close: %v", err)
+	}
+	if err := closed.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	closed.Kill()
+
+	killed, err := StartShard(ShardSpec{Mailboxes: users})
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed.Kill()
+	killed.Kill()
+	if err := killed.Close(); err != nil {
+		t.Fatalf("Close after Kill: %v", err)
+	}
+	waitGoroutines(t, base)
+}
+
+func TestFailedStartLeavesNothingBehind(t *testing.T) {
+	base := runtime.NumGoroutine()
+
+	if _, err := StartShard(ShardSpec{Store: "cyrus"}); err == nil {
+		t.Fatal("unknown store kind accepted")
+	}
+
+	// The last step fails: everything before it was built and must go.
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	fs := fsim.NewFault()
+	if _, err := StartShard(ShardSpec{FS: fs, Addr: taken.Addr().String()}); err == nil {
+		t.Fatal("listening on a taken address succeeded")
+	}
+	waitGoroutines(t, base)
+	// The store was closed, not abandoned: the same files open again.
+	sh, err := StartShard(ShardSpec{FS: fs})
+	if err != nil {
+		t.Fatalf("start after a failed start on the same FS: %v", err)
+	}
+	sh.Close()
+	waitGoroutines(t, base)
+}
+
+// down fails every delivery: the mail stays spooled.
+func down(*queue.Item) error { return fmt.Errorf("mailbox storage down") }
+
+func TestRestartAfterCrashRecoversTheSpool(t *testing.T) {
+	const n = 24
+	fault := fsim.NewFault()
+	spec := ShardSpec{
+		FS:        fault,
+		Mailboxes: users,
+		Deliverer: func(*delivery.Agent) queue.Deliverer { return queue.DelivererFunc(down) },
+		Queue:     queue.Config{MaxAttempts: 1 << 20, RetryDelay: 20 * time.Millisecond, MaxRetryDelay: 20 * time.Millisecond},
+	}
+	sh, err := StartShard(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(t, sh.Addr, mails(n))
+	if !waitFor(func() bool { return sh.Queue.Stats().Deferred >= n }) {
+		t.Fatalf("%d deferrals before the crash, want every one of %d mails tried", sh.Queue.Stats().Deferred, n)
+	}
+
+	// Power cut, then the dead process's goroutines are collected.
+	fault.Crash()
+	sh.Kill()
+	fault.Recover()
+
+	spec.Deliverer = nil
+	sh2, err := StartShard(spec)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer sh2.Kill()
+	recovered := 0
+	for _, lane := range spool.Lanes {
+		recovered += sh2.Queue.RecoveryStats().Recovered[lane]
+	}
+	if recovered != n {
+		t.Fatalf("restart recovered %d spooled mails, want %d", recovered, n)
+	}
+	if !sh2.Queue.WaitIdle(10*time.Second) || sh2.Queue.Stats().Delivered != n {
+		t.Fatalf("after restart: %+v, want %d delivered", sh2.Queue.Stats(), n)
+	}
+	if err := sh2.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := mailboxEntries(t, fault); got != n {
+		t.Fatalf("%d mailbox entries after recovery, want %d", got, n)
+	}
+}
+
+func waitFor(cond func() bool) bool {
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return true
+}
+
+func TestServeAndDirector(t *testing.T) {
+	base := runtime.NumGoroutine()
+	sh, err := StartShard(ShardSpec{Mailboxes: users})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := StartDirector(DirectorSpec{Options: []director.Option{director.WithBackend("shard", sh.Addr)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(t, d.Addr, mails(6))
+	d.Close()
+	d.Close()
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sh.Queue.Stats().Delivered; got != 6 {
+		t.Fatalf("shard behind the director delivered %d mails, want 6", got)
+	}
+
+	var got int
+	srv, err := smtpserver.New(func(string, []string, []byte) (string, error) { got++; return "id", nil },
+		smtpserver.WithMaxWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, stop, err := Serve(srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(t, addr, mails(3))
+	stop()
+	stop()
+	if got != 3 {
+		t.Fatalf("bare front end took %d mails, want 3", got)
+	}
+	waitGoroutines(t, base)
+}

@@ -3,8 +3,7 @@
 // figure of the evaluation, each regenerating the published rows/series
 // from the same deterministic models the unit tests exercise.
 //
-// cmd/mailbench and the top-level benchmarks are thin wrappers over this
-// package.
+// cmd/mailbench is a thin wrapper over this package.
 package core
 
 import (
@@ -14,7 +13,7 @@ import (
 )
 
 // Metrics holds an experiment's headline numbers, keyed by stable metric
-// names (used by benchmarks and EXPERIMENTS.md).
+// names (used by the Shape tests and EXPERIMENTS.md).
 type Metrics map[string]float64
 
 // Options tunes experiment execution.

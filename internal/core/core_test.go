@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,8 +12,45 @@ import (
 	"repro/internal/trace"
 )
 
-// quick runs one experiment at Quick scale and returns its metrics.
+// sweep is the package's one RunAll(Quick): every test that needs an
+// experiment's quick metrics reads them from it, so `go test` runs each
+// experiment once however many tests look at it.
+var sweep struct {
+	once    sync.Once
+	out     string
+	metrics map[string]Metrics
+	err     error // the first experiment that failed; later ones did not run
+}
+
+func runSweep() {
+	var buf bytes.Buffer
+	sweep.metrics, sweep.err = RunAll(&buf, Options{Quick: true})
+	sweep.out = buf.String()
+}
+
+// quick returns one experiment's metrics from the shared Quick sweep.
 func quick(t *testing.T, id string) Metrics {
+	t.Helper()
+	if _, ok := Find(id); !ok {
+		t.Fatalf("experiment %q not registered", id)
+	}
+	sweep.once.Do(runSweep)
+	m, ran := sweep.metrics[id]
+	if !ran {
+		t.Fatalf("%s: %v", id, sweep.err)
+	}
+	// The experiment's section: from its header to the next one. What
+	// follows the "paper:" paragraph is what the experiment itself wrote.
+	_, section, _ := strings.Cut(sweep.out, "\n=== "+id+" — ")
+	section, _, _ = strings.Cut(section, "\n=== ")
+	if _, body, _ := strings.Cut(section, "\n\n"); strings.TrimSpace(body) == "" {
+		t.Fatalf("%s produced no output", id)
+	}
+	return m
+}
+
+// runQuick runs one experiment afresh at Quick scale, outside the sweep.
+func runQuick(t *testing.T, id string) Metrics {
 	t.Helper()
 	e, ok := Find(id)
 	if !ok {
@@ -281,18 +319,15 @@ func TestResolverResilienceShape(t *testing.T) {
 }
 
 func TestRunAllQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep is slow")
-	}
-	var buf bytes.Buffer
-	all, err := RunAll(&buf, Options{Quick: true})
+	sweep.once.Do(runSweep)
+	all, err := sweep.metrics, sweep.err
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != len(Experiments()) {
 		t.Fatalf("RunAll returned %d results, want %d", len(all), len(Experiments()))
 	}
-	out := buf.String()
+	out := sweep.out
 	for _, e := range Experiments() {
 		if !strings.Contains(out, "=== "+e.ID) {
 			t.Errorf("output missing section for %s", e.ID)
@@ -555,18 +590,18 @@ func TestTraceChainedDirectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shard.close()
-	inner, innerRec, innerAddr, err := startTraceDirector("inner", map[string]string{"shard": shard.ln.Addr().String()})
+	inner, innerRec, err := startTraceDirector("inner", map[string]string{"shard": shard.Addr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer inner.Close()
-	outer, outerRec, outerAddr, err := startTraceDirector("outer", map[string]string{"inner": innerAddr})
+	outer, outerRec, err := startTraceDirector("outer", map[string]string{"inner": inner.Addr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer outer.Close()
 
-	c, err := smtp.Dial(outerAddr, 2*time.Second, smtp.WithCommandTimeout(2*time.Second))
+	c, err := smtp.Dial(outer.Addr, 2*time.Second, smtp.WithCommandTimeout(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +612,7 @@ func TestTraceChainedDirectors(t *testing.T) {
 		t.Fatalf("send: accepted %d, err %v", n, err)
 	}
 	c.Quit() //nolint:errcheck
-	shard.qm.WaitIdle(5 * time.Second)
+	shard.Queue.WaitIdle(5 * time.Second)
 
 	var all []trace.MessageSpan
 	for _, rec := range []*trace.MessageRecorder{outerRec, innerRec, shard.rec} {
@@ -607,7 +642,7 @@ func TestTraceChainedDirectors(t *testing.T) {
 			t.Errorf("span tree has a root on %s (%s): the hop did not parent under its upstream", root.Span.Node, root.Span.Stage)
 		}
 	}
-	if got := stitchedCounter(outer) + stitchedCounter(inner); got != 2 {
+	if got := stitchedCounter(outer.Server) + stitchedCounter(inner.Server); got != 2 {
 		t.Errorf("director_trace_stitched_total outer+inner = %v, want 2", got)
 	}
 }

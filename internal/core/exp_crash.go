@@ -3,22 +3,17 @@ package core
 import (
 	"fmt"
 	"io"
-	"net"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/access"
+	"repro/internal/cluster"
 	"repro/internal/delivery"
 	"repro/internal/fsim"
-	"repro/internal/mailstore"
 	"repro/internal/metrics"
-	"repro/internal/mfs"
 	"repro/internal/queue"
-	"repro/internal/smtp"
 	"repro/internal/smtpserver"
 	"repro/internal/spool"
+	"repro/internal/trace"
 )
 
 func init() {
@@ -62,9 +57,9 @@ type crashResult struct {
 	recoverMS      float64
 }
 
-// crashRun boots the full local pipeline — SMTP front end over loopback
-// TCP, synced spool, queue manager, local agent, MFS store in WAL mode,
-// all on one fault-injecting filesystem — and power-cuts it mid-run:
+// crashRun boots a full node (cluster.StartShard: SMTP front end over
+// loopback TCP, synced spool, queue manager, local agent, MFS store in
+// WAL mode) on one fault-injecting filesystem and power-cuts it mid-run:
 //
 //  1. n mails arrive (every third to three recipients, taking the
 //     shared single-copy path). The delivery agent commits the first
@@ -73,195 +68,123 @@ type crashResult struct {
 //  2. The power goes out: every byte not fsynced is dropped, the
 //     server is torn down, and the filesystem restarts from its
 //     durable image.
-//  3. The clock starts. A new MFS store replays its commit log and
-//     reconciles, a new queue manager replays the spool, and the
-//     stall is lifted; the clock stops when the queue drains.
+//  3. The clock starts. A new node starts on the same disk: its MFS
+//     store replays its commit log and reconciles, its queue manager
+//     replays the spool, and the stall is lifted; the clock stops when
+//     the queue drains.
 //
 // No accepted mail may be lost, and replayed spool mails whose commit
 // already survived in MFS must not duplicate (the agent redelivers
 // idempotently).
 func crashRun(arch smtpserver.Architecture, n, allow, users int) (crashResult, error) {
-	const domain = "dept.example.edu"
 	var res crashResult
 
 	fault := fsim.NewFault()
-	store, err := mailstore.NewMFS(fault, "mfs", mfs.WithSync(true))
-	if err != nil {
-		return res, err
-	}
-	db := access.NewDB(domain)
-	if err := access.Populate(db, domain, users); err != nil {
-		return res, err
-	}
-	gate := &stallingAgent{inner: delivery.NewAgent(db, store)}
+	gate := &stallingAgent{}
 	gate.left.Store(int64(allow))
-	qm, err := queue.NewManager(queue.Config{
-		Deliverer:     gate,
-		Store:         spool.New(fault, "queue"),
-		ActiveLimit:   8,
-		MaxAttempts:   1 << 20, // the stall must defer, never bounce
-		RetryDelay:    50 * time.Millisecond,
-		MaxRetryDelay: 200 * time.Millisecond,
-		IntakeLimit:   n + 16,
-	})
+	spec := cluster.ShardSpec{
+		FS:        fault,
+		Mailboxes: users,
+		Deliverer: func(local *delivery.Agent) queue.Deliverer {
+			gate.inner = local
+			return gate
+		},
+		Queue: queue.Config{
+			MaxAttempts:   1 << 20, // the stall must defer, never bounce
+			RetryDelay:    50 * time.Millisecond,
+			MaxRetryDelay: 200 * time.Millisecond,
+			IntakeLimit:   n + 16,
+		},
+		Options: []smtpserver.Option{smtpserver.WithArchitecture(arch), smtpserver.WithMaxWorkers(8)},
+	}
+	sh, err := cluster.StartShard(spec)
 	if err != nil {
 		return res, err
 	}
-	srv, err := smtpserver.New(qm.Enqueue,
-		smtpserver.WithHostname("mx."+domain),
-		smtpserver.WithArchitecture(arch),
-		smtpserver.WithMaxWorkers(8),
-		smtpserver.WithIdleTimeout(5*time.Second),
-	)
-	if err != nil {
-		qm.Close()
-		return res, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		qm.Close()
-		return res, err
-	}
-	done := make(chan struct{})
-	go func() { defer close(done); srv.Serve(ln) }() //nolint:errcheck // exits on Close
+	defer sh.Kill() // the error paths; a no-op after the crash below
 
 	// Inject n mails; every third fans out to three recipients.
-	body := []byte("Subject: crash drill\r\n\r\n" + strings.Repeat("payload ", 24) + "\r\n")
-	const senders = 4
-	var inject sync.WaitGroup
-	injectErr := make([]error, senders)
-	for g := 0; g < senders; g++ {
-		inject.Add(1)
-		go func(g int) {
-			defer inject.Done()
-			for i := g; i < n; i += senders {
-				rcpts := []string{fmt.Sprintf("user%04d@%s", i%users, domain)}
-				if i%3 == 0 {
-					rcpts = append(rcpts,
-						fmt.Sprintf("user%04d@%s", (i+1)%users, domain),
-						fmt.Sprintf("user%04d@%s", (i+2)%users, domain))
-				}
-				c, err := smtp.Dial(ln.Addr().String(), 2*time.Second)
-				if err != nil {
-					injectErr[g] = err
-					return
-				}
-				if err := c.Helo("relay.example.net"); err == nil {
-					sender := fmt.Sprintf("peer%d@remote.example", i)
-					if _, err := c.Send(sender, rcpts, body); err != nil {
-						injectErr[g] = err
-					}
-				}
-				_ = c.Quit()
-			}
-		}(g)
+	user := func(i int) trace.Rcpt {
+		return trace.Rcpt{Addr: fmt.Sprintf("user%04d@%s", i%users, cluster.DefaultDomain), Valid: true}
 	}
-	inject.Wait()
-	for _, err := range injectErr {
-		if err != nil {
-			srv.Close()
-			<-done
-			qm.Close()
-			return res, fmt.Errorf("inject: %w", err)
+	conns := make([]trace.Conn, n)
+	for i := range conns {
+		conns[i] = trace.Conn{
+			Helo:      "relay.example.net",
+			Sender:    fmt.Sprintf("peer%d@remote.example", i),
+			Rcpts:     []trace.Rcpt{user(i)},
+			SizeBytes: 218,
 		}
+		if i%3 == 0 {
+			conns[i].Rcpts = append(conns[i].Rcpts, user(i+1), user(i+2))
+		}
+	}
+	if err := inject(sh.Addr, 4, conns); err != nil {
+		return res, err
 	}
 
 	// Let the pipeline settle: the allowed commits land in MFS, the
 	// stalled remainder parks in the deferred lane on disk.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := qm.Stats()
-		if st.Delivered >= int64(allow) && st.InFlight == 0 && st.Pending == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			srv.Close()
-			<-done
-			qm.Close()
-			return res, fmt.Errorf("pipeline did not settle before the crash")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !waitFor(func() bool {
+		st := sh.Queue.Stats()
+		return st.Delivered >= int64(allow) && st.InFlight == 0 && st.Pending == 0
+	}, 10*time.Second) {
+		return res, fmt.Errorf("pipeline did not settle before the crash")
 	}
-	res.accepted = qm.Stats().Enqueued
-	res.deliveredPre = qm.Stats().Delivered
-	res.spoolAtCrash = qm.LaneDepth(spool.LaneActive) +
-		qm.LaneDepth(spool.LaneDeferred) + qm.LaneDepth(spool.LaneHold)
+	res.accepted = sh.Queue.Stats().Enqueued
+	res.deliveredPre = sh.Queue.Stats().Delivered
+	res.spoolAtCrash = sh.Queue.LaneDepth(spool.LaneActive) +
+		sh.Queue.LaneDepth(spool.LaneDeferred) + sh.Queue.LaneDepth(spool.LaneHold)
 
 	// Power cut: drop everything unsynced, then tear the process down.
 	// The teardown's own writes fail — that is the point.
 	fault.Crash()
-	srv.Close()
-	<-done
-	_ = qm.Close()
-	_ = store.Close()
+	sh.Kill()
 	fault.Recover()
 
-	// Restart. The clock covers the full path back to a drained queue:
-	// MFS log replay + reconciliation, spool replay, and redelivery.
+	// Restart on the same disk, without the stall. The clock covers the
+	// full path back to a drained queue: MFS log replay + reconciliation
+	// and spool replay (both inside StartShard), and redelivery.
 	restart := time.Now()
-	store2, err := mailstore.NewMFS(fault, "mfs", mfs.WithSync(true))
+	spec.Deliverer = nil
+	sh2, err := cluster.StartShard(spec)
 	if err != nil {
-		return res, fmt.Errorf("reopen mfs: %w", err)
+		return res, fmt.Errorf("restart: %w", err)
 	}
-	rs := store2.Recovery()
-	res.walReplayed = rs.Replayed
-	res.walBytes = rs.ReplayedBytes
-	res.refsFixed = rs.RefsFixed
-
-	agent2 := delivery.NewAgent(db, store2)
-	qm2, err := queue.NewManager(queue.Config{
-		Deliverer:     agent2,
-		Store:         spool.New(fault, "queue"),
-		ActiveLimit:   8,
-		MaxAttempts:   1 << 20,
-		RetryDelay:    50 * time.Millisecond,
-		MaxRetryDelay: 200 * time.Millisecond,
-		IntakeLimit:   n + 16,
-	})
-	if err != nil {
-		store2.Close()
-		return res, fmt.Errorf("restart queue: %w", err)
-	}
-	if !qm2.WaitIdle(60 * time.Second) {
-		qm2.Close()
-		store2.Close()
+	defer sh2.Kill()
+	if !sh2.Queue.WaitIdle(60 * time.Second) {
 		return res, fmt.Errorf("queue did not drain after restart")
 	}
 	res.recoverMS = float64(time.Since(restart).Microseconds()) / 1000
-	qrs := qm2.RecoveryStats()
+	rs := sh2.MFS().Recovery()
+	res.walReplayed = rs.Replayed
+	res.walBytes = rs.ReplayedBytes
+	res.refsFixed = rs.RefsFixed
+	qrs := sh2.Queue.RecoveryStats()
 	for _, lane := range spool.Lanes {
 		res.spoolRecovered += qrs.Recovered[lane]
 	}
 	res.spoolTorn = qrs.Torn
-	res.redelivered = agent2.Stats().Redelivered
-	if err := qm2.Close(); err != nil {
-		store2.Close()
-		return res, err
-	}
+	res.redelivered = sh2.Agent.Stats().Redelivered
 
 	// Tally (mail, mailbox) pairs: every accepted mail must be present
 	// in each of its mailboxes exactly once.
+	wantEntries := 0
+	for i := range conns {
+		wantEntries += len(conns[i].Rcpts)
+	}
 	for i := 0; i < users; i++ {
-		mb, err := store2.Store().Open(fmt.Sprintf("user%04d", i))
+		mb, err := sh2.MFS().Store().Open(fmt.Sprintf("user%04d", i))
 		if err != nil {
-			store2.Close()
 			return res, err
 		}
 		res.mailboxEntries += mb.Len()
 	}
-	if err := store2.Close(); err != nil {
+	if err := sh2.Close(); err != nil {
 		return res, err
 	}
 
 	// The invariant the experiment exists to demonstrate.
-	wantEntries := 0
-	for i := 0; i < n; i++ {
-		if i%3 == 0 {
-			wantEntries += 3
-		} else {
-			wantEntries++
-		}
-	}
 	if res.mailboxEntries != wantEntries {
 		return res, fmt.Errorf("crash-recovery %s: %d mailbox entries after recovery, want %d (lost or duplicated mail)",
 			arch, res.mailboxEntries, wantEntries)

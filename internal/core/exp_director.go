@@ -9,12 +9,14 @@ import (
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/cluster"
 	"repro/internal/director"
 	"repro/internal/dnsbl"
 	"repro/internal/policy"
 	"repro/internal/sim"
-	"repro/internal/smtp"
 	"repro/internal/smtpserver"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func init() {
@@ -48,36 +50,17 @@ func (c *countingResolver) count() int {
 	return c.calls
 }
 
-// scaleoutSink counts what one delivery shard accepted.
-type scaleoutSink struct {
-	mu    sync.Mutex
-	mails int
-}
-
-func (s *scaleoutSink) enqueue(sender string, rcpts []string, data []byte) (string, error) {
-	s.mu.Lock()
-	s.mails++
-	s.mu.Unlock()
-	return "id", nil
-}
-
-func (s *scaleoutSink) count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mails
-}
-
-// scaleoutShard is one back-end delivery server.
+// scaleoutShard is one back-end delivery server: a front end that counts
+// what it accepted.
 type scaleoutShard struct {
-	srv  *smtpserver.Server
-	ln   net.Listener
-	sink *scaleoutSink
-	once sync.Once
+	sink
+	addr string
+	kill func() // stops the server; safe to call again
 }
 
 func startScaleoutShard() (*scaleoutShard, error) {
-	sink := &scaleoutSink{}
-	srv, err := smtpserver.New(sink.enqueue,
+	s := &scaleoutShard{}
+	srv, err := smtpserver.New(s.enqueue,
 		smtpserver.WithHostname("shard.test"),
 		smtpserver.WithArchitecture(smtpserver.Vanilla),
 		smtpserver.WithIdleTimeout(5*time.Second),
@@ -85,26 +68,14 @@ func startScaleoutShard() (*scaleoutShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	go srv.Serve(ln) //nolint:errcheck // exits on kill
-	return &scaleoutShard{srv: srv, ln: ln, sink: sink}, nil
-}
-
-func (s *scaleoutShard) kill() {
-	s.once.Do(func() {
-		s.ln.Close()
-		s.srv.Close() //nolint:errcheck
-	})
+	s.addr, s.kill, err = cluster.Serve(srv)
+	return s, err
 }
 
 // scaleoutFE is one front end: a director plus its node-local pre-trust
 // state (greylist, reputation, verdict cache) and gossip endpoint.
 type scaleoutFE struct {
-	d          *director.Server
-	addr       string
+	node       *cluster.Director
 	addrGossip string
 	grey       *policy.Greylist
 	rep        *policy.Reputation
@@ -115,7 +86,7 @@ type scaleoutFE struct {
 
 func (fe *scaleoutFE) close() {
 	fe.gossip.Close()
-	fe.d.Close()
+	fe.node.Close()
 }
 
 // scaleoutRun is one full storm at a fixed gossip setting.
@@ -201,22 +172,17 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 			rep:   policy.NewReputation(policy.ReputationConfig{}),
 		}
 		fe.verd = director.NewVerdicts(fe.inner, director.WithVerdictClock(clock))
-		d, err := director.New(
-			director.WithHostname(name+".test"),
-			director.WithBackend("shard-a", shardA.ln.Addr().String()),
-			director.WithBackend("shard-b", shardB.ln.Addr().String()),
-			director.WithForwardTimeout(2*time.Second),
-			director.WithCooldown(50*time.Millisecond),
-		)
+		var err error
+		fe.node, err = cluster.StartDirector(cluster.DirectorSpec{Options: []director.Option{
+			director.WithHostname(name + ".test"),
+			director.WithBackend("shard-a", shardA.addr),
+			director.WithBackend("shard-b", shardB.addr),
+			director.WithForwardTimeout(2 * time.Second),
+			director.WithCooldown(50 * time.Millisecond),
+		}})
 		if err != nil {
 			return nil, err
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		go d.Serve(ln)
-		fe.d, fe.addr = d, ln.Addr().String()
 		fe.gossip = director.NewGossip(
 			director.WithGossipName(name),
 			director.WithReputationSync(fe.rep),
@@ -247,7 +213,6 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 	run := &scaleoutRun{conns: conns}
 	killAt := conns / 2
 	exchangeEvery := 20
-	body := []byte("Subject: storm\r\n\r\npayload\r\n")
 
 	for i := 0; i < conns; i++ {
 		vmu.Lock()
@@ -296,50 +261,32 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 		}
 
 		// Trusted dialog: real socket to the front end, replayed to the
-		// owning shard.
-		acked, err := scaleoutSend(fe.addr, sender, rcpt, body)
-		if err != nil {
-			return nil, err
-		}
-		if acked {
+		// owning shard. Anything but a 250 is the expected shard-death
+		// tempfail (451 at end-of-data).
+		sent := workload.RunClosed(workload.ClosedConfig{Addr: fe.node.Addr, Timeout: 2 * time.Second}, []trace.Conn{{
+			Helo:      "client.test",
+			Sender:    sender,
+			Rcpts:     []trace.Rcpt{{Addr: rcpt, Valid: true}},
+			SizeBytes: 64,
+		}})
+		if sent.GoodMails == 1 {
 			run.acked++
 		} else {
 			run.tempfailed++
 		}
 	}
 
-	run.delivered = shardA.sink.count() + shardB.sink.count()
+	run.delivered = int(shardA.mails.Load() + shardB.mails.Load())
 	run.upstream = fe1.inner.count() + fe2.inner.count()
 	run.peerHits = int(fe1.verd.PeerHits() + fe2.verd.PeerHits())
-	st1, st2 := fe1.d.Stats(), fe2.d.Stats()
+	st1, st2 := fe1.node.Server.Stats(), fe2.node.Server.Stats()
 	run.retries = st1.ForwardRetries + st2.ForwardRetries
-	p99 := fe1.d.HandoffQuantile(0.99)
-	if q := fe2.d.HandoffQuantile(0.99); q > p99 {
+	p99 := fe1.node.Server.HandoffQuantile(0.99)
+	if q := fe2.node.Server.HandoffQuantile(0.99); q > p99 {
 		p99 = q
 	}
 	run.handoffP99 = p99 * 1e3 // ms
 	return run, nil
-}
-
-// scaleoutSend runs one single-recipient dialog against a front end.
-// Returns whether the mail was acknowledged 250.
-func scaleoutSend(addr, sender, rcpt string, body []byte) (bool, error) {
-	c, err := smtp.Dial(addr, 2*time.Second, smtp.WithCommandTimeout(2*time.Second))
-	if err != nil {
-		return false, err
-	}
-	defer c.Quit() //nolint:errcheck
-	if err := c.Helo("client.test"); err != nil {
-		return false, err
-	}
-	accepted, err := c.Send(sender, []string{rcpt}, body)
-	if err != nil {
-		// 451 at end-of-data is the expected shard-death tempfail; any
-		// accepted count of 0 means RCPT itself failed, which the
-		// pre-trust phase should have prevented.
-		return false, nil //nolint:nilerr // tempfail is an outcome, not a failure
-	}
-	return accepted == 1, nil
 }
 
 func runDirectorScaleout(w io.Writer, opts Options) (Metrics, error) {

@@ -1,25 +1,23 @@
 package core
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/bounce"
-	"repro/internal/costmodel"
+	"repro/internal/cluster"
+	"repro/internal/delivery"
 	"repro/internal/eventlog"
-	"repro/internal/fsim"
 	"repro/internal/metrics"
 	"repro/internal/outbound"
 	"repro/internal/queue"
-	"repro/internal/smtp"
 	"repro/internal/smtpserver"
 	"repro/internal/spool"
+	"repro/internal/trace"
 )
 
 func init() {
@@ -29,70 +27,6 @@ func init() {
 		Paper: "Figure 2's queue/outbound split under an unreachable destination: the durable spool absorbs the outage, the per-destination backoff bounds retry amplification, and the queue drains once the remote recovers",
 		Run:   runOutboundOutage,
 	})
-}
-
-// outageSink is a minimal accept-everything SMTP server standing in for
-// the remote site once it comes back up.
-type outageSink struct {
-	ln        net.Listener
-	delivered atomic.Int64
-}
-
-func startOutageSink() (*outageSink, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	s := &outageSink{ln: ln}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go s.serve(conn)
-		}
-	}()
-	return s, nil
-}
-
-func (s *outageSink) addr() string { return s.ln.Addr().String() }
-func (s *outageSink) close()       { s.ln.Close() }
-
-func (s *outageSink) serve(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	fmt.Fprintf(conn, "220 remote back online\r\n")
-	inData := false
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			return
-		}
-		line = strings.TrimRight(line, "\r\n")
-		if inData {
-			if line == "." {
-				inData = false
-				s.delivered.Add(1)
-				fmt.Fprintf(conn, "250 queued\r\n")
-			}
-			continue
-		}
-		switch verb := strings.ToUpper(line); {
-		case strings.HasPrefix(verb, "HELO"), strings.HasPrefix(verb, "EHLO"),
-			strings.HasPrefix(verb, "MAIL"), strings.HasPrefix(verb, "RCPT"),
-			strings.HasPrefix(verb, "RSET"):
-			fmt.Fprintf(conn, "250 ok\r\n")
-		case strings.HasPrefix(verb, "DATA"):
-			inData = true
-			fmt.Fprintf(conn, "354 go\r\n")
-		case strings.HasPrefix(verb, "QUIT"):
-			fmt.Fprintf(conn, "221 bye\r\n")
-			return
-		default:
-			fmt.Fprintf(conn, "500 what\r\n")
-		}
-	}
 }
 
 // outageResult is one architecture's measurement.
@@ -118,9 +52,10 @@ func (r outageResult) amplification() float64 {
 	return r.totalAttempts / mails
 }
 
-// outageRun boots one full pipeline — SMTP front end over loopback TCP,
-// durable spool on a simulated disk, backoff scheduler, MX-resolving
-// outbound deliverer — and walks it through a remote-site outage:
+// outageRun boots one relay node (cluster.StartShard: SMTP front end
+// over loopback TCP, durable spool on a simulated disk, backoff
+// scheduler) whose deliverer is the MX-resolving outbound one, and walks
+// it through a remote-site outage:
 //
 //  1. Every destination MX refuses connections. n mails arrive and pile
 //     up in the deferred lane under exponential backoff; deadN of them
@@ -154,7 +89,7 @@ func outageRun(arch smtpserver.Architecture, n, deadN int, hold time.Duration) (
 	events := eventlog.New(eventlog.WithLevel(eventlog.LevelOff))
 	deliverer, err := outbound.New(outbound.Config{
 		Resolver:       resolver,
-		Helo:           "mx." + localDomain,
+		Helo:           cluster.Hostname(localDomain),
 		DialTimeout:    500 * time.Millisecond,
 		CommandTimeout: 2 * time.Second,
 		Registry:       reg,
@@ -163,41 +98,29 @@ func outageRun(arch smtpserver.Architecture, n, deadN int, hold time.Duration) (
 	if err != nil {
 		return res, err
 	}
-	qm, err := queue.NewManager(queue.Config{
-		Deliverer:       deliverer,
-		Store:           spool.New(fsim.NewMem(costmodel.FSModel{}), ""),
-		ActiveLimit:     8,
-		MaxAttempts:     8,
-		RetryDelay:      25 * time.Millisecond,
-		MaxRetryDelay:   250 * time.Millisecond,
-		DestConcurrency: 8,
-		IntakeLimit:     2*n + 16,
-		Bounce:          bounce.New("mx." + localDomain).Synthesize,
-		Registry:        reg,
-		Events:          events,
+	// The origin is a relay: every recipient is remote, and the queue's
+	// deliverer is the outbound one instead of the local agent.
+	sh, err := cluster.StartShard(cluster.ShardSpec{
+		Domain:    localDomain,
+		Relay:     true,
+		Deliverer: func(*delivery.Agent) queue.Deliverer { return deliverer },
+		Queue: queue.Config{
+			MaxAttempts:     8,
+			RetryDelay:      25 * time.Millisecond,
+			MaxRetryDelay:   250 * time.Millisecond,
+			DestConcurrency: 8,
+			IntakeLimit:     2*n + 16,
+			Bounce:          bounce.New(cluster.Hostname(localDomain)).Synthesize,
+		},
+		Options:  []smtpserver.Option{smtpserver.WithArchitecture(arch), smtpserver.WithMaxWorkers(8)},
+		Registry: reg,
+		Events:   events,
 	})
 	if err != nil {
 		return res, err
 	}
-	srv, err := smtpserver.New(qm.Enqueue,
-		smtpserver.WithHostname("mx."+localDomain),
-		smtpserver.WithArchitecture(arch),
-		smtpserver.WithMaxWorkers(8),
-		smtpserver.WithIdleTimeout(5*time.Second),
-		smtpserver.WithRegistry(reg),
-		smtpserver.WithEventLog(events),
-	)
-	if err != nil {
-		qm.Close()
-		return res, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		qm.Close()
-		return res, err
-	}
-	done := make(chan struct{})
-	go func() { defer close(done); srv.Serve(ln) }() //nolint:errcheck // exits on Close
+	defer sh.Kill() // the error paths; a no-op after the Close below
+	qm := sh.Queue
 
 	// Sample the spool depth while the outage lasts; the peak is the
 	// headline "how much disk did the outage cost" number.
@@ -225,43 +148,21 @@ func outageRun(arch smtpserver.Architecture, n, deadN int, hold time.Duration) (
 
 	// Inject n mails while the remote is down. A slice aims at the
 	// permanently dead domain to exercise the exhaustion→DSN path.
-	body := []byte("Subject: outage drill\r\n\r\n" + strings.Repeat("payload ", 32) + "\r\n")
-	const senders = 4
-	var inject sync.WaitGroup
-	injectErr := make([]error, senders)
-	for g := 0; g < senders; g++ {
-		inject.Add(1)
-		go func(g int) {
-			defer inject.Done()
-			for i := g; i < n; i += senders {
-				rcptDomain := remoteDomain
-				if i < deadN {
-					rcptDomain = deadDomain
-				}
-				c, err := smtp.Dial(ln.Addr().String(), 2*time.Second)
-				if err != nil {
-					injectErr[g] = err
-					return
-				}
-				if err := c.Helo("relay." + localDomain); err == nil {
-					sender := fmt.Sprintf("user%d@%s", i, localDomain)
-					rcpt := fmt.Sprintf("rcpt%d@%s", i, rcptDomain)
-					if _, err := c.Send(sender, []string{rcpt}, body); err != nil {
-						injectErr[g] = err
-					}
-				}
-				_ = c.Quit()
-			}
-		}(g)
-	}
-	inject.Wait()
-	for _, err := range injectErr {
-		if err != nil {
-			qm.Close()
-			srv.Close()
-			<-done
-			return res, fmt.Errorf("inject: %w", err)
+	conns := make([]trace.Conn, n)
+	for i := range conns {
+		rcptDomain := remoteDomain
+		if i < deadN {
+			rcptDomain = deadDomain
 		}
+		conns[i] = trace.Conn{
+			Helo:      "relay." + localDomain,
+			Sender:    fmt.Sprintf("user%d@%s", i, localDomain),
+			Rcpts:     []trace.Rcpt{{Addr: fmt.Sprintf("rcpt%d@%s", i, rcptDomain), Valid: true}},
+			SizeBytes: 284,
+		}
+	}
+	if err := inject(sh.Addr, 4, conns); err != nil {
+		return res, err
 	}
 
 	// Let the outage bite: retries accumulate against the dead address.
@@ -271,32 +172,25 @@ func outageRun(arch smtpserver.Architecture, n, deadN int, hold time.Duration) (
 	sampler.Wait()
 	res.peakSpool = int(peak.Load())
 
-	// Recovery: the remote (and the origin domain, for DSNs) come back.
-	sink, err := startOutageSink()
+	// Recovery: the remote (and the origin domain, for DSNs) come back —
+	// a front end that accepts everything.
+	remote, err := smtpserver.New(new(sink).enqueue, smtpserver.WithHostname(cluster.Hostname(remoteDomain)))
 	if err != nil {
-		qm.Close()
-		srv.Close()
-		<-done
 		return res, err
 	}
-	defer sink.close()
-	resolver.Set(remoteDomain, outbound.MX{Host: sink.addr(), Pref: 10})
-	resolver.Set(localDomain, outbound.MX{Host: sink.addr(), Pref: 10})
+	remoteAddr, stopRemote, err := cluster.Serve(remote)
+	if err != nil {
+		return res, err
+	}
+	defer stopRemote()
+	resolver.Set(remoteDomain, outbound.MX{Host: remoteAddr, Pref: 10})
+	resolver.Set(localDomain, outbound.MX{Host: remoteAddr, Pref: 10})
 	recoverStart := time.Now()
 	if !qm.WaitIdle(60 * time.Second) {
-		qm.Close()
-		srv.Close()
-		<-done
 		return res, fmt.Errorf("queue did not drain after recovery")
 	}
 	res.drain = time.Since(recoverStart)
-
-	if err := srv.Close(); err != nil {
-		qm.Close()
-		return res, err
-	}
-	<-done
-	if err := qm.Close(); err != nil {
+	if err := sh.Close(); err != nil {
 		return res, err
 	}
 

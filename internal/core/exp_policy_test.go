@@ -31,12 +31,12 @@ func TestPolicySweep(t *testing.T) {
 	}
 }
 
-// TestPolicySweepDeterministic re-runs the experiment and requires
-// identical metrics — the engine must not leak wall-clock or map-order
-// effects into verdicts.
+// TestPolicySweepDeterministic re-runs the experiment — once in the
+// shared sweep, once afresh — and requires identical metrics: the engine
+// must not leak wall-clock or map-order effects into verdicts.
 func TestPolicySweepDeterministic(t *testing.T) {
 	a := quick(t, "policy-sweep")
-	b := quick(t, "policy-sweep")
+	b := runQuick(t, "policy-sweep")
 	if len(a) != len(b) {
 		t.Fatalf("metric sets differ: %d vs %d", len(a), len(b))
 	}

@@ -3,14 +3,10 @@ package core
 import (
 	"fmt"
 	"io"
-	"net"
-	"strings"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/smtpserver"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 func init() {
@@ -22,46 +18,13 @@ func init() {
 	})
 }
 
-// stageRun boots one real server over loopback TCP, replays a bounce-heavy
-// trace through the closed-system client, and returns the server so the
-// caller can read its stage histograms back out of the registry.
+// stageRun replays a bounce-heavy trace against one architecture and
+// returns the server so the caller can read its stage histograms back
+// out of the registry.
 func stageRun(arch smtpserver.Architecture, conns []trace.Conn) (*smtpserver.Server, error) {
-	const domain = "dept.example.edu"
-	// The enqueue sink accepts and discards: this experiment measures the
-	// front end's pipeline stages, not the queue/delivery tail.
-	enqueue := func(sender string, rcpts []string, data []byte) (string, error) {
-		return "sunk", nil
-	}
-	srv, err := smtpserver.New(enqueue,
-		smtpserver.WithHostname("mx."+domain),
-		smtpserver.WithArchitecture(arch),
-		// Few workers against many client slots, so connections queue for
-		// an smtpd worker and the handoff_wait stage has something to show.
-		smtpserver.WithMaxWorkers(4),
-		smtpserver.WithIdleTimeout(5*time.Second),
-		smtpserver.WithValidateRcpt(func(a string) bool {
-			return strings.HasPrefix(a, "user") && strings.HasSuffix(a, "@"+domain)
-		}),
-	)
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	done := make(chan struct{})
-	go func() { defer close(done); srv.Serve(ln) }() //nolint:errcheck // exits on Close
-	workload.RunClosed(workload.ClosedConfig{
-		Addr:        ln.Addr().String(),
-		Concurrency: 16,
-		Timeout:     10 * time.Second,
-	}, conns)
-	if err := srv.Close(); err != nil {
-		return nil, err
-	}
-	<-done
-	return srv, nil
+	// Few workers against many client slots, so connections queue for
+	// an smtpd worker and the handoff_wait stage has something to show.
+	return replaySink(conns, false, smtpserver.WithArchitecture(arch), smtpserver.WithMaxWorkers(4))
 }
 
 // stageQuantiles reads one architecture's stage histogram back from the

@@ -8,15 +8,12 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/access"
 	"repro/internal/admin"
-	"repro/internal/delivery"
+	"repro/internal/cluster"
 	"repro/internal/director"
 	"repro/internal/fsim"
-	"repro/internal/mailstore"
 	"repro/internal/metrics"
 	"repro/internal/queue"
-	"repro/internal/smtp"
 	"repro/internal/smtpserver"
 	"repro/internal/spool"
 	"repro/internal/telemetry"
@@ -32,78 +29,57 @@ func init() {
 	})
 }
 
-// traceShard is one delivery shard with the full traced pipeline:
-// smtpserver → queue (spooled) → delivery agent → mbox store, all
-// recording into one per-node MessageRecorder, plus an admin endpoint
-// serving the node's spans.
+// traceShard is one delivery shard with the full traced pipeline — a
+// cluster.Shard on the mbox store, every layer recording into one
+// per-node MessageRecorder — plus an admin endpoint serving the node's
+// spans.
 type traceShard struct {
-	name  string
+	*cluster.Shard
 	rec   *trace.MessageRecorder
-	srv   *smtpserver.Server
-	qm    *queue.Manager
-	ln    net.Listener
 	adm   net.Listener
 	admin string // admin base URL
 }
 
 func startTraceShard(name, domain string, users int) (*traceShard, error) {
 	rec := trace.NewMessageRecorder(name, 4096, 1)
-	fs := fsim.NewFault()
-	db := access.NewDB(domain)
-	if err := access.Populate(db, domain, users); err != nil {
-		return nil, err
-	}
-	agent := delivery.NewAgent(db, mailstore.NewMbox(fs), delivery.WithMessageTracer(rec))
-	qm, err := queue.NewManager(queue.Config{
-		Deliverer: agent,
-		Store:     spool.New(fs, "queue"),
+	sh, err := cluster.StartShard(cluster.ShardSpec{
+		Domain:    domain,
+		Mailboxes: users,
+		Store:     "mbox",
+		Options:   []smtpserver.Option{smtpserver.WithArchitecture(smtpserver.Vanilla)},
 		Tracer:    rec,
 	})
 	if err != nil {
 		return nil, err
 	}
-	srv, err := smtpserver.New(qm.Enqueue,
-		smtpserver.WithHostname(name+".test"),
-		smtpserver.WithArchitecture(smtpserver.Vanilla),
-		smtpserver.WithIdleTimeout(5*time.Second),
-		smtpserver.WithValidateRcpt(db.Valid),
-		smtpserver.WithMessageTracer(rec),
-		smtpserver.WithEnqueueTraced(qm.EnqueueTraced),
-	)
+	adm, err := serveTraceAdmin(metrics.NewRegistry(), rec)
 	if err != nil {
-		qm.Close()
+		sh.Kill()
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		qm.Close()
-		return nil, err
-	}
-	go srv.Serve(ln) //nolint:errcheck // exits on close
-	adm, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		ln.Close()
-		qm.Close()
-		return nil, err
-	}
-	go http.Serve(adm, admin.NewHandler(metrics.NewRegistry(), nil, admin.WithTrace(rec))) //nolint:errcheck // dies with listener
-	return &traceShard{
-		name: name, rec: rec, srv: srv, qm: qm, ln: ln, adm: adm,
-		admin: "http://" + adm.Addr().String(),
-	}, nil
+	return &traceShard{Shard: sh, rec: rec, adm: adm, admin: "http://" + adm.Addr().String()}, nil
 }
 
 func (s *traceShard) close() {
 	s.adm.Close()
-	s.ln.Close()
-	s.srv.Close() //nolint:errcheck
-	s.qm.Close()  //nolint:errcheck
+	s.Kill()
+}
+
+// serveTraceAdmin serves a node's admin endpoint (its /traces and
+// /trace/{id}) on an ephemeral loopback port until the listener closes.
+func serveTraceAdmin(reg *metrics.Registry, rec *trace.MessageRecorder) (net.Listener, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	go http.Serve(ln, admin.NewHandler(reg, nil, admin.WithTrace(rec))) //nolint:errcheck // dies with listener
+	return ln, nil
 }
 
 // startTraceDirector boots a director tracing at sample 1 into its own
 // node recorder, in front of the name→address backends (shards, or —
-// chained tiers — another director). It returns the serving address.
-func startTraceDirector(node string, backends map[string]string) (*director.Server, *trace.MessageRecorder, string, error) {
+// chained tiers — another director).
+func startTraceDirector(node string, backends map[string]string) (*cluster.Director, *trace.MessageRecorder, error) {
 	rec := trace.NewMessageRecorder(node, 4096, 1)
 	opts := []director.Option{
 		director.WithHostname(node + ".test"),
@@ -113,16 +89,8 @@ func startTraceDirector(node string, backends map[string]string) (*director.Serv
 	for name, addr := range backends {
 		opts = append(opts, director.WithBackend(name, addr))
 	}
-	d, err := director.New(opts...)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, "", err
-	}
-	go d.Serve(ln)
-	return d, rec, ln.Addr().String(), nil
+	d, err := cluster.StartDirector(cluster.DirectorSpec{Options: opts})
+	return d, rec, err
 }
 
 // runTracePropagation drives mails through a director and two shards
@@ -146,48 +114,41 @@ func runTracePropagation(w io.Writer, opts Options) (Metrics, error) {
 	}
 	defer shardB.close()
 
-	d, drec, daddr, err := startTraceDirector("director", map[string]string{
-		"shard-a": shardA.ln.Addr().String(),
-		"shard-b": shardB.ln.Addr().String(),
+	d, drec, err := startTraceDirector("director", map[string]string{
+		"shard-a": shardA.Addr,
+		"shard-b": shardB.Addr,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer d.Close()
-	dadm, err := net.Listen("tcp", "127.0.0.1:0")
+	dadm, err := serveTraceAdmin(d.Server.Registry(), drec)
 	if err != nil {
 		return nil, err
 	}
 	defer dadm.Close()
-	go http.Serve(dadm, admin.NewHandler(d.Registry(), nil, admin.WithTrace(drec))) //nolint:errcheck
 
 	// Leg 1: mails through the director, recipients spread over the ring
 	// so both shards take traffic; two-recipient mails fan one trace out
 	// to two forwards when the ring splits them.
-	body := []byte("Subject: traced\r\n\r\npayload\r\n")
-	acked := 0
-	for i := 0; i < mails; i++ {
-		r1 := fmt.Sprintf("user%04d@%s", i%users, domain)
-		r2 := fmt.Sprintf("user%04d@%s", (i*7+3)%users, domain)
-		c, err := smtp.Dial(daddr, 2*time.Second, smtp.WithCommandTimeout(2*time.Second))
-		if err != nil {
-			return nil, err
-		}
-		if err := c.Helo("client.test"); err != nil {
-			c.Abort()
-			return nil, err
-		}
-		n, err := c.Send(fmt.Sprintf("sender%d@relay.example.net", i), []string{r1, r2}, body)
-		c.Quit() //nolint:errcheck
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			acked++
+	conns := make([]trace.Conn, mails)
+	for i := range conns {
+		conns[i] = trace.Conn{
+			Helo:   "client.test",
+			Sender: fmt.Sprintf("sender%d@relay.example.net", i),
+			Rcpts: []trace.Rcpt{
+				{Addr: fmt.Sprintf("user%04d@%s", i%users, domain), Valid: true},
+				{Addr: fmt.Sprintf("user%04d@%s", (i*7+3)%users, domain), Valid: true},
+			},
+			SizeBytes: 64,
 		}
 	}
-	shardA.qm.WaitIdle(5 * time.Second)
-	shardB.qm.WaitIdle(5 * time.Second)
+	if err := inject(d.Addr, 1, conns); err != nil {
+		return nil, err
+	}
+	acked := len(conns)
+	shardA.Queue.WaitIdle(5 * time.Second)
+	shardB.Queue.WaitIdle(5 * time.Second)
 
 	// The cluster read side: exactly what mailtop -cluster runs.
 	agg := telemetry.NewAggregator(
@@ -242,7 +203,7 @@ func runTracePropagation(w io.Writer, opts Options) (Metrics, error) {
 	}
 	minted := crashRec.Mint()
 	preCrash := crashRec.NewSpan(minted)
-	if _, err := qm1.EnqueueTraced("s@a.test", []string{"u@b.test"}, body, preCrash); err != nil {
+	if _, err := qm1.EnqueueTraced("s@a.test", []string{"u@b.test"}, []byte("Subject: traced\r\n\r\npayload\r\n"), preCrash); err != nil {
 		return nil, err
 	}
 	waitFor(func() bool { return qm1.Stats().Deferred > 0 }, 5*time.Second)
@@ -292,7 +253,7 @@ func runTracePropagation(w io.Writer, opts Options) (Metrics, error) {
 		acked, mails, len(ids), multiNode, maxNodes)
 	fmt.Fprintf(w, "stages observed: %v\n", stageNames)
 	fmt.Fprintf(w, "director trace_stitched_total: %d   spool-recovered trace retained: %v\n",
-		int(stitchedCounter(d)), traceSurvived == 1)
+		int(stitchedCounter(d.Server)), traceSurvived == 1)
 
 	return Metrics{
 		"mails_acked":        float64(acked),
@@ -300,7 +261,7 @@ func runTracePropagation(w io.Writer, opts Options) (Metrics, error) {
 		"traces_multi_node":  float64(multiNode),
 		"max_nodes_trace":    float64(maxNodes),
 		"spans_total":        float64(spansTotal),
-		"stitched_counter":   stitchedCounter(d),
+		"stitched_counter":   stitchedCounter(d.Server),
 		"stage_pretrust":     float64(stages[trace.MStagePretrust]),
 		"stage_forward":      float64(stages[trace.MStageForward]),
 		"stage_smtp":         float64(stages[trace.MStageSMTP]),
@@ -320,16 +281,4 @@ func stitchedCounter(d *director.Server) float64 {
 		}
 	}
 	return 0
-}
-
-// waitFor polls cond until true or timeout.
-func waitFor(cond func() bool, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return cond()
 }

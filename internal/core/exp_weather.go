@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
-	"time"
 
 	"repro/internal/addr"
 	"repro/internal/dns"
@@ -40,7 +38,6 @@ const weatherZone = "bl6.weather.exp"
 // level gate, so the spam weather stays accurate however quiet the
 // operator keeps the log.
 func weatherRun(arch smtpserver.Architecture, conns []trace.Conn, listed map[addr.IPv4]bool) (telemetry.Snapshot, error) {
-	const domain = "dept.example.edu"
 	none := telemetry.Snapshot{}
 
 	// The replayer presents each trace source from its loopback alias, so
@@ -89,40 +86,15 @@ func weatherRun(arch smtpserver.Architecture, conns []trace.Conn, listed map[add
 	pol := policy.NewServerPolicy(eng, scorer,
 		policy.WithRegistry(reg), policy.WithEventLog(events))
 
-	enqueue := func(sender string, rcpts []string, data []byte) (string, error) {
-		return "sunk", nil
-	}
-	srv, err := smtpserver.New(enqueue,
-		smtpserver.WithHostname("mx."+domain),
+	if _, err := replaySink(conns, true,
 		smtpserver.WithArchitecture(arch),
 		smtpserver.WithMaxWorkers(8),
-		smtpserver.WithIdleTimeout(5*time.Second),
-		smtpserver.WithValidateRcpt(func(a string) bool {
-			return strings.HasPrefix(a, "user") && strings.HasSuffix(a, "@"+domain)
-		}),
 		smtpserver.WithPolicy(pol),
 		smtpserver.WithRegistry(reg),
 		smtpserver.WithEventLog(events),
-	)
-	if err != nil {
+	); err != nil {
 		return none, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return none, err
-	}
-	done := make(chan struct{})
-	go func() { defer close(done); srv.Serve(ln) }() //nolint:errcheck // exits on Close
-	workload.RunClosed(workload.ClosedConfig{
-		Addr:           ln.Addr().String(),
-		Concurrency:    16,
-		Timeout:        10 * time.Second,
-		SourceLoopback: true,
-	}, conns)
-	if err := srv.Close(); err != nil {
-		return none, err
-	}
-	<-done
 	return tracker.Snapshot(), nil
 }
 

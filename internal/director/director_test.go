@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/eventlog"
+	"repro/internal/policy"
 	"repro/internal/smtp"
 	"repro/internal/smtpserver"
 )
@@ -399,5 +401,45 @@ func TestDirectorPoolReuse(t *testing.T) {
 	}
 	if sinkA.count("alice@example.org") != 5 {
 		t.Fatalf("delivered %d of 5", sinkA.count("alice@example.org"))
+	}
+}
+
+// TestDirectorEventsCarryConnIDs: a director records no connection spans,
+// and its events must still be attributable — every connection gets its
+// own non-zero id, and the policy verdicts of a connection carry the id
+// its smtpd.conn event does (what /events?conn= filters on).
+func TestDirectorEventsCarryConnIDs(t *testing.T) {
+	addr, _, _ := startShardServer(t)
+	log := eventlog.New(eventlog.WithLevel(eventlog.LevelDebug))
+	_, fe := startDirector(t,
+		WithBackend("shard-a", addr),
+		WithEventLog(log),
+		WithPolicy(policy.NewServerPolicy(policy.New(), nil, policy.WithEventLog(log))),
+	)
+	const conns = 3
+	for i := 0; i < conns; i++ {
+		if n := sendMail(t, fe, "s@remote.test", []string{"user@example.org"}); n != 1 {
+			t.Fatalf("mail %d: accepted %d recipients", i, n)
+		}
+	}
+	var ended []eventlog.Event
+	for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		if ended = log.Tail(eventlog.Filter{Name: "smtpd.conn"}); len(ended) == conns {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d smtpd.conn events, want %d", len(ended), conns)
+		}
+	}
+	seen := map[uint64]bool{}
+	for _, e := range ended {
+		if e.Conn == 0 || seen[e.Conn] {
+			t.Fatalf("smtpd.conn ids are not distinct and non-zero: %+v", ended)
+		}
+		seen[e.Conn] = true
+		// connect, MAIL and RCPT verdicts of this connection, and no other's.
+		if got := log.Tail(eventlog.Filter{Name: "smtpd.policy", Conn: e.Conn}); len(got) != 3 {
+			t.Errorf("conn %d: %d smtpd.policy events share its id, want 3", e.Conn, len(got))
+		}
 	}
 }

@@ -45,7 +45,6 @@ type Gossip struct {
 	peers    []string
 	interval time.Duration
 	overlap  time.Duration
-	timeout  time.Duration
 	now      func() time.Time
 	events   *eventlog.Log
 
@@ -64,6 +63,9 @@ type Gossip struct {
 	once sync.Once
 }
 
+// gossipTimeout bounds one exchange round trip.
+const gossipTimeout = 5 * time.Second
+
 // GossipOption configures a Gossip node.
 type GossipOption func(*Gossip)
 
@@ -80,11 +82,6 @@ func WithPeers(addrs ...string) GossipOption {
 // WithInterval sets the anti-entropy period (default 1s).
 func WithInterval(d time.Duration) GossipOption {
 	return func(g *Gossip) { g.interval = d }
-}
-
-// WithGossipTimeout bounds one exchange round trip (default 5s).
-func WithGossipTimeout(d time.Duration) GossipOption {
-	return func(g *Gossip) { g.timeout = d }
 }
 
 // WithReputationSync shares the reputation store.
@@ -120,7 +117,6 @@ func NewGossip(opts ...GossipOption) *Gossip {
 	g := &Gossip{
 		name:     "gossip",
 		interval: time.Second,
-		timeout:  5 * time.Second,
 		now:      time.Now,
 		lastPull: make(map[string]time.Time),
 		lastPush: make(map[string]time.Time),
@@ -199,7 +195,7 @@ func (g *Gossip) Close() {
 // pushed, reply with our deltas since the peer's watermark.
 func (g *Gossip) serveExchange(nc net.Conn) {
 	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(g.timeout)) //nolint:errcheck
+	nc.SetDeadline(time.Now().Add(gossipTimeout)) //nolint:errcheck
 	var req syncMsg
 	if err := json.NewDecoder(nc).Decode(&req); err != nil {
 		return
@@ -224,12 +220,12 @@ func (g *Gossip) Exchange(peer string) error {
 	req.Since = pull
 	req.From = g.name
 
-	nc, err := net.DialTimeout("tcp", peer, g.timeout)
+	nc, err := net.DialTimeout("tcp", peer, gossipTimeout)
 	if err != nil {
 		return g.fail(peer, err)
 	}
 	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(g.timeout)) //nolint:errcheck
+	nc.SetDeadline(time.Now().Add(gossipTimeout)) //nolint:errcheck
 	if err := json.NewEncoder(nc).Encode(req); err != nil {
 		return g.fail(peer, err)
 	}

@@ -33,7 +33,6 @@ type verdict struct {
 // sent upstream, i.e. the cache-hit lift bought by gossip.
 type Verdicts struct {
 	inner dnsbl.Resolver
-	ttl   time.Duration
 	now   func() time.Time
 
 	mu        sync.Mutex
@@ -44,13 +43,11 @@ type Verdicts struct {
 	misses    int64
 }
 
+// verdictTTL is how long a verdict stays servable.
+const verdictTTL = 5 * time.Minute
+
 // VerdictsOption configures a Verdicts cache.
 type VerdictsOption func(*Verdicts)
-
-// WithVerdictTTL sets how long a verdict stays servable (default 5m).
-func WithVerdictTTL(d time.Duration) VerdictsOption {
-	return func(v *Verdicts) { v.ttl = d }
-}
 
 // WithVerdictClock injects the clock (default time.Now).
 func WithVerdictClock(now func() time.Time) VerdictsOption {
@@ -61,7 +58,6 @@ func WithVerdictClock(now func() time.Time) VerdictsOption {
 func NewVerdicts(inner dnsbl.Resolver, opts ...VerdictsOption) *Verdicts {
 	v := &Verdicts{
 		inner:   inner,
-		ttl:     5 * time.Minute,
 		now:     time.Now,
 		entries: make(map[string]verdict),
 		origin:  make(map[string]bool),
@@ -95,7 +91,7 @@ func (v *Verdicts) Lookup(ctx context.Context, ip addr.IPv4) (dnsbl.Result, erro
 		return r, err
 	}
 	v.mu.Lock()
-	v.entries[key] = verdict{listed: r.Listed, expiry: now.Add(v.ttl), stamp: now}
+	v.entries[key] = verdict{listed: r.Listed, expiry: now.Add(verdictTTL), stamp: now}
 	v.origin[key] = false
 	v.mu.Unlock()
 	return r, nil

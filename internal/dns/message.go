@@ -399,51 +399,6 @@ func AAAARecord(name string, ttl uint32, addr [16]byte) RR {
 	return RR{Name: name, Type: TypeAAAA, Class: ClassIN, TTL: ttl, RData: addr[:]}
 }
 
-// MXRecord builds an MX answer record: a 16-bit preference followed by
-// the exchange host name in (uncompressed) label form, per RFC 1035
-// §3.3.9. The outbound deliverer walks these candidates by preference.
-func MXRecord(name string, ttl uint32, pref uint16, host string) RR {
-	rd := binary.BigEndian.AppendUint16(make([]byte, 0, 2+len(host)+2), pref)
-	rd, err := appendName(rd, host)
-	if err != nil {
-		// An invalid exchange name degrades to an empty RDATA the parser
-		// rejects; MX hosts in this repo are short test names.
-		rd = nil
-	}
-	return RR{Name: name, Type: TypeMX, Class: ClassIN, TTL: ttl, RData: rd}
-}
-
-// MX extracts the preference and exchange host of an MX record. The
-// exchange name must be uncompressed (our encoder never compresses;
-// records whose RDATA points back into the message are rejected).
-func (rr RR) MX() (pref uint16, host string, err error) {
-	if rr.Type != TypeMX || len(rr.RData) < 3 {
-		return 0, "", fmt.Errorf("%w: not an MX record", ErrCorrupt)
-	}
-	pref = binary.BigEndian.Uint16(rr.RData)
-	var labels []string
-	pos := 2
-	for {
-		if pos >= len(rr.RData) {
-			return 0, "", ErrCorrupt
-		}
-		c := int(rr.RData[pos])
-		if c == 0 {
-			break
-		}
-		if c&0xc0 != 0 {
-			return 0, "", fmt.Errorf("%w: compressed MX exchange", ErrCorrupt)
-		}
-		end := pos + 1 + c
-		if end > len(rr.RData) {
-			return 0, "", ErrCorrupt
-		}
-		labels = append(labels, string(rr.RData[pos+1:end]))
-		pos = end
-	}
-	return pref, strings.Join(labels, "."), nil
-}
-
 // TXTRecord builds a TXT answer record.
 func TXTRecord(name string, ttl uint32, text string) RR {
 	if len(text) > 255 {

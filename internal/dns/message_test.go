@@ -230,48 +230,3 @@ func TestTypeString(t *testing.T) {
 		}
 	}
 }
-
-func TestMXRecordRoundTrip(t *testing.T) {
-	q := NewQuery(7, "remote.example", TypeMX)
-	reply := q.Reply()
-	reply.Answers = append(reply.Answers,
-		MXRecord("remote.example", 300, 10, "mx1.remote.example"),
-		MXRecord("remote.example", 300, 20, "mx2.remote.example"),
-	)
-	wire, err := reply.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Answers) != 2 {
-		t.Fatalf("answers = %d", len(got.Answers))
-	}
-	pref, host, err := got.Answers[0].MX()
-	if err != nil || pref != 10 || host != "mx1.remote.example" {
-		t.Fatalf("MX() = %d %q %v", pref, host, err)
-	}
-	pref, host, err = got.Answers[1].MX()
-	if err != nil || pref != 20 || host != "mx2.remote.example" {
-		t.Fatalf("MX() = %d %q %v", pref, host, err)
-	}
-}
-
-func TestMXParseRejectsGarbage(t *testing.T) {
-	if _, _, err := (RR{Type: TypeA, RData: []byte{1, 2, 3, 4}}).MX(); err == nil {
-		t.Fatal("A record parsed as MX")
-	}
-	if _, _, err := (RR{Type: TypeMX, RData: []byte{0, 10}}).MX(); err == nil {
-		t.Fatal("short RDATA accepted")
-	}
-	// Compression pointer in the exchange name must be rejected.
-	if _, _, err := (RR{Type: TypeMX, RData: []byte{0, 10, 0xc0, 0x0c}}).MX(); err == nil {
-		t.Fatal("compressed exchange accepted")
-	}
-	// Truncated label.
-	if _, _, err := (RR{Type: TypeMX, RData: []byte{0, 10, 5, 'a', 'b'}}).MX(); err == nil {
-		t.Fatal("truncated label accepted")
-	}
-}

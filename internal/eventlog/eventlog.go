@@ -9,7 +9,7 @@
 //   - a lock-light ring buffer of the most recent events (per-slot
 //     locks, writers claim slots with one atomic add), served by the
 //     admin endpoint as /events and tailed by `traceinfo -follow`;
-//   - pluggable sinks (text or JSON lines to an io.Writer) fed after the
+//   - pluggable sinks (text lines to an io.Writer) fed after the
 //     level gate and sampling, so an operator can tee warnings to stderr
 //     while the ring keeps the full recent stream;
 //   - observers: taps that see every event *before* the level gate and
@@ -147,29 +147,6 @@ func Dur(key string, d time.Duration) Field { return Field{Key: key, kind: kindD
 // when a sink or the /events endpoint formats the event.
 func IP(key string, ip addr.IPv4) Field { return Field{Key: key, kind: kindIP, num: int64(ip)} }
 
-// Value returns the field's value as an interface for generic consumers
-// (JSON sinks, tests). Hot-path consumers should use the typed getters.
-func (f Field) Value() interface{} {
-	switch f.kind {
-	case kindStr:
-		return f.str
-	case kindInt:
-		return f.num
-	case kindUint:
-		return uint64(f.num)
-	case kindFloat:
-		return f.flo
-	case kindBool:
-		return f.num != 0
-	case kindDur:
-		return time.Duration(f.num)
-	case kindIP:
-		return addr.IPv4(f.num)
-	default:
-		return nil
-	}
-}
-
 // Str returns the field's string value ("" for non-string fields).
 func (f Field) Str() string { return f.str }
 
@@ -283,46 +260,6 @@ func (e *Event) AppendText(b []byte) []byte {
 
 // String renders the event as its text line.
 func (e *Event) String() string { return string(e.AppendText(nil)) }
-
-// AppendJSON renders the event as one JSON object line (no trailing
-// newline). Field values render with their natural JSON types.
-func (e *Event) AppendJSON(b []byte) []byte {
-	b = append(b, `{"seq":`...)
-	b = strconv.AppendUint(b, e.Seq, 10)
-	b = append(b, `,"t":`...)
-	b = strconv.AppendQuote(b, e.Time.String())
-	b = append(b, `,"level":`...)
-	b = strconv.AppendQuote(b, e.Level.String())
-	b = append(b, `,"name":`...)
-	b = strconv.AppendQuote(b, e.Name)
-	if e.Conn != 0 {
-		b = append(b, `,"conn":`...)
-		b = strconv.AppendUint(b, e.Conn, 10)
-	}
-	for i := 0; i < e.NFields; i++ {
-		f := &e.Fields[i]
-		b = append(b, ',')
-		b = strconv.AppendQuote(b, f.Key)
-		b = append(b, ':')
-		switch f.kind {
-		case kindInt:
-			b = strconv.AppendInt(b, f.num, 10)
-		case kindUint:
-			b = strconv.AppendUint(b, uint64(f.num), 10)
-		case kindFloat:
-			b = strconv.AppendFloat(b, f.flo, 'g', -1, 64)
-		case kindBool:
-			b = strconv.AppendBool(b, f.num != 0)
-		case kindDur:
-			b = strconv.AppendQuote(b, time.Duration(f.num).String())
-		case kindIP:
-			b = strconv.AppendQuote(b, addr.IPv4(f.num).String())
-		default:
-			b = strconv.AppendQuote(b, f.str)
-		}
-	}
-	return append(b, '}')
-}
 
 // ParseEvent parses one line produced by AppendText. The typed payloads
 // of custom fields are not recovered — every unrecognized key becomes a

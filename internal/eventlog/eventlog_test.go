@@ -2,7 +2,6 @@ package eventlog
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -247,19 +246,6 @@ func TestTextRoundtrip(t *testing.T) {
 	}
 }
 
-func TestJSONSink(t *testing.T) {
-	var buf bytes.Buffer
-	l := New(WithCapacity(4), WithSink(NewJSONSink(&buf, LevelInfo)))
-	l.Info("dnsbl.lookup", 3, IP("ip", addr.MustParseIPv4("10.0.0.1")), Bool("hit", true), Float("score", 1.0))
-	var m map[string]interface{}
-	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
-		t.Fatalf("sink wrote invalid JSON %q: %v", buf.String(), err)
-	}
-	if m["name"] != "dnsbl.lookup" || m["ip"] != "10.0.0.1" || m["hit"] != true {
-		t.Errorf("JSON event = %v", m)
-	}
-}
-
 func TestTextSinkLevelGate(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(WithCapacity(4), WithSink(NewTextSink(&buf, LevelWarn)))
@@ -287,8 +273,8 @@ func TestFieldOverflowDropped(t *testing.T) {
 	}
 }
 
-// TestHotPathAllocFree pins the two cheap paths the CI bench smoke
-// watches: an event below the retained level, and a sampled-out event.
+// TestHotPathAllocFree is the tier-1 gate on the two cheap paths: an
+// event below the retained level, and a sampled-out event.
 func TestHotPathAllocFree(t *testing.T) {
 	l := New(WithCapacity(64), WithLevel(LevelInfo), WithSampling("hot.sampled", 1<<30))
 	l.Info("hot.sampled", 1) // consume the one kept sample
@@ -305,8 +291,8 @@ func TestHotPathAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkEventlogDisabled is the CI smoke for the disabled-level hot
-// path: one atomic load, zero allocations.
+// BenchmarkEventlogDisabled measures the disabled-level hot path: one
+// atomic load, zero allocations.
 func BenchmarkEventlogDisabled(b *testing.B) {
 	l := New(WithCapacity(1024), WithLevel(LevelInfo))
 	ip := addr.MustParseIPv4("192.0.2.9")
@@ -323,7 +309,7 @@ func BenchmarkEventlogDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkEventlogSampled is the CI smoke for the sampled-out hot path.
+// BenchmarkEventlogSampled measures the sampled-out hot path.
 func BenchmarkEventlogSampled(b *testing.B) {
 	l := New(WithCapacity(1024), WithLevel(LevelInfo), WithSampling("dnsbl.lookup", 1<<30))
 	ip := addr.MustParseIPv4("192.0.2.9")

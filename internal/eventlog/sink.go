@@ -9,11 +9,10 @@ import (
 // an internal lock and a reused buffer so concurrent emitters interleave
 // whole lines and steady-state writes don't allocate.
 type writerSink struct {
-	mu     sync.Mutex
-	w      io.Writer
-	buf    []byte
-	render func(e *Event, b []byte) []byte
-	min    Level
+	mu  sync.Mutex
+	w   io.Writer
+	buf []byte
+	min Level
 }
 
 // Emit implements Sink.
@@ -22,7 +21,7 @@ func (s *writerSink) Emit(e Event) {
 		return
 	}
 	s.mu.Lock()
-	s.buf = s.render(&e, s.buf[:0])
+	s.buf = e.AppendText(s.buf[:0])
 	s.buf = append(s.buf, '\n')
 	s.w.Write(s.buf) //nolint:errcheck // a dead log writer must not kill the server
 	s.mu.Unlock()
@@ -32,11 +31,5 @@ func (s *writerSink) Emit(e Event) {
 // only events at or above min (so a stderr sink can stay on warnings
 // while the ring retains info).
 func NewTextSink(w io.Writer, min Level) Sink {
-	return &writerSink{w: w, min: min, render: func(e *Event, b []byte) []byte { return e.AppendText(b) }}
-}
-
-// NewJSONSink returns a sink writing events as JSON object lines to w,
-// keeping only events at or above min.
-func NewJSONSink(w io.Writer, min Level) Sink {
-	return &writerSink{w: w, min: min, render: func(e *Event, b []byte) []byte { return e.AppendJSON(b) }}
+	return &writerSink{w: w, min: min}
 }

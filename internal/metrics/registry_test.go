@@ -254,6 +254,21 @@ func TestExponentialBounds(t *testing.T) {
 	ExponentialBounds(0, 2, 3)
 }
 
+// TestHotPathAllocFree is the tier-1 gate on the recording hot path: with
+// the instrument registered once and the pointer held, as servers do,
+// Counter.Add and Histogram.Observe allocate nothing.
+func TestHotPathAllocFree(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("conns_total", "arch", "hybrid")
+	if allocs := testing.AllocsPerRun(1000, func() { c.Add(1) }); allocs != 0 {
+		t.Errorf("Counter.Add allocates %v times per op", allocs)
+	}
+	h := r.Histogram("stage_seconds", LatencyBounds(), "arch", "hybrid", "stage", "dialog")
+	if allocs := testing.AllocsPerRun(1000, func() { h.Observe(0.012) }); allocs != 0 {
+		t.Errorf("Histogram.Observe allocates %v times per op", allocs)
+	}
+}
+
 // BenchmarkRegistryCounterAdd pins the hot path at zero allocations: the
 // counter is registered once and the pointer held, as servers do.
 func BenchmarkRegistryCounterAdd(b *testing.B) {

@@ -18,10 +18,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dns"
 	"repro/internal/eventlog"
 	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/queue"
 	"repro/internal/smtp"
 	"repro/internal/trace"
@@ -76,56 +74,15 @@ func (s *Static) LookupMX(_ context.Context, domain string) ([]MX, error) {
 }
 
 // ---------------------------------------------------------------------------
-// DNS resolver
-
-// DNSResolver resolves MX sets through a dns.Transport (the same
-// transport layer the DNSBL path uses, so MX lookups ride the pipelined
-// resolver when one is configured).
-type DNSResolver struct {
-	transport dns.Transport
-	nextID    atomic.Uint32
-}
-
-// NewDNSResolver returns a resolver querying transport.
-func NewDNSResolver(t dns.Transport) *DNSResolver {
-	return &DNSResolver{transport: t}
-}
-
-// LookupMX implements Resolver: a TypeMX query, falling back to the
-// implicit MX (the domain itself at preference 0, RFC 5321 §5.1) when
-// the answer section has no usable MX records.
-func (r *DNSResolver) LookupMX(ctx context.Context, domain string) ([]MX, error) {
-	id := uint16(r.nextID.Add(1))
-	resp, err := r.transport.Query(ctx, dns.NewQuery(id, domain, dns.TypeMX))
-	if err != nil {
-		return nil, fmt.Errorf("outbound: MX %s: %w", domain, err)
-	}
-	if resp.RCode == dns.RCodeNXDomain {
-		return nil, fmt.Errorf("outbound: MX %s: no such domain", domain)
-	}
-	if resp.RCode != dns.RCodeNoError {
-		return nil, fmt.Errorf("outbound: MX %s: rcode %d", domain, resp.RCode)
-	}
-	var mxs []MX
-	for _, rr := range resp.Answers {
-		if rr.Type != dns.TypeMX {
-			continue
-		}
-		pref, host, err := rr.MX()
-		if err != nil {
-			continue // one bad record must not poison the answer set
-		}
-		mxs = append(mxs, MX{Host: host, Pref: pref})
-	}
-	if len(mxs) == 0 {
-		// Implicit MX: a domain with no MX records is its own exchanger.
-		mxs = []MX{{Host: domain, Pref: 0}}
-	}
-	return mxs, nil
-}
-
-// ---------------------------------------------------------------------------
 // Deliverer
+
+const (
+	// smtpPort is appended to MX hosts that carry no port (simulations
+	// use loopback hosts with explicit ports).
+	smtpPort = "25"
+	// resolveTimeout bounds each MX lookup.
+	resolveTimeout = 5 * time.Second
+)
 
 // Config parameterizes a Deliverer.
 type Config struct {
@@ -134,19 +91,11 @@ type Config struct {
 	// Helo is the EHLO/HELO name presented to remote servers (default
 	// "localhost").
 	Helo string
-	// Port is appended to MX hosts that carry no port (default "25";
-	// simulations use loopback hosts with explicit ports).
-	Port string
 	// DialTimeout bounds each connection attempt (default 5s).
 	DialTimeout time.Duration
 	// CommandTimeout bounds each SMTP command round trip (default 30s),
 	// applied via smtp.WithCommandTimeout.
 	CommandTimeout time.Duration
-	// ResolveTimeout bounds each MX lookup (default 5s).
-	ResolveTimeout time.Duration
-	// Tracker, if non-nil, receives per-destination success/failure for
-	// the reputation EWMA.
-	Tracker *policy.DestTracker
 	// Registry receives outbound metrics; nil means a private registry.
 	Registry *metrics.Registry
 	// Events, if non-nil, receives outbound.delivered / outbound.fail.
@@ -157,9 +106,6 @@ type Config struct {
 	// is forwarded as a MAIL parameter so the next hop's spans join the
 	// same trace; non-supporting peers see a plain MAIL FROM.
 	Tracer *trace.MessageRecorder
-	// DialFunc overrides the dialer (tests). It must return a connected,
-	// greeted client.
-	DialFunc func(addr string) (*smtp.Client, error)
 }
 
 // Deliverer delivers queue items to their destination domains over
@@ -183,17 +129,11 @@ func New(cfg Config) (*Deliverer, error) {
 	if cfg.Helo == "" {
 		cfg.Helo = "localhost"
 	}
-	if cfg.Port == "" {
-		cfg.Port = "25"
-	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
 	if cfg.CommandTimeout <= 0 {
 		cfg.CommandTimeout = 30 * time.Second
-	}
-	if cfg.ResolveTimeout <= 0 {
-		cfg.ResolveTimeout = 5 * time.Second
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -205,9 +145,6 @@ func New(cfg Config) (*Deliverer, error) {
 		delivered: reg.Counter("outbound_delivered_total"),
 		failures:  reg.Counter("outbound_failures_total"),
 		failovers: reg.Counter("outbound_mx_failover_total"),
-	}
-	if cfg.DialFunc == nil {
-		d.cfg.DialFunc = d.dial
 	}
 	return d, nil
 }
@@ -250,7 +187,7 @@ func (d *Deliverer) Deliver(item *queue.Item) error {
 // deliverDomain walks domain's MX candidates in preference order and
 // runs one transaction against the first that works.
 func (d *Deliverer) deliverDomain(domain, sender string, rcpts []string, data []byte, tc trace.Context) error {
-	ctx, cancel := context.WithTimeout(context.Background(), d.cfg.ResolveTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), resolveTimeout)
 	mxs, err := d.cfg.Resolver.LookupMX(ctx, domain)
 	cancel()
 	if err != nil {
@@ -271,9 +208,6 @@ func (d *Deliverer) deliverDomain(domain, sender string, rcpts []string, data []
 			continue
 		}
 		d.delivered.Inc()
-		if d.cfg.Tracker != nil {
-			d.cfg.Tracker.RecordSuccess(domain)
-		}
 		return nil
 	}
 	if last == nil {
@@ -290,11 +224,11 @@ func (d *Deliverer) deliverDomain(domain, sender string, rcpts []string, data []
 func (d *Deliverer) transact(host, sender string, rcpts []string, data []byte, tc trace.Context) error {
 	addr := host
 	if _, _, err := net.SplitHostPort(host); err != nil {
-		addr = net.JoinHostPort(host, d.cfg.Port)
+		addr = net.JoinHostPort(host, smtpPort)
 	}
 	start := time.Now()
 	sp := d.cfg.Tracer.NewSpan(tc)
-	c, err := d.cfg.DialFunc(addr)
+	c, err := d.dial(addr)
 	if err != nil {
 		return err
 	}
@@ -318,9 +252,6 @@ func (d *Deliverer) transact(host, sender string, rcpts []string, data []byte, t
 // fail records one failed delivery attempt against a destination.
 func (d *Deliverer) fail(domain string, err error) {
 	d.failures.Inc()
-	if d.cfg.Tracker != nil {
-		d.cfg.Tracker.RecordFailure(domain)
-	}
 	d.cfg.Events.Info("outbound.fail", 0,
 		eventlog.Str("dest", domain),
 		eventlog.Str("err", err.Error()),

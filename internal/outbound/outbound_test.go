@@ -10,9 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dns"
 	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/queue"
 )
 
@@ -107,39 +105,6 @@ func TestStaticResolver(t *testing.T) {
 	}
 }
 
-func TestDNSResolverMXAndImplicitFallback(t *testing.T) {
-	tr := &dns.MemTransport{Handler: dns.HandlerFunc(func(q dns.Question) *dns.Message {
-		resp := dns.NewQuery(0, q.Name, q.Type).Reply()
-		switch q.Name {
-		case "b.test":
-			resp.Answers = []dns.RR{
-				dns.MXRecord("b.test", 300, 20, "mx2.b.test"),
-				dns.MXRecord("b.test", 300, 10, "mx1.b.test"),
-			}
-		case "nomx.test":
-			// NOERROR with empty answer: implicit MX applies.
-		default:
-			resp.RCode = dns.RCodeNXDomain
-		}
-		return resp
-	})}
-	r := NewDNSResolver(tr)
-	mxs, err := r.LookupMX(context.Background(), "b.test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mxs) != 2 {
-		t.Fatalf("mxs = %+v", mxs)
-	}
-	mxs, err = r.LookupMX(context.Background(), "nomx.test")
-	if err != nil || len(mxs) != 1 || mxs[0].Host != "nomx.test" || mxs[0].Pref != 0 {
-		t.Fatalf("implicit MX broken: %+v, %v", mxs, err)
-	}
-	if _, err := r.LookupMX(context.Background(), "gone.test"); err == nil {
-		t.Fatal("NXDOMAIN must fail the lookup")
-	}
-}
-
 func TestDeliverMXFailover(t *testing.T) {
 	good := startSink(t, false)
 	// A dead primary: listen then close immediately so the port refuses.
@@ -153,8 +118,7 @@ func TestDeliverMXFailover(t *testing.T) {
 	res := NewStatic()
 	res.Set("b.test", MX{Host: deadAddr, Pref: 10}, MX{Host: good.addr(), Pref: 20})
 	reg := metrics.NewRegistry()
-	tracker := policy.NewDestTracker()
-	d, err := New(Config{Resolver: res, Tracker: tracker, Registry: reg,
+	d, err := New(Config{Resolver: res, Registry: reg,
 		DialTimeout: time.Second, CommandTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -168,10 +132,6 @@ func TestDeliverMXFailover(t *testing.T) {
 	}
 	if v := reg.Counter("outbound_mx_failover_total").Value(); v != 1 {
 		t.Fatalf("failovers = %d, want 1", v)
-	}
-	snap := tracker.Snapshot()
-	if len(snap) != 1 || snap[0].Dest != "b.test" || snap[0].Failures != 1 || snap[0].Successes != 1 {
-		t.Fatalf("tracker snapshot = %+v", snap)
 	}
 }
 

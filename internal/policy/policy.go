@@ -141,12 +141,6 @@ func WithDNSBLReject(threshold float64) Option {
 	return func(e *Engine) { e.dnsblReject = threshold }
 }
 
-// WithDNSBLTempfail tempfails a connection whose DNSBL score is below
-// the reject threshold but at or above this one.
-func WithDNSBLTempfail(threshold float64) Option {
-	return func(e *Engine) { e.dnsblTempfail = threshold }
-}
-
 // WithEpoch sets the absolute instant the engine's duration offsets are
 // measured from (default Unix epoch). Wall-clock callers set this so
 // store timestamps are real times, comparable across gossiping nodes;
@@ -159,14 +153,13 @@ func WithEpoch(epoch time.Time) Option {
 // Engine evaluates the policy pipeline. It is safe for concurrent use;
 // under the simulator it is driven single-threaded on virtual time.
 type Engine struct {
-	mu            sync.Mutex
-	epoch         time.Time
-	dnsblReject   float64
-	dnsblTempfail float64
-	rate          *rateLimiter
-	grey          GreylistStore
-	rep           ReputationStore
-	st            Stats
+	mu          sync.Mutex
+	epoch       time.Time
+	dnsblReject float64
+	rate        *rateLimiter
+	grey        GreylistStore
+	rep         ReputationStore
+	st          Stats
 }
 
 // New builds an engine. Options enable checkers; with none, everything
@@ -241,9 +234,6 @@ func (e *Engine) admitLocked(now time.Duration, ip addr.IPv4, dnsblScore float64
 	}
 	if e.dnsblReject > 0 && dnsblScore >= e.dnsblReject {
 		return Decision{Reject, "dnsbl", fmt.Sprintf("listed by DNSBLs (score %.1f)", dnsblScore)}
-	}
-	if e.dnsblTempfail > 0 && dnsblScore >= e.dnsblTempfail {
-		return Decision{Tempfail, "dnsbl", fmt.Sprintf("deferred on DNSBL evidence (score %.1f)", dnsblScore)}
 	}
 	return allowed
 }

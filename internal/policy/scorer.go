@@ -27,7 +27,6 @@ type scorerConfig struct {
 	lists     []List
 	registry  *metrics.Registry
 	threshold float64
-	timeout   time.Duration
 }
 
 // ScorerOption configures a Scorer (see NewScorer).
@@ -43,14 +42,6 @@ func WithLists(lists ...List) ScorerOption {
 // already condemned the source. 0 (the default) waits for every list.
 func WithThreshold(threshold float64) ScorerOption {
 	return func(c *scorerConfig) { c.threshold = threshold }
-}
-
-// WithScanTimeout bounds the whole scan when the caller's context
-// carries no deadline (default costmodel.DNSBLTimeout). Lists that miss
-// the deadline contribute 0 — the scorer fails open, like the paper's
-// servers: a DNSBL outage must not stop mail.
-func WithScanTimeout(d time.Duration) ScorerOption {
-	return func(c *scorerConfig) { c.timeout = d }
 }
 
 // WithScorerRegistry directs the scorer's metrics (scan counters and
@@ -80,9 +71,6 @@ func NewScorer(opts ...ScorerOption) *Scorer {
 	var cfg scorerConfig
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.timeout <= 0 {
-		cfg.timeout = costmodel.DNSBLTimeout
 	}
 	for i := range cfg.lists {
 		if cfg.lists[i].Weight == 0 {
@@ -123,8 +111,11 @@ func (s *Scorer) Score(ctx context.Context, ip addr.IPv4) float64 {
 	}
 	start := time.Now()
 	if _, ok := ctx.Deadline(); !ok {
+		// A caller without a deadline gets the paper's DNSBL timeout.
+		// Lists that miss it contribute 0 — the scorer fails open, like
+		// the paper's servers: a DNSBL outage must not stop mail.
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.timeout)
+		ctx, cancel = context.WithTimeout(ctx, costmodel.DNSBLTimeout)
 		defer cancel()
 	} else {
 		var cancel context.CancelFunc

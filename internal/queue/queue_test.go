@@ -594,3 +594,48 @@ func TestQueueCrashPointEnumeration(t *testing.T) {
 		}
 	}
 }
+
+// slowLinkFS delays Link, the first half of a spool lane move, once a
+// test arms it.
+type slowLinkFS struct {
+	fsim.FS
+	delay atomic.Int64 // nanoseconds
+}
+
+func (f *slowLinkFS) Link(oldname, newname string) error {
+	time.Sleep(time.Duration(f.delay.Load()))
+	return f.FS.Link(oldname, newname)
+}
+
+// TestWaitIdleCoversRetryRedispatch: when a retry timer fires, the mail is
+// no longer waiting and not yet pending while its disk copy moves back to
+// the active lane. WaitIdle must not report idle in that window.
+func TestWaitIdleCoversRetryRedispatch(t *testing.T) {
+	fs := &slowLinkFS{FS: fsim.NewMem(costmodel.FSModel{})}
+	col := &collector{failUntil: map[string]int{}}
+	m, err := NewManager(Config{
+		Deliverer:   col,
+		Store:       spool.New(fs, "queue"),
+		RetryDelay:  5 * time.Millisecond,
+		RetryJitter: -1,
+		MaxAttempts: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	col.failUntil["Q0000000000000001"] = 2 // fails once, succeeds on the retry
+	fs.delay.Store(int64(200 * time.Millisecond))
+	if _, err := m.Enqueue("s@a.test", []string{"r@b.test"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Ask in the middle of the move: the retry timer fired long ago, the
+	// slow link has not returned.
+	time.Sleep(50 * time.Millisecond)
+	if !m.WaitIdle(5 * time.Second) {
+		t.Fatal("queue never idle")
+	}
+	if st := m.Stats(); st.Delivered != 1 {
+		t.Fatalf("WaitIdle returned with the retried mail in transit between lanes: %+v", st)
+	}
+}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"io"
 	"testing"
+	"time"
+
+	"repro/internal/trace"
 )
 
 // loopReader serves the same script forever without allocating — the
@@ -31,12 +34,12 @@ type loopRW struct {
 	discard
 }
 
-// dialogScript is the pre-trust command mix the alloc gate and
-// BenchmarkSMTPDialog both drive: greeting, sender, an accepted
-// recipient, a case-variant duplicate, a rejected recipient (the §4.1
-// bounce probe), an unknown verb, a syntax error, and a reset — every
-// reply class the hot path produces, with no DATA (envelope
-// materialization is the one deliberately allocating step).
+// dialogScript is the pre-trust command mix the alloc gates drive:
+// greeting, sender, an accepted recipient, a case-variant duplicate, a
+// rejected recipient (the §4.1 bounce probe), an unknown verb, a syntax
+// error, and a reset — every reply class the hot path produces, with no
+// DATA (envelope materialization is the one deliberately allocating
+// step).
 const dialogScript = "HELO client.example\r\n" +
 	"MAIL FROM:<probe@spam.example>\r\n" +
 	"RCPT TO:<good@valid.example>\r\n" +
@@ -81,10 +84,10 @@ func runDialogScript(tb testing.TB, c *Conn, sess *Session) {
 	}
 }
 
-// TestDialogZeroAllocPerCommand is the in-package form of the CI
-// regression gate: after warmup, the full command dialog — read, parse,
-// state machine, reply — costs zero heap allocations per command. This
-// mirrors the 0-alloc smokes in internal/metrics and internal/eventlog.
+// TestDialogZeroAllocPerCommand is the regression gate on the dialog:
+// after warmup, the full command dialog — read, parse, state machine,
+// reply — costs zero heap allocations per command. This mirrors the
+// 0-alloc tests in internal/metrics and internal/eventlog.
 func TestDialogZeroAllocPerCommand(t *testing.T) {
 	rw := loopRW{loopReader: &loopReader{script: []byte(dialogScript)}}
 	c := NewConn(rw)
@@ -98,6 +101,46 @@ func TestDialogZeroAllocPerCommand(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state dialog allocates %.1f times per %d commands, want 0",
 			allocs, dialogScriptCmds)
+	}
+}
+
+// TestSampledOutTraceZeroAlloc proves message tracing is free when a
+// connection loses the sampling coin flip: the full per-mail call
+// sequence — Mint at the connection edge, then the NewSpan/FinishAt pair
+// every pipeline stage issues (forward, smtp, queue, delivery, store) —
+// wrapped around the pre-trust dialog allocates nothing and records no
+// span.
+func TestSampledOutTraceZeroAlloc(t *testing.T) {
+	rw := loopRW{loopReader: &loopReader{script: []byte(dialogScript)}}
+	c := NewConn(rw)
+	sess := NewSession(dialogConfig())
+	// 1-in-2^30 sampling: the mint counter never reaches the modulus
+	// here, so every dialog runs the sampled-out path.
+	rec := trace.NewMessageRecorder("gate-node", 64, 1<<30)
+	now := time.Now()
+	stages := []string{
+		trace.MStageForward, trace.MStageSMTP, trace.MStageQueue,
+		trace.MStageDelivery, trace.MStageStore,
+	}
+	run := func() {
+		tc := rec.Mint() // zero Context: the connection lost the coin flip
+		runDialogScript(t, c, sess)
+		// The downstream stage calls the pipeline issues per mail, all
+		// no-ops on the zero context.
+		for _, stage := range stages {
+			sp := rec.NewSpan(tc)
+			rec.FinishAt(sp, stage, now, now, "gate")
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run() // warmup: grow buffers
+	}
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Fatalf("sampled-out traced dialog allocates %.1f times per %d commands, want 0",
+			allocs, dialogScriptCmds)
+	}
+	if got := len(rec.Spans()); got != 0 {
+		t.Fatalf("sampled-out run recorded %d spans, want 0", got)
 	}
 }
 

@@ -156,9 +156,10 @@ func WithEnqueueTraced(f EnqueueTraced) Option {
 // WithEventLog emits structured events into log: one smtpd.conn event
 // per finished connection (outcome, worker/bounce flags, source) and an
 // smtpd.policy event per verdict — the stream internal/telemetry derives
-// the live spam weather from. Event conn ids are the span connection
-// ids, so a connection's events and spans correlate. Nil disables
-// emission (the default).
+// the live spam weather from. Event conn ids are the server's
+// connection ids (from 1, whether or not spans are recorded), so one
+// connection's events — and its spans — correlate. Nil disables emission
+// (the default).
 func WithEventLog(log *eventlog.Log) Option {
 	return func(s *settings) { s.events = log }
 }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/costmodel"
@@ -122,6 +123,10 @@ type Server struct {
 	shards []*shard
 	conns  map[net.Conn]bool
 	closed bool
+
+	// nextConn numbers connections from 1: the id every event and span of
+	// one connection carries.
+	nextConn atomic.Uint64
 
 	// frontWG tracks hybrid front ends; workerWG tracks the smtpd pools.
 	// Close must wait for fronts before closing the task queues the
@@ -247,13 +252,11 @@ func New(enqueue Enqueue, opts ...Option) (*Server, error) {
 // Registry returns the registry holding the server's metrics.
 func (s *Server) Registry() *metrics.Registry { return s.cfg.registry }
 
-// connID allocates a span connection id, or 0 when spans are off.
-func (s *Server) connID() uint64 {
-	if s.cfg.spans == nil {
-		return 0
-	}
-	return s.cfg.spans.ConnID()
-}
+// connID allocates the next connection id. It is the server's own
+// counter, spans or no spans, so a connection's smtpd.policy and
+// smtpd.conn events correlate on any front end; with a span recorder the
+// same id labels the connection's span events.
+func (s *Server) connID() uint64 { return s.nextConn.Add(1) }
 
 // observeStage records one completed stage into the stage histogram and,
 // when spans are on, as a span event ending now.
@@ -470,13 +473,23 @@ func (s *Server) acceptLoop(ln net.Listener, sh *shard) error {
 	}
 }
 
-// ListenAndServe listens on addr and serves until Close. With
-// AcceptShards > 1 it opens one listener per shard via ListenShards
-// (SO_REUSEPORT where supported).
-func (s *Server) ListenAndServe(addr string) error {
+// Listen opens the server's listeners on addr for ServeListeners: one,
+// or with AcceptShards > 1 one per shard via ListenShards (SO_REUSEPORT
+// where supported). On return the address is bound, so a caller that
+// serves in a goroutine can hand it out at once.
+func (s *Server) Listen(addr string) ([]net.Listener, error) {
 	lns, err := ListenShards(addr, s.cfg.acceptShards)
 	if err != nil {
-		return fmt.Errorf("smtpserver: listen %s: %w", addr, err)
+		return nil, fmt.Errorf("smtpserver: listen %s: %w", addr, err)
+	}
+	return lns, nil
+}
+
+// ListenAndServe listens on addr (see Listen) and serves until Close.
+func (s *Server) ListenAndServe(addr string) error {
+	lns, err := s.Listen(addr)
+	if err != nil {
+		return err
 	}
 	return s.ServeListeners(lns)
 }

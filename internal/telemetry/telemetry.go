@@ -55,8 +55,8 @@ type DNSBLWeather struct {
 	CacheHits uint64 `json:"cache_hits"`
 	// StaleServed counts lookups answered from expired entries.
 	StaleServed uint64 `json:"stale_served"`
-	// UniquePrefixes is the number of distinct /25 prefixes seen (capped;
-	// see WithMaxPrefixes).
+	// UniquePrefixes is the number of distinct /25 prefixes seen (capped
+	// at 65536).
 	UniquePrefixes int `json:"unique_prefixes"`
 	// PrefixLocality is the fraction of lookups whose /25 prefix had
 	// already been seen — the paper's §7 locality, measured live.
@@ -101,7 +101,6 @@ type Snapshot struct {
 type Tracker struct {
 	mu sync.Mutex
 
-	alpha    float64
 	ewma     float64
 	ewmaInit bool
 
@@ -111,30 +110,32 @@ type Tracker struct {
 
 	lookups, repeats, cacheHits, stale uint64
 	prefixes                           map[addr.Prefix]struct{}
-	maxPrefixes                        int
 	prefixesOverflow                   bool
 
 	talkers    map[string]uint64
 	otherConns uint64
 	maxSources int
 
-	reg       *metrics.Registry
-	maxGauged int
-	gauged    map[string]bool
+	reg    *metrics.Registry
+	gauged map[string]bool
 }
+
+const (
+	// ewmaAlpha weights the bounce-ratio EWMA: α = 2⁄(n+1) over a window
+	// of n = 256 connections.
+	ewmaAlpha = 2.0 / 257
+	// maxPrefixes caps the distinct-/25 set used for the locality figure.
+	// Past the cap, new prefixes count as repeats and the locality figure
+	// becomes an over-estimate (flagged in DESIGN.md).
+	maxPrefixes = 65536
+	// maxGauged caps how many per-source gauge-func series the tracker
+	// registers; the remainder aggregate into the ip="other" series. The
+	// registry's own label-cardinality guard is the backstop behind it.
+	maxGauged = 32
+)
 
 // TrackerOption configures a Tracker (see New).
 type TrackerOption func(*Tracker)
-
-// WithEWMAWindow sets the EWMA window in connections (α = 2⁄(n+1);
-// default 256).
-func WithEWMAWindow(n int) TrackerOption {
-	return func(t *Tracker) {
-		if n > 0 {
-			t.alpha = 2 / (float64(n) + 1)
-		}
-	}
-}
 
 // WithMaxSources caps the per-source talker map (default 1024); sources
 // beyond the cap aggregate into the "other" talker.
@@ -146,40 +147,14 @@ func WithMaxSources(n int) TrackerOption {
 	}
 }
 
-// WithMaxPrefixes caps the distinct-/25 set used for the locality figure
-// (default 65536). Past the cap, new prefixes count as repeats and the
-// locality figure becomes an over-estimate (flagged in DESIGN.md).
-func WithMaxPrefixes(n int) TrackerOption {
-	return func(t *Tracker) {
-		if n > 0 {
-			t.maxPrefixes = n
-		}
-	}
-}
-
-// WithMaxGaugedSources caps how many per-source gauge-func series the
-// tracker registers (default 32); the remainder aggregate into the
-// ip="other" series. The registry's own label-cardinality guard is the
-// backstop behind this cap.
-func WithMaxGaugedSources(n int) TrackerOption {
-	return func(t *Tracker) {
-		if n >= 0 {
-			t.maxGauged = n
-		}
-	}
-}
-
 // New returns a Tracker.
 func New(opts ...TrackerOption) *Tracker {
 	t := &Tracker{
-		alpha:       2.0 / 257,
-		outcomes:    make(map[string]uint64, 8),
-		prefixes:    make(map[addr.Prefix]struct{}, 256),
-		maxPrefixes: 65536,
-		talkers:     make(map[string]uint64, 256),
-		maxSources:  1024,
-		maxGauged:   32,
-		gauged:      make(map[string]bool, 32),
+		outcomes:   make(map[string]uint64, 8),
+		prefixes:   make(map[addr.Prefix]struct{}, 256),
+		talkers:    make(map[string]uint64, 256),
+		maxSources: 1024,
+		gauged:     make(map[string]bool, 32),
 	}
 	for _, o := range opts {
 		o(t)
@@ -278,12 +253,12 @@ func (t *Tracker) observeConn(e *eventlog.Event) {
 	if !t.ewmaInit {
 		t.ewma, t.ewmaInit = x, true
 	} else {
-		t.ewma += t.alpha * (x - t.ewma)
+		t.ewma += ewmaAlpha * (x - t.ewma)
 	}
 	if ip != "" {
 		if _, ok := t.talkers[ip]; ok || len(t.talkers) < t.maxSources {
 			t.talkers[ip]++
-			if t.reg != nil && !t.gauged[ip] && len(t.gauged) < t.maxGauged {
+			if t.reg != nil && !t.gauged[ip] && len(t.gauged) < maxGauged {
 				t.gauged[ip] = true
 				gaugeIP = ip
 			}
@@ -332,7 +307,7 @@ func (t *Tracker) observeLookup(e *eventlog.Event) {
 	}
 	if _, seen := t.prefixes[prefix]; seen {
 		t.repeats++
-	} else if len(t.prefixes) < t.maxPrefixes {
+	} else if len(t.prefixes) < maxPrefixes {
 		t.prefixes[prefix] = struct{}{}
 	} else {
 		// Capped: count as a repeat and flag the estimate as optimistic.

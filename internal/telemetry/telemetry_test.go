@@ -62,8 +62,11 @@ func TestConnAggregates(t *testing.T) {
 }
 
 func TestEWMATracksShift(t *testing.T) {
-	tr, log := newTracked(WithEWMAWindow(8))
-	for i := 0; i < 50; i++ {
+	// The window is 256 connections (α = 2/257): a run of 600 is a bit
+	// over two windows, enough for the average to forget what came before.
+	const run = 600
+	tr, log := newTracked()
+	for i := 0; i < run; i++ {
 		conn(log, "10.0.0.1", "dropped", true, false)
 	}
 	if got := tr.Snapshot().BounceRatioEWMA; math.Abs(got-1.0) > 0.01 {
@@ -71,7 +74,7 @@ func TestEWMATracksShift(t *testing.T) {
 	}
 	// The weather turns: a long clean run drags the EWMA down fast while
 	// the cumulative ratio barely moves.
-	for i := 0; i < 50; i++ {
+	for i := 0; i < run; i++ {
 		conn(log, "192.0.2.1", "trusted", false, true)
 	}
 	s := tr.Snapshot()
@@ -153,29 +156,34 @@ func TestTopTalkersAndOverflow(t *testing.T) {
 }
 
 func TestMaxPrefixesCap(t *testing.T) {
-	tr, log := newTracked(WithMaxPrefixes(2))
-	for block := 0; block < 4; block++ {
-		lookup(log, addr.MakeIPv4(203, 0, byte(block), 1), false)
+	tr, log := newTracked()
+	// Two distinct /25 blocks more than the set holds.
+	const over = 2
+	for block := 0; block < maxPrefixes+over; block++ {
+		lookup(log, addr.MakeIPv4(10, 0, 0, 1)+addr.IPv4(block<<7), false)
 	}
 	s := tr.Snapshot().DNSBL
-	if s.UniquePrefixes != 2 {
-		t.Fatalf("UniquePrefixes = %d, want capped 2", s.UniquePrefixes)
+	if s.UniquePrefixes != maxPrefixes {
+		t.Fatalf("UniquePrefixes = %d, want capped %d", s.UniquePrefixes, maxPrefixes)
 	}
-	// Past the cap the estimate is optimistic but still bounded.
-	if s.Lookups != 4 || s.PrefixLocality != 0.5 {
-		t.Fatalf("lookups=%d locality=%v, want 4/0.5", s.Lookups, s.PrefixLocality)
+	// Past the cap the estimate is optimistic but still bounded: the two
+	// prefixes that did not fit count as repeats.
+	if want := float64(over) / float64(maxPrefixes+over); s.Lookups != maxPrefixes+over || s.PrefixLocality != want {
+		t.Fatalf("lookups=%d locality=%v, want %d/%v", s.Lookups, s.PrefixLocality, maxPrefixes+over, want)
 	}
 }
 
 func TestRegisterGauges(t *testing.T) {
-	tr, log := newTracked(WithMaxGaugedSources(2))
+	tr, log := newTracked()
 	reg := metrics.NewRegistry()
 	tr.Register(reg)
 	for i := 0; i < 4; i++ {
 		conn(log, "10.0.0.1", "dropped", true, false)
 	}
-	conn(log, "192.0.2.1", "trusted", false, true)
-	conn(log, "192.0.2.2", "trusted", false, true) // third source: beyond gauge cap
+	// One source more than gets a gauge of its own.
+	for i := 1; i <= maxGauged; i++ {
+		conn(log, fmt.Sprintf("192.0.2.%d", i), "trusted", false, true)
+	}
 
 	find := func(name string, labels ...string) float64 {
 		t.Helper()
@@ -185,19 +193,20 @@ func TestRegisterGauges(t *testing.T) {
 		}
 		return m.Value
 	}
-	if got := find("telemetry_conns"); got != 6 {
-		t.Fatalf("telemetry_conns = %v, want 6", got)
+	total := float64(4 + maxGauged)
+	if got := find("telemetry_conns"); got != total {
+		t.Fatalf("telemetry_conns = %v, want %v", got, total)
 	}
-	if got := find("telemetry_bounce_ratio"); math.Abs(got-4.0/6) > 1e-9 {
-		t.Fatalf("telemetry_bounce_ratio = %v, want 2/3", got)
+	if got := find("telemetry_bounce_ratio"); math.Abs(got-4/total) > 1e-9 {
+		t.Fatalf("telemetry_bounce_ratio = %v, want %v", got, 4/total)
 	}
-	if got := find("telemetry_handoff_savings"); math.Abs(got-4.0/6) > 1e-9 {
-		t.Fatalf("telemetry_handoff_savings = %v, want 2/3", got)
+	if got := find("telemetry_handoff_savings"); math.Abs(got-4/total) > 1e-9 {
+		t.Fatalf("telemetry_handoff_savings = %v, want %v", got, 4/total)
 	}
 	if got := find("telemetry_source_conns", "ip", "10.0.0.1"); got != 4 {
 		t.Fatalf("source gauge = %v, want 4", got)
 	}
-	// The third distinct source exceeded the gauge cap and lands in the
+	// The last distinct source exceeded the gauge cap and lands in the
 	// pre-registered ip="other" series.
 	if got := find("telemetry_source_conns", "ip", "other"); got != 1 {
 		t.Fatalf("other source gauge = %v, want 1", got)
