@@ -53,7 +53,6 @@ func main() {
 		dnsblHedge  = flag.Duration("dnsbl-hedge", 20*time.Millisecond, "hedge DNSBL queries to the next replica after this delay (0 disables)")
 		dnsblStale  = flag.Duration("dnsbl-stale", time.Hour, "serve expired DNSBL cache entries up to this long past expiry when the blacklist is unreachable (0 disables)")
 		spoolDir    = flag.String("spool-dir", cluster.DefaultSpoolDir, "spool directory (under -root) holding the active/deferred/hold lanes")
-		mfsSync     = flag.Bool("mfs-sync", false, "MFS: write-ahead log every commit batch (crash-consistent durable mode; one fsync per batch)")
 		ckptDir     = flag.String("checkpoint-dir", "", "MFS: write online checkpoints under this directory (under -root; empty disables)")
 		ckptEvery   = flag.Duration("checkpoint-interval", 5*time.Minute, "MFS: interval between online checkpoints when -checkpoint-dir is set")
 		maxAttempts = flag.Int("max-attempts", cluster.MaxAttempts, "delivery attempts before a mail bounces")
@@ -154,7 +153,6 @@ func main() {
 		Domain:    *domain,
 		Mailboxes: *mailboxes,
 		Store:     *storeName,
-		MFSNoSync: !*mfsSync,
 		SpoolDir:  *spoolDir,
 		Queue:     qcfg,
 		Options:   srvOpts,

@@ -84,7 +84,7 @@ func run() error {
 	}
 
 	// MFS stored the three-recipient mail once.
-	st := store.Underlying().Stats()
+	st := store.Store().Stats()
 	fmt.Printf("MFS shared store: %d record(s) serving %d mailbox pointer(s)\n",
 		st.SharedRecords, st.SharedRefs)
 

@@ -39,9 +39,8 @@ func startStack(t *testing.T, arch smtpserver.Architecture, opts ...smtpserver.O
 	s := &stack{fs: fsim.NewOS(t.TempDir())}
 	var err error
 	s.Shard, err = cluster.StartShard(cluster.ShardSpec{
-		FS:        s.fs,
-		MFSNoSync: true,
-		Queue:     queue.Config{IntakeLimit: 8192},
+		FS:    s.fs,
+		Queue: queue.Config{IntakeLimit: 8192},
 		Options: append([]smtpserver.Option{
 			smtpserver.WithArchitecture(arch),
 			smtpserver.WithMaxWorkers(16),
@@ -138,7 +137,7 @@ func TestFullStackMailboxContentsExact(t *testing.T) {
 		}
 	}
 	// Single copy on disk: the MFS shared store holds exactly one record.
-	if st := s.MFS().Underlying().Stats(); st.SharedRecords != 1 || st.SharedRefs != 2 {
+	if st := s.MFS().Store().Stats(); st.SharedRecords != 1 || st.SharedRefs != 2 {
 		t.Fatalf("MFS stats = %+v", st)
 	}
 }

@@ -77,9 +77,6 @@ type ShardSpec struct {
 	Mailboxes int
 	// Store is the mailbox store kind: mbox, maildir, hardlink or mfs.
 	Store string
-	// MFSNoSync runs MFS without its write-ahead log (cmd/smtpd without
-	// -mfs-sync): faster, not crash-consistent.
-	MFSNoSync bool
 	// SpoolDir is the spool directory on FS.
 	SpoolDir string
 	// Relay accepts recipients at any domain instead of checking them
@@ -163,9 +160,11 @@ func StartShard(spec ShardSpec) (*Shard, error) {
 	case "hardlink":
 		s.Store = mailstore.NewHardlink(spec.FS)
 	case "mfs":
-		// NewMFS replays the write-ahead log a previous store left.
+		// NewMFS replays the write-ahead log a previous store left. Every
+		// node is write-ahead logged: the queue unlinks its fsynced spool
+		// copy once the store says delivered.
 		var m *mailstore.MFS
-		if m, err = mailstore.NewMFS(spec.FS, MFSDir, mfs.WithSync(!spec.MFSNoSync)); err != nil {
+		if m, err = mailstore.NewMFS(spec.FS, MFSDir, mfs.WithSync(true)); err != nil {
 			return nil, err
 		}
 		s.Store = m

@@ -48,8 +48,8 @@ type Gossip struct {
 	now      func() time.Time
 	events   *eventlog.Log
 
-	rep  policy.ReputationSync
-	grey policy.GreylistSync
+	rep  *policy.Reputation
+	grey *policy.Greylist
 	verd *Verdicts
 
 	mu       sync.Mutex
@@ -85,12 +85,12 @@ func WithInterval(d time.Duration) GossipOption {
 }
 
 // WithReputationSync shares the reputation store.
-func WithReputationSync(r policy.ReputationSync) GossipOption {
+func WithReputationSync(r *policy.Reputation) GossipOption {
 	return func(g *Gossip) { g.rep = r }
 }
 
 // WithGreylistSync shares the greylist store.
-func WithGreylistSync(gr policy.GreylistSync) GossipOption {
+func WithGreylistSync(gr *policy.Greylist) GossipOption {
 	return func(g *Gossip) { g.grey = gr }
 }
 
@@ -202,10 +202,12 @@ func (g *Gossip) serveExchange(nc net.Conn) {
 	}
 	g.apply(req)
 	resp := g.delta(req.Since)
-	json.NewEncoder(nc).Encode(resp) //nolint:errcheck // peer retries next tick
+	// Counted before the reply goes out: the peer's Exchange returns on
+	// reading it, and may look at our stats the moment it does.
 	g.mu.Lock()
 	g.st.Served++
 	g.mu.Unlock()
+	json.NewEncoder(nc).Encode(resp) //nolint:errcheck // peer retries next tick
 }
 
 // Exchange runs one synchronous anti-entropy round with peer.

@@ -1,13 +1,12 @@
 package dns
 
 import (
-	"context"
 	"net"
 	"sync"
 )
 
 // FaultConfig sets per-packet fault probabilities for the injection
-// wrappers. Probabilities are independent and evaluated in the order
+// wrapper. Probabilities are independent and evaluated in the order
 // loss, duplication, reordering, truncation.
 type FaultConfig struct {
 	// Loss drops the packet entirely.
@@ -144,55 +143,4 @@ func truncateIf(f *FaultConn, p []byte) []byte {
 	}
 	f.st.Truncated++
 	return out
-}
-
-// FaultTransport wraps any Transport with query-level fault injection
-// for fully in-memory tests: loss turns into a blocked wait until ctx
-// expires (what a dropped packet looks like to the caller), truncation
-// into a TC-bit response error.
-type FaultTransport struct {
-	Inner Transport
-	Cfg   FaultConfig
-
-	mu  sync.Mutex
-	rng *faultRNG
-	st  FaultStats
-}
-
-var _ Transport = (*FaultTransport)(nil)
-
-// Stats returns a snapshot of the injected-fault counters.
-func (t *FaultTransport) Stats() FaultStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.st
-}
-
-// Query implements Transport.
-func (t *FaultTransport) Query(ctx context.Context, m *Message) (*Message, error) {
-	t.mu.Lock()
-	if t.rng == nil {
-		t.rng = newFaultRNG(t.Cfg.Seed)
-	}
-	lost := t.rng.chance(t.Cfg.Loss)
-	trunc := !lost && t.rng.chance(t.Cfg.Truncate)
-	if lost {
-		t.st.Dropped++
-	}
-	if trunc {
-		t.st.Truncated++
-	}
-	t.mu.Unlock()
-	if lost {
-		<-ctx.Done()
-		return nil, ErrTimeout
-	}
-	resp, err := t.Inner.Query(ctx, m)
-	if err != nil {
-		return nil, err
-	}
-	if trunc {
-		return nil, ErrTruncated
-	}
-	return resp, nil
 }

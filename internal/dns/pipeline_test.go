@@ -234,26 +234,6 @@ func TestPipelinedHonoursContextDeadline(t *testing.T) {
 	}
 }
 
-// TestFaultTransportInjection drives the in-memory fault wrapper to both
-// failure modes.
-func TestFaultTransportInjection(t *testing.T) {
-	inner := &MemTransport{Handler: echoHandler()}
-	ft := &FaultTransport{Inner: inner, Cfg: FaultConfig{Loss: 1, Seed: 3}}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := ft.Query(ctx, NewQuery(1, "x.example", TypeA)); err != ErrTimeout {
-		t.Fatalf("loss: err = %v, want ErrTimeout", err)
-	}
-	ft = &FaultTransport{Inner: inner, Cfg: FaultConfig{Truncate: 1, Seed: 3}}
-	if _, err := ft.Query(context.Background(), NewQuery(1, "x.example", TypeA)); err != ErrTruncated {
-		t.Fatalf("truncate: err = %v, want ErrTruncated", err)
-	}
-	st := ft.Stats()
-	if st.Truncated != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 // TestFaultConnDeterministic: same seed, same fault sequence.
 func TestFaultConnDeterministic(t *testing.T) {
 	run := func() FaultStats {

@@ -27,8 +27,8 @@ func (f HandlerFunc) Resolve(q Question) *Message { return f(q) }
 // cancellation and deadlines on ctx. Implementations must be safe for
 // concurrent use. The implementations are Pipelined (shared-socket
 // pipelined client with retry and hedging), UDPTransport (one socket per
-// query, the naive baseline), MemTransport (direct handler invocation for
-// deterministic tests), and FaultTransport (fault-injecting wrapper).
+// query, the naive baseline) and MemTransport (direct handler invocation
+// for deterministic tests).
 type Transport interface {
 	Query(ctx context.Context, m *Message) (*Message, error)
 }

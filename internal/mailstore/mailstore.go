@@ -447,8 +447,8 @@ type MFS struct {
 var _ Store = (*MFS)(nil)
 
 // NewMFS returns an MFS-backed store rooted at dir of fs. Options are
-// passed through to mfs.New (e.g. mfs.WithSync(true) for the
-// write-ahead-logged durable mode).
+// passed through to mfs.New (e.g. mfs.WithSync(true) to open the
+// write-ahead log).
 func NewMFS(fs fsim.FS, dir string, opts ...mfs.Option) (*MFS, error) {
 	s, err := mfs.New(fs, dir, opts...)
 	if err != nil {
@@ -473,10 +473,6 @@ func (m *MFS) Checkpoint(destDir string) (mfs.CheckpointStats, error) {
 
 func (m *MFS) Name() string { return "mfs" }
 func (m *MFS) Close() error { return m.store.Close() }
-
-// Underlying exposes the wrapped mfs.Store for callers that need the
-// record-level API (Seek, Compact, Stats).
-func (m *MFS) Underlying() *mfs.Store { return m.store }
 
 func (m *MFS) Deliver(id string, recipients []string, body []byte) error {
 	if err := validateDelivery(id, recipients); err != nil {

@@ -45,7 +45,7 @@ func (s *Store) Checkpoint(destDir string) (CheckpointStats, error) {
 	dest := func(rel string) string { return destDir + "/" + rel }
 
 	// Phase 1 — under the committer lock: no batch can land, so the
-	// shared files and (in WAL mode, thanks to the rotation) every file
+	// shared files and (with the log open, thanks to the rotation) every file
 	// are a consistent durable snapshot while we copy the shared store.
 	c := s.commit
 	c.mu.Lock()

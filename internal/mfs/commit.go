@@ -36,7 +36,7 @@ type pointerTarget struct {
 }
 
 // commitReq is one atomic MFS mutation submitted to the group committer.
-// In WAL mode the whole request — shared append, pointer records,
+// With the log open the whole request — shared append, pointer records,
 // prebuilt segments — is covered by a single commit record, so it either
 // survives a crash in full or not at all.
 type commitReq struct {
@@ -60,15 +60,13 @@ type commitReq struct {
 	done   chan struct{}
 }
 
-// committer is the group-commit writer. Concurrent NWrite/Delete calls
-// enqueue requests; a single committer goroutine coalesces everything
-// queued into one batch. In the default volatile mode only shared-store
-// appends route through it and a batch is one data write plus one key
-// write. In WAL mode (WithSync) every mutation routes through it and a
-// batch is: one WAL record carrying every segment, one WAL Sync — the
-// sole ordering point — then the segment writes to the real files,
-// unsynced (the log makes them recoverable). Callers block only until
-// the flush carrying their request completes.
+// committer is the group-commit writer. Every NWrite and Delete enqueues
+// a request; a single committer goroutine coalesces everything queued
+// into one batch. A batch is: with the log open (WithSync), one WAL
+// record carrying every segment and one WAL Sync — the sole ordering
+// point — then, always, the segment writes to the real files, unsynced
+// (the log makes them recoverable). Callers block only until the flush
+// carrying their request completes.
 //
 // The committer is the sole appender of the shared files, which also
 // makes the size-then-write append sequence atomic without a file lock.
@@ -85,7 +83,7 @@ type committer struct {
 	key  fsim.File
 	data fsim.File
 
-	// WAL mode state. wal is nil in volatile mode.
+	// WAL state. wal is nil when the store was opened without the log.
 	fs         fsim.FS
 	wal        fsim.File
 	walPath    string
@@ -95,11 +93,6 @@ type committer struct {
 	walSize    int64
 	rotateSize int64
 	dirty      map[string]bool // paths with WAL-covered unsynced writes
-
-	// syncOnCommit makes commits durable at group-commit cost: one WAL
-	// Sync amortized over the whole batch instead of one journal commit
-	// per mail (and, before the WAL, two Syncs per batch).
-	syncOnCommit bool
 
 	ch   chan *commitReq
 	done chan struct{}
@@ -111,23 +104,22 @@ type committer struct {
 
 func newCommitter(s *Store) *committer {
 	c := &committer{
-		key:          s.shKey,
-		data:         s.shData,
-		fs:           s.fs,
-		keyPath:      s.path("shmailbox.key"),
-		dataPath:     s.path("shmailbox.data"),
-		walPath:      s.path("mfs.wal"),
-		rotateSize:   s.opts.walRotate,
-		syncOnCommit: s.opts.sync,
-		dirty:        make(map[string]bool),
-		ch:           make(chan *commitReq, maxCommitBatch),
-		done:         make(chan struct{}),
+		key:        s.shKey,
+		data:       s.shData,
+		fs:         s.fs,
+		keyPath:    s.path("shmailbox.key"),
+		dataPath:   s.path("shmailbox.data"),
+		walPath:    s.path("mfs.wal"),
+		rotateSize: s.opts.walRotate,
+		dirty:      make(map[string]bool),
+		ch:         make(chan *commitReq, maxCommitBatch),
+		done:       make(chan struct{}),
 	}
 	go c.run()
 	return c
 }
 
-// openWAL opens the log file handle. Called once from New (WAL mode)
+// openWAL opens the log file handle. Called once from New (WithSync)
 // after any replay truncated the previous log.
 func (c *committer) openWAL() error {
 	c.mu.Lock()
@@ -143,15 +135,6 @@ func (c *committer) openWAL() error {
 	}
 	c.wal, c.walSize = wal, size
 	return nil
-}
-
-// append submits a plain shared-store append and blocks until its batch
-// commits (the volatile-mode writeShared path).
-func (c *committer) append(id string, body []byte, ref int32) (off, refPos int64, err error) {
-	req := &commitReq{id: id, body: body, ref: ref, done: make(chan struct{})}
-	c.ch <- req
-	<-req.done
-	return req.off, req.refPos, req.err
 }
 
 // submit enqueues req and blocks until its batch commits.
@@ -264,8 +247,8 @@ func (c *committer) flushLocked(batch []*commitReq) error {
 	}
 
 	if c.wal != nil {
-		// WAL mode: log every byte the batch writes, sync the log — the
-		// single ordering point — then apply unsynced.
+		// Log every byte the batch writes, sync the log — the single
+		// ordering point — then apply unsynced.
 		segs := make([]walSeg, 0, 2+len(ptrSegs)+len(batch))
 		if len(dataBuf) > 0 {
 			segs = append(segs, walSeg{kind: walSegApp, path: c.dataPath, off: dataBase, buf: dataBuf})
@@ -318,9 +301,6 @@ func (c *committer) flushLocked(batch []*commitReq) error {
 	for _, s := range ptrSegs {
 		c.dirtyPath(s.path)
 	}
-	// The old protocol ended here with sync(data)+sync(key); the WAL Sync
-	// above subsumes both, so WAL mode pays one journal commit per batch
-	// and closes the key-without-data window the pair left open.
 	c.batches.Add(1)
 	c.mails.Add(int64(len(batch)))
 	if c.wal != nil && c.walSize >= c.rotateSize {
@@ -413,10 +393,10 @@ func (c *committer) setFiles(key, data fsim.File) {
 	c.mu.Unlock()
 }
 
-// close stops the committer goroutine, then (WAL mode) performs a final
+// close stops the committer goroutine, then (log open) performs a final
 // rotation so a clean shutdown leaves every file durable and the log
 // empty, and closes the log. The caller must guarantee no further
-// append calls (it holds the store lock exclusively).
+// requests (it holds the store lock exclusively).
 func (c *committer) close() error {
 	close(c.ch)
 	<-c.done

@@ -72,18 +72,14 @@ func (mb *Mailbox) Compact() error {
 		}
 		lm.rec.refPos = refPos
 	}
-	if s.opts.sync {
-		// The rewrite bypassed the WAL, so outstanding log records no
-		// longer describe these files. Rotate: sync the rewritten files
-		// (and everything else dirty), then truncate the log. A crash
-		// before the rotation reverts to the pre-compaction files, which
-		// the old log records still describe — nothing is lost either way.
-		s.commit.markDirty(mb.keyPath, mb.dataPath)
-		if err := s.commit.rotate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	// The rewrite bypassed the WAL, so outstanding log records no longer
+	// describe these files. Rotate: sync the rewritten files (and
+	// everything else dirty), then truncate the log. A crash before the
+	// rotation reverts to the pre-compaction files, which the old log
+	// records still describe — nothing is lost either way. (Both calls do
+	// nothing on a store without a log.)
+	s.commit.markDirty(mb.keyPath, mb.dataPath)
+	return s.commit.rotate()
 }
 
 // CompactShared rewrites the shared store, reclaiming the space of
@@ -165,15 +161,10 @@ func (s *Store) CompactShared() error {
 		}
 		touched = append(touched, name)
 	}
-	if s.opts.sync {
-		// Same rotation rationale as Mailbox.Compact: the rewrite bypassed
-		// the WAL, so make it durable and retire the stale log records.
-		s.commit.markDirty(touched...)
-		if err := s.commit.rotate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	// Same rotation rationale as Mailbox.Compact: the rewrite bypassed
+	// the WAL, so make it durable and retire the stale log records.
+	s.commit.markDirty(touched...)
+	return s.commit.rotate()
 }
 
 // patchOpenMailbox rewrites an open mailbox's key file with updated shared

@@ -51,8 +51,8 @@ type Store struct {
 	// shared index: mail-id -> live shared record, sharded 64 ways.
 	shared *sharedIndex
 
-	// commit is the group-commit writer owning all shared-store appends
-	// (and, in WAL mode, every mutation).
+	// commit is the group-commit writer: every NWrite and Delete is a
+	// request to it.
 	commit *committer
 
 	// recovery records what the opening pass replayed and repaired.
@@ -68,14 +68,14 @@ type options struct {
 // Option configures a Store at New time.
 type Option func(*options)
 
-// WithSync selects the store's durability mode, mirroring
-// spool.WithSync. When on, every mutation routes through the group
-// committer and each batch is stamped into a checksummed write-ahead-log
-// record whose single Sync is the commit point: a batch of concurrent
-// deliveries pays one journal commit instead of one per mail, and New
-// replays the log after a crash so no acknowledged mail is lost. Off by
-// default: the seed's durability story (and the cost calibration) treats
-// the queue spool as the durable copy until delivery completes.
+// WithSync decides whether New opens the write-ahead log. Every mutation
+// is a request to the group committer either way; with the log open each
+// batch is first stamped into one checksummed log record whose single
+// Sync is the commit point — a batch of concurrent deliveries pays one
+// journal commit instead of one per mail — and New replays the log after
+// a crash, so no acknowledged mail is lost. Off by default: that is the
+// paper's store, whose writes the closed-form cost model is calibrated
+// against; every mail node (internal/cluster) turns it on.
 func WithSync(on bool) Option {
 	return func(o *options) { o.sync = on }
 }
@@ -205,10 +205,10 @@ func (s *Store) path(name string) string {
 	return s.dir + "/" + name
 }
 
-// Close closes the store and every mailbox opened through it. In WAL
-// mode the committer performs a final rotation (sync every dirty file,
-// truncate the log); the dirty marker is then removed, so the next New
-// sees a clean store and skips recovery.
+// Close closes the store and every mailbox opened through it. With the
+// log open the committer performs a final rotation (sync every dirty
+// file, truncate the log); the dirty marker is then removed, so the next
+// New sees a clean store and skips recovery.
 func (s *Store) Close() error {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
@@ -540,36 +540,22 @@ func (mb *Mailbox) Delete(id string) error {
 	if !ok {
 		return fmt.Errorf("mfs: delete %q: %w", id, ErrNotFound)
 	}
-	rec := mb.entries[j]
-	if mb.store.opts.sync {
-		// WAL mode: the tombstone append and the shared refcount patch
-		// travel as one commit request, so the delete is atomic and
-		// durable when this returns.
-		if err := mb.store.deleteDurable(mb, id, rec); err != nil {
-			return err
-		}
-		mb.deleteAt(j)
-		return nil
-	}
-	if rec.Ref == SharedRef {
-		if err := mb.store.releaseShared(id); err != nil {
-			return err
-		}
-	}
-	if _, err := appendKeyRecord(mb.key, keyRecord{Type: recTombstone, ID: id}); err != nil {
+	if err := mb.store.commitTombstone(mb, id, mb.entries[j]); err != nil {
 		return err
 	}
 	mb.deleteAt(j)
 	return nil
 }
 
-// deleteDurable commits a tombstone (and, for shared mails, the refcount
-// decrement) through the WAL. The request carrying a refcount patch is
-// enqueued while the shard lock is held: the committer drains in FIFO
-// order, so patches to one position land in the order their in-memory
-// counts were computed (last write wins correctly), and the committer
-// never takes shard locks, so enqueueing under one cannot deadlock.
-func (s *Store) deleteDurable(mb *Mailbox, id string, rec *keyRecord) error {
+// commitTombstone commits a tombstone and, for a shared mail, the
+// refcount decrement as one commit request, so the delete is atomic (and,
+// with the log open, durable) when this returns. The request carrying a
+// refcount patch is enqueued while the shard lock is held: the committer
+// drains in FIFO order, so patches to one position land in the order
+// their in-memory counts were computed (last write wins correctly), and
+// the committer never takes shard locks, so enqueueing under one cannot
+// deadlock.
+func (s *Store) commitTombstone(mb *Mailbox, id string, rec *keyRecord) error {
 	keyEnd, err := mb.key.Size()
 	if err != nil {
 		return err
@@ -602,26 +588,6 @@ func (s *Store) deleteDurable(mb *Mailbox, id string, rec *keyRecord) error {
 	sh.mu.Unlock()
 	<-req.done
 	return req.err
-}
-
-// releaseShared drops one reference to a shared record, persisting the
-// new count in place; the record dies with its last reference.
-func (s *Store) releaseShared(id string) error {
-	sh := s.shared.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	rec, ok := sh.m[id]
-	if !ok {
-		return nil
-	}
-	rec.Ref--
-	if err := updateRef(s.shKey, rec.refPos, rec.Ref); err != nil {
-		return err
-	}
-	if rec.Ref <= 0 {
-		delete(sh.m, id)
-	}
-	return nil
 }
 
 // Close closes the mailbox — the paper's mail_close.
@@ -681,7 +647,7 @@ func lockBoxes(boxes []*Mailbox) func() {
 // the id fails with ErrDuplicate before anything is written.
 //
 // Concurrent NWrite calls with disjoint destination sets run in parallel;
-// their shared-store appends are coalesced by the group committer.
+// their writes are coalesced by the group committer.
 func (s *Store) NWrite(boxes []*Mailbox, id string, body []byte) error {
 	if len(boxes) == 0 {
 		return fmt.Errorf("mfs: NWrite with no mailboxes")
@@ -724,45 +690,16 @@ func (s *Store) NWrite(boxes []*Mailbox, id string, body []byte) error {
 		if s.shared.contains(id) {
 			return fmt.Errorf("mfs: NWrite %q: %w", id, ErrIDCollision)
 		}
-		if s.opts.sync {
-			return s.writeLocalDurable(mb, id, body)
-		}
-		off, err := appendDataRecord(mb.data, body)
-		if err != nil {
-			return err
-		}
-		rec := keyRecord{Type: recEntry, ID: id, Offset: off, Ref: 1}
-		if rec.refPos, err = appendKeyRecord(mb.key, rec); err != nil {
-			return err
-		}
-		mb.addEntry(rec)
-		return nil
+		return s.writeLocal(mb, id, body)
 	}
-
 	// Multi-recipient: single copy in the shared store.
-	if s.opts.sync {
-		return s.writeSharedDurable(boxes, id, body)
-	}
-	off, err := s.writeShared(id, body, int32(len(boxes)))
-	if err != nil {
-		return err
-	}
-	for _, mb := range boxes {
-		rec := keyRecord{Type: recEntry, ID: id, Offset: off, Ref: SharedRef}
-		refPos, err := appendKeyRecord(mb.key, rec)
-		if err != nil {
-			return err
-		}
-		rec.refPos = refPos
-		mb.addEntry(rec)
-	}
-	return nil
+	return s.writeShared(boxes, id, body)
 }
 
-// writeLocalDurable commits a single-recipient mail — data frame plus key
-// tuple — as one WAL-covered request. The mailbox lock (held by the
-// caller) keeps the enqueue-time file ends valid until the flush.
-func (s *Store) writeLocalDurable(mb *Mailbox, id string, body []byte) error {
+// writeLocal commits a single-recipient mail — data frame plus key tuple
+// — as one commit request. The mailbox lock (held by the caller) keeps
+// the enqueue-time file ends valid until the flush.
+func (s *Store) writeLocal(mb *Mailbox, id string, body []byte) error {
 	dataEnd, err := mb.data.Size()
 	if err != nil {
 		return err
@@ -789,12 +726,17 @@ func (s *Store) writeLocalDurable(mb *Mailbox, id string, body []byte) error {
 	return nil
 }
 
-// writeSharedDurable commits a multi-recipient mail as one WAL-covered
-// request: the shared copy, its key tuple, and every destination's
-// pointer record become durable together or not at all. The dedup path
-// (§6.2) patches the existing record's refcount and appends only the
-// pointer records, again as one request.
-func (s *Store) writeSharedDurable(boxes []*Mailbox, id string, body []byte) error {
+// writeShared commits a multi-recipient mail as one commit request: the
+// shared copy, its key tuple, and every destination's pointer record are
+// one WAL record when the log is open, so they become durable together or
+// not at all. If id is already live, the dedup path (§6.2) patches the
+// existing record's refcount and appends only the pointer records, again
+// as one request.
+//
+// Exactly one concurrent writer of a given id becomes the owner and
+// commits the record; others wait for that commit and then take the
+// dedup path.
+func (s *Store) writeShared(boxes []*Mailbox, id string, body []byte) error {
 	sh := s.shared.shard(id)
 	for {
 		sh.mu.Lock()
@@ -840,7 +782,7 @@ func (s *Store) writeSharedDurable(boxes []*Mailbox, id string, body []byte) err
 		// Dedup path: verify the payload length (the cheap §6.4 collision
 		// check), then commit refcount patch + pointer records together.
 		// Enqueued under the shard lock so refcount patches stay in
-		// compute order (see deleteDurable).
+		// compute order (see commitTombstone).
 		n, err := dataRecordLen(s.shData, rec.Offset)
 		if err != nil {
 			sh.mu.Unlock()
@@ -903,79 +845,6 @@ func (s *Store) abandonReservation(sh *indexShard, id string, rec *sharedRec, er
 	sh.mu.Unlock()
 	close(rec.ready)
 	return err
-}
-
-// writeShared stores one copy of body under id with the given reference
-// count, or — if id is already live — verifies the payload length and
-// adds refs to the existing copy (the §6.2 dedup path). It returns the
-// payload's offset in the shared data file.
-//
-// Exactly one concurrent writer of a given id becomes the owner and
-// commits the record through the group committer; others wait for that
-// commit and then take the dedup path.
-func (s *Store) writeShared(id string, body []byte, refs int32) (int64, error) {
-	sh := s.shared.shard(id)
-	for {
-		sh.mu.Lock()
-		rec, exists := sh.m[id]
-		if !exists {
-			// Reserve the id, then commit outside the shard lock so other
-			// ids in this shard are not serialized behind the flush.
-			rec = &sharedRec{
-				keyRecord: keyRecord{Type: recEntry, ID: id, Ref: refs},
-				ready:     make(chan struct{}),
-			}
-			sh.m[id] = rec
-			sh.mu.Unlock()
-			off, refPos, err := s.commit.append(id, body, refs)
-			if err != nil {
-				rec.err = err
-				sh.mu.Lock()
-				delete(sh.m, id)
-				sh.mu.Unlock()
-				close(rec.ready)
-				return 0, err
-			}
-			rec.Offset, rec.refPos = off, refPos
-			close(rec.ready)
-			return off, nil
-		}
-		sh.mu.Unlock()
-		<-rec.ready
-		if rec.err != nil {
-			// The owner failed and removed the reservation; retry as a
-			// fresh writer.
-			continue
-		}
-		sh.mu.Lock()
-		if cur, ok := sh.m[id]; !ok || cur != rec {
-			// The record died (last reference deleted) or was replaced
-			// between our wait and relock; start over.
-			sh.mu.Unlock()
-			continue
-		}
-		// Dedup path: skip the data write, but verify the payload is the
-		// same length as the stored record — a cheap integrity check that
-		// flags the collision attack.
-		n, err := dataRecordLen(s.shData, rec.Offset)
-		if err != nil {
-			sh.mu.Unlock()
-			return 0, err
-		}
-		if n != len(body) {
-			sh.mu.Unlock()
-			return 0, fmt.Errorf("mfs: NWrite %q: stored %dB vs offered %dB: %w",
-				id, n, len(body), ErrIDCollision)
-		}
-		rec.Ref += refs
-		if err := updateRef(s.shKey, rec.refPos, rec.Ref); err != nil {
-			sh.mu.Unlock()
-			return 0, err
-		}
-		off := rec.Offset
-		sh.mu.Unlock()
-		return off, nil
-	}
 }
 
 // addEntry appends a record to the in-memory index. mb.mu held.

@@ -40,9 +40,10 @@ import (
 
 const (
 	walMagic   byte = 'M'
-	walSegApp  byte = 'A'     // append: off is the file end the bytes extend
-	walSegPat  byte = 'P'     // patch: in-place overwrite at off
-	walDefault      = 1 << 20 // rotation threshold in bytes
+	walSegApp  byte = 'A'           // append: off is the file end the bytes extend
+	walSegPat  byte = 'P'           // patch: in-place overwrite at off
+	walDefault      = 1 << 20       // rotation threshold in bytes
+	walSegMin       = 1 + 2 + 8 + 4 // an empty-path, zero-byte segment
 )
 
 // walSeg is one file mutation inside a WAL record.
@@ -98,6 +99,11 @@ func parseWALRecord(data []byte, pos int) (segs []walSeg, next int, ok bool) {
 	p += 8 // seq: informational; order is positional
 	nsegs := int(binary.LittleEndian.Uint32(data[p:]))
 	p += 4
+	if nsegs > (len(data)-p)/walSegMin {
+		// These are post-crash bytes read before their checksum: a count
+		// the remaining bytes cannot hold must not size an allocation.
+		return nil, 0, false
+	}
 	segs = make([]walSeg, 0, nsegs)
 	for i := 0; i < nsegs; i++ {
 		if p+1+2 > len(data) {

@@ -54,8 +54,7 @@ type greyEntry struct {
 // Greylist keys on the client's /24 rather than the exact IP so a
 // legitimate server farm retrying from a sibling address still matches —
 // the same granularity at which the paper observes source locality
-// (Figure 13). It implements GreylistStore and GreylistSync and is safe
-// for concurrent use.
+// (Figure 13). It is safe for concurrent use.
 type Greylist struct {
 	cfg     GreyConfig
 	mu      sync.Mutex
@@ -71,7 +70,8 @@ func greyKey(ip addr.IPv4, sender, rcpt string) string {
 	return fmt.Sprintf("%s|%s|%s", ip.Prefix24(), sender, rcpt)
 }
 
-// Check implements GreylistStore.
+// Check evaluates one (client, sender, rcpt) delivery attempt and
+// advances the tuple's state.
 func (g *Greylist) Check(at time.Time, ip addr.IPv4, sender, rcpt string) Decision {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -123,8 +123,8 @@ func (g *Greylist) sweep(at time.Time) {
 	}
 }
 
-// Delta implements GreylistSync: every tuple whose state changed at or
-// after since. A zero since returns the full snapshot.
+// Delta returns every tuple whose state changed at or after since. A
+// zero since returns the full snapshot.
 func (g *Greylist) Delta(since time.Time) []GreyEntry {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -137,7 +137,7 @@ func (g *Greylist) Delta(since time.Time) []GreyEntry {
 	return out
 }
 
-// Merge implements GreylistSync. Per tuple: a passed entry beats a
+// Merge folds a peer's tuples in. Per tuple: a passed entry beats a
 // pending one (the sender proved it retries — any node may honor the
 // whitelist); among passed entries the later expiry wins (each
 // accepted delivery refreshes it); among pending entries the earlier

@@ -26,10 +26,10 @@
 //     internal/dnsbl clients with early exit once a score threshold is
 //     crossed.
 //
-// Greylist and reputation state live behind the GreylistStore and
-// ReputationStore interfaces (stores.go), so an Engine can run against
-// private per-process stores (the default), or against stores shared and
-// gossip-replicated across a director tier (internal/director).
+// Greylist and reputation state live in *Greylist and *Reputation, so an
+// Engine can run against private per-process stores (the default), or
+// against stores shared and gossip-replicated across a director tier
+// (stores.go, internal/director).
 //
 // The Engine itself is clock-agnostic: every method takes "now" as an
 // offset on the caller's clock, so the same engine runs under the
@@ -119,7 +119,7 @@ func WithGreylist(cfg GreyConfig) Option {
 
 // WithGreylistStore enables greylisting against a caller-supplied —
 // possibly shared or replicated — store.
-func WithGreylistStore(s GreylistStore) Option {
+func WithGreylistStore(s *Greylist) Option {
 	return func(e *Engine) { e.grey = s }
 }
 
@@ -131,7 +131,7 @@ func WithReputation(cfg ReputationConfig) Option {
 
 // WithReputationStore enables reputation against a caller-supplied —
 // possibly shared or replicated — store.
-func WithReputationStore(s ReputationStore) Option {
+func WithReputationStore(s *Reputation) Option {
 	return func(e *Engine) { e.rep = s }
 }
 
@@ -157,8 +157,8 @@ type Engine struct {
 	epoch       time.Time
 	dnsblReject float64
 	rate        *rateLimiter
-	grey        GreylistStore
-	rep         ReputationStore
+	grey        *Greylist
+	rep         *Reputation
 	st          Stats
 }
 

@@ -90,10 +90,9 @@ func (e *ewma) add(at time.Time, halfLife time.Duration, w float64) {
 	e.value += w
 }
 
-// Reputation is the two-level decayed score store. It implements
-// ReputationStore and ReputationSync and is safe for concurrent use, so
-// several front ends — or a front end plus a gossip loop — can share
-// one instance.
+// Reputation is the two-level decayed score store. It is safe for
+// concurrent use, so several front ends — or a front end plus a gossip
+// loop — can share one instance.
 type Reputation struct {
 	cfg    ReputationConfig
 	mu     sync.Mutex
@@ -110,17 +109,17 @@ func NewReputation(cfg ReputationConfig) *Reputation {
 	}
 }
 
-// RecordBounce implements ReputationStore.
+// RecordBounce adds one completed bounce connection's weight.
 func (r *Reputation) RecordBounce(at time.Time, ip addr.IPv4) {
 	r.record(at, ip, r.cfg.BounceWeight)
 }
 
-// RecordRejectedRcpt implements ReputationStore.
+// RecordRejectedRcpt adds one 550-rejected recipient's weight.
 func (r *Reputation) RecordRejectedRcpt(at time.Time, ip addr.IPv4) {
 	r.record(at, ip, r.cfg.RejectWeight)
 }
 
-// RecordDNSBLHit implements ReputationStore.
+// RecordDNSBLHit adds one DNSBL listing's weight.
 func (r *Reputation) RecordDNSBLHit(at time.Time, ip addr.IPv4) {
 	r.record(at, ip, r.cfg.DNSBLWeight)
 }
@@ -150,7 +149,7 @@ func (r *Reputation) record(at time.Time, ip addr.IPv4, w float64) {
 	prefE.add(at, r.cfg.HalfLife, w)
 }
 
-// Score implements ReputationStore: the combined decayed score — the
+// Score returns the combined decayed score, for observability — the
 // exact IP's history plus a fraction of its /25 neighbourhood's.
 func (r *Reputation) Score(at time.Time, ip addr.IPv4) float64 {
 	r.mu.Lock()
@@ -169,7 +168,7 @@ func (r *Reputation) scoreLocked(at time.Time, ip addr.IPv4) float64 {
 	return s
 }
 
-// Check implements ReputationStore.
+// Check returns the admission verdict for ip from history alone.
 func (r *Reputation) Check(at time.Time, ip addr.IPv4) Decision {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -183,8 +182,8 @@ func (r *Reputation) Check(at time.Time, ip addr.IPv4) Decision {
 	return allowed
 }
 
-// Delta implements ReputationSync: every entry whose last update is at
-// or after since. A zero since returns the full snapshot.
+// Delta returns every entry whose last update is at or after since. A
+// zero since returns the full snapshot.
 func (r *Reputation) Delta(since time.Time) []RepEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -202,7 +201,7 @@ func (r *Reputation) Delta(since time.Time) []RepEntry {
 	return out
 }
 
-// Merge implements ReputationSync. For each remote entry, both the local
+// Merge folds a peer's entries in. For each remote entry, both the local
 // and remote scores are decayed to the later of the two stamps; the
 // larger decayed score wins and is stored with the winner's stamp
 // untouched. Because EWMA decay commutes with the max — decaying both

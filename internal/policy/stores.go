@@ -1,17 +1,15 @@
 package policy
 
-import (
-	"time"
+import "time"
 
-	"repro/internal/addr"
-)
-
-// This file defines the transport-agnostic pre-trust state contracts the
-// scale-out director tier depends on. The Engine consults its stores only
-// through these interfaces, so the same verdict pipeline runs over a
-// private in-process store (the default), a store shared among several
-// front-end goroutines, or a store replicated between nodes by
-// internal/director's gossip layer.
+// This file defines the snapshot/delta wire contract of the pre-trust
+// state the scale-out director tier replicates: Reputation and Greylist
+// each expose Delta (entries stamped at or after since; a zero since is a
+// full snapshot) and Merge (fold a peer's entries in, report how many
+// changed local state). Merge is commutative and idempotent, so
+// internal/director's gossip rounds can overlap, repeat, and arrive in
+// any order. The same store may be private to one Engine, shared among
+// several front-end goroutines, or replicated between nodes.
 //
 // Times are absolute (time.Time). The Engine itself stays clock-agnostic
 // — its methods take a Duration offset — and converts offsets to
@@ -19,32 +17,6 @@ import (
 // time and wall time both map onto the stores. Absolute times are what
 // make state mergeable across nodes: a decayed-score stamp or greylist
 // window recorded on one front end means the same thing on every other.
-
-// ReputationStore is the aggregated-historical-reputation store the
-// Engine consults at connect time and feeds with bounce/reject/DNSBL
-// evidence. Implementations must be safe for concurrent use: the
-// director tier reads verdicts while a gossip merge is in flight.
-type ReputationStore interface {
-	// RecordBounce adds one completed bounce connection's weight.
-	RecordBounce(at time.Time, ip addr.IPv4)
-	// RecordRejectedRcpt adds one 550-rejected recipient's weight.
-	RecordRejectedRcpt(at time.Time, ip addr.IPv4)
-	// RecordDNSBLHit adds one DNSBL listing's weight.
-	RecordDNSBLHit(at time.Time, ip addr.IPv4)
-	// Check returns the admission verdict for ip from history alone.
-	Check(at time.Time, ip addr.IPv4) Decision
-	// Score returns the combined decayed score, for observability.
-	Score(at time.Time, ip addr.IPv4) float64
-}
-
-// GreylistStore is the first-contact greylist the Engine consults per
-// otherwise-valid RCPT TO. Implementations must be safe for concurrent
-// use.
-type GreylistStore interface {
-	// Check evaluates one (client, sender, rcpt) delivery attempt and
-	// advances the tuple's state.
-	Check(at time.Time, ip addr.IPv4, sender, rcpt string) Decision
-}
 
 // RepEntry is one reputation entry in the snapshot/delta wire contract:
 // a decayed score as of its last update. Key is the dotted-quad IP for
@@ -64,22 +36,4 @@ type GreyEntry struct {
 	Passed    bool      `json:"p,omitempty"`
 	Expiry    time.Time `json:"e"`
 	Updated   time.Time `json:"u"`
-}
-
-// ReputationSync is the anti-entropy contract a shareable reputation
-// store exposes to a replication layer. Delta returns entries stamped at
-// or after since (a zero since returns a full snapshot); Merge folds a
-// peer's entries in and reports how many changed local state. Merge must
-// be commutative and idempotent so gossip rounds can overlap, repeat,
-// and arrive in any order.
-type ReputationSync interface {
-	Delta(since time.Time) []RepEntry
-	Merge(entries []RepEntry) int
-}
-
-// GreylistSync is the anti-entropy contract a shareable greylist
-// exposes, with the same Delta/Merge semantics as ReputationSync.
-type GreylistSync interface {
-	Delta(since time.Time) []GreyEntry
-	Merge(entries []GreyEntry) int
 }

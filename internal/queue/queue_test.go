@@ -454,6 +454,56 @@ func TestDoubleBounceGoesToHold(t *testing.T) {
 	}
 }
 
+// failCreateFS refuses to create files once armed (a full disk, say).
+type failCreateFS struct {
+	fsim.FS
+	armed atomic.Bool
+}
+
+func (fs *failCreateFS) Create(name string) (fsim.File, error) {
+	if fs.armed.Load() {
+		return nil, errors.New("create: no space left on device")
+	}
+	return fs.FS.Create(name)
+}
+
+// The DSN is spooled before the original is acked; if it cannot be
+// spooled the original must stay on disk (held), or a crash loses both.
+func TestExhaustHoldsOriginalWhenBounceCannotBeSpooled(t *testing.T) {
+	fs := &failCreateFS{FS: fsim.NewMem(costmodel.FSModel{})}
+	accepted := make(chan struct{})
+	failing := DelivererFunc(func(item *Item) error {
+		<-accepted
+		return errors.New("remote down")
+	})
+	m, _ := NewManager(Config{
+		Deliverer:   failing,
+		Store:       spool.New(fs, ""),
+		MaxAttempts: 1,
+		Bounce:      bounce.New("mx.test").Synthesize,
+	})
+	id, err := m.Enqueue("alice@origin.test", []string{"bob@remote.test"}, []byte("Subject: hi\r\n\r\nx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.armed.Store(true)
+	close(accepted)
+	if !m.WaitIdle(5 * time.Second) {
+		t.Fatal("queue never idle")
+	}
+	if st := m.Stats(); st.Held != 1 || st.Bounced != 0 {
+		t.Fatalf("stats = %+v, want the original held and no bounce counted", st)
+	}
+	m.Close()
+	mails, _, err := spool.New(fs, "").Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mails) != 1 || mails[0].ID != id || mails[0].Lane != spool.LaneHold {
+		t.Fatalf("Recover = %+v, want only %s in the hold lane", mails, id)
+	}
+}
+
 // TestKillAndReopenRecoversAll is the acceptance scenario: a manager
 // crash-cut (fsim fault) with N accepted-but-undelivered mails must
 // recover all N on reopen and deliver each exactly once.
@@ -637,5 +687,37 @@ func TestWaitIdleCoversRetryRedispatch(t *testing.T) {
 	}
 	if st := m.Stats(); st.Delivered != 1 {
 		t.Fatalf("WaitIdle returned with the retried mail in transit between lanes: %+v", st)
+	}
+}
+
+// slowRemoveFS delays Remove, which is how a delivered mail's spool copy
+// is acked.
+type slowRemoveFS struct{ fsim.FS }
+
+func (f slowRemoveFS) Remove(name string) error {
+	time.Sleep(20 * time.Millisecond)
+	return f.FS.Remove(name)
+}
+
+// TestWaitIdleCoversDeliveredAck: between a delivery's return and the
+// removal of its spool copy the mail is no longer in flight; WaitIdle must
+// not report idle until it is counted and gone from disk.
+func TestWaitIdleCoversDeliveredAck(t *testing.T) {
+	m, err := NewManager(Config{
+		Deliverer: &collector{},
+		Store:     spool.New(slowRemoveFS{fsim.NewMem(costmodel.FSModel{})}, ""),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.Enqueue("s@a.test", []string{"r@b.test"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !m.WaitIdle(5 * time.Second) {
+		t.Fatal("queue never idle")
+	}
+	if st, depth := m.Stats(), m.LaneDepth(spool.LaneActive); st.Delivered != 1 || depth != 0 {
+		t.Fatalf("WaitIdle returned with Delivered = %d and %d files in the active lane", st.Delivered, depth)
 	}
 }

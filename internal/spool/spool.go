@@ -95,39 +95,17 @@ type RecoveryStats struct {
 // caller (the queue manager, which owns each in-flight item) must
 // serialize operations on one id.
 type Store struct {
-	fs   fsim.FS
-	dir  string
-	opts options
+	fs  fsim.FS
+	dir string
 }
-
-// options collects the knobs behind the functional Option surface; the
-// same shape (and option names) as internal/mfs, so the two storage
-// constructors read identically.
-type options struct {
-	sync bool
-}
-
-// Option configures a Store at construction.
-type Option func(*options)
-
-// WithSync controls whether Append syncs each spooled mail before
-// acknowledging it. The spool defaults to synced (it is the durability
-// backstop the SMTP 250 rests on); WithSync(false) trades that for
-// throughput in experiments and tests that crash via fsim faults
-// anyway. Mirrors mfs.WithSync.
-func WithSync(on bool) Option { return func(o *options) { o.sync = on } }
 
 // New returns a spool rooted at dir (e.g. "queue") on fs. The directory
 // need not exist; lanes are created on first use.
-func New(fs fsim.FS, dir string, opts ...Option) *Store {
+func New(fs fsim.FS, dir string) *Store {
 	if dir == "" {
 		dir = "queue"
 	}
-	o := options{sync: true}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return &Store{fs: fs, dir: dir, opts: o}
+	return &Store{fs: fs, dir: dir}
 }
 
 func (s *Store) path(lane Lane, id string) string {
@@ -207,6 +185,11 @@ func decodeEnvelope(p []byte) (Envelope, error) {
 	if err != nil {
 		return env, err
 	}
+	if 2*int(n) > len(p)-rd.pos {
+		// Every recipient takes at least its length prefix; a count the
+		// remaining bytes cannot hold must not size an allocation.
+		return env, ErrTorn
+	}
 	env.Rcpts = make([]string, 0, n)
 	for i := 0; i < int(n); i++ {
 		r, err := rd.str()
@@ -285,8 +268,11 @@ func (r *reader) str() (string, error) {
 	return s, nil
 }
 
-// writeMail writes envelope + body frames into lane and (unless
-// WithSync(false)) syncs; the mail is durable when it returns.
+// writeMail writes envelope + body frames into lane and syncs; the mail
+// is durable when it returns nil. On an error the caller will refuse the
+// mail, so the file must not survive to be recovered (and delivered) by a
+// later Recover: it is removed, best effort — if that fails too, what is
+// left is the same well-framed-or-torn file a crash would have left.
 func (s *Store) writeMail(lane Lane, env Envelope, body []byte) error {
 	payload, err := encodeEnvelope(env)
 	if err != nil {
@@ -300,18 +286,18 @@ func (s *Store) writeMail(lane Lane, env Envelope, body []byte) error {
 	buf = append(buf, payload...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
 	buf = append(buf, body...)
-	f, err := s.fs.Create(s.path(lane, env.ID))
+	name := s.path(lane, env.ID)
+	f, err := s.fs.Create(name)
 	if err != nil {
 		return fmt.Errorf("spool: %s: %w", env.ID, err)
 	}
-	defer f.Close()
-	if _, err := f.Write(buf); err != nil {
-		return fmt.Errorf("spool: %s: %w", env.ID, err)
+	if _, err = f.Write(buf); err == nil {
+		err = f.Sync()
 	}
-	if s.opts.sync {
-		if err := f.Sync(); err != nil {
-			return fmt.Errorf("spool: %s: %w", env.ID, err)
-		}
+	f.Close()
+	if err != nil {
+		_ = s.fs.Remove(name) // best effort, see above
+		return fmt.Errorf("spool: %s: %w", env.ID, err)
 	}
 	return nil
 }

@@ -366,3 +366,33 @@ func TestEnvelopeV1DecodesWithZeroTrace(t *testing.T) {
 		t.Fatal("truncated v2 trace tail must fail decode")
 	}
 }
+
+// failSyncFS is a filesystem whose disk accepts writes and then fails
+// every fsync.
+type failSyncFS struct{ fsim.FS }
+
+func (fs failSyncFS) Create(name string) (fsim.File, error) {
+	f, err := fs.FS.Create(name)
+	return failSyncFile{f}, err
+}
+
+type failSyncFile struct{ fsim.File }
+
+func (failSyncFile) Sync() error { return errors.New("fsync: input/output error") }
+
+// A mail whose Append failed was refused (452) and will be retried by its
+// sender under a new id; the copy whose fsync failed is fully framed and
+// must not be left for Recover to resurrect beside the retry.
+func TestFailedAppendLeavesNothingToRecover(t *testing.T) {
+	s := New(failSyncFS{fsim.NewMem(costmodel.FSModel{})}, "queue")
+	if err := s.Append(env("Q1", 0), []byte("body")); err == nil {
+		t.Fatal("Append succeeded on a filesystem whose fsync fails")
+	}
+	if n := s.LaneDepth(LaneActive); n != 0 {
+		t.Fatalf("active lane holds %d files after a failed Append", n)
+	}
+	mails, stats, err := s.Recover()
+	if err != nil || len(mails) != 0 || stats.Torn != 0 {
+		t.Fatalf("Recover = %d mails, stats %+v, err %v; want nothing", len(mails), stats, err)
+	}
+}
