@@ -42,6 +42,13 @@ type Store interface {
 	Deliver(id string, recipients []string, body []byte) error
 	// List returns the mail-ids in a mailbox in delivery order.
 	List(mailbox string) ([]string, error)
+	// Stat returns what List returns plus each mail's body length, and
+	// fails where List fails, without reading a body: its cost follows
+	// the number of mails, not the bytes stored. It is part of the
+	// contract, not an optional side-interface, so that a decorator
+	// embedding a Store forwards it by promotion instead of silently
+	// hiding it from a type assertion.
+	Stat(mailbox string) ([]MailInfo, error)
 	// Read returns the body of one mail.
 	Read(mailbox, id string) ([]byte, error)
 	// Delete removes one mail from one mailbox.
@@ -53,6 +60,20 @@ type Store interface {
 	Close() error
 }
 
+// MailInfo is one entry of Stat: a mail-id and the length of its body.
+// (An alias, so the MFS adapter hands its index's answer through as is.)
+type MailInfo = mfs.MailInfo
+
+// ValidMailbox reports whether name may name a mailbox: every backend
+// splices it into a file path, so it must be one path element — not
+// empty, at most 255 bytes, no separator or NUL, and not a dot element.
+// Names arriving from the network (RCPT through Deliver, POP3 USER) are
+// checked with it before they reach a filesystem.
+func ValidMailbox(name string) bool {
+	return name != "" && len(name) <= 255 && name != "." && name != ".." &&
+		!strings.ContainsAny(name, "/\\\x00")
+}
+
 func validateDelivery(id string, recipients []string) error {
 	if id == "" {
 		return fmt.Errorf("mailstore: empty mail-id")
@@ -62,11 +83,8 @@ func validateDelivery(id string, recipients []string) error {
 	}
 	seen := make(map[string]bool, len(recipients))
 	for _, r := range recipients {
-		if r == "" {
-			return fmt.Errorf("mailstore: empty recipient")
-		}
-		if strings.ContainsAny(r, "/\x00") {
-			return fmt.Errorf("mailstore: recipient %q contains path separators", r)
+		if !ValidMailbox(r) {
+			return fmt.Errorf("mailstore: recipient %q is not a mailbox name", r)
 		}
 		if seen[r] {
 			return fmt.Errorf("mailstore: duplicate recipient %q", r)
@@ -218,6 +236,18 @@ func (m *Mbox) List(mailbox string) ([]string, error) {
 	return ids, err
 }
 
+func (m *Mbox) Stat(mailbox string) ([]MailInfo, error) {
+	mu := m.stripe(mailbox)
+	mu.Lock()
+	defer mu.Unlock()
+	var infos []MailInfo
+	err := m.scanMbox(mailbox, func(id string, body []byte) bool {
+		infos = append(infos, MailInfo{ID: id, Size: len(body)})
+		return true
+	})
+	return infos, err
+}
+
 func (m *Mbox) Read(mailbox, id string) ([]byte, error) {
 	mu := m.stripe(mailbox)
 	mu.Lock()
@@ -356,21 +386,55 @@ func (m *Maildir) findMail(mailbox, id string) (string, error) {
 	return "", fmt.Errorf("mailstore: mail %s in %s: %w", id, mailbox, ErrNotFound)
 }
 
-func (m *Maildir) List(mailbox string) ([]string, error) {
-	prefix := "maildir/" + mailbox + "/"
-	names := m.fs.List(prefix)
+// walk calls fn with the file name and mail-id of every mail in a mailbox,
+// in delivery order.
+func (m *Maildir) walk(mailbox string, fn func(name, id string) error) error {
+	names := m.fs.List("maildir/" + mailbox + "/")
 	if len(names) == 0 {
-		return nil, fmt.Errorf("mailstore: mailbox %s: %w", mailbox, ErrNotFound)
+		return fmt.Errorf("mailstore: mailbox %s: %w", mailbox, ErrNotFound)
 	}
 	sort.Strings(names) // sequence prefix sorts into delivery order
-	ids := make([]string, 0, len(names))
 	for _, name := range names {
 		base := name[strings.LastIndex(name, "/")+1:]
 		if i := strings.IndexByte(base, '-'); i > 0 {
-			ids = append(ids, base[i+1:])
+			if err := fn(name, base[i+1:]); err != nil {
+				return err
+			}
 		}
 	}
-	return ids, nil
+	return nil
+}
+
+func (m *Maildir) List(mailbox string) ([]string, error) {
+	var ids []string
+	err := m.walk(mailbox, func(_, id string) error {
+		ids = append(ids, id)
+		return nil
+	})
+	return ids, err
+}
+
+// Stat asks the filesystem for each file's length: a stat, not a read.
+func (m *Maildir) Stat(mailbox string) ([]MailInfo, error) {
+	var infos []MailInfo
+	err := m.walk(mailbox, func(name, id string) error {
+		size, err := m.fs.Size(name)
+		if errors.Is(err, fsim.ErrNotExist) {
+			return nil // deleted since the directory was listed
+		}
+		if err != nil {
+			return err
+		}
+		infos = append(infos, MailInfo{ID: id, Size: int(size)})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(infos) == 0 {
+		return nil, fmt.Errorf("mailstore: mailbox %s: %w", mailbox, ErrNotFound)
+	}
+	return infos, nil
 }
 
 func (m *Maildir) Read(mailbox, id string) ([]byte, error) {
@@ -501,8 +565,19 @@ func (m *MFS) Deliver(id string, recipients []string, body []byte) error {
 	return m.store.NWrite(boxes, id, body)
 }
 
+// lookup resolves a mailbox for the read side. Only Deliver creates a
+// mailbox: a question about one that does not exist answers ErrNotFound
+// and leaves no file and no open handle behind.
+func (m *MFS) lookup(mailbox string) (*mfs.Mailbox, error) {
+	mb, err := m.store.Lookup(mailbox)
+	if errors.Is(err, mfs.ErrNoMailbox) {
+		return nil, fmt.Errorf("mailstore: mailbox %s: %w", mailbox, ErrNotFound)
+	}
+	return mb, err
+}
+
 func (m *MFS) List(mailbox string) ([]string, error) {
-	mb, err := m.store.Open(mailbox)
+	mb, err := m.lookup(mailbox)
 	if err != nil {
 		return nil, err
 	}
@@ -513,8 +588,21 @@ func (m *MFS) List(mailbox string) ([]string, error) {
 	return ids, nil
 }
 
+// Stat answers from the mailbox's in-memory index (see mfs.Mailbox.Stat).
+func (m *MFS) Stat(mailbox string) ([]MailInfo, error) {
+	mb, err := m.lookup(mailbox)
+	if err != nil {
+		return nil, err
+	}
+	infos, err := mb.Stat()
+	if err == nil && len(infos) == 0 {
+		return nil, fmt.Errorf("mailstore: mailbox %s: %w", mailbox, ErrNotFound)
+	}
+	return infos, err
+}
+
 func (m *MFS) Read(mailbox, id string) ([]byte, error) {
-	mb, err := m.store.Open(mailbox)
+	mb, err := m.lookup(mailbox)
 	if err != nil {
 		return nil, err
 	}
@@ -529,7 +617,7 @@ func (m *MFS) Read(mailbox, id string) ([]byte, error) {
 }
 
 func (m *MFS) Delete(mailbox, id string) error {
-	mb, err := m.store.Open(mailbox)
+	mb, err := m.lookup(mailbox)
 	if err != nil {
 		return err
 	}

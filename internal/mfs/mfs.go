@@ -269,7 +269,14 @@ type Mailbox struct {
 
 // Open opens mailbox name, creating its key and data files if they do not
 // exist — the paper's mail_open. Repeated opens return the same handle.
-func (s *Store) Open(name string) (*Mailbox, error) {
+func (s *Store) Open(name string) (*Mailbox, error) { return s.openBox(name, true) }
+
+// Lookup is Open for readers: it returns the handle of a mailbox that is
+// open or has a key file, and ErrNoMailbox otherwise without creating
+// anything — asking about a mailbox must not bring it into existence.
+func (s *Store) Lookup(name string) (*Mailbox, error) { return s.openBox(name, false) }
+
+func (s *Store) openBox(name string, create bool) (*Mailbox, error) {
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
 	if s.closed {
@@ -285,6 +292,11 @@ func (s *Store) Open(name string) (*Mailbox, error) {
 	s.openMu.RUnlock()
 	if ok {
 		return mb, nil
+	}
+	// Checked outside openMu: a flood of lookups for absent mailboxes
+	// must not serialize behind the handle map's write lock.
+	if !create && !s.fs.Exists(s.path("boxes/"+name+".key")) {
+		return nil, fmt.Errorf("mfs: mailbox %s: %w", name, ErrNoMailbox)
 	}
 	s.openMu.Lock()
 	defer s.openMu.Unlock()
@@ -513,6 +525,49 @@ func (mb *Mailbox) IDs() []string {
 	return ids
 }
 
+// MailInfo is one live mail as Stat reports it: its id and the length of
+// its body.
+type MailInfo struct {
+	ID   string
+	Size int
+}
+
+// Stat returns the id and body length of every live mail in arrival
+// order without reading a body. A record written through this handle
+// knows its length from the commit; one found in the key file at Open
+// does not — a key tuple is (id, offset, ref), the length is the 4-byte
+// header of the data frame — so the first Stat after a reopen reads that
+// header once per such record and keeps it.
+func (mb *Mailbox) Stat() ([]MailInfo, error) {
+	// stateMu pins the shared-store data file, as in ReadNext.
+	mb.store.stateMu.RLock()
+	defer mb.store.stateMu.RUnlock()
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	if mb.closed {
+		return nil, ErrClosed
+	}
+	infos := make([]MailInfo, 0, mb.liveLenLocked())
+	for _, r := range mb.entries {
+		if r == nil {
+			continue
+		}
+		if !r.sized {
+			data := mb.data
+			if r.Ref == SharedRef {
+				data = mb.store.shData
+			}
+			n, err := dataRecordLen(data, r.Offset)
+			if err != nil {
+				return nil, err
+			}
+			r.size, r.sized = uint32(n), true
+		}
+		infos = append(infos, MailInfo{ID: r.ID, Size: int(r.size)})
+	}
+	return infos, nil
+}
+
 // Contains reports whether the mailbox holds the given mail-id.
 func (mb *Mailbox) Contains(id string) bool {
 	mb.mu.Lock()
@@ -722,6 +777,7 @@ func (s *Store) writeLocal(mb *Mailbox, id string, body []byte) error {
 		return err
 	}
 	rec.refPos = keyEnd + int64(len(kbuf)) - 4
+	rec.size, rec.sized = uint32(len(body)), true
 	mb.addEntry(rec)
 	return nil
 }
@@ -764,7 +820,7 @@ func (s *Store) writeShared(boxes []*Mailbox, id string, body []byte) error {
 			for i, mb := range boxes {
 				mb.addEntry(keyRecord{
 					Type: recEntry, ID: id, Offset: req.off, Ref: SharedRef,
-					refPos: req.ptrs[i].refPos,
+					refPos: req.ptrs[i].refPos, size: uint32(len(body)), sized: true,
 				})
 			}
 			return nil
@@ -831,6 +887,7 @@ func (s *Store) writeShared(boxes []*Mailbox, id string, body []byte) error {
 		for i, mb := range boxes {
 			mb.addEntry(keyRecord{
 				Type: recEntry, ID: id, Offset: off, Ref: SharedRef, refPos: ptrRefPos[i],
+				size: uint32(len(body)), sized: true, // the stored length was checked equal above
 			})
 		}
 		return nil

@@ -8,11 +8,17 @@
 // The command set is the RFC 1939 minimal profile plus UIDL: USER, PASS,
 // STAT, LIST, UIDL, RETR, DELE, NOOP, RSET, QUIT. Deletions are staged
 // during the session and applied at QUIT (the UPDATE state), per the RFC.
+//
+// A login costs the store one Stat — ids and sizes, no body read — and
+// the session answers STAT, LIST and UIDL from that snapshot, so what a
+// session costs follows the number of mails in the maildrop and the
+// bodies it actually retrieves, not the bytes the maildrop holds.
 package pop3
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -156,16 +162,25 @@ func (s *Server) untrack(nc net.Conn) {
 // session holds one connection's state.
 type session struct {
 	srv  *Server
-	nc   net.Conn
 	c    *smtp.Conn // reuses the SMTP line/dot codec: POP3 shares both
 	user string
 	// authed marks the transition from AUTHORIZATION to TRANSACTION.
 	authed bool
-	// ids is the mailbox listing frozen at PASS time (RFC 1939 locks the
-	// maildrop for the session).
-	ids []string
-	// deleted marks messages staged for deletion (1-based index).
-	deleted map[int]bool
+	// msgs is the maildrop — ids and sizes — as one Store.Stat saw it at
+	// PASS. RFC 1939 locks the maildrop for the session and a stored
+	// body never changes, so STAT, LIST and UIDL are answered from this
+	// snapshot with no store call. Message number n is msgs[n-1].
+	msgs []mailstore.MailInfo
+	// deleted[n-1] marks message n as staged for deletion at QUIT.
+	deleted []bool
+	// line is the scratch every reply line is formatted into.
+	line []byte
+}
+
+// newSession starts a session over rw on a pooled smtp.Conn, which the
+// caller releases when the session ends.
+func (s *Server) newSession(rw io.ReadWriter) *session {
+	return &session{srv: s, c: smtp.AcquireConn(rw)}
 }
 
 func (s *Server) serveConn(nc net.Conn) {
@@ -173,7 +188,8 @@ func (s *Server) serveConn(nc net.Conn) {
 	defer s.untrack(nc)
 	defer nc.Close()
 	s.sessions.Inc()
-	sess := &session{srv: s, nc: nc, c: smtp.NewConn(nc), deleted: make(map[int]bool)}
+	sess := s.newSession(nc)
+	defer smtp.ReleaseConn(sess.c)
 	if err := sess.ok("POP3 server ready on " + s.cfg.Hostname); err != nil {
 		return
 	}
@@ -201,8 +217,22 @@ func splitCommand(line string) (verb, arg string) {
 	return strings.ToUpper(verb), arg
 }
 
-func (s *session) ok(text string) error   { return s.c.WriteLine("+OK " + text) }
-func (s *session) errr(text string) error { return s.c.WriteLine("-ERR " + text) }
+// Reply lines are built in the scratch buffer without fmt: begin starts
+// one, str appends text, num appends " n".
+func (s *session) begin(text string) { s.line = append(s.line[:0], text...) }
+func (s *session) str(text string)   { s.line = append(s.line, text...) }
+func (s *session) num(n int)         { s.line = strconv.AppendInt(append(s.line, ' '), int64(n), 10) }
+
+// send writes the reply line and flushes: the end of a response.
+func (s *session) send() error {
+	if err := s.c.WriteLineLazy(s.line); err != nil {
+		return err
+	}
+	return s.c.Flush()
+}
+
+func (s *session) ok(text string) error   { s.begin("+OK "); s.str(text); return s.send() }
+func (s *session) errr(text string) error { s.begin("-ERR "); s.str(text); return s.send() }
 
 // dispatch handles one command; quit reports session end.
 func (s *session) dispatch(verb, arg string) (quit bool, err error) {
@@ -215,31 +245,30 @@ func (s *session) dispatch(verb, arg string) (quit bool, err error) {
 		return false, s.cmdUser(arg)
 	case "PASS":
 		return false, s.cmdPass(arg)
+	case "STAT", "LIST", "UIDL", "RETR", "DELE", "RSET":
+		if !s.authed {
+			return false, s.errr("log in first")
+		}
+	}
+	switch verb {
 	case "STAT":
-		return false, s.inTransaction(func() error { return s.cmdStat() })
+		return false, s.cmdStat()
 	case "LIST":
-		return false, s.inTransaction(func() error { return s.cmdList(arg) })
+		return false, s.cmdList(arg)
 	case "UIDL":
-		return false, s.inTransaction(func() error { return s.cmdUidl(arg) })
+		return false, s.cmdUidl(arg)
 	case "RETR":
-		return false, s.inTransaction(func() error { return s.cmdRetr(arg) })
+		return false, s.cmdRetr(arg)
 	case "DELE":
-		return false, s.inTransaction(func() error { return s.cmdDele(arg) })
+		return false, s.cmdDele(arg)
 	case "RSET":
-		return false, s.inTransaction(func() error {
-			s.deleted = make(map[int]bool)
-			return s.ok("reset")
-		})
+		for i := range s.deleted {
+			s.deleted[i] = false
+		}
+		return false, s.ok("reset")
 	default:
 		return false, s.errr("unknown command")
 	}
-}
-
-func (s *session) inTransaction(fn func() error) error {
-	if !s.authed {
-		return s.errr("log in first")
-	}
-	return fn()
 }
 
 func (s *session) cmdUser(arg string) error {
@@ -248,6 +277,10 @@ func (s *session) cmdUser(arg string) error {
 	}
 	if arg == "" {
 		return s.errr("USER requires a name")
+	}
+	// The name becomes part of a file path in every store.
+	if !mailstore.ValidMailbox(arg) {
+		return s.errr("invalid user name")
 	}
 	s.user = arg
 	return s.ok("user accepted, send PASS")
@@ -265,143 +298,164 @@ func (s *session) cmdPass(arg string) error {
 		s.user = ""
 		return s.errr("authentication failed")
 	}
-	ids, err := s.srv.cfg.Store.List(s.user)
-	if err != nil {
-		if errors.Is(err, mailstore.ErrNotFound) {
-			// An empty maildrop is not an error: new users simply have
-			// no mail yet.
-			ids = nil
-		} else {
-			return s.errr("maildrop unavailable")
-		}
+	msgs, err := s.srv.cfg.Store.Stat(s.user)
+	// An empty maildrop is not an error: new users simply have no mail
+	// yet.
+	if err != nil && !errors.Is(err, mailstore.ErrNotFound) {
+		return s.errr("maildrop unavailable")
 	}
-	s.ids = ids
+	s.msgs = msgs
+	s.deleted = make([]bool, len(msgs))
 	s.authed = true
-	return s.ok(fmt.Sprintf("maildrop has %d messages", len(ids)))
+	s.begin("+OK maildrop has")
+	s.num(len(msgs))
+	s.str(" messages")
+	return s.send()
 }
 
-// live returns the undeleted message numbers in order.
-func (s *session) live() []int {
-	var out []int
-	for i := range s.ids {
-		if !s.deleted[i+1] {
-			out = append(out, i+1)
+// totals returns the count and summed size of the undeleted messages.
+func (s *session) totals() (n, octets int) {
+	for i, m := range s.msgs {
+		if !s.deleted[i] {
+			n++
+			octets += m.Size
 		}
 	}
-	return out
+	return n, octets
 }
 
-// message resolves a 1-based message number argument.
-func (s *session) message(arg string) (int, string, error) {
+// message resolves a 1-based message number argument to its index in
+// msgs, or says why it names no message.
+func (s *session) message(arg string) (i int, problem string) {
 	n, err := strconv.Atoi(arg)
-	if err != nil || n < 1 || n > len(s.ids) {
-		return 0, "", fmt.Errorf("no such message")
+	if err != nil || n < 1 || n > len(s.msgs) {
+		return 0, "no such message"
 	}
-	if s.deleted[n] {
-		return 0, "", fmt.Errorf("message deleted")
+	if s.deleted[n-1] {
+		return 0, "message deleted"
 	}
-	return n, s.ids[n-1], nil
-}
-
-func (s *session) sizes() (map[int]int, int, error) {
-	out := make(map[int]int)
-	total := 0
-	for _, n := range s.live() {
-		body, err := s.srv.cfg.Store.Read(s.user, s.ids[n-1])
-		if err != nil {
-			return nil, 0, err
-		}
-		out[n] = len(body)
-		total += len(body)
-	}
-	return out, total, nil
+	return n - 1, ""
 }
 
 func (s *session) cmdStat() error {
-	sizes, total, err := s.sizes()
-	if err != nil {
-		return s.errr("maildrop unavailable")
-	}
-	return s.ok(fmt.Sprintf("%d %d", len(sizes), total))
+	n, octets := s.totals()
+	s.begin("+OK")
+	s.num(n)
+	s.num(octets)
+	return s.send()
 }
 
-func (s *session) cmdList(arg string) error {
-	sizes, total, err := s.sizes()
-	if err != nil {
-		return s.errr("maildrop unavailable")
-	}
-	if arg != "" {
-		n, _, err := s.message(arg)
-		if err != nil {
-			return s.errr(err.Error())
-		}
-		return s.ok(fmt.Sprintf("%d %d", n, sizes[n]))
-	}
-	if err := s.ok(fmt.Sprintf("%d messages (%d octets)", len(sizes), total)); err != nil {
+// listing sends a multi-line response: head, one line per undeleted
+// message as row formats it, and the terminating dot. Lines are buffered
+// and the response is flushed once, so a listing costs a write per buffer
+// filled rather than a write per message.
+func (s *session) listing(row func(i int)) error {
+	if err := s.c.WriteLineLazy(s.line); err != nil {
 		return err
 	}
-	for _, n := range s.live() {
-		if err := s.c.WriteLine(fmt.Sprintf("%d %d", n, sizes[n])); err != nil {
+	for i := range s.msgs {
+		if s.deleted[i] {
+			continue
+		}
+		s.line = strconv.AppendInt(s.line[:0], int64(i+1), 10)
+		row(i)
+		if err := s.c.WriteLineLazy(s.line); err != nil {
 			return err
 		}
 	}
-	return s.c.WriteLine(".")
+	s.begin(".")
+	return s.send()
+}
+
+func (s *session) cmdList(arg string) error {
+	if arg != "" {
+		i, problem := s.message(arg)
+		if problem != "" {
+			return s.errr(problem)
+		}
+		s.begin("+OK")
+		s.num(i + 1)
+		s.num(s.msgs[i].Size)
+		return s.send()
+	}
+	n, octets := s.totals()
+	s.begin("+OK")
+	s.num(n)
+	s.str(" messages (")
+	s.line = strconv.AppendInt(s.line, int64(octets), 10)
+	s.str(" octets)")
+	return s.listing(func(i int) { s.num(s.msgs[i].Size) })
 }
 
 func (s *session) cmdUidl(arg string) error {
 	if arg != "" {
-		n, id, err := s.message(arg)
-		if err != nil {
-			return s.errr(err.Error())
+		i, problem := s.message(arg)
+		if problem != "" {
+			return s.errr(problem)
 		}
-		return s.ok(fmt.Sprintf("%d %s", n, id))
+		s.begin("+OK")
+		s.num(i + 1)
+		s.str(" ")
+		s.str(s.msgs[i].ID)
+		return s.send()
 	}
-	if err := s.ok("unique-id listing"); err != nil {
-		return err
-	}
-	for _, n := range s.live() {
-		if err := s.c.WriteLine(fmt.Sprintf("%d %s", n, s.ids[n-1])); err != nil {
-			return err
-		}
-	}
-	return s.c.WriteLine(".")
+	s.begin("+OK unique-id listing")
+	return s.listing(func(i int) { s.str(" "); s.str(s.msgs[i].ID) })
 }
 
 func (s *session) cmdRetr(arg string) error {
-	_, id, err := s.message(arg)
-	if err != nil {
-		return s.errr(err.Error())
+	i, problem := s.message(arg)
+	if problem != "" {
+		return s.errr(problem)
 	}
-	body, err := s.srv.cfg.Store.Read(s.user, id)
+	body, err := s.srv.cfg.Store.Read(s.user, s.msgs[i].ID)
 	if err != nil {
 		return s.errr("message unavailable")
 	}
-	if err := s.ok(fmt.Sprintf("%d octets", len(body))); err != nil {
+	s.begin("+OK")
+	s.num(len(body))
+	s.str(" octets")
+	if err := s.c.WriteLineLazy(s.line); err != nil {
 		return err
 	}
 	s.srv.retrieved.Inc()
-	// The SMTP dot codec is exactly POP3's multi-line response framing.
+	// The SMTP dot codec is exactly POP3's multi-line response framing;
+	// its flush carries the status line too.
 	return s.c.WriteData(body)
 }
 
 func (s *session) cmdDele(arg string) error {
-	n, _, err := s.message(arg)
-	if err != nil {
-		return s.errr(err.Error())
+	i, problem := s.message(arg)
+	if problem != "" {
+		return s.errr(problem)
 	}
-	s.deleted[n] = true
-	return s.ok(fmt.Sprintf("message %d deleted", n))
+	s.deleted[i] = true
+	s.begin("+OK message")
+	s.num(i + 1)
+	s.str(" deleted")
+	return s.send()
 }
 
 // quit enters the UPDATE state: staged deletions are applied against the
-// store (one mfs.Delete / mbox rewrite per message) and the session ends.
+// store in message order (one mfs.Delete / mbox rewrite per message) and
+// the session ends. A message that is already gone counts as removed;
+// any other failure is reported, as RFC 1939 §6 requires.
 func (s *session) quit() error {
-	if s.authed {
-		for n := range s.deleted {
-			if err := s.srv.cfg.Store.Delete(s.user, s.ids[n-1]); err == nil {
-				s.srv.deleted.Inc()
-			}
+	failed := 0
+	for i, staged := range s.deleted {
+		if !staged {
+			continue
 		}
+		err := s.srv.cfg.Store.Delete(s.user, s.msgs[i].ID)
+		switch {
+		case err == nil:
+			s.srv.deleted.Inc()
+		case !errors.Is(err, mailstore.ErrNotFound):
+			failed++
+		}
+	}
+	if failed > 0 {
+		return s.errr("some deleted messages not removed")
 	}
 	return s.ok("bye")
 }

@@ -162,6 +162,17 @@ func (c *Conn) WriteLine(line string) error {
 	return c.w.Flush()
 }
 
+// WriteLineLazy buffers one raw line with CRLF without flushing, for a
+// multi-line response (a POP3 listing) that goes out in one Flush after
+// its terminating line rather than in one write(2) per line.
+func (c *Conn) WriteLineLazy(line []byte) error {
+	if _, err := c.w.Write(line); err != nil {
+		return err
+	}
+	_, err := c.w.WriteString("\r\n")
+	return err
+}
+
 // ReadData reads a dot-terminated DATA payload, removing dot-stuffing
 // (RFC 5321 §4.5.2): a leading ".." becomes ".", and a lone "." ends the
 // message. Lines are joined with CRLF. The limit caps the decoded size.
