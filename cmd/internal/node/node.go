@@ -55,7 +55,7 @@ func Declare(prog, event string, policyDefault bool) *Node {
 		dnsblZone:   flag.String("dnsbl-zone", "bl.example.org", "DNSBL zone name"),
 		log:         flag.String("log", "info", "echo events at or above this level to stderr: debug, info, warn, error, or off (postfix-style per-connection lines at info)"),
 		node:        flag.String("node", "", "node name stamped on message-trace spans (default: the banner hostname)"),
-		policy:      flag.Bool("policy", policyDefault, "run the pre-trust policy engine (rate limits, greylist, reputation; DNSBL scoring when -dnsbl is set)"),
+		policy:      flag.Bool("policy", policyDefault, "run the pre-trust policy engine (rate limits, greylist, reputation; DNSBL scoring when -dnsbl is set); off, -dnsbl alone still refuses listed clients"),
 		greyRetry:   flag.Duration("grey-retry", time.Minute, "policy: greylist minimum retry window (0 disables greylisting)"),
 		connRate:    flag.Float64("conn-rate", 2, "policy: connections/sec admitted per client IP (0 disables rate limiting)"),
 		traceSample: flag.Int("trace-sample", 0, "message-lifecycle tracing: trace 1 in N edge connections, propagating the id to XTRACE-capable next hops (0 disables; 1 traces everything); spans serve at /trace/{id} on -admin"),
@@ -107,25 +107,32 @@ func (n *Node) DNSBL(extra ...dnsbl.Option) *dnsbl.Client {
 
 // Policy builds the pre-trust policy from -policy, -grey-retry and
 // -conn-rate, scoring connections against resolver when -dnsbl is set.
-// It also returns the reputation and greylist stores behind it, for a
-// caller that replicates them; the policy is nil when -policy is off and
-// the greylist nil when -grey-retry is 0.
+// With -dnsbl and no -policy it holds the blacklist alone: listed clients
+// draw 554 at connect, nothing is rate-limited, greylisted or remembered.
+// It also returns the reputation and greylist stores, for a caller that
+// replicates them; the policy is nil when -policy is off and -dnsbl
+// empty, and the greylist nil when -grey-retry is 0.
 func (n *Node) Policy(resolver dnsbl.Resolver, opts ...policy.ServerPolicyOption) (*policy.ServerPolicy, *policy.Reputation, *policy.Greylist) {
 	rep := policy.NewReputation(policy.ReputationConfig{})
-	pOpts := []policy.Option{policy.WithReputationStore(rep)}
 	var grey *policy.Greylist
 	if *n.greyRetry > 0 {
 		grey = policy.NewGreylist(policy.GreyConfig{MinRetry: *n.greyRetry})
-		pOpts = append(pOpts, policy.WithGreylistStore(grey))
 	}
-	if !*n.policy {
+	if !*n.policy && *n.dnsbl == "" {
 		return nil, rep, grey
 	}
-	if *n.connRate > 0 {
-		pOpts = append(pOpts, policy.WithRate(policy.RateConfig{
-			ConnPerSec: *n.connRate,
-			ConnBurst:  5 * *n.connRate,
-		}))
+	var pOpts []policy.Option
+	if *n.policy {
+		pOpts = append(pOpts, policy.WithReputationStore(rep))
+		if grey != nil {
+			pOpts = append(pOpts, policy.WithGreylistStore(grey))
+		}
+		if *n.connRate > 0 {
+			pOpts = append(pOpts, policy.WithRate(policy.RateConfig{
+				ConnPerSec: *n.connRate,
+				ConnBurst:  5 * *n.connRate,
+			}))
+		}
 	}
 	var scorer *policy.Scorer
 	if *n.dnsbl != "" {

@@ -11,7 +11,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -24,7 +23,6 @@ import (
 	"time"
 
 	"repro/cmd/internal/node"
-	"repro/internal/addr"
 	"repro/internal/bounce"
 	"repro/internal/cluster"
 	"repro/internal/dnsbl"
@@ -122,23 +120,6 @@ func main() {
 	pol, _, _ := n.Policy(dnsblClient)
 	if pol != nil {
 		srvOpts = append(srvOpts, smtpserver.WithPolicy(pol))
-	} else if dnsblClient != nil {
-		// Without the policy engine the DNSBL check is the bare
-		// accept-time hook.
-		srvOpts = append(srvOpts, smtpserver.WithCheckClient(func(ip string) bool {
-			parsed, err := addr.ParseIPv4(ip)
-			if err != nil {
-				return false
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			res, err := dnsblClient.Lookup(ctx, parsed)
-			if err != nil {
-				// Fail open: a DNSBL outage must not stop mail.
-				return false
-			}
-			return res.Listed
-		}))
 	}
 
 	qcfg := queue.Config{MaxAttempts: *maxAttempts}
@@ -255,7 +236,6 @@ func logStats(sh *cluster.Shard, pol *policy.ServerPolicy) {
 	t.AddRow("pre-trust closed", s.PreTrustClosed)
 	t.AddRow("handoffs", s.Handoffs)
 	t.AddRow("rcpt 550", s.RcptRejected)
-	t.AddRow("blacklisted (hook)", s.Blacklisted)
 	if pol != nil {
 		ps := pol.Stats()
 		t.AddRow("policy conn rejected (554)", s.PolicyRejected)

@@ -14,10 +14,10 @@ import (
 	"net"
 	"time"
 
-	"repro/internal/addr"
 	"repro/internal/cluster"
 	"repro/internal/dns"
 	"repro/internal/dnsbl"
+	"repro/internal/policy"
 	"repro/internal/queue"
 	"repro/internal/smtpserver"
 	"repro/internal/trace"
@@ -58,28 +58,19 @@ func run() error {
 		dnsbl.WithStale(time.Hour))
 	defer lookup.Close()
 
-	// --- The sinkhole mail server: accept everything, discard wisely.
-	// Here the DNSBL check only *tags* (a sinkhole wants the spam), so
-	// CheckClient is wired to observe rather than reject.
-	var listedConns int
-	check := func(ipText string) bool {
-		ip, err := addr.ParseIPv4(ipText)
-		if err != nil {
-			return false
-		}
-		// Loopback replay: every client dials from 127.0.0.1, so probe
-		// the trace-assigned origin instead. A production deployment
-		// would pass the socket peer address straight through.
-		_ = ip
-		return false
-	}
-
+	// --- The sinkhole mail server, wired the way `smtpd -dnsbl` is
+	// without -policy: the blacklist alone decides at connect. The replay
+	// dials from 127.0.0.1, which nobody lists, so every bot gets in (a
+	// sinkhole wants the spam); the trace-assigned origins are probed
+	// below instead. A production peer address goes straight through.
+	blacklist := policy.NewServerPolicy(policy.New(policy.WithDNSBLReject(1)),
+		policy.NewScorer(policy.WithLists(policy.List{Name: zone, Resolver: lookup, Weight: 1})))
 	node, err := cluster.StartShard(cluster.ShardSpec{
 		Domain:    "sink.example.org",
 		Mailboxes: 50,
 		Store:     "mbox",
 		Queue:     queue.Config{IntakeLimit: 4096},
-		Options:   []smtpserver.Option{smtpserver.WithMaxWorkers(32), smtpserver.WithCheckClient(check)},
+		Options:   []smtpserver.Option{smtpserver.WithMaxWorkers(32), smtpserver.WithPolicy(blacklist)},
 	})
 	if err != nil {
 		return err
@@ -89,6 +80,7 @@ func run() error {
 	// Probe the DNSBL for every trace origin as the connections replay —
 	// the §7.2 measurement: how many lookups go upstream under prefix
 	// caching vs how many connections arrive.
+	var listedConns int
 	for i := range conns {
 		res, err := lookup.Lookup(context.Background(), conns[i].ClientIP)
 		if err != nil {

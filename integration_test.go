@@ -7,7 +7,6 @@ package repro
 // synthetic workloads.
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -21,6 +20,7 @@ import (
 	"repro/internal/dnsbl"
 	"repro/internal/fsim"
 	"repro/internal/mailstore"
+	"repro/internal/policy"
 	"repro/internal/queue"
 	"repro/internal/smtp"
 	"repro/internal/smtpserver"
@@ -160,17 +160,10 @@ func TestFullStackWithLiveDNSBL(t *testing.T) {
 		dnsbl.WithUpstreams(dnsSrv.Addr().String()),
 		dnsbl.WithTTL(10*time.Millisecond))
 	defer lookup.Close()
-	s := startStack(t, smtpserver.Hybrid, smtpserver.WithCheckClient(
-		func(ipText string) bool {
-			ip, err := addr.ParseIPv4(ipText)
-			if err != nil {
-				return false
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			res, err := lookup.Lookup(ctx, ip)
-			return err == nil && res.Listed
-		}))
+	// What `smtpd -dnsbl` runs without -policy: the blacklist and nothing else.
+	s := startStack(t, smtpserver.Hybrid, smtpserver.WithPolicy(policy.NewServerPolicy(
+		policy.New(policy.WithDNSBLReject(1)),
+		policy.NewScorer(policy.WithLists(policy.List{Name: zone, Resolver: lookup, Weight: 1})))))
 
 	send := func() error {
 		client, err := smtp.Dial(s.Addr, 5*time.Second)
@@ -199,8 +192,8 @@ func TestFullStackWithLiveDNSBL(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "554") {
 		t.Fatalf("listed client err = %v, want 554 banner", err)
 	}
-	if s.Server.Stats().Blacklisted != 1 {
-		t.Fatalf("blacklisted count = %d", s.Server.Stats().Blacklisted)
+	if n := s.Server.Stats().PolicyRejected; n != 1 {
+		t.Fatalf("policy-rejected count = %d", n)
 	}
 	// Delist (cache expires quickly): accepted again.
 	list.Remove(addr.MustParseIPv4("127.0.0.1"))

@@ -174,14 +174,6 @@ func (db *DB) ValidBytes(addr []byte) bool {
 	return ok
 }
 
-// IsLocalDomain reports whether the domain is served locally.
-func (db *DB) IsLocalDomain(domain string) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	_, ok := db.domains[strings.ToLower(domain)]
-	return ok
-}
-
 // Users returns the number of mailboxes across all local domains.
 func (db *DB) Users() int {
 	db.mu.RLock()

@@ -116,7 +116,7 @@ func TestPprofIndex(t *testing.T) {
 
 func TestSpansEndpoint(t *testing.T) {
 	rec := trace.NewSpanRecorder(16)
-	id := rec.ConnID()
+	const id = 1
 	rec.Record(trace.SpanEvent{Conn: id, Stage: "dialog", Start: time.Millisecond, End: 2 * time.Millisecond, Note: "quit"})
 
 	srv := httptest.NewServer(NewHandler(metrics.NewRegistry(), rec))

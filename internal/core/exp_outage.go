@@ -187,7 +187,7 @@ func outageRun(arch smtpserver.Architecture, n, deadN int, hold time.Duration) (
 	resolver.Set(localDomain, outbound.MX{Host: remoteAddr, Pref: 10})
 	recoverStart := time.Now()
 	if !qm.WaitIdle(60 * time.Second) {
-		return res, fmt.Errorf("queue did not drain after recovery")
+		return res, fmt.Errorf("queue did not drain after recovery: %+v", qm.Stats())
 	}
 	res.drain = time.Since(recoverStart)
 	if err := sh.Close(); err != nil {

@@ -157,9 +157,6 @@ func (f Field) Int() int64 { return f.num }
 // Float returns the field's float payload (0 for non-float fields).
 func (f Field) Float() float64 { return f.flo }
 
-// IsBool reports whether the field carries a true boolean.
-func (f Field) IsBool() bool { return f.kind == kindBool }
-
 // appendValue renders the field value as a single token.
 func (f Field) appendValue(b []byte) []byte {
 	switch f.kind {
@@ -512,8 +509,10 @@ func (l *Log) Log(lv Level, name string, conn uint64, fields ...Field) {
 	e.Seq = l.seq.Add(1)
 	sl := &l.slots[(e.Seq-1)%uint64(len(l.slots))]
 	sl.mu.Lock()
-	sl.ev = e
-	sl.ok = true
+	if e.Seq > sl.ev.Seq { // a writer descheduled for a whole lap must not overwrite its successor
+		sl.ev = e
+		sl.ok = true
+	}
 	sl.mu.Unlock()
 	for _, s := range l.sinks {
 		s.Emit(e)

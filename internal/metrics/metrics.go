@@ -205,15 +205,6 @@ func (s *Sample) CDF(n int) []CDFPoint {
 	return pts
 }
 
-// CDFAt returns the empirical CDF evaluated at each x in xs.
-func (s *Sample) CDFAt(xs []float64) []CDFPoint {
-	pts := make([]CDFPoint, 0, len(xs))
-	for _, x := range xs {
-		pts = append(pts, CDFPoint{X: x, Frac: s.FractionBelow(x)})
-	}
-	return pts
-}
-
 // Histogram is a fixed-bucket histogram. Buckets are defined by their
 // upper bounds (inclusive, Prometheus "le" semantics); an implicit +Inf
 // bucket catches the rest. Observe is lock-free — the per-stage latency

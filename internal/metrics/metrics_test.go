@@ -156,19 +156,6 @@ func TestSampleCDF(t *testing.T) {
 	}
 }
 
-func TestSampleCDFAt(t *testing.T) {
-	s := NewSample(0)
-	s.Observe(1)
-	s.Observe(3)
-	pts := s.CDFAt([]float64{0, 2, 4})
-	want := []float64{0, 0.5, 1}
-	for i, p := range pts {
-		if p.Frac != want[i] {
-			t.Errorf("CDFAt[%d] = %v, want %v", i, p.Frac, want[i])
-		}
-	}
-}
-
 func TestSampleQuantileProperty(t *testing.T) {
 	// Property: for any sample, quantiles are monotone in q and bounded by
 	// min/max.

@@ -81,9 +81,6 @@ func TestQueueIDsUnique(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	if id := m.NewID(); seen[id] {
-		t.Fatal("NewID collided with Enqueue ids")
-	}
 }
 
 func TestRetryThenSucceed(t *testing.T) {

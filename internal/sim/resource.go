@@ -78,9 +78,6 @@ func (r *Resource) dispatch() {
 // QueueLen returns the number of waiting (not in-service) requests.
 func (r *Resource) QueueLen() int { return len(r.queue) }
 
-// InService returns the number of requests currently in service.
-func (r *Resource) InService() int { return r.busy }
-
 // Completed returns the number of finished requests.
 func (r *Resource) Completed() int64 { return r.completed }
 

@@ -117,9 +117,6 @@ func (g *RNG) WeightedChoice(weights []float64) int {
 	return len(weights) - 1
 }
 
-// Shuffle permutes the first n indices via swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 

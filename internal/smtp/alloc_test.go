@@ -198,9 +198,9 @@ func TestConnPoolRoundTrip(t *testing.T) {
 
 func TestSessionPoolResets(t *testing.T) {
 	s := AcquireSession(Config{Hostname: "one.example"})
-	s.Command("HELO a")
-	s.Command("MAIL FROM:<x@y.z>")
-	s.Command("RCPT TO:<u@v.w>")
+	command(s, "HELO a")
+	command(s, "MAIL FROM:<x@y.z>")
+	command(s, "RCPT TO:<u@v.w>")
 	ReleaseSession(s)
 	s2 := AcquireSession(Config{Hostname: "two.example"})
 	if s2.State() != StateStart || s2.HasValidRcpt() || s2.Helo() != "" || s2.Sender() != "" {

@@ -3,7 +3,6 @@ package smtp
 import (
 	"errors"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -81,12 +80,7 @@ func startTestServer(t *testing.T, cfg Config) (*Client, <-chan Envelope, *sync.
 }
 
 func validCfg() Config {
-	return Config{
-		Hostname: "mx.test",
-		ValidateRcpt: func(addr string) bool {
-			return strings.HasSuffix(strings.ToLower(addr), "@valid.test")
-		},
-	}
+	return Config{Hostname: "mx.test", ValidateRcptBytes: validTest}
 }
 
 func TestClientFullTransaction(t *testing.T) {

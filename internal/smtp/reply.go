@@ -54,7 +54,6 @@ var (
 	ReplyNeedHelo       = Reply{503, "Send HELO/EHLO first"}
 	ReplyUserUnknown    = Reply{550, "User unknown"}
 	ReplyNoValidRcpts   = Reply{554, "No valid recipients"}
-	ReplyBlacklisted    = Reply{554, "Service unavailable; client host blocked using DNSBL"}
 	ReplyTooBig         = Reply{552, "Message size exceeds fixed limit"}
 )
 
@@ -72,7 +71,7 @@ func init() {
 		ReplyShutdown, ReplyTooManyRcpts, ReplyInsufficient,
 		ReplyLineTooLong, ReplyUnknownCommand, ReplySyntax,
 		ReplyBadSequence, ReplyNeedHelo, ReplyUserUnknown,
-		ReplyNoValidRcpts, ReplyBlacklisted, ReplyTooBig,
+		ReplyNoValidRcpts, ReplyTooBig,
 	} {
 		replyWires[r] = appendReply(nil, r)
 	}

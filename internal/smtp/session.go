@@ -40,20 +40,17 @@ const (
 type Config struct {
 	// Hostname appears in the banner and HELO reply.
 	Hostname string
-	// ValidateRcpt reports whether a recipient mailbox exists. nil
-	// accepts everything.
-	ValidateRcpt func(addr string) bool
-	// ValidateRcptBytes is the allocation-free form of ValidateRcpt,
-	// preferred when both are set: the session passes the address as a
-	// view into the command line instead of converting it to a string.
-	// The callee must not retain the slice past the call.
+	// ValidateRcptBytes reports whether a recipient mailbox exists; nil
+	// accepts everything. The address is a view into the command line,
+	// so validation adds no per-RCPT heap traffic; the callee must not
+	// retain the slice past the call.
 	ValidateRcptBytes func(addr []byte) bool
 	// CheckMail, if non-nil, is the policy hook for MAIL FROM: a non-nil
 	// reply (e.g. a 450 rate-limit tempfail) overrides acceptance and
 	// leaves the session awaiting another MAIL.
 	CheckMail func(sender string) *Reply
 	// CheckRcpt, if non-nil, is the policy hook for recipients that
-	// passed ValidateRcpt: a non-nil reply (e.g. a greylist 450)
+	// passed ValidateRcptBytes: a non-nil reply (e.g. a greylist 450)
 	// overrides acceptance without recording the recipient, so the
 	// hybrid front end keeps the connection un-trusted.
 	CheckRcpt func(sender, rcpt string) *Reply
@@ -185,13 +182,6 @@ func (s *Session) Trace() trace.Context { return s.xtrace }
 // MaxMessageBytes returns the configured DATA cap for Conn.ReadData.
 func (s *Session) MaxMessageBytes() int { return s.cfg.MaxMessageBytes }
 
-// Command feeds one raw command line as a string. It is the convenience
-// form of CommandBytes for tests and tools; the server's dialog loop
-// calls CommandBytes directly with the ReadLine view.
-func (s *Session) Command(line string) (Reply, Action) {
-	return s.CommandBytes([]byte(line))
-}
-
 // CommandBytes feeds one raw command line (without CRLF) to the state
 // machine and returns the reply to send plus the driver action. The line
 // is only read during the call; the session copies anything it keeps.
@@ -258,7 +248,7 @@ func (s *Session) CommandBytes(line []byte) (Reply, Action) {
 		if s.nrcpts >= s.cfg.MaxRcpts {
 			return ReplyTooManyRcpts, ActionNone
 		}
-		if !s.validRcpt(cmd.Addr) {
+		if v := s.cfg.ValidateRcptBytes; v != nil && !v(cmd.Addr) {
 			// "550 User unknown" — the bounce of §4.1. State is
 			// unchanged; the client may try other recipients.
 			s.rejectedRcpts++
@@ -289,17 +279,6 @@ func (s *Session) CommandBytes(line []byte) (Reply, Action) {
 	default:
 		return ReplyUnknownCommand, ActionNone
 	}
-}
-
-// validRcpt runs the recipient validator, preferring the byte form.
-func (s *Session) validRcpt(addr []byte) bool {
-	if s.cfg.ValidateRcptBytes != nil {
-		return s.cfg.ValidateRcptBytes(addr)
-	}
-	if s.cfg.ValidateRcpt != nil {
-		return s.cfg.ValidateRcpt(string(addr))
-	}
-	return true
 }
 
 // appendRcpt stores addr in the next recipient slot (reusing its buffer)

@@ -1,18 +1,23 @@
 package smtp
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
 
+// validTest accepts recipients at @valid.test.
+func validTest(addr []byte) bool {
+	return bytes.HasSuffix(bytes.ToLower(addr), []byte("@valid.test"))
+}
+
 func newTestSession() *Session {
-	return NewSession(Config{
-		Hostname: "mx.test",
-		ValidateRcpt: func(addr string) bool {
-			return strings.HasSuffix(strings.ToLower(addr), "@valid.test")
-		},
-		MaxRcpts: 5,
-	})
+	return NewSession(Config{Hostname: "mx.test", ValidateRcptBytes: validTest, MaxRcpts: 5})
+}
+
+// command feeds s one command line given as a string.
+func command(s *Session, line string) (Reply, Action) {
+	return s.CommandBytes([]byte(line))
 }
 
 // drive feeds commands asserting expected codes; returns the session.
@@ -22,7 +27,7 @@ func drive(t *testing.T, s *Session, steps []struct {
 }) {
 	t.Helper()
 	for _, st := range steps {
-		r, _ := s.Command(st.cmd)
+		r, _ := command(s, st.cmd)
 		if r.Code != st.code {
 			t.Fatalf("Command(%q) = %d %s, want %d", st.cmd, r.Code, r.Text, st.code)
 		}
@@ -43,7 +48,7 @@ func TestHappyPathTransaction(t *testing.T) {
 		{"RCPT TO:<alice@valid.test>", 250},
 		{"RCPT TO:<bob@valid.test>", 250},
 	})
-	r, action := s.Command("DATA")
+	r, action := command(s, "DATA")
 	if r.Code != 354 || action != ActionData {
 		t.Fatalf("DATA = %d/%v", r.Code, action)
 	}
@@ -65,7 +70,7 @@ func TestHappyPathTransaction(t *testing.T) {
 		{"MAIL FROM:<other@remote.test>", 250},
 		{"RCPT TO:<alice@valid.test>", 250},
 	})
-	r, action = s.Command("QUIT")
+	r, action = command(s, "QUIT")
 	if r.Code != 221 || action != ActionQuit {
 		t.Fatalf("QUIT = %d/%v", r.Code, action)
 	}
@@ -73,9 +78,9 @@ func TestHappyPathTransaction(t *testing.T) {
 
 func TestBounceRcptGets550(t *testing.T) {
 	s := newTestSession()
-	s.Command("HELO h")
-	s.Command("MAIL FROM:<spam@bot.test>")
-	r, action := s.Command("RCPT TO:<guessed@valid.test.invalid>")
+	command(s, "HELO h")
+	command(s, "MAIL FROM:<spam@bot.test>")
+	r, action := command(s, "RCPT TO:<guessed@valid.test.invalid>")
 	if r.Code != 550 || action != ActionNone {
 		t.Fatalf("bounce rcpt = %d/%v, want 550", r.Code, action)
 	}
@@ -86,12 +91,12 @@ func TestBounceRcptGets550(t *testing.T) {
 		t.Fatalf("rejected count = %d", s.RejectedRcpts())
 	}
 	// All recipients invalid: DATA refused.
-	r, _ = s.Command("DATA")
+	r, _ = command(s, "DATA")
 	if r.Code != 554 {
 		t.Fatalf("DATA after only bounces = %d, want 554", r.Code)
 	}
 	// A later valid RCPT rescues the transaction (mixed mail, §4.1).
-	r, _ = s.Command("RCPT TO:<real@valid.test>")
+	r, _ = command(s, "RCPT TO:<real@valid.test>")
 	if r.Code != 250 || !s.HasValidRcpt() {
 		t.Fatalf("valid rcpt after bounce = %d", r.Code)
 	}
@@ -116,10 +121,10 @@ func TestSequenceEnforcement(t *testing.T) {
 
 func TestRsetClearsTransaction(t *testing.T) {
 	s := newTestSession()
-	s.Command("HELO h")
-	s.Command("MAIL FROM:<a@b.test>")
-	s.Command("RCPT TO:<a@valid.test>")
-	r, _ := s.Command("RSET")
+	command(s, "HELO h")
+	command(s, "MAIL FROM:<a@b.test>")
+	command(s, "RCPT TO:<a@valid.test>")
+	r, _ := command(s, "RSET")
 	if r.Code != 250 {
 		t.Fatalf("RSET = %d", r.Code)
 	}
@@ -127,7 +132,7 @@ func TestRsetClearsTransaction(t *testing.T) {
 		t.Fatal("RSET did not clear state")
 	}
 	// MAIL allowed again after RSET.
-	r, _ = s.Command("MAIL FROM:<c@d.test>")
+	r, _ = command(s, "MAIL FROM:<c@d.test>")
 	if r.Code != 250 {
 		t.Fatalf("MAIL after RSET = %d", r.Code)
 	}
@@ -135,9 +140,9 @@ func TestRsetClearsTransaction(t *testing.T) {
 
 func TestHeloResetsMail(t *testing.T) {
 	s := newTestSession()
-	s.Command("HELO one")
-	s.Command("MAIL FROM:<a@b.test>")
-	s.Command("HELO two")
+	command(s, "HELO one")
+	command(s, "MAIL FROM:<a@b.test>")
+	command(s, "HELO two")
 	if s.Helo() != "two" || s.Sender() != "" {
 		t.Fatal("repeated HELO should reset the transaction")
 	}
@@ -145,15 +150,15 @@ func TestHeloResetsMail(t *testing.T) {
 
 func TestMaxRcptsEnforced(t *testing.T) {
 	s := newTestSession()
-	s.Command("HELO h")
-	s.Command("MAIL FROM:<a@b.test>")
+	command(s, "HELO h")
+	command(s, "MAIL FROM:<a@b.test>")
 	for i := 0; i < 5; i++ {
-		r, _ := s.Command("RCPT TO:<u" + string(rune('a'+i)) + "@valid.test>")
+		r, _ := command(s, "RCPT TO:<u"+string(rune('a'+i))+"@valid.test>")
 		if r.Code != 250 {
 			t.Fatalf("rcpt %d = %d", i, r.Code)
 		}
 	}
-	r, _ := s.Command("RCPT TO:<overflow@valid.test>")
+	r, _ := command(s, "RCPT TO:<overflow@valid.test>")
 	if r.Code != 452 {
 		t.Fatalf("over-limit rcpt = %d, want 452", r.Code)
 	}
@@ -161,10 +166,10 @@ func TestMaxRcptsEnforced(t *testing.T) {
 
 func TestDuplicateRcptCollapses(t *testing.T) {
 	s := newTestSession()
-	s.Command("HELO h")
-	s.Command("MAIL FROM:<a@b.test>")
-	s.Command("RCPT TO:<u@valid.test>")
-	r, _ := s.Command("RCPT TO:<U@VALID.TEST>")
+	command(s, "HELO h")
+	command(s, "MAIL FROM:<a@b.test>")
+	command(s, "RCPT TO:<u@valid.test>")
+	r, _ := command(s, "RCPT TO:<U@VALID.TEST>")
 	if r.Code != 250 {
 		t.Fatalf("duplicate rcpt = %d", r.Code)
 	}
@@ -176,8 +181,8 @@ func TestDuplicateRcptCollapses(t *testing.T) {
 func TestNullSenderAccepted(t *testing.T) {
 	// Bounce notifications use MAIL FROM:<>.
 	s := newTestSession()
-	s.Command("HELO h")
-	r, _ := s.Command("MAIL FROM:<>")
+	command(s, "HELO h")
+	r, _ := command(s, "MAIL FROM:<>")
 	if r.Code != 250 {
 		t.Fatalf("null sender = %d", r.Code)
 	}
@@ -188,19 +193,19 @@ func TestNullSenderAccepted(t *testing.T) {
 
 func TestUnknownAndSyntaxReplies(t *testing.T) {
 	s := newTestSession()
-	r, _ := s.Command("XYZZY")
+	r, _ := command(s, "XYZZY")
 	if r.Code != 500 {
 		t.Fatalf("unknown verb = %d", r.Code)
 	}
-	r, _ = s.Command("MAIL FROM:broken")
+	r, _ = command(s, "MAIL FROM:broken")
 	if r.Code != 501 {
 		t.Fatalf("syntax error = %d", r.Code)
 	}
-	r, _ = s.Command("NOOP")
+	r, _ = command(s, "NOOP")
 	if r.Code != 250 {
 		t.Fatalf("NOOP = %d", r.Code)
 	}
-	r, _ = s.Command("VRFY someone")
+	r, _ = command(s, "VRFY someone")
 	if r.Code != 252 {
 		t.Fatalf("VRFY = %d, want 252 (non-disclosing)", r.Code)
 	}
@@ -208,10 +213,10 @@ func TestUnknownAndSyntaxReplies(t *testing.T) {
 
 func TestAbortData(t *testing.T) {
 	s := newTestSession()
-	s.Command("HELO h")
-	s.Command("MAIL FROM:<a@b.test>")
-	s.Command("RCPT TO:<u@valid.test>")
-	s.Command("DATA")
+	command(s, "HELO h")
+	command(s, "MAIL FROM:<a@b.test>")
+	command(s, "RCPT TO:<u@valid.test>")
+	command(s, "DATA")
 	r := s.AbortData()
 	if r.Code != 552 {
 		t.Fatalf("abort = %d", r.Code)
@@ -220,7 +225,7 @@ func TestAbortData(t *testing.T) {
 		t.Fatal("abort should reset transaction")
 	}
 	// Session continues.
-	r, _ = s.Command("MAIL FROM:<x@y.test>")
+	r, _ = command(s, "MAIL FROM:<x@y.test>")
 	if r.Code != 250 {
 		t.Fatalf("MAIL after abort = %d", r.Code)
 	}
@@ -228,8 +233,8 @@ func TestAbortData(t *testing.T) {
 
 func TestCommandAfterQuit(t *testing.T) {
 	s := newTestSession()
-	s.Command("QUIT")
-	r, action := s.Command("NOOP")
+	command(s, "QUIT")
+	r, action := command(s, "NOOP")
 	if r.Code != 503 || action != ActionQuit {
 		t.Fatalf("post-QUIT = %d/%v", r.Code, action)
 	}
@@ -244,9 +249,9 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatal("MaxMessageBytes accessor wrong")
 	}
 	// nil validator accepts anything.
-	s.Command("HELO h")
-	s.Command("MAIL FROM:<a@b.c>")
-	r, _ := s.Command("RCPT TO:<anyone@anywhere.example>")
+	command(s, "HELO h")
+	command(s, "MAIL FROM:<a@b.c>")
+	r, _ := command(s, "RCPT TO:<anyone@anywhere.example>")
 	if r.Code != 250 {
 		t.Fatalf("nil validator rcpt = %d", r.Code)
 	}

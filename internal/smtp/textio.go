@@ -136,21 +136,6 @@ func (c *Conn) InputPending() bool {
 	return bytes.IndexByte(buf, '\n') >= 0
 }
 
-// WriteMultiReply sends a multiline reply (all but the last line use the
-// code-hyphen form) and flushes.
-func (c *Conn) WriteMultiReply(code int, lines []string) error {
-	for i, line := range lines {
-		sep := "-"
-		if i == len(lines)-1 {
-			sep = " "
-		}
-		if _, err := fmt.Fprintf(c.w, "%d%s%s\r\n", code, sep, line); err != nil {
-			return err
-		}
-	}
-	return c.w.Flush()
-}
-
 // WriteLine sends one raw line with CRLF and flushes.
 func (c *Conn) WriteLine(line string) error {
 	if _, err := c.w.WriteString(line); err != nil {

@@ -47,15 +47,6 @@ func TestWriteReply(t *testing.T) {
 	}
 }
 
-func TestWriteMultiReply(t *testing.T) {
-	c, b := newRW("")
-	c.WriteMultiReply(250, []string{"mx.test", "PIPELINING", "SIZE 1000"})
-	want := "250-mx.test\r\n250-PIPELINING\r\n250 SIZE 1000\r\n"
-	if got := b.out.String(); got != want {
-		t.Fatalf("wire = %q, want %q", got, want)
-	}
-}
-
 func TestReadReplyMultiline(t *testing.T) {
 	c, _ := newRW("250-first\r\n250-second\r\n250 last\r\n")
 	r, err := c.ReadReply()

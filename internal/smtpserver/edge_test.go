@@ -1,11 +1,15 @@
 package smtpserver
 
 import (
+	"context"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/addr"
+	"repro/internal/dnsbl"
 	"repro/internal/smtp"
 )
 
@@ -153,15 +157,34 @@ func TestIdleClientTimedOut(t *testing.T) {
 }
 
 func TestRemoteIPParsing(t *testing.T) {
-	env := startServer(t, Vanilla, WithCheckClient(func(ip string) bool {
-		// The hook must receive a bare IP, not host:port.
-		if strings.Contains(ip, ":") || net.ParseIP(ip) == nil {
-			t.Errorf("CheckClient got %q, want bare IPv4", ip)
-		}
-		return false
-	}))
+	// The policy must be asked about the peer's bare IP, not host:port
+	// (which does not parse, and fails open without a lookup).
+	var asked atomic.Uint32
+	env := startServer(t, Vanilla, dnsblOnly(resolverFunc(func(_ context.Context, ip addr.IPv4) (dnsbl.Result, error) {
+		asked.Store(uint32(ip))
+		return dnsbl.Result{}, nil
+	})))
 	c := dial(t, env)
 	c.Helo("h")
 	c.Quit()
 	waitStats(t, env.srv, func(s Stats) bool { return s.Connections == 1 })
+	if got := addr.IPv4(asked.Load()); got != addr.MustParseIPv4("127.0.0.1") {
+		t.Fatalf("blacklist asked about %v, want 127.0.0.1", got)
+	}
+}
+
+// TestValidateRcptBytesWins: given both forms of the recipient hook, in
+// either order, only the bytes one is asked.
+func TestValidateRcptBytesWins(t *testing.T) {
+	str := WithValidateRcpt(func(string) bool { t.Error("string hook asked"); return false })
+	byt := WithValidateRcptBytes(func([]byte) bool { return true })
+	for _, opts := range [][]Option{{str, byt}, {byt, str}} {
+		c := dial(t, startServer(t, Hybrid, opts...))
+		c.Helo("h")
+		c.Mail("s@remote.test")
+		if code := rcptCode(t, c, "anyone@anywhere.test"); code != 250 {
+			t.Fatalf("rcpt = %d, want 250 from the bytes hook", code)
+		}
+		c.Quit()
+	}
 }

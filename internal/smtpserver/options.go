@@ -26,9 +26,8 @@ type settings struct {
 	hostname          string
 	arch              Architecture
 	maxWorkers        int
-	validateRcpt      func(addr string) bool
+	validateRcpt      func(addr string) bool // resolved into validateRcptBytes by New
 	validateRcptBytes func(addr []byte) bool
-	checkClient       func(ip string) bool
 	policy            *policy.ServerPolicy
 	maxMessageBytes   int
 	idleTimeout       time.Duration
@@ -64,16 +63,16 @@ func WithMaxWorkers(n int) Option {
 	return func(s *settings) { s.maxWorkers = n }
 }
 
-// WithValidateRcpt sets the access-database hook; nil accepts
-// everything.
+// WithValidateRcpt sets the access-database hook in its string form; nil
+// accepts everything. WithValidateRcptBytes wins when both are given.
 func WithValidateRcpt(f func(addr string) bool) Option {
 	return func(s *settings) { s.validateRcpt = f }
 }
 
-// WithValidateRcptBytes sets the allocation-free access-database hook,
-// preferred over WithValidateRcpt when both are set: the session passes
-// recipient addresses as views into the command line, so validation adds
-// no per-RCPT heap traffic. The callee must not retain the slice.
+// WithValidateRcptBytes sets the allocation-free access-database hook:
+// the session passes recipient addresses as views into the command line,
+// so validation adds no per-RCPT heap traffic. The callee must not retain
+// the slice.
 func WithValidateRcptBytes(f func(addr []byte) bool) Option {
 	return func(s *settings) { s.validateRcptBytes = f }
 }
@@ -87,12 +86,6 @@ func WithValidateRcptBytes(f func(addr []byte) bool) Option {
 // loop.
 func WithAcceptShards(n int) Option {
 	return func(s *settings) { s.acceptShards = n }
-}
-
-// WithCheckClient sets the bare DNSBL hook: return true to reject the
-// connecting IP with 554 at accept time.
-func WithCheckClient(f func(ip string) bool) Option {
-	return func(s *settings) { s.checkClient = f }
 }
 
 // WithPolicy installs the pre-trust policy engine, consulted at connect

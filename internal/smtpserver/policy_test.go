@@ -20,6 +20,20 @@ func (listedAll) Lookup(context.Context, addr.IPv4) (dnsbl.Result, error) {
 	return dnsbl.Result{Listed: true, Code: dnsbl.CodeSpamSrc}, nil
 }
 
+// resolverFunc adapts a function to dnsbl.Resolver.
+type resolverFunc func(ctx context.Context, ip addr.IPv4) (dnsbl.Result, error)
+
+func (f resolverFunc) Lookup(ctx context.Context, ip addr.IPv4) (dnsbl.Result, error) {
+	return f(ctx, ip)
+}
+
+// dnsblOnly is the policy `smtpd -dnsbl` runs without -policy: 554 at
+// connect for what r lists, and nothing else.
+func dnsblOnly(r dnsbl.Resolver) Option {
+	return WithPolicy(policy.NewServerPolicy(policy.New(policy.WithDNSBLReject(1)),
+		policy.NewScorer(policy.WithLists(policy.List{Name: "bl.test", Resolver: r, Weight: 1}))))
+}
+
 // rcptCode runs one RCPT and returns the reply code regardless of
 // accept/override.
 func rcptCode(t *testing.T, c *smtp.Client, rcpt string) int {
@@ -95,11 +109,7 @@ func TestGreylistTempfailThenAccept(t *testing.T) {
 // Hybrid it never reaches the worker pool.
 func TestPolicyConnectReject(t *testing.T) {
 	forEachArch(t, func(t *testing.T, arch Architecture) {
-		eng := policy.New(policy.WithDNSBLReject(1))
-		scorer := policy.NewScorer(policy.WithLists(
-			policy.List{Name: "bl.test", Resolver: listedAll{}, Weight: 1},
-		))
-		env := startServer(t, arch, WithPolicy(policy.NewServerPolicy(eng, scorer)))
+		env := startServer(t, arch, dnsblOnly(listedAll{}))
 		nc, err := net.Dial("tcp", env.addr)
 		if err != nil {
 			t.Fatal(err)

@@ -98,7 +98,6 @@ func (a Architecture) String() string {
 // where noted.
 type Stats struct {
 	Connections     int64 // accepted connections
-	Blacklisted     int64 // rejected at accept by the DNSBL hook
 	PreTrustClosed  int64 // connections that ended before any valid RCPT
 	Handoffs        int64 // hybrid: delegations to the worker pool
 	MailsAccepted   int64 // DATA transactions queued
@@ -138,7 +137,6 @@ type Server struct {
 	// Stats() reads them back, so the table API and /metrics agree by
 	// construction.
 	connections     *metrics.Counter
-	blacklisted     *metrics.Counter
 	preTrustClosed  *metrics.Counter
 	handoffs        *metrics.Counter
 	mailsAccepted   *metrics.Counter
@@ -203,6 +201,9 @@ func New(enqueue Enqueue, opts ...Option) (*Server, error) {
 	if cfg.enqueue == nil {
 		return nil, errors.New("smtpserver: Enqueue is required")
 	}
+	if f := cfg.validateRcpt; f != nil && cfg.validateRcptBytes == nil {
+		cfg.validateRcptBytes = func(b []byte) bool { return f(string(b)) }
+	}
 	if cfg.arch != Vanilla && cfg.arch != Hybrid {
 		return nil, fmt.Errorf("smtpserver: unknown architecture %d", cfg.arch)
 	}
@@ -224,7 +225,6 @@ func New(enqueue Enqueue, opts ...Option) (*Server, error) {
 		conns: make(map[net.Conn]bool),
 
 		connections:     reg.Counter("smtpd_connections_total", "arch", arch),
-		blacklisted:     reg.Counter("smtpd_blacklisted_total", "arch", arch),
 		preTrustClosed:  reg.Counter("smtpd_pretrust_closed_total", "arch", arch),
 		handoffs:        reg.Counter("smtpd_handoffs_total", "arch", arch),
 		mailsAccepted:   reg.Counter("smtpd_mails_accepted_total", "arch", arch),
@@ -310,7 +310,6 @@ func (s *Server) logPolicy(id uint64, ip, phase string, d policy.Decision, took 
 func (s *Server) Stats() Stats {
 	return Stats{
 		Connections:     s.connections.Value(),
-		Blacklisted:     s.blacklisted.Value(),
 		PreTrustClosed:  s.preTrustClosed.Value(),
 		Handoffs:        s.handoffs.Value(),
 		MailsAccepted:   s.mailsAccepted.Value(),
@@ -447,16 +446,6 @@ func (s *Server) acceptLoop(ln net.Listener, sh *shard) error {
 			nc.Close()
 			continue
 		}
-		if s.cfg.checkClient != nil && s.cfg.checkClient(remoteIP(nc)) {
-			s.blacklisted.Inc()
-			ip := remoteIP(nc)
-			c := smtp.AcquireConn(nc)
-			c.WriteReply(smtp.ReplyBlacklisted) //nolint:errcheck // closing anyway
-			s.finish(nc, c, nil)
-			s.observeStage(StageAccept, id, acceptedAt, "blacklisted")
-			s.logConn(id, ip, "blacklisted", false, true)
-			continue
-		}
 		switch s.cfg.arch {
 		case Vanilla:
 			// Under vanilla, waiting here IS the architecture's cost:
@@ -562,7 +551,6 @@ func remoteIP(nc net.Conn) string {
 func (s *Server) sessionConfig(ip string, id uint64) smtp.Config {
 	cfg := smtp.Config{
 		Hostname:          s.cfg.hostname,
-		ValidateRcpt:      s.cfg.validateRcpt,
 		ValidateRcptBytes: s.cfg.validateRcptBytes,
 		MaxMessageBytes:   s.cfg.maxMessageBytes,
 		Ehlo:              s.ehlo,

@@ -1,6 +1,7 @@
 package smtpserver
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -8,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/addr"
+	"repro/internal/dnsbl"
 	"repro/internal/smtp"
 )
 
@@ -271,23 +274,55 @@ func TestConcurrentClients(t *testing.T) {
 	})
 }
 
+// TestBlacklistedClientRejected: a listed client draws 554 at connect, and
+// while its blacklist lookup is stalled (the Figure 14 failure) nobody else
+// waits for it — the lookup runs per connection, never between two Accepts.
+// The lookup stays blocked until the unlisted client has its banner, so an
+// accept loop that waited for it would never serve that client.
 func TestBlacklistedClientRejected(t *testing.T) {
 	forEachArch(t, func(t *testing.T, arch Architecture) {
-		env := startServer(t, arch,
-			WithCheckClient(func(ip string) bool { return true })) // everyone is evil
-		nc, err := net.Dial("tcp", env.addr)
+		listed := addr.MustParseIPv4("127.0.0.2")
+		looking, answer := make(chan struct{}, 1), make(chan struct{})
+		var once sync.Once
+		unblock := func() { once.Do(func() { close(answer) }) }
+		defer unblock()
+		env := startServer(t, arch, dnsblOnly(resolverFunc(func(_ context.Context, ip addr.IPv4) (dnsbl.Result, error) {
+			if ip != listed {
+				return dnsbl.Result{}, nil
+			}
+			looking <- struct{}{}
+			<-answer
+			return dnsbl.Result{Listed: true}, nil
+		})))
+		// All of 127/8 is loopback: the listed client dials from its alias.
+		from := net.Dialer{LocalAddr: &net.TCPAddr{IP: net.IPv4(127, 0, 0, 2)}}
+		bad, err := from.Dial("tcp", env.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer nc.Close()
-		reply, err := smtp.NewConn(nc).ReadReply()
+		defer bad.Close()
+		<-looking
+
+		good, err := net.Dial("tcp", env.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer good.Close()
+		good.SetReadDeadline(time.Now().Add(2 * time.Second))
+		reply, err := smtp.NewConn(good).ReadReply()
+		if err != nil || reply.Code != 220 {
+			t.Fatalf("unlisted client behind a stalled lookup: banner %d, %v; want 220", reply.Code, err)
+		}
+
+		unblock()
+		reply, err = smtp.NewConn(bad).ReadReply()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if reply.Code != 554 {
 			t.Fatalf("blacklisted banner = %d, want 554", reply.Code)
 		}
-		waitStats(t, env.srv, func(s Stats) bool { return s.Blacklisted == 1 })
+		waitStats(t, env.srv, func(s Stats) bool { return s.PolicyRejected == 1 })
 	})
 }
 

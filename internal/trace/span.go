@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -121,7 +120,6 @@ func ParseSpans(r io.Reader) ([]SpanEvent, error) {
 // once the capacity is reached. It is safe for concurrent use.
 type SpanRecorder struct {
 	epoch time.Time
-	next  atomic.Uint64
 
 	mu    sync.Mutex
 	buf   []SpanEvent
@@ -137,9 +135,6 @@ func NewSpanRecorder(capacity int) *SpanRecorder {
 	}
 	return &SpanRecorder{epoch: time.Now(), buf: make([]SpanEvent, capacity)}
 }
-
-// ConnID allocates the next connection id (ids start at 1).
-func (r *SpanRecorder) ConnID() uint64 { return r.next.Add(1) }
 
 // Offset converts an instant to an offset on the recorder's clock.
 func (r *SpanRecorder) Offset(t time.Time) time.Duration { return t.Sub(r.epoch) }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/addr"
@@ -87,16 +86,6 @@ func RcptSample(conns []Conn) *metrics.Sample {
 	return s
 }
 
-// PrefixSpamCounts returns, per /24 prefix, how many connections it
-// originated.
-func PrefixSpamCounts(conns []Conn) map[addr.Prefix]int {
-	out := make(map[addr.Prefix]int)
-	for i := range conns {
-		out[conns[i].ClientIP.Prefix24()]++
-	}
-	return out
-}
-
 // Interarrivals computes Figure 13's two distributions over a trace:
 // the gaps between consecutive connections from the same IP and from the
 // same /24 prefix, in seconds. Only origins appearing more than once
@@ -150,24 +139,6 @@ func RepeatRatios(conns []Conn, window time.Duration) (ipRatio, prefixRatio floa
 	}
 	n := float64(len(conns))
 	return float64(ipHits) / n, float64(prefHits) / n
-}
-
-// CountCDF converts a map of counts into sorted (count, cumulative
-// fraction) points — the rendering of Figures 4 and 12.
-func CountCDF(counts []int) []metrics.CDFPoint {
-	if len(counts) == 0 {
-		return nil
-	}
-	sorted := append([]int(nil), counts...)
-	sort.Ints(sorted)
-	pts := make([]metrics.CDFPoint, 0, len(sorted))
-	for i, v := range sorted {
-		pts = append(pts, metrics.CDFPoint{
-			X:    float64(v),
-			Frac: float64(i+1) / float64(len(sorted)),
-		})
-	}
-	return pts
 }
 
 // FractionAbove returns the fraction of counts strictly greater than x.

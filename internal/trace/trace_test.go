@@ -286,14 +286,7 @@ func TestSummarizeEmptyAndRatios(t *testing.T) {
 	}
 }
 
-func TestCountCDF(t *testing.T) {
-	pts := CountCDF([]int{3, 1, 2})
-	if len(pts) != 3 || pts[0].X != 1 || pts[2].X != 3 || pts[2].Frac != 1 {
-		t.Fatalf("pts = %+v", pts)
-	}
-	if CountCDF(nil) != nil {
-		t.Fatal("empty CDF should be nil")
-	}
+func TestFractionAboveEmpty(t *testing.T) {
 	if FractionAbove(nil, 1) != 0 {
 		t.Fatal("empty FractionAbove should be 0")
 	}

@@ -1,12 +1,16 @@
 package workload
 
 import (
+	"context"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/addr"
+	"repro/internal/dnsbl"
+	"repro/internal/policy"
 	"repro/internal/smtpserver"
 	"repro/internal/trace"
 )
@@ -137,9 +141,17 @@ func TestRunOpenTraceTimestamps(t *testing.T) {
 	}
 }
 
+// everyoneListed is a DNSBL that lists every client.
+type everyoneListed struct{}
+
+func (everyoneListed) Lookup(context.Context, addr.IPv4) (dnsbl.Result, error) {
+	return dnsbl.Result{Listed: true}, nil
+}
+
 func TestRejectedCounted(t *testing.T) {
-	addr, _, _ := startServer(t,
-		smtpserver.WithCheckClient(func(string) bool { return true }))
+	addr, _, _ := startServer(t, smtpserver.WithPolicy(policy.NewServerPolicy(
+		policy.New(policy.WithDNSBLReject(1)),
+		policy.NewScorer(policy.WithLists(policy.List{Name: "bl.test", Resolver: everyoneListed{}, Weight: 1})))))
 	res := RunClosed(ClosedConfig{Addr: addr, Concurrency: 2, Timeout: 5 * time.Second}, mixTrace()[:4])
 	if res.Rejected != 4 || res.Errors != 0 {
 		t.Fatalf("result = %+v", res)
