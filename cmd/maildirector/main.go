@@ -3,7 +3,7 @@
 // score, greylist) locally, and replays accepted envelopes to back-end
 // delivery shards (cmd/smtpd instances) chosen by consistent-hashed
 // recipient. Directors gossip their pre-trust state — reputation
-// deltas, greylist tuples, DNSBL verdicts — so what one front end
+// deltas, greylist tuples, cached DNSBL answers — so what one front end
 // learns, all of them enforce.
 //
 // Quickstart, 2 front ends × 2 delivery shards (see README.md):
@@ -70,18 +70,17 @@ func main() {
 	n.Start(*hostname, eventlog.WithLevel(eventlog.LevelDebug))
 	events := n.Events
 
-	// The gossip-shared verdict cache sits in front of the DNSBL client:
-	// a verdict any peer paid for is served locally.
-	var verd *director.Verdicts
-	if client := n.DNSBL(); client != nil {
+	// The DNSBL client's cache is gossiped: a /25 bitmap any peer paid an
+	// upstream query for answers the whole neighbourhood here.
+	client := n.DNSBL()
+	if client != nil {
 		defer client.Close()
-		verd = director.NewVerdicts(client)
 	}
 	// The node-local pre-trust stores are exposed to gossip through the
 	// transport-agnostic sync contracts. WithClock(time.Now) stamps their
 	// entries with absolute wall time, so deltas gossiped to peers decay
 	// on a shared timeline.
-	pol, rep, grey := n.Policy(verd, policy.WithClock(time.Now))
+	pol, rep, grey := n.Policy(client, policy.WithClock(time.Now))
 
 	dOpts := []director.Option{
 		director.WithHostname(*hostname),
@@ -118,8 +117,8 @@ func main() {
 		if grey != nil {
 			gOpts = append(gOpts, director.WithGreylistSync(grey))
 		}
-		if verd != nil {
-			gOpts = append(gOpts, director.WithVerdicts(verd))
+		if client != nil {
+			gOpts = append(gOpts, director.WithDNSBLSync(client))
 		}
 		if *peers != "" {
 			gOpts = append(gOpts, director.WithPeers(strings.Split(*peers, ",")...))
@@ -191,7 +190,7 @@ func logStats(d *director.Server, gossip *director.Gossip) {
 		t.AddRow("gossip failures", g.Failures)
 		t.AddRow("entries merged (rep)", g.RepApplied)
 		t.AddRow("entries merged (grey)", g.GreyApplied)
-		t.AddRow("entries merged (verdicts)", g.VerdApplied)
+		t.AddRow("entries merged (dnsbl answers)", g.DNSBLApplied)
 	}
 	fmt.Fprint(log.Writer(), t.String())
 }

@@ -56,9 +56,8 @@ func TestDebugVarsIsValidJSON(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("vars_test_total").Inc()
 	reg.Gauge("vars_test_depth").Set(2.5)
-	// Histograms and samples render as nested JSON objects, not Go maps.
+	// Histograms render as nested JSON objects, not Go maps.
 	reg.Histogram("vars_test_seconds", []float64{0.1, 1}, "arch", "hybrid").Observe(0.05)
-	reg.Sample("vars_test_sample").Observe(0.2)
 
 	srv := httptest.NewServer(NewHandler(reg, nil))
 	defer srv.Close()

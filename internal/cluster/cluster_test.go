@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/costmodel"
 	"repro/internal/delivery"
 	"repro/internal/director"
 	"repro/internal/fsim"
@@ -279,4 +280,44 @@ func TestServeAndDirector(t *testing.T) {
 		t.Fatalf("bare front end took %d mails, want 3", got)
 	}
 	waitGoroutines(t, base)
+}
+
+// TestRestartOnEmptySpoolKeepsBothMails: a node that drained its spool and
+// restarts must not issue the queue ids of its previous life again — the
+// store skips a mailbox that already holds a mail's id, so a reused id is
+// a 250 for a mail that is never stored.
+func TestRestartOnEmptySpoolKeepsBothMails(t *testing.T) {
+	fs := fsim.NewMem(costmodel.FSModel{})
+	for life, sender := range []string{"first@remote.example", "second@remote.example"} {
+		sh, err := StartShard(ShardSpec{FS: fs, Mailboxes: users})
+		if err != nil {
+			t.Fatalf("life %d: %v", life, err)
+		}
+		send(t, sh.Addr, []trace.Conn{{
+			Helo:   "client.test",
+			Sender: sender,
+			Rcpts:  []trace.Rcpt{{Addr: "user0001@" + DefaultDomain, Valid: true}},
+		}})
+		if err := sh.Close(); err != nil {
+			t.Fatalf("life %d: Close: %v", life, err)
+		}
+		if depth := len(fs.List(DefaultSpoolDir + "/" + string(spool.LaneActive) + "/")); depth != 0 {
+			t.Fatalf("life %d: %d mails left in the spool, the restart would not be on an empty one", life, depth)
+		}
+	}
+	sh, err := StartShard(ShardSpec{FS: fs, Mailboxes: users})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	ids, err := sh.Store.List("user0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 2 || ids[0] == ids[1] {
+		t.Fatalf("mailbox holds %v after two acked mails, want two distinct ids", ids)
+	}
+	if ids[0] != "Q0000000000000001" {
+		t.Fatalf("first id on a fresh spool = %s, want Q0000000000000001", ids[0])
+	}
 }

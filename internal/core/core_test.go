@@ -310,7 +310,7 @@ func TestResolverResilienceShape(t *testing.T) {
 		t.Errorf("resilient p99 %v ms not bounded vs seed %v ms",
 			m["p99_resilient_none"], m["p99_seed_none"])
 	}
-	// Verdicts must be error-free on the resilient path.
+	// Lookups must be error-free on the resilient path.
 	for _, pol := range []string{"none", "ip", "prefix"} {
 		if m["errors_resilient_"+pol] != 0 {
 			t.Errorf("errors_resilient_%s = %v", pol, m["errors_resilient_"+pol])

@@ -11,6 +11,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/cluster"
 	"repro/internal/director"
+	"repro/internal/dns"
 	"repro/internal/dnsbl"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -26,28 +27,6 @@ func init() {
 		Paper: "§5's fork-after-trust boundary stretched over a network hop: front ends run the whole pre-trust phase and replay trusted envelopes to consistent-hashed shards; shared pre-trust state (gossip) lifts the DNSBL cache hit rate and the aggregate accept rate, and a dying shard must not lose acknowledged mail",
 		Run:   runDirectorScaleout,
 	})
-}
-
-// countingResolver is the upstream DNSBL: a fixed listing set with a
-// query counter, standing in for the remote blacklist whose latency the
-// verdict cache exists to avoid.
-type countingResolver struct {
-	mu     sync.Mutex
-	listed map[string]bool
-	calls  int
-}
-
-func (c *countingResolver) Lookup(_ context.Context, ip addr.IPv4) (dnsbl.Result, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.calls++
-	return dnsbl.Result{Listed: c.listed[ip.String()]}, nil
-}
-
-func (c *countingResolver) count() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.calls
 }
 
 // scaleoutShard is one back-end delivery server: a front end that counts
@@ -73,14 +52,14 @@ func startScaleoutShard() (*scaleoutShard, error) {
 }
 
 // scaleoutFE is one front end: a director plus its node-local pre-trust
-// state (greylist, reputation, verdict cache) and gossip endpoint.
+// state (greylist, reputation, DNSBL client) and gossip endpoint. The
+// client's upstream is a DNSBLv6 zone served in memory.
 type scaleoutFE struct {
 	node       *cluster.Director
 	addrGossip string
 	grey       *policy.Greylist
 	rep        *policy.Reputation
-	verd       *director.Verdicts
-	inner      *countingResolver
+	dnsbl      *dnsbl.Client
 	gossip     *director.Gossip
 }
 
@@ -134,12 +113,13 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 	// greylist retries repeat the tuple. Hosts sit in distinct /24s so
 	// one spammer's prefix reputation does not condemn the ham next door.
 	const hosts = 48
-	listed := make(map[string]bool)
+	const zone = "bl6.test"
+	list := dnsbl.NewList(zone)
 	ips := make([]addr.IPv4, hosts)
 	for i := range ips {
 		ips[i] = addr.MakeIPv4(198, 18, byte(i), 1)
 		if i%3 == 0 {
-			listed[ips[i].String()] = true
+			list.Add(ips[i], dnsbl.CodeZombie)
 		}
 	}
 
@@ -167,11 +147,11 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 
 	newFE := func(name string) (*scaleoutFE, error) {
 		fe := &scaleoutFE{
-			inner: &countingResolver{listed: listed},
-			grey:  policy.NewGreylist(policy.GreyConfig{MinRetry: 5 * time.Second, MaxValid: time.Hour}),
-			rep:   policy.NewReputation(policy.ReputationConfig{}),
+			grey: policy.NewGreylist(policy.GreyConfig{MinRetry: 5 * time.Second, MaxValid: time.Hour}),
+			rep:  policy.NewReputation(policy.ReputationConfig{}),
+			dnsbl: dnsbl.New(zone, dnsbl.WithClock(clock),
+				dnsbl.WithTransport(&dns.MemTransport{Handler: &dnsbl.V6Handler{List: list}})),
 		}
-		fe.verd = director.NewVerdicts(fe.inner, director.WithVerdictClock(clock))
 		var err error
 		fe.node, err = cluster.StartDirector(cluster.DirectorSpec{Options: []director.Option{
 			director.WithHostname(name + ".test"),
@@ -187,7 +167,7 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 			director.WithGossipName(name),
 			director.WithReputationSync(fe.rep),
 			director.WithGreylistSync(fe.grey),
-			director.WithVerdicts(fe.verd),
+			director.WithDNSBLSync(fe.dnsbl),
 			director.WithGossipClock(clock),
 		)
 		gln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -239,7 +219,7 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 		// the experiment feeds the stores directly — the same calls
 		// ServerPolicy makes per connection).
 		run.lookups++
-		r, err := fe.verd.Lookup(context.Background(), ip)
+		r, err := fe.dnsbl.Lookup(context.Background(), ip)
 		if err != nil {
 			return nil, err
 		}
@@ -277,8 +257,8 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 	}
 
 	run.delivered = int(shardA.mails.Load() + shardB.mails.Load())
-	run.upstream = fe1.inner.count() + fe2.inner.count()
-	run.peerHits = int(fe1.verd.PeerHits() + fe2.verd.PeerHits())
+	run.upstream = int(fe1.dnsbl.Queries() + fe2.dnsbl.Queries())
+	run.peerHits = int(fe1.dnsbl.PeerHits() + fe2.dnsbl.PeerHits())
 	st1, st2 := fe1.node.Server.Stats(), fe2.node.Server.Stats()
 	run.retries = st1.ForwardRetries + st2.ForwardRetries
 	p99 := fe1.node.Server.HandoffQuantile(0.99)
@@ -311,7 +291,7 @@ func runDirectorScaleout(w io.Writer, opts Options) (Metrics, error) {
 	row("tempfailed post-trust", solo.tempfailed, goss.tempfailed)
 	row("delivered to shards", solo.delivered, goss.delivered)
 	row("upstream DNSBL queries", solo.upstream, goss.upstream)
-	row("verdict peer hits", solo.peerHits, goss.peerHits)
+	row("DNSBL cache peer hits", solo.peerHits, goss.peerHits)
 	row("forward retries", solo.retries, goss.retries)
 	fmt.Fprintf(w, "%-28s %12.3f %12.3f\n", "ham accept rate", solo.acceptRate(), goss.acceptRate())
 	fmt.Fprintf(w, "%-28s %12.3f %12.3f\n", "DNSBL cache hit rate", solo.cacheHitRate(), goss.cacheHitRate())

@@ -2,10 +2,13 @@ package director
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"sync"
 	"time"
 
+	"repro/internal/dns"
+	"repro/internal/dnsbl"
 	"repro/internal/eventlog"
 	"repro/internal/policy"
 )
@@ -18,21 +21,21 @@ type syncMsg struct {
 	Since time.Time          `json:"since"`
 	Rep   []policy.RepEntry  `json:"rep,omitempty"`
 	Grey  []policy.GreyEntry `json:"grey,omitempty"`
-	Verd  []VerdictEntry     `json:"verd,omitempty"`
+	DNSBL []dns.CacheEntry   `json:"dnsbl,omitempty"`
 }
 
 // GossipStats snapshots one node's replication counters.
 type GossipStats struct {
-	Exchanges   int64 // completed dial-side exchanges
-	Failures    int64 // dial-side exchanges that errored
-	Served      int64 // exchanges answered as responder
-	RepApplied  int64 // reputation entries merged in
-	GreyApplied int64
-	VerdApplied int64
+	Exchanges    int64 // completed dial-side exchanges
+	Failures     int64 // dial-side exchanges that errored
+	Served       int64 // exchanges answered as responder
+	RepApplied   int64 // reputation entries merged in
+	GreyApplied  int64
+	DNSBLApplied int64 // cached DNSBL answers merged in
 }
 
 // Gossip replicates pre-trust state — EWMA reputation deltas, greylist
-// tuples, DNSBL verdicts — between director nodes by periodic
+// tuples, cached DNSBL answers — between director nodes by periodic
 // anti-entropy exchange over TCP. Every exchange is a symmetric full
 // sync: the dialer pushes its deltas since it last pushed to that peer
 // and pulls the peer's deltas since it last pulled. Merges are
@@ -48,9 +51,9 @@ type Gossip struct {
 	now      func() time.Time
 	events   *eventlog.Log
 
-	rep  *policy.Reputation
-	grey *policy.Greylist
-	verd *Verdicts
+	rep   *policy.Reputation
+	grey  *policy.Greylist
+	dnsbl *dnsbl.Client
 
 	mu       sync.Mutex
 	lastPull map[string]time.Time // per peer: watermark sent as Since
@@ -65,6 +68,11 @@ type Gossip struct {
 
 // gossipTimeout bounds one exchange round trip.
 const gossipTimeout = 5 * time.Second
+
+// maxExchangeBytes bounds what one exchange reads from a peer in either
+// direction, so a peer cannot make this node buffer without limit; it
+// is room for about 100 k entries of any of the three kinds.
+const maxExchangeBytes = 16 << 20
 
 // GossipOption configures a Gossip node.
 type GossipOption func(*Gossip)
@@ -94,9 +102,9 @@ func WithGreylistSync(gr *policy.Greylist) GossipOption {
 	return func(g *Gossip) { g.grey = gr }
 }
 
-// WithVerdicts shares the DNSBL verdict cache.
-func WithVerdicts(v *Verdicts) GossipOption {
-	return func(g *Gossip) { g.verd = v }
+// WithDNSBLSync shares the DNSBL client's answer cache.
+func WithDNSBLSync(c *dnsbl.Client) GossipOption {
+	return func(g *Gossip) { g.dnsbl = c }
 }
 
 // WithGossipClock injects the clock used for watermarks (default
@@ -191,13 +199,18 @@ func (g *Gossip) Close() {
 	g.wg.Wait()
 }
 
-// serveExchange answers one inbound exchange: merge what the peer
-// pushed, reply with our deltas since the peer's watermark.
+// serveExchange answers one inbound exchange within gossipTimeout.
 func (g *Gossip) serveExchange(nc net.Conn) {
 	defer nc.Close()
 	nc.SetDeadline(time.Now().Add(gossipTimeout)) //nolint:errcheck
+	g.answer(nc)
+}
+
+// answer reads one request, merges what the peer pushed, and replies
+// with our deltas since the peer's watermark.
+func (g *Gossip) answer(peer io.ReadWriter) {
 	var req syncMsg
-	if err := json.NewDecoder(nc).Decode(&req); err != nil {
+	if err := json.NewDecoder(io.LimitReader(peer, maxExchangeBytes)).Decode(&req); err != nil {
 		return
 	}
 	g.apply(req)
@@ -207,7 +220,7 @@ func (g *Gossip) serveExchange(nc net.Conn) {
 	g.mu.Lock()
 	g.st.Served++
 	g.mu.Unlock()
-	json.NewEncoder(nc).Encode(resp) //nolint:errcheck // peer retries next tick
+	json.NewEncoder(peer).Encode(resp) //nolint:errcheck // peer retries next tick
 }
 
 // Exchange runs one synchronous anti-entropy round with peer.
@@ -232,7 +245,7 @@ func (g *Gossip) Exchange(peer string) error {
 		return g.fail(peer, err)
 	}
 	var resp syncMsg
-	if err := json.NewDecoder(nc).Decode(&resp); err != nil {
+	if err := json.NewDecoder(io.LimitReader(nc, maxExchangeBytes)).Decode(&resp); err != nil {
 		return g.fail(peer, err)
 	}
 	applied := g.apply(resp)
@@ -246,9 +259,6 @@ func (g *Gossip) Exchange(peer string) error {
 	g.lastPush[peer] = mark
 	g.st.Exchanges++
 	g.mu.Unlock()
-	if g.verd != nil {
-		g.verd.Sweep()
-	}
 	g.events.Debug("gossip.exchange", 0,
 		eventlog.Str("peer", peer),
 		eventlog.Int("applied", int64(applied)),
@@ -276,8 +286,8 @@ func (g *Gossip) delta(since time.Time) syncMsg {
 	if g.grey != nil {
 		m.Grey = g.grey.Delta(since)
 	}
-	if g.verd != nil {
-		m.Verd = g.verd.Delta(since)
+	if g.dnsbl != nil {
+		m.DNSBL = g.dnsbl.Delta(since)
 	}
 	return m
 }
@@ -299,11 +309,11 @@ func (g *Gossip) apply(m syncMsg) int {
 		g.st.GreyApplied += int64(n)
 		g.mu.Unlock()
 	}
-	if g.verd != nil && len(m.Verd) > 0 {
-		n := g.verd.Merge(m.Verd)
+	if g.dnsbl != nil && len(m.DNSBL) > 0 {
+		n := g.dnsbl.Merge(m.DNSBL)
 		applied += n
 		g.mu.Lock()
-		g.st.VerdApplied += int64(n)
+		g.st.DNSBLApplied += int64(n)
 		g.mu.Unlock()
 	}
 	return applied

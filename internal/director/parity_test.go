@@ -174,8 +174,7 @@ func TestDialogParityWithSmtpserver(t *testing.T) {
 		name: "connect-time 554 (DNSBL-listed)",
 		policy: func() *policy.ServerPolicy {
 			scorer := policy.NewScorer(policy.WithLists(policy.List{
-				Name: "bl.test", Weight: 1,
-				Resolver: &staticResolver{listed: map[string]bool{"127.0.0.1": true}},
+				Name: testZone, Weight: 1, Resolver: memDNSBL(time.Now, listing("127.0.0.1")),
 			}))
 			return policy.NewServerPolicy(policy.New(policy.WithDNSBLReject(1)), scorer)
 		},

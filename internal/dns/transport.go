@@ -243,13 +243,17 @@ func (t *MemTransport) Query(ctx context.Context, m *Message) (*Message, error) 
 // ---------------------------------------------------------------------------
 // TTL cache
 
-// Cache is a TTL-bound answer cache keyed by (name, qtype). Time is
-// injected so the simulator can drive it with virtual time and the paper's
-// 24-hour DNSBL TTL (§7.2) costs nothing to test.
+// Cache is a TTL-bound answer cache keyed by (name, qtype), and the unit
+// of replication between nodes: Delta hands out what was stored since a
+// watermark, Merge folds a peer's entries in. Time is injected so the
+// simulator can drive it with virtual time and the paper's 24-hour DNSBL
+// TTL (§7.2) costs nothing to test.
 type Cache struct {
-	mu      sync.Mutex
-	now     func() time.Time
-	entries map[cacheKey]cacheEntry
+	mu       sync.Mutex
+	now      func() time.Time
+	staleFor time.Duration
+	swept    time.Time
+	entries  map[cacheKey]cacheEntry
 
 	hits   int64
 	misses int64
@@ -263,29 +267,48 @@ type cacheKey struct {
 type cacheEntry struct {
 	msg     *Message
 	expires time.Time
+	stamp   time.Time // when it was stored here; what Delta's watermark reads
+	peer    bool      // arrived through Merge
 }
 
-// NewCache returns a cache reading time from now (defaults to time.Now).
-func NewCache(now func() time.Time) *Cache {
+// CacheEntry is one cached answer on the replication wire: the key, the
+// DNS response in wire format — so an A record and a /25 bitmap travel
+// through the same code — and the instant it stops being fresh.
+type CacheEntry struct {
+	Name    string    `json:"n"`
+	Type    Type      `json:"t"`
+	Msg     []byte    `json:"m"`
+	Expires time.Time `json:"e"`
+}
+
+// sweepInterval is how often a store scans for entries expired past the
+// stale window. The scan rides on Put and Merge, so an entry lives at
+// most TTL + staleFor + sweepInterval.
+const sweepInterval = time.Minute
+
+// NewCache returns a cache reading time from now (defaults to time.Now)
+// that keeps expired entries for staleFor, the window Stale may still
+// serve them in.
+func NewCache(now func() time.Time, staleFor time.Duration) *Cache {
 	if now == nil {
 		now = time.Now
 	}
-	return &Cache{now: now, entries: make(map[cacheKey]cacheEntry)}
+	return &Cache{now: now, staleFor: staleFor, swept: now(), entries: make(map[cacheKey]cacheEntry)}
 }
 
-// Get returns the cached response for (name, qtype) if still fresh.
-// Expired entries are kept (a miss, not an eviction) so Stale can serve
-// them when the upstream is unreachable; Put overwrites them in place.
-func (c *Cache) Get(name string, qtype Type) (*Message, bool) {
+// Get returns the cached response for (name, qtype) if still fresh, and
+// whether it arrived from a peer. Expired entries are a miss, not an
+// eviction, so Stale can serve them when the upstream is unreachable.
+func (c *Cache) Get(name string, qtype Type) (msg *Message, peer, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[cacheKey{name: name, qtype: qtype}]
 	if !ok || c.now().After(e.expires) {
 		c.misses++
-		return nil, false
+		return nil, false, false
 	}
 	c.hits++
-	return e.msg, true
+	return e.msg, e.peer, true
 }
 
 // Stale returns the cached response for (name, qtype) regardless of
@@ -313,14 +336,81 @@ func (c *Cache) Put(name string, qtype Type, msg *Message, ttl time.Duration) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries[cacheKey{name: name, qtype: qtype}] = cacheEntry{
-		msg:     msg,
-		expires: c.now().Add(ttl),
+	now := c.now()
+	c.entries[cacheKey{name: name, qtype: qtype}] = cacheEntry{msg: msg, expires: now.Add(ttl), stamp: now}
+	c.sweepLocked(now)
+}
+
+// sweepLocked drops entries that not even Stale would serve any more.
+func (c *Cache) sweepLocked(now time.Time) {
+	if now.Sub(c.swept) < sweepInterval {
+		return
+	}
+	c.swept = now
+	for k, e := range c.entries {
+		if now.Sub(e.expires) > c.staleFor {
+			delete(c.entries, k)
+		}
 	}
 }
 
+// Delta returns the fresh entries stored at or after since, whether
+// this node paid the upstream query for them or merged them from a peer.
+func (c *Cache) Delta(since time.Time) []CacheEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := c.now()
+	var out []CacheEntry
+	for k, e := range c.entries {
+		if e.stamp.Before(since) || now.After(e.expires) {
+			continue
+		}
+		wire, err := e.msg.Encode()
+		if err != nil {
+			continue
+		}
+		out = append(out, CacheEntry{Name: k.name, Type: k.qtype, Msg: wire, Expires: e.expires})
+	}
+	return out
+}
+
+// Merge folds a peer's entries in and returns how many it applied. An
+// entry applies only if its message decodes, admit accepts it, it is
+// still fresh, and it outlives what is cached under its key — so the
+// echo of an entry this node sent out applies nothing. Its lifetime is
+// clamped to ttl from now, whatever the peer claims. Applied entries are
+// stamped now, so the next Delta carries them on to third peers.
+func (c *Cache) Merge(entries []CacheEntry, ttl time.Duration, admit func(name string, qtype Type, msg *Message) bool) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := c.now()
+	limit := now.Add(ttl)
+	applied := 0
+	for _, e := range entries {
+		expires := e.Expires
+		if expires.After(limit) {
+			expires = limit
+		}
+		if !expires.After(now) {
+			continue
+		}
+		key := cacheKey{name: e.Name, qtype: e.Type}
+		if cur, ok := c.entries[key]; ok && !expires.After(cur.expires) {
+			continue
+		}
+		msg, err := Decode(e.Msg)
+		if err != nil || !admit(e.Name, e.Type, msg) {
+			continue
+		}
+		c.entries[key] = cacheEntry{msg: msg, expires: expires, stamp: now, peer: true}
+		applied++
+	}
+	c.sweepLocked(now)
+	return applied
+}
+
 // Len returns the number of cached entries, including expired ones not
-// yet evicted.
+// yet swept.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

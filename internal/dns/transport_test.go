@@ -2,6 +2,7 @@ package dns
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -152,24 +153,24 @@ func TestMemTransportLatencyHook(t *testing.T) {
 func TestCacheHitMissExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	c := NewCache(clock)
+	c := NewCache(clock, 0)
 
-	if _, ok := c.Get("x.example", TypeA); ok {
+	if _, _, ok := c.Get("x.example", TypeA); ok {
 		t.Fatal("empty cache hit")
 	}
 	msg := &Message{ID: 1}
 	c.Put("x.example", TypeA, msg, time.Hour)
-	got, ok := c.Get("x.example", TypeA)
-	if !ok || got != msg {
+	got, peer, ok := c.Get("x.example", TypeA)
+	if !ok || peer || got != msg {
 		t.Fatal("fresh entry missed")
 	}
 	// Different qtype is a different key.
-	if _, ok := c.Get("x.example", TypeAAAA); ok {
+	if _, _, ok := c.Get("x.example", TypeAAAA); ok {
 		t.Fatal("qtype collision")
 	}
 	// Expiry.
 	now = now.Add(2 * time.Hour)
-	if _, ok := c.Get("x.example", TypeA); ok {
+	if _, _, ok := c.Get("x.example", TypeA); ok {
 		t.Fatal("expired entry returned")
 	}
 	hits, misses := c.Stats()
@@ -182,7 +183,7 @@ func TestCacheHitMissExpiry(t *testing.T) {
 }
 
 func TestCacheZeroTTLNotStored(t *testing.T) {
-	c := NewCache(nil)
+	c := NewCache(nil, 0)
 	c.Put("x", TypeA, &Message{}, 0)
 	if c.Len() != 0 {
 		t.Fatal("zero-TTL entry stored")
@@ -190,15 +191,40 @@ func TestCacheZeroTTLNotStored(t *testing.T) {
 }
 
 func TestCacheDefaultClock(t *testing.T) {
-	c := NewCache(nil)
+	c := NewCache(nil, 0)
 	c.Put("x", TypeA, &Message{}, time.Hour)
-	if _, ok := c.Get("x", TypeA); !ok {
+	if _, _, ok := c.Get("x", TypeA); !ok {
 		t.Fatal("real-clock cache lost a fresh entry")
 	}
 }
 
 func TestCacheHitRatioEmpty(t *testing.T) {
-	if NewCache(nil).HitRatio() != 0 {
+	if NewCache(nil, 0).HitRatio() != 0 {
 		t.Fatal("empty cache hit ratio should be 0")
+	}
+}
+
+// TestCacheSweepsExpiredEntries: entries that not even Stale would serve
+// are dropped by the next store, so a flood of distinct names does not
+// stay in memory for ever; an entry inside the stale window survives.
+func TestCacheSweepsExpiredEntries(t *testing.T) {
+	now := time.Unix(1000, 0)
+	const ttl, staleFor = time.Hour, 30 * time.Minute
+	c := NewCache(func() time.Time { return now }, staleFor)
+	for i := 0; i < 100_000; i++ {
+		c.Put(fmt.Sprintf("h%d.example", i), TypeA, &Message{}, ttl)
+	}
+	now = now.Add(ttl + staleFor - time.Minute)
+	c.Put("late.example", TypeA, &Message{}, ttl)
+	if c.Len() != 100_001 {
+		t.Fatalf("Len = %d inside the stale window, want 100001", c.Len())
+	}
+	if _, age, ok := c.Stale("h7.example", TypeA); !ok || age != staleFor-time.Minute {
+		t.Fatalf("Stale = age %v ok %v, want %v true", age, ok, staleFor-time.Minute)
+	}
+	now = now.Add(2 * time.Minute)
+	c.Put("live.example", TypeA, &Message{}, ttl)
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d after 100k names expired past the stale window, want the 2 live ones", c.Len())
 	}
 }

@@ -98,6 +98,7 @@ type Client struct {
 	queries   *metrics.Counter
 	lookups   *metrics.Counter
 	cacheHits *metrics.Counter
+	peerHits  *metrics.Counter
 	stale     *metrics.Counter
 	negHits   *metrics.Counter
 	collapsed *metrics.Counter
@@ -180,8 +181,8 @@ func WithNegativeTTL(d time.Duration) Option {
 }
 
 // WithRegistry directs the client's metrics (lookup/query/cache-hit/
-// stale/negative/collapsed counters and the hedge gauge, labelled by
-// zone) into r. The default is a private registry.
+// peer-hit/stale/negative/collapsed counters and the hedge gauge,
+// labelled by zone) into r. The default is a private registry.
 func WithRegistry(r *metrics.Registry) Option {
 	return func(c *Client) { c.reg = r }
 }
@@ -219,10 +220,11 @@ func New(zone string, opts ...Option) *Client {
 	c.queries = c.reg.Counter("dnsbl_queries_total", "zone", zone)
 	c.lookups = c.reg.Counter("dnsbl_lookups_total", "zone", zone)
 	c.cacheHits = c.reg.Counter("dnsbl_cache_hits_total", "zone", zone)
+	c.peerHits = c.reg.Counter("dnsbl_peer_hits_total", "zone", zone)
 	c.stale = c.reg.Counter("dnsbl_stale_served_total", "zone", zone)
 	c.negHits = c.reg.Counter("dnsbl_negative_hits_total", "zone", zone)
 	c.collapsed = c.reg.Counter("dnsbl_collapsed_total", "zone", zone)
-	c.cache = dns.NewCache(c.now)
+	c.cache = dns.NewCache(c.now, c.staleFor)
 	switch {
 	case c.transport != nil && c.upstreams != nil:
 		c.buildErr = fmt.Errorf("dnsbl: WithTransport and WithUpstreams are mutually exclusive")
@@ -271,6 +273,10 @@ func (c *Client) Lookups() int64 { return c.lookups.Value() }
 // CacheHits returns how many lookups were answered from a fresh cache
 // entry.
 func (c *Client) CacheHits() int64 { return c.cacheHits.Value() }
+
+// PeerHits returns how many of the cache hits were on entries merged
+// from a peer — upstream queries this node never had to send.
+func (c *Client) PeerHits() int64 { return c.peerHits.Value() }
 
 // StaleServed returns how many lookups were answered from expired cache
 // entries because the upstream was unreachable.
@@ -391,8 +397,11 @@ func resultFromBitmap(msg *dns.Message, ip addr.IPv4, hit bool) (Result, error) 
 // singleflight, upstream, and the serve-stale fallback, in that order.
 func (c *Client) fetch(ctx context.Context, name string, qtype dns.Type, useCache bool) (msg *dns.Message, hit, stale bool, err error) {
 	if useCache {
-		if msg, ok := c.cache.Get(name, qtype); ok {
+		if msg, peer, ok := c.cache.Get(name, qtype); ok {
 			c.cacheHits.Inc()
+			if peer {
+				c.peerHits.Inc()
+			}
 			return msg, true, false, nil
 		}
 	}
@@ -416,6 +425,39 @@ func (c *Client) fetch(ctx context.Context, name string, qtype dns.Type, useCach
 		c.cache.Put(name, qtype, msg, c.ttl)
 	}
 	return msg, false, false, nil
+}
+
+// Delta returns the fresh cached answers stored at or after since — the
+// sending half of the replication contract director.Gossip speaks.
+func (c *Client) Delta(since time.Time) []dns.CacheEntry { return c.cache.Delta(since) }
+
+// Merge folds a peer's cached answers in (see dns.Cache.Merge for the
+// freshness rules) and returns how many applied. Peer input is outside
+// input: only an answer this client could have cached itself is admitted.
+func (c *Client) Merge(entries []dns.CacheEntry) int {
+	return c.cache.Merge(entries, c.ttl, c.admits)
+}
+
+// admits reports whether msg under (name, qtype) is what a lookup of this
+// client would have cached: the exact query name it builds for some
+// address under its zone, the record type its cache policy asks for, and
+// a question section that repeats the key.
+func (c *Client) admits(name string, qtype dns.Type, msg *dns.Message) bool {
+	switch {
+	case c.policy == CachePrefix && qtype == dns.TypeAAAA:
+		p, err := addr.ParseV6Name(name, c.zone)
+		if err != nil || p.Addr.V6Name(c.zone) != name {
+			return false
+		}
+	case c.policy == CacheIP && qtype == dns.TypeA:
+		ip, err := addr.ParseReversedName(name, c.zone)
+		if err != nil || ip.ReversedName(c.zone) != name {
+			return false
+		}
+	default:
+		return false
+	}
+	return len(msg.Questions) == 1 && msg.Questions[0].Name == name && msg.Questions[0].Type == qtype
 }
 
 // staleFallback serves an expired entry within the stale window.

@@ -42,25 +42,6 @@ func TestListAddLookupRemove(t *testing.T) {
 	l.Remove(ip) // idempotent
 }
 
-func TestListPrefixCounts(t *testing.T) {
-	l := NewList("bl.test")
-	for i := 0; i < 5; i++ {
-		l.Add(addr.MakeIPv4(10, 0, 0, byte(i)), CodeSpamSrc)
-	}
-	l.Add(addr.MakeIPv4(10, 0, 1, 9), CodeSpamSrc)
-	counts := l.PrefixCounts()
-	if len(counts) != 2 {
-		t.Fatalf("prefixes = %d, want 2", len(counts))
-	}
-	if counts[addr.MakeIPv4(10, 0, 0, 0).Prefix24()] != 5 {
-		t.Fatalf("counts = %v", counts)
-	}
-	l.Remove(addr.MakeIPv4(10, 0, 1, 9))
-	if len(l.PrefixCounts()) != 1 {
-		t.Fatal("empty prefix not pruned")
-	}
-}
-
 func TestListBitmap(t *testing.T) {
 	l := NewList("bl.test")
 	l.Add(addr.MustParseIPv4("10.0.0.0"), CodeSpamSrc)

@@ -34,20 +34,12 @@ type List struct {
 	mu    sync.RWMutex
 	zone  string
 	codes map[addr.IPv4]ListingCode
-
-	// perPrefix24 maintains the count of listed IPs per /24, feeding
-	// Figure 12 directly.
-	perPrefix24 map[addr.Prefix]int
 }
 
 // NewList returns an empty blacklist serving the given zone name
 // (e.g. "cbl.abuseat.org").
 func NewList(zone string) *List {
-	return &List{
-		zone:        zone,
-		codes:       make(map[addr.IPv4]ListingCode),
-		perPrefix24: make(map[addr.Prefix]int),
-	}
+	return &List{zone: zone, codes: make(map[addr.IPv4]ListingCode)}
 }
 
 // Zone returns the DNS zone the list answers under.
@@ -57,9 +49,6 @@ func (l *List) Zone() string { return l.zone }
 func (l *List) Add(ip addr.IPv4, code ListingCode) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.codes[ip]; !ok {
-		l.perPrefix24[ip.Prefix24()]++
-	}
 	l.codes[ip] = code
 }
 
@@ -67,13 +56,7 @@ func (l *List) Add(ip addr.IPv4, code ListingCode) {
 func (l *List) Remove(ip addr.IPv4) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.codes[ip]; ok {
-		delete(l.codes, ip)
-		p := ip.Prefix24()
-		if l.perPrefix24[p]--; l.perPrefix24[p] <= 0 {
-			delete(l.perPrefix24, p)
-		}
-	}
+	delete(l.codes, ip)
 }
 
 // Lookup reports whether ip is blacklisted and with what code.
@@ -108,17 +91,4 @@ func (l *List) Bitmap(p addr.Prefix) addr.Bitmap128 {
 		}
 	}
 	return bm
-}
-
-// PrefixCounts returns, for every /24 prefix with at least one listed IP,
-// the number of listed IPs it contains — the population Figure 12 plots
-// the CDF of.
-func (l *List) PrefixCounts() map[addr.Prefix]int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make(map[addr.Prefix]int, len(l.perPrefix24))
-	for p, n := range l.perPrefix24 {
-		out[p] = n
-	}
-	return out
 }

@@ -253,16 +253,6 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
 }
 
-// LinearBounds returns n bucket bounds start, start+width, … suitable for
-// NewHistogram.
-func LinearBounds(start, width float64, n int) []float64 {
-	bs := make([]float64, n)
-	for i := range bs {
-		bs[i] = start + width*float64(i)
-	}
-	return bs
-}
-
 // ExponentialBounds returns n bucket bounds start, start·factor,
 // start·factor², … suitable for NewHistogram. start must be positive and
 // factor greater than 1.
@@ -376,54 +366,6 @@ func bucketQuantile(bounds []float64, counts []int64, q float64) float64 {
 		}
 	}
 	return bounds[len(bounds)-1]
-}
-
-// Throughput tracks a count of events over an explicitly managed window of
-// (virtual or real) time and reports events/second. It is driven by the
-// caller's clock so it works identically under simulation.
-type Throughput struct {
-	mu    sync.Mutex
-	n     int64
-	start time.Duration
-	end   time.Duration
-}
-
-// NewThroughput returns a meter whose window starts at the given instant
-// (expressed as an offset on the caller's clock).
-func NewThroughput(start time.Duration) *Throughput {
-	return &Throughput{start: start, end: start}
-}
-
-// Record adds n events observed at instant now.
-func (t *Throughput) Record(now time.Duration, n int64) {
-	t.mu.Lock()
-	t.n += n
-	if now > t.end {
-		t.end = now
-	}
-	t.mu.Unlock()
-}
-
-// Count returns the number of recorded events.
-func (t *Throughput) Count() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
-
-// PerSecond returns events/second over [start, max(end, asOf)].
-func (t *Throughput) PerSecond(asOf time.Duration) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	end := t.end
-	if asOf > end {
-		end = asOf
-	}
-	window := (end - t.start).Seconds()
-	if window <= 0 {
-		return 0
-	}
-	return float64(t.n) / window
 }
 
 // Table renders aligned text tables; the benchmark harness uses it to

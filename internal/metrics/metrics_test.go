@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -266,43 +265,6 @@ func TestHistogramDuplicateBoundsPanics(t *testing.T) {
 		}
 	}()
 	NewHistogram([]float64{1, 2, 2, 3})
-}
-
-func TestLinearBounds(t *testing.T) {
-	bs := LinearBounds(10, 5, 3)
-	want := []float64{10, 15, 20}
-	for i, b := range bs {
-		if b != want[i] {
-			t.Fatalf("bounds = %v, want %v", bs, want)
-		}
-	}
-}
-
-func TestThroughput(t *testing.T) {
-	tp := NewThroughput(0)
-	tp.Record(1*time.Second, 50)
-	tp.Record(2*time.Second, 50)
-	if tp.Count() != 100 {
-		t.Fatalf("count = %d, want 100", tp.Count())
-	}
-	if got := tp.PerSecond(2 * time.Second); got != 50 {
-		t.Fatalf("rate = %v, want 50", got)
-	}
-	// Extending the window dilutes the rate.
-	if got := tp.PerSecond(4 * time.Second); got != 25 {
-		t.Fatalf("rate = %v, want 25", got)
-	}
-	// asOf earlier than last event must not shrink the window.
-	if got := tp.PerSecond(1 * time.Second); got != 50 {
-		t.Fatalf("rate = %v, want 50", got)
-	}
-}
-
-func TestThroughputEmptyWindow(t *testing.T) {
-	tp := NewThroughput(5 * time.Second)
-	if got := tp.PerSecond(5 * time.Second); got != 0 {
-		t.Fatalf("rate with zero window = %v, want 0", got)
-	}
 }
 
 func TestTableRendering(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // WritePrometheus renders every registered metric in the Prometheus text
 // exposition format (version 0.0.4): counters and gauges as single
 // series, histograms as cumulative _bucket/_sum/_count series with "le"
-// labels, samples as summaries with "quantile" labels.
+// labels.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	var lastName string
 	for _, m := range r.Snapshot() {
@@ -51,17 +51,6 @@ func writePromMetric(w io.Writer, name string, m Metric) error {
 		}
 		_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, promLabels(m.Labels, "", ""), m.Count)
 		return err
-	case KindSample:
-		for _, q := range SampleQuantiles {
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", name, promLabels(m.Labels, "quantile", promFloat(q)), promFloat(m.Quantiles[q])); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, promLabels(m.Labels, "", ""), promFloat(m.Sum)); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, promLabels(m.Labels, "", ""), m.Count)
-		return err
 	default:
 		return fmt.Errorf("metrics: cannot render kind %v", m.Kind)
 	}
@@ -83,8 +72,8 @@ func promName(name string) string {
 	return b.String()
 }
 
-// promLabels renders a label set, with an optional extra label (le /
-// quantile) appended.
+// promLabels renders a label set, with an optional extra label (le)
+// appended.
 func promLabels(labels []Label, extraKey, extraVal string) string {
 	if len(labels) == 0 && extraKey == "" {
 		return ""
@@ -123,8 +112,8 @@ func promFloat(v float64) string {
 
 // ExpvarMap returns the registry's state as a plain map suitable for
 // expvar.Func / JSON encoding: counters and gauges map to numbers,
-// histograms to {count, sum, p50, p99}, samples to {count, sum,
-// quantiles...}. Keys are the metric identity strings.
+// histograms to {count, sum, p50, p99}. Keys are the metric identity
+// strings.
 func (r *Registry) ExpvarMap() map[string]interface{} {
 	out := make(map[string]interface{})
 	for _, m := range r.Snapshot() {
@@ -139,12 +128,6 @@ func (r *Registry) ExpvarMap() map[string]interface{} {
 				"p50":   m.Quantile(0.5),
 				"p99":   m.Quantile(0.99),
 			}
-		case KindSample:
-			v := map[string]interface{}{"count": m.Count, "sum": m.Sum}
-			for q, val := range m.Quantiles {
-				v[fmt.Sprintf("p%g", 100*q)] = val
-			}
-			out[key] = v
 		}
 	}
 	return out

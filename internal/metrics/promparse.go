@@ -13,10 +13,9 @@ import (
 // ParsePrometheus reads a Prometheus text exposition (the format
 // WritePrometheus emits) back into Metric snapshots, reversing the
 // rendering: histogram _bucket series are de-accumulated into per-bucket
-// counts, summary quantile series fold into the Quantiles map, and _sum
-// and _count rejoin their family. It is the scrape half of the console
-// tools (cmd/mailtop reads /metrics through it), and the inverse used by
-// the exposition round-trip tests.
+// counts, and _sum and _count rejoin their family. It is the scrape half
+// of the console tools (cmd/mailtop reads /metrics through it), and the
+// inverse used by the exposition round-trip tests.
 //
 // Families without a # TYPE line parse as gauges. Unparseable lines are
 // an error — the input is machine-generated, so damage means truncation.
@@ -47,11 +46,9 @@ func ParsePrometheus(r io.Reader) ([]Metric, error) {
 		family, part := name, ""
 		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
 			base := strings.TrimSuffix(name, suffix)
-			if base != name {
-				if k, ok := kinds[base]; ok && (k == KindHistogram || k == KindSample) {
-					family, part = base, suffix
-					break
-				}
+			if base != name && kinds[base] == KindHistogram {
+				family, part = base, suffix
+				break
 			}
 		}
 		kind, ok := kinds[family]
@@ -59,12 +56,12 @@ func ParsePrometheus(r io.Reader) ([]Metric, error) {
 			kind = KindGauge
 		}
 
-		var special string // le or quantile value, extracted from labels
-		if kind == KindHistogram || kind == KindSample {
+		var le string // the bucket bound, extracted from labels
+		if kind == KindHistogram {
 			keep := labels[:0]
 			for _, l := range labels {
-				if (kind == KindHistogram && l.Key == "le") || (kind == KindSample && l.Key == "quantile") {
-					special = l.Value
+				if l.Key == "le" {
+					le = l.Value
 					continue
 				}
 				keep = append(keep, l)
@@ -87,20 +84,11 @@ func ParsePrometheus(r io.Reader) ([]Metric, error) {
 		case part == "_count":
 			s.m.Count = int64(value)
 		case kind == KindHistogram:
-			le, err := parsePromFloat(special)
+			bound, err := parsePromFloat(le)
 			if err != nil {
-				return nil, fmt.Errorf("metrics: line %d: bad le %q", lineNo, special)
+				return nil, fmt.Errorf("metrics: line %d: bad le %q", lineNo, le)
 			}
-			s.buckets = append(s.buckets, promBucket{le: le, cum: int64(value)})
-		case kind == KindSample:
-			q, err := parsePromFloat(special)
-			if err != nil {
-				return nil, fmt.Errorf("metrics: line %d: bad quantile %q", lineNo, special)
-			}
-			if s.m.Quantiles == nil {
-				s.m.Quantiles = make(map[float64]float64)
-			}
-			s.m.Quantiles[q] = value
+			s.buckets = append(s.buckets, promBucket{le: bound, cum: int64(value)})
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -146,9 +134,7 @@ func promKind(s string) Kind {
 		return KindCounter
 	case "histogram":
 		return KindHistogram
-	case "summary":
-		return KindSample
-	default: // gauge, untyped
+	default: // gauge, untyped, summary
 		return KindGauge
 	}
 }

@@ -16,10 +16,6 @@ func TestParsePrometheusRoundtrip(t *testing.T) {
 	for _, v := range []float64{0.005, 0.05, 0.05, 0.5, 2} {
 		h.Observe(v)
 	}
-	s := reg.Sample("rtt_seconds")
-	for i := 1; i <= 100; i++ {
-		s.Observe(float64(i) / 100)
-	}
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -80,14 +76,6 @@ func TestParsePrometheusRoundtrip(t *testing.T) {
 	// on live snapshots (mailtop depends on this).
 	if q := hm.Quantile(0.5); q < 0.01 || q > 0.1 {
 		t.Fatalf("parsed p50 = %v, want in (0.01, 0.1]", q)
-	}
-
-	sm := find("rtt_seconds")
-	if sm.Kind != KindSample || sm.Count != 100 {
-		t.Fatalf("sample = %+v", sm)
-	}
-	if p50, ok := sm.Quantiles[0.5]; !ok || math.Abs(p50-0.5) > 0.02 {
-		t.Fatalf("sample quantiles = %v", sm.Quantiles)
 	}
 }
 

@@ -17,7 +17,6 @@ const (
 	KindGauge
 	KindGaugeFunc
 	KindHistogram
-	KindSample
 )
 
 // String names the kind for exposition formats.
@@ -29,8 +28,6 @@ func (k Kind) String() string {
 		return "gauge"
 	case KindHistogram:
 		return "histogram"
-	case KindSample:
-		return "summary"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -43,8 +40,8 @@ type Label struct {
 
 // Registry is a named, labeled metric namespace: the observability API
 // every subsystem registers its instruments into, and the single thing
-// an admin endpoint needs to expose them all. Counter, Gauge, Histogram,
-// and Sample vend the package's primitive types get-or-create style —
+// an admin endpoint needs to expose them all. Counter, Gauge and
+// Histogram vend the package's primitive types get-or-create style —
 // calling twice with the same name and labels returns the same instance,
 // so independently wired components share series naturally. Registration
 // takes a lock; the returned instruments record lock-free, so the
@@ -76,7 +73,6 @@ type entry struct {
 	gauge   *Gauge
 	fn      func() float64
 	hist    *Histogram
-	sample  *Sample
 }
 
 // NewRegistry returns an empty registry.
@@ -331,24 +327,6 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *H
 	return e.hist
 }
 
-// Sample returns the exact-sample reservoir registered under name and
-// the given key/value label pairs, creating it on first use. Samples
-// retain every observation; prefer Histogram for series that grow
-// without bound in a long-running server.
-func (r *Registry) Sample(name string, labels ...string) *Sample {
-	ls := parseLabels(name, labels)
-	key := keyFor(name, ls)
-	if e := r.lookup(key); e != nil {
-		return e.checkKind(KindSample).sample
-	}
-	e := r.register(key, &entry{name: name, labels: ls, kind: KindSample, sample: NewSample(0)})
-	return e.checkKind(KindSample).sample
-}
-
-// SampleQuantiles are the quantiles a Sample reports in snapshots and
-// text exposition.
-var SampleQuantiles = []float64{0.5, 0.9, 0.99}
-
 // Metric is one read-only snapshot of a registered metric.
 type Metric struct {
 	Name   string
@@ -358,7 +336,7 @@ type Metric struct {
 	// Value is the current value for counters and gauges.
 	Value float64
 
-	// Count and Sum are set for histograms and samples.
+	// Count and Sum are set for histograms.
 	Count int64
 	Sum   float64
 
@@ -366,32 +344,18 @@ type Metric struct {
 	// implicit +Inf bucket; Counts has one extra final element for it.
 	Bounds []float64
 	Counts []int64
-
-	// Quantiles holds SampleQuantiles values for samples.
-	Quantiles map[float64]float64
 }
 
 // Quantile estimates the q-quantile of a histogram snapshot (see
-// Histogram.Quantile); for samples it returns the nearest precomputed
-// quantile. It returns 0 for other kinds.
+// Histogram.Quantile). It returns 0 for other kinds.
 func (m Metric) Quantile(q float64) float64 {
-	switch m.Kind {
-	case KindHistogram:
-		bounds := make([]float64, len(m.Counts))
-		copy(bounds, m.Bounds)
-		bounds[len(bounds)-1] = math.Inf(1)
-		return bucketQuantile(bounds, m.Counts, q)
-	case KindSample:
-		best, bestDist := 0.0, 2.0
-		for sq, v := range m.Quantiles {
-			if d := math.Abs(sq - q); d < bestDist {
-				best, bestDist = v, d
-			}
-		}
-		return best
-	default:
+	if m.Kind != KindHistogram {
 		return 0
 	}
+	bounds := make([]float64, len(m.Counts))
+	copy(bounds, m.Bounds)
+	bounds[len(bounds)-1] = math.Inf(1)
+	return bucketQuantile(bounds, m.Counts, q)
 }
 
 func (e *entry) snapshot() Metric {
@@ -409,13 +373,6 @@ func (e *entry) snapshot() Metric {
 		m.Counts = cs
 		m.Count = e.hist.Count()
 		m.Sum = e.hist.Sum()
-	case KindSample:
-		m.Count = int64(e.sample.Count())
-		m.Sum = e.sample.Sum()
-		m.Quantiles = make(map[float64]float64, len(SampleQuantiles))
-		for _, q := range SampleQuantiles {
-			m.Quantiles[q] = e.sample.Quantile(q)
-		}
 	}
 	return m
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/dnsbl"
+	"repro/internal/metrics"
 )
 
 var (
@@ -289,7 +290,7 @@ func TestEngineZeroConfigAllowsEverything(t *testing.T) {
 	}
 }
 
-func TestEngineStatsCountVerdicts(t *testing.T) {
+func TestEngineStatsCountEachVerdict(t *testing.T) {
 	e := New(WithRate(RateConfig{ConnPerSec: 0.001, ConnBurst: 1}), WithDNSBLReject(1))
 	e.Admit(bg, at(0), ip1, 0) // allow
 	e.Admit(bg, at(0), ip1, 0) // rate tempfail
@@ -452,5 +453,30 @@ func TestServerPolicyRecordsEvents(t *testing.T) {
 	}
 	if st := p.Stats(); st.BouncesSeen != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestAdmitAndScanLatencyAreHistograms: the two latency series on the path
+// every connection takes are fixed-size histograms, and their bounds still
+// resolve a verdict answered from cache — the quantiles bench/report.go and
+// cmd/smtpd read are not rounded down to zero.
+func TestAdmitAndScanLatencyAreHistograms(t *testing.T) {
+	reg := metrics.NewRegistry()
+	scorer := NewScorer(WithLists(List{Name: "a", Resolver: stubList{listed: false}}), WithScorerRegistry(reg))
+	p := NewServerPolicy(New(), scorer, WithRegistry(reg))
+	for i := 0; i < 1000; i++ {
+		p.Connect(bg, "198.51.100.7")
+	}
+	for _, name := range []string{"policy_admit_seconds", "policy_scan_seconds"} {
+		m, ok := reg.Find(name)
+		if !ok || m.Kind != metrics.KindHistogram || m.Count != 1000 {
+			t.Fatalf("%s = %+v, %v; want a histogram of 1000 observations", name, m, ok)
+		}
+	}
+	if q := p.AdmitLatencyQuantile(0.5); q <= 0 || q > 0.1 {
+		t.Fatalf("admit p50 = %v s, want a positive sub-100ms figure", q)
+	}
+	if st := p.ScorerStats(); st.P50 <= 0 || st.P99 < st.P50 || st.P50 > p.AdmitLatencyQuantile(0.99) {
+		t.Fatalf("scan p50/p99 = %v/%v s against admit p99 %v s", st.P50, st.P99, p.AdmitLatencyQuantile(0.99))
 	}
 }

@@ -45,7 +45,7 @@ func WithThreshold(threshold float64) ScorerOption {
 }
 
 // WithScorerRegistry directs the scorer's metrics (scan counters and
-// the policy_scan_seconds latency sample) into r. The default is a
+// the policy_scan_seconds latency histogram) into r. The default is a
 // private registry.
 func WithScorerRegistry(r *metrics.Registry) ScorerOption {
 	return func(c *scorerConfig) { c.registry = r }
@@ -61,10 +61,15 @@ type Scorer struct {
 	reg *metrics.Registry
 
 	scans   *metrics.Counter
-	hits    *metrics.Counter // scans with score > 0
-	early   *metrics.Counter // scans that exited before every list answered
-	latency *metrics.Sample  // scan wall time in seconds
+	hits    *metrics.Counter   // scans with score > 0
+	early   *metrics.Counter   // scans that exited before every list answered
+	latency *metrics.Histogram // scan wall time in seconds
 }
+
+// scanBounds are the bounds of the scan and admit latency histograms:
+// 1 µs to ≈ 34 s in ×2 steps, fine enough at the bottom to resolve a
+// verdict answered from cache and long enough for a timed-out scan.
+func scanBounds() []float64 { return metrics.ExponentialBounds(1e-6, 2, 26) }
 
 // NewScorer returns a scorer over the lists given via WithLists.
 func NewScorer(opts ...ScorerOption) *Scorer {
@@ -87,7 +92,7 @@ func NewScorer(opts ...ScorerOption) *Scorer {
 		scans:   reg.Counter("policy_scans_total"),
 		hits:    reg.Counter("policy_scan_hits_total"),
 		early:   reg.Counter("policy_scan_early_exits_total"),
-		latency: reg.Sample("policy_scan_seconds"),
+		latency: reg.Histogram("policy_scan_seconds", scanBounds()),
 	}
 }
 
@@ -153,7 +158,7 @@ scan:
 	if score > 0 {
 		s.hits.Inc()
 	}
-	s.latency.Observe(time.Since(start).Seconds())
+	s.latency.ObserveDuration(time.Since(start))
 	return score
 }
 
@@ -162,7 +167,7 @@ type ScorerStats struct {
 	Scans      int64
 	Hits       int64
 	EarlyExits int64
-	// P50 and P99 are scan wall-time quantiles in seconds.
+	// P50 and P99 are scan wall-time quantile estimates in seconds.
 	P50, P99 float64
 }
 

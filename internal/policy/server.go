@@ -23,7 +23,7 @@ type ServerPolicy struct {
 
 	reg          *metrics.Registry
 	events       *eventlog.Log
-	admitLatency *metrics.Sample // Connect wall time in seconds (includes DNSBL scan)
+	admitLatency *metrics.Histogram // Connect wall time in seconds (includes DNSBL scan)
 	scanCheck    *metrics.Histogram
 	admitCheck   *metrics.Histogram
 }
@@ -32,8 +32,7 @@ type ServerPolicy struct {
 type ServerPolicyOption func(*ServerPolicy)
 
 // WithRegistry directs the policy's metrics — the policy_admit_seconds
-// summary and the per-check policy_check_seconds{check} histograms —
-// into r. The default is a private registry.
+// and per-check policy_check_seconds{check} histograms — into r. The default is a private registry.
 func WithRegistry(r *metrics.Registry) ServerPolicyOption {
 	return func(p *ServerPolicy) { p.reg = r }
 }
@@ -69,7 +68,7 @@ func NewServerPolicy(eng *Engine, scorer *Scorer, opts ...ServerPolicyOption) *S
 	if p.reg == nil {
 		p.reg = metrics.NewRegistry()
 	}
-	p.admitLatency = p.reg.Sample("policy_admit_seconds")
+	p.admitLatency = p.reg.Histogram("policy_admit_seconds", scanBounds())
 	p.scanCheck = p.reg.Histogram("policy_check_seconds", metrics.LatencyBounds(), "check", "dnsbl_scan")
 	p.admitCheck = p.reg.Histogram("policy_check_seconds", metrics.LatencyBounds(), "check", "admit")
 	if p.clock != nil {
@@ -115,7 +114,7 @@ func (p *ServerPolicy) Connect(ctx context.Context, ipStr string) Decision {
 	d := p.eng.Admit(ctx, p.nowFn(), ip, score)
 	end := time.Now()
 	p.admitCheck.ObserveDuration(end.Sub(admitStart))
-	p.admitLatency.Observe(end.Sub(start).Seconds())
+	p.admitLatency.ObserveDuration(end.Sub(start))
 	p.events.Debug("policy.connect", 0,
 		eventlog.IP("ip", ip),
 		eventlog.Float("score", score),
@@ -172,7 +171,7 @@ func (p *ServerPolicy) ScorerStats() ScorerStats {
 	return p.scorer.Stats()
 }
 
-// AdmitLatencyQuantile returns the q-quantile of Connect wall time in
+// AdmitLatencyQuantile estimates the q-quantile of Connect wall time in
 // seconds — the pre-trust latency the engine adds to every accept.
 func (p *ServerPolicy) AdmitLatencyQuantile(q float64) float64 {
 	return p.admitLatency.Quantile(q)

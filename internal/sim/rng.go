@@ -59,40 +59,6 @@ func (g *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*g.r.NormFloat64())
 }
 
-// Pareto returns a Pareto(xm, alpha) variate — heavy-tailed counts such as
-// blacklisted-IPs-per-/24 (Fig 12) are modelled with it.
-func (g *RNG) Pareto(xm, alpha float64) float64 {
-	u := g.r.Float64()
-	for u == 0 {
-		u = g.r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
-// Zipf returns a value in [1, n] following a Zipf-like law with exponent s.
-func (g *RNG) Zipf(n int, s float64) int {
-	if n <= 1 {
-		return 1
-	}
-	// Inverse-CDF on the harmonic weights; n here is small (≤ a few
-	// thousand), so the linear scan is fine and keeps the stream usage
-	// to exactly one draw per call.
-	u := g.r.Float64()
-	var total float64
-	for k := 1; k <= n; k++ {
-		total += 1 / math.Pow(float64(k), s)
-	}
-	target := u * total
-	var run float64
-	for k := 1; k <= n; k++ {
-		run += 1 / math.Pow(float64(k), s)
-		if run >= target {
-			return k
-		}
-	}
-	return n
-}
-
 // WeightedChoice returns an index into weights drawn proportionally to the
 // weights, which must be non-negative and not all zero.
 func (g *RNG) WeightedChoice(weights []float64) int {

@@ -114,33 +114,6 @@ func TestLogNormal(t *testing.T) {
 	}
 }
 
-func TestPareto(t *testing.T) {
-	g := NewRNG(17)
-	for i := 0; i < 1000; i++ {
-		if v := g.Pareto(2, 1.5); v < 2 {
-			t.Fatalf("Pareto below xm: %v", v)
-		}
-	}
-}
-
-func TestZipf(t *testing.T) {
-	g := NewRNG(19)
-	counts := make([]int, 11)
-	for i := 0; i < 20000; i++ {
-		k := g.Zipf(10, 1.0)
-		if k < 1 || k > 10 {
-			t.Fatalf("Zipf out of range: %d", k)
-		}
-		counts[k]++
-	}
-	if counts[1] <= counts[10] {
-		t.Fatalf("Zipf not skewed: count[1]=%d count[10]=%d", counts[1], counts[10])
-	}
-	if g.Zipf(1, 1.0) != 1 || g.Zipf(0, 1.0) != 1 {
-		t.Fatal("degenerate Zipf should return 1")
-	}
-}
-
 func TestWeightedChoice(t *testing.T) {
 	g := NewRNG(23)
 	counts := make([]int, 3)

@@ -396,3 +396,42 @@ func TestFailedAppendLeavesNothingToRecover(t *testing.T) {
 		t.Fatalf("Recover = %d mails, stats %+v, err %v; want nothing", len(mails), stats, err)
 	}
 }
+
+// TestBeginEpochNeverRepeats: every process on one spool gets a higher
+// epoch than any before it, across crashes at each step of writing the
+// record, and lane scans never see the record.
+func TestBeginEpochNeverRepeats(t *testing.T) {
+	fs := fsim.NewFault()
+	s := New(fs, "queue")
+	next := uint64(0)
+	for crashAt := 0; crashAt <= 4; crashAt++ {
+		fs.CrashAfter(crashAt)
+		got, err := s.BeginEpoch()
+		fs.Recover()
+		if err != nil {
+			continue // died before the record was safe: the epoch was never used
+		}
+		if got < next {
+			t.Fatalf("crash@%d: epoch %d handed out again, want >= %d", crashAt, got, next)
+		}
+		next = got + 1
+	}
+	if next < 3 {
+		t.Fatalf("only %d epochs begun, the enumeration never got past the record", next)
+	}
+	if names := fs.List("queue/epoch/"); len(names) != 1 {
+		t.Fatalf("epoch records = %v, want the latest alone", names)
+	}
+	if mails, _, err := s.Recover(); err != nil || len(mails) != 0 {
+		t.Fatalf("Recover = %d mails, %v: the epoch record leaked into a lane scan", len(mails), err)
+	}
+
+	// A spool from before epochs existed holds epoch-0 ids and no record.
+	legacy := New(fsim.NewMem(costmodel.FSModel{}), "queue")
+	if err := legacy.Append(env("Q0000000000000001", 0), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := legacy.BeginEpoch(); err != nil || got != 1 {
+		t.Fatalf("legacy spool began epoch %d, %v; want 1", got, err)
+	}
+}
