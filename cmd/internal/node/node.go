@@ -50,7 +50,7 @@ type Node struct {
 func Declare(prog, event string, policyDefault bool) *Node {
 	return &Node{
 		prog: prog, event: event,
-		admin:       flag.String("admin", "", "serve /metrics, /debug/vars, /debug/pprof, /events, /workload (and /spans, /traces when recorded) on this address (empty disables)"),
+		admin:       flag.String("admin", "", "serve /metrics, /debug/pprof, /events, /workload (and /spans, /traces when recorded) on this address (empty disables)"),
 		dnsbl:       flag.String("dnsbl", "", "comma-separated DNSBL replica addresses (host:port,...); empty disables"),
 		dnsblZone:   flag.String("dnsbl-zone", "bl.example.org", "DNSBL zone name"),
 		log:         flag.String("log", "info", "echo events at or above this level to stderr: debug, info, warn, error, or off (postfix-style per-connection lines at info)"),

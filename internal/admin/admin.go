@@ -1,17 +1,15 @@
 // Package admin serves the operational side channel of a running mail
-// server: Prometheus-text metrics from a metrics.Registry, expvar-style
-// JSON, pprof profiling, and the connection span stream. cmd/smtpd
+// server: Prometheus-text metrics from a metrics.Registry, pprof
+// profiling, and the connection span stream. cmd/smtpd
 // mounts it on the -admin address, away from the SMTP port, so scraping
 // and profiling never compete with the accept path.
 package admin
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 
 	"repro/internal/eventlog"
@@ -23,7 +21,6 @@ import (
 // Handler routes the admin endpoints:
 //
 //	/metrics      Prometheus text exposition of the registry
-//	/debug/vars   expvar JSON (process vars + the registry's map)
 //	/debug/pprof  the net/http/pprof family
 //	/spans        the span recorder's retained events as text lines
 //	              (absent when no recorder is configured)
@@ -164,42 +161,6 @@ func NewHandler(reg *metrics.Registry, spans *trace.SpanRecorder, opts ...Handle
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w) //nolint:errcheck // client gone mid-write
-	})
-	// expvar.Handler() serves only the process-global expvar map; the
-	// registry's values are merged in by hand so per-component registries
-	// work and repeated NewHandler calls never hit expvar.Publish's
-	// duplicate-name panic.
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintf(w, "{")
-		first := true
-		expvar.Do(func(kv expvar.KeyValue) {
-			if !first {
-				fmt.Fprintf(w, ",")
-			}
-			first = false
-			fmt.Fprintf(w, "\n%q: %s", kv.Key, kv.Value)
-		})
-		vars := reg.ExpvarMap()
-		keys := make([]string, 0, len(vars))
-		for k := range vars {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if !first {
-				fmt.Fprintf(w, ",")
-			}
-			first = false
-			// Histogram and sample entries are nested maps; json.Marshal
-			// renders every kind correctly.
-			b, err := json.Marshal(vars[k])
-			if err != nil {
-				b = []byte(`"unmarshalable"`)
-			}
-			fmt.Fprintf(w, "\n%q: %s", k, b)
-		}
-		fmt.Fprintf(w, "\n}\n")
 	})
 	// The pprof routes are registered explicitly rather than through the
 	// package's init-time DefaultServeMux side effect, so the SMTP-facing

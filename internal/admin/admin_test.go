@@ -1,7 +1,6 @@
 package admin
 
 import (
-	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -52,55 +51,20 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-func TestDebugVarsIsValidJSON(t *testing.T) {
-	reg := metrics.NewRegistry()
-	reg.Counter("vars_test_total").Inc()
-	reg.Gauge("vars_test_depth").Set(2.5)
-	// Histograms render as nested JSON objects, not Go maps.
-	reg.Histogram("vars_test_seconds", []float64{0.1, 1}, "arch", "hybrid").Observe(0.05)
-
-	srv := httptest.NewServer(NewHandler(reg, nil))
-	defer srv.Close()
-
-	code, body, _ := get(t, srv, "/debug/vars")
-	if code != 200 {
-		t.Fatalf("status = %d", code)
-	}
-	var parsed map[string]interface{}
-	if err := json.Unmarshal([]byte(body), &parsed); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, body)
-	}
-	if parsed["vars_test_total"] != float64(1) {
-		t.Fatalf("vars_test_total = %v", parsed["vars_test_total"])
-	}
-	if parsed["vars_test_depth"] != 2.5 {
-		t.Fatalf("vars_test_depth = %v", parsed["vars_test_depth"])
-	}
-	// The process-global expvar vars (cmdline, memstats) ride along.
-	if _, ok := parsed["memstats"]; !ok {
-		t.Fatal("memstats missing from /debug/vars")
-	}
-	hist, ok := parsed[`vars_test_seconds{arch=hybrid}`].(map[string]interface{})
-	if !ok {
-		t.Fatalf("histogram entry = %v, want nested object", parsed[`vars_test_seconds{arch=hybrid}`])
-	}
-	if hist["count"] != float64(1) {
-		t.Fatalf("histogram count = %v", hist["count"])
-	}
-}
-
-// Two handlers over different registries must coexist — the expvar
-// merge must not use expvar.Publish (which panics on duplicates).
+// Two handlers over different registries must coexist: NewHandler
+// registers nothing process-global, and each serves its own registry.
 func TestTwoHandlersCoexist(t *testing.T) {
-	a := httptest.NewServer(NewHandler(metrics.NewRegistry(), nil))
+	regA, regB := metrics.NewRegistry(), metrics.NewRegistry()
+	regA.Counter("only_in_a_total").Inc()
+	a := httptest.NewServer(NewHandler(regA, nil))
 	defer a.Close()
-	b := httptest.NewServer(NewHandler(metrics.NewRegistry(), nil))
+	b := httptest.NewServer(NewHandler(regB, nil))
 	defer b.Close()
-	if code, _, _ := get(t, a, "/debug/vars"); code != 200 {
-		t.Fatalf("first handler status = %d", code)
+	if code, body, _ := get(t, a, "/metrics"); code != 200 || !strings.Contains(body, "only_in_a_total 1") {
+		t.Fatalf("first handler: status %d, body %q", code, body)
 	}
-	if code, _, _ := get(t, b, "/debug/vars"); code != 200 {
-		t.Fatalf("second handler status = %d", code)
+	if code, body, _ := get(t, b, "/metrics"); code != 200 || strings.Contains(body, "only_in_a_total") {
+		t.Fatalf("second handler: status %d, body %q", code, body)
 	}
 }
 

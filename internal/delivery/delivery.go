@@ -48,9 +48,10 @@ type Stats struct {
 	// DroppedRcpts counts recipients that no longer resolved at delivery
 	// time (e.g. removed between RCPT and delivery).
 	DroppedRcpts int64
-	// Redelivered counts mails committed on a retry attempt — deferrals
-	// and post-crash spool replays. MFS commits these idempotently, so
-	// a redelivery never duplicates a mailbox copy.
+	// Redelivered counts mails committed on an attempt after their first:
+	// the retry of a deferral, in this process or replayed from the
+	// spool's deferred lane after a crash. MFS commits these idempotently,
+	// so a redelivery never duplicates a mailbox copy.
 	Redelivered int64
 }
 
@@ -148,7 +149,8 @@ func (a *Agent) Deliver(item *queue.Item) error {
 	a.mails.Inc()
 	a.rcptDeliveries.Add(int64(len(mailboxes)))
 	a.droppedRcpts.Add(dropped)
-	if item.Attempts > 0 {
+	// The queue counts this attempt before calling Deliver.
+	if item.Attempts > 1 {
 		a.redelivered.Inc()
 	}
 	return nil

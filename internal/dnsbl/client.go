@@ -108,6 +108,7 @@ type Client struct {
 
 	negMu    sync.Mutex
 	negUntil map[string]time.Time
+	negSwept time.Time // last scan of negUntil for expired entries
 }
 
 // call is one in-flight upstream query shared by concurrent lookups.
@@ -493,14 +494,27 @@ func (c *Client) negCached(name string, qtype dns.Type) (time.Time, bool) {
 	return until, true
 }
 
-// noteFailure records an upstream failure in the negative cache.
+// noteFailure records an upstream failure in the negative cache. At most
+// once per negTTL it also drops the expired entries — negCached drops one
+// only when its own name is asked again, and a flood's sources mostly
+// never are — so the map holds no failure older than two negTTLs.
 func (c *Client) noteFailure(name string, qtype dns.Type) {
 	if c.negTTL <= 0 {
 		return
 	}
 	c.negMu.Lock()
-	c.negUntil[negKey(name, qtype)] = c.now().Add(c.negTTL)
-	c.negMu.Unlock()
+	defer c.negMu.Unlock()
+	now := c.now()
+	c.negUntil[negKey(name, qtype)] = now.Add(c.negTTL)
+	if now.Sub(c.negSwept) < c.negTTL {
+		return
+	}
+	c.negSwept = now
+	for k, until := range c.negUntil {
+		if now.After(until) {
+			delete(c.negUntil, k)
+		}
+	}
 }
 
 func negKey(name string, qtype dns.Type) string {

@@ -188,6 +188,43 @@ func TestNegativeCacheLimitsProbes(t *testing.T) {
 	}
 }
 
+// TestNegativeCacheIsSwept: a blackout during a flood fails one query name
+// per source /25, and most of those names are never asked again — the
+// negative cache must drop them once expired, not keep them for ever.
+func TestNegativeCacheIsSwept(t *testing.T) {
+	ft := &flakyTransport{inner: &dns.MemTransport{Handler: &V6Handler{List: NewList("bl6.test")}}}
+	ft.setFail(true)
+	now := time.Unix(0, 0)
+	c := New("bl6.test",
+		WithTransport(ft),
+		WithNegativeTTL(30*time.Second),
+		WithClock(func() time.Time { return now }))
+	size := func() int {
+		c.negMu.Lock()
+		defer c.negMu.Unlock()
+		return len(c.negUntil)
+	}
+	fail := func(i int) {
+		t.Helper()
+		// One /25 — one query name — per i.
+		if _, err := c.Lookup(ctx, addr.IPv4(uint32(i)<<7)); err == nil {
+			t.Fatal("dead upstream lookup succeeded")
+		}
+	}
+	const flood = 100_000
+	for i := 0; i < flood; i++ {
+		fail(i)
+	}
+	if got := size(); got != flood {
+		t.Fatalf("negative cache holds %d entries inside the TTL, want %d", got, flood)
+	}
+	now = now.Add(time.Minute)
+	fail(flood)
+	if got := size(); got != 1 {
+		t.Fatalf("negative cache holds %d entries after the TTL passed, want the 1 live one", got)
+	}
+}
+
 // TestNegativeCacheServesStale: inside the negative window a usable
 // expired entry beats an error.
 func TestNegativeCacheServesStale(t *testing.T) {

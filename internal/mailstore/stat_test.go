@@ -90,9 +90,8 @@ func TestStatContract(t *testing.T) {
 }
 
 // TestStatContractMFSReopen covers the sizes MFS does not have in memory:
-// records found in key files at open — after a clean close, after a crash
-// with the log replayed — and records whose files Compact and
-// CompactShared rewrote.
+// records found in key files at open — after a clean close and after a
+// crash with the log replayed.
 func TestStatContractMFSReopen(t *testing.T) {
 	fs := fsim.NewFault()
 	open := func() *MFS {
@@ -135,26 +134,6 @@ func TestStatContractMFSReopen(t *testing.T) {
 		t.Fatal("reopen after the crash replayed no log record")
 	}
 	checkStat(t, s, "after recovery", statBoxes...)
-
-	// Deletes leave dead space in a mailbox and in the shared store;
-	// both compactions move payloads and must keep every size.
-	for _, d := range []struct{ box, id string }{{"u0", "m00"}, {"u0", "m05"}, {"u1", "m05"}, {"u2", "m05"}, {"u3", "m05"}} {
-		if err := s.Delete(d.box, d.id); err != nil {
-			t.Fatalf("Delete(%s, %s): %v", d.box, d.id, err)
-		}
-	}
-	mb, err := s.Store().Open("u0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mb.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	checkStat(t, s, "after Compact", statBoxes...)
-	if err := s.Store().CompactShared(); err != nil {
-		t.Fatal(err)
-	}
-	checkStat(t, s, "after CompactShared", statBoxes...)
 }
 
 // TestStatContractConcurrent runs Deliver, Delete and Stat against one

@@ -109,26 +109,3 @@ func promFloat(v float64) string {
 		return strconv.FormatFloat(v, 'g', -1, 64)
 	}
 }
-
-// ExpvarMap returns the registry's state as a plain map suitable for
-// expvar.Func / JSON encoding: counters and gauges map to numbers,
-// histograms to {count, sum, p50, p99}. Keys are the metric identity
-// strings.
-func (r *Registry) ExpvarMap() map[string]interface{} {
-	out := make(map[string]interface{})
-	for _, m := range r.Snapshot() {
-		key := keyFor(m.Name, m.Labels)
-		switch m.Kind {
-		case KindCounter, KindGauge, KindGaugeFunc:
-			out[key] = m.Value
-		case KindHistogram:
-			out[key] = map[string]interface{}{
-				"count": m.Count,
-				"sum":   m.Sum,
-				"p50":   m.Quantile(0.5),
-				"p99":   m.Quantile(0.99),
-			}
-		}
-	}
-	return out
-}

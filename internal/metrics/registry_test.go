@@ -187,20 +187,6 @@ func TestPromNameSanitized(t *testing.T) {
 	}
 }
 
-func TestExpvarMap(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c", "zone", "bl.test").Add(2)
-	r.Histogram("h", []float64{1}).Observe(0.5)
-	m := r.ExpvarMap()
-	if m["c{zone=bl.test}"] != 2.0 {
-		t.Fatalf("expvar counter = %v", m["c{zone=bl.test}"])
-	}
-	hv, ok := m["h"].(map[string]interface{})
-	if !ok || hv["count"] != int64(1) {
-		t.Fatalf("expvar histogram = %#v", m["h"])
-	}
-}
-
 func TestHistogramQuantile(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4})
 	for _, x := range []float64{0.5, 1.5, 1.5, 3, 3, 3, 3, 8} {

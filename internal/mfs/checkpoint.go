@@ -35,8 +35,6 @@ func (s *Store) Checkpoint(destDir string) (CheckpointStats, error) {
 	if destDir == "" {
 		return st, fmt.Errorf("mfs: checkpoint: empty destination")
 	}
-	s.maintMu.Lock()
-	defer s.maintMu.Unlock()
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
 	if s.closed {

@@ -76,9 +76,9 @@ type commitReq struct {
 // enqueue time are valid at flush time and later patches to one position
 // are applied last.
 type committer struct {
-	// mu guards the file handles and WAL state: the compaction, rotation,
-	// checkpoint, and close paths swap or quiesce them while holding it.
-	// The flush path holds it for the duration of one batch.
+	// mu guards the WAL state. The flush path holds it for the duration of
+	// one batch; Checkpoint and close rotate the log while holding it, so
+	// no batch lands under them.
 	mu   sync.Mutex
 	key  fsim.File
 	data fsim.File
@@ -331,26 +331,6 @@ func (c *committer) dirtyPath(path string) {
 	}
 }
 
-// markDirty records out-of-band rewrites (compaction) so the next
-// rotation syncs them before the log is truncated.
-func (c *committer) markDirty(paths ...string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.wal == nil {
-		return
-	}
-	for _, p := range paths {
-		c.dirty[p] = true
-	}
-}
-
-// rotate quiesces the committer and rotates the WAL.
-func (c *committer) rotate() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rotateLocked()
-}
-
 // rotateLocked makes every WAL-covered write durable and truncates the
 // log: Sync each dirty path through a fresh handle (Sync covers a file's
 // entire content, so handle identity does not matter), then truncate and
@@ -383,14 +363,6 @@ func (c *committer) rotateLocked() error {
 	c.walSize = 0
 	c.rotations.Add(1)
 	return nil
-}
-
-// setFiles swaps the shared file handles (CompactShared). The caller must
-// have quiesced all writers (it holds the store lock exclusively).
-func (c *committer) setFiles(key, data fsim.File) {
-	c.mu.Lock()
-	c.key, c.data = key, data
-	c.mu.Unlock()
 }
 
 // close stops the committer goroutine, then (log open) performs a final

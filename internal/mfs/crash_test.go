@@ -403,9 +403,10 @@ func (f *syncCountFile) Sync() error {
 }
 
 // TestMFSCheckpointUnderLoad checkpoints a store while parallel
-// deliveries hammer it, then opens every checkpoint and the survivor and
-// asserts consistency. Run under -race this also exercises the
-// checkpoint/commit interleaving.
+// deliveries hammer it — two checkpoints at a time, to different
+// directories — then opens every checkpoint and the survivor and asserts
+// consistency. Run under -race this also exercises the checkpoint/commit
+// and checkpoint/checkpoint interleavings.
 func TestMFSCheckpointUnderLoad(t *testing.T) {
 	fs := fsim.NewMem(costmodel.FSModel{})
 	s, err := New(fs, "m", WithSync(true), WithWALRotateSize(16<<10))
@@ -419,8 +420,12 @@ func TestMFSCheckpointUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Two chains run side by side, so checkpoints to different directories
+	// overlap each other as well as the deliveries: nothing but
+	// committer.mu, held for the consistent phase, orders them.
+	chains := [][]string{{"cp0", "cp1", "cp2"}, {"cp3", "cp4", "cp5"}}
 	var wg sync.WaitGroup
-	errs := make(chan error, writers+1)
+	errs := make(chan error, writers+len(chains)) // one slot per goroutine below
 	for w := 0; w < writers; w++ {
 		w := w
 		wg.Add(1)
@@ -439,17 +444,19 @@ func TestMFSCheckpointUnderLoad(t *testing.T) {
 			}
 		}()
 	}
-	cps := []string{"cp0", "cp1", "cp2"}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for _, dir := range cps {
-			if _, err := s.Checkpoint(dir); err != nil {
-				errs <- fmt.Errorf("checkpoint %s: %w", dir, err)
-				return
+	for _, chain := range chains {
+		chain := chain
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, dir := range chain {
+				if _, err := s.Checkpoint(dir); err != nil {
+					errs <- fmt.Errorf("checkpoint %s: %w", dir, err)
+					return
+				}
 			}
-		}
-	}()
+		}()
+	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -495,8 +502,10 @@ func TestMFSCheckpointUnderLoad(t *testing.T) {
 			}
 		}
 	}
-	for _, dir := range cps {
-		verify(dir, false)
+	for _, chain := range chains {
+		for _, dir := range chain {
+			verify(dir, false)
+		}
 	}
 	verify("m", true)
 	// And the survivor still holds every acknowledged mail.

@@ -17,33 +17,29 @@ import (
 //
 // Lock hierarchy (always acquired in this order, never the reverse):
 //
-//  1. Store.maintMu — serializes whole-store maintenance (Compact,
-//     CompactShared, Checkpoint) against each other.
-//  2. Store.stateMu — RWMutex for open/close lifecycle. Every operation
-//     holds it shared; Close, Compact-shared, and other whole-store
-//     maintenance hold it exclusively, which quiesces all activity.
-//  3. Store.openMu — the open-mailbox handle map.
-//  4. Mailbox.mu — one per mailbox: key/data appends, cursor, in-memory
+//  1. Store.stateMu — RWMutex for open/close lifecycle. Every operation,
+//     Checkpoint included, holds it shared; Close alone holds it
+//     exclusively, which quiesces all activity.
+//  2. Store.openMu — the open-mailbox handle map.
+//  3. Mailbox.mu — one per mailbox: key/data appends, cursor, in-memory
 //     index. NWrite locks its destination set in sorted name order.
-//  5. sharedIndex shard locks — 64-way, hash-by-mail-id.
-//  6. committer.mu — shared-store file handles and WAL state; held per
-//     flush by the committer goroutine, which takes no other lock (so
-//     callers may block on a commit while holding any of the above).
+//  4. sharedIndex shard locks — 64-way, hash-by-mail-id.
+//  5. committer.mu — WAL state; held per flush by the committer
+//     goroutine, which takes no other lock (so callers may block on a
+//     commit while holding any of the above), and by Checkpoint for its
+//     consistent phase, which is what serializes concurrent checkpoints.
 type Store struct {
 	fs   fsim.FS
 	dir  string
 	opts options
 
 	// stateMu is the narrow store-level lifecycle lock; see the hierarchy
-	// above. closed, shKey, and shData may only change while it is held
-	// exclusively.
+	// above. closed changes, and shKey and shData are closed, only while
+	// it is held exclusively.
 	stateMu sync.RWMutex
 	closed  bool
 	shKey   fsim.File
 	shData  fsim.File
-
-	// maintMu serializes maintenance passes; see the hierarchy above.
-	maintMu sync.Mutex
 
 	openMu sync.RWMutex
 	open   map[string]*Mailbox
@@ -150,7 +146,7 @@ func New(fs fsim.FS, dir string, opts ...Option) (*Store, error) {
 		case r.Ref > 0:
 			s.shared.insertCommitted(r)
 		default:
-			// Ref 0: fully released, awaiting compaction.
+			// Ref 0: fully released; the payload is dead space.
 			s.shared.remove(r.ID)
 		}
 	}
@@ -460,7 +456,7 @@ func (mb *Mailbox) Seek(offset int, whence int) (int, error) {
 // mail_read. It returns io.EOF past the last mail.
 func (mb *Mailbox) ReadNext() (Mail, error) {
 	// stateMu pins the shared-store file handles (readRecordLocked may
-	// follow a pointer into them) against a concurrent CompactShared.
+	// follow a pointer into them) against a concurrent Close.
 	mb.store.stateMu.RLock()
 	defer mb.store.stateMu.RUnlock()
 	mb.mu.Lock()
@@ -577,9 +573,9 @@ func (mb *Mailbox) Contains(id string) bool {
 }
 
 // Delete removes the mail with the given id — the paper's mail_delete.
-// A locally stored mail's space is reclaimed by Compact; a shared mail's
-// reference count is decremented in place and its payload dies with the
-// last reference.
+// A shared mail's reference count is decremented in place and its payload
+// dies with the last reference; the bytes of a dead payload, local or
+// shared, stay in the data file.
 func (mb *Mailbox) Delete(id string) error {
 	mb.store.stateMu.RLock()
 	defer mb.store.stateMu.RUnlock()

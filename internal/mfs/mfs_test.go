@@ -482,90 +482,6 @@ func TestClosedOperations(t *testing.T) {
 	}
 }
 
-func TestCompactReclaimsLocalSpace(t *testing.T) {
-	for name, env := range newStores(t) {
-		t.Run(name, func(t *testing.T) {
-			mb, _ := env.store.Open("a")
-			big := make([]byte, 8192)
-			env.store.NWrite([]*Mailbox{mb}, "dead", big)
-			env.store.NWrite([]*Mailbox{mb}, "live", []byte("keep me"))
-			mb.Delete("dead")
-			before, _ := env.fs.Size("mfs/boxes/a.data")
-			if err := mb.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			after, _ := env.fs.Size("mfs/boxes/a.data")
-			if after >= before {
-				t.Fatalf("compact did not shrink data: %d -> %d", before, after)
-			}
-			m, err := mb.ReadNext()
-			if err != nil || string(m.Body) != "keep me" {
-				t.Fatalf("read after compact = %v %q", err, m.Body)
-			}
-		})
-	}
-}
-
-func TestCompactSharedPatchesPointers(t *testing.T) {
-	for name, env := range newStores(t) {
-		t.Run(name, func(t *testing.T) {
-			a, _ := env.store.Open("a")
-			b, _ := env.store.Open("b")
-			big := make([]byte, 8192)
-			env.store.NWrite([]*Mailbox{a, b}, "dead", big)
-			env.store.NWrite([]*Mailbox{a, b}, "live", []byte("survivor"))
-			a.Delete("dead")
-			b.Delete("dead")
-			// Close b so the rewrite also exercises the on-disk patch path.
-			b.Close()
-			before, _ := env.fs.Size("mfs/shmailbox.data")
-			if err := env.store.CompactShared(); err != nil {
-				t.Fatal(err)
-			}
-			after, _ := env.fs.Size("mfs/shmailbox.data")
-			if after >= before {
-				t.Fatalf("shared compact did not shrink: %d -> %d", before, after)
-			}
-			// Open mailbox pointer still valid.
-			m, err := a.ReadID("live")
-			if err != nil || string(m.Body) != "survivor" {
-				t.Fatalf("a read = %v %q", err, m.Body)
-			}
-			// Closed mailbox reopened: patched pointer valid.
-			b2, err := env.store.Open("b")
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err = b2.ReadID("live")
-			if err != nil || string(m.Body) != "survivor" {
-				t.Fatalf("b read = %v %q", err, m.Body)
-			}
-		})
-	}
-}
-
-func TestCompactSharedSurvivesReopen(t *testing.T) {
-	fs := fsim.NewMem(costmodel.FSModel{})
-	s, _ := New(fs, "mfs")
-	a, _ := s.Open("a")
-	b, _ := s.Open("b")
-	s.NWrite([]*Mailbox{a, b}, "gone", make([]byte, 4096))
-	s.NWrite([]*Mailbox{a, b}, "kept", []byte("payload"))
-	a.Delete("gone")
-	b.Delete("gone")
-	if err := s.CompactShared(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s2, _ := New(fs, "mfs")
-	defer s2.Close()
-	a2, _ := s2.Open("a")
-	m, err := a2.ReadID("kept")
-	if err != nil || string(m.Body) != "payload" {
-		t.Fatalf("after reopen = %v %q", err, m.Body)
-	}
-}
-
 func TestStats(t *testing.T) {
 	env := newStores(t)["mem"]
 	a, _ := env.store.Open("a")

@@ -215,8 +215,7 @@ func (s *Store) reconcileBox(keyPath string, tally map[string]int) error {
 			continue
 		}
 		if r.Ref == SharedRef {
-			shr, ok := s.shared.lookup(r.ID)
-			if !ok {
+			if !s.shared.contains(r.ID) {
 				// Orphan pointer: its shared copy never committed or is
 				// gone. Tombstone it — the mail was never acknowledged
 				// with this destination durable.
@@ -226,17 +225,6 @@ func (s *Store) reconcileBox(keyPath string, tally map[string]int) error {
 				s.recovery.PointersDropped++
 				dropped++
 				continue
-			}
-			if shr.Offset != r.Offset {
-				// Stale pointer (an interrupted shared compaction): point
-				// it at the record's current home. The offset field sits 8
-				// bytes before the Ref field.
-				var ob [8]byte
-				putOffset(ob[:], shr.Offset)
-				if _, err := kf.WriteAt(ob[:], r.refPos-8); err != nil {
-					return err
-				}
-				dropped++ // force a sync of this key file below
 			}
 			tally[r.ID]++
 			continue

@@ -55,16 +55,6 @@ func (idx *sharedIndex) shard(id string) *indexShard {
 	return &idx.shards[h%shardCount]
 }
 
-// lookup returns the live record for id, if any (open-time recovery
-// only: the record is not checked for commit completion).
-func (idx *sharedIndex) lookup(id string) (*sharedRec, bool) {
-	sh := idx.shard(id)
-	sh.mu.Lock()
-	r, ok := sh.m[id]
-	sh.mu.Unlock()
-	return r, ok
-}
-
 // contains reports whether id has a live shared record.
 func (idx *sharedIndex) contains(id string) bool {
 	sh := idx.shard(id)
@@ -94,8 +84,7 @@ func (idx *sharedIndex) remove(id string) {
 }
 
 // snapshot returns every live committed record. Callers must ensure no
-// writes are in flight (the compaction paths hold the store lock
-// exclusively).
+// writes are in flight (reconcile runs before the store serves traffic).
 func (idx *sharedIndex) snapshot() []*sharedRec {
 	var out []*sharedRec
 	for i := range idx.shards {

@@ -193,17 +193,22 @@ func (s MessageSpan) String() string {
 	return b.String()
 }
 
-// ParseMessageSpan parses one String()-formatted line.
+// ParseMessageSpan parses one String()-formatted line. The lines come
+// from a peer's /trace/{id}, so a value String() could not have written
+// (a second '=', bytes that are not UTF-8) fails the line: what parses
+// re-formats to itself.
 func ParseMessageSpan(line string) (MessageSpan, bool) {
 	fields := strings.Fields(strings.TrimSpace(line))
 	if len(fields) < 7 || fields[0] != "mspan" {
 		return MessageSpan{}, false
 	}
 	var s MessageSpan
+	// One bit per required key: a repeated key must not stand in for a
+	// missing one.
 	seen := 0
 	for _, f := range fields[1:] {
 		key, val, ok := strings.Cut(f, "=")
-		if !ok {
+		if !ok || sanitizeNote(val) != val {
 			return MessageSpan{}, false
 		}
 		switch key {
@@ -213,41 +218,41 @@ func ParseMessageSpan(line string) (MessageSpan, bool) {
 				return MessageSpan{}, false
 			}
 			s.Hi, s.Lo = hi, lo
-			seen++
+			seen |= 1 << 0
 		case "id":
 			v, ok := parseHex64([]byte(val))
 			if !ok {
 				return MessageSpan{}, false
 			}
 			s.ID = v
-			seen++
+			seen |= 1 << 1
 		case "parent":
 			v, ok := parseHex64([]byte(val))
 			if !ok {
 				return MessageSpan{}, false
 			}
 			s.Parent = v
-			seen++
+			seen |= 1 << 2
 		case "node":
 			s.Node = val
 		case "stage":
 			s.Stage = val
-			seen++
+			seen |= 1 << 3
 		case "start":
 			if _, err := fmt.Sscanf(val, "%d", &s.Start); err != nil {
 				return MessageSpan{}, false
 			}
-			seen++
+			seen |= 1 << 4
 		case "end":
 			if _, err := fmt.Sscanf(val, "%d", &s.End); err != nil {
 				return MessageSpan{}, false
 			}
-			seen++
+			seen |= 1 << 5
 		case "note":
 			s.Note = val
 		}
 	}
-	return s, seen >= 6
+	return s, seen == 1<<6-1
 }
 
 // ParseMessageSpans reads String()-formatted lines from r, skipping
