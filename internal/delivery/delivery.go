@@ -8,6 +8,7 @@ package delivery
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/access"
@@ -106,8 +107,8 @@ func (a *Agent) Registry() *metrics.Registry { return a.reg }
 func (a *Agent) Deliver(item *queue.Item) error {
 	// Resolve to mailbox names (local parts of canonical addresses),
 	// deduplicating: two aliases of one user get a single copy, like
-	// postfix's duplicate elimination.
-	seen := make(map[string]bool, len(item.Rcpts))
+	// postfix's duplicate elimination (a scan: a mail has few recipients,
+	// ham nearly always one).
 	mailboxes := make([]string, 0, len(item.Rcpts))
 	dropped := int64(0)
 	for _, rcpt := range item.Rcpts {
@@ -117,8 +118,7 @@ func (a *Agent) Deliver(item *queue.Item) error {
 			continue
 		}
 		box := smtp.LocalPart(canonical)
-		if !seen[box] {
-			seen[box] = true
+		if !slices.Contains(mailboxes, box) {
 			mailboxes = append(mailboxes, box)
 		}
 	}

@@ -1,7 +1,10 @@
 package delivery
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,7 +12,9 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/fsim"
 	"repro/internal/mailstore"
+	"repro/internal/mfs"
 	"repro/internal/queue"
+	"repro/internal/spool"
 )
 
 func newEnv(t *testing.T) (*access.DB, mailstore.Store, *Agent) {
@@ -174,5 +179,88 @@ func TestRedeliveredCountsOnlyRetries(t *testing.T) {
 	}
 	if qs := m.Stats(); qs.Deferred != 1 {
 		t.Fatalf("queue deferred %d mails, want 1", qs.Deferred)
+	}
+}
+
+// hamBody fills buf with the seq-th test mail: a header naming it, then
+// filler that differs from mail to mail.
+func hamBody(buf []byte, seq int) []byte {
+	n := copy(buf, fmt.Sprintf("Subject: ham %06d\r\n\r\n", seq))
+	for i := n; i < len(buf); i++ {
+		buf[i] = byte('a' + (seq+i)%26)
+	}
+	return buf
+}
+
+// TestHamPathAllocatesNoBody drives the ham path behind the SMTP dialog —
+// queue.Manager, its spool, this agent, a write-ahead-logged MFS, on real
+// files — and bounds the heap bytes allocated per mail below anything a
+// body-sized buffer would cost: the body lives in one pooled spool frame
+// from Enqueue to the mailbox commit and the committer stages it in a
+// buffer it keeps. Every mailbox must then read back byte for byte.
+func TestHamPathAllocatesNoBody(t *testing.T) {
+	const mails, warmup, size, users, window = 2000, 200, 4096, 8, 64
+	fs := fsim.NewOS(t.TempDir())
+	db := access.NewDB("dept.test")
+	rcpts := make([][]string, users)
+	for u := range rcpts {
+		rcpts[u] = []string{fmt.Sprintf("user%d@dept.test", u)}
+		if err := db.AddUser(rcpts[u][0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := mailstore.NewMFS(fs, "mfs", mfs.WithSync(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	qm, err := queue.NewManager(queue.Config{
+		Deliverer:   NewAgent(db, store),
+		Store:       spool.New(fs, "queue"),
+		ActiveLimit: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qm.Close()
+
+	ids := make([]string, warmup+mails)
+	buf := make([]byte, size)
+	send := func(from, to int) {
+		for seq := from; seq < to; seq++ {
+			id, err := qm.Enqueue("s@remote.test", rcpts[seq%users], hamBody(buf, seq))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[seq] = id
+			if seq%window == window-1 && !qm.WaitIdle(30*time.Second) {
+				t.Fatal("queue never idle")
+			}
+		}
+		if !qm.WaitIdle(30 * time.Second) {
+			t.Fatal("queue never idle")
+		}
+	}
+	send(0, warmup) // mailboxes open, pools and index maps warm
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	send(warmup, warmup+mails)
+	runtime.ReadMemStats(&after)
+	if st := qm.Stats(); st.Delivered != warmup+mails || st.Deferred != 0 {
+		t.Fatalf("queue stats = %+v", st)
+	}
+	perMail := (after.TotalAlloc - before.TotalAlloc) / mails
+	t.Logf("%d B and %.1f objects allocated per %d-byte mail",
+		perMail, float64(after.Mallocs-before.Mallocs)/mails, size)
+	if perMail >= 2048 && !raceEnabled {
+		t.Errorf("ham path allocates %d B per %d-byte mail, want < 2048: a body-sized buffer is allocated per mail", perMail, size)
+	}
+
+	want := make([]byte, size)
+	for seq, id := range ids {
+		got, err := store.Read(fmt.Sprintf("user%d", seq%users), id)
+		if err != nil || !bytes.Equal(got, hamBody(want, seq)) {
+			t.Fatalf("mail %d (%s) read back wrong (%d bytes, %v)", seq, id, len(got), err)
+		}
 	}
 }

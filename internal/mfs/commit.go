@@ -1,7 +1,11 @@
 package mfs
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,13 +19,22 @@ const maxCommitBatch = 256
 // segment is one prebuilt file mutation riding in a commit request: an
 // append ('A', off is the file end at enqueue time — the enqueuer holds
 // the lock serializing that file, so the end is stable until the flush)
-// or an in-place patch ('P').
+// or an in-place patch ('P'). A framed segment is buf behind a data-frame
+// header: buf is the mail body of a caller blocked until the flush is over.
 type segment struct {
-	kind byte
-	file fsim.File
-	path string
-	off  int64
-	buf  []byte
+	kind   byte
+	framed bool
+	file   fsim.File
+	path   string
+	off    int64
+	buf    []byte
+}
+
+// stagedSeg is one segment of the batch being flushed and where its bytes
+// sit in the committer's record buffer.
+type stagedSeg struct {
+	segment
+	lo, hi int
 }
 
 // pointerTarget names one mailbox key file that should receive an
@@ -93,6 +106,18 @@ type committer struct {
 	walSize    int64
 	rotateSize int64
 	dirty      map[string]bool // paths with WAL-covered unsynced writes
+	// failed is the log write or sync error that stopped the store: replay
+	// ends at a torn record, so nothing may be appended behind one, and a
+	// failed fsync may have dropped its pages, so it is not retried. Every
+	// later request is refused with it; no file is touched again.
+	failed error
+
+	// rec is the batch being flushed, in log-record form; staged says where
+	// each segment's bytes are in it; batch is the run loop's request list.
+	// All three are reused from flush to flush.
+	rec    []byte
+	staged []stagedSeg
+	batch  []*commitReq
 
 	ch   chan *commitReq
 	done chan struct{}
@@ -173,8 +198,7 @@ func (c *committer) run() {
 		if !ok {
 			return
 		}
-		batch := make([]*commitReq, 1, 16)
-		batch[0] = req
+		batch := append(c.batch[:0], req)
 		lingered := false
 	fill:
 		for len(batch) < maxCommitBatch {
@@ -201,14 +225,51 @@ func (c *committer) run() {
 func (c *committer) flush(batch []*commitReq) {
 	c.mu.Lock()
 	err := c.flushLocked(batch)
+	clear(c.staged) // drop the file handles and the callers' bodies
+	c.rec, c.staged = c.rec[:0], c.staged[:0]
+	if cap(c.rec) > maxStagedRecord {
+		c.rec = nil
+	}
 	c.mu.Unlock()
-	for _, r := range batch {
+	for i, r := range batch {
 		r.err = err
 		close(r.done)
+		batch[i] = nil
 	}
+	c.batch = batch[:0]
 }
 
+// maxStagedRecord bounds the record buffer kept between flushes (ordinary
+// batches stay far below it), so one 16 MiB mail pins nothing.
+const maxStagedRecord = 1 << 20
+
+// beginSeg starts a segment in the record buffer (its log header, length
+// still to come) and endSeg closes it over every byte appended since.
+func (c *committer) beginSeg(s segment) {
+	c.rec = append(c.rec, s.kind)
+	c.rec = binary.LittleEndian.AppendUint16(c.rec, uint16(len(s.path)))
+	c.rec = append(c.rec, s.path...)
+	c.rec = binary.LittleEndian.AppendUint64(c.rec, uint64(s.off))
+	c.rec = append(c.rec, 0, 0, 0, 0)
+	c.staged = append(c.staged, stagedSeg{segment: s, lo: len(c.rec)})
+}
+
+func (c *committer) endSeg() {
+	s := &c.staged[len(c.staged)-1]
+	s.hi = len(c.rec)
+	binary.LittleEndian.PutUint32(c.rec[s.lo-4:], uint32(s.hi-s.lo))
+}
+
+// flushLocked stages the batch once, in c.rec, as the log record covering
+// it (wal.go has the layout): all shared-store appends as one data and one
+// key segment, every request's own segments, then the pointer records,
+// whose offsets are known only now. With the log open the record is written
+// and synced — the commit point. Then each segment goes to its file from
+// where it sits in the record.
 func (c *committer) flushLocked(batch []*commitReq) error {
+	if c.failed != nil {
+		return c.failed
+	}
 	dataBase, err := c.data.Size()
 	if err != nil {
 		return err
@@ -217,110 +278,89 @@ func (c *committer) flushLocked(batch []*commitReq) error {
 	if err != nil {
 		return err
 	}
-	// Stage the shared-store appends and fan pointer records out now that
-	// offsets are known.
-	var dataBuf, keyBuf []byte
-	var ptrSegs []segment
-	for _, r := range batch {
-		if r.id != "" {
-			r.off = dataBase + int64(len(dataBuf))
-			dataBuf = appendDataFrame(dataBuf, r.body)
-			keyBuf, err = appendKeyRecordBuf(keyBuf, keyRecord{
-				Type: recEntry, ID: r.id, Offset: r.off, Ref: r.ref,
-			})
-			if err != nil {
-				return err
+	c.rec = append(c.rec, walMagic)
+	c.rec = append(c.rec, make([]byte, 8+4)...) // seq and nsegs, filled in once the batch is staged
+	if slices.ContainsFunc(batch, func(r *commitReq) bool { return r.id != "" }) {
+		c.beginSeg(segment{kind: walSegApp, file: c.data, path: c.dataPath, off: dataBase})
+		lo := len(c.rec)
+		for _, r := range batch {
+			if r.id != "" {
+				r.off = dataBase + int64(len(c.rec)-lo)
+				c.rec = appendDataFrame(c.rec, r.body)
 			}
-			r.refPos = keyBase + int64(len(keyBuf)) - 4
 		}
+		c.endSeg()
+		c.beginSeg(segment{kind: walSegApp, file: c.key, path: c.keyPath, off: keyBase})
+		lo = len(c.rec)
+		for _, r := range batch {
+			if r.id != "" {
+				c.rec, err = appendKeyRecordBuf(c.rec, keyRecord{Type: recEntry, ID: r.id, Offset: r.off, Ref: r.ref})
+				if err != nil {
+					return err
+				}
+				r.refPos = keyBase + int64(len(c.rec)-lo) - 4
+			}
+		}
+		c.endSeg()
+	}
+	for _, r := range batch {
+		for _, s := range r.segs {
+			c.beginSeg(s)
+			if s.framed {
+				c.rec = appendDataFrame(c.rec, s.buf)
+			} else {
+				c.rec = append(c.rec, s.buf...)
+			}
+			c.endSeg()
+		}
+	}
+	for _, r := range batch {
 		for i := range r.ptrs {
 			p := &r.ptrs[i]
-			buf, err := appendKeyRecordBuf(nil, keyRecord{
-				Type: recEntry, ID: r.id, Offset: r.off, Ref: SharedRef,
-			})
+			c.beginSeg(segment{kind: walSegApp, file: p.file, path: p.path, off: p.off})
+			lo := len(c.rec)
+			c.rec, err = appendKeyRecordBuf(c.rec, keyRecord{Type: recEntry, ID: r.id, Offset: r.off, Ref: SharedRef})
 			if err != nil {
 				return err
 			}
-			p.refPos = p.off + int64(len(buf)) - 4
-			ptrSegs = append(ptrSegs, segment{kind: walSegApp, file: p.file, path: p.path, off: p.off, buf: buf})
+			c.endSeg()
+			p.refPos = p.off + int64(len(c.rec)-lo) - 4
 		}
 	}
 
 	if c.wal != nil {
 		// Log every byte the batch writes, sync the log — the single
 		// ordering point — then apply unsynced.
-		segs := make([]walSeg, 0, 2+len(ptrSegs)+len(batch))
-		if len(dataBuf) > 0 {
-			segs = append(segs, walSeg{kind: walSegApp, path: c.dataPath, off: dataBase, buf: dataBuf})
-		}
-		if len(keyBuf) > 0 {
-			segs = append(segs, walSeg{kind: walSegApp, path: c.keyPath, off: keyBase, buf: keyBuf})
-		}
-		for _, r := range batch {
-			for _, s := range r.segs {
-				segs = append(segs, walSeg{kind: s.kind, path: s.path, off: s.off, buf: s.buf})
-			}
-		}
-		for _, s := range ptrSegs {
-			segs = append(segs, walSeg{kind: s.kind, path: s.path, off: s.off, buf: s.buf})
-		}
 		c.walSeq++
-		rec := appendWALRecord(make([]byte, 0, 64), c.walSeq, segs)
-		if _, err := c.wal.Write(rec); err != nil {
-			return err
+		binary.LittleEndian.PutUint64(c.rec[1:], c.walSeq)
+		binary.LittleEndian.PutUint32(c.rec[9:], uint32(len(c.staged)))
+		c.rec = binary.LittleEndian.AppendUint32(c.rec, crc32.ChecksumIEEE(c.rec))
+		_, err := c.wal.Write(c.rec)
+		if err == nil {
+			err = c.wal.Sync()
 		}
-		if err := c.wal.Sync(); err != nil {
-			return err
+		if err != nil {
+			c.failed = fmt.Errorf("mfs: write-ahead log failed, store stopped: %w", err)
+			return c.failed
 		}
-		c.walSize += int64(len(rec))
+		c.walSize += int64(len(c.rec))
 	}
 
-	if len(dataBuf) > 0 {
-		if _, err := c.data.Write(dataBuf); err != nil {
+	for _, s := range c.staged {
+		if s.kind == walSegApp {
+			_, err = s.file.Write(c.rec[s.lo:s.hi])
+		} else {
+			_, err = s.file.WriteAt(c.rec[s.lo:s.hi], s.off)
+		}
+		if err != nil {
 			return err
 		}
-		c.dirtyPath(c.dataPath)
-	}
-	if len(keyBuf) > 0 {
-		if _, err := c.key.Write(keyBuf); err != nil {
-			return err
-		}
-		c.dirtyPath(c.keyPath)
-	}
-	for _, r := range batch {
-		if err := applySegs(r.segs); err != nil {
-			return err
-		}
-		for _, s := range r.segs {
-			c.dirtyPath(s.path)
-		}
-	}
-	if err := applySegs(ptrSegs); err != nil {
-		return err
-	}
-	for _, s := range ptrSegs {
 		c.dirtyPath(s.path)
 	}
 	c.batches.Add(1)
 	c.mails.Add(int64(len(batch)))
 	if c.wal != nil && c.walSize >= c.rotateSize {
 		return c.rotateLocked()
-	}
-	return nil
-}
-
-// applySegs performs the staged writes through the enqueuers' handles.
-func applySegs(segs []segment) error {
-	for _, s := range segs {
-		var err error
-		if s.kind == walSegApp {
-			_, err = s.file.Write(s.buf)
-		} else {
-			_, err = s.file.WriteAt(s.buf, s.off)
-		}
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -335,10 +375,15 @@ func (c *committer) dirtyPath(path string) {
 // log: Sync each dirty path through a fresh handle (Sync covers a file's
 // entire content, so handle identity does not matter), then truncate and
 // Sync the WAL itself. The order is the recovery invariant — never
-// truncate the WAL before syncing every file its records touch.
+// truncate the WAL before syncing every file its records touch. A store
+// stopped by a log error does neither: its log is what the next open
+// replays.
 func (c *committer) rotateLocked() error {
 	if c.wal == nil {
 		return nil
+	}
+	if c.failed != nil {
+		return c.failed
 	}
 	for path := range c.dirty {
 		f, err := c.fs.OpenAppend(path)
@@ -367,8 +412,9 @@ func (c *committer) rotateLocked() error {
 
 // close stops the committer goroutine, then (log open) performs a final
 // rotation so a clean shutdown leaves every file durable and the log
-// empty, and closes the log. The caller must guarantee no further
-// requests (it holds the store lock exclusively).
+// empty — unless a log error stopped the store, which close reports — and
+// closes the log. The caller must guarantee no further requests (it holds
+// the store lock exclusively).
 func (c *committer) close() error {
 	close(c.ch)
 	<-c.done

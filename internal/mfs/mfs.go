@@ -3,7 +3,8 @@ package mfs
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/fsim"
@@ -669,20 +670,17 @@ func (mb *Mailbox) closeLocked() error {
 }
 
 // lockBoxes acquires every destination's lock in sorted name order (the
-// deadlock-free total order for multi-mailbox operations) and returns an
-// unlock function.
-func lockBoxes(boxes []*Mailbox) func() {
-	sorted := make([]*Mailbox, len(boxes))
-	copy(sorted, boxes)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].name < sorted[j].name })
-	for _, mb := range sorted {
+// deadlock-free total order for multi-mailbox operations) and returns the
+// boxes it locked. One box is its own order.
+func lockBoxes(boxes []*Mailbox) []*Mailbox {
+	if len(boxes) > 1 {
+		boxes = slices.Clone(boxes)
+		slices.SortFunc(boxes, func(a, b *Mailbox) int { return strings.Compare(a.name, b.name) })
+	}
+	for _, mb := range boxes {
 		mb.mu.Lock()
 	}
-	return func() {
-		for _, mb := range sorted {
-			mb.mu.Unlock()
-		}
-	}
+	return boxes
 }
 
 // NWrite writes one mail to n mailboxes — the paper's mail_nwrite and the
@@ -711,19 +709,22 @@ func (s *Store) NWrite(boxes []*Mailbox, id string, body []byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	seen := make(map[string]bool, len(boxes))
-	for _, mb := range boxes {
+	for i, mb := range boxes {
 		if mb.store != s {
 			return fmt.Errorf("mfs: mailbox %s belongs to a different store", mb.name)
 		}
-		if seen[mb.name] {
+		// A store has one open handle per name, so a destination named
+		// twice is the same handle twice — which must not be locked twice.
+		if slices.Contains(boxes[:i], mb) {
 			return fmt.Errorf("mfs: duplicate destination %s", mb.name)
 		}
-		seen[mb.name] = true
 	}
-
-	unlock := lockBoxes(boxes)
-	defer unlock()
+	locked := lockBoxes(boxes)
+	defer func() {
+		for _, mb := range locked {
+			mb.mu.Unlock()
+		}
+	}()
 	for _, mb := range boxes {
 		if mb.closed {
 			return ErrClosed
@@ -765,8 +766,7 @@ func (s *Store) writeLocal(mb *Mailbox, id string, body []byte) error {
 		return err
 	}
 	req := &commitReq{segs: []segment{
-		{kind: walSegApp, file: mb.data, path: mb.dataPath, off: dataEnd,
-			buf: appendDataFrame(make([]byte, 0, 4+len(body)), body)},
+		{kind: walSegApp, framed: true, file: mb.data, path: mb.dataPath, off: dataEnd, buf: body},
 		{kind: walSegApp, file: mb.key, path: mb.keyPath, off: keyEnd, buf: kbuf},
 	}}
 	if err := s.commit.submit(req); err != nil {

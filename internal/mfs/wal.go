@@ -54,24 +54,6 @@ type walSeg struct {
 	buf  []byte
 }
 
-// appendWALRecord serializes one record onto buf.
-func appendWALRecord(buf []byte, seq uint64, segs []walSeg) []byte {
-	start := len(buf)
-	buf = append(buf, walMagic)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(segs)))
-	for _, s := range segs {
-		buf = append(buf, s.kind)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s.path)))
-		buf = append(buf, s.path...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.off))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.buf)))
-		buf = append(buf, s.buf...)
-	}
-	crc := crc32.ChecksumIEEE(buf[start:])
-	return binary.LittleEndian.AppendUint32(buf, crc)
-}
-
 // parseWAL decodes every complete record in data, stopping silently at
 // the first torn or corrupt one (the crash signature). It returns the
 // records' segments in log order.

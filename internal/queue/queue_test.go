@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -30,6 +31,7 @@ func (c *collector) Deliver(item *Item) error {
 		return errors.New("transient failure")
 	}
 	cp := *item
+	cp.Data = bytes.Clone(item.Data) // item.Data is only ours until we return
 	c.delivered = append(c.delivered, &cp)
 	return nil
 }
@@ -264,17 +266,37 @@ func TestConcurrentEnqueue(t *testing.T) {
 func TestItemDataIsolated(t *testing.T) {
 	var got []byte
 	col := DelivererFunc(func(item *Item) error {
-		got = item.Data
+		got = bytes.Clone(item.Data)
 		return nil
 	})
 	m, _ := NewManager(Config{Deliverer: col})
 	defer m.Close()
 	buf := []byte("original")
 	m.Enqueue("s@a.test", []string{"r@b.test"}, buf)
-	m.WaitIdle(2 * time.Second)
 	buf[0] = 'X' // caller mutates after enqueue
+	m.WaitIdle(2 * time.Second)
 	if string(got) != "original" {
 		t.Fatalf("queued data aliased caller buffer: %q", got)
+	}
+}
+
+// TestDelivererKeepingDataSeesPoison: item.Data is the Deliverer's only
+// until Deliver returns. One that keeps the slice does not read the next
+// mail's bytes through it — in a test binary it reads the poison the spool
+// frame was overwritten with on release.
+func TestDelivererKeepingDataSeesPoison(t *testing.T) {
+	var kept []byte
+	m, _ := NewManager(Config{Deliverer: DelivererFunc(func(item *Item) error {
+		kept = item.Data
+		return nil
+	})})
+	defer m.Close()
+	m.Enqueue("s@a.test", []string{"r@b.test"}, []byte("original"))
+	if !m.WaitIdle(2 * time.Second) {
+		t.Fatal("queue never idle")
+	}
+	if len(kept) != len("original") || bytes.Count(kept, kept[:1]) != len(kept) || string(kept) == "original" {
+		t.Fatalf("slice kept past Deliver reads %q, want poison", kept)
 	}
 }
 
@@ -375,6 +397,7 @@ func TestExhaustedMailBounces(t *testing.T) {
 		if item.Sender == "" { // the DSN coming back around
 			mu.Lock()
 			cp := *item
+			cp.Data = bytes.Clone(item.Data)
 			bounces = append(bounces, &cp)
 			mu.Unlock()
 			return nil

@@ -330,7 +330,11 @@ func TestStateTableRecoverBeyondIntakeLimit(t *testing.T) {
 	store := spool.New(fs, "")
 	for i := 1; i <= backlog; i++ {
 		env := spool.Envelope{ID: fmt.Sprintf("Q%016X", i), Sender: "s@a.test", Rcpts: []string{"r@b.test"}}
-		if err := store.Append(env, []byte("m")); err != nil {
+		fr, err := spool.NewFrame(env, []byte("m"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Append(fr); err != nil {
 			t.Fatal(err)
 		}
 	}

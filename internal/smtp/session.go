@@ -66,7 +66,6 @@ type Config struct {
 
 // Envelope is one completed mail transaction.
 type Envelope struct {
-	Helo   string
 	Sender string
 	Rcpts  []string
 	Data   []byte
@@ -301,7 +300,6 @@ func (s *Session) appendRcpt(pos int, addr []byte) {
 // queue keeps the envelope past the session's lifetime.
 func (s *Session) FinishData(body []byte) (Envelope, Reply) {
 	env := Envelope{
-		Helo:   string(s.helo),
 		Sender: string(s.sender),
 		Rcpts:  s.Rcpts(),
 		Data:   body,

@@ -56,7 +56,7 @@ func TestHappyPathTransaction(t *testing.T) {
 	if reply.Code != 250 {
 		t.Fatalf("finish reply = %+v", reply)
 	}
-	if env.Sender != "sender@remote.test" || len(env.Rcpts) != 2 || env.Helo != "client.test" {
+	if env.Sender != "sender@remote.test" || len(env.Rcpts) != 2 {
 		t.Fatalf("envelope = %+v", env)
 	}
 	if s.MailsCompleted() != 1 {

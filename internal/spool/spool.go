@@ -77,11 +77,11 @@ type Envelope struct {
 	Trace trace.Context
 }
 
-// Mail is one recovered spool entry.
+// Mail is one recovered spool entry. It owns Frame, which holds the body.
 type Mail struct {
 	Envelope
-	Lane Lane
-	Body []byte
+	Lane  Lane
+	Frame *Frame
 }
 
 // RecoveryStats summarizes a Recover scan.
@@ -123,40 +123,49 @@ func (s *Store) path(lane Lane, id string) string {
 const (
 	envVersionV1 = 1
 	envVersion   = 2
+	traceLen     = 24 // the three u64s v2 appends
 )
 
-// encodeEnvelope serializes env as the payload of the envelope frame.
-func encodeEnvelope(env Envelope) ([]byte, error) {
+// envelopeLen validates env and returns the length of its encoding.
+func envelopeLen(env Envelope) (int, error) {
 	if len(env.ID) > 0xffff || len(env.Sender) > 0xffff {
-		return nil, fmt.Errorf("spool: envelope field too long")
+		return 0, fmt.Errorf("spool: envelope field too long")
 	}
+	if len(env.Rcpts) > 0xffff {
+		return 0, fmt.Errorf("spool: too many recipients (%d)", len(env.Rcpts))
+	}
+	n := 1 + 4 + 8 + 2 + len(env.ID) + 2 + len(env.Sender) + 2 + traceLen
+	for _, r := range env.Rcpts {
+		if len(r) > 0xffff {
+			return 0, fmt.Errorf("spool: recipient too long")
+		}
+		n += 2 + len(r)
+	}
+	return n, nil
+}
+
+// appendEnvelope appends the payload of env's envelope frame to dst; env
+// has passed envelopeLen.
+func appendEnvelope(dst []byte, env Envelope) []byte {
 	var nb int64
 	if !env.NotBefore.IsZero() {
 		nb = env.NotBefore.UnixNano()
 	}
-	buf := make([]byte, 0, 56+len(env.ID)+len(env.Sender))
-	buf = append(buf, envVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(env.Attempts))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(nb))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(env.ID)))
-	buf = append(buf, env.ID...)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(env.Sender)))
-	buf = append(buf, env.Sender...)
-	if len(env.Rcpts) > 0xffff {
-		return nil, fmt.Errorf("spool: too many recipients (%d)", len(env.Rcpts))
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(env.Rcpts)))
+	dst = append(dst, envVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(env.Attempts))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(nb))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(env.ID)))
+	dst = append(dst, env.ID...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(env.Sender)))
+	dst = append(dst, env.Sender...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(env.Rcpts)))
 	for _, r := range env.Rcpts {
-		if len(r) > 0xffff {
-			return nil, fmt.Errorf("spool: recipient too long")
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r)))
-		buf = append(buf, r...)
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r)))
+		dst = append(dst, r...)
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, env.Trace.Hi)
-	buf = binary.LittleEndian.AppendUint64(buf, env.Trace.Lo)
-	buf = binary.LittleEndian.AppendUint64(buf, env.Trace.Span)
-	return buf, nil
+	dst = binary.LittleEndian.AppendUint64(dst, env.Trace.Hi)
+	dst = binary.LittleEndian.AppendUint64(dst, env.Trace.Lo)
+	return binary.LittleEndian.AppendUint64(dst, env.Trace.Span)
 }
 
 // decodeEnvelope parses an envelope frame payload.
@@ -272,46 +281,36 @@ func (r *reader) str() (string, error) {
 	return s, nil
 }
 
-// writeMail writes envelope + body frames into lane and syncs; the mail
-// is durable when it returns nil. On an error the caller will refuse the
-// mail, so the file must not survive to be recovered (and delivered) by a
-// later Recover: it is removed, best effort — if that fails too, what is
-// left is the same well-framed-or-torn file a crash would have left.
-func (s *Store) writeMail(lane Lane, env Envelope, body []byte) error {
-	payload, err := encodeEnvelope(env)
-	if err != nil {
-		return err
-	}
-	// One buffer, one Write, one Sync: both frames land in a single
-	// append, so a crash leaves either the whole mail or a torn file the
-	// recovery scan drops.
-	buf := make([]byte, 0, 8+len(payload)+len(body))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-	buf = append(buf, body...)
-	name := s.path(lane, env.ID)
+// writeMail writes a frame's image — envelope frame, body frame — into
+// lane as one Write and syncs, so a crash leaves either the whole mail or
+// a torn file the recovery scan drops; the mail is durable when it returns
+// nil. On an error the caller will refuse the mail, so the file must not
+// survive to be recovered (and delivered) by a later Recover: it is
+// removed, best effort — if that fails too, what is left is the same
+// well-framed-or-torn file a crash would have left.
+func (s *Store) writeMail(lane Lane, fr *Frame) error {
+	name := s.path(lane, fr.id)
 	f, err := s.fs.Create(name)
 	if err != nil {
-		return fmt.Errorf("spool: %s: %w", env.ID, err)
+		return fmt.Errorf("spool: %s: %w", fr.id, err)
 	}
-	if _, err = f.Write(buf); err == nil {
+	if _, err = f.Write(fr.buf[fr.start:]); err == nil {
 		err = f.Sync()
 	}
 	f.Close()
 	if err != nil {
 		_ = s.fs.Remove(name) // best effort, see above
-		return fmt.Errorf("spool: %s: %w", env.ID, err)
+		return fmt.Errorf("spool: %s: %w", fr.id, err)
 	}
 	return nil
 }
 
 // Append spools a new mail into the active lane.
-func (s *Store) Append(env Envelope, body []byte) error {
-	if env.ID == "" {
+func (s *Store) Append(fr *Frame) error {
+	if fr.id == "" {
 		return fmt.Errorf("spool: empty id")
 	}
-	return s.writeMail(LaneActive, env, body)
+	return s.writeMail(LaneActive, fr)
 }
 
 // Move relinks a mail from one lane to another without touching its
@@ -329,20 +328,21 @@ func (s *Store) Move(id string, from, to Lane) error {
 }
 
 // Rewrite persists an updated envelope (attempts, retry time, remaining
-// recipients) while moving the mail from one lane to another: the new
-// lane gets a freshly written durable copy, then the old name goes. A
-// crash mid-write leaves a torn file in the destination plus the intact
-// source, which Recover resolves to the source copy — the update is
-// atomic: old state or new, never neither.
-func (s *Store) Rewrite(env Envelope, body []byte, from, to Lane) error {
-	if err := s.writeMail(to, env, body); err != nil {
+// recipients; the caller has put it in the frame with SetEnvelope) while
+// moving the mail from one lane to another: the new lane gets a freshly
+// written durable copy, then the old name goes. A crash mid-write leaves a
+// torn file in the destination plus the intact source, which Recover
+// resolves to the source copy — the update is atomic: old state or new,
+// never neither.
+func (s *Store) Rewrite(fr *Frame, from, to Lane) error {
+	if err := s.writeMail(to, fr); err != nil {
 		return err
 	}
 	if from == to {
 		return nil
 	}
-	if err := s.fs.Remove(s.path(from, env.ID)); err != nil && !errors.Is(err, fsim.ErrNotExist) {
-		return fmt.Errorf("spool: rewrite %s: %w", env.ID, err)
+	if err := s.fs.Remove(s.path(from, fr.id)); err != nil && !errors.Is(err, fsim.ErrNotExist) {
+		return fmt.Errorf("spool: rewrite %s: %w", fr.id, err)
 	}
 	return nil
 }
@@ -368,13 +368,14 @@ func (s *Store) read(lane Lane, id string) (Mail, error) {
 	if err != nil {
 		return m, err
 	}
-	data := make([]byte, size)
+	// Slack in front: a v1 envelope gains its trace context when rewritten.
+	fr := getFrame(traceLen + int(size))
 	if size > 0 {
-		if _, err := f.ReadAt(data, 0); err != nil && err != io.EOF {
+		if _, err := f.ReadAt(fr.buf[traceLen:], 0); err != nil && err != io.EOF {
 			return m, err
 		}
 	}
-	envFrame, rest, err := frame(data)
+	envFrame, rest, err := frame(fr.buf[traceLen:])
 	if err != nil {
 		return m, err
 	}
@@ -389,9 +390,12 @@ func (s *Store) read(lane Lane, id string) (Mail, error) {
 	if env.ID != id {
 		return m, fmt.Errorf("%w: id mismatch (%s in file %s)", ErrTorn, env.ID, id)
 	}
+	// Anything after the body frame is not part of the mail.
+	fr.id, fr.start, fr.body = id, traceLen, len(fr.buf)-len(rest)+4
+	fr.buf = fr.buf[:fr.body+len(body)]
 	m.Envelope = env
 	m.Lane = lane
-	m.Body = body
+	m.Frame = fr
 	return m, nil
 }
 

@@ -26,7 +26,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	nb := time.Unix(0, 1234567890)
 	e := env("Q1", 2)
 	e.NotBefore = nb
-	if err := s.Append(e, []byte("body bytes")); err != nil {
+	if err := appendMail(s, e, []byte("body bytes")); err != nil {
 		t.Fatal(err)
 	}
 	mails, stats, err := s.Recover()
@@ -46,8 +46,8 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if len(m.Rcpts) != 2 || m.Rcpts[0] != "r1@b.test" || m.Rcpts[1] != "r2@c.test" {
 		t.Fatalf("rcpts = %v", m.Rcpts)
 	}
-	if string(m.Body) != "body bytes" {
-		t.Fatalf("body = %q", m.Body)
+	if string(m.Frame.Body()) != "body bytes" {
+		t.Fatalf("body = %q", m.Frame.Body())
 	}
 }
 
@@ -55,14 +55,14 @@ func TestNullSenderAndEmptyBody(t *testing.T) {
 	fs := fsim.NewMem(costmodel.FSModel{})
 	s := New(fs, "queue")
 	e := Envelope{ID: "Q1", Sender: "", Rcpts: []string{"r@b.test"}}
-	if err := s.Append(e, nil); err != nil {
+	if err := appendMail(s, e, nil); err != nil {
 		t.Fatal(err)
 	}
 	mails, _, err := s.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mails) != 1 || mails[0].Sender != "" || len(mails[0].Body) != 0 {
+	if len(mails) != 1 || mails[0].Sender != "" || len(mails[0].Frame.Body()) != 0 {
 		t.Fatalf("mails = %+v", mails)
 	}
 }
@@ -70,7 +70,7 @@ func TestNullSenderAndEmptyBody(t *testing.T) {
 func TestMoveBetweenLanes(t *testing.T) {
 	fs := fsim.NewMem(costmodel.FSModel{})
 	s := New(fs, "queue")
-	if err := s.Append(env("Q1", 0), []byte("x")); err != nil {
+	if err := appendMail(s, env("Q1", 0), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Move("Q1", LaneActive, LaneDeferred); err != nil {
@@ -91,13 +91,13 @@ func TestMoveBetweenLanes(t *testing.T) {
 func TestRewriteUpdatesEnvelope(t *testing.T) {
 	fs := fsim.NewMem(costmodel.FSModel{})
 	s := New(fs, "queue")
-	if err := s.Append(env("Q1", 0), []byte("x")); err != nil {
+	if err := appendMail(s, env("Q1", 0), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	e := env("Q1", 3)
 	e.Rcpts = []string{"left@b.test"} // partial delivery shrank the list
 	e.NotBefore = time.Unix(50, 0)
-	if err := s.Rewrite(e, []byte("x"), LaneActive, LaneDeferred); err != nil {
+	if err := rewriteMail(s, e, []byte("x"), LaneActive, LaneDeferred); err != nil {
 		t.Fatal(err)
 	}
 	mails, _, err := s.Recover()
@@ -116,7 +116,7 @@ func TestRewriteUpdatesEnvelope(t *testing.T) {
 func TestAckRemoves(t *testing.T) {
 	fs := fsim.NewMem(costmodel.FSModel{})
 	s := New(fs, "queue")
-	if err := s.Append(env("Q1", 0), nil); err != nil {
+	if err := appendMail(s, env("Q1", 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Ack("Q1", LaneActive); err != nil {
@@ -134,7 +134,7 @@ func TestAckRemoves(t *testing.T) {
 func TestRecoverDropsTornFiles(t *testing.T) {
 	fs := fsim.NewMem(costmodel.FSModel{})
 	s := New(fs, "queue")
-	if err := s.Append(env("Q1", 0), []byte("ok")); err != nil {
+	if err := appendMail(s, env("Q1", 0), []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
 	// A crash mid-write leaves a short file.
@@ -162,7 +162,7 @@ func TestRecoverDropsTornFiles(t *testing.T) {
 func TestRecoverResolvesCrashedMove(t *testing.T) {
 	fs := fsim.NewMem(costmodel.FSModel{})
 	s := New(fs, "queue")
-	if err := s.Append(env("Q1", 1), []byte("x")); err != nil {
+	if err := appendMail(s, env("Q1", 1), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a crash between link and remove: both names exist.
@@ -187,7 +187,7 @@ func TestRecoverResolvesCrashedMove(t *testing.T) {
 func TestRecoverPrecedenceHold(t *testing.T) {
 	fs := fsim.NewMem(costmodel.FSModel{})
 	s := New(fs, "queue")
-	if err := s.Append(env("Q1", 0), nil); err != nil {
+	if err := appendMail(s, env("Q1", 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Link("queue/active/Q1", "queue/hold/Q1"); err != nil {
@@ -210,12 +210,12 @@ func TestRecoverPrecedenceHold(t *testing.T) {
 func TestCrashPointEnumeration(t *testing.T) {
 	scenario := func(fs *fsim.Fault) error {
 		s := New(fs, "queue")
-		if err := s.Append(env("Q1", 0), []byte("payload")); err != nil {
+		if err := appendMail(s, env("Q1", 0), []byte("payload")); err != nil {
 			return err
 		}
 		e := env("Q1", 1)
 		e.NotBefore = time.Unix(10, 0)
-		if err := s.Rewrite(e, []byte("payload"), LaneActive, LaneDeferred); err != nil {
+		if err := rewriteMail(s, e, []byte("payload"), LaneActive, LaneDeferred); err != nil {
 			return err
 		}
 		if err := s.Move("Q1", LaneDeferred, LaneActive); err != nil {
@@ -252,8 +252,8 @@ func TestCrashPointEnumeration(t *testing.T) {
 			t.Fatalf("acked mail survived full run: %+v", mails)
 		}
 		for _, m := range mails {
-			if m.ID != "Q1" || string(m.Body) != "payload" {
-				t.Fatalf("crash point %d: inconsistent recovery %+v body %q", k, m.Envelope, m.Body)
+			if m.ID != "Q1" || string(m.Frame.Body()) != "payload" {
+				t.Fatalf("crash point %d: inconsistent recovery %+v body %q", k, m.Envelope, m.Frame.Body())
 			}
 			if m.Attempts != 0 && m.Attempts != 1 {
 				t.Fatalf("crash point %d: impossible attempts %d", k, m.Attempts)
@@ -275,7 +275,7 @@ func TestManyMailsRecoverAcrossLanes(t *testing.T) {
 	s := New(fs, "queue")
 	for i := 0; i < 30; i++ {
 		id := fmt.Sprintf("Q%03d", i)
-		if err := s.Append(env(id, 0), []byte(id)); err != nil {
+		if err := appendMail(s, env(id, 0), []byte(id)); err != nil {
 			t.Fatal(err)
 		}
 		switch i % 3 {
@@ -300,8 +300,8 @@ func TestManyMailsRecoverAcrossLanes(t *testing.T) {
 		t.Fatalf("stats = %+v", stats)
 	}
 	for _, m := range mails {
-		if string(m.Body) != m.ID {
-			t.Fatalf("body mismatch for %s: %q", m.ID, m.Body)
+		if string(m.Frame.Body()) != m.ID {
+			t.Fatalf("body mismatch for %s: %q", m.ID, m.Frame.Body())
 		}
 	}
 }
@@ -311,7 +311,7 @@ func TestEnvelopeTraceRoundTrip(t *testing.T) {
 	s := New(fs, "queue")
 	e := env("Q1", 1)
 	e.Trace = trace.Context{Hi: 0xdeadbeefcafef00d, Lo: 0x0123456789abcdef, Span: 0xfeedface}
-	if err := s.Append(e, []byte("traced body")); err != nil {
+	if err := appendMail(s, e, []byte("traced body")); err != nil {
 		t.Fatal(err)
 	}
 	mails, stats, err := s.Recover()
@@ -385,7 +385,7 @@ func (failSyncFile) Sync() error { return errors.New("fsync: input/output error"
 // must not be left for Recover to resurrect beside the retry.
 func TestFailedAppendLeavesNothingToRecover(t *testing.T) {
 	s := New(failSyncFS{fsim.NewMem(costmodel.FSModel{})}, "queue")
-	if err := s.Append(env("Q1", 0), []byte("body")); err == nil {
+	if err := appendMail(s, env("Q1", 0), []byte("body")); err == nil {
 		t.Fatal("Append succeeded on a filesystem whose fsync fails")
 	}
 	if n := s.LaneDepth(LaneActive); n != 0 {
@@ -428,7 +428,7 @@ func TestBeginEpochNeverRepeats(t *testing.T) {
 
 	// A spool from before epochs existed holds epoch-0 ids and no record.
 	legacy := New(fsim.NewMem(costmodel.FSModel{}), "queue")
-	if err := legacy.Append(env("Q0000000000000001", 0), nil); err != nil {
+	if err := appendMail(legacy, env("Q0000000000000001", 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := legacy.BeginEpoch(); err != nil || got != 1 {
