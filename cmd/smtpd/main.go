@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/cmd/internal/node"
-	"repro/internal/bounce"
 	"repro/internal/cluster"
 	"repro/internal/dnsbl"
 	"repro/internal/eventlog"
@@ -54,7 +53,6 @@ func main() {
 		ckptDir     = flag.String("checkpoint-dir", "", "MFS: write online checkpoints under this directory (under -root; empty disables)")
 		ckptEvery   = flag.Duration("checkpoint-interval", 5*time.Minute, "MFS: interval between online checkpoints when -checkpoint-dir is set")
 		maxAttempts = flag.Int("max-attempts", cluster.MaxAttempts, "delivery attempts before a mail bounces")
-		bounceOn    = flag.Bool("bounce", true, "synthesize DSN bounces for undeliverable mail (off: drop dead)")
 
 		eventsLevel  = flag.String("events-level", "info", "event log ring retention level: debug, info, warn, error, or off")
 		eventsCap    = flag.Int("events-cap", 4096, "event log ring capacity (events retained for /events)")
@@ -122,10 +120,6 @@ func main() {
 		srvOpts = append(srvOpts, smtpserver.WithPolicy(pol))
 	}
 
-	qcfg := queue.Config{MaxAttempts: *maxAttempts}
-	if *bounceOn {
-		qcfg.Bounce = bounce.New(hostname).Synthesize
-	}
 	// The node itself — access DB, store, agent, spool, queue, front end,
 	// in that order, listening on return — is internal/cluster's.
 	sh, err := cluster.StartShard(cluster.ShardSpec{
@@ -135,7 +129,7 @@ func main() {
 		Mailboxes: *mailboxes,
 		Store:     *storeName,
 		SpoolDir:  *spoolDir,
-		Queue:     qcfg,
+		Queue:     queue.Config{MaxAttempts: *maxAttempts},
 		Options:   srvOpts,
 		Registry:  reg,
 		Events:    events,

@@ -68,8 +68,8 @@ func TestFollowEventsFiltered(t *testing.T) {
 	defer srv.Close()
 
 	log.Debug("dnsbl.lookup", 7, eventlog.Bool("hit", true))
-	log.Warn("queue.dead", 7, eventlog.Str("id", "m1"))
-	log.Warn("queue.dead", 8, eventlog.Str("id", "m2"))
+	log.Warn("queue.hold", 7, eventlog.Str("id", "m1"))
+	log.Warn("queue.hold", 8, eventlog.Str("id", "m2"))
 
 	var out strings.Builder
 	err := followEvents(srv.URL, "warn", 7, "", time.Millisecond, &out, func(printed int) bool { return true })

@@ -78,7 +78,7 @@ func TestFullStackUnivWorkload(t *testing.T) {
 				t.Fatal("queue never drained")
 			}
 			qs := s.Queue.Stats()
-			if qs.Delivered != int64(want.Delivering) || qs.Dead != 0 {
+			if qs.Delivered != int64(want.Delivering) || qs.Held != 0 || qs.Bounced != 0 {
 				t.Fatalf("queue stats = %+v", qs)
 			}
 

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/access"
+	"repro/internal/bounce"
 	"repro/internal/costmodel"
 	"repro/internal/delivery"
 	"repro/internal/director"
@@ -79,15 +80,13 @@ type ShardSpec struct {
 	Store string
 	// SpoolDir is the spool directory on FS.
 	SpoolDir string
-	// Relay accepts recipients at any domain instead of checking them
-	// against the access DB — a node that forwards rather than delivers.
-	Relay bool
 	// Deliverer, if set, replaces the local delivery agent as the queue's
 	// deliverer; it is handed the agent so it can wrap it.
 	Deliverer func(local *delivery.Agent) queue.Deliverer
 	// Queue carries the queue's retry, limit and bounce settings. Its
-	// Deliverer, Store, Registry, Events and Tracer are the shard's, and
-	// ActiveLimit and MaxAttempts default to this package's constants.
+	// Deliverer, Store, Registry, Events and Tracer are the shard's,
+	// ActiveLimit and MaxAttempts default to this package's constants, and
+	// Bounce to DSNs reported by Hostname(Domain).
 	Queue queue.Config
 	// Options are appended to the front end's own (hostname, Workers,
 	// recipient validation, enqueue hook and the three sinks below), so
@@ -187,6 +186,9 @@ func StartShard(spec ShardSpec) (*Shard, error) {
 	if qcfg.MaxAttempts == 0 {
 		qcfg.MaxAttempts = MaxAttempts
 	}
+	if qcfg.Bounce == nil {
+		qcfg.Bounce = bounce.New(Hostname(spec.Domain)).Synthesize
+	}
 	qcfg.Registry, qcfg.Events, qcfg.Tracer = spec.Registry, spec.Events, spec.Tracer
 	// NewManager returns with the previous manager's spool recovered.
 	if s.Queue, err = queue.NewManager(qcfg); err != nil {
@@ -200,11 +202,8 @@ func StartShard(spec ShardSpec) (*Shard, error) {
 		smtpserver.WithEventLog(spec.Events),
 		smtpserver.WithMessageTracer(spec.Tracer),
 		smtpserver.WithEnqueueTraced(s.Queue.EnqueueTraced),
-	}
-	if !spec.Relay {
-		opts = append(opts,
-			smtpserver.WithValidateRcpt(s.DB.Valid),
-			smtpserver.WithValidateRcptBytes(s.DB.ValidBytes))
+		smtpserver.WithValidateRcpt(s.DB.Valid),
+		smtpserver.WithValidateRcptBytes(s.DB.ValidBytes),
 	}
 	if s.Server, err = smtpserver.New(nil, append(opts, spec.Options...)...); err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -229,6 +230,54 @@ func TestRestartAfterCrashRecoversTheSpool(t *testing.T) {
 	}
 	if got := mailboxEntries(t, fault); got != n {
 		t.Fatalf("%d mailbox entries after recovery, want %d", got, n)
+	}
+}
+
+// TestZeroSpecShardBounces: a spec that says nothing about bounces is the
+// production mode, so a mail that exhausts its attempts comes back to its
+// sender as a DSN reported by the node's own hostname; nothing the node
+// acked goes unaccounted.
+func TestZeroSpecShardBounces(t *testing.T) {
+	sh, err := StartShard(ShardSpec{
+		Mailboxes: users,
+		Deliverer: func(local *delivery.Agent) queue.Deliverer {
+			return queue.DelivererFunc(func(item *queue.Item) error {
+				if item.Sender == "" {
+					return local.Deliver(item) // the DSN on its way back
+				}
+				return down(item)
+			})
+		},
+		Queue: queue.Config{RetryDelay: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Kill()
+	send(t, sh.Addr, []trace.Conn{{
+		Helo:   "client.test",
+		Sender: "user0001@" + DefaultDomain,
+		Rcpts:  []trace.Rcpt{{Addr: "user0000@" + DefaultDomain, Valid: true}},
+	}})
+	if !sh.Queue.WaitIdle(5 * time.Second) {
+		t.Fatalf("queue never idle: %+v", sh.Queue.Stats())
+	}
+	// Two mails entered the queue: the original, bounced, and its DSN, delivered.
+	if st := sh.Queue.Stats(); st.Bounced != 1 || st.Delivered != 1 || st.Enqueued != 2 {
+		t.Fatalf("stats = %+v, want the mail bounced and its DSN delivered", st)
+	}
+	for _, lane := range spool.Lanes {
+		if d := sh.Queue.LaneDepth(lane); d != 0 {
+			t.Fatalf("lane %s holds %d mails after the drain", lane, d)
+		}
+	}
+	ids, err := sh.Store.List("user0001")
+	if err != nil || len(ids) != 1 {
+		t.Fatalf("sender's mailbox lists %v, %v; want one DSN", ids, err)
+	}
+	dsn, err := sh.Store.Read("user0001", ids[0])
+	if err != nil || !strings.Contains(string(dsn), "Reporting-MTA: dns; "+Hostname(DefaultDomain)) {
+		t.Fatalf("sender's mailbox holds %q, %v; want this node's DSN", dsn, err)
 	}
 }
 

@@ -105,7 +105,7 @@ func TestRegistry(t *testing.T) {
 		"table1", "fig1", "fig3", "fig4", "fig5", "tuning", "fig8",
 		"fig10", "fig11", "mfs-sinkhole", "fig12", "fig13", "fig14",
 		"fig15", "combined", "parallel-delivery", "stage-latency",
-		"outbound-outage",
+		"delivery-outage",
 	} {
 		if !seen[want] {
 			t.Errorf("missing experiment %s", want)
@@ -443,8 +443,8 @@ func TestStageLatencyShape(t *testing.T) {
 	}
 }
 
-func TestOutboundOutageShape(t *testing.T) {
-	m := quick(t, "outbound-outage")
+func TestDeliveryOutageShape(t *testing.T) {
+	m := quick(t, "delivery-outage")
 	for _, arch := range []string{"vanilla", "hybrid"} {
 		accepted := m["accepted_"+arch]
 		if accepted <= 0 {

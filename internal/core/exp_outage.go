@@ -1,19 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"net"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bounce"
 	"repro/internal/cluster"
 	"repro/internal/delivery"
-	"repro/internal/eventlog"
 	"repro/internal/metrics"
-	"repro/internal/outbound"
 	"repro/internal/queue"
 	"repro/internal/smtpserver"
 	"repro/internal/spool"
@@ -22,19 +19,16 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "outbound-outage",
-		Title: "Remote-site outage and recovery: spool depth, retry amplification, time-to-drain",
-		Paper: "Figure 2's queue/outbound split under an unreachable destination: the durable spool absorbs the outage, the per-destination backoff bounds retry amplification, and the queue drains once the remote recovers",
-		Run:   runOutboundOutage,
+		ID:    "delivery-outage",
+		Title: "Mailbox-storage outage and recovery: spool depth, retry amplification, time-to-drain",
+		Paper: "Figure 2's queue in front of a delivery agent whose storage is down: the durable spool absorbs the outage, the backoff bounds retry amplification, and the queue drains once the storage recovers",
+		Run:   runDeliveryOutage,
 	})
 }
 
 // outageResult is one architecture's measurement.
 type outageResult struct {
-	accepted       int64
-	delivered      int64
-	bounced        int64
-	deferrals      int64
+	queue.Stats    // at the end: Enqueued counts the DSNs too
 	peakSpool      int
 	outageAttempts float64
 	totalAttempts  float64
@@ -45,119 +39,82 @@ type outageResult struct {
 // needed them (delivered + bounced originals): 1.0 means every mail
 // went through on its first try.
 func (r outageResult) amplification() float64 {
-	mails := float64(r.delivered + r.bounced)
+	mails := float64(r.Delivered + r.Bounced)
 	if mails == 0 {
 		return 0
 	}
 	return r.totalAttempts / mails
 }
 
-// outageRun boots one relay node (cluster.StartShard: SMTP front end
-// over loopback TCP, durable spool on a simulated disk, backoff
-// scheduler) whose deliverer is the MX-resolving outbound one, and walks
-// it through a remote-site outage:
+// outageRun boots one node (cluster.StartShard: SMTP front end over
+// loopback TCP, durable spool on a simulated disk, backoff scheduler,
+// local agent and store) and walks it through an outage of its mailbox
+// storage — the node's deliverer is the local agent behind a gate that
+// refuses every delivery while the storage is down, and one mailbox's mail
+// always:
 //
-//  1. Every destination MX refuses connections. n mails arrive and pile
-//     up in the deferred lane under exponential backoff; deadN of them
-//     aim at a permanently dead domain.
-//  2. After a hold period the remote "comes back": the MX table repoints
-//     at a live sink, and the drain clock starts.
-//  3. The queue drains. The dead-domain mails exhaust their attempts and
-//     bounce; the DSNs themselves deliver to the recovered remote.
+//  1. The storage refuses every delivery. n mails between local users
+//     arrive and pile up in the deferred lane under exponential backoff;
+//     deadN of them aim at a mailbox that will never take mail.
+//  2. After a hold period the storage comes back, and the drain clock
+//     starts.
+//  3. The queue drains. The dead-mailbox mails exhaust their attempts and
+//     bounce; the DSNs themselves deliver to their senders' mailboxes.
 func outageRun(arch smtpserver.Architecture, n, deadN int, hold time.Duration) (outageResult, error) {
 	const (
-		localDomain  = "origin.test"
-		remoteDomain = "remote.test"
-		deadDomain   = "nohost.test"
+		domain = "origin.test"
+		users  = 64 // user0000 is the dead mailbox, the rest send and receive
 	)
 	var res outageResult
-
-	// A port that refuses connections: listen, grab the address, close.
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return res, err
-	}
-	deadAddr := dead.Addr().String()
-	dead.Close()
-
-	resolver := outbound.NewStatic()
-	resolver.Set(remoteDomain, outbound.MX{Host: deadAddr, Pref: 10})
-	resolver.Set(localDomain, outbound.MX{Host: deadAddr, Pref: 10})
-	resolver.Set(deadDomain, outbound.MX{Host: deadAddr, Pref: 10})
+	user := func(i int) string { return fmt.Sprintf("user%04d@%s", i, domain) }
+	live := func(i int) string { return user(1 + i%(users-1)) }
 
 	reg := metrics.NewRegistry()
-	events := eventlog.New(eventlog.WithLevel(eventlog.LevelOff))
-	deliverer, err := outbound.New(outbound.Config{
-		Resolver:       resolver,
-		Helo:           cluster.Hostname(localDomain),
-		DialTimeout:    500 * time.Millisecond,
-		CommandTimeout: 2 * time.Second,
-		Registry:       reg,
-		Events:         events,
-	})
-	if err != nil {
-		return res, err
-	}
-	// The origin is a relay: every recipient is remote, and the queue's
-	// deliverer is the outbound one instead of the local agent.
+	dead := user(0)
+	var down atomic.Bool
+	down.Store(true)
 	sh, err := cluster.StartShard(cluster.ShardSpec{
-		Domain:    localDomain,
-		Relay:     true,
-		Deliverer: func(*delivery.Agent) queue.Deliverer { return deliverer },
+		Domain:    domain,
+		Mailboxes: users,
+		Deliverer: func(local *delivery.Agent) queue.Deliverer {
+			return queue.DelivererFunc(func(item *queue.Item) error {
+				switch {
+				case down.Load():
+					return errors.New("mailbox storage down")
+				case slices.Contains(item.Rcpts, dead):
+					return fmt.Errorf("mailbox %s unavailable", dead)
+				}
+				return local.Deliver(item)
+			})
+		},
 		Queue: queue.Config{
-			MaxAttempts:     8,
-			RetryDelay:      25 * time.Millisecond,
-			MaxRetryDelay:   250 * time.Millisecond,
-			DestConcurrency: 8,
-			IntakeLimit:     2*n + 16,
-			Bounce:          bounce.New(cluster.Hostname(localDomain)).Synthesize,
+			MaxAttempts:   8,
+			RetryDelay:    25 * time.Millisecond,
+			MaxRetryDelay: 250 * time.Millisecond,
 		},
 		Options:  []smtpserver.Option{smtpserver.WithArchitecture(arch), smtpserver.WithMaxWorkers(8)},
 		Registry: reg,
-		Events:   events,
 	})
 	if err != nil {
 		return res, err
 	}
 	defer sh.Kill() // the error paths; a no-op after the Close below
 	qm := sh.Queue
+	// Every delivery attempt is one observation of the queue's own histogram.
+	attempts := reg.Histogram("queue_delivery_seconds", metrics.LatencyBounds())
 
-	// Sample the spool depth while the outage lasts; the peak is the
-	// headline "how much disk did the outage cost" number.
-	var peak atomic.Int64
-	stopSampling := make(chan struct{})
-	var sampler sync.WaitGroup
-	sampler.Add(1)
-	go func() {
-		defer sampler.Done()
-		tick := time.NewTicker(2 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stopSampling:
-				return
-			case <-tick.C:
-				depth := int64(qm.LaneDepth(spool.LaneActive) +
-					qm.LaneDepth(spool.LaneDeferred) + qm.LaneDepth(spool.LaneHold))
-				if depth > peak.Load() {
-					peak.Store(depth)
-				}
-			}
-		}
-	}()
-
-	// Inject n mails while the remote is down. A slice aims at the
-	// permanently dead domain to exercise the exhaustion→DSN path.
+	// Inject n mails while the storage is down. A slice aims at the dead
+	// mailbox to exercise the exhaustion→DSN path.
 	conns := make([]trace.Conn, n)
 	for i := range conns {
-		rcptDomain := remoteDomain
+		rcpt := live(i + 1)
 		if i < deadN {
-			rcptDomain = deadDomain
+			rcpt = dead
 		}
 		conns[i] = trace.Conn{
-			Helo:      "relay." + localDomain,
-			Sender:    fmt.Sprintf("user%d@%s", i, localDomain),
-			Rcpts:     []trace.Rcpt{{Addr: fmt.Sprintf("rcpt%d@%s", i, rcptDomain), Valid: true}},
+			Helo:      "client." + domain,
+			Sender:    live(i),
+			Rcpts:     []trace.Rcpt{{Addr: rcpt, Valid: true}},
 			SizeBytes: 284,
 		}
 	}
@@ -165,26 +122,17 @@ func outageRun(arch smtpserver.Architecture, n, deadN int, hold time.Duration) (
 		return res, err
 	}
 
-	// Let the outage bite: retries accumulate against the dead address.
-	time.Sleep(hold)
-	res.outageAttempts = float64(reg.Counter("outbound_attempts_total").Value())
-	close(stopSampling)
-	sampler.Wait()
-	res.peakSpool = int(peak.Load())
+	// Let the outage bite: retries accumulate against the dead storage.
+	// Nothing leaves the spool until it ends, so the deepest sample taken
+	// now is the headline "how much disk did the outage cost" number.
+	for end := time.Now().Add(hold); time.Now().Before(end); time.Sleep(2 * time.Millisecond) {
+		res.peakSpool = max(res.peakSpool, qm.LaneDepth(spool.LaneActive)+
+			qm.LaneDepth(spool.LaneDeferred)+qm.LaneDepth(spool.LaneHold))
+	}
+	res.outageAttempts = float64(attempts.Count())
 
-	// Recovery: the remote (and the origin domain, for DSNs) come back —
-	// a front end that accepts everything.
-	remote, err := smtpserver.New(new(sink).enqueue, smtpserver.WithHostname(cluster.Hostname(remoteDomain)))
-	if err != nil {
-		return res, err
-	}
-	remoteAddr, stopRemote, err := cluster.Serve(remote)
-	if err != nil {
-		return res, err
-	}
-	defer stopRemote()
-	resolver.Set(remoteDomain, outbound.MX{Host: remoteAddr, Pref: 10})
-	resolver.Set(localDomain, outbound.MX{Host: remoteAddr, Pref: 10})
+	// Recovery: the storage takes mail again.
+	down.Store(false)
 	recoverStart := time.Now()
 	if !qm.WaitIdle(60 * time.Second) {
 		return res, fmt.Errorf("queue did not drain after recovery: %+v", qm.Stats())
@@ -194,21 +142,17 @@ func outageRun(arch smtpserver.Architecture, n, deadN int, hold time.Duration) (
 		return res, err
 	}
 
-	stats := qm.Stats()
-	res.accepted = stats.Enqueued
-	res.delivered = stats.Delivered
-	res.bounced = stats.Bounced
-	res.deferrals = stats.Deferred
-	res.totalAttempts = float64(reg.Counter("outbound_attempts_total").Value())
+	res.Stats = qm.Stats()
+	if got := sh.Agent.Stats().Mails; got != res.Delivered {
+		return res, fmt.Errorf("queue counts %d deliveries, the store committed %d", res.Delivered, got)
+	}
+	res.totalAttempts = float64(attempts.Count())
 	return res, nil
 }
 
-func runOutboundOutage(w io.Writer, opts Options) (Metrics, error) {
+func runDeliveryOutage(w io.Writer, opts Options) (Metrics, error) {
 	n := opts.scale(240, 32)
-	deadN := n / 16
-	if deadN < 2 {
-		deadN = 2
-	}
+	deadN := max(n/16, 2)
 	hold := 400 * time.Millisecond
 	if opts.Quick {
 		hold = 200 * time.Millisecond
@@ -220,15 +164,15 @@ func runOutboundOutage(w io.Writer, opts Options) (Metrics, error) {
 	for _, arch := range []smtpserver.Architecture{smtpserver.Vanilla, smtpserver.Hybrid} {
 		r, err := outageRun(arch, n, deadN, hold)
 		if err != nil {
-			return nil, fmt.Errorf("outbound-outage %s: %v", arch, err)
+			return nil, fmt.Errorf("delivery-outage %s: %v", arch, err)
 		}
-		t.AddRow(arch.String(), r.accepted, r.peakSpool, r.outageAttempts,
-			r.totalAttempts, r.amplification(), r.bounced, float64(r.drain.Milliseconds()))
+		t.AddRow(arch.String(), r.Enqueued, r.peakSpool, r.outageAttempts,
+			r.totalAttempts, r.amplification(), r.Bounced, float64(r.drain.Milliseconds()))
 		key := arch.String()
-		m["accepted_"+key] = float64(r.accepted)
-		m["delivered_"+key] = float64(r.delivered)
-		m["bounced_"+key] = float64(r.bounced)
-		m["deferrals_"+key] = float64(r.deferrals)
+		m["accepted_"+key] = float64(r.Enqueued)
+		m["delivered_"+key] = float64(r.Delivered)
+		m["bounced_"+key] = float64(r.Bounced)
+		m["deferrals_"+key] = float64(r.Deferred)
 		m["peak_spool_"+key] = float64(r.peakSpool)
 		m["outage_attempts_"+key] = r.outageAttempts
 		m["total_attempts_"+key] = r.totalAttempts
@@ -236,11 +180,11 @@ func runOutboundOutage(w io.Writer, opts Options) (Metrics, error) {
 		m["drain_ms_"+key] = float64(r.drain.Milliseconds())
 	}
 	fmt.Fprint(w, t.String())
-	fmt.Fprintf(w, "\nboth architectures accept at full speed while the remote is down: "+
-		"the spool absorbs the backlog (peak %.0f mails), exponential per-destination "+
+	fmt.Fprintf(w, "\nboth architectures accept at full speed while the mailbox storage is down: "+
+		"the spool absorbs the backlog (peak %.0f mails), exponential "+
 		"backoff caps retry amplification at %.1f attempts/mail, and the queue drains "+
-		"in %.0f ms once the remote returns; %.0f mails aimed at a permanently dead "+
-		"domain exhausted their attempts and bounced as DSNs\n",
+		"in %.0f ms once the storage returns; %.0f mails aimed at a permanently dead "+
+		"mailbox exhausted their attempts and bounced as DSNs\n",
 		m["peak_spool_hybrid"], m["amplification_hybrid"], m["drain_ms_hybrid"],
 		m["bounced_hybrid"])
 	return m, nil

@@ -18,8 +18,8 @@ import (
 
 // sink is a front-end-only SMTP site: it accepts every mail, counts it
 // and discards it. The front-end experiments measure pipeline stages, not
-// the queue and delivery tail; the director and outbound experiments use
-// it as the far side of a hop.
+// the queue and delivery tail; the director experiments use it as the far
+// side of a hop.
 type sink struct{ mails atomic.Int64 }
 
 func (s *sink) enqueue(sender string, rcpts []string, data []byte) (string, error) {

@@ -158,12 +158,23 @@ func (f *osFile) Truncate(size int64) error {
 // handle (see Truncate) and unused on a reading one (ReadAt).
 func (f *osFile) Size() (int64, error) { return f.f.Seek(0, io.SeekEnd) }
 
-func (o *OS) Create(name string) (File, error) {
-	p := o.path(name)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return nil, fmt.Errorf("fsim: create %s: %w", name, err)
+// openFile opens p for writing, creating it. The directory is made only
+// when the open says it is missing — true of a directory's first file and
+// no other, so the rest do not pay MkdirAll's stat of every path element.
+func openFile(p string, flag int) (*os.File, error) {
+	flag |= os.O_RDWR | os.O_CREATE
+	f, err := os.OpenFile(p, flag, 0o644)
+	if os.IsNotExist(err) {
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			return nil, err
+		}
+		f, err = os.OpenFile(p, flag, 0o644)
 	}
-	f, err := os.OpenFile(p, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	return f, err
+}
+
+func (o *OS) Create(name string) (File, error) {
+	f, err := openFile(o.path(name), os.O_TRUNC)
 	if err != nil {
 		return nil, fmt.Errorf("fsim: create %s: %w", name, err)
 	}
@@ -171,13 +182,9 @@ func (o *OS) Create(name string) (File, error) {
 }
 
 func (o *OS) OpenAppend(name string) (File, error) {
-	p := o.path(name)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return nil, fmt.Errorf("fsim: open %s: %w", name, err)
-	}
 	// O_APPEND would break WriteAt on Linux, so emulate append by seeking;
 	// the File.Write contract (append-only) is preserved by the wrapper.
-	f, err := os.OpenFile(p, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := openFile(o.path(name), 0)
 	if err != nil {
 		return nil, fmt.Errorf("fsim: open %s: %w", name, err)
 	}
@@ -200,20 +207,24 @@ func (o *OS) OpenRead(name string) (File, error) {
 }
 
 func (o *OS) Link(oldname, newname string) error {
-	np := o.path(newname)
-	if err := os.MkdirAll(filepath.Dir(np), 0o755); err != nil {
-		return fmt.Errorf("fsim: link %s: %w", newname, err)
+	op, np := o.path(oldname), o.path(newname)
+	err := os.Link(op, np)
+	if os.IsNotExist(err) {
+		// oldname is missing, or newname's directory: make that and ask again.
+		if err := os.MkdirAll(filepath.Dir(np), 0o755); err != nil {
+			return fmt.Errorf("fsim: link %s: %w", newname, err)
+		}
+		err = os.Link(op, np)
 	}
-	if _, err := os.Stat(np); err == nil {
+	switch {
+	case err == nil:
+		return nil
+	case os.IsNotExist(err):
+		return fmt.Errorf("fsim: link %s: %w", oldname, ErrNotExist)
+	case os.IsExist(err):
 		return fmt.Errorf("fsim: link %s: %w", newname, ErrExist)
 	}
-	if err := os.Link(o.path(oldname), np); err != nil {
-		if os.IsNotExist(err) {
-			return fmt.Errorf("fsim: link %s: %w", oldname, ErrNotExist)
-		}
-		return fmt.Errorf("fsim: link %s -> %s: %w", oldname, newname, err)
-	}
-	return nil
+	return fmt.Errorf("fsim: link %s -> %s: %w", oldname, newname, err)
 }
 
 func (o *OS) Remove(name string) error {

@@ -191,6 +191,41 @@ func TestLinkErrors(t *testing.T) {
 	}
 }
 
+// TestOSMakesDirectoriesOnlyWhenMissing: Create, OpenAppend and Link make
+// the directory of a name when the first attempt finds it missing, and pay
+// for no MkdirAll otherwise — a spooled mail is a Create, a Close and a
+// Remove in a lane directory that exists.
+func TestOSMakesDirectoriesOnlyWhenMissing(t *testing.T) {
+	fs := NewOS(t.TempDir())
+	f, err := fs.Create("queue/active/first")
+	if err != nil {
+		t.Fatalf("first Create into a missing directory: %v", err)
+	}
+	f.Close()
+	if f, err = fs.OpenAppend("mfs/boxes/u.key"); err != nil {
+		t.Fatalf("first OpenAppend into a missing directory: %v", err)
+	}
+	f.Close()
+	if err := fs.Link("queue/active/first", "queue/deferred/first"); err != nil {
+		t.Fatalf("first Link into a missing directory: %v", err)
+	}
+	if err := fs.Link("queue/active/absent", "queue/hold/absent"); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("Link from a missing name into a missing directory: %v", err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		f, err := fs.Create("queue/active/Q0000000000000001")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		fs.Remove("queue/active/Q0000000000000001")
+	})
+	// 9 with a MkdirAll in front of every open.
+	if allocs > 7 {
+		t.Fatalf("Create+Close+Remove in an existing directory = %v allocations, want at most 7", allocs)
+	}
+}
+
 func TestExistsAndList(t *testing.T) {
 	for name, fs := range backends(t) {
 		t.Run(name, func(t *testing.T) {

@@ -63,7 +63,7 @@ func TestEnqueueDeliver(t *testing.T) {
 		t.Fatalf("delivered = %d", col.count())
 	}
 	st := m.Stats()
-	if st.Enqueued != 1 || st.Delivered != 1 || st.Dead != 0 {
+	if st.Enqueued != 1 || st.Delivered != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -113,21 +113,55 @@ func TestRetryThenSucceed(t *testing.T) {
 	}
 }
 
-func TestDeadAfterMaxAttempts(t *testing.T) {
-	failing := DelivererFunc(func(item *Item) error { return errors.New("permanent") })
-	m, _ := NewManager(Config{
-		Deliverer:   failing,
+// TestExhaustedWithoutBounceIsHeld: with no bounce hook a mail that used its
+// last attempt is not acked out of the spool. It parks in the hold lane,
+// is still there for the next manager on the same spool, and is never
+// delivered again.
+func TestExhaustedWithoutBounceIsHeld(t *testing.T) {
+	fs := fsim.NewMem(costmodel.FSModel{})
+	var attempts atomic.Int64
+	cfg := Config{
+		Deliverer: DelivererFunc(func(item *Item) error {
+			attempts.Add(1)
+			return errors.New("permanent")
+		}),
 		RetryDelay:  2 * time.Millisecond,
 		MaxAttempts: 3,
-	})
-	defer m.Close()
-	m.Enqueue("s@a.test", []string{"r@b.test"}, nil)
+	}
+	open := func() *Manager {
+		cfg.Store = spool.New(fs, "")
+		m, err := NewManager(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	m := open()
+	id, err := m.Enqueue("s@a.test", []string{"r@b.test"}, []byte("m"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !m.WaitIdle(5 * time.Second) {
 		t.Fatal("queue never idle")
 	}
-	st := m.Stats()
-	if st.Dead != 1 || st.Delivered != 0 || st.Deferred != 2 {
-		t.Fatalf("stats = %+v", st)
+	if st := m.Stats(); st.Held != 1 || st.Delivered != 0 || st.Deferred != 2 {
+		t.Fatalf("stats = %+v, want the exhausted mail held", st)
+	}
+	if !fs.Exists("queue/hold/" + id) {
+		t.Fatal("exhausted mail is not in the hold lane")
+	}
+	m.Close()
+
+	m = open()
+	defer m.Close()
+	if got := m.RecoveryStats().Recovered[spool.LaneHold]; got != 1 {
+		t.Fatalf("restart found %d held mails, want 1", got)
+	}
+	if !m.WaitIdle(5*time.Second) || attempts.Load() != 3 {
+		t.Fatalf("held mail driven again after the restart: %d attempts, want 3", attempts.Load())
+	}
+	if !fs.Exists("queue/hold/" + id) {
+		t.Fatal("held mail gone after the restart")
 	}
 }
 
@@ -352,43 +386,6 @@ func TestBackoffJitterBounded(t *testing.T) {
 	}
 }
 
-func TestDestConcurrencyLimit(t *testing.T) {
-	var cur, peak int32
-	slow := DelivererFunc(func(item *Item) error {
-		n := atomic.AddInt32(&cur, 1)
-		for {
-			p := atomic.LoadInt32(&peak)
-			if n <= p || atomic.CompareAndSwapInt32(&peak, p, n) {
-				break
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
-		atomic.AddInt32(&cur, -1)
-		return nil
-	})
-	m, _ := NewManager(Config{
-		Deliverer:       slow,
-		ActiveLimit:     4,
-		DestConcurrency: 1,
-		RetryDelay:      2 * time.Millisecond,
-	})
-	defer m.Close()
-	for i := 0; i < 4; i++ {
-		if _, err := m.Enqueue("s@a.test", []string{fmt.Sprintf("r%d@same.test", i)}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !m.WaitIdle(5 * time.Second) {
-		t.Fatal("queue never idle")
-	}
-	if st := m.Stats(); st.Delivered != 4 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if p := atomic.LoadInt32(&peak); p != 1 {
-		t.Fatalf("peak same-destination concurrency = %d, want 1", p)
-	}
-}
-
 func TestExhaustedMailBounces(t *testing.T) {
 	fs := fsim.NewMem(costmodel.FSModel{})
 	var bounces []*Item
@@ -421,7 +418,7 @@ func TestExhaustedMailBounces(t *testing.T) {
 		t.Fatal("queue never idle")
 	}
 	st := m.Stats()
-	if st.Bounced != 1 || st.Dead != 0 || st.Delivered != 1 {
+	if st.Bounced != 1 || st.Delivered != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	mu.Lock()

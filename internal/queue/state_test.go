@@ -79,7 +79,7 @@ func conserved(t *testing.T, m *Manager, st Stats, when string) {
 	t.Helper()
 	rec := m.RecoveryStats().Recovered
 	in := st.Enqueued + int64(rec[spool.LaneActive]+rec[spool.LaneDeferred])
-	out := st.Delivered + st.Bounced + st.Held + st.Dead + int64(st.Pending+st.InFlight+st.Waiting)
+	out := st.Delivered + st.Bounced + st.Held + int64(st.Pending+st.InFlight+st.Waiting)
 	if in != out {
 		t.Fatalf("%s: took on %d mails, accounts for %d: %+v", when, in, out, st)
 	}
@@ -101,10 +101,10 @@ func TestStateTableRandomSchedule(t *testing.T) {
 			fault := fsim.NewFault()
 			del := &fates{seed: seed, ok: map[string]int{}}
 			var mu sync.Mutex
-			final := map[string]int{} // id -> bounce and dead events (only DSNs are ever held)
+			final := map[string]int{} // id -> bounce and hold events
 			events := eventlog.New(eventlog.WithSink(eventlog.SinkFunc(func(e eventlog.Event) {
 				switch e.Name {
-				case "queue.bounce", "queue.dead":
+				case "queue.bounce", "queue.hold":
 					id, _ := e.Field("id")
 					mu.Lock()
 					final[id.Str()]++
@@ -112,11 +112,10 @@ func TestStateTableRandomSchedule(t *testing.T) {
 				}
 			})))
 			cfg := Config{
-				Deliverer:       del,
-				MaxAttempts:     3,
-				RetryDelay:      time.Millisecond,
-				DestConcurrency: int(seed % 2),
-				Events:          events,
+				Deliverer:   del,
+				MaxAttempts: 3,
+				RetryDelay:  time.Millisecond,
+				Events:      events,
 			}
 			if seed%4 < 2 {
 				cfg.Bounce = bounce.New("mx.test").Synthesize
@@ -254,14 +253,14 @@ func TestStateTableWaitIdleDuringSpoolIO(t *testing.T) {
 			cfg:     Config{MaxAttempts: 3},
 			deliver: failFirst,
 			ops:     []string{"Create", "Sync", "Remove", "Link"}},
-		{path: "park at the destination cap", mails: 3,
-			cfg:     Config{DestConcurrency: 1, ActiveLimit: 3},
-			deliver: func(*Item) error { time.Sleep(5 * time.Millisecond); return nil },
-			ops:     []string{"Link", "Remove"}},
 		{path: "exhaust into a DSN", mails: 1,
 			cfg:     Config{MaxAttempts: 1, Bounce: bounce.New("mx.test").Synthesize},
 			deliver: failFirst,
 			ops:     []string{"Create", "Sync", "Remove"}},
+		{path: "exhaust into the hold lane with no bounce hook", mails: 1,
+			cfg:     Config{MaxAttempts: 1},
+			deliver: func(*Item) error { return errors.New("remote down") },
+			ops:     []string{"Link", "Remove"}},
 		{path: "exhaust into the hold lane", mails: 1,
 			cfg:     Config{MaxAttempts: 1, Bounce: func(string, string, []string, []byte, string) ([]string, []byte, bool) { return nil, nil, false }},
 			deliver: func(*Item) error { return errors.New("remote down") },

@@ -13,7 +13,7 @@ import (
 
 // Client speaks the client side of SMTP over any stream — the engine of
 // the paper's two load generators ("Client program 1" and "Client
-// program 2" in Table 1) and of the outbound MX-failover deliverer.
+// program 2" in Table 1) and of the director's forwarding hop.
 type Client struct {
 	conn       *Conn
 	raw        io.Closer

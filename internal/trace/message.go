@@ -2,9 +2,9 @@
 // watches one process's connection stages against a process-local
 // epoch, the types here follow a *mail* across processes: a 128-bit
 // trace id minted at the first byte of the client connection, a span
-// per pipeline stage (pretrust, forward, smtp, queue, delivery, store,
-// outbound), and wall-clock timestamps so spans recorded by different
-// nodes stitch into one timeline. The context crosses the SMTP hop as
+// per pipeline stage (pretrust, forward, smtp, queue, delivery, store),
+// and wall-clock timestamps so spans recorded by different nodes stitch
+// into one timeline. The context crosses the SMTP hop as
 // an XTRACE MAIL parameter (see internal/smtp) and survives crashes
 // inside spool envelope frames (see internal/spool).
 //
@@ -35,14 +35,13 @@ const (
 	MStageQueue    = "queue"    // queue: enqueue → worker pickup
 	MStageDelivery = "delivery" // queue: one delivery attempt
 	MStageStore    = "store"    // delivery agent: mailbox store commit
-	MStageOutbound = "outbound" // outbound: one remote SMTP transaction
 )
 
 // MessageStages lists the canonical stage names in pipeline order.
 func MessageStages() []string {
 	return []string{
 		MStagePretrust, MStageForward, MStageSMTP,
-		MStageQueue, MStageDelivery, MStageStore, MStageOutbound,
+		MStageQueue, MStageDelivery, MStageStore,
 	}
 }
 
