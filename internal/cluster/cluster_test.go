@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -12,7 +15,9 @@ import (
 	"repro/internal/delivery"
 	"repro/internal/director"
 	"repro/internal/fsim"
+	"repro/internal/metrics"
 	"repro/internal/queue"
+	"repro/internal/smtp"
 	"repro/internal/smtpserver"
 	"repro/internal/spool"
 	"repro/internal/trace"
@@ -368,5 +373,75 @@ func TestRestartOnEmptySpoolKeepsBothMails(t *testing.T) {
 	}
 	if ids[0] != "Q0000000000000001" {
 		t.Fatalf("first id on a fresh spool = %s, want Q0000000000000001", ids[0])
+	}
+}
+
+// TestFullDiskRefusesWith452: on a full disk a shard answers DATA with a
+// 452 — the mail is refused, so its sender keeps it — leaves nothing of it
+// for spool recovery, still serves what it stored before, and takes mail
+// again once the disk has room.
+func TestFullDiskRefusesWith452(t *testing.T) {
+	fault := fsim.NewFault()
+	reg := metrics.NewRegistry()
+	sh, err := StartShard(ShardSpec{FS: fault, Mailboxes: users, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	before := mails(2)
+	send(t, sh.Addr, before[:1])
+	if !sh.Queue.WaitIdle(5 * time.Second) {
+		t.Fatalf("queue never idle: %+v", sh.Queue.Stats())
+	}
+	stored, err := sh.Store.List("user0000")
+	if err != nil || len(stored) != 1 {
+		t.Fatalf("user0000 lists %v, %v; want the mail sent before the disk filled", stored, err)
+	}
+
+	active := DefaultSpoolDir + "/" + string(spool.LaneActive) + "/"
+	fault.SetHook(func(op, path string, _ int) error {
+		if op == "Create" && strings.HasPrefix(path, active) {
+			return &os.PathError{Op: "open", Path: path, Err: syscall.ENOSPC}
+		}
+		return nil
+	})
+	c, err := smtp.Dial(sh.Addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Helo("client.test"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Mail("refused@remote.example"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Rcpt("user0001@" + DefaultDomain); err != nil {
+		t.Fatal(err)
+	}
+	var reply *smtp.UnexpectedReplyError
+	if err := c.Data([]byte("Subject: no room\r\n\r\nx")); !errors.As(err, &reply) || reply.Reply.Code != 452 {
+		t.Fatalf("DATA on a full disk: %v, want a 452", err)
+	}
+	c.Quit() //nolint:errcheck
+	if !waitFor(func() bool {
+		m, _ := reg.Find("smtpd_enqueue_failures_total", "arch", "hybrid")
+		return m.Value == 1
+	}) {
+		t.Fatal("smtpd_enqueue_failures_total never reached 1")
+	}
+	if left, _, err := spool.New(fault, DefaultSpoolDir).Recover(); err != nil || len(left) != 0 {
+		t.Fatalf("spool recovery finds %d mails, %v; want nothing of the refused mail", len(left), err)
+	}
+	if _, err := sh.Store.Read("user0000", stored[0]); err != nil {
+		t.Fatalf("mail stored before the disk filled: %v", err)
+	}
+
+	fault.SetHook(nil)
+	send(t, sh.Addr, before[1:])
+	if !sh.Queue.WaitIdle(5 * time.Second) {
+		t.Fatalf("queue never idle: %+v", sh.Queue.Stats())
+	}
+	if ids, err := sh.Store.List("user0001"); err != nil || len(ids) != 1 {
+		t.Fatalf("user0001 lists %v, %v; want the one mail sent after the disk had room", ids, err)
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/costmodel"
 )
@@ -46,6 +46,7 @@ var ErrCrashed = errors.New("fsim: crashed")
 type Fault struct {
 	mu      sync.Mutex
 	inner   FS
+	hook    atomic.Pointer[func(op, path string, n int) error]
 	nodes   map[string]*faultNode
 	steps   int64 // mutating ops performed (successfully)
 	armed   bool
@@ -89,22 +90,21 @@ func NewFault() *Fault {
 func NewFaultOn(inner FS) *Fault {
 	f := &Fault{inner: inner, nodes: make(map[string]*faultNode)}
 	for _, name := range inner.List("") {
-		data, err := readFull(inner, name)
+		fl, err := inner.OpenRead(name)
 		if err != nil {
 			continue
 		}
-		f.nodes[name] = &faultNode{durable: data, links: 1}
+		data, err := contents(fl)
+		fl.Close()
+		if err == nil {
+			f.nodes[name] = &faultNode{durable: data, links: 1}
+		}
 	}
 	return f
 }
 
-// readFull loads a file's entire content from fs.
-func readFull(fs FS, name string) ([]byte, error) {
-	fl, err := fs.OpenRead(name)
-	if err != nil {
-		return nil, err
-	}
-	defer fl.Close()
+// contents reads a file's entire content.
+func contents(fl File) ([]byte, error) {
 	size, err := fl.Size()
 	if err != nil {
 		return nil, err
@@ -135,6 +135,24 @@ func (f *Fault) SetVolatileNamespace(volatile bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.volatileNS = volatile
+}
+
+// SetHook installs fn, or clears it with nil, as the one injection point
+// for every fault but a crash. fn is called before every Create,
+// OpenAppend, OpenRead, Link (path: the new name), Remove, Write, WriteAt,
+// ReadAt, Truncate and Sync with the op's name, path and byte count (buffer
+// length, Truncate's size, else 0). A non-nil return fails the op: no
+// effect, no crash step, no durable image changed. fn runs outside the
+// filesystem's lock, so it may sleep, count, or call back into the code
+// under test.
+func (f *Fault) SetHook(fn func(op, path string, n int) error) { f.hook.Store(&fn) }
+
+// inject runs the hook, if one is set, for one op. f.mu must not be held.
+func (f *Fault) inject(op, path string, n int) error {
+	if fn := f.hook.Load(); fn != nil && *fn != nil {
+		return (*fn)(op, path, n)
+	}
+	return nil
 }
 
 // CrashAfter arms the crash countdown: the next n mutating operations
@@ -279,6 +297,9 @@ type faultFile struct {
 var _ File = (*faultFile)(nil)
 
 func (f *Fault) Create(name string) (File, error) {
+	if err := f.inject("Create", name, 0); err != nil {
+		return nil, err
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.step(); err != nil {
@@ -300,6 +321,9 @@ func (f *Fault) Create(name string) (File, error) {
 }
 
 func (f *Fault) OpenAppend(name string) (File, error) {
+	if err := f.inject("OpenAppend", name, 0); err != nil {
+		return nil, err
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n, ok := f.nodes[name]
@@ -323,6 +347,9 @@ func (f *Fault) OpenAppend(name string) (File, error) {
 }
 
 func (f *Fault) OpenRead(name string) (File, error) {
+	if err := f.inject("OpenRead", name, 0); err != nil {
+		return nil, err
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.checkLive(); err != nil {
@@ -340,6 +367,9 @@ func (f *Fault) OpenRead(name string) (File, error) {
 }
 
 func (f *Fault) Link(oldname, newname string) error {
+	if err := f.inject("Link", newname, 0); err != nil {
+		return err
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.step(); err != nil {
@@ -364,6 +394,9 @@ func (f *Fault) Link(oldname, newname string) error {
 }
 
 func (f *Fault) Remove(name string) error {
+	if err := f.inject("Remove", name, 0); err != nil {
+		return err
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.step(); err != nil {
@@ -418,30 +451,34 @@ func (f *Fault) List(prefix string) []string {
 func (ff *faultFile) Close() error { return ff.inner.Close() }
 
 func (ff *faultFile) Write(p []byte) (int, error) {
-	ff.fs.mu.Lock()
-	defer ff.fs.mu.Unlock()
-	if err := ff.fs.step(); err != nil {
-		return 0, err
-	}
-	return ff.inner.Write(p)
+	return ff.do("Write", len(p), ff.fs.step, func() (int, error) { return ff.inner.Write(p) })
 }
 
 func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
-	ff.fs.mu.Lock()
-	defer ff.fs.mu.Unlock()
-	if err := ff.fs.step(); err != nil {
-		return 0, err
-	}
-	return ff.inner.WriteAt(p, off)
+	return ff.do("WriteAt", len(p), ff.fs.step, func() (int, error) { return ff.inner.WriteAt(p, off) })
 }
 
 func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) {
-	ff.fs.mu.Lock()
-	defer ff.fs.mu.Unlock()
-	if err := ff.fs.checkLive(); err != nil {
+	return ff.do("ReadAt", len(p), ff.fs.checkLive, func() (int, error) { return ff.inner.ReadAt(p, off) })
+}
+
+func (ff *faultFile) Truncate(size int64) error {
+	_, err := ff.do("Truncate", int(size), ff.fs.step, func() (int, error) { return 0, ff.inner.Truncate(size) })
+	return err
+}
+
+// do runs one file op: the hook, then, under the filesystem's lock, admit
+// (step for a mutating op, checkLive for a read), then fn.
+func (ff *faultFile) do(op string, n int, admit func() error, fn func() (int, error)) (int, error) {
+	if err := ff.fs.inject(op, ff.name, n); err != nil {
 		return 0, err
 	}
-	return ff.inner.ReadAt(p, off)
+	ff.fs.mu.Lock()
+	defer ff.fs.mu.Unlock()
+	if err := admit(); err != nil {
+		return 0, err
+	}
+	return fn()
 }
 
 func (ff *faultFile) Size() (int64, error) {
@@ -453,41 +490,22 @@ func (ff *faultFile) Size() (int64, error) {
 	return ff.inner.Size()
 }
 
-func (ff *faultFile) Truncate(size int64) error {
-	ff.fs.mu.Lock()
-	defer ff.fs.mu.Unlock()
-	if err := ff.fs.step(); err != nil {
-		return err
-	}
-	return ff.inner.Truncate(size)
-}
-
 // Sync makes the file's current bytes durable and commits the metadata
 // journal (in volatile-namespace mode, every namespace operation so far
 // becomes durable with it). In lie mode it does neither, yet still
 // reports success.
 func (ff *faultFile) Sync() error {
-	ff.fs.mu.Lock()
-	defer ff.fs.mu.Unlock()
-	if err := ff.fs.step(); err != nil {
-		return err
-	}
-	if ff.fs.syncLies {
-		return nil
-	}
-	size, err := ff.inner.Size()
-	if err != nil {
-		return err
-	}
-	data := make([]byte, size)
-	if size > 0 {
-		if _, err := ff.inner.ReadAt(data, 0); err != nil && err != io.EOF {
-			return err
+	_, err := ff.do("Sync", 0, ff.fs.step, func() (int, error) {
+		if ff.fs.syncLies {
+			return 0, nil
 		}
-	}
-	ff.node.durable = data
-	ff.fs.nsLog = nil
-	return nil
+		data, err := contents(ff.inner)
+		if err == nil {
+			ff.node.durable, ff.fs.nsLog = data, nil
+		}
+		return 0, err
+	})
+	return err
 }
 
 func (ff *faultFile) Name() string { return ff.name }

@@ -2,7 +2,10 @@ package fsim
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/costmodel"
 )
@@ -259,5 +262,121 @@ func TestFaultHardlinkSharesData(t *testing.T) {
 	n, _ := g.ReadAt(buf, 0)
 	if string(buf[:n]) != "shared" {
 		t.Fatalf("content via second link = %q", buf[:n])
+	}
+}
+
+var errHook = errors.New("fsim test: injected")
+
+// TestFaultHookFailedOpHasNoEffect: an op the hook refuses does nothing and
+// is not a step, so a run whose every op kind is refused once and retried
+// counts the same Steps as the plain run — a CrashAfter enumeration sized on
+// either is the same one.
+func TestFaultHookFailedOpHasNoEffect(t *testing.T) {
+	scenario := func(fs *Fault) {
+		// try runs op, and again if the hook refused it, which must have
+		// left unchanged() true.
+		try := func(op func() error, unchanged func() bool) {
+			t.Helper()
+			err := op()
+			if errors.Is(err, errHook) {
+				if !unchanged() {
+					t.Fatal("a refused op took effect")
+				}
+				err = op()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var f File
+		try(func() (err error) { f, err = fs.Create("a"); return err }, func() bool { return !fs.Exists("a") })
+		try(func() error { _, err := f.Write([]byte("data")); return err }, func() bool { sz, _ := f.Size(); return sz == 0 })
+		try(func() error { return f.Truncate(2) }, func() bool { sz, _ := f.Size(); return sz == 4 })
+		try(f.Sync, func() bool { return true }) // TestFaultHookFailedSyncIsNotDurable
+		try(func() error { return fs.Link("a", "b") }, func() bool { return !fs.Exists("b") })
+		try(func() error { return fs.Remove("a") }, func() bool { return fs.Exists("a") })
+	}
+	plain := NewFault()
+	scenario(plain)
+	refused := NewFault()
+	seen := map[string]bool{}
+	refused.SetHook(func(op, _ string, _ int) error {
+		if seen[op] {
+			return nil
+		}
+		seen[op] = true
+		return errHook
+	})
+	scenario(refused)
+	if len(seen) != 6 {
+		t.Fatalf("hook saw %v, want the scenario's six op kinds", seen)
+	}
+	if plain.Steps() != 6 || refused.Steps() != plain.Steps() {
+		t.Fatalf("steps: plain run %d, refused-and-retried run %d; want 6 for both", plain.Steps(), refused.Steps())
+	}
+}
+
+func TestFaultHookFailedSyncIsNotDurable(t *testing.T) {
+	fs := NewFault()
+	f, _ := fs.Create("a")
+	f.Write([]byte("durable")) //nolint:errcheck
+	f.Sync()                   //nolint:errcheck
+	f.Write([]byte(" lost"))   //nolint:errcheck
+	fs.SetHook(func(op, _ string, _ int) error {
+		if op == "Sync" {
+			return errHook
+		}
+		return nil
+	})
+	if err := f.Sync(); !errors.Is(err, errHook) {
+		t.Fatalf("Sync = %v, want the hook's error", err)
+	}
+	fs.Crash()
+	fs.Recover()
+	g, err := fs.OpenRead("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 32)
+	n, _ := g.ReadAt(buf, 0)
+	if string(buf[:n]) != "durable" {
+		t.Fatalf("after a failed Sync and a crash the file holds %q, want the last synced %q", buf[:n], "durable")
+	}
+}
+
+// TestFaultHookMayCallBack: the hook sees each op's name, path and byte
+// count, runs outside the filesystem's lock — so it may ask the filesystem
+// about itself — and, once cleared, is gone.
+func TestFaultHookMayCallBack(t *testing.T) {
+	fs := NewFault()
+	var saw []string
+	fs.SetHook(func(op, path string, n int) error {
+		saw = append(saw, fmt.Sprintf("%s %s %d exists=%v listed=%d", op, path, n, fs.Exists(path), len(fs.List(""))))
+		return nil
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f, _ := fs.Create("a")
+		f.Write([]byte("xy")) //nolint:errcheck
+		f.Sync()              //nolint:errcheck
+		fs.SetHook(nil)
+		fs.Remove("a") //nolint:errcheck
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a hook calling Exists and List deadlocked the filesystem")
+	}
+	want := []string{
+		"Create a 0 exists=false listed=0",
+		"Write a 2 exists=true listed=1",
+		"Sync a 0 exists=true listed=1",
+	}
+	if !reflect.DeepEqual(saw, want) {
+		t.Fatalf("hook saw %q, want %q", saw, want)
+	}
+	if fs.Steps() != 4 || fs.Exists("a") {
+		t.Fatalf("after clearing the hook: %d steps, a exists %v; want 4 and the Remove done", fs.Steps(), fs.Exists("a"))
 	}
 }

@@ -106,7 +106,7 @@ type committer struct {
 	walSize    int64
 	rotateSize int64
 	dirty      map[string]bool // paths with WAL-covered unsynced writes
-	// failed is the log write or sync error that stopped the store: replay
+	// failed is the log or rotation error that stopped the store: replay
 	// ends at a torn record, so nothing may be appended behind one, and a
 	// failed fsync may have dropped its pages, so it is not retried. Every
 	// later request is refused with it; no file is touched again.
@@ -375,16 +375,24 @@ func (c *committer) dirtyPath(path string) {
 // log: Sync each dirty path through a fresh handle (Sync covers a file's
 // entire content, so handle identity does not matter), then truncate and
 // Sync the WAL itself. The order is the recovery invariant — never
-// truncate the WAL before syncing every file its records touch. A store
-// stopped by a log error does neither: its log is what the next open
-// replays.
+// truncate the WAL before syncing every file its records touch. Any error
+// stops the store like a log error does: a failed fsync is not retried,
+// and a stopped store neither syncs nor truncates — its log is what the
+// next open replays.
 func (c *committer) rotateLocked() error {
-	if c.wal == nil {
-		return nil
-	}
-	if c.failed != nil {
+	if c.wal == nil || c.failed != nil {
 		return c.failed
 	}
+	if err := c.syncAndTruncate(); err != nil {
+		c.failed = fmt.Errorf("mfs: write-ahead log rotation failed, store stopped: %w", err)
+		return c.failed
+	}
+	c.walSize = 0
+	c.rotations.Add(1)
+	return nil
+}
+
+func (c *committer) syncAndTruncate() error {
 	for path := range c.dirty {
 		f, err := c.fs.OpenAppend(path)
 		if err != nil {
@@ -402,12 +410,7 @@ func (c *committer) rotateLocked() error {
 	if err := c.wal.Truncate(0); err != nil {
 		return err
 	}
-	if err := c.wal.Sync(); err != nil {
-		return err
-	}
-	c.walSize = 0
-	c.rotations.Add(1)
-	return nil
+	return c.wal.Sync()
 }
 
 // close stops the committer goroutine, then (log open) performs a final

@@ -321,14 +321,29 @@ func TestMFSRecoveryWithLyingSyncs(t *testing.T) {
 // the only per-batch sync is the log's. One delivery = one batch = one
 // Sync, and none on the shared data/key files until rotation.
 func TestMFSWALModeSingleSyncPerBatch(t *testing.T) {
-	fs := newSyncCountFS()
+	fs := fsim.NewFault()
+	var mu sync.Mutex
+	count := map[string]int{}
+	fs.SetHook(func(op, path string, _ int) error {
+		if op == "Sync" {
+			mu.Lock()
+			count[path]++
+			mu.Unlock()
+		}
+		return nil
+	})
+	syncs := func(path string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return count[path]
+	}
 	s, err := New(fs, "m", WithSync(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, _ := s.Open("a")
 	b, _ := s.Open("b")
-	base := fs.syncs("m/mfs.wal")
+	base := syncs("m/mfs.wal")
 	const n = 5
 	for i := 0; i < n; i++ {
 		if err := s.NWrite([]*Mailbox{a, b}, fmt.Sprintf("id%d", i), []byte("body")); err != nil {
@@ -336,11 +351,11 @@ func TestMFSWALModeSingleSyncPerBatch(t *testing.T) {
 		}
 	}
 	batches := s.CommitStats().Batches
-	if got := fs.syncs("m/mfs.wal") - base; got != int(batches) {
+	if got := syncs("m/mfs.wal") - base; got != int(batches) {
 		t.Fatalf("wal syncs = %d, want one per batch (%d)", got, batches)
 	}
 	for _, p := range []string{"m/shmailbox.data", "m/shmailbox.key", "m/boxes/a.key", "m/boxes/b.key"} {
-		if got := fs.syncs(p); got != 0 {
+		if got := syncs(p); got != 0 {
 			t.Fatalf("%s synced %d times before rotation; WAL should subsume it", p, got)
 		}
 	}
@@ -348,58 +363,12 @@ func TestMFSWALModeSingleSyncPerBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Close rotates: now the files are synced and the log is empty.
-	if got := fs.syncs("m/shmailbox.key"); got == 0 {
+	if got := syncs("m/shmailbox.key"); got == 0 {
 		t.Fatal("close rotation did not sync the shared key file")
 	}
 	if size, _ := fs.Size("m/mfs.wal"); size != 0 {
 		t.Fatalf("wal not truncated on clean close: %d bytes", size)
 	}
-}
-
-// syncCountFS counts Sync calls per path.
-type syncCountFS struct {
-	fsim.FS
-	mu sync.Mutex
-	n  map[string]int
-}
-
-func newSyncCountFS() *syncCountFS {
-	return &syncCountFS{FS: fsim.NewMem(costmodel.FSModel{}), n: make(map[string]int)}
-}
-
-func (s *syncCountFS) syncs(path string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n[path]
-}
-
-func (s *syncCountFS) Create(name string) (fsim.File, error) {
-	f, err := s.FS.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &syncCountFile{File: f, fs: s, path: name}, nil
-}
-
-func (s *syncCountFS) OpenAppend(name string) (fsim.File, error) {
-	f, err := s.FS.OpenAppend(name)
-	if err != nil {
-		return nil, err
-	}
-	return &syncCountFile{File: f, fs: s, path: name}, nil
-}
-
-type syncCountFile struct {
-	fsim.File
-	fs   *syncCountFS
-	path string
-}
-
-func (f *syncCountFile) Sync() error {
-	f.fs.mu.Lock()
-	f.fs.n[f.path]++
-	f.fs.mu.Unlock()
-	return f.File.Sync()
 }
 
 // TestMFSCheckpointUnderLoad checkpoints a store while parallel
@@ -409,7 +378,7 @@ func (f *syncCountFile) Sync() error {
 // and checkpoint/checkpoint interleavings.
 func TestMFSCheckpointUnderLoad(t *testing.T) {
 	fs := fsim.NewMem(costmodel.FSModel{})
-	s, err := New(fs, "m", WithSync(true), WithWALRotateSize(16<<10))
+	s, err := New(fs, "m", WithSync(true), withWALRotateSize(16<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +503,7 @@ func TestMFSCheckpointUnderLoad(t *testing.T) {
 // the dirty marker forces reconciliation.
 func TestMFSRecoveryStatsSurfaceTornTail(t *testing.T) {
 	fs := fsim.NewFault()
-	s, err := New(fs, "m", WithSync(true), WithWALRotateSize(1<<30))
+	s, err := New(fs, "m", WithSync(true), withWALRotateSize(1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,10 +77,10 @@ func WithSync(on bool) Option {
 	return func(o *options) { o.sync = on }
 }
 
-// WithWALRotateSize sets the write-ahead-log size (bytes) that triggers
+// withWALRotateSize sets the write-ahead-log size (bytes) that triggers
 // rotation — syncing every file the log touches and truncating it. Only
 // meaningful with WithSync(true); the default is 1 MiB.
-func WithWALRotateSize(n int64) Option {
+func withWALRotateSize(n int64) Option {
 	return func(o *options) {
 		if n > 0 {
 			o.walRotate = n

@@ -5,46 +5,24 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/costmodel"
 	"repro/internal/fsim"
 )
-
-// dataReads wraps an fsim.FS and counts the ReadAt calls, and the bytes
-// they ask for, on data files (mailbox .data and shmailbox.data).
-type dataReads struct {
-	fsim.FS
-	calls, bytes atomic.Int64
-}
-
-func (d *dataReads) wrap(f fsim.File, err error) (fsim.File, error) {
-	if err != nil || !strings.HasSuffix(f.Name(), ".data") {
-		return f, err
-	}
-	return &dataReadsFile{File: f, d: d}, nil
-}
-
-func (d *dataReads) Create(name string) (fsim.File, error)     { return d.wrap(d.FS.Create(name)) }
-func (d *dataReads) OpenAppend(name string) (fsim.File, error) { return d.wrap(d.FS.OpenAppend(name)) }
-func (d *dataReads) OpenRead(name string) (fsim.File, error)   { return d.wrap(d.FS.OpenRead(name)) }
-
-func (d *dataReads) take() (calls, bytes int64) { return d.calls.Swap(0), d.bytes.Swap(0) }
-
-type dataReadsFile struct {
-	fsim.File
-	d *dataReads
-}
-
-func (f *dataReadsFile) ReadAt(p []byte, off int64) (int, error) {
-	f.d.calls.Add(1)
-	f.d.bytes.Add(int64(len(p)))
-	return f.File.ReadAt(p, off)
-}
 
 // TestStatTouchesNoBody pins what Stat costs in data-file reads: nothing
 // for records committed through this process, one 4-byte frame header per
 // live record the first time after a reopen, and nothing after that.
 func TestStatTouchesNoBody(t *testing.T) {
-	fs := &dataReads{FS: fsim.NewMem(costmodel.FSModel{})}
+	// Count ReadAt calls, and the bytes they ask for, on .data files.
+	var calls, bytes atomic.Int64
+	fs := fsim.NewFault()
+	fs.SetHook(func(op, path string, n int) error {
+		if op == "ReadAt" && strings.HasSuffix(path, ".data") {
+			calls.Add(1)
+			bytes.Add(int64(n))
+		}
+		return nil
+	})
+	take := func() (int64, int64) { return calls.Swap(0), bytes.Swap(0) }
 	s, err := New(fs, "m")
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +45,7 @@ func TestStatTouchesNoBody(t *testing.T) {
 
 	check := func(when string, mb *Mailbox, wantCalls int64) {
 		t.Helper()
-		fs.take()
+		take()
 		got, err := mb.Stat()
 		if err != nil {
 			t.Fatalf("%s: %v", when, err)
@@ -80,7 +58,7 @@ func TestStatTouchesNoBody(t *testing.T) {
 				t.Fatalf("%s: Stat[%d] = %v, want %v", when, i, got[i], want[i])
 			}
 		}
-		if calls, bytes := fs.take(); calls != wantCalls || bytes != 4*wantCalls {
+		if calls, bytes := take(); calls != wantCalls || bytes != 4*wantCalls {
 			t.Fatalf("%s: %d data-file reads of %d bytes, want %d reads of 4 bytes", when, calls, bytes, wantCalls)
 		}
 	}

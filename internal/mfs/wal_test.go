@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -95,37 +97,7 @@ func TestStagedRecordIsTheReferenceEncoding(t *testing.T) {
 	}
 }
 
-// failSyncFS fails the failAt-th Sync (from 1) of the file at path, and
-// only that one, without syncing: the fsync that reports an error once and
-// then succeeds over pages the kernel has already dropped.
-type failSyncFS struct {
-	fsim.FS
-	path   string
-	failAt int
-	syncs  int
-}
-
 var errInjectedSync = errors.New("injected fsync failure")
-
-func (f *failSyncFS) OpenAppend(name string) (fsim.File, error) {
-	file, err := f.FS.OpenAppend(name)
-	if err != nil || name != f.path {
-		return file, err
-	}
-	return &failSyncFile{File: file, fs: f}, nil
-}
-
-type failSyncFile struct {
-	fsim.File
-	fs *failSyncFS
-}
-
-func (f *failSyncFile) Sync() error {
-	if f.fs.syncs++; f.fs.syncs == f.fs.failAt {
-		return errInjectedSync
-	}
-	return f.File.Sync()
-}
 
 // TestWALErrorIsFailStop: after the log's fsync fails the store stops. The
 // batch that hit the error and every later mutation are refused with that
@@ -136,8 +108,18 @@ func (f *failSyncFile) Sync() error {
 func TestWALErrorIsFailStop(t *testing.T) {
 	const failAt = 4
 	fault := fsim.NewFault()
-	fs := &failSyncFS{FS: fault, path: "m/mfs.wal", failAt: failAt}
-	s, err := New(fs, "m", WithSync(true))
+	// The failAt-th log Sync fails, once, without syncing: the fsync that
+	// then succeeds over pages the kernel has already dropped.
+	syncs := 0
+	fault.SetHook(func(op, path string, _ int) error {
+		if op == "Sync" && path == "m/mfs.wal" {
+			if syncs++; syncs == failAt {
+				return errInjectedSync
+			}
+		}
+		return nil
+	})
+	s, err := New(fault, "m", WithSync(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +151,7 @@ func TestWALErrorIsFailStop(t *testing.T) {
 	if err := a.Delete(acked[0]); !errors.Is(err, errInjectedSync) {
 		t.Fatalf("Delete after the failed fsync returned %v, want the fsync error", err)
 	}
-	if got := fs.syncs; got != failAt {
+	if got := syncs; got != failAt {
 		t.Fatalf("log synced %d times, want %d: a stopped store does not retry", got, failAt)
 	}
 	sizes := func() map[string]int64 {
@@ -210,6 +192,98 @@ func TestWALErrorIsFailStop(t *testing.T) {
 	for _, id := range acked {
 		if m, err := a2.ReadID(id); err != nil || len(m.Body) != 2000 {
 			t.Fatalf("acknowledged %s after reopen: %d bytes, %v", id, len(m.Body), err)
+		}
+	}
+}
+
+// TestRotationSyncErrorIsFailStop: a data file's fsync failing during a log
+// rotation stops the store just as a log fsync error does. The failed fsync
+// is not retried — it may have dropped the pages it reported on — so the
+// log that covers those writes is never truncated, and a reopen after the
+// machine dies replays every acknowledged mail.
+func TestRotationSyncErrorIsFailStop(t *testing.T) {
+	fault := fsim.NewFault()
+	var mu sync.Mutex
+	dataSyncs, walTruncates := 0, 0
+	fault.SetHook(func(op, path string, _ int) error {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case op == "Sync" && path == "m/boxes/a.data":
+			if dataSyncs++; dataSyncs == 1 {
+				return errInjectedSync
+			}
+		case op == "Truncate" && path == "m/mfs.wal" && dataSyncs > 0:
+			walTruncates++
+		}
+		return nil
+	})
+	s, err := New(fault, "m", WithSync(true), withWALRotateSize(4<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.Open("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Open("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := map[string][]*Mailbox{}
+	stopped := false
+	for i := 0; i < 12; i++ {
+		id := fmt.Sprintf("mail-%02d", i)
+		dests := []*Mailbox{a, b}[:1+i%2]
+		err := s.NWrite(dests, id, bytes.Repeat([]byte{byte('a' + i)}, 1000))
+		switch {
+		case err == nil && !stopped:
+			acked[id] = dests
+		case !errors.Is(err, errInjectedSync):
+			t.Fatalf("%s returned %v, want the fsync error once the rotation has hit it", id, err)
+		default:
+			stopped = true
+		}
+	}
+	if !stopped || len(acked) == 0 {
+		t.Fatalf("%d mails acknowledged, stopped %v: the scenario never rotated over a.data", len(acked), stopped)
+	}
+	walSize, _ := fault.Size("m/mfs.wal")
+	if err := a.Delete("mail-00"); !errors.Is(err, errInjectedSync) {
+		t.Fatalf("Delete after the failed rotation returned %v, want the fsync error", err)
+	}
+	if err := s.Close(); !errors.Is(err, errInjectedSync) {
+		t.Fatalf("Close of a stopped store returned %v, want the fsync error", err)
+	}
+	mu.Lock()
+	if dataSyncs != 1 || walTruncates != 0 {
+		t.Fatalf("a.data synced %d times and the log truncated %d times after its fsync failed, want 1 and 0", dataSyncs, walTruncates)
+	}
+	mu.Unlock()
+	if size, _ := fault.Size("m/mfs.wal"); size == 0 || size != walSize {
+		t.Fatalf("log is %d bytes after the store stopped at %d, want it left as it was", size, walSize)
+	}
+
+	fault.SetHook(nil)
+	fault.Crash()
+	fault.Recover()
+	s2, err := New(fault, "m", WithSync(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for id, dests := range acked {
+		for _, mb := range dests {
+			mb2, err := s2.Open(mb.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := slices.Index(mb2.IDs(), id); n < 0 || slices.Index(mb2.IDs()[n+1:], id) >= 0 {
+				t.Fatalf("acknowledged %s in %s after reopen: %v, want it exactly once", id, mb.Name(), mb2.IDs())
+			}
+			if m, err := mb2.ReadID(id); err != nil || len(m.Body) != 1000 {
+				t.Fatalf("acknowledged %s in %s after reopen: %d bytes, %v", id, mb.Name(), len(m.Body), err)
+			}
 		}
 	}
 }

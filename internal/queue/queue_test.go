@@ -471,23 +471,10 @@ func TestDoubleBounceGoesToHold(t *testing.T) {
 	}
 }
 
-// failCreateFS refuses to create files once armed (a full disk, say).
-type failCreateFS struct {
-	fsim.FS
-	armed atomic.Bool
-}
-
-func (fs *failCreateFS) Create(name string) (fsim.File, error) {
-	if fs.armed.Load() {
-		return nil, errors.New("create: no space left on device")
-	}
-	return fs.FS.Create(name)
-}
-
 // The DSN is spooled before the original is acked; if it cannot be
 // spooled the original must stay on disk (held), or a crash loses both.
 func TestExhaustHoldsOriginalWhenBounceCannotBeSpooled(t *testing.T) {
-	fs := &failCreateFS{FS: fsim.NewMem(costmodel.FSModel{})}
+	fs := fsim.NewFault()
 	accepted := make(chan struct{})
 	failing := DelivererFunc(func(item *Item) error {
 		<-accepted
@@ -503,7 +490,12 @@ func TestExhaustHoldsOriginalWhenBounceCannotBeSpooled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.armed.Store(true)
+	fs.SetHook(func(op, _ string, _ int) error { // the disk fills up
+		if op == "Create" {
+			return errors.New("create: no space left on device")
+		}
+		return nil
+	})
 	close(accepted)
 	if !m.WaitIdle(5 * time.Second) {
 		t.Fatal("queue never idle")
@@ -662,23 +654,11 @@ func TestQueueCrashPointEnumeration(t *testing.T) {
 	}
 }
 
-// slowLinkFS delays Link, the first half of a spool lane move, once a
-// test arms it.
-type slowLinkFS struct {
-	fsim.FS
-	delay atomic.Int64 // nanoseconds
-}
-
-func (f *slowLinkFS) Link(oldname, newname string) error {
-	time.Sleep(time.Duration(f.delay.Load()))
-	return f.FS.Link(oldname, newname)
-}
-
 // TestWaitIdleCoversRetryRedispatch: when a retry timer fires, the mail is
 // no longer waiting and not yet pending while its disk copy moves back to
 // the active lane. WaitIdle must not report idle in that window.
 func TestWaitIdleCoversRetryRedispatch(t *testing.T) {
-	fs := &slowLinkFS{FS: fsim.NewMem(costmodel.FSModel{})}
+	fs := fsim.NewFault()
 	col := &collector{failUntil: map[string]int{}}
 	m, err := NewManager(Config{
 		Deliverer:   col,
@@ -692,7 +672,13 @@ func TestWaitIdleCoversRetryRedispatch(t *testing.T) {
 	}
 	defer m.Close()
 	col.failUntil["Q0000000000000001"] = 2 // fails once, succeeds on the retry
-	fs.delay.Store(int64(200 * time.Millisecond))
+	// Slow down Link, the first half of a spool lane move.
+	fs.SetHook(func(op, _ string, _ int) error {
+		if op == "Link" {
+			time.Sleep(200 * time.Millisecond)
+		}
+		return nil
+	})
 	if _, err := m.Enqueue("s@a.test", []string{"r@b.test"}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -707,22 +693,20 @@ func TestWaitIdleCoversRetryRedispatch(t *testing.T) {
 	}
 }
 
-// slowRemoveFS delays Remove, which is how a delivered mail's spool copy
-// is acked.
-type slowRemoveFS struct{ fsim.FS }
-
-func (f slowRemoveFS) Remove(name string) error {
-	time.Sleep(20 * time.Millisecond)
-	return f.FS.Remove(name)
-}
-
 // TestWaitIdleCoversDeliveredAck: between a delivery's return and the
 // removal of its spool copy the mail is no longer in flight; WaitIdle must
 // not report idle until it is counted and gone from disk.
 func TestWaitIdleCoversDeliveredAck(t *testing.T) {
+	fs := fsim.NewFault()
+	fs.SetHook(func(op, _ string, _ int) error { // a slow Remove, which is how a delivered mail's spool copy is acked
+		if op == "Remove" {
+			time.Sleep(20 * time.Millisecond)
+		}
+		return nil
+	})
 	m, err := NewManager(Config{
 		Deliverer: &collector{},
-		Store:     spool.New(slowRemoveFS{fsim.NewMem(costmodel.FSModel{})}, ""),
+		Store:     spool.New(fs, ""),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/bounce"
-	"repro/internal/costmodel"
 	"repro/internal/eventlog"
 	"repro/internal/fsim"
 	"repro/internal/spool"
@@ -195,39 +194,6 @@ func TestStateTableRandomSchedule(t *testing.T) {
 	}
 }
 
-// probeFS calls probe inside every spool operation that changes the disk,
-// after the operation's name.
-type probeFS struct {
-	fsim.FS
-	probe func(op string)
-}
-
-func (fs *probeFS) Create(name string) (fsim.File, error) {
-	fs.probe("Create")
-	f, err := fs.FS.Create(name)
-	return probeFile{f, fs}, err
-}
-
-func (fs *probeFS) Link(oldname, newname string) error {
-	fs.probe("Link")
-	return fs.FS.Link(oldname, newname)
-}
-
-func (fs *probeFS) Remove(name string) error {
-	fs.probe("Remove")
-	return fs.FS.Remove(name)
-}
-
-type probeFile struct {
-	fsim.File
-	fs *probeFS
-}
-
-func (f probeFile) Sync() error {
-	f.fs.probe("Sync")
-	return f.File.Sync()
-}
-
 // TestStateTableWaitIdleDuringSpoolIO asks WaitIdle from inside every
 // Create, Sync, Link and Remove the queue performs on an accepted mail, on
 // each path a mail can take. It must never say idle: the mail is counted in
@@ -271,10 +237,13 @@ func TestStateTableWaitIdleDuringSpoolIO(t *testing.T) {
 			var armed atomic.Bool
 			var mu sync.Mutex
 			seen := map[string]int{}
-			fs := &probeFS{FS: fsim.NewMem(costmodel.FSModel{})}
-			fs.probe = func(op string) {
-				if !armed.Load() {
-					return // NewManager's scan, or Enqueue spooling a mail it has not acked yet
+			fs := fsim.NewFault()
+			fs.SetHook(func(op, _ string, _ int) error {
+				switch {
+				case op != "Create" && op != "Sync" && op != "Link" && op != "Remove":
+					return nil // not an op that changes the spool
+				case !armed.Load():
+					return nil // NewManager's scan, or Enqueue spooling a mail it has not acked yet
 				}
 				mu.Lock()
 				seen[op]++
@@ -282,7 +251,8 @@ func TestStateTableWaitIdleDuringSpoolIO(t *testing.T) {
 				if m.WaitIdle(0) {
 					t.Errorf("WaitIdle said idle during a spool %s", op)
 				}
-			}
+				return nil
+			})
 			gate := make(chan struct{})
 			cfg := tc.cfg
 			cfg.Store = spool.New(fs, "")
@@ -321,11 +291,13 @@ func TestStateTableWaitIdleDuringSpoolIO(t *testing.T) {
 func TestStateTableRecoverBeyondIntakeLimit(t *testing.T) {
 	const backlog, limit = 10, 4
 	var links atomic.Int64 // Link is the first half of every lane move
-	fs := &probeFS{FS: fsim.NewMem(costmodel.FSModel{}), probe: func(op string) {
+	fs := fsim.NewFault()
+	fs.SetHook(func(op, _ string, _ int) error {
 		if op == "Link" {
 			links.Add(1)
 		}
-	}}
+		return nil
+	})
 	store := spool.New(fs, "")
 	for i := 1; i <= backlog; i++ {
 		env := spool.Envelope{ID: fmt.Sprintf("Q%016X", i), Sender: "s@a.test", Rcpts: []string{"r@b.test"}}

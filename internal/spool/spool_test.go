@@ -367,24 +367,18 @@ func TestEnvelopeV1DecodesWithZeroTrace(t *testing.T) {
 	}
 }
 
-// failSyncFS is a filesystem whose disk accepts writes and then fails
-// every fsync.
-type failSyncFS struct{ fsim.FS }
-
-func (fs failSyncFS) Create(name string) (fsim.File, error) {
-	f, err := fs.FS.Create(name)
-	return failSyncFile{f}, err
-}
-
-type failSyncFile struct{ fsim.File }
-
-func (failSyncFile) Sync() error { return errors.New("fsync: input/output error") }
-
 // A mail whose Append failed was refused (452) and will be retried by its
 // sender under a new id; the copy whose fsync failed is fully framed and
 // must not be left for Recover to resurrect beside the retry.
 func TestFailedAppendLeavesNothingToRecover(t *testing.T) {
-	s := New(failSyncFS{fsim.NewMem(costmodel.FSModel{})}, "queue")
+	fs := fsim.NewFault()
+	fs.SetHook(func(op, _ string, _ int) error { // a disk that accepts writes, then fails every fsync
+		if op == "Sync" {
+			return errors.New("fsync: input/output error")
+		}
+		return nil
+	})
+	s := New(fs, "queue")
 	if err := appendMail(s, env("Q1", 0), []byte("body")); err == nil {
 		t.Fatal("Append succeeded on a filesystem whose fsync fails")
 	}
