@@ -1,10 +1,11 @@
 // Command smtpd runs the spam-aware mail server over real TCP: either
 // architecture, a populated recipient database, an optional DNSBL check,
-// a postfix-style queue pipeline, and one of the four mailbox stores.
+// a postfix-style queue pipeline, and the write-ahead-logged MFS mailbox
+// store.
 //
 // Example:
 //
-//	smtpd -addr :2525 -arch hybrid -store mfs -root /tmp/mail \
+//	smtpd -addr :2525 -arch hybrid -root /tmp/mail \
 //	      -domain dept.example.edu -mailboxes 400
 //
 // The server logs a stats line every few seconds and on shutdown.
@@ -40,7 +41,6 @@ func main() {
 	var (
 		listen      = flag.String("addr", "127.0.0.1:2525", "listen address")
 		archName    = flag.String("arch", "hybrid", "architecture: vanilla or hybrid")
-		storeName   = flag.String("store", cluster.DefaultStore, "mailbox store: mbox, maildir, hardlink, mfs")
 		root        = flag.String("root", "", "mail root directory (required)")
 		domain      = flag.String("domain", cluster.DefaultDomain, "local domain")
 		mailboxes   = flag.Int("mailboxes", cluster.DefaultMailboxes, "number of local user mailboxes (user0000…)")
@@ -127,7 +127,6 @@ func main() {
 		FS:        fsim.NewOS(*root),
 		Domain:    *domain,
 		Mailboxes: *mailboxes,
-		Store:     *storeName,
 		SpoolDir:  *spoolDir,
 		Queue:     queue.Config{MaxAttempts: *maxAttempts},
 		Options:   srvOpts,
@@ -139,26 +138,24 @@ func main() {
 		log.Fatalf("smtpd: %v", err)
 	}
 
-	if mfsStore := sh.MFS(); mfsStore != nil {
-		if rs := mfsStore.Recovery(); rs != (mfs.RecoveryStats{}) {
-			log.Printf("smtpd: mfs recovery: replayed %d WAL records (%d bytes, %d torn tail), reconciled=%v refs_fixed=%d pointers_dropped=%d torn_dropped=%d shared_dropped=%d",
-				rs.Replayed, rs.ReplayedBytes, rs.DiscardedTail, rs.Reconciled,
-				rs.RefsFixed, rs.PointersDropped, rs.TornDropped, rs.SharedDropped)
-		}
-		if *ckptDir != "" {
-			go func() {
-				for i := 0; ; i++ {
-					time.Sleep(*ckptEvery)
-					dest := fmt.Sprintf("%s/ckpt%06d", *ckptDir, i)
-					st, err := mfsStore.Checkpoint(dest)
-					if err != nil {
-						log.Printf("smtpd: checkpoint %s: %v", dest, err)
-						continue
-					}
-					log.Printf("smtpd: checkpoint %s: %d files, %d bytes", dest, st.Files, st.Bytes)
+	if rs := sh.Store.Recovery(); rs != (mfs.RecoveryStats{}) {
+		log.Printf("smtpd: mfs recovery: replayed %d WAL records (%d bytes, %d torn tail), reconciled=%v refs_fixed=%d pointers_dropped=%d torn_dropped=%d shared_dropped=%d",
+			rs.Replayed, rs.ReplayedBytes, rs.DiscardedTail, rs.Reconciled,
+			rs.RefsFixed, rs.PointersDropped, rs.TornDropped, rs.SharedDropped)
+	}
+	if *ckptDir != "" {
+		go func() {
+			for i := 0; ; i++ {
+				time.Sleep(*ckptEvery)
+				dest := fmt.Sprintf("%s/ckpt%06d", *ckptDir, i)
+				st, err := sh.Store.Checkpoint(dest)
+				if err != nil {
+					log.Printf("smtpd: checkpoint %s: %v", dest, err)
+					continue
 				}
-			}()
-		}
+				log.Printf("smtpd: checkpoint %s: %d files, %d bytes", dest, st.Files, st.Bytes)
+			}
+		}()
 	}
 
 	var pop *pop3.Server

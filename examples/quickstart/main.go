@@ -35,7 +35,7 @@ func run() error {
 			return err
 		}
 	}
-	store := node.MFS()
+	store := node.Store
 	fmt.Println("server listening on", node.Addr)
 
 	// --- Client side: one spam-style multi-recipient mail... ---

@@ -68,7 +68,6 @@ func run() error {
 	node, err := cluster.StartShard(cluster.ShardSpec{
 		Domain:    "sink.example.org",
 		Mailboxes: 50,
-		Store:     "mbox",
 		Queue:     queue.Config{IntakeLimit: 4096},
 		Options:   []smtpserver.Option{smtpserver.WithMaxWorkers(32), smtpserver.WithPolicy(blacklist)},
 	})

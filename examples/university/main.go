@@ -74,7 +74,7 @@ func serveTrace(arch smtpserver.Architecture, conns []trace.Conn) error {
 	fmt.Printf("  server: handoffs=%d pre-trust closes=%d rcpt-550=%d\n",
 		s.Handoffs, s.PreTrustClosed, s.RcptRejected)
 	fmt.Printf("  delivered %d mails into %d mailbox copies (MFS shared records: %d)\n",
-		d.Mails, d.RcptDeliveries, node.MFS().Store().Stats().SharedRecords)
+		d.Mails, d.RcptDeliveries, node.Store.Store().Stats().SharedRecords)
 	if arch == smtpserver.Hybrid && s.Handoffs >= s.Connections {
 		return fmt.Errorf("hybrid should not delegate every connection")
 	}

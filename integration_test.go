@@ -137,7 +137,7 @@ func TestFullStackMailboxContentsExact(t *testing.T) {
 		}
 	}
 	// Single copy on disk: the MFS shared store holds exactly one record.
-	if st := s.MFS().Store().Stats(); st.SharedRecords != 1 || st.SharedRefs != 2 {
+	if st := s.Store.Store().Stats(); st.SharedRecords != 1 || st.SharedRefs != 2 {
 		t.Fatalf("MFS stats = %+v", st)
 	}
 }

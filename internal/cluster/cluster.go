@@ -19,7 +19,6 @@
 package cluster
 
 import (
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -46,13 +45,12 @@ import (
 // defaults.
 const (
 	DefaultDomain    = "dept.example.edu"
-	DefaultMailboxes = 400   // user0000 … user0399, plus the postmaster alias
-	DefaultStore     = "mfs" // synced: every commit batch write-ahead logged
+	DefaultMailboxes = 400 // user0000 … user0399, plus the postmaster alias
 	DefaultSpoolDir  = "queue"
-	MFSDir           = "mfs"
-	Workers          = 100 // smtpd worker limit, the paper's process limit
-	ActiveLimit      = 8   // concurrent deliveries per node
-	MaxAttempts      = 3   // delivery attempts before a mail bounces
+	MFSDir           = "mfs" // the mailbox store, every commit batch write-ahead logged
+	Workers          = 100   // smtpd worker limit, the paper's process limit
+	ActiveLimit      = 8     // concurrent deliveries per node
+	MaxAttempts      = 3     // delivery attempts before a mail bounces
 	// DrainTimeout bounds how long Close waits for the queue to go idle.
 	DrainTimeout = 5 * time.Second
 
@@ -76,8 +74,6 @@ type ShardSpec struct {
 	// Mailboxes is how many local users (user0000…) exist; postmaster
 	// aliases the first.
 	Mailboxes int
-	// Store is the mailbox store kind: mbox, maildir, hardlink or mfs.
-	Store string
 	// SpoolDir is the spool directory on FS.
 	SpoolDir string
 	// Deliverer, if set, replaces the local delivery agent as the queue's
@@ -104,7 +100,7 @@ type ShardSpec struct {
 type Shard struct {
 	Addr   string // the SMTP address it listens on
 	DB     *access.DB
-	Store  mailstore.Store
+	Store  *mailstore.MFS
 	Agent  *delivery.Agent
 	Queue  *queue.Manager
 	Server *smtpserver.Server
@@ -127,9 +123,6 @@ func StartShard(spec ShardSpec) (*Shard, error) {
 	if spec.Mailboxes == 0 {
 		spec.Mailboxes = DefaultMailboxes
 	}
-	if spec.Store == "" {
-		spec.Store = DefaultStore
-	}
 	if spec.SpoolDir == "" {
 		spec.SpoolDir = DefaultSpoolDir
 	}
@@ -150,25 +143,12 @@ func StartShard(spec ShardSpec) (*Shard, error) {
 		return nil, err
 	}
 
+	// NewMFS replays the write-ahead log a previous store left. The store
+	// is write-ahead logged because the queue unlinks its fsynced spool
+	// copy once the store says delivered.
 	var err error
-	switch spec.Store {
-	case "mbox":
-		s.Store = mailstore.NewMbox(spec.FS)
-	case "maildir":
-		s.Store = mailstore.NewMaildir(spec.FS)
-	case "hardlink":
-		s.Store = mailstore.NewHardlink(spec.FS)
-	case "mfs":
-		// NewMFS replays the write-ahead log a previous store left. Every
-		// node is write-ahead logged: the queue unlinks its fsynced spool
-		// copy once the store says delivered.
-		var m *mailstore.MFS
-		if m, err = mailstore.NewMFS(spec.FS, MFSDir, mfs.WithSync(true)); err != nil {
-			return nil, err
-		}
-		s.Store = m
-	default:
-		return nil, fmt.Errorf("cluster: unknown store %q", spec.Store)
+	if s.Store, err = mailstore.NewMFS(spec.FS, MFSDir, mfs.WithSync(true)); err != nil {
+		return nil, err
 	}
 
 	s.Agent = delivery.NewAgent(s.DB, s.Store, delivery.WithRegistry(spec.Registry),
@@ -214,12 +194,6 @@ func StartShard(spec ShardSpec) (*Shard, error) {
 	s.Addr = s.front.addr
 	started = true
 	return s, nil
-}
-
-// MFS returns the store as MFS, or nil when the shard runs another kind.
-func (s *Shard) MFS() *mailstore.MFS {
-	m, _ := s.Store.(*mailstore.MFS)
-	return m
 }
 
 // Served receives the accept loop's error once if it ends on its own,

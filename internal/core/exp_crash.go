@@ -156,7 +156,7 @@ func crashRun(arch smtpserver.Architecture, n, allow, users int) (crashResult, e
 		return res, fmt.Errorf("queue did not drain after restart")
 	}
 	res.recoverMS = float64(time.Since(restart).Microseconds()) / 1000
-	rs := sh2.MFS().Recovery()
+	rs := sh2.Store.Recovery()
 	res.walReplayed = rs.Replayed
 	res.walBytes = rs.ReplayedBytes
 	res.refsFixed = rs.RefsFixed
@@ -174,7 +174,7 @@ func crashRun(arch smtpserver.Architecture, n, allow, users int) (crashResult, e
 		wantEntries += len(conns[i].Rcpts)
 	}
 	for i := 0; i < users; i++ {
-		mb, err := sh2.MFS().Store().Open(fmt.Sprintf("user%04d", i))
+		mb, err := sh2.Store.Store().Open(fmt.Sprintf("user%04d", i))
 		if err != nil {
 			return res, err
 		}

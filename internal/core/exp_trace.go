@@ -30,9 +30,8 @@ func init() {
 }
 
 // traceShard is one delivery shard with the full traced pipeline — a
-// cluster.Shard on the mbox store, every layer recording into one
-// per-node MessageRecorder — plus an admin endpoint serving the node's
-// spans.
+// cluster.Shard, every layer recording into one per-node MessageRecorder
+// — plus an admin endpoint serving the node's spans.
 type traceShard struct {
 	*cluster.Shard
 	rec   *trace.MessageRecorder
@@ -45,7 +44,6 @@ func startTraceShard(name, domain string, users int) (*traceShard, error) {
 	sh, err := cluster.StartShard(cluster.ShardSpec{
 		Domain:    domain,
 		Mailboxes: users,
-		Store:     "mbox",
 		Options:   []smtpserver.Option{smtpserver.WithArchitecture(smtpserver.Vanilla)},
 		Tracer:    rec,
 	})

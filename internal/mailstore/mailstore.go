@@ -1,6 +1,12 @@
 // Package mailstore defines the mailbox-storage interface the delivery
-// agent writes through, with the four implementations compared in the
-// paper's Figures 10 and 11:
+// agent writes through and POP3 reads through. Its one implementation is
+// MFS, the paper's single-copy record-oriented file system (one data
+// write plus N pointer records, write-ahead logged; see internal/mfs):
+// every mail node stores into it.
+//
+// Mbox, Maildir and Hardlink are the delivery paths the paper's Figures
+// 10 and 11 compare MFS against, kept only as the references the
+// simulator's closed-form delivery cost is checked against:
 //
 //   - Mbox: the vanilla postfix format — one file per mailbox, a
 //     multi-recipient mail is appended once per recipient (N duplicate
@@ -8,20 +14,15 @@
 //   - Maildir: one file per mail per recipient (N file creations).
 //   - Hardlink: maildir that stores one copy and hard-links the other
 //     N−1 names to it.
-//   - MFS: the paper's single-copy record-oriented file system — one data
-//     write plus N pointer records (see internal/mfs).
 //
-// All four run over fsim.FS, so the same code is exercised on real files
-// (tests, the runnable server) and on the cost-metered simulated
-// filesystem (the benchmarks).
+// They have a Deliver and nothing else: no read side, and no fsync, so a
+// power cut loses what they were handed. No node may store into them.
 package mailstore
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,9 +34,9 @@ import (
 // ErrNotFound is returned when a mailbox or mail-id is absent.
 var ErrNotFound = errors.New("mailstore: not found")
 
-// Store is the delivery-side interface to a mailbox format. All
-// implementations are safe for concurrent use; Deliver calls for
-// disjoint recipient sets proceed in parallel.
+// Store is the interface to a node's mailboxes. Implementations are safe
+// for concurrent use; Deliver calls for disjoint recipient sets proceed in
+// parallel.
 type Store interface {
 	// Deliver writes one mail to every recipient mailbox. Recipients must
 	// be non-empty and free of duplicates.
@@ -53,8 +54,7 @@ type Store interface {
 	Read(mailbox, id string) ([]byte, error)
 	// Delete removes one mail from one mailbox.
 	Delete(mailbox, id string) error
-	// Name identifies the format in reports ("mbox", "maildir",
-	// "hardlink", "mfs").
+	// Name identifies the format in reports ("mfs").
 	Name() string
 	// Close releases resources.
 	Close() error
@@ -106,24 +106,18 @@ const mboxStripes = 64
 // Records are framed as [u16 idLen][id][u32 bodyLen][body] rather than
 // "From " separator lines so that bodies need no escaping; the I/O
 // pattern — one append per recipient, full body duplicated — is identical
-// to classic mbox, which is what the benchmarks measure.
+// to classic mbox, which is what the cost model measures.
 //
 // Locking is striped per mailbox (hash of the name), mirroring the
-// per-mailbox dot-locks real mbox delivery takes: appends, scans, and
-// the delete-rewrite of one mailbox serialize with each other but not
-// with other mailboxes.
+// per-mailbox dot-locks real mbox delivery takes: appends to one mailbox
+// serialize with each other but not with other mailboxes.
 type Mbox struct {
 	stripes [mboxStripes]sync.Mutex
 	fs      fsim.FS
 }
 
-var _ Store = (*Mbox)(nil)
-
 // NewMbox returns an mbox store over fs.
 func NewMbox(fs fsim.FS) *Mbox { return &Mbox{fs: fs} }
-
-func (m *Mbox) Name() string { return "mbox" }
-func (m *Mbox) Close() error { return nil }
 
 func (m *Mbox) boxPath(mailbox string) string { return "mbox/" + mailbox }
 
@@ -177,139 +171,6 @@ func makeMboxFrame(id string, body []byte) []byte {
 	return buf
 }
 
-// scanMbox walks the frames of a mailbox file, invoking fn for each; fn
-// returning false stops the walk.
-func (m *Mbox) scanMbox(mailbox string, fn func(id string, body []byte) bool) error {
-	f, err := m.fs.OpenRead(m.boxPath(mailbox))
-	if err != nil {
-		if errors.Is(err, fsim.ErrNotExist) {
-			return fmt.Errorf("mailstore: mailbox %s: %w", mailbox, ErrNotFound)
-		}
-		return err
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return err
-	}
-	data := make([]byte, size)
-	if size > 0 {
-		if _, err := f.ReadAt(data, 0); err != nil && err != io.EOF {
-			return err
-		}
-	}
-	pos := 0
-	for pos < len(data) {
-		if len(data)-pos < 2 {
-			return fmt.Errorf("mailstore: corrupt mbox %s at %d", mailbox, pos)
-		}
-		idLen := int(binary.LittleEndian.Uint16(data[pos:]))
-		pos += 2
-		if len(data)-pos < idLen+4 {
-			return fmt.Errorf("mailstore: corrupt mbox %s at %d", mailbox, pos)
-		}
-		id := string(data[pos : pos+idLen])
-		pos += idLen
-		bodyLen := int(binary.LittleEndian.Uint32(data[pos:]))
-		pos += 4
-		if len(data)-pos < bodyLen {
-			return fmt.Errorf("mailstore: corrupt mbox %s at %d", mailbox, pos)
-		}
-		body := data[pos : pos+bodyLen]
-		pos += bodyLen
-		if !fn(id, body) {
-			return nil
-		}
-	}
-	return nil
-}
-
-func (m *Mbox) List(mailbox string) ([]string, error) {
-	mu := m.stripe(mailbox)
-	mu.Lock()
-	defer mu.Unlock()
-	var ids []string
-	err := m.scanMbox(mailbox, func(id string, _ []byte) bool {
-		ids = append(ids, id)
-		return true
-	})
-	return ids, err
-}
-
-func (m *Mbox) Stat(mailbox string) ([]MailInfo, error) {
-	mu := m.stripe(mailbox)
-	mu.Lock()
-	defer mu.Unlock()
-	var infos []MailInfo
-	err := m.scanMbox(mailbox, func(id string, body []byte) bool {
-		infos = append(infos, MailInfo{ID: id, Size: len(body)})
-		return true
-	})
-	return infos, err
-}
-
-func (m *Mbox) Read(mailbox, id string) ([]byte, error) {
-	mu := m.stripe(mailbox)
-	mu.Lock()
-	defer mu.Unlock()
-	var found []byte
-	ok := false
-	err := m.scanMbox(mailbox, func(gotID string, body []byte) bool {
-		if gotID == id {
-			found = append([]byte(nil), body...)
-			ok = true
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("mailstore: mail %s in %s: %w", id, mailbox, ErrNotFound)
-	}
-	return found, nil
-}
-
-// Delete rewrites the mailbox without the given mail — the full-file
-// rewrite is exactly why mbox deletion is expensive in practice.
-func (m *Mbox) Delete(mailbox, id string) error {
-	mu := m.stripe(mailbox)
-	mu.Lock()
-	defer mu.Unlock()
-	type rec struct {
-		id   string
-		body []byte
-	}
-	var keep []rec
-	found := false
-	err := m.scanMbox(mailbox, func(gotID string, body []byte) bool {
-		if gotID == id && !found {
-			found = true
-			return true
-		}
-		keep = append(keep, rec{id: gotID, body: append([]byte(nil), body...)})
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if !found {
-		return fmt.Errorf("mailstore: mail %s in %s: %w", id, mailbox, ErrNotFound)
-	}
-	f, err := m.fs.Create(m.boxPath(mailbox))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	for _, r := range keep {
-		if _, err := f.Write(makeMboxFrame(r.id, r.body)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // Maildir
 
@@ -324,28 +185,8 @@ type Maildir struct {
 	seq atomic.Uint64
 }
 
-var _ Store = (*Maildir)(nil)
-
 // NewMaildir returns a maildir store over fs.
-func NewMaildir(fs fsim.FS) *Maildir {
-	m := &Maildir{fs: fs}
-	// Resume the sequence past any existing files so re-opened stores
-	// keep order monotone.
-	for _, name := range fs.List("maildir/") {
-		var seq uint64
-		base := name[strings.LastIndex(name, "/")+1:]
-		if i := strings.IndexByte(base, '-'); i > 0 {
-			fmt.Sscanf(base[:i], "%016x", &seq)
-			if seq >= m.seq.Load() {
-				m.seq.Store(seq + 1)
-			}
-		}
-	}
-	return m
-}
-
-func (m *Maildir) Name() string { return "maildir" }
-func (m *Maildir) Close() error { return nil }
+func NewMaildir(fs fsim.FS) *Maildir { return &Maildir{fs: fs} }
 
 func (m *Maildir) mailPath(mailbox string, seq uint64, id string) string {
 	return fmt.Sprintf("maildir/%s/%016x-%s", mailbox, seq, id)
@@ -374,85 +215,6 @@ func (m *Maildir) Deliver(id string, recipients []string, body []byte) error {
 	return nil
 }
 
-// findMail locates the stored path of a mail within a mailbox.
-func (m *Maildir) findMail(mailbox, id string) (string, error) {
-	prefix := "maildir/" + mailbox + "/"
-	for _, name := range m.fs.List(prefix) {
-		base := name[strings.LastIndex(name, "/")+1:]
-		if i := strings.IndexByte(base, '-'); i > 0 && base[i+1:] == id {
-			return name, nil
-		}
-	}
-	return "", fmt.Errorf("mailstore: mail %s in %s: %w", id, mailbox, ErrNotFound)
-}
-
-// walk calls fn with the file name and mail-id of every mail in a mailbox,
-// in delivery order.
-func (m *Maildir) walk(mailbox string, fn func(name, id string) error) error {
-	names := m.fs.List("maildir/" + mailbox + "/")
-	if len(names) == 0 {
-		return fmt.Errorf("mailstore: mailbox %s: %w", mailbox, ErrNotFound)
-	}
-	sort.Strings(names) // sequence prefix sorts into delivery order
-	for _, name := range names {
-		base := name[strings.LastIndex(name, "/")+1:]
-		if i := strings.IndexByte(base, '-'); i > 0 {
-			if err := fn(name, base[i+1:]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (m *Maildir) List(mailbox string) ([]string, error) {
-	var ids []string
-	err := m.walk(mailbox, func(_, id string) error {
-		ids = append(ids, id)
-		return nil
-	})
-	return ids, err
-}
-
-// Stat asks the filesystem for each file's length: a stat, not a read.
-func (m *Maildir) Stat(mailbox string) ([]MailInfo, error) {
-	var infos []MailInfo
-	err := m.walk(mailbox, func(name, id string) error {
-		size, err := m.fs.Size(name)
-		if errors.Is(err, fsim.ErrNotExist) {
-			return nil // deleted since the directory was listed
-		}
-		if err != nil {
-			return err
-		}
-		infos = append(infos, MailInfo{ID: id, Size: int(size)})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(infos) == 0 {
-		return nil, fmt.Errorf("mailstore: mailbox %s: %w", mailbox, ErrNotFound)
-	}
-	return infos, nil
-}
-
-func (m *Maildir) Read(mailbox, id string) ([]byte, error) {
-	path, err := m.findMail(mailbox, id)
-	if err != nil {
-		return nil, err
-	}
-	return readAll(m.fs, path)
-}
-
-func (m *Maildir) Delete(mailbox, id string) error {
-	path, err := m.findMail(mailbox, id)
-	if err != nil {
-		return err
-	}
-	return m.fs.Remove(path)
-}
-
 // ---------------------------------------------------------------------------
 // Hardlink
 
@@ -464,14 +226,8 @@ type Hardlink struct {
 	Maildir
 }
 
-var _ Store = (*Hardlink)(nil)
-
 // NewHardlink returns a hardlink-maildir store over fs.
-func NewHardlink(fs fsim.FS) *Hardlink {
-	return &Hardlink{Maildir: *NewMaildir(fs)}
-}
-
-func (h *Hardlink) Name() string { return "hardlink" }
+func NewHardlink(fs fsim.FS) *Hardlink { return &Hardlink{Maildir{fs: fs}} }
 
 func (h *Hardlink) Deliver(id string, recipients []string, body []byte) error {
 	if err := validateDelivery(id, recipients); err != nil {
@@ -522,7 +278,7 @@ func NewMFS(fs fsim.FS, dir string, opts ...mfs.Option) (*MFS, error) {
 }
 
 // Store exposes the underlying mfs.Store for callers needing MFS-specific
-// surface (commit statistics, shared-store compaction).
+// surface (commit and shared-record statistics, mailbox handles).
 func (m *MFS) Store() *mfs.Store { return m.store }
 
 // Recovery reports what the open-time recovery pass replayed and
@@ -628,24 +384,4 @@ func (m *MFS) Delete(mailbox, id string) error {
 		return err
 	}
 	return nil
-}
-
-// readAll reads a whole file from fs.
-func readAll(fs fsim.FS, name string) ([]byte, error) {
-	f, err := fs.OpenRead(name)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, size)
-	if size > 0 {
-		if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
-			return nil, err
-		}
-	}
-	return buf, nil
 }

@@ -1,8 +1,12 @@
 package mailstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -11,54 +15,151 @@ import (
 	"repro/internal/fsim"
 )
 
-// newStores returns a fresh instance of each of the four formats over an
-// in-memory filesystem, plus the fs for inspection.
-func newStores(t *testing.T) map[string]struct {
+// deliverer is what every format has; the mbox, maildir and hardlink
+// baselines have nothing else.
+type deliverer interface {
+	Deliver(id string, recipients []string, body []byte) error
+}
+
+// format is one of the four mailbox formats over its own in-memory
+// filesystem. list and read answer from MFS's read side, and for the
+// baselines, which have none, from the files their Deliver left.
+type format struct {
 	fs    *fsim.Mem
-	store Store
-} {
+	store deliverer
+	list  func(mailbox string) ([]string, error)
+	read  func(mailbox, id string) ([]byte, error)
+}
+
+// newFormats returns a fresh instance of each of the four formats.
+func newFormats(t *testing.T) map[string]format {
 	t.Helper()
-	out := make(map[string]struct {
-		fs    *fsim.Mem
-		store Store
-	})
-	for _, name := range []string{"mbox", "maildir", "hardlink", "mfs"} {
+	mfsFS := fsim.NewMem(costmodel.FSModel{})
+	m := newMFS(t, mfsFS)
+	out := map[string]format{"mfs": {fs: mfsFS, store: m, list: m.List, read: m.Read}}
+	for name, mk := range map[string]func(fsim.FS) deliverer{
+		"mbox":     func(fs fsim.FS) deliverer { return NewMbox(fs) },
+		"maildir":  func(fs fsim.FS) deliverer { return NewMaildir(fs) },
+		"hardlink": func(fs fsim.FS) deliverer { return NewHardlink(fs) },
+	} {
 		fs := fsim.NewMem(costmodel.FSModel{})
-		var s Store
-		switch name {
-		case "mbox":
-			s = NewMbox(fs)
-		case "maildir":
-			s = NewMaildir(fs)
-		case "hardlink":
-			s = NewHardlink(fs)
-		case "mfs":
-			var err error
-			s, err = NewMFS(fs, "mfs")
-			if err != nil {
-				t.Fatal(err)
-			}
+		mails := maildirMails
+		if name == "mbox" {
+			mails = mboxMails
 		}
-		if s.Name() != name {
-			t.Fatalf("store name = %q, want %q", s.Name(), name)
+		out[name] = format{
+			fs:    fs,
+			store: mk(fs),
+			list: func(box string) ([]string, error) {
+				ms, err := mails(fs, box)
+				ids := make([]string, len(ms))
+				for i, m := range ms {
+					ids[i] = m.id
+				}
+				return ids, err
+			},
+			read: func(box, id string) ([]byte, error) {
+				ms, err := mails(fs, box)
+				if err != nil {
+					return nil, err
+				}
+				for _, m := range ms {
+					if m.id == id {
+						return m.body, nil
+					}
+				}
+				return nil, ErrNotFound
+			},
 		}
-		out[name] = struct {
-			fs    *fsim.Mem
-			store Store
-		}{fs, s}
 	}
 	return out
 }
 
+// newMFS opens an MFS store on fs, closed when the test ends.
+func newMFS(t *testing.T, fs fsim.FS) *MFS {
+	t.Helper()
+	s, err := NewMFS(fs, "mfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// fileMail is one mail as a baseline left it on disk.
+type fileMail struct {
+	id   string
+	body []byte
+}
+
+// mboxMails decodes a mailbox file's [u16 idLen][id][u32 bodyLen][body]
+// frames.
+func mboxMails(fs fsim.FS, box string) ([]fileMail, error) {
+	data, err := readFile(fs, "mbox/"+box)
+	if err != nil {
+		return nil, err
+	}
+	var out []fileMail
+	for len(data) > 0 {
+		n := int(binary.LittleEndian.Uint16(data))
+		id := string(data[2 : 2+n])
+		data = data[2+n:]
+		m := int(binary.LittleEndian.Uint32(data))
+		out = append(out, fileMail{id, data[4 : 4+m]})
+		data = data[4+m:]
+	}
+	return out, nil
+}
+
+// maildirMails reads a maildir (or hardlink) mailbox's <seq>-<id> files in
+// sequence order.
+func maildirMails(fs fsim.FS, box string) ([]fileMail, error) {
+	dir := "maildir/" + box + "/"
+	names := fs.List(dir)
+	if len(names) == 0 {
+		return nil, ErrNotFound
+	}
+	sort.Strings(names)
+	var out []fileMail
+	for _, name := range names {
+		body, err := readFile(fs, name)
+		if err != nil {
+			return nil, err
+		}
+		_, id, _ := strings.Cut(strings.TrimPrefix(name, dir), "-")
+		out = append(out, fileMail{id, body})
+	}
+	return out, nil
+}
+
+func readFile(fs fsim.FS, name string) ([]byte, error) {
+	f, err := fs.OpenRead(name)
+	if errors.Is(err, fsim.ErrNotExist) {
+		return nil, ErrNotFound
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, size)
+	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
+		return nil, err
+	}
+	return buf, nil
+}
+
 func TestDeliverAndReadBack(t *testing.T) {
-	for name, env := range newStores(t) {
+	for name, env := range newFormats(t) {
 		t.Run(name, func(t *testing.T) {
-			defer env.store.Close()
 			body := []byte("Subject: hi\r\n\r\nbody text")
 			if err := env.store.Deliver("m1", []string{"alice"}, body); err != nil {
 				t.Fatal(err)
 			}
-			got, err := env.store.Read("alice", "m1")
+			got, err := env.read("alice", "m1")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,16 +171,15 @@ func TestDeliverAndReadBack(t *testing.T) {
 }
 
 func TestMultiRecipientAllReceive(t *testing.T) {
-	for name, env := range newStores(t) {
+	for name, env := range newFormats(t) {
 		t.Run(name, func(t *testing.T) {
-			defer env.store.Close()
 			rcpts := []string{"u1", "u2", "u3", "u4", "u5"}
 			body := []byte("spam to many")
 			if err := env.store.Deliver("m1", rcpts, body); err != nil {
 				t.Fatal(err)
 			}
 			for _, r := range rcpts {
-				got, err := env.store.Read(r, "m1")
+				got, err := env.read(r, "m1")
 				if err != nil || string(got) != string(body) {
 					t.Fatalf("%s: read = %q, %v", r, got, err)
 				}
@@ -89,16 +189,15 @@ func TestMultiRecipientAllReceive(t *testing.T) {
 }
 
 func TestListOrder(t *testing.T) {
-	for name, env := range newStores(t) {
+	for name, env := range newFormats(t) {
 		t.Run(name, func(t *testing.T) {
-			defer env.store.Close()
 			for i := 0; i < 12; i++ {
 				id := fmt.Sprintf("m%02d", i)
 				if err := env.store.Deliver(id, []string{"bob"}, []byte(id)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			ids, err := env.store.List("bob")
+			ids, err := env.list("bob")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,41 +214,38 @@ func TestListOrder(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	for name, env := range newStores(t) {
-		t.Run(name, func(t *testing.T) {
-			defer env.store.Close()
-			env.store.Deliver("m1", []string{"a", "b"}, []byte("one"))
-			env.store.Deliver("m2", []string{"a"}, []byte("two"))
-			if err := env.store.Delete("a", "m1"); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := env.store.Read("a", "m1"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("deleted mail still readable: %v", err)
-			}
-			// Other recipient unaffected.
-			if got, err := env.store.Read("b", "m1"); err != nil || string(got) != "one" {
-				t.Fatalf("b's copy damaged: %q %v", got, err)
-			}
-			// Remaining mail unaffected.
-			if got, err := env.store.Read("a", "m2"); err != nil || string(got) != "two" {
-				t.Fatalf("m2 damaged: %q %v", got, err)
-			}
-			if err := env.store.Delete("a", "m1"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("double delete: %v", err)
-			}
-		})
-	}
+	t.Run("mfs", func(t *testing.T) {
+		s := newMFS(t, fsim.NewMem(costmodel.FSModel{}))
+		s.Deliver("m1", []string{"a", "b"}, []byte("one"))
+		s.Deliver("m2", []string{"a"}, []byte("two"))
+		if err := s.Delete("a", "m1"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Read("a", "m1"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("deleted mail still readable: %v", err)
+		}
+		// Other recipient unaffected.
+		if got, err := s.Read("b", "m1"); err != nil || string(got) != "one" {
+			t.Fatalf("b's copy damaged: %q %v", got, err)
+		}
+		// Remaining mail unaffected.
+		if got, err := s.Read("a", "m2"); err != nil || string(got) != "two" {
+			t.Fatalf("m2 damaged: %q %v", got, err)
+		}
+		if err := s.Delete("a", "m1"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("double delete: %v", err)
+		}
+	})
 }
 
 func TestMissingMailboxAndMail(t *testing.T) {
-	for name, env := range newStores(t) {
+	for name, env := range newFormats(t) {
 		t.Run(name, func(t *testing.T) {
-			defer env.store.Close()
-			if _, err := env.store.List("ghost"); !errors.Is(err, ErrNotFound) {
+			if _, err := env.list("ghost"); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("List(ghost) = %v", err)
 			}
 			env.store.Deliver("m1", []string{"real"}, []byte("x"))
-			if _, err := env.store.Read("real", "ghost-id"); !errors.Is(err, ErrNotFound) {
+			if _, err := env.read("real", "ghost-id"); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("Read(ghost-id) = %v", err)
 			}
 		})
@@ -157,9 +253,8 @@ func TestMissingMailboxAndMail(t *testing.T) {
 }
 
 func TestDeliverValidation(t *testing.T) {
-	for name, env := range newStores(t) {
+	for name, env := range newFormats(t) {
 		t.Run(name, func(t *testing.T) {
-			defer env.store.Close()
 			cases := []struct {
 				id    string
 				rcpts []string
@@ -180,13 +275,12 @@ func TestDeliverValidation(t *testing.T) {
 }
 
 func TestEmptyBody(t *testing.T) {
-	for name, env := range newStores(t) {
+	for name, env := range newFormats(t) {
 		t.Run(name, func(t *testing.T) {
-			defer env.store.Close()
 			if err := env.store.Deliver("m", []string{"a", "b"}, nil); err != nil {
 				t.Fatal(err)
 			}
-			got, err := env.store.Read("b", "m")
+			got, err := env.read("b", "m")
 			if err != nil || len(got) != 0 {
 				t.Fatalf("empty body read = %q, %v", got, err)
 			}
@@ -195,7 +289,7 @@ func TestEmptyBody(t *testing.T) {
 }
 
 func TestMboxDuplicatesBytesPerRecipient(t *testing.T) {
-	env := newStores(t)["mbox"]
+	env := newFormats(t)["mbox"]
 	body := make([]byte, 1000)
 	env.store.Deliver("m", []string{"a", "b", "c"}, body)
 	// Three mailbox files, each over 1000 bytes: 3 full copies.
@@ -210,7 +304,7 @@ func TestMboxDuplicatesBytesPerRecipient(t *testing.T) {
 }
 
 func TestMFSStoresSingleCopy(t *testing.T) {
-	env := newStores(t)["mfs"]
+	env := newFormats(t)["mfs"]
 	body := make([]byte, 1000)
 	env.store.Deliver("m", []string{"a", "b", "c"}, body)
 	var total int64
@@ -225,77 +319,42 @@ func TestMFSStoresSingleCopy(t *testing.T) {
 }
 
 func TestHardlinkSharesInode(t *testing.T) {
-	env := newStores(t)["hardlink"]
+	env := newFormats(t)["hardlink"]
 	body := make([]byte, 1000)
 	env.store.Deliver("m", []string{"a", "b", "c"}, body)
-	// Three names exist but removing one leaves the others readable.
-	if err := env.store.Delete("a", "m"); err != nil {
+	// Three names, each the whole body …
+	for _, box := range []string{"a", "b", "c"} {
+		names := env.fs.List("maildir/" + box + "/")
+		if len(names) != 1 {
+			t.Fatalf("%s: names %v, want one", box, names)
+		}
+		if sz, err := env.fs.Size(names[0]); err != nil || sz != 1000 {
+			t.Fatalf("%s: %d bytes, %v", names[0], sz, err)
+		}
+	}
+	// … but removing one leaves the others readable.
+	if err := env.fs.Remove(env.fs.List("maildir/a/")[0]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := env.store.Read("c", "m")
-	if err != nil || len(got) != 1000 {
-		t.Fatalf("after unlink: %d bytes, %v", len(got), err)
-	}
-}
-
-func TestMaildirSequenceResumesAfterReopen(t *testing.T) {
-	fs := fsim.NewMem(costmodel.FSModel{})
-	s := NewMaildir(fs)
-	s.Deliver("m0", []string{"a"}, []byte("x"))
-	s.Deliver("m1", []string{"a"}, []byte("x"))
-	s.Close()
-	s2 := NewMaildir(fs)
-	s2.Deliver("m2", []string{"a"}, []byte("x"))
-	ids, err := s2.List("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"m0", "m1", "m2"}
-	for i, id := range ids {
-		if id != want[i] {
-			t.Fatalf("order after reopen = %v, want %v", ids, want)
+	for _, box := range []string{"b", "c"} {
+		got, err := env.read(box, "m")
+		if err != nil || len(got) != 1000 {
+			t.Fatalf("%s after unlink: %d bytes, %v", box, len(got), err)
 		}
 	}
 }
 
-func TestMboxDeletePreservesOrder(t *testing.T) {
-	env := newStores(t)["mbox"]
-	for i := 0; i < 5; i++ {
-		env.store.Deliver(fmt.Sprintf("m%d", i), []string{"a"}, []byte("x"))
-	}
-	env.store.Delete("a", "m2")
-	ids, _ := env.store.List("a")
-	want := []string{"m0", "m1", "m3", "m4"}
-	if len(ids) != 4 {
-		t.Fatalf("ids = %v", ids)
-	}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("ids = %v, want %v", ids, want)
-		}
-	}
-}
-
+// TestEquivalenceProperty: after an arbitrary delivery plan, MFS's List
+// and Read show exactly the mailbox contents the plan implies.
 func TestEquivalenceProperty(t *testing.T) {
-	// Property: all four stores expose identical mailbox contents after
-	// an arbitrary delivery plan.
 	users := []string{"u0", "u1", "u2", "u3"}
 	f := func(plan []byte) bool {
-		stores := []Store{
-			NewMbox(fsim.NewMem(costmodel.FSModel{})),
-			NewMaildir(fsim.NewMem(costmodel.FSModel{})),
-			NewHardlink(fsim.NewMem(costmodel.FSModel{})),
-		}
-		mfsStore, err := NewMFS(fsim.NewMem(costmodel.FSModel{}), "mfs")
+		s, err := NewMFS(fsim.NewMem(costmodel.FSModel{}), "mfs")
 		if err != nil {
 			return false
 		}
-		stores = append(stores, mfsStore)
-		defer func() {
-			for _, s := range stores {
-				s.Close()
-			}
-		}()
+		defer s.Close()
+		want := map[string][]string{} // user → ids in delivery order
 		for step, p := range plan {
 			n := int(p)%len(users) + 1
 			rcpts := make([]string, 0, n)
@@ -303,32 +362,28 @@ func TestEquivalenceProperty(t *testing.T) {
 				rcpts = append(rcpts, users[(int(p)+i)%len(users)])
 			}
 			id := fmt.Sprintf("m%d", step)
-			body := []byte(fmt.Sprintf("body-%d", step))
-			for _, s := range stores {
-				if err := s.Deliver(id, rcpts, body); err != nil {
-					return false
-				}
+			if err := s.Deliver(id, rcpts, []byte("body-"+id)); err != nil {
+				return false
+			}
+			for _, r := range rcpts {
+				want[r] = append(want[r], id)
 			}
 		}
 		for _, u := range users {
-			ref, refErr := stores[0].List(u)
-			for _, s := range stores[1:] {
-				got, err := s.List(u)
-				if (err == nil) != (refErr == nil) {
+			got, err := s.List(u)
+			if len(want[u]) == 0 {
+				if !errors.Is(err, ErrNotFound) {
 					return false
 				}
-				if len(got) != len(ref) {
+				continue
+			}
+			if err != nil || len(got) != len(want[u]) {
+				return false
+			}
+			for i, id := range want[u] {
+				body, err := s.Read(u, id)
+				if got[i] != id || err != nil || string(body) != "body-"+id {
 					return false
-				}
-				for i := range ref {
-					if got[i] != ref[i] {
-						return false
-					}
-					b0, _ := stores[0].Read(u, ref[i])
-					b1, _ := s.Read(u, got[i])
-					if string(b0) != string(b1) {
-						return false
-					}
 				}
 			}
 		}
@@ -342,7 +397,7 @@ func TestEquivalenceProperty(t *testing.T) {
 func TestCostOrderingOnExt3(t *testing.T) {
 	// The Figure 10 relationships at 15 recipients on the Ext3
 	// personality: maildir ≫ hardlink > mbox > mfs in disk time.
-	deliver := func(s Store, fs *fsim.Mem) {
+	deliver := func(s deliverer, fs *fsim.Mem) {
 		body := make([]byte, 4096)
 		for i := 0; i < 20; i++ {
 			rcpts := make([]string, 15)
@@ -357,7 +412,7 @@ func TestCostOrderingOnExt3(t *testing.T) {
 	elapsed := map[string]float64{}
 	for _, name := range []string{"mbox", "maildir", "hardlink", "mfs"} {
 		fs := fsim.NewMem(costmodel.Ext3)
-		var s Store
+		var s deliverer
 		switch name {
 		case "mbox":
 			s = NewMbox(fs)
@@ -369,7 +424,9 @@ func TestCostOrderingOnExt3(t *testing.T) {
 			s, _ = NewMFS(fs, "mfs")
 		}
 		deliver(s, fs)
-		s.Close()
+		if m, ok := s.(*MFS); ok {
+			m.Close()
+		}
 		elapsed[name] = fs.Elapsed().Seconds()
 	}
 	if !(elapsed["maildir"] > elapsed["hardlink"]) {
@@ -383,14 +440,15 @@ func TestCostOrderingOnExt3(t *testing.T) {
 	}
 }
 
-// TestParallelDeliver drives every backend with concurrent deliveries to
+// TestParallelDeliver drives every format with concurrent deliveries to
 // overlapping recipient sets and verifies each (mail, mailbox) pair is
-// present and readable afterwards. Run with -race to exercise the
-// backend locking (striped for mbox, atomic sequence for maildir and
-// hardlink, per-mailbox for mfs).
+// present and readable afterwards: through MFS's read side, and in the
+// baselines' files. Run with -race to exercise the delivery locking
+// (striped for mbox, atomic sequence for maildir and hardlink,
+// per-mailbox for mfs).
 func TestParallelDeliver(t *testing.T) {
 	recipients := []string{"alice", "bob", "carol", "dave"}
-	for name, env := range newStores(t) {
+	for name, env := range newFormats(t) {
 		t.Run(name, func(t *testing.T) {
 			const nWorkers, perWorker = 8, 20
 			var wg sync.WaitGroup
@@ -432,7 +490,7 @@ func TestParallelDeliver(t *testing.T) {
 				}
 			}
 			for box, ids := range want {
-				got, err := env.store.List(box)
+				got, err := env.list(box)
 				if err != nil {
 					t.Fatalf("list %s: %v", box, err)
 				}
@@ -446,7 +504,7 @@ func TestParallelDeliver(t *testing.T) {
 				}
 				// Spot-check a readback.
 				for id := range ids {
-					body, err := env.store.Read(box, id)
+					body, err := env.read(box, id)
 					if err != nil {
 						t.Errorf("read %s/%s: %v", box, id, err)
 					} else if string(body) != "body of "+id {

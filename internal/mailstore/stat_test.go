@@ -63,30 +63,28 @@ func statPlan(t *testing.T, s Store) {
 var statBoxes = []string{"u0", "u1", "u2", "u3", "ghost"}
 
 func TestStatContract(t *testing.T) {
-	for name, env := range newStores(t) {
-		t.Run(name, func(t *testing.T) {
-			defer env.store.Close()
-			checkStat(t, env.store, "empty store", statBoxes...)
-			statPlan(t, env.store)
-			checkStat(t, env.store, "after deliveries", statBoxes...)
-			for _, d := range []struct{ box, id string }{
-				{"u0", "m02"}, {"u1", "m01"}, {"u2", "m23"}, {"u3", "m05"}, {"u0", "m00"},
-			} {
-				if err := env.store.Delete(d.box, d.id); err != nil {
-					t.Fatalf("Delete(%s, %s): %v", d.box, d.id, err)
-				}
+	t.Run("mfs", func(t *testing.T) {
+		s := newMFS(t, fsim.NewMem(costmodel.FSModel{}))
+		checkStat(t, s, "empty store", statBoxes...)
+		statPlan(t, s)
+		checkStat(t, s, "after deliveries", statBoxes...)
+		for _, d := range []struct{ box, id string }{
+			{"u0", "m02"}, {"u1", "m01"}, {"u2", "m23"}, {"u3", "m05"}, {"u0", "m00"},
+		} {
+			if err := s.Delete(d.box, d.id); err != nil {
+				t.Fatalf("Delete(%s, %s): %v", d.box, d.id, err)
 			}
-			checkStat(t, env.store, "after deletes", statBoxes...)
-			// A mailbox emptied by deletes answers as List answers.
-			if err := env.store.Deliver("only", []string{"solo"}, []byte("x")); err != nil {
-				t.Fatal(err)
-			}
-			if err := env.store.Delete("solo", "only"); err != nil {
-				t.Fatal(err)
-			}
-			checkStat(t, env.store, "emptied mailbox", "solo")
-		})
-	}
+		}
+		checkStat(t, s, "after deletes", statBoxes...)
+		// A mailbox emptied by deletes answers as List answers.
+		if err := s.Deliver("only", []string{"solo"}, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete("solo", "only"); err != nil {
+			t.Fatal(err)
+		}
+		checkStat(t, s, "emptied mailbox", "solo")
+	})
 }
 
 // TestStatContractMFSReopen covers the sizes MFS does not have in memory:
@@ -138,72 +136,67 @@ func TestStatContractMFSReopen(t *testing.T) {
 
 // TestStatContractConcurrent runs Deliver, Delete and Stat against one
 // mailbox at once (meaningful under -race). Every size Stat reports while
-// the mailbox changes must be the size that mail was delivered with —
-// except that maildir and hardlink create a file and then write it, so a
-// mail being delivered may show there with size 0 (List shows it too).
+// the mailbox changes must be the size that mail was delivered with.
 func TestStatContractConcurrent(t *testing.T) {
 	sizeOf := func(id string) int {
 		var g, i int
 		fmt.Sscanf(id, "c%d-%d", &g, &i)
 		return g*100 + i
 	}
-	for name, env := range newStores(t) {
-		t.Run(name, func(t *testing.T) {
-			defer env.store.Close()
-			createThenWrite := name == "maildir" || name == "hardlink"
-			const writers, perWriter = 4, 25
-			var wg sync.WaitGroup
-			for g := 0; g < writers; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; i < perWriter; i++ {
-						id := fmt.Sprintf("c%d-%d", g, i)
-						rcpts := []string{"box"}
-						if i%2 == 1 {
-							rcpts = []string{"box", fmt.Sprintf("other%d", g)}
-						}
-						if err := env.store.Deliver(id, rcpts, make([]byte, sizeOf(id))); err != nil {
-							t.Errorf("Deliver(%s): %v", id, err)
-							return
-						}
-						if i%3 == 0 {
-							if err := env.store.Delete("box", id); err != nil {
-								t.Errorf("Delete(%s): %v", id, err)
-							}
-						}
+	t.Run("mfs", func(t *testing.T) {
+		s := newMFS(t, fsim.NewMem(costmodel.FSModel{}))
+		const writers, perWriter = 4, 25
+		var wg sync.WaitGroup
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					id := fmt.Sprintf("c%d-%d", g, i)
+					rcpts := []string{"box"}
+					if i%2 == 1 {
+						rcpts = []string{"box", fmt.Sprintf("other%d", g)}
 					}
-				}(g)
-			}
-			stop := make(chan struct{})
-			readerDone := make(chan struct{})
-			go func() {
-				defer close(readerDone)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					infos, err := env.store.Stat("box")
-					if err != nil && !errors.Is(err, ErrNotFound) {
-						t.Errorf("Stat: %v", err)
+					if err := s.Deliver(id, rcpts, make([]byte, sizeOf(id))); err != nil {
+						t.Errorf("Deliver(%s): %v", id, err)
 						return
 					}
-					for _, info := range infos {
-						if info.Size != sizeOf(info.ID) && !(createThenWrite && info.Size == 0) {
-							t.Errorf("Stat: %s has size %d, delivered with %d", info.ID, info.Size, sizeOf(info.ID))
-							return
+					if i%3 == 0 {
+						if err := s.Delete("box", id); err != nil {
+							t.Errorf("Delete(%s): %v", id, err)
 						}
 					}
 				}
-			}()
-			wg.Wait()
-			close(stop)
-			<-readerDone
-			checkStat(t, env.store, "after the race", "box", "other0", "other3")
-		})
-	}
+			}(g)
+		}
+		stop := make(chan struct{})
+		readerDone := make(chan struct{})
+		go func() {
+			defer close(readerDone)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				infos, err := s.Stat("box")
+				if err != nil && !errors.Is(err, ErrNotFound) {
+					t.Errorf("Stat: %v", err)
+					return
+				}
+				for _, info := range infos {
+					if info.Size != sizeOf(info.ID) {
+						t.Errorf("Stat: %s has size %d, delivered with %d", info.ID, info.Size, sizeOf(info.ID))
+						return
+					}
+				}
+			}
+		}()
+		wg.Wait()
+		close(stop)
+		<-readerDone
+		checkStat(t, s, "after the race", "box", "other0", "other3")
+	})
 }
 
 // TestReadSideCreatesNoMailbox: asking MFS about a mailbox that does not

@@ -234,7 +234,7 @@ func tree(t testing.TB, dir string) []string {
 }
 
 // TestUserNameTraversal: a USER name is spliced into a file path by
-// every store, so a name that is not one path element is refused before
+// the store, so a name that is not one path element is refused before
 // it reaches one. The store's root sits four levels below the directory
 // the test watches, which is where "../../../../escaped" would land.
 func TestUserNameTraversal(t *testing.T) {

@@ -1,9 +1,8 @@
 // Package pop3 implements the retrieval side of the mail system: a POP3
-// (RFC 1939) server reading from any mailstore.Store. The paper's §6.1
-// observes that mail servers, POP and IMAP servers all access mailboxes
-// "in units of mails" — which is exactly why MFS is record-oriented; this
-// server is the consumer that observation is about, and it runs unchanged
-// over every store in internal/mailstore, MFS included.
+// (RFC 1939) server reading from a mailstore.Store — a node's MFS. The
+// paper's §6.1 observes that mail servers, POP and IMAP servers all access
+// mailboxes "in units of mails" — which is exactly why MFS is
+// record-oriented; this server is the consumer that observation is about.
 //
 // The command set is the RFC 1939 minimal profile plus UIDL: USER, PASS,
 // STAT, LIST, UIDL, RETR, DELE, NOOP, RSET, QUIT. Deletions are staged
@@ -278,7 +277,7 @@ func (s *session) cmdUser(arg string) error {
 	if arg == "" {
 		return s.errr("USER requires a name")
 	}
-	// The name becomes part of a file path in every store.
+	// The name becomes part of a file path in the store.
 	if !mailstore.ValidMailbox(arg) {
 		return s.errr("invalid user name")
 	}

@@ -276,43 +276,6 @@ func TestUnknownCommandAndNoop(t *testing.T) {
 	}
 }
 
-func TestWorksOverEveryStore(t *testing.T) {
-	for _, name := range []string{"mbox", "maildir", "hardlink"} {
-		t.Run(name, func(t *testing.T) {
-			fs := fsim.NewMem(costmodel.FSModel{})
-			var store mailstore.Store
-			switch name {
-			case "mbox":
-				store = mailstore.NewMbox(fs)
-			case "maildir":
-				store = mailstore.NewMaildir(fs)
-			case "hardlink":
-				store = mailstore.NewHardlink(fs)
-			}
-			defer store.Close()
-			store.Deliver("m1", []string{"carol"}, []byte("hello\r\n"))
-			srv, err := New(Config{Store: store})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			go srv.Serve(ln) //nolint:errcheck
-			defer srv.Close()
-			c := dialPOP3(t, ln.Addr().String())
-			login(t, c, "carol")
-			if got := c.cmd("RETR 1"); !strings.HasPrefix(got, "+OK") {
-				t.Fatalf("RETR = %q", got)
-			}
-			if body := strings.Join(c.multi(), "\r\n"); body != "hello" {
-				t.Fatalf("body = %q", body)
-			}
-		})
-	}
-}
-
 func TestConcurrentSessions(t *testing.T) {
 	c1, _, srv := startServer(t)
 	login(t, c1, "alice")
@@ -346,7 +309,10 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestCloseIdempotentAndServeAfterClose(t *testing.T) {
-	store := mailstore.NewMbox(fsim.NewMem(costmodel.FSModel{}))
+	store, err := mailstore.NewMFS(fsim.NewMem(costmodel.FSModel{}), "mfs")
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer store.Close()
 	srv, _ := New(Config{Store: store})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -18,13 +18,16 @@ func TestDeliveryCostMatchesRealStores(t *testing.T) {
 	// both personalities, across recipient counts and sizes.
 	// MFS is excluded here because its real store amortizes opens across
 	// deliveries; see TestDeliveryCostMatchesRealMFS.
+	type deliverer interface {
+		Deliver(id string, recipients []string, body []byte) error
+	}
 	for _, model := range []costmodel.FSModel{costmodel.Ext3, costmodel.Reiser} {
 		for _, rcpts := range []int{1, 2, 7, 15} {
 			for _, size := range []int{500, 4096, 65536} {
-				cases := map[StoreKind]func(fs *fsim.Mem) mailstore.Store{
-					StoreMbox:     func(fs *fsim.Mem) mailstore.Store { return mailstore.NewMbox(fs) },
-					StoreMaildir:  func(fs *fsim.Mem) mailstore.Store { return mailstore.NewMaildir(fs) },
-					StoreHardlink: func(fs *fsim.Mem) mailstore.Store { return mailstore.NewHardlink(fs) },
+				cases := map[StoreKind]func(fs *fsim.Mem) deliverer{
+					StoreMbox:     func(fs *fsim.Mem) deliverer { return mailstore.NewMbox(fs) },
+					StoreMaildir:  func(fs *fsim.Mem) deliverer { return mailstore.NewMaildir(fs) },
+					StoreHardlink: func(fs *fsim.Mem) deliverer { return mailstore.NewHardlink(fs) },
 				}
 				for kind, mk := range cases {
 					fs := fsim.NewMem(model)
@@ -50,7 +53,6 @@ func TestDeliveryCostMatchesRealStores(t *testing.T) {
 						t.Errorf("%s/%s r=%d s=%d: real %v, closed-form %v",
 							kind, model.Name, rcpts, size, got, want)
 					}
-					store.Close()
 				}
 			}
 		}
