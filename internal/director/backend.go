@@ -76,9 +76,16 @@ func (b *backend) down(now time.Time) bool {
 // any pooled connections (they share the dead endpoint).
 func (b *backend) markDown(now time.Time, cooldown time.Duration) {
 	b.mu.Lock()
+	b.downUntil = now.Add(cooldown)
+	b.mu.Unlock()
+	b.dropIdle()
+}
+
+// dropIdle closes every pooled connection.
+func (b *backend) dropIdle() {
+	b.mu.Lock()
 	idle := b.idle
 	b.idle = nil
-	b.downUntil = now.Add(cooldown)
 	b.mu.Unlock()
 	for _, c := range idle {
 		c.Abort() //nolint:errcheck
@@ -118,37 +125,21 @@ func (b *backend) closeIdle() {
 // advertised XTRACE it rides MAIL FROM, and traced reports that it did
 // — the caller's trace-stitched signal.
 func (b *backend) forward(helo string, timeout time.Duration, sender string, rcpts []string, data []byte, tc trace.Context) (accepted int, retried, traced bool, err error) {
-	c, pooled, err := b.get(helo, timeout)
-	if err != nil {
-		return 0, false, false, err
-	}
-	traced = tc.Valid() && c.Supports("XTRACE")
-	accepted, err = c.SendTraced(sender, rcpts, data, tc)
-	if err != nil {
-		c.Abort() //nolint:errcheck
-		if !pooled {
-			return 0, false, false, err
-		}
-		b.mu.Lock()
-		stale := b.idle
-		b.idle = nil
-		b.mu.Unlock()
-		for _, sc := range stale {
-			sc.Abort() //nolint:errcheck
-		}
-		c2, _, derr := b.get(helo, timeout)
-		if derr != nil {
-			return 0, true, false, derr
-		}
-		traced = tc.Valid() && c2.Supports("XTRACE")
-		accepted, err = c2.SendTraced(sender, rcpts, data, tc)
+	for attempt := 0; ; attempt++ {
+		retried = attempt > 0
+		c, pooled, err := b.get(helo, timeout)
 		if err != nil {
-			c2.Abort() //nolint:errcheck
-			return 0, true, false, err
+			return 0, retried, false, err
 		}
-		b.put(c2)
-		return accepted, true, traced, nil
+		accepted, err = c.SendTraced(sender, rcpts, data, tc)
+		if err == nil {
+			b.put(c)
+			return accepted, retried, tc.Valid() && c.Supports("XTRACE"), nil
+		}
+		c.Abort() //nolint:errcheck
+		if !pooled || retried {
+			return 0, retried, false, err
+		}
+		b.dropIdle()
 	}
-	b.put(c)
-	return accepted, false, traced, nil
 }

@@ -46,15 +46,16 @@ func (s *sink) total() int {
 }
 
 // startShardServer boots one back-end delivery shard on a loopback
-// listener and returns its address, sink, and a kill function.
-func startShardServer(t *testing.T) (string, *sink, func()) {
+// listener and returns its address, sink, and a kill function. Extra
+// options override the defaults.
+func startShardServer(t *testing.T, opts ...smtpserver.Option) (string, *sink, func()) {
 	t.Helper()
 	sk := newSink()
-	srv, err := smtpserver.New(sk.enqueue,
+	srv, err := smtpserver.New(sk.enqueue, append([]smtpserver.Option{
 		smtpserver.WithHostname("shard.test"),
 		smtpserver.WithArchitecture(smtpserver.Vanilla),
-		smtpserver.WithIdleTimeout(5*time.Second),
-	)
+		smtpserver.WithIdleTimeout(5 * time.Second),
+	}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

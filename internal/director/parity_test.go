@@ -191,7 +191,7 @@ func TestDialogParityWithSmtpserver(t *testing.T) {
 		name:   "EHLO advertises XTRACE when a message tracer is attached",
 		tracer: true,
 		script: []dialogConn{{steps: []dialogStep{{"EHLO client.test\r\nQUIT\r\n", 2}}}},
-		want:   [][]string{{"220", "250 XTRACE", "221"}},
+		want:   [][]string{{"220", "250 PIPELINING,XTRACE", "221"}},
 	}, {
 		name:  "director only: every shard down tempfails 451",
 		shard: "dead",

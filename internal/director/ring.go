@@ -114,15 +114,6 @@ func (r *Ring) Remove(node string) {
 	}
 }
 
-// Nodes returns the current members in sorted order.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.nodes))
-	copy(out, r.nodes)
-	return out
-}
-
 // Pick returns the node owning key, or "" on an empty ring.
 func (r *Ring) Pick(key string) string {
 	r.mu.RLock()

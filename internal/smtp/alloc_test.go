@@ -104,6 +104,69 @@ func TestDialogZeroAllocPerCommand(t *testing.T) {
 	}
 }
 
+// clientReplies is a shard's answer to a 1-recipient transaction in the
+// canonical texts: MAIL, RCPT, DATA, then the verdict on the body.
+const clientReplies = "250 Ok\r\n250 Ok\r\n354 End data with <CR><LF>.<CR><LF>\r\n250 Ok: queued\r\n"
+
+// TestClientZeroAllocPerCommand is the client side of the dialog gate —
+// the director's forwarding hop: after warmup, a 1-recipient transaction
+// costs zero heap allocations, whether it goes out as one pipelined
+// burst (with or without an XTRACE context) or command by command.
+func TestClientZeroAllocPerCommand(t *testing.T) {
+	body := []byte("Subject: gate\r\n\r\n.dot line\r\nbody\r\n")
+	rcpts := []string{"good@valid.example"}
+	tc := trace.Context{Hi: 1, Lo: 2, Span: 3}
+	for _, row := range []struct {
+		name string
+		exts map[string]bool
+		send func(c *Client) error
+	}{{
+		name: "pipelined Send",
+		exts: map[string]bool{"PIPELINING": true},
+		send: func(c *Client) error {
+			n, err := c.Send("s@remote.example", rcpts, body)
+			if err == nil && n != 1 {
+				t.Fatalf("accepted = %d, want 1", n)
+			}
+			return err
+		},
+	}, {
+		name: "pipelined SendTraced over XTRACE",
+		exts: map[string]bool{"PIPELINING": true, "XTRACE": true},
+		send: func(c *Client) error {
+			_, err := c.SendTraced("s@remote.example", rcpts, body, tc)
+			return err
+		},
+	}, {
+		name: "lock-step Mail, Rcpt, Data",
+		send: func(c *Client) error {
+			if err := c.Mail("s@remote.example"); err != nil {
+				return err
+			}
+			if r, err := c.Rcpt(rcpts[0]); err != nil || r.Code != 250 {
+				t.Fatalf("Rcpt = %v, %v", r, err)
+			}
+			return c.Data(body)
+		},
+	}} {
+		t.Run(row.name, func(t *testing.T) {
+			rw := loopRW{loopReader: &loopReader{script: []byte(clientReplies)}}
+			c := &Client{conn: NewConn(rw), exts: row.exts}
+			run := func() {
+				if err := row.send(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				run() // warmup: grow the line buffer
+			}
+			if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+				t.Fatalf("steady-state transaction allocates %.1f times, want 0", allocs)
+			}
+		})
+	}
+}
+
 // TestSampledOutTraceZeroAlloc proves message tracing is free when a
 // connection loses the sampling coin flip: the full per-mail call
 // sequence — Mint at the connection edge, then the NewSpan/FinishAt pair

@@ -14,14 +14,23 @@ import (
 // Client speaks the client side of SMTP over any stream — the engine of
 // the paper's two load generators ("Client program 1" and "Client
 // program 2" in Table 1) and of the director's forwarding hop.
+//
+// Commands are formatted into one reused line buffer and replies in the
+// canonical texts are read back as shared values, so a steady-state
+// transaction allocates nothing.
 type Client struct {
 	conn       *Conn
 	raw        io.Closer
 	banner     Reply
 	cmdTimeout time.Duration
+	// dl arms the per-command deadline: the stream, when a command
+	// timeout is configured and the stream supports deadlines; else nil.
+	dl deadliner
 	// exts holds the extension keywords the server advertised in its
 	// EHLO reply; nil until Ehlo/Hello succeeds with extensions.
 	exts map[string]bool
+	// line is the reused buffer each command line is formatted into.
+	line []byte
 }
 
 // ClientOption configures a Client at construction.
@@ -72,22 +81,31 @@ type deadliner interface {
 	SetDeadline(t time.Time) error
 }
 
-// armDeadline starts the per-command countdown; the returned func
-// clears it and translates a deadline-exceeded error.
-func (c *Client) armDeadline(op string) func(err error) error {
-	d, ok := c.raw.(deadliner)
-	if c.cmdTimeout <= 0 || !ok {
-		return func(err error) error { return err }
+// armDeadline starts the per-command countdown, when there is one. A
+// round trip arms it before its first write: a write larger than the
+// write buffer reaches the stream at once, and must not block unbounded
+// on a peer that stopped reading.
+func (c *Client) armDeadline() {
+	if c.dl != nil {
+		c.dl.SetDeadline(time.Now().Add(c.cmdTimeout)) //nolint:errcheck // best effort: a failed arm surfaces as the op error
 	}
-	d.SetDeadline(time.Now().Add(c.cmdTimeout)) //nolint:errcheck // best effort: a failed arm surfaces as the op error
-	return func(err error) error {
-		d.SetDeadline(time.Time{}) //nolint:errcheck
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			return &CommandTimeoutError{Op: op, After: c.cmdTimeout}
-		}
+}
+
+// disarm clears the countdown armDeadline started and turns a deadline
+// that expired during op into a *CommandTimeoutError.
+func (c *Client) disarm(op string, err error) error {
+	if c.dl == nil {
 		return err
 	}
+	c.dl.SetDeadline(time.Time{}) //nolint:errcheck
+	if err == nil {
+		return nil
+	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		return &CommandTimeoutError{Op: op, After: c.cmdTimeout}
+	}
+	return err
 }
 
 // NewClient wraps an established stream and reads the server banner.
@@ -96,13 +114,15 @@ func NewClient(rw io.ReadWriteCloser, opts ...ClientOption) (*Client, error) {
 	for _, o := range opts {
 		o(c)
 	}
-	done := c.armDeadline("banner")
-	banner, err := c.conn.ReadReply()
-	if err != nil {
-		rw.Close()
-		return nil, fmt.Errorf("smtp: reading banner: %w", done(err))
+	if d, ok := rw.(deadliner); ok && c.cmdTimeout > 0 {
+		c.dl = d
 	}
-	done(nil)
+	c.armDeadline()
+	banner, err := c.conn.ReadReply()
+	if err = c.disarm("banner", err); err != nil {
+		rw.Close()
+		return nil, fmt.Errorf("smtp: reading banner: %w", err)
+	}
 	if banner.Code != 220 {
 		rw.Close()
 		return nil, &UnexpectedReplyError{Op: "banner", Reply: banner}
@@ -144,30 +164,72 @@ func DialFrom(addr, local string, timeout time.Duration, opts ...ClientOption) (
 // Banner returns the server's 220 greeting.
 func (c *Client) Banner() Reply { return c.banner }
 
-// cmd sends a command and checks the reply against wantCode (0 = any
-// positive). The whole round trip runs under the per-command deadline
-// when one is configured.
-func (c *Client) cmd(op, line string, wantCode int) (Reply, error) {
-	done := c.armDeadline(op)
-	if err := c.conn.WriteLine(line); err != nil {
-		return Reply{}, fmt.Errorf("smtp: %s: %w", op, done(err))
+// writeLine buffers line, built in c.line, as one command without
+// flushing, and keeps its buffer for the next command. The write buffer
+// keeps its first error and the next Flush returns it, so the writers
+// below need not check.
+func (c *Client) writeLine(line []byte) {
+	c.line = line
+	c.conn.WriteLineLazy(line) //nolint:errcheck // reported by the next Flush
+}
+
+// command is one round trip of a single command: it buffers verb,
+// followed by a space and arg when arg is set, and awaits the reply to
+// verb, which must be want.
+func (c *Client) command(verb, arg string, want int) (Reply, error) {
+	c.armDeadline()
+	line := append(c.line[:0], verb...)
+	if arg != "" {
+		line = append(append(line, ' '), arg...)
 	}
-	r, err := c.conn.ReadReply()
-	if err = done(err); err != nil {
+	c.writeLine(line)
+	return c.expect(verb, want)
+}
+
+// writeMail buffers MAIL FROM, carrying tc as an XTRACE parameter only
+// when tc is a sampled context and the peer advertised XTRACE; otherwise
+// the trace is silently dropped, so a hop without XTRACE sees an
+// RFC-clean command. An empty sender sends the null reverse-path <>.
+func (c *Client) writeMail(sender string, tc trace.Context) {
+	line := append(append(c.line[:0], "MAIL FROM:<"...), sender...)
+	line = append(line, '>')
+	if tc.Valid() && c.Supports("XTRACE") {
+		line = tc.AppendText(append(line, " XTRACE="...))
+	}
+	c.writeLine(line)
+}
+
+// writeRcpt buffers RCPT TO.
+func (c *Client) writeRcpt(addr string) {
+	c.writeLine(append(append(append(c.line[:0], "RCPT TO:<"...), addr...), '>'))
+}
+
+// await flushes what is buffered and reads the reply to op, under the
+// deadline the round trip armed before its first write.
+func (c *Client) await(op string) (Reply, error) {
+	err := c.conn.Flush()
+	var r Reply
+	if err == nil {
+		r, err = c.conn.ReadReply()
+	}
+	if err = c.disarm(op, err); err != nil {
 		return Reply{}, fmt.Errorf("smtp: %s: %w", op, err)
-	}
-	if wantCode != 0 && r.Code != wantCode {
-		return r, &UnexpectedReplyError{Op: op, Reply: r}
-	}
-	if wantCode == 0 && !r.IsPositive() {
-		return r, &UnexpectedReplyError{Op: op, Reply: r}
 	}
 	return r, nil
 }
 
+// expect is await requiring the reply code want.
+func (c *Client) expect(op string, want int) (Reply, error) {
+	r, err := c.await(op)
+	if err == nil && r.Code != want {
+		err = &UnexpectedReplyError{Op: op, Reply: r}
+	}
+	return r, err
+}
+
 // Helo sends HELO.
 func (c *Client) Helo(name string) error {
-	_, err := c.cmd("HELO", "HELO "+name, 250)
+	_, err := c.command("HELO", name, 250)
 	return err
 }
 
@@ -175,7 +237,7 @@ func (c *Client) Helo(name string) error {
 // advertises (first reply line is the hostname, each continuation one
 // keyword with optional parameters).
 func (c *Client) Ehlo(name string) error {
-	r, err := c.cmd("EHLO", "EHLO "+name, 250)
+	r, err := c.command("EHLO", name, 250)
 	if err != nil {
 		return err
 	}
@@ -212,21 +274,9 @@ func (c *Client) Supports(ext string) bool { return c.exts[ext] }
 
 // Mail sends MAIL FROM. An empty sender sends the null reverse-path <>.
 func (c *Client) Mail(sender string) error {
-	_, err := c.cmd("MAIL", fmt.Sprintf("MAIL FROM:<%s>", sender), 250)
-	return err
-}
-
-// MailTraced sends MAIL FROM carrying tc as an XTRACE parameter — but
-// only when the peer advertised XTRACE and tc is a sampled context;
-// otherwise it degrades to a plain Mail, silently dropping the trace
-// so non-supporting hops see an RFC-clean command.
-func (c *Client) MailTraced(sender string, tc trace.Context) error {
-	if !tc.Valid() || !c.Supports("XTRACE") {
-		return c.Mail(sender)
-	}
-	var buf [trace.ContextTextLen]byte
-	line := fmt.Sprintf("MAIL FROM:<%s> XTRACE=%s", sender, tc.AppendText(buf[:0]))
-	_, err := c.cmd("MAIL", line, 250)
+	c.armDeadline()
+	c.writeMail(sender, trace.Context{})
+	_, err := c.expect("MAIL", 250)
 	return err
 }
 
@@ -234,42 +284,53 @@ func (c *Client) MailTraced(sender string, tc trace.Context) error {
 // is returned as the reply with a nil error so callers can count bounces
 // without error plumbing.
 func (c *Client) Rcpt(addr string) (Reply, error) {
-	r, err := c.cmd("RCPT", fmt.Sprintf("RCPT TO:<%s>", addr), 0)
-	var unexpected *UnexpectedReplyError
-	if err != nil && errors.As(err, &unexpected) && unexpected.Reply.Code == 550 {
-		return unexpected.Reply, nil
+	c.armDeadline()
+	c.writeRcpt(addr)
+	r, err := c.await("RCPT")
+	if err == nil {
+		_, err = rcptVerdict(r)
 	}
 	return r, err
 }
 
+// rcptVerdict classifies the reply to a RCPT: a 2xx accepts the
+// recipient, a 550 refuses it cleanly (a nil error, accepted false), and
+// any other reply is the returned error.
+func rcptVerdict(r Reply) (accepted bool, err error) {
+	switch {
+	case r.Code/100 == 2:
+		return true, nil
+	case r.Code == 550:
+		return false, nil
+	}
+	return false, &UnexpectedReplyError{Op: "RCPT", Reply: r}
+}
+
 // Data sends the message body through DATA and the terminating dot.
 func (c *Client) Data(body []byte) error {
-	if _, err := c.cmd("DATA", "DATA", 354); err != nil {
+	if _, err := c.command("DATA", "", 354); err != nil {
 		return err
 	}
-	done := c.armDeadline("DATA body")
-	if err := c.conn.WriteData(body); err != nil {
-		return fmt.Errorf("smtp: sending data: %w", done(err))
-	}
-	r, err := c.conn.ReadReply()
-	if err = done(err); err != nil {
-		return fmt.Errorf("smtp: data reply: %w", err)
-	}
-	if r.Code != 250 {
-		return &UnexpectedReplyError{Op: "DATA body", Reply: r}
-	}
-	return nil
+	return c.sendBody(body)
+}
+
+// sendBody sends the dot-encoded body after a 354 and reads the verdict.
+func (c *Client) sendBody(body []byte) error {
+	c.armDeadline()
+	c.conn.writeData(body) //nolint:errcheck // reported by await's Flush
+	_, err := c.expect("DATA body", 250)
+	return err
 }
 
 // Reset sends RSET.
 func (c *Client) Reset() error {
-	_, err := c.cmd("RSET", "RSET", 250)
+	_, err := c.command("RSET", "", 250)
 	return err
 }
 
 // Quit sends QUIT and closes the connection.
 func (c *Client) Quit() error {
-	_, errCmd := c.cmd("QUIT", "QUIT", 221)
+	_, errCmd := c.command("QUIT", "", 221)
 	errClose := c.raw.Close()
 	if errCmd != nil {
 		return errCmd
@@ -282,37 +343,110 @@ func (c *Client) Quit() error {
 func (c *Client) Abort() error { return c.raw.Close() }
 
 // Send performs one whole mail transaction (MAIL, RCPTs, DATA). It
-// returns the number of accepted recipients; if none are accepted the
-// DATA phase is skipped, mirroring what real clients (and spammers
-// probing with random guesses) experience.
+// returns the number of accepted recipients; if none are accepted no
+// body is sent, mirroring what real clients (and spammers probing with
+// random guesses) experience.
 func (c *Client) Send(sender string, rcpts []string, body []byte) (accepted int, err error) {
 	return c.SendTraced(sender, rcpts, body, trace.Context{})
 }
 
-// SendTraced is Send with a message trace context propagated on the
-// MAIL command (see MailTraced for the degradation rules).
+// SendTraced is Send with a message trace context propagated as an
+// XTRACE parameter of MAIL — only when tc is a sampled context and the
+// peer advertised XTRACE; otherwise the trace is silently dropped.
+//
+// MAIL, each RCPT and DATA go into the write buffer in turn. When the
+// peer advertised PIPELINING (RFC 2920) they leave in one flush and the
+// replies are read after DATA: with the body, the transaction costs two
+// round trips. Otherwise each command is flushed and answered before the
+// next is written, and DATA is skipped when no recipient was accepted.
+// Either way the replies count alike: MAIL must draw a 250, and each
+// RCPT reply is judged as Rcpt judges it (rcptVerdict); any other reply
+// is the returned error, and so is the first such refusal even when a
+// later read fails. A refused transaction whose DATA already drew its 354
+// is ended by closing the connection, since the peer would take any body
+// that followed. When no recipient was accepted, RSET clears the
+// transaction and the connection stays usable.
 func (c *Client) SendTraced(sender string, rcpts []string, body []byte, tc trace.Context) (accepted int, err error) {
-	if err := c.MailTraced(sender, tc); err != nil {
-		return 0, err
-	}
-	for _, rcpt := range rcpts {
-		r, err := c.Rcpt(rcpt)
-		if err != nil {
-			return accepted, err
+	pipelined := c.Supports("PIPELINING")
+	var refused error // the first reply to MAIL or a RCPT that is an error
+	var data Reply
+	// Command 0 is MAIL, 1..len(rcpts) the RCPTs, last DATA. After
+	// command i is written, the replies of commands read..i are read.
+	last, read := len(rcpts)+1, 0
+	for i := 0; i <= last && refused == nil; i++ {
+		if i == last && !pipelined && accepted == 0 {
+			return 0, c.Reset()
 		}
-		if r.Code == 250 {
-			accepted++
+		if read == i {
+			c.armDeadline() // command i starts a round trip
+		}
+		switch {
+		case i == 0:
+			c.writeMail(sender, tc)
+		case i < last:
+			c.writeRcpt(rcpts[i-1])
+		default:
+			c.writeLine(append(c.line[:0], "DATA"...))
+		}
+		if pipelined && i < last {
+			continue
+		}
+		op := sendOp(read, last)
+		err := c.conn.Flush()
+		for ; err == nil && read <= i; read++ {
+			op = sendOp(read, last)
+			var r Reply
+			if r, err = c.conn.ReadReply(); err != nil {
+				break
+			}
+			var ok bool
+			var bad error
+			switch read {
+			case 0:
+				if r.Code != 250 {
+					bad = &UnexpectedReplyError{Op: "MAIL", Reply: r}
+				}
+			case last:
+				data = r
+			default:
+				ok, bad = rcptVerdict(r)
+			}
+			if ok {
+				accepted++
+			}
+			if refused == nil {
+				refused = bad
+			}
+		}
+		if err = c.disarm(op, err); err != nil {
+			if refused != nil {
+				return accepted, refused
+			}
+			return accepted, fmt.Errorf("smtp: %s: %w", op, err)
 		}
 	}
-	if accepted == 0 {
-		// Clear the failed transaction so the connection is reusable.
-		if err := c.Reset(); err != nil {
-			return 0, err
-		}
-		return 0, nil
+	switch {
+	case data.Code == 354 && refused == nil:
+		return accepted, c.sendBody(body)
+	case data.Code == 354:
+		c.Abort() //nolint:errcheck // the refusal is the error to report
+		return accepted, refused
+	case refused != nil:
+		return accepted, refused
+	case accepted == 0:
+		return 0, c.Reset()
+	default:
+		return accepted, &UnexpectedReplyError{Op: "DATA", Reply: data}
 	}
-	if err := c.Data(body); err != nil {
-		return accepted, err
+}
+
+// sendOp names command i of SendTraced's sequence for errors.
+func sendOp(i, last int) string {
+	switch i {
+	case 0:
+		return "MAIL"
+	case last:
+		return "DATA"
 	}
-	return accepted, nil
+	return "RCPT"
 }

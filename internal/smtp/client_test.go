@@ -1,7 +1,9 @@
 package smtp
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -246,6 +248,144 @@ func TestClientCommandTimeout(t *testing.T) {
 	}
 	if took := time.Since(start); took > 2*time.Second {
 		t.Fatalf("timeout took %v, deadline not applied", took)
+	}
+}
+
+// scriptedPeer greets over conn and answers each command line: EHLO
+// advertises PIPELINING, DATA draws 354, anything else 250. The first
+// line starting with stopAt draws stop instead (its usual answer when
+// stop is zero) and ends the script: nothing more is read.
+func scriptedPeer(conn net.Conn, stopAt string, stop Reply) {
+	c := NewConn(conn)
+	if c.WriteReply(Reply{220, "peer.test ESMTP"}) != nil {
+		return
+	}
+	for {
+		line, err := c.ReadLine()
+		if err != nil {
+			return
+		}
+		r := Reply{250, "Ok"}
+		switch {
+		case bytes.HasPrefix(line, []byte("EHLO")):
+			r = Reply{250, "peer.test\nPIPELINING"}
+		case string(line) == "DATA":
+			r = Reply{354, "go ahead"}
+		}
+		at := bytes.HasPrefix(line, []byte(stopAt))
+		if at && stop.Code != 0 {
+			r = stop
+		}
+		if c.WriteReply(r) != nil || at {
+			return
+		}
+	}
+}
+
+// TestClientWriteTimeout: a peer that stops reading mid-transaction
+// must not pin a client whose data overflows its write buffer — the
+// body after a 354, lock-step or pipelined, and a pipelined burst of
+// many recipients. Each surfaces as a *CommandTimeoutError.
+func TestClientWriteTimeout(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcd\r\n"), 1024)
+	many := make([]string, 500)
+	for i := range many {
+		many[i] = fmt.Sprintf("user%04d@valid.test", i)
+	}
+	for _, row := range []struct {
+		name, stallAt, op string
+		send              func(*Client) error
+	}{{
+		name: "lock-step body", stallAt: "DATA", op: "DATA body",
+		send: func(c *Client) error {
+			if err := c.Helo("me"); err != nil {
+				return err
+			}
+			if err := c.Mail("s@remote.test"); err != nil {
+				return err
+			}
+			if _, err := c.Rcpt("a@valid.test"); err != nil {
+				return err
+			}
+			return c.Data(body)
+		},
+	}, {
+		name: "pipelined body", stallAt: "DATA", op: "DATA body",
+		send: func(c *Client) error {
+			if err := c.Ehlo("me"); err != nil {
+				return err
+			}
+			_, err := c.Send("s@remote.test", []string{"a@valid.test"}, body)
+			return err
+		},
+	}, {
+		name: "pipelined burst", stallAt: "EHLO", op: "MAIL",
+		send: func(c *Client) error {
+			if err := c.Ehlo("me"); err != nil {
+				return err
+			}
+			_, err := c.Send("s@remote.test", many, body)
+			return err
+		},
+	}} {
+		t.Run(row.name, func(t *testing.T) {
+			serverConn, clientConn := net.Pipe()
+			defer serverConn.Close()
+			defer clientConn.Close()
+			go scriptedPeer(serverConn, row.stallAt, Reply{})
+			c, err := NewClient(clientConn, WithCommandTimeout(50*time.Millisecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			err = row.send(c)
+			var te *CommandTimeoutError
+			if !errors.As(err, &te) || te.Op != row.op {
+				t.Fatalf("err = %v (%T), want a *CommandTimeoutError for %s", err, err, row.op)
+			}
+			if took := time.Since(start); took > 2*time.Second {
+				t.Fatalf("timeout took %v, deadline not applied to the write", took)
+			}
+		})
+	}
+}
+
+// TestClientBurstKeepsFirstRefusal: when a peer refuses MAIL in a
+// pipelined burst and hangs up, the refusal — not the EOF on the next
+// reply — is the error, naming MAIL.
+func TestClientBurstKeepsFirstRefusal(t *testing.T) {
+	serverConn, clientConn := net.Pipe()
+	go func() {
+		scriptedPeer(serverConn, "MAIL", Reply{421, "closing"})
+		serverConn.Close()
+	}()
+	c, err := NewClient(clientConn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Abort() //nolint:errcheck
+	if err := c.Ehlo("me"); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Send("s@remote.test", []string{"a@valid.test"}, []byte("body"))
+	var unexpected *UnexpectedReplyError
+	if !errors.As(err, &unexpected) || unexpected.Op != "MAIL" || unexpected.Reply.Code != 421 {
+		t.Fatalf("err = %v, want MAIL's 421", err)
+	}
+}
+
+// TestRcptVerdict pins the one rule Rcpt and Send share for a RCPT
+// reply: a 2xx accepts, a 550 refuses cleanly, anything else is an error.
+func TestRcptVerdict(t *testing.T) {
+	for _, row := range []struct {
+		code     int
+		accepted bool
+		err      bool
+	}{{250, true, false}, {251, true, false}, {550, false, false}, {354, false, true}, {452, false, true}, {553, false, true}} {
+		accepted, err := rcptVerdict(Reply{row.code, "verdict"})
+		if accepted != row.accepted || (err != nil) != row.err {
+			t.Errorf("rcptVerdict(%d) = %v, %v; want accepted %v, error %v", row.code, accepted, err, row.accepted, row.err)
+		}
 	}
 }
 

@@ -65,6 +65,11 @@ var (
 // after warmup.
 var replyWires = map[Reply][]byte{}
 
+// replyLines is replyWires reversed: the wire line of each canonical
+// reply, without its CRLF ("250 Ok"), to the Reply. A client reading one
+// gets the shared value back instead of a freshly allocated text.
+var replyLines = map[string]Reply{}
+
 func init() {
 	for _, r := range []Reply{
 		ReplyBye, ReplyOK, ReplyOKQueued, ReplyVrfy, ReplyStartData,
@@ -73,7 +78,9 @@ func init() {
 		ReplyBadSequence, ReplyNeedHelo, ReplyUserUnknown,
 		ReplyNoValidRcpts, ReplyTooBig,
 	} {
-		replyWires[r] = appendReply(nil, r)
+		wire := appendReply(nil, r)
+		replyWires[r] = wire
+		replyLines[string(wire[:len(wire)-2])] = r
 	}
 }
 

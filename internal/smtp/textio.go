@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // Limits on protocol elements, following RFC 5321 §4.5.3 with the
@@ -222,6 +223,14 @@ func (c *Conn) ReadData(limit int) ([]byte, error) {
 // WriteData sends a payload with dot-stuffing applied and the terminating
 // dot, then flushes. The payload is split on CRLF or LF.
 func (c *Conn) WriteData(body []byte) error {
+	if err := c.writeData(body); err != nil {
+		return err
+	}
+	return c.w.Flush()
+}
+
+// writeData is WriteData without the flush.
+func (c *Conn) writeData(body []byte) error {
 	for len(body) > 0 {
 		line := body
 		if i := bytes.IndexByte(body, '\n'); i >= 0 {
@@ -242,16 +251,15 @@ func (c *Conn) WriteData(body []byte) error {
 			return err
 		}
 	}
-	if _, err := c.w.WriteString(".\r\n"); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	_, err := c.w.WriteString(".\r\n")
+	return err
 }
 
 // ReadReply reads one (possibly multiline) server reply. This is the
-// client side; it may allocate for the reply text.
+// client side. A canonical reply ("250 Ok", "354 …", "250 Ok: queued")
+// comes back as the shared value without allocating; any other text is
+// copied out of the read buffer.
 func (c *Conn) ReadReply() (Reply, error) {
-	var code int
 	var texts []string
 	for {
 		line, err := c.ReadLine()
@@ -261,24 +269,30 @@ func (c *Conn) ReadReply() (Reply, error) {
 		if len(line) < 3 {
 			return Reply{}, fmt.Errorf("smtp: short reply line %q", line)
 		}
-		n, ok := parseCode(line[:3])
+		code, ok := parseCode(line[:3])
 		if !ok {
 			return Reply{}, fmt.Errorf("smtp: bad reply code in %q", line)
 		}
-		code = n
 		more := len(line) > 3 && line[3] == '-'
-		text := ""
-		if len(line) > 4 {
-			text = string(line[4:])
-		}
-		texts = append(texts, text)
-		if !more {
-			if len(texts) == 1 {
-				return Reply{Code: code, Text: texts[0]}, nil
+		if !more && texts == nil {
+			if r, ok := replyLines[string(line)]; ok {
+				return r, nil
 			}
-			return Reply{Code: code, Text: joinLines(texts)}, nil
+			return Reply{Code: code, Text: replyText(line)}, nil
+		}
+		texts = append(texts, replyText(line))
+		if !more {
+			return Reply{Code: code, Text: strings.Join(texts, "\n")}, nil
 		}
 	}
+}
+
+// replyText copies the text after a reply line's code and separator.
+func replyText(line []byte) string {
+	if len(line) > 4 {
+		return string(line[4:])
+	}
+	return ""
 }
 
 // parseCode parses a 3-digit reply code.
@@ -291,15 +305,4 @@ func parseCode(b []byte) (int, bool) {
 		n = n*10 + int(c-'0')
 	}
 	return n, true
-}
-
-func joinLines(texts []string) string {
-	var b bytes.Buffer
-	for i, t := range texts {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		b.WriteString(t)
-	}
-	return b.String()
 }

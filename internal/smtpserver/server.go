@@ -113,8 +113,9 @@ type Stats struct {
 type Server struct {
 	cfg settings
 
-	// ehlo is the precomputed EHLO reply advertising XTRACE; nil (message
-	// tracing off) answers EHLO like HELO.
+	// ehlo is the precomputed EHLO reply. It always advertises PIPELINING
+	// (runDialog answers a burst in one flush), and XTRACE when a message
+	// tracer is attached.
 	ehlo *smtp.Reply
 
 	mu     sync.Mutex
@@ -240,12 +241,14 @@ func New(enqueue Enqueue, opts ...Option) (*Server, error) {
 	for _, name := range Stages() {
 		s.stage[name] = reg.Histogram(StageMetric, metrics.LatencyBounds(), "arch", arch, "stage", name)
 	}
+	// One preformatted multiline EHLO reply for the server's lifetime;
+	// advertising extensions costs nothing per connection.
+	exts := []string{"PIPELINING"}
 	if s.cfg.mtrace != nil {
-		// One preformatted multiline EHLO reply for the server's
-		// lifetime; advertising XTRACE costs nothing per connection.
-		ehlo := smtp.EhloReply(cfg.hostname, "XTRACE")
-		s.ehlo = &ehlo
+		exts = append(exts, "XTRACE")
 	}
+	ehlo := smtp.EhloReply(cfg.hostname, exts...)
+	s.ehlo = &ehlo
 	return s, nil
 }
 

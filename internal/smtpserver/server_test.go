@@ -2,6 +2,7 @@ package smtpserver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -212,6 +213,72 @@ func TestMixedBounceThenValidDelegates(t *testing.T) {
 	st := env.srv.Stats()
 	if st.Handoffs != 1 || st.RcptRejected != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestHandoffMidBurst: a pipelined MAIL/RCPT/DATA burst earns trust at
+// its RCPT, so the front end hands the connection to a worker with two
+// replies still buffered and DATA still unread. While the only worker is
+// busy they wait for it: no reply goes out early, none is lost, and the
+// mail is enqueued exactly once.
+func TestHandoffMidBurst(t *testing.T) {
+	env := startServer(t, Hybrid, WithMaxWorkers(1))
+	// A trusted connection idling in its dialog holds the one worker.
+	holder := dial(t, env)
+	if err := holder.Helo("holder.test"); err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.Mail("s@x.test"); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := holder.Rcpt("a@valid.test"); err != nil || r.Code != 250 {
+		t.Fatalf("holder RCPT = %v, %v", r, err)
+	}
+	waitStats(t, env.srv, func(s Stats) bool { return s.Handoffs == 1 })
+
+	nc, err := net.Dial("tcp", env.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	c := smtp.NewConn(nc)
+	read := func(codes ...int) {
+		t.Helper()
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for _, want := range codes {
+			r, err := c.ReadReply()
+			if err != nil || r.Code != want {
+				t.Fatalf("reply = %v, %v; want %d", r, err, want)
+			}
+		}
+	}
+	write := func(s string) {
+		t.Helper()
+		if _, err := nc.Write([]byte(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read(220)
+	write("HELO burst.test\r\n")
+	read(250)
+	write("MAIL FROM:<s@x.test>\r\nRCPT TO:<b@valid.test>\r\nDATA\r\n")
+	waitStats(t, env.srv, func(s Stats) bool { return s.Handoffs == 2 })
+	nc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	r, err := c.ReadReply()
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("with the worker busy read %v, %v; want nothing until it frees", r, err)
+	}
+
+	if err := holder.Quit(); err != nil {
+		t.Fatal(err)
+	}
+	read(250, 250, 354)
+	write("Subject: burst\r\n\r\nbody\r\n.\r\nQUIT\r\n")
+	read(250, 221)
+	got := env.captured()
+	if len(got) != 1 || len(got[0].rcpts) != 1 || got[0].rcpts[0] != "b@valid.test" {
+		t.Fatalf("captured = %+v, want the burst's mail once", got)
 	}
 }
 
