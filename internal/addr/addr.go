@@ -19,24 +19,57 @@ func MakeIPv4(a, b, c, d byte) IPv4 {
 	return IPv4(uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d))
 }
 
-// ParseIPv4 parses a dotted-quad string such as "192.0.2.17".
+// ParseIPv4 parses a dotted-quad string such as "192.0.2.17". Each of the
+// four parts is one to three characters: an optional sign and at least
+// one decimal digit, with a value in 0–255 ("007", "+1" and "-0" parse).
+// It allocates only to report an error.
 func ParseIPv4(s string) (IPv4, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
+	var ip uint32
+	parts := 0
+	for i := 0; i <= len(s); {
+		end := i
+		for end < len(s) && s[end] != '.' {
+			end++
+		}
+		n, ok := parseOctet(s[i:end])
+		if !ok || parts == 4 {
+			return 0, fmt.Errorf("addr: %q is not a dotted quad", s)
+		}
+		ip = ip<<8 | n
+		parts++
+		i = end + 1
+	}
+	if parts != 4 {
 		return 0, fmt.Errorf("addr: %q is not a dotted quad", s)
 	}
-	var ip uint32
-	for _, p := range parts {
-		if p == "" || len(p) > 3 {
-			return 0, fmt.Errorf("addr: %q is not a dotted quad", s)
-		}
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 0 || n > 255 {
-			return 0, fmt.Errorf("addr: %q is not a dotted quad", s)
-		}
-		ip = ip<<8 | uint32(n)
-	}
 	return IPv4(ip), nil
+}
+
+// parseOctet parses one dotted-quad part: what strconv.Atoi accepts in at
+// most three characters, in 0–255.
+func parseOctet(p string) (uint32, bool) {
+	if p == "" || len(p) > 3 {
+		return 0, false
+	}
+	neg := p[0] == '-'
+	if p[0] == '+' || neg {
+		p = p[1:]
+		if p == "" {
+			return 0, false
+		}
+	}
+	var n uint32
+	for i := 0; i < len(p); i++ {
+		d := p[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		n = n*10 + uint32(d)
+	}
+	if n > 255 || (neg && n != 0) {
+		return 0, false
+	}
+	return n, true
 }
 
 // MustParseIPv4 is ParseIPv4 that panics on error, for tests and constants.
@@ -55,8 +88,36 @@ func (ip IPv4) Octets() (a, b, c, d byte) {
 
 // String renders the address as a dotted quad.
 func (ip IPv4) String() string {
-	a, b, c, d := ip.Octets()
-	return fmt.Sprintf("%d.%d.%d.%d", a, b, c, d)
+	var buf [15]byte
+	return string(ip.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the address's dotted quad to b.
+func (ip IPv4) AppendTo(b []byte) []byte {
+	a, b1, c, d := ip.Octets()
+	return appendQuad(b, a, b1, c, d)
+}
+
+// appendQuad appends "w.x.y.z".
+func appendQuad(b []byte, w, x, y, z byte) []byte {
+	b = strconv.AppendUint(b, uint64(w), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(x), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(y), 10)
+	b = append(b, '.')
+	return strconv.AppendUint(b, uint64(z), 10)
+}
+
+// nameBuf sizes the stack buffer a query name is built in; a longer zone
+// still works, at the cost of one more allocation.
+const nameBuf = 64
+
+// appendName appends the query name "w.x.y.z.zone".
+func appendName(b []byte, w, x, y, z byte, zone string) []byte {
+	b = appendQuad(b, w, x, y, z)
+	b = append(b, '.')
+	return append(b, zone...)
 }
 
 // Prefix24 returns the address's /24 prefix (the address with its last
@@ -88,7 +149,8 @@ func (ip IPv4) IndexIn25() int { return int(ip & 0x7f) }
 // the given zone: for IP x.y.z.w it returns "w.z.y.x.zone" (§4.3).
 func (ip IPv4) ReversedName(zone string) string {
 	a, b, c, d := ip.Octets()
-	return fmt.Sprintf("%d.%d.%d.%d.%s", d, c, b, a, zone)
+	var buf [nameBuf]byte
+	return string(appendName(buf[:0], d, c, b, a, zone))
 }
 
 // V6Name returns the DNSBLv6 query name for the address under the given
@@ -97,11 +159,8 @@ func (ip IPv4) ReversedName(zone string) string {
 // should describe.
 func (ip IPv4) V6Name(zone string) string {
 	a, b, c, d := ip.Octets()
-	h := 0
-	if d >= 128 {
-		h = 1
-	}
-	return fmt.Sprintf("%d.%d.%d.%d.%s", h, c, b, a, zone)
+	var buf [nameBuf]byte
+	return string(appendName(buf[:0], d>>7, c, b, a, zone))
 }
 
 // ParseReversedName inverts ReversedName: given "w.z.y.x.zone" and the
@@ -152,7 +211,17 @@ type Prefix struct {
 }
 
 // String renders the prefix in CIDR notation.
-func (p Prefix) String() string { return fmt.Sprintf("%s/%d", p.Addr, p.Bits) }
+func (p Prefix) String() string {
+	var buf [18]byte
+	return string(p.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the prefix in CIDR notation to b.
+func (p Prefix) AppendTo(b []byte) []byte {
+	b = p.Addr.AppendTo(b)
+	b = append(b, '/')
+	return strconv.AppendInt(b, int64(p.Bits), 10)
+}
 
 // Contains reports whether ip falls inside the prefix.
 func (p Prefix) Contains(ip IPv4) bool {

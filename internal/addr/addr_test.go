@@ -1,6 +1,9 @@
 package addr
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -41,6 +44,99 @@ func TestParseIPv4(t *testing.T) {
 		}
 		if !c.ok && err == nil {
 			t.Errorf("ParseIPv4(%q) succeeded, want error", c.in)
+		}
+	}
+}
+
+// parseIPv4Split is the string parser ParseIPv4 replaced, kept as the
+// oracle FuzzParseIPv4 holds the byte scanner to.
+func parseIPv4Split(s string) (IPv4, bool) {
+	parts := strings.Split(s, ".")
+	if len(parts) != 4 {
+		return 0, false
+	}
+	var ip uint32
+	for _, p := range parts {
+		if p == "" || len(p) > 3 {
+			return 0, false
+		}
+		n, err := strconv.Atoi(p)
+		if err != nil || n < 0 || n > 255 {
+			return 0, false
+		}
+		ip = ip<<8 | uint32(n)
+	}
+	return IPv4(ip), true
+}
+
+// FuzzParseIPv4: the byte scanner accepts exactly what the Split/Atoi
+// parser accepted, with the same value.
+func FuzzParseIPv4(f *testing.F) {
+	for _, s := range []string{
+		"192.0.2.17", "0.0.0.0", "255.255.255.255",
+		"010.001.000.007", "00.0.00.0", // leading zeros
+		"+1.2.3.4", "1.+2.3.4", "-0.0.0.0", "-1.2.3.4", "+.1.2.3", "1.2.3.-",
+		"1..2.3", ".1.2.3", "1.2.3.", "", "...", // empty octets
+		"1.2.3.0004", "1000.2.3.4", // 4-digit octets
+		"256.0.0.1", "1.2.3.256", "999.1.1.1",
+		"1.2.3", "1.2.3.4.5", // 3 and 5 parts
+		"1.2.3.4.", "1.2.3.4..", // trailing dots
+		"a.b.c.d", "1.2.3.4 ", " 1.2.3.4", "1.2.3.4\x00", "1_0.2.3.4", "0x1.2.3.4",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseIPv4(s)
+		want, ok := parseIPv4Split(s)
+		if (err == nil) != ok || (ok && got != want) {
+			t.Fatalf("ParseIPv4(%q) = %v, %v; the Split/Atoi parser gives %v, accepted %v", s, got, err, want, ok)
+		}
+	})
+}
+
+// TestParseIPv4AllocatesNothing: a peer address parses without touching
+// the heap; only an error is allocated.
+func TestParseIPv4AllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { ParseIPv4("198.51.100.217") }); n != 0 {
+		t.Fatalf("ParseIPv4 allocates %v objects, want 0", n)
+	}
+}
+
+// TestFormattingMatchesSprintf: the strconv renderings are byte-identical
+// to the Sprintf forms they replaced, and each allocates only its result.
+func TestFormattingMatchesSprintf(t *testing.T) {
+	const zone = "bl6.example.org"
+	for _, ip := range []IPv4{0, 0xffffffff, MakeIPv4(1, 2, 3, 4), MakeIPv4(10, 0, 99, 127),
+		MakeIPv4(10, 0, 99, 128), MakeIPv4(192, 168, 100, 255), MakeIPv4(9, 10, 100, 99)} {
+		a, b, c, d := ip.Octets()
+		h := 0
+		if d >= 128 {
+			h = 1
+		}
+		cases := []struct{ name, got, want string }{
+			{"String", ip.String(), fmt.Sprintf("%d.%d.%d.%d", a, b, c, d)},
+			{"ReversedName", ip.ReversedName(zone), fmt.Sprintf("%d.%d.%d.%d.%s", d, c, b, a, zone)},
+			{"V6Name", ip.V6Name(zone), fmt.Sprintf("%d.%d.%d.%d.%s", h, c, b, a, zone)},
+			{"Prefix24", ip.Prefix24().String(), fmt.Sprintf("%s/%d", ip.Prefix24().Addr, 24)},
+			{"Prefix25", ip.Prefix25().String(), fmt.Sprintf("%s/%d", ip.Prefix25().Addr, 25)},
+			{"PrefixN(0)", ip.PrefixN(0).String(), "0.0.0.0/0"},
+			{"PrefixN(32)", ip.PrefixN(32).String(), fmt.Sprintf("%d.%d.%d.%d/32", a, b, c, d)},
+		}
+		for _, tc := range cases {
+			if tc.got != tc.want {
+				t.Errorf("%v %s = %q, want %q", ip, tc.name, tc.got, tc.want)
+			}
+		}
+	}
+	ip := MakeIPv4(198, 51, 100, 217)
+	for name, fn := range map[string]func(){
+		"String":        func() { _ = ip.String() },
+		"ReversedName":  func() { _ = ip.ReversedName(zone) },
+		"V6Name":        func() { _ = ip.V6Name(zone) },
+		"Prefix.String": func() { _ = ip.Prefix25().String() },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n > 1 {
+			t.Errorf("%s allocates %v objects, want 1", name, n)
 		}
 	}
 }

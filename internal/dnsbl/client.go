@@ -73,7 +73,7 @@ type Resolver interface {
 // concurrent use.
 type Client struct {
 	transport dns.Transport
-	buildErr  error // deferred construction failure, reported per Lookup
+	buildErr  error // deferred construction failure (transport or cache policy), reported per Lookup
 	zone      string
 	policy    CachePolicy
 	cache     *dns.Cache
@@ -227,6 +227,8 @@ func New(zone string, opts ...Option) *Client {
 	c.collapsed = c.reg.Counter("dnsbl_collapsed_total", "zone", zone)
 	c.cache = dns.NewCache(c.now, c.staleFor)
 	switch {
+	case c.policy < CacheNone || c.policy > CachePrefix:
+		c.buildErr = fmt.Errorf("dnsbl: unknown cache policy %d", c.policy)
 	case c.transport != nil && c.upstreams != nil:
 		c.buildErr = fmt.Errorf("dnsbl: WithTransport and WithUpstreams are mutually exclusive")
 	case c.transport == nil && c.upstreams != nil:
@@ -308,31 +310,93 @@ func (c *Client) Lookup(ctx context.Context, ip addr.IPv4) (Result, error) {
 	if c.buildErr != nil {
 		return Result{}, c.buildErr
 	}
+	name, qtype := c.key(ip)
+	if r, ok, err := c.fromCache(ip, name, qtype); ok {
+		return r, c.report(ip, r, err)
+	}
 	c.lookups.Inc()
 	if _, ok := ctx.Deadline(); !ok && c.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 	}
+	msg, hit, stale, err := c.fetch(ctx, name, qtype)
 	var r Result
-	var err error
-	switch c.policy {
-	case CacheNone:
-		r, err = c.lookupV4(ctx, ip, false)
-	case CacheIP:
-		r, err = c.lookupV4(ctx, ip, true)
-	case CachePrefix:
-		r, err = c.lookupPrefix(ctx, ip)
-	default:
-		return Result{}, fmt.Errorf("dnsbl: unknown cache policy %d", c.policy)
+	if err == nil {
+		r, err = c.result(msg, ip, hit)
+		r.Stale = stale
 	}
+	return r, c.report(ip, r, err)
+}
+
+// Cached is the fresh-cache half of Lookup, for a caller that answers
+// what the cache knows inline and pays for a query only on a miss. On a
+// fresh entry it counts and logs the lookup exactly as Lookup does and
+// returns its answer; otherwise it counts nothing and reports false, and
+// a Lookup does the rest. CacheNone never answers from cache. An entry
+// Lookup would report as an error (a cached error rcode) reads as not
+// listed, which is what that error means to a fail-open caller.
+func (c *Client) Cached(ip addr.IPv4) (Result, bool) {
+	if c.buildErr != nil {
+		return Result{}, false
+	}
+	name, qtype := c.key(ip)
+	r, ok, err := c.fromCache(ip, name, qtype)
+	if !ok {
+		return Result{}, false
+	}
+	if c.report(ip, r, err) != nil {
+		return Result{CacheHit: true}, true
+	}
+	return r, true
+}
+
+// key returns the query name and type a lookup of ip asks under the
+// client's cache policy.
+func (c *Client) key(ip addr.IPv4) (string, dns.Type) {
+	if c.policy == CachePrefix {
+		return ip.V6Name(c.zone), dns.TypeAAAA
+	}
+	return ip.ReversedName(c.zone), dns.TypeA
+}
+
+// fromCache answers ip from a fresh cache entry under (name, qtype),
+// counting the lookup as a cache hit; ok is false, and nothing counted,
+// on a miss. err is the cached answer's own failure.
+func (c *Client) fromCache(ip addr.IPv4, name string, qtype dns.Type) (r Result, ok bool, err error) {
+	if c.policy == CacheNone {
+		return Result{}, false, nil
+	}
+	msg, peer, ok := c.cache.Get(name, qtype)
+	if !ok {
+		return Result{}, false, nil
+	}
+	c.lookups.Inc()
+	c.cacheHits.Inc()
+	if peer {
+		c.peerHits.Inc()
+	}
+	r, err = c.result(msg, ip, true)
+	return r, true, err
+}
+
+// result reads ip's verdict out of an answer to the client's query.
+func (c *Client) result(msg *dns.Message, ip addr.IPv4, hit bool) (Result, error) {
+	if c.policy == CachePrefix {
+		return resultFromBitmap(msg, ip, hit)
+	}
+	return resultFromV4(msg, hit), nil
+}
+
+// report logs one finished lookup and passes its error through.
+func (c *Client) report(ip addr.IPv4, r Result, err error) error {
 	if err != nil {
 		c.events.Warn("dnsbl.down", 0,
 			eventlog.IP("ip", ip),
 			eventlog.Str("zone", c.zone),
 			eventlog.Str("err", err.Error()),
 		)
-		return r, err
+		return err
 	}
 	c.events.Debug("dnsbl.lookup", 0,
 		eventlog.IP("ip", ip),
@@ -346,18 +410,7 @@ func (c *Client) Lookup(ctx context.Context, ip addr.IPv4) (Result, error) {
 		// unreachable upstream — worth a warning even when debug is off.
 		c.events.Warn("dnsbl.stale", 0, eventlog.IP("ip", ip), eventlog.Str("zone", c.zone))
 	}
-	return r, nil
-}
-
-func (c *Client) lookupV4(ctx context.Context, ip addr.IPv4, useCache bool) (Result, error) {
-	name := ip.ReversedName(c.zone)
-	msg, hit, stale, err := c.fetch(ctx, name, dns.TypeA, useCache)
-	if err != nil {
-		return Result{}, err
-	}
-	r := resultFromV4(msg, hit)
-	r.Stale = stale
-	return r, nil
+	return nil
 }
 
 func resultFromV4(msg *dns.Message, hit bool) Result {
@@ -367,17 +420,6 @@ func resultFromV4(msg *dns.Message, hit bool) Result {
 		}
 	}
 	return Result{CacheHit: hit}
-}
-
-func (c *Client) lookupPrefix(ctx context.Context, ip addr.IPv4) (Result, error) {
-	name := ip.V6Name(c.zone)
-	msg, hit, stale, err := c.fetch(ctx, name, dns.TypeAAAA, true)
-	if err != nil {
-		return Result{}, err
-	}
-	r, err := resultFromBitmap(msg, ip, hit)
-	r.Stale = stale
-	return r, err
 }
 
 func resultFromBitmap(msg *dns.Message, ip addr.IPv4, hit bool) (Result, error) {
@@ -394,18 +436,11 @@ func resultFromBitmap(msg *dns.Message, ip addr.IPv4, hit bool) (Result, error) 
 	return Result{CacheHit: hit}, nil
 }
 
-// fetch resolves (name, qtype) through cache, negative cache,
-// singleflight, upstream, and the serve-stale fallback, in that order.
-func (c *Client) fetch(ctx context.Context, name string, qtype dns.Type, useCache bool) (msg *dns.Message, hit, stale bool, err error) {
-	if useCache {
-		if msg, peer, ok := c.cache.Get(name, qtype); ok {
-			c.cacheHits.Inc()
-			if peer {
-				c.peerHits.Inc()
-			}
-			return msg, true, false, nil
-		}
-	}
+// fetch resolves (name, qtype) on a cache miss through the negative
+// cache, singleflight, upstream, and the serve-stale fallback, in that
+// order.
+func (c *Client) fetch(ctx context.Context, name string, qtype dns.Type) (msg *dns.Message, hit, stale bool, err error) {
+	useCache := c.policy != CacheNone
 	if until, down := c.negCached(name, qtype); down {
 		c.negHits.Inc()
 		if msg, ok := c.staleFallback(name, qtype, useCache); ok {

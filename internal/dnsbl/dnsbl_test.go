@@ -190,6 +190,49 @@ func TestClientCacheIPBehaviour(t *testing.T) {
 	}
 }
 
+// TestCachedCountsLikeLookup: an answer probed with Cached moves Lookups,
+// CacheHits, PeerHits and Queries exactly as a Lookup hit does, a miss
+// moves nothing, and CacheNone never answers from cache.
+func TestCachedCountsLikeLookup(t *testing.T) {
+	ip := addr.MustParseIPv4("1.2.3.4")
+	for _, policy := range []CachePolicy{CacheIP, CachePrefix} {
+		l := NewList("bl.test")
+		l.Add(ip, CodeSpamSrc)
+		c, tr := newTestClient(l, policy)
+		if _, ok := c.Cached(ip); ok || c.Lookups() != 0 || c.CacheHits() != 0 {
+			t.Fatalf("%v: a miss answered or counted (lookups %d, hits %d)", policy, c.Lookups(), c.CacheHits())
+		}
+		if _, err := c.Lookup(ctx, ip); err != nil {
+			t.Fatal(err)
+		}
+		r, ok := c.Cached(ip)
+		if !ok || !r.Listed || !r.CacheHit {
+			t.Fatalf("%v: Cached = %+v, %v; want a listed cache hit", policy, r, ok)
+		}
+		if again, err := c.Lookup(ctx, ip); err != nil || again != r {
+			t.Fatalf("%v: Lookup hit = %+v, %v; Cached gave %+v", policy, again, err, r)
+		}
+		if c.Lookups() != 3 || c.CacheHits() != 2 || c.Queries() != 1 || tr.Queries() != 1 {
+			t.Fatalf("%v: lookups %d, hits %d, queries %d/%d; want 3, 2, 1/1",
+				policy, c.Lookups(), c.CacheHits(), c.Queries(), tr.Queries())
+		}
+
+		peer, _ := newTestClient(l, policy)
+		if n := peer.Merge(c.Delta(time.Time{})); n != 1 {
+			t.Fatalf("%v: merged %d entries, want 1", policy, n)
+		}
+		if r, ok := peer.Cached(ip); !ok || !r.Listed || peer.PeerHits() != 1 || peer.Lookups() != 1 || peer.Queries() != 0 {
+			t.Fatalf("%v: peer Cached = %+v, %v with %d peer hits, %d lookups, %d queries; want one listed peer hit",
+				policy, r, ok, peer.PeerHits(), peer.Lookups(), peer.Queries())
+		}
+	}
+	c, _ := newTestClient(NewList("bl.test"), CacheNone)
+	c.Lookup(ctx, ip)
+	if _, ok := c.Cached(ip); ok || c.Lookups() != 1 {
+		t.Fatalf("CacheNone answered from cache (lookups %d)", c.Lookups())
+	}
+}
+
 func TestClientCacheNoneNeverCaches(t *testing.T) {
 	l := NewList("bl.test")
 	ip := addr.MustParseIPv4("1.2.3.4")

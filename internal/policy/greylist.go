@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -67,7 +66,13 @@ func NewGreylist(cfg GreyConfig) *Greylist {
 }
 
 func greyKey(ip addr.IPv4, sender, rcpt string) string {
-	return fmt.Sprintf("%s|%s|%s", ip.Prefix24(), sender, rcpt)
+	var buf [128]byte
+	b := ip.Prefix24().AppendTo(buf[:0])
+	b = append(b, '|')
+	b = append(b, sender...)
+	b = append(b, '|')
+	b = append(b, rcpt...)
+	return string(b)
 }
 
 // Check evaluates one (client, sender, rcpt) delivery attempt and
@@ -82,7 +87,7 @@ func (g *Greylist) Check(at time.Time, ip addr.IPv4, sender, rcpt string) Decisi
 			g.sweep(at)
 		}
 		g.entries[key] = &greyEntry{firstSeen: at, updated: at}
-		return Decision{Tempfail, "greylist", "greylisted, please retry later"}
+		return Decision{Verdict: Tempfail, Checker: "greylist", Reason: "greylisted, please retry later"}
 	}
 	if e.passed {
 		if at.Before(e.expiry) {
@@ -92,12 +97,12 @@ func (g *Greylist) Check(at time.Time, ip addr.IPv4, sender, rcpt string) Decisi
 		}
 		// Whitelist expired: restart the window.
 		*e = greyEntry{firstSeen: at, updated: at}
-		return Decision{Tempfail, "greylist", "greylisted, please retry later"}
+		return Decision{Verdict: Tempfail, Checker: "greylist", Reason: "greylisted, please retry later"}
 	}
 	age := at.Sub(e.firstSeen)
 	switch {
 	case age < g.cfg.MinRetry:
-		return Decision{Tempfail, "greylist", "greylisted, retried too soon"}
+		return Decision{Verdict: Tempfail, Checker: "greylist", Reason: "greylisted, retried too soon"}
 	case age <= g.cfg.MaxValid:
 		e.passed = true
 		e.expiry = at.Add(g.cfg.WhitelistTTL)
@@ -106,7 +111,7 @@ func (g *Greylist) Check(at time.Time, ip addr.IPv4, sender, rcpt string) Decisi
 	default:
 		e.firstSeen = at
 		e.updated = at
-		return Decision{Tempfail, "greylist", "greylisted, please retry later"}
+		return Decision{Verdict: Tempfail, Checker: "greylist", Reason: "greylisted, please retry later"}
 	}
 }
 

@@ -84,7 +84,13 @@ type Decision struct {
 	// "reputation", "dnsbl"); empty for Allow.
 	Checker string
 	// Reason is a human-readable explanation suitable for an SMTP reply.
+	// It is a constant per checker and verdict: the client learns why it
+	// was refused, not by how much.
 	Reason string
+	// Score is the number that decided a reputation or DNSBL verdict: the
+	// source's reputation score, or its DNSBL score. It is 0 for the
+	// other checkers, and logged rather than sent to the client.
+	Score float64
 }
 
 // allowed is the zero Decision.
@@ -233,7 +239,7 @@ func (e *Engine) admitLocked(now time.Duration, ip addr.IPv4, dnsblScore float64
 		}
 	}
 	if e.dnsblReject > 0 && dnsblScore >= e.dnsblReject {
-		return Decision{Reject, "dnsbl", fmt.Sprintf("listed by DNSBLs (score %.1f)", dnsblScore)}
+		return Decision{Verdict: Reject, Checker: "dnsbl", Reason: "listed by DNSBLs", Score: dnsblScore}
 	}
 	return allowed
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/dns"
 	"repro/internal/dnsbl"
 	"repro/internal/metrics"
 )
@@ -457,9 +459,10 @@ func TestServerPolicyRecordsEvents(t *testing.T) {
 }
 
 // TestAdmitAndScanLatencyAreHistograms: the two latency series on the path
-// every connection takes are fixed-size histograms, and their bounds still
-// resolve a verdict answered from cache — the quantiles bench/report.go and
-// cmd/smtpd read are not rounded down to zero.
+// every connection takes are fixed-size histograms, and the admit bounds
+// still resolve a verdict answered from cache — the quantiles cmd/smtpd
+// reads are not rounded down to zero. The scan series, whose sum
+// bench/run.go reads, times a part of the admit interval.
 func TestAdmitAndScanLatencyAreHistograms(t *testing.T) {
 	reg := metrics.NewRegistry()
 	scorer := NewScorer(WithLists(List{Name: "a", Resolver: stubList{listed: false}}), WithScorerRegistry(reg))
@@ -467,16 +470,143 @@ func TestAdmitAndScanLatencyAreHistograms(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		p.Connect(bg, "198.51.100.7")
 	}
-	for _, name := range []string{"policy_admit_seconds", "policy_scan_seconds"} {
-		m, ok := reg.Find(name)
-		if !ok || m.Kind != metrics.KindHistogram || m.Count != 1000 {
-			t.Fatalf("%s = %+v, %v; want a histogram of 1000 observations", name, m, ok)
-		}
+	admit, ok := reg.Find("policy_admit_seconds")
+	if !ok || admit.Kind != metrics.KindHistogram || admit.Count != 1000 {
+		t.Fatalf("policy_admit_seconds = %+v, %v; want a histogram of 1000 observations", admit, ok)
+	}
+	scan, ok := reg.Find("policy_check_seconds", "check", "dnsbl_scan")
+	if !ok || scan.Kind != metrics.KindHistogram || scan.Count != 1000 {
+		t.Fatalf("policy_check_seconds{check=dnsbl_scan} = %+v, %v; want a histogram of 1000 observations", scan, ok)
 	}
 	if q := p.AdmitLatencyQuantile(0.5); q <= 0 || q > 0.1 {
 		t.Fatalf("admit p50 = %v s, want a positive sub-100ms figure", q)
 	}
-	if st := p.ScorerStats(); st.P50 <= 0 || st.P99 < st.P50 || st.P50 > p.AdmitLatencyQuantile(0.99) {
-		t.Fatalf("scan p50/p99 = %v/%v s against admit p99 %v s", st.P50, st.P99, p.AdmitLatencyQuantile(0.99))
+	if scan.Sum <= 0 || scan.Sum > admit.Sum {
+		t.Fatalf("scan time %v s against admit time %v s; want a positive part of it", scan.Sum, admit.Sum)
+	}
+}
+
+// TestConnectCacheHitAllocates: a connect-time verdict answered from the
+// DNSBL cache — allow, DNSBL reject or reputation reject — allocates at
+// most one object (the query name the cache is keyed by), and its reason
+// is a constant with the deciding number in Score.
+func TestConnectCacheHitAllocates(t *testing.T) {
+	list := dnsbl.NewList("bl6.test")
+	list.Add(ip1, dnsbl.CodeSpamSrc)
+	condemned := NewReputation(ReputationConfig{})
+	for i := 0; i < 10; i++ {
+		condemned.RecordBounce(time.Unix(0, 0), ip4)
+	}
+	cases := []struct {
+		name, ip string
+		eng      *Engine
+		want     Decision
+	}{
+		{"allow", "198.51.100.9", New(WithReputation(ReputationConfig{}), WithDNSBLReject(1)), Decision{}},
+		{"dnsbl", "198.51.100.7", New(WithDNSBLReject(1)),
+			Decision{Verdict: Reject, Checker: "dnsbl", Reason: "listed by DNSBLs", Score: 1}},
+		{"reputation", "203.0.113.5", New(WithReputationStore(condemned), WithDNSBLReject(1)),
+			Decision{Verdict: Reject, Checker: "reputation", Reason: "poor sending history"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			client := dnsbl.New("bl6.test", dnsbl.WithTransport(&dns.MemTransport{Handler: &dnsbl.V6Handler{List: list}}))
+			p := NewServerPolicy(tc.eng, NewScorer(WithLists(List{Name: "bl6.test", Resolver: client}), WithThreshold(1)))
+			p.Connect(bg, tc.ip) // fills the cache
+			var d Decision
+			allocs := testing.AllocsPerRun(100, func() { d = p.Connect(bg, tc.ip) })
+			if tc.name == "reputation" {
+				if d.Score < 8 {
+					t.Errorf("reputation score = %v, want the condemning score ≥ 8", d.Score)
+				}
+				d.Score = 0
+			}
+			if d != tc.want {
+				t.Errorf("decision = %+v, want %+v", d, tc.want)
+			}
+			if allocs > 1 {
+				t.Errorf("a cache-hit Connect allocates %v objects, want ≤ 1", allocs)
+			}
+			if client.Queries() != 1 || client.CacheHits() != client.Lookups()-1 {
+				t.Errorf("%d queries, %d cache hits of %d lookups; want every lookup after the first a hit",
+					client.Queries(), client.CacheHits(), client.Lookups())
+			}
+		})
+	}
+}
+
+// cachedList is a resolver with a cache: Cached answers when cached is
+// set, and every Lookup is counted.
+type cachedList struct {
+	listed, cached bool
+	lookups        *atomic.Int64
+}
+
+func (c cachedList) Cached(addr.IPv4) (dnsbl.Result, bool) {
+	return dnsbl.Result{Listed: c.listed, CacheHit: true}, c.cached
+}
+
+func (c cachedList) Lookup(context.Context, addr.IPv4) (dnsbl.Result, error) {
+	c.lookups.Add(1)
+	return dnsbl.Result{Listed: c.listed}, nil
+}
+
+// countingList is a resolver without a cache that counts its lookups.
+type countingList struct{ lookups *atomic.Int64 }
+
+func (c countingList) Lookup(context.Context, addr.IPv4) (dnsbl.Result, error) {
+	c.lookups.Add(1)
+	return dnsbl.Result{Listed: true}, nil
+}
+
+// TestScorerCachedVoteExitsEarly: a cached vote that crosses the threshold
+// decides the scan inline; the uncached second list is never asked, and
+// the scan counts as an early exit.
+func TestScorerCachedVoteExitsEarly(t *testing.T) {
+	var cachedLookups, otherLookups atomic.Int64
+	s := NewScorer(
+		WithLists(
+			List{Name: "cached", Resolver: cachedList{listed: true, cached: true, lookups: &cachedLookups}},
+			List{Name: "uncached", Resolver: countingList{lookups: &otherLookups}},
+		),
+		WithThreshold(1),
+	)
+	if got := s.Score(bg, ip1); got != 1 {
+		t.Fatalf("score = %v, want 1", got)
+	}
+	if cachedLookups.Load() != 0 || otherLookups.Load() != 0 {
+		t.Fatalf("lookups = %d cached list, %d uncached list; want 0 and 0", cachedLookups.Load(), otherLookups.Load())
+	}
+	if st := s.Stats(); st.Scans != 1 || st.Hits != 1 || st.EarlyExits != 1 {
+		t.Fatalf("stats = %+v, want one scan, one hit, one early exit", st)
+	}
+	// A cache miss falls through to the lookup.
+	var missLookups atomic.Int64
+	s = NewScorer(WithLists(List{Name: "miss", Resolver: cachedList{listed: true, lookups: &missLookups}}))
+	if got := s.Score(bg, ip1); got != 1 || missLookups.Load() != 1 {
+		t.Fatalf("after a cache miss: score %v with %d lookups, want 1 with 1", got, missLookups.Load())
+	}
+}
+
+// TestScorerCachedAndSlowListIsBounded: a cached answer does not lift the
+// scan's timeout off an uncached list that never answers; the cached vote
+// still counts.
+func TestScorerCachedAndSlowListIsBounded(t *testing.T) {
+	var lookups atomic.Int64
+	s := NewScorer(WithLists(
+		List{Name: "cached", Resolver: cachedList{listed: true, cached: true, lookups: &lookups}, Weight: 0.5},
+		List{Name: "slow", Resolver: stubList{listed: true, delay: time.Minute}},
+	))
+	ctx, cancel := context.WithTimeout(bg, 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if got := s.Score(ctx, ip1); got != 0.5 {
+		t.Fatalf("score = %v, want the cached 0.5 alone", got)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("scan took %v past a 20ms deadline", took)
+	}
+	if st := s.Stats(); st.EarlyExits != 1 || lookups.Load() != 0 {
+		t.Fatalf("stats = %+v with %d lookups on the cached list; want one early exit, no lookup", st, lookups.Load())
 	}
 }

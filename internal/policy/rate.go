@@ -96,9 +96,9 @@ func (r *rateLimiter) takeConn(now time.Duration, ip addr.IPv4) Decision {
 	}
 	switch {
 	case !ipOK:
-		return Decision{Tempfail, "rate", "connection rate exceeded for client address"}
+		return Decision{Verdict: Tempfail, Checker: "rate", Reason: "connection rate exceeded for client address"}
 	case !prefOK:
-		return Decision{Tempfail, "rate", "connection rate exceeded for client network"}
+		return Decision{Verdict: Tempfail, Checker: "rate", Reason: "connection rate exceeded for client network"}
 	}
 	return allowed
 }
@@ -106,7 +106,7 @@ func (r *rateLimiter) takeConn(now time.Duration, ip addr.IPv4) Decision {
 // takeMail charges one MAIL transaction against the per-IP mail bucket.
 func (r *rateLimiter) takeMail(now time.Duration, ip addr.IPv4) Decision {
 	if !r.takeFrom(ipKeyed{r.mail}, now, ip, r.cfg.MailPerSec, r.cfg.MailBurst) {
-		return Decision{Tempfail, "rate", "message rate exceeded for client address"}
+		return Decision{Verdict: Tempfail, Checker: "rate", Reason: "message rate exceeded for client address"}
 	}
 	return allowed
 }

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -175,9 +174,9 @@ func (r *Reputation) Check(at time.Time, ip addr.IPv4) Decision {
 	s := r.scoreLocked(at, ip)
 	switch {
 	case s >= r.cfg.RejectScore:
-		return Decision{Reject, "reputation", fmt.Sprintf("poor sending history (score %.1f)", s)}
+		return Decision{Verdict: Reject, Checker: "reputation", Reason: "poor sending history", Score: s}
 	case s >= r.cfg.TempfailScore:
-		return Decision{Tempfail, "reputation", fmt.Sprintf("deferred on sending history (score %.1f)", s)}
+		return Decision{Verdict: Tempfail, Checker: "reputation", Reason: "deferred on sending history", Score: s}
 	}
 	return allowed
 }

@@ -2,7 +2,6 @@ package policy
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/addr"
 	"repro/internal/costmodel"
@@ -44,9 +43,8 @@ func WithThreshold(threshold float64) ScorerOption {
 	return func(c *scorerConfig) { c.threshold = threshold }
 }
 
-// WithScorerRegistry directs the scorer's metrics (scan counters and
-// the policy_scan_seconds latency histogram) into r. The default is a
-// private registry.
+// WithScorerRegistry directs the scorer's scan counters into r. The
+// default is a private registry.
 func WithScorerRegistry(r *metrics.Registry) ScorerOption {
 	return func(c *scorerConfig) { c.registry = r }
 }
@@ -55,21 +53,24 @@ func WithScorerRegistry(r *metrics.Registry) ScorerOption {
 // a weighted listing score, exiting early once the threshold is crossed
 // (Figure 5 shows 16–50% of single-list queries exceeding 100 ms, so
 // serial consultation of several lists is untenable in an accept path).
-// It is safe for concurrent use.
+// A list whose resolver can answer from its cache (dnsbl.Client.Cached)
+// is asked there first, inline: with the /25 bitmaps nearly every verdict
+// is a cache hit, and a scan that every list answers from cache starts
+// no goroutine. It is safe for concurrent use.
 type Scorer struct {
 	cfg scorerConfig
 	reg *metrics.Registry
 
-	scans   *metrics.Counter
-	hits    *metrics.Counter   // scans with score > 0
-	early   *metrics.Counter   // scans that exited before every list answered
-	latency *metrics.Histogram // scan wall time in seconds
+	scans *metrics.Counter
+	hits  *metrics.Counter // scans with score > 0
+	early *metrics.Counter // scans that exited before every list answered
 }
 
-// scanBounds are the bounds of the scan and admit latency histograms:
-// 1 µs to ≈ 34 s in ×2 steps, fine enough at the bottom to resolve a
-// verdict answered from cache and long enough for a timed-out scan.
-func scanBounds() []float64 { return metrics.ExponentialBounds(1e-6, 2, 26) }
+// cacheProber is a Resolver that can also answer from its cache alone,
+// without a query: dnsbl.Client's Cached.
+type cacheProber interface {
+	Cached(ip addr.IPv4) (dnsbl.Result, bool)
+}
 
 // NewScorer returns a scorer over the lists given via WithLists.
 func NewScorer(opts ...ScorerOption) *Scorer {
@@ -87,12 +88,11 @@ func NewScorer(opts ...ScorerOption) *Scorer {
 		reg = metrics.NewRegistry()
 	}
 	return &Scorer{
-		cfg:     cfg,
-		reg:     reg,
-		scans:   reg.Counter("policy_scans_total"),
-		hits:    reg.Counter("policy_scan_hits_total"),
-		early:   reg.Counter("policy_scan_early_exits_total"),
-		latency: reg.Histogram("policy_scan_seconds", scanBounds()),
+		cfg:   cfg,
+		reg:   reg,
+		scans: reg.Counter("policy_scans_total"),
+		hits:  reg.Counter("policy_scan_hits_total"),
+		early: reg.Counter("policy_scan_early_exits_total"),
 	}
 }
 
@@ -105,61 +105,106 @@ type listVote struct {
 	listed bool
 }
 
-// Score looks ip up on every configured list concurrently and returns
-// the accumulated weight of the lists that answered "listed" before the
-// scan ended (early exit, ctx expiry, or the scan timeout). The scan
-// context is cancelled as soon as the scan ends, so abandoned lookups
-// stop retrying and hedging immediately. Lookup errors score 0.
+// Score looks ip up on every configured list and returns the accumulated
+// weight of the lists that answered "listed" before the scan ended (early
+// exit, ctx expiry, or the scan timeout). Lists that can answer from
+// cache are asked there first, in order, without blocking; only the lists
+// still unanswered after that, if the threshold is not yet crossed, are
+// looked up concurrently, bounded by ctx's deadline or, when ctx has
+// none, the paper's DNSBL timeout. The scan context is cancelled as soon
+// as the scan ends, so abandoned lookups stop retrying and hedging
+// immediately. Lookup errors score 0.
 func (s *Scorer) Score(ctx context.Context, ip addr.IPv4) float64 {
-	if len(s.cfg.lists) == 0 {
+	n := len(s.cfg.lists)
+	if n == 0 {
 		return 0
 	}
-	start := time.Now()
-	if _, ok := ctx.Deadline(); !ok {
-		// A caller without a deadline gets the paper's DNSBL timeout.
-		// Lists that miss it contribute 0 — the scorer fails open, like
-		// the paper's servers: a DNSBL outage must not stop mail.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, costmodel.DNSBLTimeout)
-		defer cancel()
-	} else {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
+	// Which lists have voted; on the stack for the usual handful of lists,
+	// so a scan answered from cache allocates nothing.
+	var small [8]bool
+	answered := small[:]
+	if n > len(small) {
+		answered = make([]bool, n)
 	}
-	votes := make(chan listVote, len(s.cfg.lists))
-	for _, l := range s.cfg.lists {
-		go func(l List) {
-			res, err := l.Resolver.Lookup(ctx, ip)
-			votes <- listVote{weight: l.Weight, listed: err == nil && res.Listed}
-		}(l)
-	}
+	answered = answered[:n]
 	var score float64
-	answered := 0
-scan:
-	for answered < len(s.cfg.lists) {
-		select {
-		case v := <-votes:
-			answered++
-			if v.listed {
-				score += v.weight
-				if s.cfg.threshold > 0 && score >= s.cfg.threshold {
-					break scan
-				}
+	votes := 0
+	for i, l := range s.cfg.lists {
+		p, ok := l.Resolver.(cacheProber)
+		if !ok {
+			continue
+		}
+		res, ok := p.Cached(ip)
+		if !ok {
+			continue
+		}
+		answered[i] = true
+		votes++
+		if res.Listed {
+			score += l.Weight
+			if s.crossed(score) {
+				break
 			}
-		case <-ctx.Done():
-			break scan
 		}
 	}
-	if answered < len(s.cfg.lists) {
+	if votes < n && !s.crossed(score) {
+		score, votes = s.fanOut(ctx, ip, answered, score, votes)
+	}
+	if votes < n {
 		s.early.Inc()
 	}
 	s.scans.Inc()
 	if score > 0 {
 		s.hits.Inc()
 	}
-	s.latency.ObserveDuration(time.Since(start))
 	return score
+}
+
+// crossed reports whether score has reached the early-exit threshold.
+func (s *Scorer) crossed(score float64) bool {
+	return s.cfg.threshold > 0 && score >= s.cfg.threshold
+}
+
+// fanOut looks ip up concurrently on every list not yet answered, one
+// goroutine per list, adding their votes to score until they have all
+// answered, the threshold is crossed, or the scan times out. It returns
+// the new score and count of answered lists.
+func (s *Scorer) fanOut(ctx context.Context, ip addr.IPv4, answered []bool, score float64, votes int) (float64, int) {
+	var cancel context.CancelFunc
+	if _, ok := ctx.Deadline(); !ok {
+		// A caller without a deadline gets the paper's DNSBL timeout.
+		// Lists that miss it contribute 0 — the scorer fails open, like
+		// the paper's servers: a DNSBL outage must not stop mail.
+		ctx, cancel = context.WithTimeout(ctx, costmodel.DNSBLTimeout)
+	} else {
+		ctx, cancel = context.WithCancel(ctx)
+	}
+	defer cancel()
+	ch := make(chan listVote, len(answered)-votes)
+	for i, l := range s.cfg.lists {
+		if answered[i] {
+			continue
+		}
+		go func(l List) {
+			res, err := l.Resolver.Lookup(ctx, ip)
+			ch <- listVote{weight: l.Weight, listed: err == nil && res.Listed}
+		}(l)
+	}
+	for votes < len(answered) {
+		select {
+		case v := <-ch:
+			votes++
+			if v.listed {
+				score += v.weight
+				if s.crossed(score) {
+					return score, votes
+				}
+			}
+		case <-ctx.Done():
+			return score, votes
+		}
+	}
+	return score, votes
 }
 
 // ScorerStats is a snapshot of scan activity.
@@ -167,17 +212,13 @@ type ScorerStats struct {
 	Scans      int64
 	Hits       int64
 	EarlyExits int64
-	// P50 and P99 are scan wall-time quantile estimates in seconds.
-	P50, P99 float64
 }
 
-// Stats returns a snapshot of the scorer's counters and latencies.
+// Stats returns a snapshot of the scorer's counters.
 func (s *Scorer) Stats() ScorerStats {
 	return ScorerStats{
 		Scans:      s.scans.Value(),
 		Hits:       s.hits.Value(),
 		EarlyExits: s.early.Value(),
-		P50:        s.latency.Quantile(0.5),
-		P99:        s.latency.Quantile(0.99),
 	}
 }

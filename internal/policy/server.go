@@ -28,6 +28,11 @@ type ServerPolicy struct {
 	admitCheck   *metrics.Histogram
 }
 
+// admitBounds are the bounds of the admit latency histogram: 1 µs to
+// ≈ 34 s in ×2 steps, fine enough at the bottom to resolve a verdict
+// answered from cache and long enough for a timed-out scan.
+func admitBounds() []float64 { return metrics.ExponentialBounds(1e-6, 2, 26) }
+
 // ServerPolicyOption configures a ServerPolicy (see NewServerPolicy).
 type ServerPolicyOption func(*ServerPolicy)
 
@@ -68,7 +73,7 @@ func NewServerPolicy(eng *Engine, scorer *Scorer, opts ...ServerPolicyOption) *S
 	if p.reg == nil {
 		p.reg = metrics.NewRegistry()
 	}
-	p.admitLatency = p.reg.Histogram("policy_admit_seconds", scanBounds())
+	p.admitLatency = p.reg.Histogram("policy_admit_seconds", admitBounds())
 	p.scanCheck = p.reg.Histogram("policy_check_seconds", metrics.LatencyBounds(), "check", "dnsbl_scan")
 	p.admitCheck = p.reg.Histogram("policy_check_seconds", metrics.LatencyBounds(), "check", "admit")
 	if p.clock != nil {

@@ -29,8 +29,9 @@ const (
 // phases differ only in where it runs and when it stops. connTC is the
 // connection's minted message-trace context (zero when tracing is off
 // or sampled out); a context arriving on the wire as an XTRACE MAIL
-// parameter — a director upstream — takes precedence over it.
-func (s *Server) runDialog(nc net.Conn, c *smtp.Conn, sess *smtp.Session, stopWhen func(*smtp.Session) bool, connTC trace.Context) outcome {
+// parameter — a director upstream — takes precedence over it. ip is the
+// peer's address as the connection formatted it once.
+func (s *Server) runDialog(nc net.Conn, ip string, c *smtp.Conn, sess *smtp.Session, stopWhen func(*smtp.Session) bool, connTC trace.Context) outcome {
 	for {
 		if err := nc.SetReadDeadline(time.Now().Add(s.cfg.idleTimeout)); err != nil {
 			return outcomeDropped
@@ -51,7 +52,7 @@ func (s *Server) runDialog(nc net.Conn, c *smtp.Conn, sess *smtp.Session, stopWh
 				// Each 550 is a §4.1 bounce signal; feed it to the
 				// reputation store so repeat offenders are refused at
 				// connect time on their next visit.
-				s.cfg.policy.RecordRejectedRcpt(remoteIP(nc))
+				s.cfg.policy.RecordRejectedRcpt(ip)
 			}
 		}
 		switch action {
@@ -160,7 +161,7 @@ func (s *Server) vanillaWorker(conns <-chan accepted) {
 		ip := remoteIP(nc)
 		// The vanilla architecture pays a worker for the policy check
 		// itself — the cost contrast the policy-sweep experiment measures.
-		if !s.admitPolicy(nc, c, a.id, true) {
+		if !s.admitPolicy(ip, c, a.id, true) {
 			s.finish(nc, c, nil)
 			continue
 		}
@@ -168,7 +169,7 @@ func (s *Server) vanillaWorker(conns <-chan accepted) {
 		sess := smtp.AcquireSession(s.sessionConfig(ip, a.id))
 		out, bounce := outcomeDropped, true
 		if c.WriteReply(sess.Greeting()) == nil {
-			out = s.runDialog(nc, c, sess, nil, s.cfg.mtrace.Mint())
+			out = s.runDialog(nc, ip, c, sess, nil, s.cfg.mtrace.Mint())
 			if out == outcomeQuit {
 				s.sessionsServed.Inc()
 			}
@@ -196,7 +197,7 @@ func (s *Server) hybridFrontEnd(nc net.Conn, id uint64, sh *shard) {
 	// Policy runs in the master's event loop: a rejected connection is
 	// finished here, before any worker is committed — the paper's
 	// fork-after-trust thesis extended from bounces to policy verdicts.
-	if !s.admitPolicy(nc, c, id, false) {
+	if !s.admitPolicy(ip, c, id, false) {
 		s.finish(nc, c, nil)
 		return
 	}
@@ -206,7 +207,7 @@ func (s *Server) hybridFrontEnd(nc net.Conn, id uint64, sh *shard) {
 	out := outcomeDropped
 	greeted := c.WriteReply(sess.Greeting()) == nil
 	if greeted {
-		out = s.runDialog(nc, c, sess, (*smtp.Session).HasValidRcpt, tc)
+		out = s.runDialog(nc, ip, c, sess, (*smtp.Session).HasValidRcpt, tc)
 	}
 	s.observeStage(StagePreTrust, id, preTrustStart, outcomeNote(out))
 	// The edge span of the mail's trace: what the front end spent before
@@ -256,7 +257,7 @@ func (s *Server) hybridWorker(tasks <-chan *task) {
 		// pickup — the §5.3 socket-buffer throttle made visible.
 		s.observeStage(StageHandoffWait, t.id, t.at, "")
 		dialogStart := time.Now()
-		out := s.runDialog(t.nc, t.c, t.sess, nil, t.tc)
+		out := s.runDialog(t.nc, t.ip, t.c, t.sess, nil, t.tc)
 		if out == outcomeQuit {
 			s.sessionsServed.Inc()
 		}

@@ -129,6 +129,49 @@ func TestPolicyConnectReject(t *testing.T) {
 	})
 }
 
+// TestBlackholedDNSBLStillRefusesCondemnedSource: a DNSBL that never
+// answers holds the verdict for the scorer's DNSBL timeout (2 s), not the
+// idle timeout, and when it fails open reputation still decides — a
+// condemned source draws 554, not the banner.
+func TestBlackholedDNSBLStillRefusesCondemnedSource(t *testing.T) {
+	forEachArch(t, func(t *testing.T, arch Architecture) {
+		epoch := time.Now()
+		rep := policy.NewReputation(policy.ReputationConfig{})
+		for i := 0; i < 10; i++ {
+			rep.RecordBounce(epoch, addr.MustParseIPv4("127.0.0.1"))
+		}
+		blackhole := resolverFunc(func(ctx context.Context, _ addr.IPv4) (dnsbl.Result, error) {
+			<-ctx.Done()
+			return dnsbl.Result{}, ctx.Err()
+		})
+		pol := policy.NewServerPolicy(
+			policy.New(policy.WithReputationStore(rep), policy.WithDNSBLReject(1), policy.WithEpoch(epoch)),
+			policy.NewScorer(policy.WithLists(policy.List{Name: "bl.test", Resolver: blackhole})),
+			policy.WithClock(time.Now))
+		env := startServer(t, arch, WithPolicy(pol), WithIdleTimeout(3*time.Second))
+
+		nc, err := net.Dial("tcp", env.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+		start := time.Now()
+		reply, err := smtp.NewConn(nc).ReadReply()
+		if err != nil {
+			t.Fatal(err)
+		}
+		took := time.Since(start)
+		if reply.Code != 554 || reply.Text != "poor sending history" {
+			t.Fatalf("condemned client behind a blackholed DNSBL got %d %q after %v, want 554 poor sending history",
+				reply.Code, reply.Text, took)
+		}
+		if took < 1500*time.Millisecond || took > 2900*time.Millisecond {
+			t.Fatalf("verdict took %v, want the 2 s DNSBL timeout", took)
+		}
+	})
+}
+
 // TestPolicyRateLimitTempfail exhausts a one-connection burst: the
 // second concurrent connection from the same IP draws 421.
 func TestPolicyRateLimitTempfail(t *testing.T) {

@@ -305,6 +305,7 @@ func (s *Server) logPolicy(id uint64, ip, phase string, d policy.Decision, took 
 		eventlog.Str("verdict", d.Verdict.String()),
 		eventlog.Str("checker", d.Checker),
 		eventlog.Str("reason", d.Reason),
+		eventlog.Float("score", d.Score),
 		eventlog.Dur("took", took),
 	)
 }
@@ -590,24 +591,23 @@ func (s *Server) policyReply(id uint64, ip, phase string, d policy.Decision, sta
 	}
 }
 
-// admitPolicy runs the connect-time policy check; false means a verdict
-// reply has been written and the connection must be closed by the
-// caller. It is called from the vanilla worker and the hybrid front
-// end, never from the accept loop, so a slow DNSBL scan stalls only the
-// connection it concerns. The verdict is timed as the policy stage and
-// noted on the connection's span (allow/reject/tempfail).
-func (s *Server) admitPolicy(nc net.Conn, c *smtp.Conn, id uint64, worker bool) bool {
+// admitPolicy runs the connect-time policy check for the peer at ip;
+// false means a verdict reply has been written and the connection must
+// be closed by the caller. It is called from the vanilla worker and the
+// hybrid front end, never from the accept loop, so a slow DNSBL scan
+// stalls only the connection it concerns. The verdict is timed as the
+// policy stage and noted on the connection's span
+// (allow/reject/tempfail).
+func (s *Server) admitPolicy(ip string, c *smtp.Conn, id uint64, worker bool) bool {
 	if s.cfg.policy == nil {
 		return true
 	}
-	// The connect-time verdict includes the DNSBL scan; bound it by the
-	// idle timeout so a sick resolver stack can never pin the connection
-	// longer than a silent client could.
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.idleTimeout)
-	defer cancel()
-	ip := remoteIP(nc)
+	// The connect-time verdict includes the DNSBL scan. A cache hit is
+	// answered inline; a scan that must query is bounded by the scorer's
+	// own DNSBL timeout (costmodel.DNSBLTimeout, 2 s), after which the
+	// unanswered lists fail open and reputation and rate still decide.
 	start := time.Now()
-	d := s.cfg.policy.Connect(ctx, ip)
+	d := s.cfg.policy.Connect(context.Background(), ip)
 	s.logPolicy(id, ip, "connect", d, time.Since(start))
 	s.observeStage(StagePolicy, id, start, d.Verdict.String())
 	switch d.Verdict {
