@@ -150,6 +150,9 @@ func StartShard(spec ShardSpec) (*Shard, error) {
 	if s.Store, err = mailstore.NewMFS(spec.FS, MFSDir, mfs.WithSync(true)); err != nil {
 		return nil, err
 	}
+	if spec.Registry != nil {
+		exportCommitStats(spec.Registry, s.Store.Store())
+	}
 
 	s.Agent = delivery.NewAgent(s.DB, s.Store, delivery.WithRegistry(spec.Registry),
 		delivery.WithEventLog(spec.Events), delivery.WithMessageTracer(spec.Tracer))
@@ -194,6 +197,20 @@ func StartShard(spec ShardSpec) (*Shard, error) {
 	s.Addr = s.front.addr
 	started = true
 	return s, nil
+}
+
+// exportCommitStats puts the store's commit engine on the node's
+// registry: its group commits and the log rotations behind them.
+func exportCommitStats(reg *metrics.Registry, st *mfs.Store) {
+	for name, value := range map[string]func(mfs.CommitStats) float64{
+		"mfs_commit_batches_total":     func(c mfs.CommitStats) float64 { return float64(c.Batches) },
+		"mfs_commit_mails_total":       func(c mfs.CommitStats) float64 { return float64(c.Mails) },
+		"mfs_wal_rotations_total":      func(c mfs.CommitStats) float64 { return float64(c.Rotations) },
+		"mfs_wal_rotation_syncs_total": func(c mfs.CommitStats) float64 { return float64(c.RotationSyncs) },
+		"mfs_wal_rotation_seconds":     func(c mfs.CommitStats) float64 { return c.LastRotation.Seconds() },
+	} {
+		reg.GaugeFunc(name, func() float64 { return value(st.CommitStats()) })
+	}
 }
 
 // Served receives the accept loop's error once if it ends on its own,

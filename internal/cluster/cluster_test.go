@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"slices"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admin"
 	"repro/internal/costmodel"
 	"repro/internal/delivery"
 	"repro/internal/director"
@@ -529,5 +531,54 @@ func TestFullDiskRefusesWith452(t *testing.T) {
 	}
 	if ids, err := sh.Store.List("user0001"); err != nil || len(ids) != 1 {
 		t.Fatalf("user0001 lists %v, %v; want the one mail sent after the disk had room", ids, err)
+	}
+}
+
+// TestShardExportsCommitStats: a shard's /metrics carries its store's
+// commit engine — after N mails, N committed mails in at most N batches —
+// and the rotation a checkpoint forces shows up in the rotation series.
+func TestShardExportsCommitStats(t *testing.T) {
+	reg := metrics.NewRegistry()
+	sh, err := StartShard(ShardSpec{Mailboxes: users, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	scrape := func() map[string]float64 {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		admin.NewHandler(reg, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		ms, err := metrics.ParsePrometheus(rec.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]float64{}
+		for _, m := range ms {
+			if strings.HasPrefix(m.Name, "mfs_") {
+				out[m.Name] = m.Value
+			}
+		}
+		return out
+	}
+	const n = 12
+	send(t, sh.Addr, mails(n))
+	if !sh.Queue.WaitIdle(5 * time.Second) {
+		t.Fatalf("queue never idle: %+v", sh.Queue.Stats())
+	}
+	got := scrape()
+	if got["mfs_commit_mails_total"] != n || got["mfs_commit_batches_total"] < 1 || got["mfs_commit_batches_total"] > n {
+		t.Fatalf("after %d mails /metrics reads %v", n, got)
+	}
+	for _, name := range []string{"mfs_wal_rotations_total", "mfs_wal_rotation_syncs_total", "mfs_wal_rotation_seconds"} {
+		if v, ok := got[name]; !ok || v != 0 {
+			t.Fatalf("%s = %v (exported %v) before any rotation", name, v, ok)
+		}
+	}
+	if _, err := sh.Store.Checkpoint("ckpt"); err != nil {
+		t.Fatal(err)
+	}
+	got = scrape()
+	if got["mfs_wal_rotations_total"] != 1 || got["mfs_wal_rotation_syncs_total"] < 2 || got["mfs_wal_rotation_seconds"] <= 0 {
+		t.Fatalf("after a checkpoint's rotation /metrics reads %v", got)
 	}
 }

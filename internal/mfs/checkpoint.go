@@ -2,7 +2,10 @@ package mfs
 
 import (
 	"fmt"
+	"io"
 	"strings"
+
+	"repro/internal/fsim"
 )
 
 // CheckpointStats reports what a checkpoint copied.
@@ -18,12 +21,13 @@ type CheckpointStats struct {
 // the copy carries the dirty marker, so its first open reconciles away
 // whatever the copy caught mid-flight of later deliveries.
 //
-// The sequence: commits are quiesced just long enough to rotate the WAL
-// (making every acknowledged write durable and the log empty) and copy
-// the shared store, then commits resume while the mailbox files are
-// copied — each box key file before its data file, so a copied record
-// always has its payload. The WAL itself is never copied: its records
-// describe the live files' states, not the copy's.
+// The sequence: commits are quiesced just long enough to rotate the WAL —
+// wait for a rotation in flight, then sync every dirty file and retire
+// the current log, making every acknowledged write durable and both logs
+// empty — and copy the shared store, then commits resume while the
+// mailbox files are copied — each box key file before its data file, so a
+// copied record always has its payload. The logs are never copied: their
+// records describe the live files' states, not the copy's.
 //
 // The files are copied, not hardlinked: MFS files are append-mutable
 // (and refcounts are patched in place), and both fsim backends share the
@@ -123,4 +127,19 @@ func (s *Store) copyFile(src, dst string) (int64, error) {
 		err = cerr
 	}
 	return int64(len(data)), err
+}
+
+// readAll loads a file's full content.
+func readAll(f fsim.File) ([]byte, error) {
+	size, err := f.Size()
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, size)
+	if size > 0 {
+		if _, err := f.ReadAt(data, 0); err != nil && err != io.EOF {
+			return nil, fmt.Errorf("mfs: read %s: %w", f.Name(), err)
+		}
+	}
+	return data, nil
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/fsim"
 )
@@ -16,18 +17,27 @@ import (
 // keeping the per-flush buffers and caller latency bounded.
 const maxCommitBatch = 256
 
-// segment is one prebuilt file mutation riding in a commit request: an
-// append ('A', off is the file end at enqueue time — the enqueuer holds
-// the lock serializing that file, so the end is stable until the flush)
-// or an in-place patch ('P'). A framed segment is buf behind a data-frame
-// header: buf is the mail body of a caller blocked until the flush is over.
+// Segment encodings: how the committer stages a segment's logged bytes.
+const (
+	encRaw   byte = iota // buf as it is
+	encFrame             // buf behind a data-frame header: a mail body
+	encKey               // key, encoded at flush time: one key-file record
+)
+
+// segment is one file mutation riding in a commit request: an append ('A',
+// off is the file end at enqueue time — the enqueuer holds the lock
+// serializing that file, so the end is stable until the flush) or an
+// in-place patch ('P'). Its bytes are buf, buf behind a data-frame header
+// (the mail body of a caller blocked until the flush is over), or key,
+// which the committer encodes straight into its record buffer.
 type segment struct {
-	kind   byte
-	framed bool
-	file   fsim.File
-	path   string
-	off    int64
-	buf    []byte
+	kind byte
+	enc  byte
+	file fsim.File
+	path string
+	off  int64
+	buf  []byte
+	key  keyRecord
 }
 
 // stagedSeg is one segment of the batch being flushed and where its bytes
@@ -50,8 +60,13 @@ type pointerTarget struct {
 
 // commitReq is one atomic MFS mutation submitted to the group committer.
 // With the log open the whole request — shared append, pointer records,
-// prebuilt segments — is covered by a single commit record, so it either
-// survives a crash in full or not at all.
+// segments — is covered by a single commit record, so it either survives
+// a crash in full or not at all.
+//
+// Requests are pooled: newReq hands one out with its segments in the
+// inline segBuf, the committer answers on its reusable done channel with a
+// send, and free returns it once that answer is received. A local
+// delivery or a delete allocates no request at all.
 type commitReq struct {
 	// Shared-store append (id != ""): framed payload for shmailbox.data
 	// plus an (id, offset, ref) tuple for shmailbox.key. The committer
@@ -63,14 +78,46 @@ type commitReq struct {
 	// Pointer records to fan out once the shared offset is known.
 	ptrs []pointerTarget
 
-	// Prebuilt appends and patches (box key/data appends, tombstones,
-	// in-place refcount patches) with enqueue-time offsets.
+	// Appends and patches (box key/data appends, tombstones, in-place
+	// refcount patches) with enqueue-time offsets.
 	segs []segment
 
 	off    int64
 	refPos int64
 	err    error
-	done   chan struct{}
+	done   chan struct{} // buffered 1: the flush's one signal
+
+	segBuf [2]segment
+	patch  [4]byte // a refcount patch's bytes
+}
+
+var reqPool = sync.Pool{New: func() any { return &commitReq{done: make(chan struct{}, 1)} }}
+
+// newReq returns an empty request from the pool.
+func newReq() *commitReq {
+	r := reqPool.Get().(*commitReq)
+	r.segs = r.segBuf[:0]
+	return r
+}
+
+// free returns r to the pool. Its signal must have been received (or it
+// was never enqueued); r must not be used afterwards.
+func (r *commitReq) free() {
+	clear(r.ptrs)
+	*r = commitReq{done: r.done, ptrs: r.ptrs[:0]}
+	reqPool.Put(r)
+}
+
+// wait blocks until the flush carrying r is over and returns its error.
+func (r *commitReq) wait() error {
+	<-r.done
+	return r.err
+}
+
+// walLog is one of the store's two log files; f is nil until first used.
+type walLog struct {
+	path string
+	f    fsim.File
 }
 
 // committer is the group-commit writer. Every NWrite and Delete enqueues
@@ -88,24 +135,37 @@ type commitReq struct {
 // shard lock for refcount patches), so segment offsets computed at
 // enqueue time are valid at flush time and later patches to one position
 // are applied last.
+//
+// Rotation (wal.go) runs beside the commit stream: the committer switches
+// appends to the other log and a rotator goroutine syncs the old log's
+// dirty handles and retires it. The rotator takes no lock; it owns the
+// old log and its dirty set until it answers on rotDone.
 type committer struct {
 	// mu guards the WAL state. The flush path holds it for the duration of
-	// one batch; Checkpoint and close rotate the log while holding it, so
-	// no batch lands under them.
+	// one batch; Checkpoint, close and release rotate or sync while
+	// holding it, so no batch lands under them.
 	mu   sync.Mutex
 	key  fsim.File
 	data fsim.File
 
-	// WAL state. wal is nil when the store was opened without the log.
+	// WAL state; logs[cur].f is nil when the store was opened without
+	// the log.
 	fs         fsim.FS
-	wal        fsim.File
-	walPath    string
+	logs       [2]walLog
+	cur        int
 	keyPath    string
 	dataPath   string
 	walSeq     uint64
 	walSize    int64
+	walBorn    time.Time // when the current log took its first record
 	rotateSize int64
-	dirty      map[string]bool // paths with WAL-covered unsynced writes
+	// dirty holds the handles with writes only the current log covers;
+	// syncing is the old log's set while a rotation is in flight, and
+	// empty (kept for the next switch) otherwise.
+	dirty    map[fsim.File]struct{}
+	syncing  map[fsim.File]struct{}
+	rotating bool
+	rotDone  chan error // buffered 1: the rotator's outcome
 	// failed is the log or rotation error that stopped the store: replay
 	// ends at a torn record, so nothing may be appended behind one, and a
 	// failed fsync may have dropped its pages, so it is not retried. Every
@@ -122,9 +182,11 @@ type committer struct {
 	ch   chan *commitReq
 	done chan struct{}
 
-	batches   atomic.Int64
-	mails     atomic.Int64
-	rotations atomic.Int64
+	batches       atomic.Int64
+	mails         atomic.Int64
+	rotations     atomic.Int64
+	rotationSyncs atomic.Int64
+	lastRotation  atomic.Int64 // nanoseconds
 }
 
 func newCommitter(s *Store) *committer {
@@ -134,22 +196,26 @@ func newCommitter(s *Store) *committer {
 		fs:         s.fs,
 		keyPath:    s.path("shmailbox.key"),
 		dataPath:   s.path("shmailbox.data"),
-		walPath:    s.path("mfs.wal"),
 		rotateSize: s.opts.walRotate,
-		dirty:      make(map[string]bool),
+		dirty:      make(map[fsim.File]struct{}),
+		syncing:    make(map[fsim.File]struct{}),
+		rotDone:    make(chan error, 1),
 		ch:         make(chan *commitReq, maxCommitBatch),
 		done:       make(chan struct{}),
+	}
+	for i, name := range walNames {
+		c.logs[i].path = s.path(name)
 	}
 	go c.run()
 	return c
 }
 
-// openWAL opens the log file handle. Called once from New (WithSync)
-// after any replay truncated the previous log.
+// openWAL opens the first log. Called once from New (WithSync) after any
+// replay retired the previous logs; the second opens at the first switch.
 func (c *committer) openWAL() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	wal, err := c.fs.OpenAppend(c.walPath)
+	wal, err := c.fs.OpenAppend(c.logs[0].path)
 	if err != nil {
 		return err
 	}
@@ -158,25 +224,23 @@ func (c *committer) openWAL() error {
 		wal.Close()
 		return err
 	}
-	c.wal, c.walSize = wal, size
+	c.logs[0].f, c.walSize = wal, size
 	return nil
 }
 
+// logged reports whether the store writes the log. c.mu held.
+func (c *committer) logged() bool { return c.logs[c.cur].f != nil }
+
 // submit enqueues req and blocks until its batch commits.
 func (c *committer) submit(req *commitReq) error {
-	req.done = make(chan struct{})
 	c.ch <- req
-	<-req.done
-	return req.err
+	return req.wait()
 }
 
 // enqueue sends req without waiting. Callers that must preserve FIFO
 // order relative to a lock (refcount patches under a shard lock) enqueue
-// while holding it and wait on req.done after releasing it.
-func (c *committer) enqueue(req *commitReq) {
-	req.done = make(chan struct{})
-	c.ch <- req
-}
+// while holding it and wait on req after releasing it.
+func (c *committer) enqueue(req *commitReq) { c.ch <- req }
 
 // run drains the queue: each iteration takes one request, then greedily
 // collects everything else already queued (the requests that arrived
@@ -233,7 +297,7 @@ func (c *committer) flush(batch []*commitReq) {
 	c.mu.Unlock()
 	for i, r := range batch {
 		r.err = err
-		close(r.done)
+		r.done <- struct{}{}
 		batch[i] = nil
 	}
 	c.batch = batch[:0]
@@ -245,13 +309,13 @@ const maxStagedRecord = 1 << 20
 
 // beginSeg starts a segment in the record buffer (its log header, length
 // still to come) and endSeg closes it over every byte appended since.
-func (c *committer) beginSeg(s segment) {
+func (c *committer) beginSeg(s *segment) {
 	c.rec = append(c.rec, s.kind)
 	c.rec = binary.LittleEndian.AppendUint16(c.rec, uint16(len(s.path)))
 	c.rec = append(c.rec, s.path...)
 	c.rec = binary.LittleEndian.AppendUint64(c.rec, uint64(s.off))
 	c.rec = append(c.rec, 0, 0, 0, 0)
-	c.staged = append(c.staged, stagedSeg{segment: s, lo: len(c.rec)})
+	c.staged = append(c.staged, stagedSeg{segment: *s, lo: len(c.rec)})
 }
 
 func (c *committer) endSeg() {
@@ -264,11 +328,17 @@ func (c *committer) endSeg() {
 // it (wal.go has the layout): all shared-store appends as one data and one
 // key segment, every request's own segments, then the pointer records,
 // whose offsets are known only now. With the log open the record is written
-// and synced — the commit point. Then each segment goes to its file from
+// and synced — the commit point — after a log past its size or age has
+// been switched out for rotation. Then each segment goes to its file from
 // where it sits in the record.
 func (c *committer) flushLocked(batch []*commitReq) error {
-	if c.failed != nil {
-		return c.failed
+	if err := c.reapLocked(false); err != nil {
+		return err
+	}
+	if c.logged() && c.walSize > 0 && (c.walSize >= c.rotateSize || time.Since(c.walBorn) >= walRotateAge) {
+		if err := c.switchLocked(); err != nil {
+			return err
+		}
 	}
 	dataBase, err := c.data.Size()
 	if err != nil {
@@ -281,7 +351,7 @@ func (c *committer) flushLocked(batch []*commitReq) error {
 	c.rec = append(c.rec, walMagic)
 	c.rec = append(c.rec, make([]byte, 8+4)...) // seq and nsegs, filled in once the batch is staged
 	if slices.ContainsFunc(batch, func(r *commitReq) bool { return r.id != "" }) {
-		c.beginSeg(segment{kind: walSegApp, file: c.data, path: c.dataPath, off: dataBase})
+		c.beginSeg(&segment{kind: walSegApp, file: c.data, path: c.dataPath, off: dataBase})
 		lo := len(c.rec)
 		for _, r := range batch {
 			if r.id != "" {
@@ -290,7 +360,7 @@ func (c *committer) flushLocked(batch []*commitReq) error {
 			}
 		}
 		c.endSeg()
-		c.beginSeg(segment{kind: walSegApp, file: c.key, path: c.keyPath, off: keyBase})
+		c.beginSeg(&segment{kind: walSegApp, file: c.key, path: c.keyPath, off: keyBase})
 		lo = len(c.rec)
 		for _, r := range batch {
 			if r.id != "" {
@@ -304,11 +374,17 @@ func (c *committer) flushLocked(batch []*commitReq) error {
 		c.endSeg()
 	}
 	for _, r := range batch {
-		for _, s := range r.segs {
+		for i := range r.segs {
+			s := &r.segs[i]
 			c.beginSeg(s)
-			if s.framed {
+			switch s.enc {
+			case encFrame:
 				c.rec = appendDataFrame(c.rec, s.buf)
-			} else {
+			case encKey:
+				if c.rec, err = appendKeyRecordBuf(c.rec, s.key); err != nil {
+					return err
+				}
+			default:
 				c.rec = append(c.rec, s.buf...)
 			}
 			c.endSeg()
@@ -317,7 +393,7 @@ func (c *committer) flushLocked(batch []*commitReq) error {
 	for _, r := range batch {
 		for i := range r.ptrs {
 			p := &r.ptrs[i]
-			c.beginSeg(segment{kind: walSegApp, file: p.file, path: p.path, off: p.off})
+			c.beginSeg(&segment{kind: walSegApp, file: p.file, path: p.path, off: p.off})
 			lo := len(c.rec)
 			c.rec, err = appendKeyRecordBuf(c.rec, keyRecord{Type: recEntry, ID: r.id, Offset: r.off, Ref: SharedRef})
 			if err != nil {
@@ -328,25 +404,29 @@ func (c *committer) flushLocked(batch []*commitReq) error {
 		}
 	}
 
-	if c.wal != nil {
+	if c.logged() {
 		// Log every byte the batch writes, sync the log — the single
 		// ordering point — then apply unsynced.
 		c.walSeq++
 		binary.LittleEndian.PutUint64(c.rec[1:], c.walSeq)
 		binary.LittleEndian.PutUint32(c.rec[9:], uint32(len(c.staged)))
 		c.rec = binary.LittleEndian.AppendUint32(c.rec, crc32.ChecksumIEEE(c.rec))
-		_, err := c.wal.Write(c.rec)
+		wal := c.logs[c.cur].f
+		_, err := wal.Write(c.rec)
 		if err == nil {
-			err = c.wal.Sync()
+			err = wal.Sync()
 		}
 		if err != nil {
-			c.failed = fmt.Errorf("mfs: write-ahead log failed, store stopped: %w", err)
-			return c.failed
+			return c.stopLocked("write-ahead log", err)
+		}
+		if c.walSize == 0 {
+			c.walBorn = time.Now()
 		}
 		c.walSize += int64(len(c.rec))
 	}
 
-	for _, s := range c.staged {
+	for i := range c.staged {
+		s := &c.staged[i]
 		if s.kind == walSegApp {
 			_, err = s.file.Write(c.rec[s.lo:s.hi])
 		} else {
@@ -355,100 +435,187 @@ func (c *committer) flushLocked(batch []*commitReq) error {
 		if err != nil {
 			return err
 		}
-		c.dirtyPath(s.path)
+		if c.logged() {
+			c.dirty[s.file] = struct{}{}
+		}
 	}
 	c.batches.Add(1)
 	c.mails.Add(int64(len(batch)))
-	if c.wal != nil && c.walSize >= c.rotateSize {
-		return c.rotateLocked()
-	}
 	return nil
 }
 
-func (c *committer) dirtyPath(path string) {
-	if c.wal != nil {
-		c.dirty[path] = true
+// stopLocked stops the store with err, unless it is already stopped, and
+// returns the error every later request gets.
+func (c *committer) stopLocked(what string, err error) error {
+	if c.failed == nil {
+		c.failed = fmt.Errorf("mfs: %s failed, store stopped: %w", what, err)
 	}
+	return c.failed
 }
 
-// rotateLocked makes every WAL-covered write durable and truncates the
-// log: Sync each dirty path through a fresh handle (Sync covers a file's
-// entire content, so handle identity does not matter), then truncate and
-// Sync the WAL itself. The order is the recovery invariant — never
-// truncate the WAL before syncing every file its records touch. Any error
-// stops the store like a log error does: a failed fsync is not retried,
-// and a stopped store neither syncs nor truncates — its log is what the
-// next open replays.
+// switchLocked starts a rotation of the current log. It first waits for
+// the rotation in flight, if any — the backpressure that keeps at most two
+// logs live — then moves appends to the other (retired, empty) log and
+// hands the old one with its dirty set to a rotator.
+func (c *committer) switchLocked() error {
+	if err := c.reapLocked(true); err != nil {
+		return err
+	}
+	next := &c.logs[c.cur^1]
+	if next.f == nil {
+		f, err := c.fs.OpenAppend(next.path)
+		if err != nil {
+			return c.stopLocked("write-ahead log rotation", err)
+		}
+		next.f = f
+	}
+	old := c.logs[c.cur].f
+	c.cur ^= 1
+	c.walSize = 0
+	c.dirty, c.syncing = c.syncing, c.dirty
+	c.rotating = true
+	set := c.syncing
+	go func() { c.rotDone <- c.syncAndRetire(old, set) }()
+	return nil
+}
+
+// syncAndRetire is a rotation: Sync every handle the log's records wrote
+// through (Sync covers a file's entire content, so later writes riding
+// along do no harm), then truncate and Sync the log itself. The order is
+// the recovery invariant — never retire a log before syncing every file
+// its records touch — so an error returns before the log is touched.
+// It takes no lock: the rotator goroutine runs it on a log and set it
+// owns until it answers on rotDone.
+func (c *committer) syncAndRetire(log fsim.File, set map[fsim.File]struct{}) error {
+	start := time.Now()
+	for f := range set {
+		if err := f.Sync(); err != nil {
+			return err
+		}
+		c.rotationSyncs.Add(1)
+	}
+	if err := log.Truncate(0); err != nil {
+		return err
+	}
+	if err := log.Sync(); err != nil {
+		return err
+	}
+	c.lastRotation.Store(int64(time.Since(start)))
+	return nil
+}
+
+// reapLocked collects the rotation in flight once it has finished —
+// waiting for it if wait is set — and stops the store if it failed. It
+// returns the error that stopped the store, if any.
+func (c *committer) reapLocked(wait bool) error {
+	if !c.rotating {
+		return c.failed
+	}
+	var err error
+	if wait {
+		err = <-c.rotDone
+	} else {
+		select {
+		case err = <-c.rotDone:
+		default:
+			return c.failed
+		}
+	}
+	c.rotating = false
+	if err != nil {
+		return c.stopLocked("write-ahead log rotation", err)
+	}
+	clear(c.syncing)
+	c.rotations.Add(1)
+	return c.failed
+}
+
+// rotateLocked makes every write either log covers durable and leaves
+// both logs empty: it waits for the rotation in flight, then syncs the
+// current dirty set and retires the current log in place. Any error stops
+// the store like a log error does: a failed fsync is not retried, and a
+// stopped store neither syncs nor truncates — its logs are what the next
+// open replays.
 func (c *committer) rotateLocked() error {
-	if c.wal == nil || c.failed != nil {
-		return c.failed
+	if !c.logged() {
+		return nil
 	}
-	if err := c.syncAndTruncate(); err != nil {
-		c.failed = fmt.Errorf("mfs: write-ahead log rotation failed, store stopped: %w", err)
-		return c.failed
+	if err := c.reapLocked(true); err != nil {
+		return err
 	}
+	if err := c.syncAndRetire(c.logs[c.cur].f, c.dirty); err != nil {
+		return c.stopLocked("write-ahead log rotation", err)
+	}
+	clear(c.dirty)
 	c.walSize = 0
 	c.rotations.Add(1)
 	return nil
 }
 
-func (c *committer) syncAndTruncate() error {
-	for path := range c.dirty {
-		f, err := c.fs.OpenAppend(path)
-		if err != nil {
-			return err
-		}
-		err = f.Sync()
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-	}
-	c.dirty = make(map[string]bool)
-	if err := c.wal.Truncate(0); err != nil {
+// release makes the logged writes to files durable before their owner
+// closes them (Mailbox.Close), so no rotation ever syncs a closed handle:
+// it waits for the rotation in flight, whose set may hold them, then
+// syncs those the current log has dirty and drops them from its set.
+func (c *committer) release(files ...fsim.File) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.reapLocked(true); err != nil {
 		return err
 	}
-	return c.wal.Sync()
+	for _, f := range files {
+		if _, ok := c.dirty[f]; !ok {
+			continue
+		}
+		if err := f.Sync(); err != nil {
+			return c.stopLocked("write-ahead log rotation", err)
+		}
+		delete(c.dirty, f)
+	}
+	return nil
 }
 
 // close stops the committer goroutine, then (log open) performs a final
-// rotation so a clean shutdown leaves every file durable and the log
-// empty — unless a log error stopped the store, which close reports — and
-// closes the log. The caller must guarantee no further requests (it holds
-// the store lock exclusively).
+// rotation so a clean shutdown leaves every file durable and both logs
+// empty — unless an error stopped the store, which close reports — and
+// closes the logs. The caller must guarantee no further requests (it
+// holds the store lock exclusively).
 func (c *committer) close() error {
 	close(c.ch)
 	<-c.done
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.wal == nil {
-		return nil
-	}
 	err := c.rotateLocked()
-	if cerr := c.wal.Close(); err == nil {
-		err = cerr
+	for i := range c.logs {
+		if f := c.logs[i].f; f != nil {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			c.logs[i].f = nil
+		}
 	}
-	c.wal = nil
 	return err
 }
 
-// CommitStats reports group-commit effectiveness: total flushed batches,
-// total requests carried by them (mails/batches is the mean batch size —
-// 1.0 when deliveries are serial, >1 when concurrent deliveries
-// coalesce), and WAL rotations performed.
+// CommitStats reports group-commit effectiveness and the log's rotations:
+// total flushed batches, total requests carried by them (mails/batches is
+// the mean batch size — 1.0 when deliveries are serial, >1 when
+// concurrent deliveries coalesce), WAL rotations performed, the file
+// syncs they issued, and how long the last one took.
 type CommitStats struct {
-	Batches   int64
-	Mails     int64
-	Rotations int64
+	Batches       int64
+	Mails         int64
+	Rotations     int64
+	RotationSyncs int64
+	LastRotation  time.Duration
 }
 
 // CommitStats returns the store's group-commit counters.
 func (s *Store) CommitStats() CommitStats {
 	return CommitStats{
-		Batches:   s.commit.batches.Load(),
-		Mails:     s.commit.mails.Load(),
-		Rotations: s.commit.rotations.Load(),
+		Batches:       s.commit.batches.Load(),
+		Mails:         s.commit.mails.Load(),
+		Rotations:     s.commit.rotations.Load(),
+		RotationSyncs: s.commit.rotationSyncs.Load(),
+		LastRotation:  time.Duration(s.commit.lastRotation.Load()),
 	}
 }

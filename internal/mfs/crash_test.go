@@ -22,9 +22,9 @@ type crashAck struct {
 	tried   map[string]bool // boxes a delete was attempted in (ack unknown)
 }
 
-func runCrashScenario(fs fsim.FS) (acked map[string]*crashAck, err error) {
+func runCrashScenario(fs fsim.FS, opts ...Option) (acked map[string]*crashAck, err error) {
 	acked = make(map[string]*crashAck)
-	s, err := New(fs, "m", WithSync(true))
+	s, err := New(fs, "m", append([]Option{WithSync(true)}, opts...)...)
 	if err != nil {
 		return acked, err
 	}
@@ -206,9 +206,40 @@ func checkInvariants(t *testing.T, fs fsim.FS, acked map[string]*crashAck, label
 // guarantee checkable: at no step does a crash leave a key record
 // without its data, a data record counted twice, or an acknowledged
 // mail missing.
-func TestMFSCrashPointEnumeration(t *testing.T) {
+func TestMFSCrashPointEnumeration(t *testing.T) { enumerateCrashPoints(t) }
+
+// TestMFSCrashPointEnumerationUnderRotation is the same sweep with a log
+// so small that every batch after the first switches logs: each commit
+// overlaps the background rotation of the log before it, so the kill
+// lands on every log switch, every dirty-file sync and every log
+// retirement, interleaved with the next batch's log write, sync and
+// apply. Recovery then replays two logs, in either name order.
+func TestMFSCrashPointEnumerationUnderRotation(t *testing.T) {
 	dry := fsim.NewFault()
-	if _, err := runCrashScenario(dry); err != nil {
+	var mu sync.Mutex
+	retired := map[string]int{}
+	dry.SetHook(func(op, path string, _ int) error {
+		if op == "Truncate" {
+			mu.Lock()
+			retired[path]++
+			mu.Unlock()
+		}
+		return nil
+	})
+	if _, err := runCrashScenario(dry, withWALRotateSize(1)); err != nil {
+		t.Fatal(err)
+	}
+	if retired["m/mfs.wal"] < 2 || retired["m/mfs.1.wal"] < 2 {
+		t.Fatalf("the scenario retired the logs %v times, want each at least twice", retired)
+	}
+	enumerateCrashPoints(t, withWALRotateSize(1))
+}
+
+// enumerateCrashPoints runs the crash scenario under opts once to count
+// its steps, then kills it at every step and checks what recovery left.
+func enumerateCrashPoints(t *testing.T, opts ...Option) {
+	dry := fsim.NewFault()
+	if _, err := runCrashScenario(dry, opts...); err != nil {
 		t.Fatalf("dry run: %v", err)
 	}
 	total := dry.Steps()
@@ -220,7 +251,7 @@ func TestMFSCrashPointEnumeration(t *testing.T) {
 		t.Run(fmt.Sprintf("crash_at_%03d", k), func(t *testing.T) {
 			fs := fsim.NewFault()
 			fs.CrashAfter(k)
-			acked, err := runCrashScenario(fs)
+			acked, err := runCrashScenario(fs, opts...)
 			if k < total && !fs.Crashed() {
 				t.Fatalf("CrashAfter(%d) never fired (total %d)", k, total)
 			}
@@ -232,7 +263,30 @@ func TestMFSCrashPointEnumeration(t *testing.T) {
 			// Second reopen must be clean: recovery itself ended with a
 			// clean close, so nothing should need repair twice.
 			checkInvariants(t, fs, acked, fmt.Sprintf("k=%d second open", k))
+			checkExactlyOnce(t, fs, fmt.Sprintf("k=%d", k))
 		})
+	}
+}
+
+// checkExactlyOnce reopens the store and asserts no mailbox lists an id
+// twice: replaying a record the files already hold must not append it
+// again.
+func checkExactlyOnce(t *testing.T, fs fsim.FS, label string) {
+	t.Helper()
+	s, err := New(fs, "m", WithSync(true))
+	if err != nil {
+		t.Fatalf("%s: reopen: %v", label, err)
+	}
+	defer s.Close()
+	for _, n := range []string{"u1", "u2", "u3", "u4"} {
+		ids := s.mustOpen(t, n).IDs()
+		seen := make(map[string]bool, len(ids))
+		for _, id := range ids {
+			if seen[id] {
+				t.Fatalf("%s: %s holds %s twice: %v", label, n, id, ids)
+			}
+			seen[id] = true
+		}
 	}
 }
 

@@ -77,9 +77,12 @@ func WithSync(on bool) Option {
 	return func(o *options) { o.sync = on }
 }
 
-// withWALRotateSize sets the write-ahead-log size (bytes) that triggers
-// rotation — syncing every file the log touches and truncating it. Only
-// meaningful with WithSync(true); the default is 1 MiB.
+// withWALRotateSize sets the log size (bytes) at which the next batch
+// switches logs and hands the full one to a background rotation, which
+// syncs every file the log touches and retires it (wal.go). Only
+// meaningful with WithSync(true); the default is walRotateSize (32 MiB),
+// and tests lower it to rotate often. The age trigger, walRotateAge,
+// applies either way.
 func withWALRotateSize(n int64) Option {
 	return func(o *options) {
 		if n > 0 {
@@ -116,11 +119,11 @@ func New(fs fsim.FS, dir string, opts ...Option) (*Store, error) {
 		shared: newSharedIndex(),
 		open:   make(map[string]*Mailbox),
 	}
-	s.opts.walRotate = walDefault
+	s.opts.walRotate = walRotateSize
 	for _, opt := range opts {
 		opt(&s.opts)
 	}
-	if fs.Exists(s.path("mfs.wal")) {
+	if fs.Exists(s.path(walNames[0])) || fs.Exists(s.path(walNames[1])) {
 		if err := s.replayWAL(); err != nil {
 			return nil, fmt.Errorf("mfs: wal replay: %w", err)
 		}
@@ -203,9 +206,9 @@ func (s *Store) path(name string) string {
 }
 
 // Close closes the store and every mailbox opened through it. With the
-// log open the committer performs a final rotation (sync every dirty
-// file, truncate the log); the dirty marker is then removed, so the next
-// New sees a clean store and skips recovery.
+// log open the committer waits for a rotation in flight and performs a
+// final one (sync every dirty file, retire the log); the dirty marker is
+// then removed, so the next New sees a clean store and skips recovery.
 func (s *Store) Close() error {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
@@ -612,13 +615,12 @@ func (s *Store) commitTombstone(mb *Mailbox, id string, rec *keyRecord) error {
 	if err != nil {
 		return err
 	}
-	tomb, err := appendKeyRecordBuf(nil, keyRecord{Type: recTombstone, ID: id})
-	if err != nil {
-		return err
-	}
-	req := &commitReq{segs: []segment{
-		{kind: walSegApp, file: mb.key, path: mb.keyPath, off: keyEnd, buf: tomb},
-	}}
+	req := newReq()
+	defer req.free()
+	req.segs = append(req.segs, segment{
+		kind: walSegApp, enc: encKey, file: mb.key, path: mb.keyPath, off: keyEnd,
+		key: keyRecord{Type: recTombstone, ID: id},
+	})
 	if rec.Ref != SharedRef {
 		return s.commit.submit(req)
 	}
@@ -626,11 +628,10 @@ func (s *Store) commitTombstone(mb *Mailbox, id string, rec *keyRecord) error {
 	sh.mu.Lock()
 	if shr, ok := sh.m[id]; ok {
 		shr.Ref--
-		var patch [4]byte
-		putRef(patch[:], shr.Ref)
+		putRef(req.patch[:], shr.Ref)
 		req.segs = append(req.segs, segment{
-			kind: walSegPat, file: s.shKey, path: s.path("shmailbox.key"),
-			off: shr.refPos, buf: patch[:],
+			kind: walSegPat, file: s.shKey, path: s.commit.keyPath,
+			off: shr.refPos, buf: req.patch[:],
 		})
 		if shr.Ref <= 0 {
 			delete(sh.m, id)
@@ -638,11 +639,12 @@ func (s *Store) commitTombstone(mb *Mailbox, id string, rec *keyRecord) error {
 	}
 	s.commit.enqueue(req)
 	sh.mu.Unlock()
-	<-req.done
-	return req.err
+	return req.wait()
 }
 
-// Close closes the mailbox — the paper's mail_close.
+// Close closes the mailbox — the paper's mail_close. On a logged store
+// the committer first syncs what the log still covers of its files, so
+// no rotation is left to sync a closed handle.
 func (mb *Mailbox) Close() error {
 	mb.store.stateMu.RLock()
 	defer mb.store.stateMu.RUnlock()
@@ -654,7 +656,11 @@ func (mb *Mailbox) Close() error {
 		return ErrClosed
 	}
 	delete(mb.store.open, mb.name)
-	return mb.closeLocked()
+	err := mb.store.commit.release(mb.key, mb.data)
+	if cerr := mb.closeLocked(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (mb *Mailbox) closeLocked() error {
@@ -704,6 +710,9 @@ func (s *Store) NWrite(boxes []*Mailbox, id string, body []byte) error {
 	if id == "" {
 		return fmt.Errorf("mfs: NWrite with empty mail-id")
 	}
+	if len(id) > maxIDLen {
+		return fmt.Errorf("mfs: mail-id too long (%d bytes)", len(id))
+	}
 	s.stateMu.RLock()
 	defer s.stateMu.RUnlock()
 	if s.closed {
@@ -748,9 +757,11 @@ func (s *Store) NWrite(boxes []*Mailbox, id string, body []byte) error {
 	return s.writeShared(boxes, id, body)
 }
 
-// writeLocal commits a single-recipient mail — data frame plus key tuple
-// — as one commit request. The mailbox lock (held by the caller) keeps
-// the enqueue-time file ends valid until the flush.
+// writeLocal commits a single-recipient mail — data frame plus key tuple,
+// which the committer encodes into its record — as one pooled commit
+// request: the in-memory index entry is all it allocates. The mailbox lock
+// (held by the caller) keeps the enqueue-time file ends valid until the
+// flush.
 func (s *Store) writeLocal(mb *Mailbox, id string, body []byte) error {
 	dataEnd, err := mb.data.Size()
 	if err != nil {
@@ -761,18 +772,17 @@ func (s *Store) writeLocal(mb *Mailbox, id string, body []byte) error {
 		return err
 	}
 	rec := keyRecord{Type: recEntry, ID: id, Offset: dataEnd, Ref: 1}
-	kbuf, err := appendKeyRecordBuf(nil, rec)
+	req := newReq()
+	req.segs = append(req.segs,
+		segment{kind: walSegApp, enc: encFrame, file: mb.data, path: mb.dataPath, off: dataEnd, buf: body},
+		segment{kind: walSegApp, enc: encKey, file: mb.key, path: mb.keyPath, off: keyEnd, key: rec},
+	)
+	err = s.commit.submit(req)
+	req.free()
 	if err != nil {
 		return err
 	}
-	req := &commitReq{segs: []segment{
-		{kind: walSegApp, framed: true, file: mb.data, path: mb.dataPath, off: dataEnd, buf: body},
-		{kind: walSegApp, file: mb.key, path: mb.keyPath, off: keyEnd, buf: kbuf},
-	}}
-	if err := s.commit.submit(req); err != nil {
-		return err
-	}
-	rec.refPos = keyEnd + int64(len(kbuf)) - 4
+	rec.refPos = keyEnd + keyRecordLen(id) - 4
 	rec.size, rec.sized = uint32(len(body)), true
 	mb.addEntry(rec)
 	return nil
@@ -800,15 +810,18 @@ func (s *Store) writeShared(boxes []*Mailbox, id string, body []byte) error {
 			}
 			sh.m[id] = rec
 			sh.mu.Unlock()
-			req := &commitReq{id: id, body: body, ref: int32(len(boxes))}
+			req := newReq()
+			req.id, req.body, req.ref = id, body, int32(len(boxes))
 			for _, mb := range boxes {
 				keyEnd, err := mb.key.Size()
 				if err != nil {
+					req.free()
 					return s.abandonReservation(sh, id, rec, err)
 				}
 				req.ptrs = append(req.ptrs, pointerTarget{file: mb.key, path: mb.keyPath, off: keyEnd})
 			}
 			if err := s.commit.submit(req); err != nil {
+				req.free()
 				return s.abandonReservation(sh, id, rec, err)
 			}
 			rec.Offset, rec.refPos = req.off, req.refPos
@@ -819,6 +832,7 @@ func (s *Store) writeShared(boxes []*Mailbox, id string, body []byte) error {
 					refPos: req.ptrs[i].refPos, size: uint32(len(body)), sized: true,
 				})
 			}
+			req.free()
 			return nil
 		}
 		sh.mu.Unlock()
@@ -846,47 +860,37 @@ func (s *Store) writeShared(boxes []*Mailbox, id string, body []byte) error {
 				id, n, len(body), ErrIDCollision)
 		}
 		rec.Ref += int32(len(boxes))
-		var patch [4]byte
-		putRef(patch[:], rec.Ref)
-		req := &commitReq{segs: []segment{{
-			kind: walSegPat, file: s.shKey, path: s.path("shmailbox.key"),
-			off: rec.refPos, buf: patch[:],
-		}}}
-		off := rec.Offset
-		ptrRefPos := make([]int64, len(boxes))
-		ok := true
-		for i, mb := range boxes {
-			keyEnd, serr := mb.key.Size()
-			if serr != nil {
-				err, ok = serr, false
-				break
+		req := newReq()
+		putRef(req.patch[:], rec.Ref)
+		req.segs = append(req.segs, segment{
+			kind: walSegPat, file: s.shKey, path: s.commit.keyPath,
+			off: rec.refPos, buf: req.patch[:],
+		})
+		ptr := keyRecord{Type: recEntry, ID: id, Offset: rec.Offset, Ref: SharedRef}
+		for _, mb := range boxes {
+			keyEnd, err := mb.key.Size()
+			if err != nil {
+				rec.Ref -= int32(len(boxes))
+				sh.mu.Unlock()
+				req.free()
+				return err
 			}
-			pbuf, serr := appendKeyRecordBuf(nil, keyRecord{Type: recEntry, ID: id, Offset: off, Ref: SharedRef})
-			if serr != nil {
-				err, ok = serr, false
-				break
-			}
-			ptrRefPos[i] = keyEnd + int64(len(pbuf)) - 4
-			req.segs = append(req.segs, segment{kind: walSegApp, file: mb.key, path: mb.keyPath, off: keyEnd, buf: pbuf})
-		}
-		if !ok {
-			rec.Ref -= int32(len(boxes))
-			sh.mu.Unlock()
-			return err
+			req.segs = append(req.segs, segment{
+				kind: walSegApp, enc: encKey, file: mb.key, path: mb.keyPath, off: keyEnd, key: ptr,
+			})
 		}
 		s.commit.enqueue(req)
 		sh.mu.Unlock()
-		<-req.done
-		if req.err != nil {
-			return req.err
+		err = req.wait()
+		if err == nil {
+			ptr.size, ptr.sized = uint32(len(body)), true // the stored length was checked equal above
+			for i, mb := range boxes {
+				ptr.refPos = req.segs[1+i].off + keyRecordLen(id) - 4
+				mb.addEntry(ptr)
+			}
 		}
-		for i, mb := range boxes {
-			mb.addEntry(keyRecord{
-				Type: recEntry, ID: id, Offset: off, Ref: SharedRef, refPos: ptrRefPos[i],
-				size: uint32(len(body)), sized: true, // the stored length was checked equal above
-			})
-		}
-		return nil
+		req.free()
+		return err
 	}
 }
 

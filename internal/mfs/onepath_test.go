@@ -13,8 +13,8 @@ import (
 
 // walMeter wraps a metered fsim.Mem and adds up the virtual disk time of
 // everything only a write-ahead-logged store does: every operation on
-// mfs.wal, and — a rotation — opening and syncing a mailbox or shared
-// file. (The dirty marker is created and synced by every store.) The
+// mfs.wal, and — a rotation — syncing a mailbox or shared file through
+// the handle it was written with. (The dirty marker is created and synced by every store.) The
 // script below is serial, so the meter's delta around one call is that
 // call's charge.
 type walMeter struct {
@@ -35,7 +35,7 @@ func (w *walMeter) open(name string, open func(string) (fsim.File, error)) (fsim
 	if err != nil {
 		return nil, err
 	}
-	mf := &walMeterFile{File: f, w: w, openCost: cost, isWAL: strings.HasSuffix(name, "/mfs.wal")}
+	mf := &walMeterFile{File: f, w: w, isWAL: strings.HasSuffix(name, "/mfs.wal")}
 	if mf.isWAL {
 		w.wal += cost
 	}
@@ -48,9 +48,8 @@ func (w *walMeter) OpenRead(name string) (fsim.File, error)   { return w.open(na
 
 type walMeterFile struct {
 	fsim.File
-	w        *walMeter
-	openCost time.Duration
-	isWAL    bool
+	w     *walMeter
+	isWAL bool
 }
 
 func (f *walMeterFile) onWAL(fn func()) {
@@ -80,7 +79,7 @@ func (f *walMeterFile) Sync() (err error) {
 	case f.isWAL:
 		f.w.wal += cost
 	case !strings.HasSuffix(f.Name(), "/"+dirtyMarker):
-		f.w.wal += f.openCost + cost // a rotation's fresh handle
+		f.w.wal += cost // a rotation's sync
 	}
 	return err
 }

@@ -23,60 +23,82 @@ type RecoveryStats struct {
 
 // replayWAL rewrites every mutation recorded by complete WAL records —
 // the batches whose single commit Sync succeeded before the crash — and
-// discards the torn tail. Append segments also truncate their file to
-// the log's high-water mark, cutting any torn bytes a partial page flush
-// may have left beyond the last committed batch. Once every touched file
-// is synced the log itself is truncated, restoring the invariant that
-// the WAL never promises more than the files deliver.
+// discards each log's torn tail. The two logs replay in sequence order
+// (wal.go), each streamed one record at a time. Append segments also
+// truncate their file to the logs' high-water mark, cutting any torn
+// bytes a partial page flush may have left beyond the last committed
+// batch. Once every touched file is synced both logs are retired,
+// restoring the invariant that a log never promises more than the files
+// deliver.
 func (s *Store) replayWAL() error {
-	walPath := s.path("mfs.wal")
-	wf, err := s.fs.OpenRead(walPath)
-	if err != nil {
-		return err
+	// replayLog is one log being streamed; more means the reader holds a
+	// record not yet replayed.
+	type replayLog struct {
+		file fsim.File
+		walReader
+		more bool
 	}
-	data, err := readAll(wf)
-	wf.Close()
-	if err != nil {
-		return err
+	var logs []*replayLog
+	defer func() {
+		for _, l := range logs {
+			l.file.Close()
+		}
+	}()
+	for _, name := range walNames {
+		if !s.fs.Exists(s.path(name)) {
+			continue
+		}
+		f, err := s.fs.OpenRead(s.path(name))
+		if err != nil {
+			return err
+		}
+		l := &replayLog{file: f, walReader: walReader{f: f}}
+		logs = append(logs, l)
+		if l.size, err = f.Size(); err != nil {
+			return err
+		}
+		if l.more = l.next(); l.err != nil {
+			return l.err
+		}
 	}
-	records := parseWAL(data)
-	replayedLen := 0
+	// The log with the older first record — the one a rotation had not
+	// yet retired — replays first.
+	if len(logs) == 2 && logs[0].more && logs[1].more && logs[1].seq < logs[0].seq {
+		logs[0], logs[1] = logs[1], logs[0]
+	}
+
 	files := make(map[string]fsim.File)
 	defer func() {
 		for _, f := range files {
 			f.Close()
 		}
 	}()
-	openFile := func(path string) (fsim.File, error) {
-		if f, ok := files[path]; ok {
-			return f, nil
-		}
-		f, err := s.fs.OpenAppend(path)
-		if err != nil {
-			return nil, err
-		}
-		files[path] = f
-		return f, nil
-	}
 	maxEnd := make(map[string]int64)
-	for _, segs := range records {
-		for _, seg := range segs {
-			f, err := openFile(seg.path)
-			if err != nil {
-				return err
-			}
-			if _, err := f.WriteAt(seg.buf, seg.off); err != nil {
-				return err
-			}
-			if seg.kind == walSegApp {
-				if end := seg.off + int64(len(seg.buf)); end > maxEnd[seg.path] {
-					maxEnd[seg.path] = end
+	for _, l := range logs {
+		for ; l.more; l.more = l.next() {
+			for _, seg := range l.segs {
+				f, ok := files[seg.path]
+				if !ok {
+					var err error
+					if f, err = s.fs.OpenAppend(seg.path); err != nil {
+						return err
+					}
+					files[seg.path] = f
 				}
+				if _, err := f.WriteAt(seg.buf, seg.off); err != nil {
+					return err
+				}
+				if seg.kind == walSegApp {
+					maxEnd[seg.path] = max(maxEnd[seg.path], seg.off+int64(len(seg.buf)))
+				}
+				s.recovery.ReplayedBytes += int64(len(seg.buf))
 			}
-			s.recovery.ReplayedBytes += int64(len(seg.buf))
+			s.recovery.Replayed++
 		}
-		s.recovery.Replayed++
-		replayedLen += walRecordLen(segs)
+		if l.err != nil {
+			return l.err
+		}
+		s.recovery.DiscardedTail += l.size - l.pos
 	}
 	for path, end := range maxEnd {
 		f := files[path]
@@ -95,35 +117,21 @@ func (s *Store) replayWAL() error {
 			return err
 		}
 	}
-	s.recovery.DiscardedTail = int64(len(data)) - walRecordsLen(records)
-	// Every promise the log made is now durable in the files; retire it.
-	wt, err := s.fs.Create(walPath)
-	if err != nil {
-		return err
+	// Every promise the logs made is now durable in the files; retire them.
+	for _, l := range logs {
+		wt, err := s.fs.Create(l.file.Name())
+		if err != nil {
+			return err
+		}
+		err = wt.Sync()
+		if cerr := wt.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
 	}
-	err = wt.Sync()
-	if cerr := wt.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// walRecordLen returns the serialized size of one record.
-func walRecordLen(segs []walSeg) int {
-	n := 1 + 8 + 4 + 4 // magic + seq + nsegs + crc
-	for _, s := range segs {
-		n += 1 + 2 + len(s.path) + 8 + 4 + len(s.buf)
-	}
-	return n
-}
-
-// walRecordsLen sums the serialized sizes of the parsed records.
-func walRecordsLen(records [][]walSeg) int64 {
-	var n int64
-	for _, segs := range records {
-		n += int64(walRecordLen(segs))
-	}
-	return n
+	return nil
 }
 
 // reconcile restores the cross-file invariants after an unclean

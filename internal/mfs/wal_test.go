@@ -35,6 +35,21 @@ func appendWALRecord(buf []byte, seq uint64, segs []walSeg) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc)
 }
 
+// parseWAL decodes every complete record in data through the replay
+// reader, stopping at the first torn or corrupt one, and returns the
+// records' segments, copied out of the reader's reused buffer.
+func parseWAL(data []byte) (records [][]walSeg) {
+	r := &walReader{f: bytes.NewReader(data), size: int64(len(data))}
+	for r.next() {
+		segs := slices.Clone(r.segs)
+		for i := range segs {
+			segs[i].buf = bytes.Clone(segs[i].buf)
+		}
+		records = append(records, segs)
+	}
+	return records
+}
+
 // TestStagedRecordIsTheReferenceEncoding: the log a store leaves behind —
 // local, shared, deduplicated and deleting commits, staged in the
 // committer's reused buffer — is exactly what the reference encoder makes

@@ -171,6 +171,39 @@ func TestRemoteIPParsing(t *testing.T) {
 	if got := addr.IPv4(asked.Load()); got != addr.MustParseIPv4("127.0.0.1") {
 		t.Fatalf("blacklist asked about %v, want 127.0.0.1", got)
 	}
+
+	for _, tc := range []struct {
+		peer net.Addr
+		want string
+	}{
+		{&net.TCPAddr{IP: net.IPv4(192, 0, 2, 7), Port: 25}, "192.0.2.7"},
+		{&net.TCPAddr{IP: net.ParseIP("2001:db8::1"), Port: 25}, "2001:db8::1"},
+		{&net.UnixAddr{Name: "/run/smtp.sock", Net: "unix"}, "/run/smtp.sock"},
+		{nil, ""},
+	} {
+		c := peerConn{peer: tc.peer}
+		if got := remoteIP(c); got != tc.want {
+			t.Errorf("remoteIP(%v) = %q, want %q", tc.peer, got, tc.want)
+		}
+	}
+	// An IPv4 TCP peer costs the one string it returns.
+	var v4 net.Conn = peerConn{peer: &net.TCPAddr{IP: net.IPv4(192, 0, 2, 7), Port: 25}}
+	if n := testing.AllocsPerRun(100, func() { remoteIP(v4) }); n > 1 {
+		t.Errorf("remoteIP of an IPv4 TCP peer allocates %.1f objects, want 1", n)
+	}
+}
+
+// peerConn is a net.Conn that reports only its remote address.
+type peerConn struct {
+	net.Conn
+	peer net.Addr
+}
+
+func (c peerConn) RemoteAddr() net.Addr {
+	if c.peer == nil {
+		return nil // an untyped nil, as a closed connection reports
+	}
+	return c.peer
 }
 
 // TestValidateRcptBytesWins: given both forms of the recipient hook, in

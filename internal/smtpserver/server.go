@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/addr"
 	"repro/internal/costmodel"
 	"repro/internal/eventlog"
 	"repro/internal/metrics"
@@ -534,14 +535,22 @@ func (s *Server) untrack(nc net.Conn) {
 	s.mu.Unlock()
 }
 
+// remoteIP is the peer's bare address. A TCP peer with an IPv4 address,
+// every peer a listener sees in practice, is formatted straight from its
+// four bytes: one string, not host:port built and split again.
 func remoteIP(nc net.Conn) string {
-	addr := nc.RemoteAddr()
-	if addr == nil {
+	ra := nc.RemoteAddr()
+	if ra == nil {
 		return ""
 	}
-	host, _, err := net.SplitHostPort(addr.String())
+	if tcp, ok := ra.(*net.TCPAddr); ok {
+		if ip := tcp.IP.To4(); ip != nil {
+			return addr.MakeIPv4(ip[0], ip[1], ip[2], ip[3]).String()
+		}
+	}
+	host, _, err := net.SplitHostPort(ra.String())
 	if err != nil {
-		return addr.String()
+		return ra.String()
 	}
 	return host
 }
