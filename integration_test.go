@@ -7,9 +7,11 @@ package repro
 // synthetic workloads.
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -242,12 +244,17 @@ func TestFullStackPersistenceAcrossRestart(t *testing.T) {
 }
 
 func TestFullStackBackpressure(t *testing.T) {
-	// A stalled delivery agent fills the bounded queue; the server must
-	// answer 452 instead of accepting mail it cannot durably queue, and
-	// recover once the agent drains.
+	// A delivery agent that times out once and then stalls: the timeout
+	// sends new mail to the spool, where the stall fills the bounded
+	// queue; the server must answer 452 instead of accepting mail it
+	// cannot durably queue, and recover once the agent drains.
 	const domain = "dept.example.edu"
 	block := make(chan struct{})
+	var timedOut atomic.Bool
 	var blocked queue.DelivererFunc = func(item *queue.Item) error {
+		if timedOut.CompareAndSwap(false, true) {
+			return errors.New("mailbox storage timed out")
+		}
 		<-block
 		return nil
 	}

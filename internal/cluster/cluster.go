@@ -49,7 +49,7 @@ const (
 	DefaultSpoolDir  = "queue"
 	MFSDir           = "mfs" // the mailbox store, every commit batch write-ahead logged
 	Workers          = 100   // smtpd worker limit, the paper's process limit
-	ActiveLimit      = 8     // concurrent deliveries per node
+	ActiveLimit      = 8     // delivery workers per node, for spooled mail
 	MaxAttempts      = 3     // delivery attempts before a mail bounces
 	// DrainTimeout bounds how long Close waits for the queue to go idle.
 	DrainTimeout = 5 * time.Second
@@ -144,8 +144,10 @@ func StartShard(spec ShardSpec) (*Shard, error) {
 	}
 
 	// NewMFS replays the write-ahead log a previous store left. The store
-	// is write-ahead logged because the queue unlinks its fsynced spool
-	// copy once the store says delivered.
+	// is write-ahead logged because a delivered mail's only copy is in
+	// it: the queue delivers a healthy node's mail before the 250 without
+	// spooling it, and unlinks a spooled copy once the store says
+	// delivered.
 	var err error
 	if s.Store, err = mailstore.NewMFS(spec.FS, MFSDir, mfs.WithSync(true)); err != nil {
 		return nil, err

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -305,14 +306,21 @@ func TestAckedMailSurvivesPowerCut(t *testing.T) {
 			t.Fatalf("lane %s holds %d mails after the restart", lane, d)
 		}
 	}
+	holdsExactly(t, sh2, want)
+}
+
+// holdsExactly fails the test unless each mailbox of sh, after a power
+// cut, holds exactly the bodies want lists for it, each once.
+func holdsExactly(t *testing.T, sh *Shard, want map[string][]string) {
+	t.Helper()
 	for box, bodies := range want {
-		ids, err := sh2.Store.List(box)
+		ids, err := sh.Store.List(box)
 		if err != nil {
 			t.Fatalf("%s after the power cut: %v", box, err)
 		}
 		var got []string
 		for _, id := range ids {
-			body, err := sh2.Store.Read(box, id)
+			body, err := sh.Store.Read(box, id)
 			if err != nil {
 				t.Fatalf("%s/%s after the power cut: %v", box, id, err)
 			}
@@ -464,10 +472,12 @@ func TestRestartOnEmptySpoolKeepsBothMails(t *testing.T) {
 	}
 }
 
-// TestFullDiskRefusesWith452: on a full disk a shard answers DATA with a
-// 452 — the mail is refused, so its sender keeps it — leaves nothing of it
-// for spool recovery, still serves what it stored before, and takes mail
-// again once the disk has room.
+// TestFullDiskRefusesWith452: on a full disk — no new file can be made, so
+// neither the store (the mail's mailbox is new) nor the spool can take the
+// mail — a shard answers DATA with a 452: the mail is refused, so its
+// sender keeps it. It leaves nothing of it for spool recovery, still
+// serves what it stored before, and takes mail again once the disk has
+// room.
 func TestFullDiskRefusesWith452(t *testing.T) {
 	fault := fsim.NewFault()
 	reg := metrics.NewRegistry()
@@ -486,9 +496,8 @@ func TestFullDiskRefusesWith452(t *testing.T) {
 		t.Fatalf("user0000 lists %v, %v; want the mail sent before the disk filled", stored, err)
 	}
 
-	active := DefaultSpoolDir + "/" + string(spool.LaneActive) + "/"
 	fault.SetHook(func(op, path string, _ int) error {
-		if op == "Create" && strings.HasPrefix(path, active) {
+		if op == "Create" || op == "OpenAppend" && !fault.Exists(path) {
 			return &os.PathError{Op: "open", Path: path, Err: syscall.ENOSPC}
 		}
 		return nil
@@ -581,4 +590,116 @@ func TestShardExportsCommitStats(t *testing.T) {
 	if got["mfs_wal_rotations_total"] != 1 || got["mfs_wal_rotation_syncs_total"] < 2 || got["mfs_wal_rotation_seconds"] <= 0 {
 		t.Fatalf("after a checkpoint's rotation /metrics reads %v", got)
 	}
+}
+
+// sendMix sends n mails over one SMTP session — one recipient, and every
+// third to three — and returns the bodies each mailbox must hold. After
+// each 250 it calls acked with the mailboxes the mail went to.
+func sendMix(t *testing.T, addr string, n int, acked func(boxes []string)) map[string][]string {
+	t.Helper()
+	c, err := smtp.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Quit() //nolint:errcheck
+	if err := c.Helo("client.test"); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{}
+	for i := 0; i < n; i++ {
+		boxes := []string{fmt.Sprintf("user%04d", i%users)}
+		if i%3 == 0 {
+			boxes = append(boxes, fmt.Sprintf("user%04d", (i+1)%users), fmt.Sprintf("user%04d", (i+2)%users))
+		}
+		rcpts := make([]string, len(boxes))
+		for j, box := range boxes {
+			rcpts[j] = box + "@" + DefaultDomain
+		}
+		body := fmt.Sprintf("Subject: mail %d\r\n\r\nfor %v\r\n", i, boxes)
+		if got, err := c.Send(fmt.Sprintf("s%d@remote.example", i), rcpts, []byte(body)); err != nil || got != len(rcpts) {
+			t.Fatalf("mail %d: %d of %d recipients accepted, %v", i, got, len(rcpts), err)
+		}
+		for _, box := range boxes {
+			want[box] = append(want[box], body)
+		}
+		if acked != nil {
+			acked(boxes)
+		}
+	}
+	return want
+}
+
+// TestHealthyNodeNeverTouchesTheSpool: a node whose store takes every mail
+// commits each one to its mailboxes before the 250 — the mail is there the
+// moment the client has the reply, with no wait for the queue — and creates
+// and syncs nothing under its spool directory.
+func TestHealthyNodeNeverTouchesTheSpool(t *testing.T) {
+	const n = 24
+	fault := fsim.NewFault()
+	sh, err := StartShard(ShardSpec{FS: fault, Mailboxes: users})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	var mu sync.Mutex
+	spoolOps := map[string]int{}
+	fault.SetHook(func(op, path string, _ int) error {
+		if strings.HasPrefix(path, DefaultSpoolDir+"/") {
+			mu.Lock()
+			spoolOps[op]++
+			mu.Unlock()
+		}
+		return nil
+	})
+	held := map[string]int{}
+	sendMix(t, sh.Addr, n, func(boxes []string) {
+		for _, box := range boxes {
+			held[box]++
+			ids, err := sh.Store.List(box)
+			if err != nil || len(ids) != held[box] {
+				t.Fatalf("at the 250 %s lists %d mails (%v), want %d", box, len(ids), err, held[box])
+			}
+		}
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if spoolOps["Create"] != 0 || spoolOps["Sync"] != 0 {
+		t.Fatalf("%d mails to a healthy node made spool operations %v, want no Create and no Sync", n, spoolOps)
+	}
+	if st := sh.Queue.Stats(); st.Enqueued != n || st.Delivered != n {
+		t.Fatalf("queue stats %+v, want %d mails enqueued and delivered", st, n)
+	}
+}
+
+// TestPowerCutRightAfterTheLast250: a healthy node's 250 follows the
+// mailbox commit, so a power cut the moment the last 250 is out — no wait
+// for the queue — finds every mail in the store's log and none in the
+// spool. After the restart nothing is lost and nothing duplicated: each
+// mailbox holds each of its bodies exactly once.
+func TestPowerCutRightAfterTheLast250(t *testing.T) {
+	fault := fsim.NewFault()
+	spec := ShardSpec{FS: fault, Mailboxes: users}
+	sh, err := StartShard(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 24
+	sent := 0
+	want := sendMix(t, sh.Addr, n, func([]string) {
+		if sent++; sent == n {
+			fault.Crash() // the client has the last 250; the session is still open
+		}
+	})
+	sh.Kill()
+	fault.Recover()
+
+	sh2, err := StartShard(spec)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer sh2.Close()
+	if rs := sh2.Queue.RecoveryStats(); len(rs.Recovered) != 0 || rs.Torn != 0 {
+		t.Fatalf("the restart replayed the spool (%+v): an acked mail was not yet in its mailbox", rs)
+	}
+	holdsExactly(t, sh2, want)
 }

@@ -562,7 +562,9 @@ func TestTracePropagationShape(t *testing.T) {
 		t.Errorf("max_nodes_trace = %v, want >= 3 (director + both shards)", m["max_nodes_trace"])
 	}
 	// The full stage catalog must appear: director-side pretrust and
-	// forward, shard-side smtp, queue, delivery, and store.
+	// forward, shard-side smtp, delivery and store, and queue — from the
+	// spooled mail of the crash leg, since a healthy shard delivers before
+	// its 250 and the mail never waits in its queue.
 	for _, stage := range []string{"pretrust", "forward", "smtp", "queue", "delivery", "store"} {
 		if m["stage_"+stage] <= 0 {
 			t.Errorf("stage_%s = %v, want > 0", stage, m["stage_"+stage])
@@ -629,11 +631,16 @@ func TestTraceChainedDirectors(t *testing.T) {
 	for _, want := range []string{
 		"outer/pretrust", "outer/smtp", "outer/forward",
 		"inner/pretrust", "inner/smtp", "inner/forward",
-		"shard/smtp", "shard/queue", "shard/delivery", "shard/store",
+		"shard/smtp", "shard/delivery", "shard/store",
 	} {
 		if !stages[want] {
 			t.Errorf("no %s span in the stitched trace; have %v", want, stages)
 		}
+	}
+	// The healthy shard delivered the mail before its 250: it never waited
+	// in the queue.
+	if stages["shard/queue"] {
+		t.Errorf("a mail delivered inline has a shard/queue span; have %v", stages)
 	}
 	// One tree: a single root (the outer pretrust and smtp spans hang off
 	// the minted root context, everything else nests under them).

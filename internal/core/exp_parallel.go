@@ -17,19 +17,21 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "parallel-delivery",
-		Title: "MFS delivery throughput vs concurrent queue workers (group commit)",
+		Title: "MFS delivery throughput vs concurrent deliveries (group commit)",
 		Paper: "§6: single-copy MFS under the Figure 2 pipeline; concurrent deliveries coalesce into batched shared-store commits",
 		Run:   runParallelDelivery,
 	})
 }
 
-// parallelDeliveryRun drives one full delivery pipeline — queue manager
-// with `workers` concurrent delivery workers, local agent, MFS store with
-// synced group commits — over the metered in-memory Ext3 and returns the
-// throughput in mails per metered disk-second plus the mean commit batch
-// size. The machine model is the paper's: the disk is the bottleneck, so
-// the win from concurrency is not CPU parallelism but commit coalescing —
-// N blocked deliverers share one append and one fsync per flush.
+// parallelDeliveryRun drives one full delivery pipeline — `workers`
+// concurrent senders (the front end's workers) enqueueing into a queue
+// manager, whose inline attempts go through the local agent into an MFS
+// store with synced group commits — over the metered in-memory Ext3 and
+// returns the throughput in mails per metered disk-second plus the mean
+// commit batch size. The machine model is the paper's: the disk is the
+// bottleneck, so the win from concurrency is not CPU parallelism but
+// commit coalescing — N blocked deliverers share one append and one fsync
+// per flush.
 func parallelDeliveryRun(workers, nMails, users, rcpts int) (thr, batch float64, err error) {
 	fs := fsim.NewMem(costmodel.Ext3)
 	store, err := mailstore.NewMFS(fs, "mfs", mfs.WithSync(true))
@@ -50,15 +52,30 @@ func parallelDeliveryRun(workers, nMails, users, rcpts int) (thr, batch float64,
 		return 0, 0, err
 	}
 	body := make([]byte, 4096)
-	for i := 0; i < nMails; i++ {
-		to := make([]string, rcpts)
-		for j := range to {
-			to[j] = fmt.Sprintf("user%04d@test", (i*rcpts+j)%users)
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			for i := w; i < nMails; i += workers {
+				to := make([]string, rcpts)
+				for j := range to {
+					to[j] = fmt.Sprintf("user%04d@test", (i*rcpts+j)%users)
+				}
+				if _, err := qm.Enqueue("peer@remote.example", to, body); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		if e := <-errs; e != nil && err == nil {
+			err = e
 		}
-		if _, err := qm.Enqueue("peer@remote.example", to, body); err != nil {
-			qm.Close()
-			return 0, 0, err
-		}
+	}
+	if err != nil {
+		qm.Close()
+		return 0, 0, err
 	}
 	if !qm.WaitIdle(60e9) {
 		qm.Close()

@@ -182,10 +182,11 @@ func runTracePropagation(w io.Writer, opts Options) (Metrics, error) {
 	}
 
 	// Leg 2: a traced mail crashes in the spool and must resume its
-	// trace after recovery. The first manager's deliverer always fails,
-	// parking the mail in the deferred lane; the second manager recovers
-	// the spool and delivers, and the trace id on the recovered item
-	// must be the one minted before the "crash".
+	// trace after recovery. The first manager's deliverer always fails:
+	// its inline attempt spools the mail and the retries park it in the
+	// deferred lane; the second manager recovers the spool and delivers,
+	// and the trace id on the recovered item must be the one minted
+	// before the "crash".
 	crashFS := fsim.NewFault()
 	crashRec := trace.NewMessageRecorder("crash-node", 256, 1)
 	qm1, err := queue.NewManager(queue.Config{
@@ -224,6 +225,12 @@ func runTracePropagation(w io.Writer, opts Options) (Metrics, error) {
 	}
 	defer qm2.Close() //nolint:errcheck
 	qm2.WaitIdle(5 * time.Second)
+	// Leg 1's mails were delivered by the shards before their 250s and
+	// never waited in a queue; this mail's queue spans are its waits for
+	// the workers of both managers.
+	for _, sp := range crashRec.Trace(minted.Hi, minted.Lo) {
+		stages[sp.Stage]++
+	}
 	traceSurvived := 0.0
 	select {
 	case got := <-recoveredTrace:

@@ -9,6 +9,7 @@ package delivery
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/access"
@@ -103,13 +104,22 @@ func NewAgent(db *access.DB, store mailstore.Store, opts ...AgentOption) *Agent 
 // Registry returns the registry holding the agent's metrics.
 func (a *Agent) Registry() *metrics.Registry { return a.reg }
 
+// mailboxLists recycles Deliver's resolved mailbox lists: a store does
+// not keep the recipient slice past its Deliver call.
+var mailboxLists = sync.Pool{New: func() any { return new([]string) }}
+
 // Deliver implements queue.Deliverer.
 func (a *Agent) Deliver(item *queue.Item) error {
 	// Resolve to mailbox names (local parts of canonical addresses),
 	// deduplicating: two aliases of one user get a single copy, like
 	// postfix's duplicate elimination (a scan: a mail has few recipients,
 	// ham nearly always one).
-	mailboxes := make([]string, 0, len(item.Rcpts))
+	list := mailboxLists.Get().(*[]string)
+	defer func() {
+		clear(*list)
+		mailboxLists.Put(list)
+	}()
+	mailboxes := (*list)[:0]
 	dropped := int64(0)
 	for _, rcpt := range item.Rcpts {
 		canonical, ok := a.db.Resolve(rcpt)
@@ -129,6 +139,7 @@ func (a *Agent) Deliver(item *queue.Item) error {
 		return nil
 	}
 	start := time.Now()
+	*list = mailboxes // keep the grown array for the next mail
 	err := a.store.Deliver(item.ID, mailboxes, item.Data)
 	took := time.Since(start)
 	a.commitHist.ObserveDuration(took)

@@ -264,3 +264,46 @@ func TestHamPathAllocatesNoBody(t *testing.T) {
 		}
 	}
 }
+
+// TestInlineEnqueueAllocs: on a healthy store Enqueue delivers a mail on the
+// caller's goroutine — through this agent into a write-ahead-logged MFS —
+// before it returns. A 1-recipient mail then allocates its queue id and its
+// MFS index entry and nothing else: no queue item, no spool frame, no copy of
+// the recipient list, no mailbox list and no per-mail duplicate set.
+func TestInlineEnqueueAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	db := access.NewDB("dept.test")
+	if err := db.AddUser("alice@dept.test"); err != nil {
+		t.Fatal(err)
+	}
+	store, err := mailstore.NewMFS(fsim.NewMem(costmodel.FSModel{}), "mfs", mfs.WithSync(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	qm, err := queue.NewManager(queue.Config{Deliverer: NewAgent(db, store)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qm.Close()
+	rcpts := []string{"alice@dept.test"}
+	body := hamBody(make([]byte, 4096), 0)
+	enqueue := func() {
+		if _, err := qm.Enqueue("s@remote.test", rcpts, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		enqueue() // mailbox open, pools warm
+	}
+	allocs := testing.AllocsPerRun(2000, enqueue)
+	t.Logf("%.2f objects allocated per inline 1-recipient Enqueue", allocs)
+	if allocs > 2 {
+		t.Errorf("inline Enqueue allocates %.2f objects per mail, want at most 2 (queue id, index entry)", allocs)
+	}
+	if st := qm.Stats(); st.Delivered != st.Enqueued || qm.LaneDepth(spool.LaneActive) != 0 {
+		t.Fatalf("stats %+v: a healthy store's mail went through the spool", st)
+	}
+}

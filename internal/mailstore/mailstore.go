@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,7 +40,8 @@ var ErrNotFound = errors.New("mailstore: not found")
 // parallel.
 type Store interface {
 	// Deliver writes one mail to every recipient mailbox. Recipients must
-	// be non-empty and free of duplicates.
+	// be non-empty and free of duplicates; the slice stays the caller's,
+	// and Deliver keeps no reference to it or to body once it returns.
 	Deliver(id string, recipients []string, body []byte) error
 	// List returns the mail-ids in a mailbox in delivery order.
 	List(mailbox string) ([]string, error)
@@ -81,15 +83,14 @@ func validateDelivery(id string, recipients []string) error {
 	if len(recipients) == 0 {
 		return fmt.Errorf("mailstore: no recipients")
 	}
-	seen := make(map[string]bool, len(recipients))
-	for _, r := range recipients {
+	for i, r := range recipients {
 		if !ValidMailbox(r) {
 			return fmt.Errorf("mailstore: recipient %q is not a mailbox name", r)
 		}
-		if seen[r] {
+		// A scan, not a set: a mail has few recipients, ham nearly always one.
+		if slices.Contains(recipients[:i], r) {
 			return fmt.Errorf("mailstore: duplicate recipient %q", r)
 		}
-		seen[r] = true
 	}
 	return nil
 }
@@ -298,7 +299,8 @@ func (m *MFS) Deliver(id string, recipients []string, body []byte) error {
 	if err := validateDelivery(id, recipients); err != nil {
 		return err
 	}
-	boxes := make([]*mfs.Mailbox, 0, len(recipients))
+	var few [4]*mfs.Mailbox // NWrite keeps no slice: up to four boxes stay off the heap
+	boxes := few[:0]
 	for _, rcpt := range recipients {
 		mb, err := m.store.Open(rcpt)
 		if err != nil {

@@ -36,6 +36,16 @@ func (c *collector) Deliver(item *Item) error {
 	return nil
 }
 
+// afterFailure puts m where a failed delivery leaves a manager: until a
+// delivery succeeds again Enqueue makes no inline attempt, so new mail is
+// spooled for the workers. Tests of what the spool and the workers do with
+// a mail start from here.
+func afterFailure(m *Manager) {
+	m.mu.Lock()
+	m.streak = 1
+	m.mu.Unlock()
+}
+
 func (c *collector) count() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -173,6 +183,7 @@ func TestIntakeLimitBackpressure(t *testing.T) {
 		close(block)
 		m.Close()
 	}()
+	afterFailure(m)
 	// Fill: 1 in flight + 2 queued; the next must fail fast.
 	sawFull := false
 	for i := 0; i < 10; i++ {
@@ -200,6 +211,7 @@ func TestSpoolLifecycle(t *testing.T) {
 	})
 	m, _ := NewManager(Config{Deliverer: gated, Store: spool.New(fs, "")})
 	defer m.Close()
+	afterFailure(m)
 	id, err := m.Enqueue("s@a.test", []string{"r1@b.test", "r2@b.test"}, []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
@@ -315,12 +327,16 @@ func TestItemDataIsolated(t *testing.T) {
 }
 
 // TestDelivererKeepingDataSeesPoison: item.Data is the Deliverer's only
-// until Deliver returns. One that keeps the slice does not read the next
-// mail's bytes through it — in a test binary it reads the poison the spool
-// frame was overwritten with on release.
+// until Deliver returns. One that keeps the slice of a spooled mail does not
+// read the next mail's bytes through it — in a test binary it reads the
+// poison the spool frame was overwritten with on release. (The inline
+// attempt refused here hands the Deliverer the caller's own buffer.)
 func TestDelivererKeepingDataSeesPoison(t *testing.T) {
 	var kept []byte
-	m, _ := NewManager(Config{Deliverer: DelivererFunc(func(item *Item) error {
+	m, _ := NewManager(Config{RetryDelay: time.Millisecond, Deliverer: DelivererFunc(func(item *Item) error {
+		if item.Attempts == 1 {
+			return errors.New("store busy")
+		}
 		kept = item.Data
 		return nil
 	})})
@@ -486,6 +502,7 @@ func TestExhaustHoldsOriginalWhenBounceCannotBeSpooled(t *testing.T) {
 		MaxAttempts: 1,
 		Bounce:      bounce.New("mx.test").Synthesize,
 	})
+	afterFailure(m)
 	id, err := m.Enqueue("alice@origin.test", []string{"bob@remote.test"}, []byte("Subject: hi\r\n\r\nx"))
 	if err != nil {
 		t.Fatal(err)
@@ -533,6 +550,7 @@ func TestKillAndReopenRecoversAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	afterFailure(m1)
 	const n = 5
 	accepted := map[string]bool{}
 	for i := 0; i < n; i++ {
@@ -591,12 +609,17 @@ func TestKillAndReopenRecoversAll(t *testing.T) {
 // → deliver workload against a fault FS that crashes after every
 // possible count of mutating filesystem operations, then reopens and
 // checks the invariants: no accepted mail lost, and no mail delivered
-// twice by the recovered manager.
+// twice by the recovered manager. The first mail's inline attempt is
+// refused, so it is spooled by Enqueue after the store said no; the
+// second is spooled for the workers and its first attempt fails too; the
+// third is spooled behind them and delivered first time. The enumeration
+// ends at the first crash point the whole workload never reaches.
 func TestQueueCrashPointEnumeration(t *testing.T) {
-	for n := 0; n <= 36; n++ {
+	n := 0
+	for ; ; n++ {
 		fault := fsim.NewFault()
 		fault.CrashAfter(n)
-		col1 := &collector{failUntil: map[string]int{"Q0000000000000002": 2}}
+		col1 := &collector{failUntil: map[string]int{"Q0000000000000001": 2, "Q0000000000000002": 2}}
 		m1, err := NewManager(Config{
 			Deliverer:   col1,
 			Store:       spool.New(fault, ""),
@@ -618,6 +641,9 @@ func TestQueueCrashPointEnumeration(t *testing.T) {
 		}
 		m1.WaitIdle(time.Second)
 		m1.Close()
+		if !fault.Crashed() {
+			break // n is past the workload's last step
+		}
 
 		fault.Recover()
 		col2 := &collector{}
@@ -652,6 +678,13 @@ func TestQueueCrashPointEnumeration(t *testing.T) {
 			}
 		}
 	}
+	// The boot epoch takes two mutating operations and each deferred and
+	// retried mail ten (append 3, rewrite into the deferred lane 4, move
+	// back 2, ack 1); fewer means a refused mail skipped the spool.
+	if n < 2+2*10 {
+		t.Fatalf("the workload ran in %d spool steps, want at least %d", n, 2+2*10)
+	}
+	t.Logf("crashed the spool at each of %d steps", n)
 }
 
 // TestWaitIdleCoversRetryRedispatch: when a retry timer fires, the mail is
@@ -712,6 +745,7 @@ func TestWaitIdleCoversDeliveredAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	afterFailure(m)
 	if _, err := m.Enqueue("s@a.test", []string{"r@b.test"}, nil); err != nil {
 		t.Fatal(err)
 	}

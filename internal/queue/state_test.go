@@ -19,7 +19,9 @@ import (
 // fates is the deliverer of the random-schedule test: what happens to a
 // mail is a function of (seed, id), so every manager that meets the mail
 // treats it the same way. It records each success and counts the
-// deliveries that have stalled on the gate since it was last armed.
+// deliveries that have stalled on the gate since it was last armed. A
+// stalling mail's first attempt is refused, so it stalls in a worker on a
+// later one, never in the Enqueue call an inline attempt runs in.
 type fates struct {
 	seed    int64
 	mu      sync.Mutex
@@ -32,7 +34,7 @@ func (f *fates) Deliver(item *Item) error {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d/%s", f.seed, item.ID)
 	switch fate := h.Sum64() % 8; {
-	case fate == 4 && item.Attempts < 2, fate == 5 && item.Attempts < 3:
+	case fate == 4 && item.Attempts < 2, fate == 5 && item.Attempts < 3, fate == 7 && item.Attempts < 2:
 		return errors.New("transient")
 	case fate == 6:
 		return errors.New("permanent")
@@ -196,8 +198,9 @@ func TestStateTableRandomSchedule(t *testing.T) {
 
 // TestStateTableWaitIdleDuringSpoolIO asks WaitIdle from inside every
 // Create, Sync, Link and Remove the queue performs on an accepted mail, on
-// each path a mail can take. It must never say idle: the mail is counted in
-// the state it is leaving until its disk copy has arrived in the next.
+// each path a mail can take, entering it spooled for the workers or through
+// an inline attempt. It must never say idle: the mail is counted in the
+// state it is leaving until its disk copy has arrived in the next.
 func TestStateTableWaitIdleDuringSpoolIO(t *testing.T) {
 	failFirst := func(item *Item) error {
 		if item.Attempts < 2 && item.Sender != "" {
@@ -233,53 +236,82 @@ func TestStateTableWaitIdleDuringSpoolIO(t *testing.T) {
 			ops:     []string{"Link", "Remove"}},
 	} {
 		t.Run(tc.path, func(t *testing.T) {
-			var m *Manager
-			var armed atomic.Bool
-			var mu sync.Mutex
-			seen := map[string]int{}
-			fs := fsim.NewFault()
-			fs.SetHook(func(op, _ string, _ int) error {
-				switch {
-				case op != "Create" && op != "Sync" && op != "Link" && op != "Remove":
-					return nil // not an op that changes the spool
-				case !armed.Load():
-					return nil // NewManager's scan, or Enqueue spooling a mail it has not acked yet
+			for _, inline := range []bool{false, true} {
+				name := "spooled"
+				if inline {
+					name = "inline"
 				}
-				mu.Lock()
-				seen[op]++
-				mu.Unlock()
-				if m.WaitIdle(0) {
-					t.Errorf("WaitIdle said idle during a spool %s", op)
-				}
-				return nil
-			})
-			gate := make(chan struct{})
-			cfg := tc.cfg
-			cfg.Store = spool.New(fs, "")
-			cfg.RetryDelay = time.Millisecond
-			cfg.RetryJitter = -1
-			cfg.Deliverer = DelivererFunc(func(item *Item) error { <-gate; return tc.deliver(item) })
-			var err error
-			if m, err = NewManager(cfg); err != nil {
-				t.Fatal(err)
-			}
-			defer m.Close()
-			for i := 0; i < tc.mails; i++ {
-				if _, err := m.Enqueue("s@a.test", []string{fmt.Sprintf("r%d@b.test", i)}, []byte("m")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			armed.Store(true)
-			close(gate)
-			if !m.WaitIdle(5 * time.Second) {
-				t.Fatalf("queue never idle: %+v", m.Stats())
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for _, op := range tc.ops {
-				if seen[op] == 0 {
-					t.Errorf("path performed no %s (saw %v)", op, seen)
-				}
+				t.Run(name, func(t *testing.T) {
+					var m *Manager
+					var mu sync.Mutex
+					seen := map[string]int{} // ops on the mail once accepted
+					all := 0                 // every op after NewManager
+					fs := fsim.NewFault()
+					fs.SetHook(func(op, _ string, _ int) error {
+						switch {
+						case op != "Create" && op != "Sync" && op != "Link" && op != "Remove":
+							return nil // not an op that changes the spool
+						case m == nil:
+							return nil // NewManager's scan
+						}
+						mu.Lock()
+						all++
+						mu.Unlock()
+						if m.Stats().Enqueued == 0 {
+							return nil // Enqueue spooling a mail it has not accepted yet
+						}
+						mu.Lock()
+						seen[op]++
+						mu.Unlock()
+						if m.WaitIdle(0) {
+							t.Errorf("WaitIdle said idle during a spool %s", op)
+						}
+						return nil
+					})
+					gate := make(chan struct{})
+					cfg := tc.cfg
+					cfg.Store = spool.New(fs, "")
+					cfg.RetryDelay = time.Millisecond
+					cfg.RetryJitter = -1
+					cfg.Deliverer = DelivererFunc(func(item *Item) error { <-gate; return tc.deliver(item) })
+					if inline {
+						close(gate)
+					}
+					mgr, err := NewManager(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m = mgr
+					defer m.Close()
+					if !inline {
+						afterFailure(m)
+					}
+					for i := 0; i < tc.mails; i++ {
+						if _, err := m.Enqueue("s@a.test", []string{fmt.Sprintf("r%d@b.test", i)}, []byte("m")); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if !inline {
+						close(gate)
+					}
+					if !m.WaitIdle(5 * time.Second) {
+						t.Fatalf("queue never idle: %+v", m.Stats())
+					}
+					mu.Lock()
+					defer mu.Unlock()
+					if inline && tc.deliver(&Item{Attempts: 1, Sender: "s@a.test"}) == nil {
+						// Delivered by its inline attempt: no spool op at all.
+						if all != 0 {
+							t.Errorf("a mail delivered inline made %d spool operations", all)
+						}
+						return
+					}
+					for _, op := range tc.ops {
+						if seen[op] == 0 {
+							t.Errorf("path performed no %s (saw %v)", op, seen)
+						}
+					}
+				})
 			}
 		})
 	}
