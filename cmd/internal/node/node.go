@@ -1,8 +1,8 @@
 // Package node is what cmd/smtpd and cmd/maildirector share: both are
-// SMTP front-end processes, so both take the same policy, DNSBL, tracing,
-// logging and admin flags and build the same collaborators from them.
-// Each binary declares its own flags beside these and passes its own
-// defaults (e.g. -policy false vs true) as arguments.
+// SMTP front-end nodes, so both take the same listen, policy, DNSBL,
+// tracing, event-log and admin flags and build the same collaborators
+// from them. Each binary declares its own flags beside these and passes
+// its own defaults (e.g. -policy false vs true) as arguments.
 package node
 
 import (
@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -23,15 +24,27 @@ import (
 	"repro/internal/trace"
 )
 
+// The DNSBL client's resilience settings, the same on every front end:
+// one pipelined socket per replica, a query hedged to the next replica
+// after dnsblHedge, a cached /25 bitmap served up to dnsblStale past its
+// expiry while every replica is down, and a failed query not repeated
+// for dnsblNegativeTTL.
+const (
+	dnsblHedge       = 20 * time.Millisecond
+	dnsblStale       = time.Hour
+	dnsblNegativeTTL = 5 * time.Second
+)
+
 // Node holds the shared flags and, after Start, what was built from them.
 type Node struct {
 	prog, event string // log prefix, event-name prefix ("smtpd" → smtpd.start)
 
-	admin, dnsbl, dnsblZone, log, node *string
-	policy                             *bool
-	greyRetry                          *time.Duration
-	connRate                           *float64
-	traceSample, stats                 *int
+	addr, admin, dnsbl, dnsblZone, log, node *string
+	eventsLevel, eventsSample                *string
+	policy                                   *bool
+	greyRetry                                *time.Duration
+	connRate                                 *float64
+	traceSample, stats                       *int
 
 	// Reg is the process-wide default registry: every component shares
 	// it, so the admin endpoint exposes the whole process under one scrape.
@@ -50,23 +63,30 @@ type Node struct {
 func Declare(prog, event string, policyDefault bool) *Node {
 	return &Node{
 		prog: prog, event: event,
-		admin:       flag.String("admin", "", "serve /metrics, /debug/pprof, /events, /workload (and /spans, /traces when recorded) on this address (empty disables)"),
-		dnsbl:       flag.String("dnsbl", "", "comma-separated DNSBL replica addresses (host:port,...); empty disables"),
-		dnsblZone:   flag.String("dnsbl-zone", "bl.example.org", "DNSBL zone name"),
-		log:         flag.String("log", "info", "echo events at or above this level to stderr: debug, info, warn, error, or off (postfix-style per-connection lines at info)"),
-		node:        flag.String("node", "", "node name stamped on message-trace spans (default: the banner hostname)"),
-		policy:      flag.Bool("policy", policyDefault, "run the pre-trust policy engine (rate limits, greylist, reputation; DNSBL scoring when -dnsbl is set); off, -dnsbl alone still refuses listed clients"),
-		greyRetry:   flag.Duration("grey-retry", time.Minute, "policy: greylist minimum retry window (0 disables greylisting)"),
-		connRate:    flag.Float64("conn-rate", 2, "policy: connections/sec admitted per client IP (0 disables rate limiting)"),
-		traceSample: flag.Int("trace-sample", 0, "message-lifecycle tracing: trace 1 in N edge connections, propagating the id to XTRACE-capable next hops (0 disables; 1 traces everything); spans serve at /trace/{id} on -admin"),
-		stats:       flag.Int("stats", 10, "stats period in seconds (0 disables)"),
+		addr:         flag.String("addr", "127.0.0.1:2525", "SMTP listen address"),
+		eventsLevel:  flag.String("events-level", "info", "event log ring retention level: debug, info, warn, error, or off"),
+		eventsSample: flag.String("events-sample", "dnsbl.lookup=16,smtpd.policy=16", "per-event-name 1-in-N sampling, comma-separated name=N pairs (empty disables)"),
+		admin:        flag.String("admin", "", "serve /metrics, /debug/pprof, /events, /workload (and /spans, /traces when recorded) on this address (empty disables)"),
+		dnsbl:        flag.String("dnsbl", "", "comma-separated DNSBL replica addresses (host:port,...); empty disables"),
+		dnsblZone:    flag.String("dnsbl-zone", "bl.example.org", "DNSBL zone name"),
+		log:          flag.String("log", "info", "echo events at or above this level to stderr: debug, info, warn, error, or off (postfix-style per-connection lines at info)"),
+		node:         flag.String("node", "", "node name stamped on message-trace spans (default: the banner hostname)"),
+		policy:       flag.Bool("policy", policyDefault, "run the pre-trust policy engine (rate limits, greylist, reputation; DNSBL scoring when -dnsbl is set); off, -dnsbl alone still refuses listed clients"),
+		greyRetry:    flag.Duration("grey-retry", time.Minute, "policy: greylist minimum retry window (0 disables greylisting)"),
+		connRate:     flag.Float64("conn-rate", 2, "policy: connections/sec admitted per client IP (0 disables rate limiting)"),
+		traceSample:  flag.Int("trace-sample", 0, "message-lifecycle tracing: trace 1 in N edge connections, propagating the id to XTRACE-capable next hops (0 disables; 1 traces everything); spans serve at /trace/{id} on -admin"),
+		stats:        flag.Int("stats", 10, "stats period in seconds (0 disables)"),
 	}
 }
 
-// Start builds the registry, the event log (evOpts plus the telemetry
-// observer and the -log stderr echo) and the message tracer, named
-// hostname unless -node says otherwise.
-func (n *Node) Start(hostname string, evOpts ...eventlog.Option) {
+// Addr is the -addr SMTP listen address.
+func (n *Node) Addr() string { return *n.addr }
+
+// Start builds the registry, the event log (its ring of the default
+// capacity kept at -events-level and sampled by -events-sample, the
+// telemetry observer, and the -log stderr echo) and the message tracer,
+// named hostname unless -node says otherwise.
+func (n *Node) Start(hostname string) {
 	n.Reg = metrics.Default()
 	// Per-source telemetry gauges are bounded by the tracker itself, but
 	// the registry's cardinality guard is the backstop: no label key can
@@ -74,7 +94,22 @@ func (n *Node) Start(hostname string, evOpts ...eventlog.Option) {
 	n.Reg.SetLabelValueLimit(64)
 	n.tracker = telemetry.New()
 	n.tracker.Register(n.Reg)
-	evOpts = append(evOpts, eventlog.WithObserver(n.tracker))
+	ringLevel, err := eventlog.ParseLevel(*n.eventsLevel)
+	if err != nil {
+		log.Fatalf("%s: -events-level: %v", n.prog, err)
+	}
+	evOpts := []eventlog.Option{eventlog.WithLevel(ringLevel), eventlog.WithObserver(n.tracker)}
+	for _, kv := range strings.Split(*n.eventsSample, ",") {
+		if kv == "" {
+			continue
+		}
+		name, rate, ok := strings.Cut(kv, "=")
+		every, err := strconv.Atoi(rate)
+		if !ok || err != nil || every < 1 {
+			log.Fatalf("%s: -events-sample: %q is not name=N with N ≥ 1", n.prog, kv)
+		}
+		evOpts = append(evOpts, eventlog.WithSampling(name, every))
+	}
 	stderrLevel, err := eventlog.ParseLevel(*n.log)
 	if err != nil {
 		log.Fatalf("%s: -log: %v", n.prog, err)
@@ -91,18 +126,21 @@ func (n *Node) Start(hostname string, evOpts ...eventlog.Option) {
 	}
 }
 
-// DNSBL returns the -dnsbl client (prefix-cached, plus extra), or nil
-// when no replica is configured. The caller closes it.
-func (n *Node) DNSBL(extra ...dnsbl.Option) *dnsbl.Client {
+// DNSBL returns the -dnsbl client — prefix-cached, hedged, serving stale
+// and caching failures — or nil when no replica is configured. The
+// caller closes it.
+func (n *Node) DNSBL() *dnsbl.Client {
 	if *n.dnsbl == "" {
 		return nil
 	}
-	return dnsbl.New(*n.dnsblZone, append([]dnsbl.Option{
+	return dnsbl.New(*n.dnsblZone,
 		dnsbl.WithRegistry(n.Reg),
 		dnsbl.WithEventLog(n.Events),
 		dnsbl.WithUpstreams(strings.Split(*n.dnsbl, ",")...),
-		dnsbl.WithPolicy(dnsbl.CachePrefix),
-	}, extra...)...)
+		dnsbl.WithHedge(dnsblHedge),
+		dnsbl.WithStale(dnsblStale),
+		dnsbl.WithNegativeTTL(dnsblNegativeTTL),
+	)
 }
 
 // Policy builds the pre-trust policy from -policy, -grey-retry and

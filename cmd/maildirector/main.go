@@ -35,31 +35,21 @@ import (
 	"repro/internal/policy"
 )
 
-// backendFlags collects repeated -backend name=addr pairs.
-type backendFlags []string
-
-func (b *backendFlags) String() string { return strings.Join(*b, ",") }
-func (b *backendFlags) Set(v string) error {
-	*b = append(*b, v)
-	return nil
-}
-
 func main() {
-	var backends backendFlags
-	flag.Var(&backends, "backend", "delivery shard as name=host:port (repeatable; name is hashed onto the ring)")
+	var backends []string
+	flag.Func("backend", "delivery shard as name=host:port (repeatable; name is hashed onto the ring)", func(v string) error {
+		backends = append(backends, v)
+		return nil
+	})
 	var (
-		listen     = flag.String("addr", "127.0.0.1:2525", "SMTP listen address")
 		hostname   = flag.String("hostname", "director.local", "banner hostname")
 		domain     = flag.String("domain", "", "accept recipients at this domain only (empty accepts all)")
-		vnodes     = flag.Int("vnodes", 64, "virtual nodes per shard on the recipient ring")
-		cooldown   = flag.Duration("cooldown", 2*time.Second, "skip a failed shard for this long before re-probing")
-		fwdTimeout = flag.Duration("forward-timeout", 10*time.Second, "back-end dial and replay command timeout")
 		gossipAddr = flag.String("gossip-addr", "", "listen for peer anti-entropy exchanges on this address (empty disables)")
 		peers      = flag.String("peers", "", "comma-separated peer gossip addresses to dial")
 		gossipIvl  = flag.Duration("gossip-interval", time.Second, "anti-entropy exchange period")
 	)
-	// The policy, DNSBL, tracing, logging and admin flags are the ones
-	// every front-end binary takes.
+	// The listen, policy, DNSBL, tracing, event-log and admin flags are
+	// the ones every front-end binary takes.
 	n := node.Declare("maildirector", "director", true)
 	flag.Parse()
 
@@ -67,7 +57,7 @@ func main() {
 		log.Fatal("maildirector: at least one -backend name=addr is required")
 	}
 
-	n.Start(*hostname, eventlog.WithLevel(eventlog.LevelDebug))
+	n.Start(*hostname)
 	events := n.Events
 
 	// The DNSBL client's cache is gossiped: a /25 bitmap any peer paid an
@@ -84,9 +74,6 @@ func main() {
 
 	dOpts := []director.Option{
 		director.WithHostname(*hostname),
-		director.WithVnodes(*vnodes),
-		director.WithCooldown(*cooldown),
-		director.WithForwardTimeout(*fwdTimeout),
 		director.WithRegistry(n.Reg),
 		director.WithEventLog(events),
 		director.WithMessageTracer(n.Tracer),
@@ -139,15 +126,15 @@ func main() {
 
 	n.ServeAdmin(nil) // the director records no connection spans
 
-	dir, err := cluster.StartDirector(cluster.DirectorSpec{Addr: *listen, Options: dOpts})
+	dir, err := cluster.StartDirector(cluster.DirectorSpec{Addr: n.Addr(), Options: dOpts})
 	if err != nil {
 		log.Fatalf("maildirector: %v", err)
 	}
 	d := dir.Server
 	events.Info("director.start", 0,
 		eventlog.Str("component", "director"),
-		eventlog.Str("addr", *listen),
-		eventlog.Str("shards", backends.String()),
+		eventlog.Str("addr", dir.Addr),
+		eventlog.Str("shards", strings.Join(backends, ",")),
 	)
 
 	sigCh := make(chan os.Signal, 1)
@@ -157,30 +144,38 @@ func main() {
 		select {
 		case <-tick:
 			logStats(d, gossip)
+		case err := <-dir.Served():
+			if err != nil {
+				log.Fatalf("maildirector: %v", err)
+			}
+			return
 		case <-sigCh:
 			events.Info("director.stop", 0, eventlog.Str("component", "director"))
-			dir.Close()
+			if err := dir.Close(); err != nil {
+				events.Error("director.error", 0,
+					eventlog.Str("component", "director"), eventlog.Str("err", err.Error()))
+			}
 			logStats(d, gossip)
 			return
 		}
 	}
 }
 
-// logStats dumps the director's counters and, when gossiping, the
-// replication counters.
+// logStats dumps the director's counters — the front end's dialog, then
+// forwarding — and, when gossiping, the replication counters.
 func logStats(d *director.Server, gossip *director.Gossip) {
-	s := d.Stats()
+	fe, s := d.Front().Stats(), d.Stats()
 	t := metrics.NewTable("counter", "value")
-	t.AddRow("connections", s.Connections)
-	t.AddRow("policy rejected (554)", s.PolicyRejected)
-	t.AddRow("policy tempfailed (421)", s.PolicyTempfail)
+	t.AddRow("connections", fe.Connections)
+	t.AddRow("policy rejected (554)", fe.PolicyRejected)
+	t.AddRow("policy tempfailed (421)", fe.PolicyTempfail)
 	t.AddRow("mails forwarded", s.MailsForwarded)
 	t.AddRow("mails tempfailed (451)", s.MailsFailed)
 	t.AddRow("mails refused (554)", s.MailsRefused)
 	t.AddRow("forward retries", s.ForwardRetries)
-	t.AddRow("rcpt 550", s.RcptRejected)
+	t.AddRow("rcpt 550", fe.RcptRejected)
 	t.AddRow("rcpt skew (shard refused)", s.RcptSkew)
-	t.AddRow("pre-trust closed", s.PreTrustClosed)
+	t.AddRow("pre-trust closed", fe.PreTrustClosed)
 	t.AddRow("handoff p50 (ms)", 1000*d.HandoffQuantile(0.5))
 	t.AddRow("handoff p99 (ms)", 1000*d.HandoffQuantile(0.99))
 	if gossip != nil {

@@ -18,14 +18,11 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/cmd/internal/node"
 	"repro/internal/cluster"
-	"repro/internal/dnsbl"
 	"repro/internal/eventlog"
 	"repro/internal/fsim"
 	"repro/internal/metrics"
@@ -39,7 +36,6 @@ import (
 
 func main() {
 	var (
-		listen      = flag.String("addr", "127.0.0.1:2525", "listen address")
 		archName    = flag.String("arch", "hybrid", "architecture: vanilla or hybrid")
 		root        = flag.String("root", "", "mail root directory (required)")
 		domain      = flag.String("domain", cluster.DefaultDomain, "local domain")
@@ -47,19 +43,13 @@ func main() {
 		workers     = flag.Int("workers", cluster.Workers, "smtpd worker limit")
 		shards      = flag.Int("accept-shards", 1, "independent accept shards, each with its own listener (SO_REUSEPORT on Linux) and worker ring; 1 keeps the classic single accept loop")
 		pop3Addr    = flag.String("pop3", "", "also serve POP3 on this address (empty disables)")
-		dnsblHedge  = flag.Duration("dnsbl-hedge", 20*time.Millisecond, "hedge DNSBL queries to the next replica after this delay (0 disables)")
-		dnsblStale  = flag.Duration("dnsbl-stale", time.Hour, "serve expired DNSBL cache entries up to this long past expiry when the blacklist is unreachable (0 disables)")
 		spoolDir    = flag.String("spool-dir", cluster.DefaultSpoolDir, "spool directory (under -root) holding the active/deferred/hold lanes")
 		ckptDir     = flag.String("checkpoint-dir", "", "MFS: write online checkpoints under this directory (under -root; empty disables)")
 		ckptEvery   = flag.Duration("checkpoint-interval", 5*time.Minute, "MFS: interval between online checkpoints when -checkpoint-dir is set")
 		maxAttempts = flag.Int("max-attempts", cluster.MaxAttempts, "delivery attempts before a mail bounces")
-
-		eventsLevel  = flag.String("events-level", "info", "event log ring retention level: debug, info, warn, error, or off")
-		eventsCap    = flag.Int("events-cap", 4096, "event log ring capacity (events retained for /events)")
-		eventsSample = flag.String("events-sample", "dnsbl.lookup=16,smtpd.policy=16", "per-event-name 1-in-N sampling, comma-separated name=N pairs (empty disables)")
 	)
-	// The policy, DNSBL, tracing, logging and admin flags are the ones
-	// every front-end binary takes.
+	// The listen, policy, DNSBL, tracing, event-log and admin flags are
+	// the ones every front-end binary takes.
 	n := node.Declare("smtpd", "smtpd", false)
 	flag.Parse()
 
@@ -69,27 +59,7 @@ func main() {
 	if err := os.MkdirAll(*root, 0o755); err != nil {
 		log.Fatalf("smtpd: %v", err)
 	}
-	ringLevel, err := eventlog.ParseLevel(*eventsLevel)
-	if err != nil {
-		log.Fatalf("smtpd: -events-level: %v", err)
-	}
-	evOpts := []eventlog.Option{eventlog.WithLevel(ringLevel), eventlog.WithCapacity(*eventsCap)}
-	for _, kv := range strings.Split(*eventsSample, ",") {
-		if kv == "" {
-			continue
-		}
-		name, nStr, ok := strings.Cut(kv, "=")
-		if !ok {
-			log.Fatalf("smtpd: -events-sample: %q is not name=N", kv)
-		}
-		n, err := strconv.Atoi(nStr)
-		if err != nil || n < 1 {
-			log.Fatalf("smtpd: -events-sample: bad rate in %q", kv)
-		}
-		evOpts = append(evOpts, eventlog.WithSampling(name, n))
-	}
-	hostname := cluster.Hostname(*domain)
-	n.Start(hostname, evOpts...)
+	n.Start(cluster.Hostname(*domain))
 	reg, events, mtrace := n.Reg, n.Events, n.Tracer
 	// The span recorder keeps the last 64k stage events for /spans and
 	// cmd/traceinfo.
@@ -111,10 +81,7 @@ func main() {
 		smtpserver.WithAcceptShards(*shards),
 		smtpserver.WithSpans(spans),
 	}
-	// The resilient resolver stack: one shared pipelined socket per
-	// replica, hedged queries across them, and stale bitmaps served when
-	// every replica is down.
-	dnsblClient := n.DNSBL(dnsbl.WithHedge(*dnsblHedge), dnsbl.WithStale(*dnsblStale), dnsbl.WithNegativeTTL(5*time.Second))
+	dnsblClient := n.DNSBL()
 	pol, _, _ := n.Policy(dnsblClient)
 	if pol != nil {
 		srvOpts = append(srvOpts, smtpserver.WithPolicy(pol))
@@ -123,7 +90,7 @@ func main() {
 	// The node itself — access DB, store, agent, spool, queue, front end,
 	// in that order, listening on return — is internal/cluster's.
 	sh, err := cluster.StartShard(cluster.ShardSpec{
-		Addr:      *listen,
+		Addr:      n.Addr(),
 		FS:        fsim.NewOS(*root),
 		Domain:    *domain,
 		Mailboxes: *mailboxes,
@@ -183,7 +150,7 @@ func main() {
 		eventlog.Str("arch", arch.String()),
 		eventlog.Str("store", sh.Store.Name()),
 		eventlog.Str("domain", *domain),
-		eventlog.Str("addr", *listen),
+		eventlog.Str("addr", sh.Addr),
 	)
 
 	tick := n.StatsTick()

@@ -19,7 +19,6 @@
 package cluster
 
 import (
-	"net"
 	"sync"
 	"time"
 
@@ -312,38 +311,52 @@ type DirectorSpec struct {
 	Options []director.Option
 }
 
-// Director is a running director front end.
+// Director is a running director front end. Its front end is listened
+// on and served, and stopped, the way a shard's is.
 type Director struct {
 	Addr   string // the SMTP address it listens on
 	Server *director.Server
 
-	served chan struct{}
+	front *frontEnd
+	once  sync.Once
+	err   error
 }
 
 // StartDirector builds the director and has it listening on return.
 func StartDirector(spec DirectorSpec) (*Director, error) {
-	if spec.Addr == "" {
-		spec.Addr = loopback
-	}
 	srv, err := director.New(spec.Options...)
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", spec.Addr)
+	front, err := listen(srv.Front(), spec.Addr)
 	if err != nil {
+		srv.Close()
 		return nil, err
 	}
-	d := &Director{Addr: ln.Addr().String(), Server: srv, served: make(chan struct{})}
-	go func() {
-		defer close(d.served)
-		srv.Serve(ln)
-	}()
-	return d, nil
+	return &Director{Addr: front.addr, Server: srv, front: front}, nil
 }
 
+// Served receives the accept loop's error once if it ends on its own,
+// and is closed when the loop has ended for whatever reason.
+func (d *Director) Served() <-chan error { return d.front.served }
+
 // Close stops accepting, waits for in-flight dialogs and for Serve to
-// return, and drains the back-end connection pools. It is idempotent.
-func (d *Director) Close() {
-	d.Server.Close()
-	<-d.served
+// return, and QUITs the back-end connection pools. It returns Serve's
+// error; calling it again, or after Kill, does nothing and returns the
+// same result.
+func (d *Director) Close() error {
+	d.once.Do(func() {
+		d.err = d.front.stop()
+		d.Server.Close()
+	})
+	return d.err
+}
+
+// Kill is Close without the QUITs and with errors swallowed: the pooled
+// back-end connections are dropped, as a dying process's are.
+func (d *Director) Kill() {
+	d.once.Do(func() {
+		d.front.stop() //nolint:errcheck // a kill has no one to report to
+		d.Server.Kill()
+	})
 }

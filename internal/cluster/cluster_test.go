@@ -405,8 +405,27 @@ func TestServeAndDirector(t *testing.T) {
 		t.Fatal(err)
 	}
 	send(t, d.Addr, mails(6))
-	d.Close()
-	d.Close()
+	first := d.Close()
+	if err := d.Close(); err != first {
+		t.Fatalf("second Close = %v, the first returned %v", err, first)
+	}
+	select {
+	case <-d.Served():
+	default:
+		t.Fatal("Served is still open after Close")
+	}
+	// Close QUITs the director's pooled connections to the shard even
+	// though stopping the front end closed the director's engine first:
+	// every connection the shard saw ends as a served session, not as
+	// one the shard's own Close has to cut.
+	if !waitFor(func() bool {
+		st := sh.Server.Stats()
+		return st.Connections > 0 && st.SessionsServed == st.Connections
+	}) {
+		st := sh.Server.Stats()
+		t.Fatalf("shard served %d of %d connections to the end: the director's pools were not drained",
+			st.SessionsServed, st.Connections)
+	}
 	if err := sh.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -78,17 +78,22 @@ func (b *backend) markDown(now time.Time, cooldown time.Duration) {
 	b.mu.Lock()
 	b.downUntil = now.Add(cooldown)
 	b.mu.Unlock()
-	b.dropIdle()
+	b.dropIdle(false)
 }
 
-// dropIdle closes every pooled connection.
-func (b *backend) dropIdle() {
+// dropIdle closes every pooled connection, with a QUIT when quit is set
+// (a shutdown) and without one when the endpoint is suspect.
+func (b *backend) dropIdle(quit bool) {
 	b.mu.Lock()
 	idle := b.idle
 	b.idle = nil
 	b.mu.Unlock()
 	for _, c := range idle {
-		c.Abort() //nolint:errcheck
+		if quit {
+			c.Quit() //nolint:errcheck
+		} else {
+			c.Abort() //nolint:errcheck
+		}
 	}
 }
 
@@ -97,17 +102,6 @@ func (b *backend) markUp() {
 	b.mu.Lock()
 	b.downUntil = time.Time{}
 	b.mu.Unlock()
-}
-
-// closeIdle drains the pool on shutdown.
-func (b *backend) closeIdle() {
-	b.mu.Lock()
-	idle := b.idle
-	b.idle = nil
-	b.mu.Unlock()
-	for _, c := range idle {
-		c.Quit() //nolint:errcheck
-	}
 }
 
 // forward delivers the envelope to this shard: pooled connection first,
@@ -140,6 +134,6 @@ func (b *backend) forward(helo string, timeout time.Duration, sender string, rcp
 		if !pooled || retried {
 			return 0, retried, false, err
 		}
-		b.dropIdle()
+		b.dropIdle(false)
 	}
 }

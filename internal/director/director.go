@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/eventlog"
@@ -26,7 +27,6 @@ type settings struct {
 	events         *eventlog.Log
 	mtrace         *trace.MessageRecorder
 	forwardTimeout time.Duration
-	vnodes         int
 	cooldown       time.Duration
 }
 
@@ -80,18 +80,10 @@ func WithEventLog(log *eventlog.Log) Option {
 	return func(s *settings) { s.events = log }
 }
 
-// WithIdleTimeout bounds client inactivity per read (default 60s).
-func WithIdleTimeout(d time.Duration) Option { return front(smtpserver.WithIdleTimeout(d)) }
-
 // WithForwardTimeout bounds the back-end dial and each replay command
 // (default 10s).
 func WithForwardTimeout(d time.Duration) Option {
 	return func(s *settings) { s.forwardTimeout = d }
-}
-
-// WithVnodes sets virtual nodes per shard on the ring (default 64).
-func WithVnodes(n int) Option {
-	return func(s *settings) { s.vnodes = n }
 }
 
 // WithCooldown sets how long a shard that failed a forward is skipped
@@ -112,31 +104,28 @@ func WithMessageTracer(rec *trace.MessageRecorder) Option {
 	return func(s *settings) { s.mtrace = rec }
 }
 
-// Stats is a snapshot of a director's counters. The dialog-side fields
-// are the front end's (smtpserver.Stats); the rest count forwarding.
+// Stats is a snapshot of a director's forwarding counters. The dialog's
+// (connections, policy verdicts, 550s, pre-trust closes) are the front
+// end's own: Front().Stats().
 type Stats struct {
-	Connections    int64 // accepted TCP connections
-	PolicyRejected int64 // refused 554 by policy, at connect or mid-dialog
-	PolicyTempfail int64 // refused 421 at connect time
 	MailsForwarded int64 // envelopes replayed to a shard successfully
 	MailsFailed    int64 // envelopes tempfailed 451 (every candidate down)
 	MailsRefused   int64 // envelopes 554'd (shards refused every recipient)
 	ForwardRetries int64 // pooled-connection retries + candidate failovers
-	RcptRejected   int64 // 550s issued (bounce evidence)
 	RcptSkew       int64 // recipients the director admitted but a shard refused
-	PreTrustClosed int64 // connections that ended before any valid RCPT
 }
 
 // Server is one director front end: an smtpserver.Server — always the
 // hybrid architecture, a director being exactly fork-after-trust with a
 // remote worker — whose enqueue hook replays each accepted envelope to
-// the shards owning its recipients. Create with New, start with Serve,
-// stop with Close.
+// the shards owning its recipients. Create with New, start with Serve
+// (or serve Front() as any other front end is served), stop with Close.
 type Server struct {
 	cfg  settings
 	srv  *smtpserver.Server
 	ring *Ring
 	bk   map[string]*backend
+	stop sync.Once
 
 	mailsForwarded *metrics.Counter
 	mailsFailed    *metrics.Counter
@@ -167,7 +156,7 @@ func New(opts ...Option) (*Server, error) {
 	}
 	s := &Server{
 		cfg:            st,
-		ring:           NewRing(st.vnodes),
+		ring:           NewRing(0),
 		bk:             make(map[string]*backend, len(st.backends)),
 		mailsForwarded: reg.Counter("director_mails_forwarded_total"),
 		mailsFailed:    reg.Counter("director_mails_failed_total"),
@@ -207,20 +196,18 @@ func New(opts ...Option) (*Server, error) {
 // Registry returns the registry holding the director's metrics.
 func (s *Server) Registry() *metrics.Registry { return s.srv.Registry() }
 
-// Stats snapshots the counters.
+// Front returns the director's SMTP front end: the client-facing dialog
+// engine whose enqueue hook is the ring fan-out.
+func (s *Server) Front() *smtpserver.Server { return s.srv }
+
+// Stats snapshots the forwarding counters.
 func (s *Server) Stats() Stats {
-	fe := s.srv.Stats()
 	return Stats{
-		Connections:    fe.Connections,
-		PolicyRejected: fe.PolicyRejected,
-		PolicyTempfail: fe.PolicyTempfail,
 		MailsForwarded: s.mailsForwarded.Value(),
 		MailsFailed:    s.mailsFailed.Value(),
 		MailsRefused:   s.mailsRefused.Value(),
 		ForwardRetries: s.forwardRetries.Value(),
-		RcptRejected:   fe.RcptRejected,
 		RcptSkew:       s.rcptSkew.Value(),
-		PreTrustClosed: fe.PreTrustClosed,
 	}
 }
 
@@ -234,15 +221,22 @@ func (s *Server) Serve(ln net.Listener) {
 	s.srv.Serve(ln) //nolint:errcheck // nil on Close; a refused or failed Serve has closed ln
 }
 
-// Close stops accepting, waits for in-flight dialogs, and drains the
-// back-end connection pools. It is idempotent.
-func (s *Server) Close() {
-	if s.srv.Close() != nil {
-		return // already closed
-	}
-	for _, b := range s.bk {
-		b.closeIdle()
-	}
+// Close stops accepting, waits for in-flight dialogs, and QUITs the
+// pooled back-end connections. The pools drain once, also when whoever
+// serves Front() has already closed it; later calls do nothing.
+func (s *Server) Close() { s.shutdown(true) }
+
+// Kill is Close without the QUITs: the pooled connections are dropped,
+// as a dying process's sockets are.
+func (s *Server) Kill() { s.shutdown(false) }
+
+func (s *Server) shutdown(quit bool) {
+	s.stop.Do(func() {
+		s.srv.Close() //nolint:errcheck // "already closed" when the front end was stopped first
+		for _, b := range s.bk {
+			b.dropIdle(quit)
+		}
+	})
 }
 
 // enqueue is the front end's enqueue hook: what a shard's queue manager

@@ -82,7 +82,7 @@ func startDirector(t *testing.T, opts ...Option) (*Server, string) {
 	t.Helper()
 	d, err := New(append([]Option{
 		WithHostname("fe.test"),
-		WithIdleTimeout(5 * time.Second),
+		front(smtpserver.WithIdleTimeout(5 * time.Second)),
 		WithForwardTimeout(2 * time.Second),
 		WithCooldown(200 * time.Millisecond),
 	}, opts...)...)
@@ -288,7 +288,7 @@ func TestDirectorValidateRcpt(t *testing.T) {
 	if sinkA.count("real@example.org") != 1 {
 		t.Fatal("valid recipient not forwarded")
 	}
-	if st := d.Stats(); st.RcptRejected != 1 {
+	if st := d.Front().Stats(); st.RcptRejected != 1 {
 		t.Fatalf("RcptRejected = %d, want 1", st.RcptRejected)
 	}
 }

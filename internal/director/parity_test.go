@@ -262,7 +262,7 @@ func TestDialogParityWithSmtpserver(t *testing.T) {
 				shardAddr, _, _ = startShardServer(t)
 			}
 			d, addr := startDirector(t, append(dir, WithBackend("shard-a", shardAddr))...)
-			fe := frontEnd{addr, func() int64 { return d.Stats().PreTrustClosed }}
+			fe := frontEnd{addr, func() int64 { return d.Front().Stats().PreTrustClosed }}
 			if got := play(t, fe, row.script); !reflect.DeepEqual(got, row.want) {
 				t.Errorf("director replied %v, want %v", got, row.want)
 			}

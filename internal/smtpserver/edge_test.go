@@ -13,37 +13,45 @@ import (
 	"repro/internal/smtp"
 )
 
-func TestListenAndServe(t *testing.T) {
+func TestListenServeListeners(t *testing.T) {
 	srv, err := New(func(string, []string, []byte) (string, error) { return "Q", nil },
 		WithArchitecture(Hybrid))
 	if err != nil {
 		t.Fatal(err)
 	}
+	lns, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe("127.0.0.1:0") }()
-	// The listener address is not exposed before Serve runs, so probe by
-	// closing: ListenAndServe must return nil after Close.
-	time.Sleep(20 * time.Millisecond)
+	go func() { done <- srv.ServeListeners(lns) }()
+	// Listen bound the address before Serve runs: a client can connect
+	// at once, and ServeListeners must return nil after Close.
+	c, err := smtp.Dial(lns[0].Addr().String(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Quit() //nolint:errcheck
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("ListenAndServe = %v", err)
+			t.Fatalf("ServeListeners = %v", err)
 		}
 	case <-time.After(3 * time.Second):
-		t.Fatal("ListenAndServe did not return after Close")
+		t.Fatal("ServeListeners did not return after Close")
 	}
 }
 
-func TestListenAndServeBadAddress(t *testing.T) {
+func TestListenBadAddress(t *testing.T) {
 	srv, err := New(func(string, []string, []byte) (string, error) { return "Q", nil },
 		WithArchitecture(Vanilla))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.ListenAndServe("127.0.0.1:notaport"); err == nil {
+	if _, err := srv.Listen("127.0.0.1:notaport"); err == nil {
 		t.Fatal("bad address accepted")
 	}
 }

@@ -80,8 +80,8 @@ func WithValidateRcptBytes(f func(addr []byte) bool) Option {
 // WithAcceptShards splits the accept path into n independent shards —
 // one accept loop and worker ring each — so a single accept loop stops
 // being the ceiling on connection turnover (the reuseport pattern of
-// modern event-driven servers). ListenAndServe opens n SO_REUSEPORT
-// listeners where the platform supports it; Serve runs n accept
+// modern event-driven servers). Listen opens n SO_REUSEPORT listeners
+// where the platform supports it; Serve runs n accept
 // goroutines on its one listener. 0 or 1 keeps the single classic accept
 // loop.
 func WithAcceptShards(n int) Option {

@@ -330,9 +330,9 @@ func (s *Server) Stats() Stats {
 // Serve accepts connections on ln until Close. It blocks; run it in a
 // goroutine. The listener is owned by the server after this call. With
 // AcceptShards > 1 the single listener is shared by that many accept
-// goroutines, each feeding its own worker ring; use ServeListeners (or
-// ListenAndServe, which calls ListenShards) to give each shard its own
-// SO_REUSEPORT listener instead.
+// goroutines, each feeding its own worker ring; use Listen and
+// ServeListeners to give each shard its own SO_REUSEPORT listener
+// instead.
 func (s *Server) Serve(ln net.Listener) error {
 	return s.ServeListeners([]net.Listener{ln})
 }
@@ -477,15 +477,6 @@ func (s *Server) Listen(addr string) ([]net.Listener, error) {
 		return nil, fmt.Errorf("smtpserver: listen %s: %w", addr, err)
 	}
 	return lns, nil
-}
-
-// ListenAndServe listens on addr (see Listen) and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	lns, err := s.Listen(addr)
-	if err != nil {
-		return err
-	}
-	return s.ServeListeners(lns)
 }
 
 // Close stops accepting, force-closes open connections, and waits for all
