@@ -150,7 +150,7 @@ func (n *Node) DNSBL() *dnsbl.Client {
 // It also returns the reputation and greylist stores, for a caller that
 // replicates them; the policy is nil when -policy is off and -dnsbl
 // empty, and the greylist nil when -grey-retry is 0.
-func (n *Node) Policy(resolver dnsbl.Resolver, opts ...policy.ServerPolicyOption) (*policy.ServerPolicy, *policy.Reputation, *policy.Greylist) {
+func (n *Node) Policy(resolver dnsbl.Resolver) (*policy.ServerPolicy, *policy.Reputation, *policy.Greylist) {
 	rep := policy.NewReputation(policy.ReputationConfig{})
 	var grey *policy.Greylist
 	if *n.greyRetry > 0 {
@@ -182,7 +182,7 @@ func (n *Node) Policy(resolver dnsbl.Resolver, opts ...policy.ServerPolicyOption
 		)
 	}
 	return policy.NewServerPolicy(policy.New(pOpts...), scorer,
-		append(opts, policy.WithRegistry(n.Reg), policy.WithEventLog(n.Events))...), rep, grey
+		policy.WithRegistry(n.Reg), policy.WithEventLog(n.Events)), rep, grey
 }
 
 // ServeAdmin serves the admin endpoint on -admin; spans may be nil.

@@ -32,7 +32,6 @@ import (
 	"repro/internal/director"
 	"repro/internal/eventlog"
 	"repro/internal/metrics"
-	"repro/internal/policy"
 )
 
 func main() {
@@ -67,10 +66,10 @@ func main() {
 		defer client.Close()
 	}
 	// The node-local pre-trust stores are exposed to gossip through the
-	// transport-agnostic sync contracts. WithClock(time.Now) stamps their
-	// entries with absolute wall time, so deltas gossiped to peers decay
-	// on a shared timeline.
-	pol, rep, grey := n.Policy(client, policy.WithClock(time.Now))
+	// transport-agnostic sync contracts. The policy stamps their entries
+	// with absolute wall time, so deltas gossiped to peers decay on a
+	// shared timeline.
+	pol, rep, grey := n.Policy(client)
 
 	dOpts := []director.Option{
 		director.WithHostname(*hostname),
@@ -87,10 +86,7 @@ func main() {
 		dOpts = append(dOpts, director.WithBackend(name, addr))
 	}
 	if *domain != "" {
-		suffix := "@" + *domain
-		dOpts = append(dOpts, director.WithValidateRcpt(func(a string) bool {
-			return strings.HasSuffix(a, suffix)
-		}))
+		dOpts = append(dOpts, director.WithValidateRcpt(atDomain(*domain)))
 	}
 
 	var gossip *director.Gossip
@@ -158,6 +154,15 @@ func main() {
 			logStats(d, gossip)
 			return
 		}
+	}
+}
+
+// atDomain accepts a recipient at domain, which it compares without
+// regard to case, as every shard's access database does.
+func atDomain(domain string) func(rcpt string) bool {
+	suffix := "@" + domain
+	return func(a string) bool {
+		return len(a) >= len(suffix) && strings.EqualFold(a[len(a)-len(suffix):], suffix)
 	}
 }
 

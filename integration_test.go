@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/cluster"
+	"repro/internal/costmodel"
 	"repro/internal/delivery"
 	"repro/internal/dns"
 	"repro/internal/dnsbl"
@@ -158,9 +159,13 @@ func TestFullStackWithLiveDNSBL(t *testing.T) {
 	dnsSrv := dns.NewServer(pc, &dnsbl.V6Handler{List: list})
 	defer dnsSrv.Close()
 
+	// The client's clock jumps a cache TTL ahead each time the listing
+	// changes, so the cached verdict has expired by the next connection.
+	var skew atomic.Int64
+	expire := func() { skew.Add(int64(costmodel.DNSBLCacheTTL + time.Second)) }
 	lookup := dnsbl.New(zone,
 		dnsbl.WithUpstreams(dnsSrv.Addr().String()),
-		dnsbl.WithTTL(10*time.Millisecond))
+		dnsbl.WithClock(func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }))
 	defer lookup.Close()
 	// What `smtpd -dnsbl` runs without -policy: the blacklist and nothing else.
 	s := startStack(t, smtpserver.Hybrid, smtpserver.WithPolicy(policy.NewServerPolicy(
@@ -187,9 +192,9 @@ func TestFullStackWithLiveDNSBL(t *testing.T) {
 	if err := send(); err != nil {
 		t.Fatalf("clean client rejected: %v", err)
 	}
-	// Blacklist 127.0.0.1 and wait out the short cache TTL: rejected with 554.
+	// Blacklist 127.0.0.1 and expire the cached answer: rejected with 554.
 	list.Add(addr.MustParseIPv4("127.0.0.1"), dnsbl.CodeZombie)
-	time.Sleep(20 * time.Millisecond)
+	expire()
 	err = send()
 	if err == nil || !strings.Contains(err.Error(), "554") {
 		t.Fatalf("listed client err = %v, want 554 banner", err)
@@ -197,9 +202,9 @@ func TestFullStackWithLiveDNSBL(t *testing.T) {
 	if n := s.Server.Stats().PolicyRejected; n != 1 {
 		t.Fatalf("policy-rejected count = %d", n)
 	}
-	// Delist (cache expires quickly): accepted again.
+	// Delist and expire the cached answer: accepted again.
 	list.Remove(addr.MustParseIPv4("127.0.0.1"))
-	time.Sleep(20 * time.Millisecond)
+	expire()
 	if err := send(); err != nil {
 		t.Fatalf("delisted client rejected: %v", err)
 	}

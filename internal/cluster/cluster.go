@@ -11,10 +11,9 @@
 //     first and reports the first error; Kill does not drain and swallows
 //     errors, which is what a process dying looks like from inside.
 //
-// StartShard builds a full node, StartDirector a director front end, and
-// Serve runs a bare front end (an experiment's sink or remote site) with
-// the same listen and stop discipline. cmd/smtpd, cmd/maildirector, the
-// real-TCP experiments in internal/core, the examples and the integration
+// StartShard builds a full node and StartDirector a director front end,
+// with one listen and stop discipline. cmd/smtpd, cmd/maildirector, every
+// real-TCP experiment in internal/core, the examples and the integration
 // tests all stand their nodes up here.
 package cluster
 
@@ -290,17 +289,6 @@ func listen(srv *smtpserver.Server, addr string) (*frontEnd, error) {
 func (f *frontEnd) stop() error {
 	f.srv.Close() //nolint:errcheck // "already closed" on a second stop
 	return <-f.served
-}
-
-// Serve runs a bare front end — an experiment's sink, a remote site —
-// on an ephemeral loopback port. stop closes it and waits for its accept
-// loop to end; it may be called more than once.
-func Serve(srv *smtpserver.Server) (addr string, stop func(), err error) {
-	f, err := listen(srv, "")
-	if err != nil {
-		return "", nil, err
-	}
-	return f.addr, func() { f.stop() }, nil //nolint:errcheck // a sink's accept error has no reader
 }
 
 // DirectorSpec describes one director front end.

@@ -24,7 +24,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/queue"
 	"repro/internal/smtp"
-	"repro/internal/smtpserver"
 	"repro/internal/spool"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -431,23 +430,6 @@ func TestServeAndDirector(t *testing.T) {
 	}
 	if got := sh.Queue.Stats().Delivered; got != 6 {
 		t.Fatalf("shard behind the director delivered %d mails, want 6", got)
-	}
-
-	var got int
-	srv, err := smtpserver.New(func(string, []string, []byte) (string, error) { got++; return "id", nil },
-		smtpserver.WithMaxWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, stop, err := Serve(srv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	send(t, addr, mails(3))
-	stop()
-	stop()
-	if got != 3 {
-		t.Fatalf("bare front end took %d mails, want 3", got)
 	}
 	waitGoroutines(t, base)
 }

@@ -541,6 +541,12 @@ func TestDirectorScaleoutShape(t *testing.T) {
 	if m["handoff_p99_ms"] <= 0 {
 		t.Errorf("handoff_p99_ms = %v, want > 0", m["handoff_p99_ms"])
 	}
+	// The directors' own policy makes the pre-trust verdicts: in both
+	// runs it refused connections at connect.
+	if m["refused_solo"] <= 0 || m["refused_gossip"] <= 0 {
+		t.Errorf("refused at connect by the directors' policy: solo=%v gossip=%v, want > 0 in both",
+			m["refused_solo"], m["refused_gossip"])
+	}
 }
 
 func TestTracePropagationShape(t *testing.T) {

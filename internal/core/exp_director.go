@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/dnsbl"
 	"repro/internal/policy"
 	"repro/internal/sim"
-	"repro/internal/smtpserver"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -29,38 +27,16 @@ func init() {
 	})
 }
 
-// scaleoutShard is one back-end delivery server: a front end that counts
-// what it accepted.
-type scaleoutShard struct {
-	sink
-	addr string
-	kill func() // stops the server; safe to call again
-}
-
-func startScaleoutShard() (*scaleoutShard, error) {
-	s := &scaleoutShard{}
-	srv, err := smtpserver.New(s.enqueue,
-		smtpserver.WithHostname("shard.test"),
-		smtpserver.WithArchitecture(smtpserver.Vanilla),
-		smtpserver.WithIdleTimeout(5*time.Second),
-	)
-	if err != nil {
-		return nil, err
-	}
-	s.addr, s.kill, err = cluster.Serve(srv)
-	return s, err
-}
-
-// scaleoutFE is one front end: a director plus its node-local pre-trust
-// state (greylist, reputation, DNSBL client) and gossip endpoint. The
-// client's upstream is a DNSBLv6 zone served in memory.
+// scaleoutFE is one front end: a director whose own policy runs the
+// pre-trust phase over its node-local stores (greylist, reputation, DNSBL
+// client), which its gossip endpoint replicates. The client's upstream is
+// a DNSBLv6 zone served in memory.
 type scaleoutFE struct {
 	node       *cluster.Director
-	addrGossip string
-	grey       *policy.Greylist
-	rep        *policy.Reputation
+	pol        *policy.ServerPolicy
 	dnsbl      *dnsbl.Client
 	gossip     *director.Gossip
+	addrGossip string
 }
 
 func (fe *scaleoutFE) close() {
@@ -68,15 +44,16 @@ func (fe *scaleoutFE) close() {
 	fe.node.Close()
 }
 
-// scaleoutRun is one full storm at a fixed gossip setting.
+// scaleoutRun is one full storm at a fixed gossip setting. The pre-trust
+// counts are the directors' own policy, scorer and DNSBL counters.
 type scaleoutRun struct {
 	conns      int
-	refusedDNS int // refused at connect: DNSBL verdict
-	refusedRep int // refused at connect: replicated bounce reputation
-	greylisted int // tempfailed by the greylist
+	refused    int // refused at connect: DNSBL verdict or replicated reputation
+	listed     int // connections the DNSBL scan found listed
+	greylisted int // RCPTs tempfailed by the greylist
 	acked      int // mails acknowledged 250 by a front end
 	tempfailed int // post-trust 451 (shards unavailable)
-	delivered  int // mails that reached a shard's queue
+	delivered  int // mails the shards committed
 	upstream   int // DNSBL queries that actually went upstream
 	lookups    int
 	cacheHits  int
@@ -100,10 +77,10 @@ func (r *scaleoutRun) cacheHitRate() float64 {
 }
 
 // runScaleoutStorm drives one storm: conns client dialogs alternating
-// between two front ends, each carrying one recipient, with the
-// pre-trust phase (DNSBL verdict, reputation, greylist) evaluated
-// against the trace's source IP and the trusted dialog carried over a
-// real socket. Midway through, one delivery shard is killed.
+// between two front ends, each carrying one recipient. Each dialog comes
+// from its source host's loopback alias, so the directors' policies judge
+// the trace's sources over a real socket. Midway through, one delivery
+// shard is killed.
 func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 	rng := sim.NewRNG(opts.seed() + 17)
 	conns := opts.scale(1200, 160)
@@ -112,6 +89,7 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 	// sources. Every host keeps a stable (sender, rcpt) tuple so
 	// greylist retries repeat the tuple. Hosts sit in distinct /24s so
 	// one spammer's prefix reputation does not condemn the ham next door.
+	// The list holds the loopback aliases the directors see.
 	const hosts = 48
 	const zone = "bl6.test"
 	list := dnsbl.NewList(zone)
@@ -119,20 +97,19 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 	for i := range ips {
 		ips[i] = addr.MakeIPv4(198, 18, byte(i), 1)
 		if i%3 == 0 {
-			list.Add(ips[i], dnsbl.CodeZombie)
+			list.Add(workload.LoopbackSource(ips[i]), dnsbl.CodeZombie)
 		}
 	}
 
-	shardA, err := startScaleoutShard()
-	if err != nil {
-		return nil, err
+	var shards [2]*cluster.Shard
+	for i := range shards {
+		sh, err := cluster.StartShard(cluster.ShardSpec{})
+		if err != nil {
+			return nil, err
+		}
+		defer sh.Kill()
+		shards[i] = sh
 	}
-	defer shardA.kill()
-	shardB, err := startScaleoutShard()
-	if err != nil {
-		return nil, err
-	}
-	defer shardB.kill()
 
 	// Virtual clock for the pre-trust stores: one tick per connection,
 	// fast enough that greylist retries clear MinRetry within the storm.
@@ -146,17 +123,20 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 	}
 
 	newFE := func(name string) (*scaleoutFE, error) {
-		fe := &scaleoutFE{
-			grey: policy.NewGreylist(policy.GreyConfig{MinRetry: 5 * time.Second, MaxValid: time.Hour}),
-			rep:  policy.NewReputation(policy.ReputationConfig{}),
-			dnsbl: dnsbl.New(zone, dnsbl.WithClock(clock),
-				dnsbl.WithTransport(&dns.MemTransport{Handler: &dnsbl.V6Handler{List: list}})),
-		}
+		grey := policy.NewGreylist(policy.GreyConfig{MinRetry: 5 * time.Second, MaxValid: time.Hour})
+		rep := policy.NewReputation(policy.ReputationConfig{})
+		fe := &scaleoutFE{dnsbl: dnsbl.New(zone, dnsbl.WithClock(clock),
+			dnsbl.WithTransport(&dns.MemTransport{Handler: &dnsbl.V6Handler{List: list}}))}
+		fe.pol = policy.NewServerPolicy(
+			policy.New(policy.WithReputationStore(rep), policy.WithGreylistStore(grey), policy.WithDNSBLReject(1)),
+			policy.NewScorer(policy.WithLists(policy.List{Name: zone, Resolver: fe.dnsbl, Weight: 1}), policy.WithThreshold(1)),
+			policy.WithClock(clock))
 		var err error
 		fe.node, err = cluster.StartDirector(cluster.DirectorSpec{Options: []director.Option{
 			director.WithHostname(name + ".test"),
-			director.WithBackend("shard-a", shardA.addr),
-			director.WithBackend("shard-b", shardB.addr),
+			director.WithPolicy(fe.pol),
+			director.WithBackend("shard-a", shards[0].Addr),
+			director.WithBackend("shard-b", shards[1].Addr),
 			director.WithForwardTimeout(2 * time.Second),
 			director.WithCooldown(50 * time.Millisecond),
 		}})
@@ -165,8 +145,8 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 		}
 		fe.gossip = director.NewGossip(
 			director.WithGossipName(name),
-			director.WithReputationSync(fe.rep),
-			director.WithGreylistSync(fe.grey),
+			director.WithReputationSync(rep),
+			director.WithGreylistSync(grey),
 			director.WithDNSBLSync(fe.dnsbl),
 			director.WithGossipClock(clock),
 		)
@@ -197,75 +177,51 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 	for i := 0; i < conns; i++ {
 		vmu.Lock()
 		vnow = epoch.Add(time.Duration(i) * time.Second)
-		at := vnow
 		vmu.Unlock()
 
 		if i == killAt {
-			shardB.kill()
+			shards[1].Kill()
 		}
 		if gossipOn && i%exchangeEvery == exchangeEvery-1 {
 			fe1.gossip.Exchange(fe2.addrGossip) //nolint:errcheck // next round retries
 			fe2.gossip.Exchange(fe1.addrGossip) //nolint:errcheck
 		}
 
-		fe := fes[i%2]
+		// The front end refuses a listed or condemned source at connect
+		// and greylists a first-contact tuple at RCPT; a trusted mail is
+		// replayed to the owning shard, and anything but a 250 there is
+		// the expected shard-death tempfail (451 at end-of-data).
 		h := rng.Intn(hosts)
-		ip := ips[h]
-		sender := fmt.Sprintf("user%d@relay%d.example.net", h, h%7)
-		rcpt := fmt.Sprintf("rcpt%d@example.org", h%23)
-
-		// Pre-trust phase on the chosen front end, evaluated against the
-		// trace's source address (every socket here shares loopback, so
-		// the experiment feeds the stores directly — the same calls
-		// ServerPolicy makes per connection).
-		run.lookups++
-		r, err := fe.dnsbl.Lookup(context.Background(), ip)
-		if err != nil {
-			return nil, err
-		}
-		if r.CacheHit {
-			run.cacheHits++
-		}
-		if r.Listed {
-			run.refusedDNS++
-			fe.rep.RecordDNSBLHit(at, ip)
-			continue
-		}
-		if d := fe.rep.Check(at, ip); d.Verdict != policy.Allow {
-			run.refusedRep++
-			continue
-		}
-		if d := fe.grey.Check(at, ip, sender, rcpt); d.Verdict != policy.Allow {
-			run.greylisted++
-			continue
-		}
-
-		// Trusted dialog: real socket to the front end, replayed to the
-		// owning shard. Anything but a 250 is the expected shard-death
-		// tempfail (451 at end-of-data).
-		sent := workload.RunClosed(workload.ClosedConfig{Addr: fe.node.Addr, Timeout: 2 * time.Second}, []trace.Conn{{
+		sent := workload.RunClosed(workload.ClosedConfig{
+			Addr:           fes[i%2].node.Addr,
+			Timeout:        2 * time.Second,
+			SourceLoopback: true,
+		}, []trace.Conn{{
+			ClientIP:  ips[h],
 			Helo:      "client.test",
-			Sender:    sender,
-			Rcpts:     []trace.Rcpt{{Addr: rcpt, Valid: true}},
+			Sender:    fmt.Sprintf("user%d@relay%d.example.net", h, h%7),
+			Rcpts:     []trace.Rcpt{{Addr: fmt.Sprintf("user%04d@%s", h%23, cluster.DefaultDomain), Valid: true}},
 			SizeBytes: 64,
 		}})
-		if sent.GoodMails == 1 {
-			run.acked++
-		} else {
-			run.tempfailed++
-		}
+		run.acked += int(sent.GoodMails)
 	}
 
-	run.delivered = int(shardA.mails.Load() + shardB.mails.Load())
-	run.upstream = int(fe1.dnsbl.Queries() + fe2.dnsbl.Queries())
-	run.peerHits = int(fe1.dnsbl.PeerHits() + fe2.dnsbl.PeerHits())
-	st1, st2 := fe1.node.Server.Stats(), fe2.node.Server.Stats()
-	run.retries = st1.ForwardRetries + st2.ForwardRetries
-	p99 := fe1.node.Server.HandoffQuantile(0.99)
-	if q := fe2.node.Server.HandoffQuantile(0.99); q > p99 {
-		p99 = q
+	for _, fe := range fes {
+		ps, ss, ds := fe.pol.Stats(), fe.pol.ScorerStats(), fe.node.Server.Stats()
+		run.refused += int(ps.ConnRejected + ps.ConnTempfailed)
+		run.listed += int(ss.Hits)
+		run.greylisted += int(ps.RcptGreylisted)
+		run.tempfailed += int(ds.MailsFailed)
+		run.retries += ds.ForwardRetries
+		run.upstream += int(fe.dnsbl.Queries())
+		run.lookups += int(fe.dnsbl.Lookups())
+		run.cacheHits += int(fe.dnsbl.CacheHits())
+		run.peerHits += int(fe.dnsbl.PeerHits())
+		run.handoffP99 = max(run.handoffP99, 1e3*fe.node.Server.HandoffQuantile(0.99)) // ms
 	}
-	run.handoffP99 = p99 * 1e3 // ms
+	for _, sh := range shards {
+		run.delivered += int(sh.Queue.Stats().Delivered)
+	}
 	return run, nil
 }
 
@@ -284,12 +240,12 @@ func runDirectorScaleout(w io.Writer, opts Options) (Metrics, error) {
 		fmt.Fprintf(w, "%-28s %12v %12v\n", name, a, b)
 	}
 	row("connections", solo.conns, goss.conns)
-	row("refused (DNSBL verdict)", solo.refusedDNS, goss.refusedDNS)
-	row("refused (reputation)", solo.refusedRep, goss.refusedRep)
-	row("greylisted", solo.greylisted, goss.greylisted)
+	row("refused at connect", solo.refused, goss.refused)
+	row("DNSBL-listed at connect", solo.listed, goss.listed)
+	row("greylisted RCPTs", solo.greylisted, goss.greylisted)
 	row("acked 250", solo.acked, goss.acked)
 	row("tempfailed post-trust", solo.tempfailed, goss.tempfailed)
-	row("delivered to shards", solo.delivered, goss.delivered)
+	row("committed by shards", solo.delivered, goss.delivered)
 	row("upstream DNSBL queries", solo.upstream, goss.upstream)
 	row("DNSBL cache peer hits", solo.peerHits, goss.peerHits)
 	row("forward retries", solo.retries, goss.retries)
@@ -314,5 +270,7 @@ func runDirectorScaleout(w io.Writer, opts Options) (Metrics, error) {
 		"handoff_p99_ms":     goss.handoffP99,
 		"greylisted_solo":    float64(solo.greylisted),
 		"greylisted_gossip":  float64(goss.greylisted),
+		"refused_solo":       float64(solo.refused),
+		"refused_gossip":     float64(goss.refused),
 	}, nil
 }

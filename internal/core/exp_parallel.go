@@ -4,14 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/access"
+	"repro/internal/cluster"
 	"repro/internal/costmodel"
-	"repro/internal/delivery"
 	"repro/internal/fsim"
-	"repro/internal/mailstore"
 	"repro/internal/metrics"
-	"repro/internal/mfs"
-	"repro/internal/queue"
 )
 
 func init() {
@@ -23,34 +19,22 @@ func init() {
 	})
 }
 
-// parallelDeliveryRun drives one full delivery pipeline — `workers`
-// concurrent senders (the front end's workers) enqueueing into a queue
-// manager, whose inline attempts go through the local agent into an MFS
-// store with synced group commits — over the metered in-memory Ext3 and
-// returns the throughput in mails per metered disk-second plus the mean
-// commit batch size. The machine model is the paper's: the disk is the
-// bottleneck, so the win from concurrency is not CPU parallelism but
-// commit coalescing — N blocked deliverers share one append and one fsync
-// per flush.
+// parallelDeliveryRun drives one shard — `workers` concurrent senders
+// (the front end's workers) enqueueing into its queue, which delivers each
+// mail through the local agent into the synced MFS store before it
+// returns — over the metered in-memory Ext3 and returns the throughput in
+// mails per metered disk-second plus the mean commit batch size. The
+// machine model is the paper's: the disk is the bottleneck, so the win
+// from concurrency is not CPU parallelism but commit coalescing — N
+// blocked deliverers share one append and one fsync per flush.
 func parallelDeliveryRun(workers, nMails, users, rcpts int) (thr, batch float64, err error) {
 	fs := fsim.NewMem(costmodel.Ext3)
-	store, err := mailstore.NewMFS(fs, "mfs", mfs.WithSync(true))
+	sh, err := cluster.StartShard(cluster.ShardSpec{FS: fs, Mailboxes: users})
 	if err != nil {
 		return 0, 0, err
 	}
-	defer store.Close()
-	db := access.NewDB("test")
-	if err := access.Populate(db, "test", users); err != nil {
-		return 0, 0, err
-	}
-	qm, err := queue.NewManager(queue.Config{
-		Deliverer:   delivery.NewAgent(db, store),
-		ActiveLimit: workers,
-		IntakeLimit: nMails, // hold the full run; backpressure is not under test
-	})
-	if err != nil {
-		return 0, 0, err
-	}
+	defer sh.Kill()
+	fs.ResetMeter() // the store's and spool's set-up is not delivery
 	body := make([]byte, 4096)
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -58,9 +42,9 @@ func parallelDeliveryRun(workers, nMails, users, rcpts int) (thr, batch float64,
 			for i := w; i < nMails; i += workers {
 				to := make([]string, rcpts)
 				for j := range to {
-					to[j] = fmt.Sprintf("user%04d@test", (i*rcpts+j)%users)
+					to[j] = fmt.Sprintf("user%04d@%s", (i*rcpts+j)%users, cluster.DefaultDomain)
 				}
-				if _, err := qm.Enqueue("peer@remote.example", to, body); err != nil {
+				if _, err := sh.Queue.Enqueue("peer@remote.example", to, body); err != nil {
 					errs <- err
 					return
 				}
@@ -74,21 +58,21 @@ func parallelDeliveryRun(workers, nMails, users, rcpts int) (thr, batch float64,
 		}
 	}
 	if err != nil {
-		qm.Close()
 		return 0, 0, err
 	}
-	if !qm.WaitIdle(60e9) {
-		qm.Close()
-		return 0, 0, fmt.Errorf("parallel-delivery: queue did not drain")
+	// Each Enqueue returned with its mail committed; closing the store
+	// is not delivery either.
+	if st := sh.Queue.Stats(); st.Delivered != int64(nMails) {
+		return 0, 0, fmt.Errorf("parallel-delivery: %d of %d mails delivered", st.Delivered, nMails)
 	}
-	if err := qm.Close(); err != nil {
-		return 0, 0, err
-	}
-	cs := store.Store().CommitStats()
+	cs := sh.Store.Store().CommitStats()
 	if cs.Batches > 0 {
 		batch = float64(cs.Mails) / float64(cs.Batches)
 	}
 	elapsed := fs.Elapsed().Seconds()
+	if err := sh.Close(); err != nil {
+		return 0, 0, err
+	}
 	if elapsed == 0 {
 		return 0, 0, fmt.Errorf("parallel-delivery: no disk time metered")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/smtpserver"
 	"repro/internal/trace"
@@ -18,13 +19,18 @@ func init() {
 	})
 }
 
-// stageRun replays a bounce-heavy trace against one architecture and
-// returns the server so the caller can read its stage histograms back
-// out of the registry.
+// stageRun replays a bounce-heavy trace against a shard of one
+// architecture and returns its front end so the caller can read the
+// stage histograms back out of the registry.
 func stageRun(arch smtpserver.Architecture, conns []trace.Conn) (*smtpserver.Server, error) {
 	// Few workers against many client slots, so connections queue for
 	// an smtpd worker and the handoff_wait stage has something to show.
-	return replaySink(conns, false, smtpserver.WithArchitecture(arch), smtpserver.WithMaxWorkers(4))
+	sh, err := replayShard(cluster.ShardSpec{Options: []smtpserver.Option{
+		smtpserver.WithArchitecture(arch), smtpserver.WithMaxWorkers(4)}}, conns, false)
+	if err != nil {
+		return nil, err
+	}
+	return sh.Server, nil
 }
 
 // stageQuantiles reads one architecture's stage histogram back from the
@@ -39,7 +45,7 @@ func runStageLatency(w io.Writer, opts Options) (Metrics, error) {
 	// diverge: vanilla queues every bounce for a worker, hybrid kills
 	// them in the front end.
 	n := opts.scale(3000, 400)
-	conns := trace.BounceSweep(opts.seed()+7, n, 0.5, "dept.example.edu", 400)
+	conns := trace.BounceSweep(opts.seed()+7, n, 0.5, cluster.DefaultDomain, cluster.DefaultMailboxes)
 
 	servers := map[smtpserver.Architecture]*smtpserver.Server{}
 	for _, arch := range []smtpserver.Architecture{smtpserver.Vanilla, smtpserver.Hybrid} {

@@ -5,7 +5,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"sort"
+	"syscall"
 	"time"
 
 	"repro/internal/admin"
@@ -13,9 +15,7 @@ import (
 	"repro/internal/director"
 	"repro/internal/fsim"
 	"repro/internal/metrics"
-	"repro/internal/queue"
 	"repro/internal/smtpserver"
-	"repro/internal/spool"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -182,62 +182,57 @@ func runTracePropagation(w io.Writer, opts Options) (Metrics, error) {
 	}
 
 	// Leg 2: a traced mail crashes in the spool and must resume its
-	// trace after recovery. The first manager's deliverer always fails:
-	// its inline attempt spools the mail and the retries park it in the
-	// deferred lane; the second manager recovers the spool and delivers,
-	// and the trace id on the recovered item must be the one minted
-	// before the "crash".
+	// trace after recovery. The node's store refuses the mail — an EIO on
+	// its log fsync stops it, as a failing disk does — so the queue spools
+	// it before the 250. Then the power fails, and the node restarted on
+	// the same disk recovers the spool and delivers the mail: the trace id
+	// on that delivery must be the one minted before the crash.
 	crashFS := fsim.NewFault()
 	crashRec := trace.NewMessageRecorder("crash-node", 256, 1)
-	qm1, err := queue.NewManager(queue.Config{
-		Deliverer:     queue.DelivererFunc(func(*queue.Item) error { return fmt.Errorf("shard down") }),
-		Store:         spool.New(crashFS, "queue"),
-		Tracer:        crashRec,
-		MaxAttempts:   1 << 20, // never bounce; the mail must still be spooled at the crash
-		RetryDelay:    20 * time.Millisecond,
-		MaxRetryDelay: 20 * time.Millisecond,
-	})
+	crashSpec := cluster.ShardSpec{FS: crashFS, Domain: domain, Mailboxes: users, Tracer: crashRec}
+	crashed, err := cluster.StartShard(crashSpec)
 	if err != nil {
 		return nil, err
 	}
-	minted := crashRec.Mint()
-	preCrash := crashRec.NewSpan(minted)
-	if _, err := qm1.EnqueueTraced("s@a.test", []string{"u@b.test"}, []byte("Subject: traced\r\n\r\npayload\r\n"), preCrash); err != nil {
-		return nil, err
-	}
-	waitFor(func() bool { return qm1.Stats().Deferred > 0 }, 5*time.Second)
-	qm1.Close() //nolint:errcheck // the simulated crash
-
-	recoveredTrace := make(chan trace.Context, 1)
-	qm2, err := queue.NewManager(queue.Config{
-		Deliverer: queue.DelivererFunc(func(it *queue.Item) error {
-			select {
-			case recoveredTrace <- it.Trace:
-			default:
-			}
-			return nil
-		}),
-		Store:  spool.New(crashFS, "queue"),
-		Tracer: crashRec,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer qm2.Close() //nolint:errcheck
-	qm2.WaitIdle(5 * time.Second)
-	// Leg 1's mails were delivered by the shards before their 250s and
-	// never waited in a queue; this mail's queue spans are its waits for
-	// the workers of both managers.
-	for _, sp := range crashRec.Trace(minted.Hi, minted.Lo) {
-		stages[sp.Stage]++
-	}
-	traceSurvived := 0.0
-	select {
-	case got := <-recoveredTrace:
-		if got.Hi == minted.Hi && got.Lo == minted.Lo {
-			traceSurvived = 1
+	crashFS.SetHook(func(op, path string, _ int) error {
+		if op == "Sync" && path == cluster.MFSDir+"/mfs.wal" {
+			return &os.PathError{Op: "fsync", Path: path, Err: syscall.EIO}
 		}
-	default:
+		return nil
+	})
+	if err := inject(crashed.Addr, 1, conns[:1]); err != nil {
+		crashed.Kill()
+		return nil, err
+	}
+	crashFS.Crash()
+	crashed.Kill()
+	crashFS.Recover()
+	crashFS.SetHook(nil)
+	ids1 := crashRec.TraceIDs(1)
+	if len(ids1) != 1 {
+		return nil, fmt.Errorf("trace-propagation: the crashed node recorded %d traces, want 1", len(ids1))
+	}
+	hi, lo, _ := trace.ParseTraceID(ids1[0])
+
+	restartRec := trace.NewMessageRecorder("crash-node", 256, 1)
+	crashSpec.Tracer = restartRec
+	restarted, err := cluster.StartShard(crashSpec)
+	if err != nil {
+		return nil, err
+	}
+	defer restarted.Kill()
+	restarted.Queue.WaitIdle(5 * time.Second)
+	// Leg 1's mails were delivered by the shards before their 250s and
+	// never waited in a queue; this mail's queue span is its wait for the
+	// restarted node's workers.
+	traceSurvived := 0.0
+	for _, rec := range []*trace.MessageRecorder{crashRec, restartRec} {
+		for _, sp := range rec.Trace(hi, lo) {
+			stages[sp.Stage]++
+			if rec == restartRec && sp.Stage == trace.MStageStore {
+				traceSurvived = 1
+			}
+		}
 	}
 
 	// Report: the cluster stage-latency table mailtop -cluster renders,

@@ -6,6 +6,7 @@ import (
 	"net"
 
 	"repro/internal/addr"
+	"repro/internal/cluster"
 	"repro/internal/dns"
 	"repro/internal/dnsbl"
 	"repro/internal/eventlog"
@@ -29,8 +30,8 @@ func init() {
 // weatherZone is the experiment's DNSBL zone name.
 const weatherZone = "bl6.weather.exp"
 
-// weatherRun boots one real server over loopback TCP — policy engine and
-// live DNSBLv6 UDP server included — with a telemetry tracker observing
+// weatherRun boots one shard over loopback TCP — policy engine and live
+// DNSBLv6 UDP server included — with a telemetry tracker observing
 // its event log, replays the trace, and returns the tracker's snapshot.
 //
 // The event log runs with the ring switched off (LevelOff): the
@@ -86,13 +87,15 @@ func weatherRun(arch smtpserver.Architecture, conns []trace.Conn, listed map[add
 	pol := policy.NewServerPolicy(eng, scorer,
 		policy.WithRegistry(reg), policy.WithEventLog(events))
 
-	if _, err := replaySink(conns, true,
-		smtpserver.WithArchitecture(arch),
-		smtpserver.WithMaxWorkers(8),
-		smtpserver.WithPolicy(pol),
-		smtpserver.WithRegistry(reg),
-		smtpserver.WithEventLog(events),
-	); err != nil {
+	if _, err := replayShard(cluster.ShardSpec{
+		Options: []smtpserver.Option{
+			smtpserver.WithArchitecture(arch),
+			smtpserver.WithMaxWorkers(8),
+			smtpserver.WithPolicy(pol),
+		},
+		Registry: reg,
+		Events:   events,
+	}, conns, true); err != nil {
 		return none, err
 	}
 	return tracker.Snapshot(), nil
@@ -102,7 +105,7 @@ func runSpamWeather(w io.Writer, opts Options) (Metrics, error) {
 	// The policy-sweep mix at 50% spam: repeat-offender sources packed
 	// into /25 blocks (high DNSBL locality) against one-off ham sources.
 	n := opts.scale(3000, 400)
-	conns, listed := trace.PolicySweep(opts.seed()+11, n, 0.5, "dept.example.edu", 400)
+	conns, listed := trace.PolicySweep(opts.seed()+11, n, 0.5, cluster.DefaultDomain, cluster.DefaultMailboxes)
 
 	t := metrics.NewTable("arch", "conns", "bounce", "ewma", "handoff savings",
 		"dnsbl lookups", "/25 locality", "cache savings est")

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/costmodel"
 	"repro/internal/dns"
 	"repro/internal/dnsbl"
 	"repro/internal/policy"
@@ -309,7 +310,7 @@ func TestGossipExchangeReadIsBounded(t *testing.T) {
 func FuzzGossipExchange(f *testing.F) {
 	now := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	const ttl = time.Hour
+	const ttl = costmodel.DNSBLCacheTTL
 	ip := addr.MustParseIPv4("203.0.113.50")
 	list := listing(ip.String())
 	src := memDNSBL(clock, list)
@@ -328,7 +329,7 @@ func FuzzGossipExchange(f *testing.F) {
 	f.Add([]byte(`{"since":`))
 
 	f.Fuzz(func(t *testing.T, req []byte) {
-		client := memDNSBL(clock, list, dnsbl.WithTTL(ttl))
+		client := memDNSBL(clock, list)
 		g := NewGossip(
 			WithReputationSync(policy.NewReputation(policy.ReputationConfig{})),
 			WithGreylistSync(policy.NewGreylist(policy.GreyConfig{})),

@@ -78,7 +78,6 @@ type Client struct {
 	policy    CachePolicy
 	cache     *dns.Cache
 	now       func() time.Time
-	ttl       time.Duration
 	timeout   time.Duration
 	staleFor  time.Duration
 	negTTL    time.Duration
@@ -148,12 +147,6 @@ func WithPolicy(p CachePolicy) Option {
 	return func(c *Client) { c.policy = p }
 }
 
-// WithTTL overrides the cache TTL (default costmodel.DNSBLCacheTTL, the
-// paper's 24 h).
-func WithTTL(ttl time.Duration) Option {
-	return func(c *Client) { c.ttl = ttl }
-}
-
 // WithClock injects the client's time source, letting simulations drive
 // cache expiry with virtual time.
 func WithClock(now func() time.Time) Option {
@@ -204,7 +197,6 @@ func New(zone string, opts ...Option) *Client {
 	c := &Client{
 		zone:     zone,
 		policy:   CachePrefix,
-		ttl:      costmodel.DNSBLCacheTTL,
 		timeout:  costmodel.DNSBLTimeout,
 		calls:    make(map[string]*call),
 		negUntil: make(map[string]time.Time),
@@ -458,7 +450,7 @@ func (c *Client) fetch(ctx context.Context, name string, qtype dns.Type) (msg *d
 		return nil, false, false, err
 	}
 	if useCache {
-		c.cache.Put(name, qtype, msg, c.ttl)
+		c.cache.Put(name, qtype, msg, costmodel.DNSBLCacheTTL)
 	}
 	return msg, false, false, nil
 }
@@ -471,7 +463,7 @@ func (c *Client) Delta(since time.Time) []dns.CacheEntry { return c.cache.Delta(
 // freshness rules) and returns how many applied. Peer input is outside
 // input: only an answer this client could have cached itself is admitted.
 func (c *Client) Merge(entries []dns.CacheEntry) int {
-	return c.cache.Merge(entries, c.ttl, c.admits)
+	return c.cache.Merge(entries, costmodel.DNSBLCacheTTL, c.admits)
 }
 
 // admits reports whether msg under (name, qtype) is what a lookup of this

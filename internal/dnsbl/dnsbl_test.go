@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/costmodel"
 	"repro/internal/dns"
 )
 
@@ -283,9 +284,9 @@ func TestClientTTLExpiry(t *testing.T) {
 	clock := func() time.Time { return now }
 	var h dns.Handler = &V4Handler{List: l}
 	tr := &dns.MemTransport{Handler: h}
-	c := New("bl.test", WithTransport(tr), WithPolicy(CacheIP), WithTTL(time.Hour), WithClock(clock))
+	c := New("bl.test", WithTransport(tr), WithPolicy(CacheIP), WithClock(clock))
 	c.Lookup(ctx, ip)
-	now = now.Add(2 * time.Hour)
+	now = now.Add(costmodel.DNSBLCacheTTL + time.Hour)
 	r, _ := c.Lookup(ctx, ip)
 	if r.CacheHit {
 		t.Fatal("expired entry served")

@@ -5,14 +5,15 @@ import (
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/costmodel"
 	"repro/internal/dns"
 )
 
 // TestMergeAdmitsOnlyWhatAClientCouldCache: peer input is outside input.
 // Every row offers one entry to a prefix-caching client of bl6.test with a
-// one-hour TTL and says whether it applies and until when it then lives.
+// the default TTL and says whether it applies and until when it then lives.
 func TestMergeAdmitsOnlyWhatAClientCouldCache(t *testing.T) {
-	const zone, ttl = "bl6.test", time.Hour
+	const zone, ttl = "bl6.test", costmodel.DNSBLCacheTTL
 	now := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
 	listed := addr.MustParseIPv4("203.0.113.50")
@@ -24,7 +25,7 @@ func TestMergeAdmitsOnlyWhatAClientCouldCache(t *testing.T) {
 			h = &V4Handler{List: list}
 		}
 		return New(zone, WithTransport(&dns.MemTransport{Handler: h}),
-			WithPolicy(policy), WithClock(clock), WithTTL(ttl))
+			WithPolicy(policy), WithClock(clock))
 	}
 	// answer is what a peer caches for ip: one lookup, one entry.
 	answer := func(c *Client, ip addr.IPv4) dns.CacheEntry {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/addr"
+	"repro/internal/costmodel"
 	"repro/internal/dns"
 )
 
@@ -116,7 +117,6 @@ func TestServeStaleOnUpstreamFailure(t *testing.T) {
 	now := time.Unix(1000, 0)
 	c := New("bl6.test",
 		WithTransport(ft),
-		WithTTL(time.Minute),
 		WithStale(time.Hour),
 		WithClock(func() time.Time { return now }))
 
@@ -128,7 +128,7 @@ func TestServeStaleOnUpstreamFailure(t *testing.T) {
 
 	// TTL expires and the upstream dies: the lookup must still answer,
 	// from the expired entry, marked stale.
-	now = now.Add(2 * time.Minute)
+	now = now.Add(costmodel.DNSBLCacheTTL + time.Minute)
 	ft.setFail(true)
 	r, err = c.Lookup(ctx, ip)
 	if err != nil {
@@ -235,7 +235,6 @@ func TestNegativeCacheServesStale(t *testing.T) {
 	now := time.Unix(0, 0)
 	c := New("bl6.test",
 		WithTransport(ft),
-		WithTTL(time.Minute),
 		WithStale(time.Hour),
 		WithNegativeTTL(30*time.Second),
 		WithClock(func() time.Time { return now }))
@@ -243,7 +242,7 @@ func TestNegativeCacheServesStale(t *testing.T) {
 	if _, err := c.Lookup(ctx, ip); err != nil {
 		t.Fatal(err)
 	}
-	now = now.Add(2 * time.Minute) // expire the entry
+	now = now.Add(costmodel.DNSBLCacheTTL + time.Minute) // expire the entry
 	ft.setFail(true)
 	if _, err := c.Lookup(ctx, ip); err != nil { // fails upstream, serves stale, notes failure
 		t.Fatal(err)

@@ -402,12 +402,6 @@ func WithObserver(s Sink) Option {
 	}
 }
 
-// WithEpoch pins the log's epoch, aligning event time offsets with a
-// span recorder's clock. Default is time.Now at construction.
-func WithEpoch(t time.Time) Option {
-	return func(lg *Log) { lg.epoch = t }
-}
-
 // New returns a Log with the given options.
 func New(opts ...Option) *Log {
 	lg := &Log{epoch: time.Now(), samplers: make(map[string]*sampler)}

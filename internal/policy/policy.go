@@ -148,10 +148,10 @@ func WithDNSBLReject(threshold float64) Option {
 }
 
 // WithEpoch sets the absolute instant the engine's duration offsets are
-// measured from (default Unix epoch). Wall-clock callers set this so
-// store timestamps are real times, comparable across gossiping nodes;
-// simulator callers keep the default so virtual time stays
-// deterministic.
+// measured from (default Unix epoch). ServerPolicy measures its offsets
+// from the same instant, so its store timestamps are instants on its
+// clock whatever the epoch; simulator callers keep the default so
+// virtual time stays deterministic.
 func WithEpoch(epoch time.Time) Option {
 	return func(e *Engine) { e.epoch = epoch }
 }

@@ -425,12 +425,12 @@ func TestScorerNoLists(t *testing.T) {
 
 func TestServerPolicyClock(t *testing.T) {
 	eng := New(WithGreylist(GreyConfig{MinRetry: 10 * time.Second}))
-	var now time.Duration
-	p := NewServerPolicy(eng, nil).withNow(func() time.Duration { return now })
+	now := eng.Epoch()
+	p := NewServerPolicy(eng, nil, WithClock(func() time.Time { return now }))
 	if d := p.Rcpt(bg, "198.51.100.7", "s@x.test", "u@y.test"); d.Verdict != Tempfail {
 		t.Fatalf("first contact: %+v", d)
 	}
-	now = 15 * time.Second
+	now = now.Add(15 * time.Second)
 	if d := p.Rcpt(bg, "198.51.100.7", "s@x.test", "u@y.test"); d.Verdict != Allow {
 		t.Fatalf("retry: %+v", d)
 	}
@@ -493,9 +493,10 @@ func TestAdmitAndScanLatencyAreHistograms(t *testing.T) {
 func TestConnectCacheHitAllocates(t *testing.T) {
 	list := dnsbl.NewList("bl6.test")
 	list.Add(ip1, dnsbl.CodeSpamSrc)
+	// The evidence is stamped on the policy's own clock, the wall clock.
 	condemned := NewReputation(ReputationConfig{})
 	for i := 0; i < 10; i++ {
-		condemned.RecordBounce(time.Unix(0, 0), ip4)
+		condemned.RecordBounce(time.Now(), ip4)
 	}
 	cases := []struct {
 		name, ip string

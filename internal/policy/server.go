@@ -11,15 +11,13 @@ import (
 
 // ServerPolicy adapts the clock-agnostic Engine (plus an optional
 // concurrent Scorer) to the real servers: string client addresses and
-// the wall clock. internal/smtpserver consults it at accept time and on
+// absolute wall time. internal/smtpserver consults it at accept time and on
 // each MAIL/RCPT; internal/simmail drives the Engine directly on
 // virtual time instead.
 type ServerPolicy struct {
 	eng    *Engine
 	scorer *Scorer
-	epoch  time.Time
 	clock  func() time.Time
-	nowFn  func() time.Duration
 
 	reg          *metrics.Registry
 	events       *eventlog.Log
@@ -50,11 +48,11 @@ func WithEventLog(log *eventlog.Log) ServerPolicyOption {
 	return func(p *ServerPolicy) { p.events = log }
 }
 
-// WithClock drives the policy off an injected absolute clock instead of
-// the process start time: offsets handed to the Engine become
-// now().Sub(eng.Epoch()), so store timestamps are real instants on the
-// injected clock — deterministic in tests, and comparable across nodes
-// whose engines share an epoch (the gossip layer requires this).
+// WithClock replaces the wall clock (time.Now) the policy reads. Offsets
+// handed to the Engine are always now().Sub(eng.Epoch()), so store
+// timestamps are absolute instants on that clock — comparable across
+// nodes whose engines share an epoch, which gossip requires, and
+// deterministic under an injected clock.
 func WithClock(now func() time.Time) ServerPolicyOption {
 	return func(p *ServerPolicy) { p.clock = now }
 }
@@ -62,11 +60,7 @@ func WithClock(now func() time.Time) ServerPolicyOption {
 // NewServerPolicy wraps eng for wall-clock use; scorer may be nil when
 // no DNSBLs are consulted.
 func NewServerPolicy(eng *Engine, scorer *Scorer, opts ...ServerPolicyOption) *ServerPolicy {
-	p := &ServerPolicy{
-		eng:    eng,
-		scorer: scorer,
-		epoch:  time.Now(),
-	}
+	p := &ServerPolicy{eng: eng, scorer: scorer, clock: time.Now}
 	for _, o := range opts {
 		o(p)
 	}
@@ -76,22 +70,14 @@ func NewServerPolicy(eng *Engine, scorer *Scorer, opts ...ServerPolicyOption) *S
 	p.admitLatency = p.reg.Histogram("policy_admit_seconds", admitBounds())
 	p.scanCheck = p.reg.Histogram("policy_check_seconds", metrics.LatencyBounds(), "check", "dnsbl_scan")
 	p.admitCheck = p.reg.Histogram("policy_check_seconds", metrics.LatencyBounds(), "check", "admit")
-	if p.clock != nil {
-		p.nowFn = func() time.Duration { return p.clock().Sub(eng.Epoch()) }
-	} else {
-		p.nowFn = func() time.Duration { return time.Since(p.epoch) }
-	}
 	return p
 }
+
+// now is the Engine's offset for the current instant.
+func (p *ServerPolicy) now() time.Duration { return p.clock().Sub(p.eng.Epoch()) }
 
 // Registry returns the registry holding the policy's metrics.
 func (p *ServerPolicy) Registry() *metrics.Registry { return p.reg }
-
-// withNow overrides the clock, for tests.
-func (p *ServerPolicy) withNow(now func() time.Duration) *ServerPolicy {
-	p.nowFn = now
-	return p
-}
 
 // parse returns the client IP, failing open (allow, zero IP) on
 // non-IPv4 peers so an exotic address never blocks mail.
@@ -116,7 +102,7 @@ func (p *ServerPolicy) Connect(ctx context.Context, ipStr string) Decision {
 		p.scanCheck.ObserveDuration(time.Since(start))
 	}
 	admitStart := time.Now()
-	d := p.eng.Admit(ctx, p.nowFn(), ip, score)
+	d := p.eng.Admit(ctx, p.now(), ip, score)
 	end := time.Now()
 	p.admitCheck.ObserveDuration(end.Sub(admitStart))
 	p.admitLatency.ObserveDuration(end.Sub(start))
@@ -137,7 +123,7 @@ func (p *ServerPolicy) Mail(ctx context.Context, ipStr, sender string) Decision 
 	if !ok {
 		return allowed
 	}
-	return p.eng.Mail(ctx, p.nowFn(), ip, sender)
+	return p.eng.Mail(ctx, p.now(), ip, sender)
 }
 
 // Rcpt evaluates one otherwise-valid RCPT TO.
@@ -146,14 +132,14 @@ func (p *ServerPolicy) Rcpt(ctx context.Context, ipStr, sender, rcpt string) Dec
 	if !ok {
 		return allowed
 	}
-	return p.eng.Rcpt(ctx, p.nowFn(), ip, sender, rcpt)
+	return p.eng.Rcpt(ctx, p.now(), ip, sender, rcpt)
 }
 
 // RecordRejectedRcpt feeds one 550-rejected recipient into the
 // reputation store.
 func (p *ServerPolicy) RecordRejectedRcpt(ipStr string) {
 	if ip, ok := parse(ipStr); ok {
-		p.eng.RecordRejectedRcpt(p.nowFn(), ip)
+		p.eng.RecordRejectedRcpt(p.now(), ip)
 	}
 }
 
@@ -161,7 +147,7 @@ func (p *ServerPolicy) RecordRejectedRcpt(ipStr string) {
 // reputation store.
 func (p *ServerPolicy) RecordBounce(ipStr string) {
 	if ip, ok := parse(ipStr); ok {
-		p.eng.RecordBounce(p.nowFn(), ip)
+		p.eng.RecordBounce(p.now(), ip)
 	}
 }
 

@@ -146,8 +146,7 @@ func TestBlackholedDNSBLStillRefusesCondemnedSource(t *testing.T) {
 		})
 		pol := policy.NewServerPolicy(
 			policy.New(policy.WithReputationStore(rep), policy.WithDNSBLReject(1), policy.WithEpoch(epoch)),
-			policy.NewScorer(policy.WithLists(policy.List{Name: "bl.test", Resolver: blackhole})),
-			policy.WithClock(time.Now))
+			policy.NewScorer(policy.WithLists(policy.List{Name: "bl.test", Resolver: blackhole})))
 		env := startServer(t, arch, WithPolicy(pol), WithIdleTimeout(3*time.Second))
 
 		nc, err := net.Dial("tcp", env.addr)
