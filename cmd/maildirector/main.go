@@ -32,6 +32,7 @@ import (
 	"repro/internal/director"
 	"repro/internal/eventlog"
 	"repro/internal/metrics"
+	"repro/internal/smtpserver"
 )
 
 func main() {
@@ -71,13 +72,13 @@ func main() {
 	// shared timeline.
 	pol, rep, grey := n.Policy(client)
 
-	dOpts := []director.Option{
-		director.WithHostname(*hostname),
-		director.WithRegistry(n.Reg),
-		director.WithEventLog(events),
-		director.WithMessageTracer(n.Tracer),
-		director.WithPolicy(pol),
-	}
+	dOpts := []director.Option{director.WithFront(
+		smtpserver.WithHostname(*hostname),
+		smtpserver.WithRegistry(n.Reg),
+		smtpserver.WithEventLog(events),
+		smtpserver.WithMessageTracer(n.Tracer),
+		smtpserver.WithPolicy(pol),
+	)}
 	for _, spec := range backends {
 		name, addr, ok := strings.Cut(spec, "=")
 		if !ok {

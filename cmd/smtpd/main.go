@@ -41,7 +41,6 @@ func main() {
 		domain      = flag.String("domain", cluster.DefaultDomain, "local domain")
 		mailboxes   = flag.Int("mailboxes", cluster.DefaultMailboxes, "number of local user mailboxes (user0000…)")
 		workers     = flag.Int("workers", cluster.Workers, "smtpd worker limit")
-		shards      = flag.Int("accept-shards", 1, "independent accept shards, each with its own listener (SO_REUSEPORT on Linux) and worker ring; 1 keeps the classic single accept loop")
 		pop3Addr    = flag.String("pop3", "", "also serve POP3 on this address (empty disables)")
 		spoolDir    = flag.String("spool-dir", cluster.DefaultSpoolDir, "spool directory (under -root) holding the active/deferred/hold lanes")
 		ckptDir     = flag.String("checkpoint-dir", "", "MFS: write online checkpoints under this directory (under -root; empty disables)")
@@ -78,7 +77,6 @@ func main() {
 	srvOpts := []smtpserver.Option{
 		smtpserver.WithArchitecture(arch),
 		smtpserver.WithMaxWorkers(*workers),
-		smtpserver.WithAcceptShards(*shards),
 		smtpserver.WithSpans(spans),
 	}
 	dnsblClient := n.DNSBL()

@@ -18,6 +18,8 @@
 package cluster
 
 import (
+	"fmt"
+	"net"
 	"sync"
 	"time"
 
@@ -257,7 +259,7 @@ func (s *Shard) teardown(drain bool) error {
 	return first
 }
 
-// frontEnd is an smtpserver.Server with its accept loops running.
+// frontEnd is an smtpserver.Server with its accept loop running.
 type frontEnd struct {
 	srv    *smtpserver.Server
 	addr   string
@@ -270,13 +272,13 @@ func listen(srv *smtpserver.Server, addr string) (*frontEnd, error) {
 	if addr == "" {
 		addr = loopback
 	}
-	lns, err := srv.Listen(addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: listen %s: %w", addr, err)
 	}
-	f := &frontEnd{srv: srv, addr: lns[0].Addr().String(), served: make(chan error, 1)}
+	f := &frontEnd{srv: srv, addr: ln.Addr().String(), served: make(chan error, 1)}
 	go func() {
-		if err := srv.ServeListeners(lns); err != nil {
+		if err := srv.Serve(ln); err != nil {
 			f.served <- err
 		}
 		close(f.served)

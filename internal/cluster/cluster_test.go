@@ -166,6 +166,18 @@ func TestTeardownIsIdempotent(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// TestStartBadAddress: an address that does not parse is refused at
+// start, by a shard and a director alike.
+func TestStartBadAddress(t *testing.T) {
+	if _, err := StartShard(ShardSpec{Addr: "127.0.0.1:notaport"}); err == nil {
+		t.Fatal("a shard started on a bad address")
+	}
+	opts := []director.Option{director.WithBackend("shard", "127.0.0.1:1")}
+	if _, err := StartDirector(DirectorSpec{Addr: "127.0.0.1:notaport", Options: opts}); err == nil {
+		t.Fatal("a director started on a bad address")
+	}
+}
+
 func TestFailedStartLeavesNothingBehind(t *testing.T) {
 	base := runtime.NumGoroutine()
 

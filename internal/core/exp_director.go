@@ -14,6 +14,7 @@ import (
 	"repro/internal/dnsbl"
 	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/smtpserver"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -133,8 +134,7 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 			policy.WithClock(clock))
 		var err error
 		fe.node, err = cluster.StartDirector(cluster.DirectorSpec{Options: []director.Option{
-			director.WithHostname(name + ".test"),
-			director.WithPolicy(fe.pol),
+			director.WithFront(smtpserver.WithHostname(name+".test"), smtpserver.WithPolicy(fe.pol)),
 			director.WithBackend("shard-a", shards[0].Addr),
 			director.WithBackend("shard-b", shards[1].Addr),
 			director.WithForwardTimeout(2 * time.Second),

@@ -80,9 +80,8 @@ func serveTraceAdmin(reg *metrics.Registry, rec *trace.MessageRecorder) (net.Lis
 func startTraceDirector(node string, backends map[string]string) (*cluster.Director, *trace.MessageRecorder, error) {
 	rec := trace.NewMessageRecorder(node, 4096, 1)
 	opts := []director.Option{
-		director.WithHostname(node + ".test"),
+		director.WithFront(smtpserver.WithHostname(node+".test"), smtpserver.WithMessageTracer(rec)),
 		director.WithForwardTimeout(2 * time.Second),
-		director.WithMessageTracer(rec),
 	}
 	for name, addr := range backends {
 		opts = append(opts, director.WithBackend(name, addr))

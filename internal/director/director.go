@@ -9,23 +9,17 @@ import (
 
 	"repro/internal/eventlog"
 	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/smtp"
 	"repro/internal/smtpserver"
 	"repro/internal/trace"
 )
 
 // settings collects the director's tunables. The client-facing dialog is
-// an smtpserver.Server, so its knobs are kept as that package's options
-// (front) rather than copied; only what the forwarding side also needs
-// is held by value.
+// an smtpserver.Server, so its knobs stay that package's options (front);
+// New reads the ones forwarding needs back from the server it built.
 type settings struct {
-	hostname       string
 	backends       []backendSpec
 	front          []smtpserver.Option
-	registry       *metrics.Registry
-	events         *eventlog.Log
-	mtrace         *trace.MessageRecorder
 	forwardTimeout time.Duration
 	cooldown       time.Duration
 }
@@ -38,15 +32,18 @@ type backendSpec struct {
 // Option configures a director Server.
 type Option func(*settings)
 
-// front passes a dialog-side option through to the SMTP front end.
-func front(o smtpserver.Option) Option {
-	return func(s *settings) { s.front = append(s.front, o) }
-}
-
-// WithHostname sets the banner hostname, also the HELO name toward the
-// shards (default "director.local").
-func WithHostname(h string) Option {
-	return func(s *settings) { s.hostname = h }
+// WithFront configures the director's SMTP front end with smtpserver
+// options: its hostname (also the HELO name toward the shards; default
+// "director.local"), policy, registry (the director_* forwarding series
+// join the front end's smtpd_*{arch="hybrid"}), event log (the
+// director.forward / director.skew / director.shard events join
+// smtpd.conn / smtpd.policy) and message tracer (each shard replay
+// records a "forward" span under the mail's "smtp" one and crosses to
+// XTRACE-capable shards as a MAIL parameter). The architecture is always
+// hybrid and the enqueue hook is always the ring fan-out, whatever opts
+// say. Repeatable.
+func WithFront(opts ...smtpserver.Option) Option {
+	return func(s *settings) { s.front = append(s.front, opts...) }
 }
 
 // WithBackend registers one delivery shard under a stable name; the
@@ -56,29 +53,9 @@ func WithBackend(name, addr string) Option {
 	return func(s *settings) { s.backends = append(s.backends, backendSpec{name: name, addr: addr}) }
 }
 
-// WithPolicy installs the pre-trust policy adapter: connect verdicts
-// (with DNSBL scan), MAIL/RCPT checks, and bounce/reject reputation
-// feedback. Nil (the default) admits everything — the director still
-// validates recipients and forwards.
-func WithPolicy(p *policy.ServerPolicy) Option { return front(smtpserver.WithPolicy(p)) }
-
 // WithValidateRcpt installs the recipient-existence check (the access
 // database). nil accepts every recipient.
-func WithValidateRcpt(f func(string) bool) Option { return front(smtpserver.WithValidateRcpt(f)) }
-
-// WithRegistry directs the director's metrics — the director_* forwarding
-// series and the front end's smtpd_*{arch="hybrid"} — into r (default
-// private).
-func WithRegistry(r *metrics.Registry) Option {
-	return func(s *settings) { s.registry = r }
-}
-
-// WithEventLog emits the front end's smtpd.conn / smtpd.policy events
-// and the director.forward / director.skew / director.shard events into
-// log (default off).
-func WithEventLog(log *eventlog.Log) Option {
-	return func(s *settings) { s.events = log }
-}
+func WithValidateRcpt(f func(string) bool) Option { return WithFront(smtpserver.WithValidateRcpt(f)) }
 
 // WithForwardTimeout bounds the back-end dial and each replay command
 // (default 10s).
@@ -90,18 +67,6 @@ func WithForwardTimeout(d time.Duration) Option {
 // before being probed again (default 2s).
 func WithCooldown(d time.Duration) Option {
 	return func(s *settings) { s.cooldown = d }
-}
-
-// WithMessageTracer enables message-lifecycle tracing at the director:
-// the edge of the tier mints each sampled mail's trace id (or adopts the
-// one a director upstream sent), the front end records its "pretrust"
-// and "smtp" spans, each shard replay records a "forward" span under the
-// "smtp" one, and the context crosses to XTRACE-capable shards as a MAIL
-// parameter so their spans stitch into the same trace. Nil disables
-// (the default); sampled-out connections carry the zero context and
-// cost no allocations.
-func WithMessageTracer(rec *trace.MessageRecorder) Option {
-	return func(s *settings) { s.mtrace = rec }
 }
 
 // Stats is a snapshot of a director's forwarding counters. The dialog's
@@ -140,7 +105,6 @@ type Server struct {
 // New builds a director over at least one backend shard.
 func New(opts ...Option) (*Server, error) {
 	st := settings{
-		hostname:       "director.local",
 		forwardTimeout: 10 * time.Second,
 		cooldown:       2 * time.Second,
 	}
@@ -150,23 +114,30 @@ func New(opts ...Option) (*Server, error) {
 	if len(st.backends) == 0 {
 		return nil, errors.New("director: at least one backend is required")
 	}
-	reg := st.registry
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
 	s := &Server{
-		cfg:            st,
-		ring:           NewRing(0),
-		bk:             make(map[string]*backend, len(st.backends)),
-		mailsForwarded: reg.Counter("director_mails_forwarded_total"),
-		mailsFailed:    reg.Counter("director_mails_failed_total"),
-		mailsRefused:   reg.Counter("director_mails_refused_total"),
-		forwardRetries: reg.Counter("director_forward_retries_total"),
-		rcptSkew:       reg.Counter("director_rcpt_skew_total"),
-		shardDown:      reg.Counter("director_shard_down_total"),
-		traceStitched:  reg.Counter("director_trace_stitched_total"),
-		handoff:        reg.Histogram("director_handoff_seconds", metrics.LatencyBounds()),
+		cfg:  st,
+		ring: NewRing(0),
+		bk:   make(map[string]*backend, len(st.backends)),
 	}
+	// The front end takes no plain Enqueue: its hook is the traced form.
+	front := append([]smtpserver.Option{smtpserver.WithHostname("director.local")}, st.front...)
+	srv, err := smtpserver.New(nil, append(front,
+		smtpserver.WithArchitecture(smtpserver.Hybrid),
+		smtpserver.WithEnqueueTraced(s.enqueue),
+	)...)
+	if err != nil {
+		return nil, err
+	}
+	s.srv = srv
+	reg := srv.Registry()
+	s.mailsForwarded = reg.Counter("director_mails_forwarded_total")
+	s.mailsFailed = reg.Counter("director_mails_failed_total")
+	s.mailsRefused = reg.Counter("director_mails_refused_total")
+	s.forwardRetries = reg.Counter("director_forward_retries_total")
+	s.rcptSkew = reg.Counter("director_rcpt_skew_total")
+	s.shardDown = reg.Counter("director_shard_down_total")
+	s.traceStitched = reg.Counter("director_trace_stitched_total")
+	s.handoff = reg.Histogram("director_handoff_seconds", metrics.LatencyBounds())
 	for _, spec := range st.backends {
 		if _, dup := s.bk[spec.name]; dup {
 			return nil, fmt.Errorf("director: duplicate backend %q", spec.name)
@@ -178,18 +149,6 @@ func New(opts ...Option) (*Server, error) {
 		}
 		s.ring.Add(spec.name)
 	}
-	// The front end takes no plain Enqueue: its hook is the traced form.
-	srv, err := smtpserver.New(nil, append(st.front,
-		smtpserver.WithHostname(st.hostname),
-		smtpserver.WithRegistry(reg),
-		smtpserver.WithEventLog(st.events),
-		smtpserver.WithMessageTracer(st.mtrace),
-		smtpserver.WithEnqueueTraced(s.enqueue),
-	)...)
-	if err != nil {
-		return nil, err
-	}
-	s.srv = srv
 	return s, nil
 }
 
@@ -350,16 +309,16 @@ func (s *Server) forwardTo(name, sender string, rcpts []string, data []byte, tc 
 	b := s.bk[name]
 	// The forward span's context crosses the wire as XTRACE, so the
 	// shard's own spans parent under this replay.
-	fsp := s.cfg.mtrace.NewSpan(tc)
+	fsp := s.srv.MessageTracer().NewSpan(tc)
 	probeStart := time.Now()
-	accepted, retried, traced, err := b.forward(s.cfg.hostname, s.cfg.forwardTimeout, sender, rcpts, data, fsp)
+	accepted, retried, traced, err := b.forward(s.srv.Hostname(), s.cfg.forwardTimeout, sender, rcpts, data, fsp)
 	if retried {
 		s.forwardRetries.Inc()
 	}
 	if err != nil {
 		b.markDown(time.Now(), s.cfg.cooldown)
 		s.shardDown.Inc()
-		s.cfg.events.Warn("director.shard", 0,
+		s.srv.EventLog().Warn("director.shard", 0,
 			eventlog.Str("shard", name),
 			eventlog.Str("err", err.Error()),
 		)
@@ -368,7 +327,7 @@ func (s *Server) forwardTo(name, sender string, rcpts []string, data []byte, tc 
 	b.markUp()
 	b.forwarded.Inc()
 	b.forwardSec.ObserveDuration(time.Since(probeStart))
-	s.cfg.mtrace.FinishAt(fsp, trace.MStageForward, probeStart, time.Now(), name)
+	s.srv.MessageTracer().FinishAt(fsp, trace.MStageForward, probeStart, time.Now(), name)
 	if traced {
 		// The shard advertised XTRACE and took the context: its spans
 		// will stitch into this trace.
@@ -381,12 +340,12 @@ func (s *Server) forwardTo(name, sender string, rcpts []string, data []byte, tc 
 		// it — count the skew and move on. Keep the tiers'
 		// -domain/mailbox config in lockstep to keep this at zero.
 		s.rcptSkew.Add(int64(len(rcpts) - accepted))
-		s.cfg.events.Warn("director.skew", 0,
+		s.srv.EventLog().Warn("director.skew", 0,
 			eventlog.Str("shard", name),
 			eventlog.Int("refused", int64(len(rcpts)-accepted)),
 		)
 	}
-	s.cfg.events.Debug("director.forward", 0,
+	s.srv.EventLog().Debug("director.forward", 0,
 		eventlog.Str("shard", name),
 		eventlog.Int("rcpts", int64(len(rcpts))),
 	)

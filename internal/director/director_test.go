@@ -1,6 +1,7 @@
 package director
 
 import (
+	"bufio"
 	"net"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/eventlog"
+	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/smtp"
 	"repro/internal/smtpserver"
@@ -81,8 +83,7 @@ func startShardServer(t *testing.T, opts ...smtpserver.Option) (string, *sink, f
 func startDirector(t *testing.T, opts ...Option) (*Server, string) {
 	t.Helper()
 	d, err := New(append([]Option{
-		WithHostname("fe.test"),
-		front(smtpserver.WithIdleTimeout(5 * time.Second)),
+		WithFront(smtpserver.WithHostname("fe.test"), smtpserver.WithIdleTimeout(5*time.Second)),
 		WithForwardTimeout(2 * time.Second),
 		WithCooldown(200 * time.Millisecond),
 	}, opts...)...)
@@ -414,8 +415,8 @@ func TestDirectorEventsCarryConnIDs(t *testing.T) {
 	log := eventlog.New(eventlog.WithLevel(eventlog.LevelDebug))
 	_, fe := startDirector(t,
 		WithBackend("shard-a", addr),
-		WithEventLog(log),
-		WithPolicy(policy.NewServerPolicy(policy.New(), nil, policy.WithEventLog(log))),
+		WithFront(smtpserver.WithEventLog(log),
+			smtpserver.WithPolicy(policy.NewServerPolicy(policy.New(), nil, policy.WithEventLog(log)))),
 	)
 	const conns = 3
 	for i := 0; i < conns; i++ {
@@ -442,5 +443,90 @@ func TestDirectorEventsCarryConnIDs(t *testing.T) {
 		if got := log.Tail(eventlog.Filter{Name: "smtpd.policy", Conn: e.Conn}); len(got) != 3 {
 			t.Errorf("conn %d: %d smtpd.policy events share its id, want 3", e.Conn, len(got))
 		}
+	}
+}
+
+// greetingShard is a shard that only hears the director out: it sends its
+// banner, reports the first command line it reads, and hangs up.
+func greetingShard(t *testing.T) (string, <-chan string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	lines := make(chan string, 1)
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		nc.Write([]byte("220 shard.test\r\n")) //nolint:errcheck
+		line, _ := bufio.NewReader(nc).ReadString('\n')
+		lines <- strings.TrimSpace(line)
+	}()
+	return ln.Addr().String(), lines
+}
+
+// TestDirectorGreetsShardsWithItsFrontEndName: the name a director
+// greets its shards with is its front end's hostname, given through
+// WithFront like the registry its director_* series join; a director
+// built with no hostname, as the benchmark builds one, is director.local.
+func TestDirectorGreetsShardsWithItsFrontEndName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want string
+		reg  *metrics.Registry
+	}{
+		{"front-end hostname", "EHLO fe.test", metrics.NewRegistry()},
+		{"default", "EHLO director.local", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			shard, greeted := greetingShard(t)
+			opts := []Option{WithBackend("shard", shard), WithValidateRcpt(func(string) bool { return true })}
+			if tc.reg != nil {
+				opts = append(opts, WithFront(smtpserver.WithHostname("fe.test"), smtpserver.WithRegistry(tc.reg)))
+			}
+			d, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go d.Serve(ln)
+			t.Cleanup(d.Close)
+			c, err := smtp.Dial(ln.Addr().String(), 2*time.Second, smtp.WithCommandTimeout(2*time.Second))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Quit() //nolint:errcheck
+			if err := c.Helo("client.test"); err != nil {
+				t.Fatal(err)
+			}
+			// The shard hangs up after the greeting, so the mail is 451'd.
+			if _, err := c.Send("s@remote.test", []string{"user@example.org"}, []byte("m\r\n")); err == nil {
+				t.Fatal("a mail no shard took was accepted")
+			}
+			select {
+			case got := <-greeted:
+				if got != tc.want {
+					t.Fatalf("the shard was greeted with %q, want %q", got, tc.want)
+				}
+			case <-time.After(3 * time.Second):
+				t.Fatal("the director never greeted its shard")
+			}
+			if tc.reg == nil {
+				return
+			}
+			if m, ok := tc.reg.Find("director_mails_failed_total"); !ok || m.Value != 1 {
+				t.Fatalf("director_mails_failed_total in the front end's registry = %v (found %v), want 1", m.Value, ok)
+			}
+			if _, ok := tc.reg.Find("director_shard_forwarded_total", "shard", "shard"); !ok {
+				t.Fatal("director_shard_forwarded_total{shard} is not in the front end's registry")
+			}
+		})
 	}
 }

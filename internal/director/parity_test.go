@@ -222,15 +222,15 @@ func TestDialogParityWithSmtpserver(t *testing.T) {
 			}
 			dir := []Option{
 				WithValidateRcpt(validTest),
-				front(smtpserver.WithMaxMessageBytes(row.maxBytes)), // no director option for it
+				WithFront(smtpserver.WithMaxMessageBytes(row.maxBytes)),
 			}
 			if row.policy != nil {
 				bare = append(bare, smtpserver.WithPolicy(row.policy()))
-				dir = append(dir, WithPolicy(row.policy()))
+				dir = append(dir, WithFront(smtpserver.WithPolicy(row.policy())))
 			}
 			if row.tracer {
 				bare = append(bare, smtpserver.WithMessageTracer(trace.NewMessageRecorder("bare", 64, 1)))
-				dir = append(dir, WithMessageTracer(trace.NewMessageRecorder("dir", 64, 1)))
+				dir = append(dir, WithFront(smtpserver.WithMessageTracer(trace.NewMessageRecorder("dir", 64, 1))))
 			}
 
 			if row.shard == "" {

@@ -35,8 +35,8 @@
 // offset on the caller's clock, so the same engine runs under the
 // discrete-event simulator's virtual time (internal/simmail) and under
 // the wall clock (ServerPolicy adapts it for internal/smtpserver).
-// Offsets are converted to absolute store timestamps against the
-// engine's epoch (WithEpoch).
+// Offsets are converted to absolute store timestamps against the Unix
+// epoch.
 package policy
 
 import (
@@ -147,20 +147,10 @@ func WithDNSBLReject(threshold float64) Option {
 	return func(e *Engine) { e.dnsblReject = threshold }
 }
 
-// WithEpoch sets the absolute instant the engine's duration offsets are
-// measured from (default Unix epoch). ServerPolicy measures its offsets
-// from the same instant, so its store timestamps are instants on its
-// clock whatever the epoch; simulator callers keep the default so
-// virtual time stays deterministic.
-func WithEpoch(epoch time.Time) Option {
-	return func(e *Engine) { e.epoch = epoch }
-}
-
 // Engine evaluates the policy pipeline. It is safe for concurrent use;
 // under the simulator it is driven single-threaded on virtual time.
 type Engine struct {
 	mu          sync.Mutex
-	epoch       time.Time
 	dnsblReject float64
 	rate        *rateLimiter
 	grey        *Greylist
@@ -171,18 +161,18 @@ type Engine struct {
 // New builds an engine. Options enable checkers; with none, everything
 // is allowed.
 func New(opts ...Option) *Engine {
-	e := &Engine{epoch: time.Unix(0, 0).UTC()}
+	e := &Engine{}
 	for _, o := range opts {
 		o(e)
 	}
 	return e
 }
 
-// Epoch returns the absolute instant offset 0 corresponds to.
-func (e *Engine) Epoch() time.Time { return e.epoch }
+// epoch is the absolute instant an Engine offset of 0 stands for.
+var epoch = time.Unix(0, 0).UTC()
 
 // at converts a clock offset to the stores' absolute time.
-func (e *Engine) at(now time.Duration) time.Time { return e.epoch.Add(now) }
+func (e *Engine) at(now time.Duration) time.Time { return epoch.Add(now) }
 
 // Stats returns a snapshot of the verdict counters.
 func (e *Engine) Stats() Stats {

@@ -425,7 +425,7 @@ func TestScorerNoLists(t *testing.T) {
 
 func TestServerPolicyClock(t *testing.T) {
 	eng := New(WithGreylist(GreyConfig{MinRetry: 10 * time.Second}))
-	now := eng.Epoch()
+	now := time.Now()
 	p := NewServerPolicy(eng, nil, WithClock(func() time.Time { return now }))
 	if d := p.Rcpt(bg, "198.51.100.7", "s@x.test", "u@y.test"); d.Verdict != Tempfail {
 		t.Fatalf("first contact: %+v", d)

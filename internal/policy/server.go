@@ -49,10 +49,10 @@ func WithEventLog(log *eventlog.Log) ServerPolicyOption {
 }
 
 // WithClock replaces the wall clock (time.Now) the policy reads. Offsets
-// handed to the Engine are always now().Sub(eng.Epoch()), so store
+// handed to the Engine are always measured from the Unix epoch, so store
 // timestamps are absolute instants on that clock — comparable across
-// nodes whose engines share an epoch, which gossip requires, and
-// deterministic under an injected clock.
+// nodes, which gossip requires, and deterministic under an injected
+// clock.
 func WithClock(now func() time.Time) ServerPolicyOption {
 	return func(p *ServerPolicy) { p.clock = now }
 }
@@ -74,7 +74,7 @@ func NewServerPolicy(eng *Engine, scorer *Scorer, opts ...ServerPolicyOption) *S
 }
 
 // now is the Engine's offset for the current instant.
-func (p *ServerPolicy) now() time.Duration { return p.clock().Sub(p.eng.Epoch()) }
+func (p *ServerPolicy) now() time.Duration { return p.clock().Sub(epoch) }
 
 // Registry returns the registry holding the policy's metrics.
 func (p *ServerPolicy) Registry() *metrics.Registry { return p.reg }

@@ -13,7 +13,7 @@ import "time"
 //
 // Times are absolute (time.Time). The Engine itself stays clock-agnostic
 // — its methods take a Duration offset — and converts offsets to
-// absolute instants against its epoch (WithEpoch), so simulator virtual
+// absolute instants against the Unix epoch, so simulator virtual
 // time and wall time both map onto the stores. Absolute times are what
 // make state mergeable across nodes: a decayed-score stamp or greylist
 // window recorded on one front end means the same thing on every other.

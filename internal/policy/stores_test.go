@@ -221,7 +221,8 @@ func TestStoresConcurrentMergeAndRead(t *testing.T) {
 	grey := NewGreylist(GreyConfig{MinRetry: time.Millisecond})
 	peerRep := NewReputation(ReputationConfig{})
 	peerGrey := NewGreylist(GreyConfig{MinRetry: time.Millisecond})
-	eng := New(WithReputationStore(rep), WithGreylistStore(grey), WithEpoch(epoch0))
+	eng := New(WithReputationStore(rep), WithGreylistStore(grey))
+	base := epoch0.Sub(time.Unix(0, 0)) // the engine's offset for epoch0
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -248,7 +249,7 @@ func TestStoresConcurrentMergeAndRead(t *testing.T) {
 			defer wg.Done()
 			ip := mkIP(10, 0, 0, byte(g))
 			for i := 0; i < 500; i++ {
-				now := time.Duration(i) * time.Millisecond
+				now := base + time.Duration(i)*time.Millisecond
 				eng.Admit(bg, now, ip, 0)
 				eng.Rcpt(bg, now, ip, "s@x.test", fmt.Sprintf("u%d@y.test", i%3))
 				eng.RecordBounce(now, ip)

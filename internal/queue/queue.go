@@ -136,8 +136,9 @@ type Config struct {
 	// MaxAttempts bounds delivery attempts before a mail is bounced (or
 	// held when no Bounce is configured; default 3).
 	MaxAttempts int
-	// RetryDelay is the base deferred-queue delay; each consecutive failed
-	// delivery doubles it (default 100ms; tests use small values).
+	// RetryDelay is a mail's deferred-queue delay after its first failed
+	// attempt; each further failed attempt of that mail doubles it
+	// (default 100ms; tests use small values).
 	RetryDelay time.Duration
 	// MaxRetryDelay caps the backoff (default 1min).
 	MaxRetryDelay time.Duration
@@ -209,7 +210,7 @@ type Manager struct {
 	ready    []*Item // pending FIFO; ready[:head] is already picked up
 	head     int
 	timers   map[*Item]*time.Timer // retry timers of waiting mails
-	streak   int                   // consecutive failed deliveries; drives the backoff, and 0 lets Enqueue deliver inline
+	streak   int                   // consecutive failed deliveries; 0 lets Enqueue deliver inline
 	rng      uint64
 	recovery spool.RecoveryStats
 
@@ -490,10 +491,10 @@ func envOf(item *Item) spool.Envelope {
 	}
 }
 
-// backoffLocked computes the retry delay for a failure streak:
-// exponential with jitter and cap; m.mu must be held.
-func (m *Manager) backoffLocked(streak int) time.Duration {
-	shift := streak - 1
+// backoffLocked computes the retry delay of a mail that has failed
+// attempts times: exponential with jitter and cap; m.mu must be held.
+func (m *Manager) backoffLocked(attempts int) time.Duration {
+	shift := attempts - 1
 	if shift < 0 {
 		shift = 0
 	}
@@ -642,7 +643,7 @@ func (m *Manager) settle(item *Item, took time.Duration, err error) {
 	case !closed:
 		m.streak++
 		if retry {
-			delay = m.backoffLocked(m.streak)
+			delay = m.backoffLocked(item.Attempts)
 		}
 	}
 	m.mu.Unlock()

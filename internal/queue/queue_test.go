@@ -361,8 +361,8 @@ func TestBackoffShape(t *testing.T) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, tc := range []struct {
-		streak int
-		want   time.Duration
+		attempts int
+		want     time.Duration
 	}{
 		{1, 10 * time.Millisecond},
 		{2, 20 * time.Millisecond},
@@ -371,9 +371,51 @@ func TestBackoffShape(t *testing.T) {
 		{10, 80 * time.Millisecond}, // capped
 		{60, 80 * time.Millisecond}, // shift-overflow guard
 	} {
-		if got := m.backoffLocked(tc.streak); got != tc.want {
-			t.Errorf("backoff(streak=%d) = %v, want %v", tc.streak, got, tc.want)
+		if got := m.backoffLocked(tc.attempts); got != tc.want {
+			t.Errorf("backoff(attempts=%d) = %v, want %v", tc.attempts, got, tc.want)
 		}
+	}
+}
+
+// TestRetryDelayFollowsTheMailsOwnAttempts: a mail's retry delay is sized
+// by its own failed attempts, not by how many deliveries failed before it.
+// Eight mails each refused once are all due one RetryDelay later, however
+// long the node-wide failure streak had grown by the eighth.
+func TestRetryDelayFollowsTheMailsOwnAttempts(t *testing.T) {
+	const n = 8
+	fs := fsim.NewFault()
+	m, err := NewManager(Config{
+		Deliverer:     DelivererFunc(func(*Item) error { return errors.New("mailbox busy") }),
+		Store:         spool.New(fs, ""),
+		RetryDelay:    time.Minute,
+		MaxRetryDelay: 24 * time.Hour,
+		RetryJitter:   -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	before := time.Now()
+	for i := 0; i < n; i++ {
+		if _, err := m.Enqueue("s@a.test", []string{"r@b.test"}, []byte("m")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return m.Stats().Deferred == n })
+	after := time.Now()
+	mails, _, err := spool.New(fs, "").Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mails) != n {
+		t.Fatalf("the spool holds %d mails, want %d", len(mails), n)
+	}
+	for _, ml := range mails {
+		if ml.Attempts != 1 || ml.NotBefore.Before(before.Add(time.Minute)) || ml.NotBefore.After(after.Add(time.Minute)) {
+			t.Errorf("mail %s: attempt %d due at +%v, want attempt 1 due one RetryDelay (1m) after it failed",
+				ml.ID, ml.Attempts, ml.NotBefore.Sub(before).Round(time.Second))
+		}
+		ml.Frame.Release()
 	}
 }
 

@@ -13,21 +13,21 @@ import (
 	"repro/internal/smtp"
 )
 
-func TestListenServeListeners(t *testing.T) {
+// TestServeReturnsNilAfterClose: a client can connect as soon as the
+// listener is bound, and Serve returns nil once Close stops it.
+func TestServeReturnsNilAfterClose(t *testing.T) {
 	srv, err := New(func(string, []string, []byte) (string, error) { return "Q", nil },
 		WithArchitecture(Hybrid))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lns, err := srv.Listen("127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- srv.ServeListeners(lns) }()
-	// Listen bound the address before Serve runs: a client can connect
-	// at once, and ServeListeners must return nil after Close.
-	c, err := smtp.Dial(lns[0].Addr().String(), 2*time.Second)
+	go func() { done <- srv.Serve(ln) }()
+	c, err := smtp.Dial(ln.Addr().String(), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,21 +38,10 @@ func TestListenServeListeners(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("ServeListeners = %v", err)
+			t.Fatalf("Serve = %v", err)
 		}
 	case <-time.After(3 * time.Second):
-		t.Fatal("ServeListeners did not return after Close")
-	}
-}
-
-func TestListenBadAddress(t *testing.T) {
-	srv, err := New(func(string, []string, []byte) (string, error) { return "Q", nil },
-		WithArchitecture(Vanilla))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Listen("127.0.0.1:notaport"); err == nil {
-		t.Fatal("bad address accepted")
+		t.Fatal("Serve did not return after Close")
 	}
 }
 

@@ -77,13 +77,9 @@ func WithValidateRcptBytes(f func(addr []byte) bool) Option {
 	return func(s *settings) { s.validateRcptBytes = f }
 }
 
-// WithAcceptShards splits the accept path into n independent shards —
-// one accept loop and worker ring each — so a single accept loop stops
-// being the ceiling on connection turnover (the reuseport pattern of
-// modern event-driven servers). Listen opens n SO_REUSEPORT listeners
-// where the platform supports it; Serve runs n accept
-// goroutines on its one listener. 0 or 1 keeps the single classic accept
-// loop.
+// WithAcceptShards runs n accept loops on the one listener Serve is
+// given, each feeding its own worker ring of MaxWorkers/n workers. 0 or
+// 1 (the default) is the paper's single accept loop.
 func WithAcceptShards(n int) Option {
 	return func(s *settings) { s.acceptShards = n }
 }

@@ -135,17 +135,16 @@ func TestPolicyConnectReject(t *testing.T) {
 // condemned source draws 554, not the banner.
 func TestBlackholedDNSBLStillRefusesCondemnedSource(t *testing.T) {
 	forEachArch(t, func(t *testing.T, arch Architecture) {
-		epoch := time.Now()
 		rep := policy.NewReputation(policy.ReputationConfig{})
 		for i := 0; i < 10; i++ {
-			rep.RecordBounce(epoch, addr.MustParseIPv4("127.0.0.1"))
+			rep.RecordBounce(time.Now(), addr.MustParseIPv4("127.0.0.1"))
 		}
 		blackhole := resolverFunc(func(ctx context.Context, _ addr.IPv4) (dnsbl.Result, error) {
 			<-ctx.Done()
 			return dnsbl.Result{}, ctx.Err()
 		})
 		pol := policy.NewServerPolicy(
-			policy.New(policy.WithReputationStore(rep), policy.WithDNSBLReject(1), policy.WithEpoch(epoch)),
+			policy.New(policy.WithReputationStore(rep), policy.WithDNSBLReject(1)),
 			policy.NewScorer(policy.WithLists(policy.List{Name: "bl.test", Resolver: blackhole})))
 		env := startServer(t, arch, WithPolicy(pol), WithIdleTimeout(3*time.Second))
 

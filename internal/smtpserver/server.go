@@ -120,7 +120,7 @@ type Server struct {
 	ehlo *smtp.Reply
 
 	mu     sync.Mutex
-	lns    []net.Listener
+	ln     net.Listener
 	shards []*shard
 	conns  map[net.Conn]bool
 	closed bool
@@ -175,10 +175,9 @@ type accepted struct {
 }
 
 // shard is one slice of the accept path: an accept loop plus the worker
-// ring it feeds. A single-shard server (the default) is exactly the old
-// architecture; with AcceptShards > 1 each shard runs independently so
-// accept dispatch, handoff queues, and worker wakeups never contend
-// across shards.
+// ring it feeds. A single-shard server (the default) is the paper's one
+// accept loop; with AcceptShards > 1 the shards share the listener and
+// nothing else.
 type shard struct {
 	tasks chan *task    // hybrid handoff queue (nil under vanilla)
 	conns chan accepted // vanilla dispatch channel (nil under hybrid)
@@ -256,6 +255,15 @@ func New(enqueue Enqueue, opts ...Option) (*Server, error) {
 // Registry returns the registry holding the server's metrics.
 func (s *Server) Registry() *metrics.Registry { return s.cfg.registry }
 
+// Hostname returns the name the server greets with.
+func (s *Server) Hostname() string { return s.cfg.hostname }
+
+// EventLog returns the log the server emits into (nil when off).
+func (s *Server) EventLog() *eventlog.Log { return s.cfg.events }
+
+// MessageTracer returns the server's message tracer (nil when off).
+func (s *Server) MessageTracer() *trace.MessageRecorder { return s.cfg.mtrace }
+
 // connID allocates the next connection id. It is the server's own
 // counter, spans or no spans, so a connection's smtpd.policy and
 // smtpd.conn events correlate on any front end; with a span recorder the
@@ -328,51 +336,28 @@ func (s *Server) Stats() Stats {
 }
 
 // Serve accepts connections on ln until Close. It blocks; run it in a
-// goroutine. The listener is owned by the server after this call. With
-// AcceptShards > 1 the single listener is shared by that many accept
-// goroutines, each feeding its own worker ring; use Listen and
-// ServeListeners to give each shard its own SO_REUSEPORT listener
-// instead.
+// goroutine, and it returns nil on Close or the accept error that ended
+// it. With AcceptShards > 1 that many accept loops share ln, each
+// feeding its own worker ring. The listener is the server's from the
+// call on: a refused call (server closed, already serving) closes it
+// before returning its error.
 func (s *Server) Serve(ln net.Listener) error {
-	return s.ServeListeners([]net.Listener{ln})
-}
-
-// ServeListeners accepts connections on every listener until Close,
-// running max(AcceptShards, len(lns)) shards: one accept loop per shard,
-// each with its own worker ring. When there are more shards than
-// listeners the extra accept loops share the existing listeners — the
-// non-reuseport fallback. It blocks until all accept loops exit and
-// returns the first accept error, or nil on Close. The listeners are the
-// server's from the call on: a refused call (server closed, already
-// serving) closes them before returning its error.
-func (s *Server) ServeListeners(lns []net.Listener) error {
-	if len(lns) == 0 {
-		return errors.New("smtpserver: no listeners")
-	}
-	nshards := s.cfg.acceptShards
-	if nshards < len(lns) {
-		nshards = len(lns)
-	}
-	workers := s.cfg.maxWorkers / nshards
-	if workers < 1 {
-		workers = 1
-	}
+	nshards := max(s.cfg.acceptShards, 1)
+	workers := max(s.cfg.maxWorkers/nshards, 1)
 	s.mu.Lock()
 	var refused error
 	switch {
 	case s.closed:
 		refused = errors.New("smtpserver: server closed")
-	case s.lns != nil:
+	case s.ln != nil:
 		refused = errors.New("smtpserver: already serving")
 	}
 	if refused != nil {
 		s.mu.Unlock()
-		for _, ln := range lns {
-			ln.Close()
-		}
+		ln.Close()
 		return refused
 	}
-	s.lns = append([]net.Listener(nil), lns...)
+	s.ln = ln
 	shards := make([]*shard, nshards)
 	for i := range shards {
 		shards[i] = s.startShard(workers)
@@ -381,18 +366,11 @@ func (s *Server) ServeListeners(lns []net.Listener) error {
 	s.mu.Unlock()
 
 	errc := make(chan error, nshards)
-	var wg sync.WaitGroup
-	for i := 0; i < nshards; i++ {
-		ln, sh := lns[i%len(lns)], shards[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errc <- s.acceptLoop(ln, sh)
-		}()
+	for _, sh := range shards {
+		go func() { errc <- s.acceptLoop(ln, sh) }()
 	}
-	wg.Wait()
 	var first error
-	for i := 0; i < nshards; i++ {
+	for range shards {
 		if err := <-errc; err != nil && first == nil {
 			first = err
 		}
@@ -467,18 +445,6 @@ func (s *Server) acceptLoop(ln net.Listener, sh *shard) error {
 	}
 }
 
-// Listen opens the server's listeners on addr for ServeListeners: one,
-// or with AcceptShards > 1 one per shard via ListenShards (SO_REUSEPORT
-// where supported). On return the address is bound, so a caller that
-// serves in a goroutine can hand it out at once.
-func (s *Server) Listen(addr string) ([]net.Listener, error) {
-	lns, err := ListenShards(addr, s.cfg.acceptShards)
-	if err != nil {
-		return nil, fmt.Errorf("smtpserver: listen %s: %w", addr, err)
-	}
-	return lns, nil
-}
-
 // Close stops accepting, force-closes open connections, and waits for all
 // workers to exit.
 func (s *Server) Close() error {
@@ -488,12 +454,12 @@ func (s *Server) Close() error {
 		return errors.New("smtpserver: already closed")
 	}
 	s.closed = true
-	lns := s.lns
+	ln := s.ln
 	for nc := range s.conns {
 		nc.Close()
 	}
 	s.mu.Unlock()
-	for _, ln := range lns {
+	if ln != nil {
 		ln.Close()
 	}
 	s.frontWG.Wait()

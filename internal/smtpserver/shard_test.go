@@ -2,7 +2,6 @@ package smtpserver
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -15,82 +14,9 @@ func smtpDial(addr string) (*smtp.Client, error) {
 	return smtp.Dial(addr, 5*time.Second)
 }
 
-func TestListenShards(t *testing.T) {
-	lns, err := ListenShards("127.0.0.1:0", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, ln := range lns {
-			ln.Close()
-		}
-	}()
-	if runtime.GOOS == "linux" {
-		if len(lns) != 3 {
-			t.Fatalf("listeners = %d, want 3 (reuseport)", len(lns))
-		}
-		addr := lns[0].Addr().String()
-		for i, ln := range lns {
-			if ln.Addr().String() != addr {
-				t.Fatalf("listener %d bound %s, want %s", i, ln.Addr(), addr)
-			}
-		}
-	} else if len(lns) != 1 {
-		t.Fatalf("listeners = %d, want 1 (fallback)", len(lns))
-	}
-}
-
-func TestListenShardsSingle(t *testing.T) {
-	lns, err := ListenShards("127.0.0.1:0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lns[0].Close()
-	if len(lns) != 1 {
-		t.Fatalf("listeners = %d, want 1", len(lns))
-	}
-}
-
-// startShardedServer boots a server with n accept shards over
-// ListenShards listeners — reuseport on Linux, shared-listener fallback
-// elsewhere — so the test exercises whichever path the platform has.
-func startShardedServer(t *testing.T, arch Architecture, n int) *testEnv {
-	t.Helper()
-	env := &testEnv{}
-	enqueue := func(sender string, rcpts []string, data []byte) (string, error) {
-		env.mu.Lock()
-		defer env.mu.Unlock()
-		env.mail = append(env.mail, capturedMail{sender: sender})
-		return fmt.Sprintf("Q%d", len(env.mail)), nil
-	}
-	srv, err := New(enqueue,
-		WithHostname("mx.test"),
-		WithArchitecture(arch),
-		WithValidateRcptBytes(func(addr []byte) bool {
-			const sfx = "@valid.test"
-			return len(addr) > len(sfx) && string(addr[len(addr)-len(sfx):]) == sfx
-		}),
-		WithMaxWorkers(8),
-		WithAcceptShards(n),
-		WithIdleTimeout(5*time.Second),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lns, err := ListenShards("127.0.0.1:0", n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.ServeListeners(lns) //nolint:errcheck // exits on Close
-	t.Cleanup(func() { srv.Close() })
-	env.srv = srv
-	env.addr = lns[0].Addr().String()
-	return env
-}
-
 func TestAcceptShardsServeBothArchitectures(t *testing.T) {
 	forEachArch(t, func(t *testing.T, arch Architecture) {
-		env := startShardedServer(t, arch, 3)
+		env := startServer(t, arch, WithMaxWorkers(8), WithAcceptShards(3))
 		const clients = 12
 		var wg sync.WaitGroup
 		errs := make(chan error, clients)
@@ -135,9 +61,9 @@ func TestAcceptShardsServeBothArchitectures(t *testing.T) {
 }
 
 func TestAcceptShardsFallbackSharedListener(t *testing.T) {
-	// Serve with a single listener and AcceptShards > 1 uses the
-	// fallback: several accept goroutines on one listener, each with its
-	// own worker ring. Behaviour must be identical to the reuseport path.
+	// Four accept loops on one listener, each feeding its own one-worker
+	// ring (startServer's four workers split four ways): behaviour must be
+	// a single accept loop's.
 	env := startServer(t, Hybrid, WithAcceptShards(4))
 	for i := 0; i < 6; i++ {
 		client := dial(t, env)
