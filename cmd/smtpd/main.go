@@ -125,7 +125,7 @@ func main() {
 
 	var pop *pop3.Server
 	if *pop3Addr != "" {
-		pop, err = pop3.New(pop3.Config{Store: sh.Store, Hostname: "pop." + *domain})
+		pop, err = pop3.New(pop3.Config{Store: sh.Store, Hostname: "pop." + *domain, Registry: reg})
 		if err != nil {
 			log.Fatalf("smtpd: %v", err)
 		}
@@ -151,6 +151,21 @@ func main() {
 		eventlog.Str("addr", sh.Addr),
 	)
 
+	stop := func() {
+		events.Info("smtpd.stop", 0, eventlog.Str("component", "smtpd"))
+		if pop != nil {
+			pop.Close() // it reads the store the shard is about to close
+		}
+		// Stop accepting, drain the queue, close the store.
+		if err := sh.Close(); err != nil {
+			events.Error("smtpd.error", 0,
+				eventlog.Str("component", "smtpd"), eventlog.Str("err", err.Error()))
+		}
+		if dnsblClient != nil {
+			dnsblClient.Close()
+		}
+		logStats(sh, pol)
+	}
 	tick := n.StatsTick()
 	for {
 		select {
@@ -158,23 +173,15 @@ func main() {
 			logStats(sh, pol)
 		case err := <-sh.Served():
 			if err != nil {
+				// The listener failed for good (running out of descriptors
+				// is waited out, not reported): shut down in order, so the
+				// store is closed, and exit non-zero.
+				stop()
 				log.Fatalf("smtpd: %v", err)
 			}
 			return
 		case <-sigCh:
-			events.Info("smtpd.stop", 0, eventlog.Str("component", "smtpd"))
-			if pop != nil {
-				pop.Close() // it reads the store the shard is about to close
-			}
-			// Stop accepting, drain the queue, close the store.
-			if err := sh.Close(); err != nil {
-				events.Error("smtpd.error", 0,
-					eventlog.Str("component", "smtpd"), eventlog.Str("err", err.Error()))
-			}
-			if dnsblClient != nil {
-				dnsblClient.Close()
-			}
-			logStats(sh, pol)
+			stop()
 			return
 		}
 	}

@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"strings"
 	"sync"
@@ -54,6 +55,13 @@ type Store interface {
 	Stat(mailbox string) ([]MailInfo, error)
 	// Read returns the body of one mail.
 	Read(mailbox, id string) ([]byte, error)
+	// Body is Read without the read: it resolves one mail to a reader
+	// over its stored bytes, fails where Read fails, and holds no store
+	// lock once it returns. The reader's Size is the body length, known
+	// before the first byte, so a caller copies the body to a socket in
+	// chunks of its own buffer instead of holding all of it. A contract
+	// method, like Stat, so that decorators forward it by promotion.
+	Body(mailbox, id string) (io.SectionReader, error)
 	// Delete removes one mail from one mailbox.
 	Delete(mailbox, id string) error
 	// Name identifies the format in reports ("mfs").
@@ -372,6 +380,19 @@ func (m *MFS) Read(mailbox, id string) ([]byte, error) {
 		return nil, err
 	}
 	return mail.Body, nil
+}
+
+// Body resolves the mail through the mailbox's index; see mfs.Mailbox.Body.
+func (m *MFS) Body(mailbox, id string) (io.SectionReader, error) {
+	mb, err := m.lookup(mailbox)
+	if err != nil {
+		return io.SectionReader{}, err
+	}
+	body, err := mb.Body(id)
+	if errors.Is(err, mfs.ErrNotFound) {
+		return io.SectionReader{}, fmt.Errorf("mailstore: mail %s in %s: %w", id, mailbox, ErrNotFound)
+	}
+	return body, err
 }
 
 func (m *MFS) Delete(mailbox, id string) error {

@@ -189,22 +189,6 @@ func appendDataFrame(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// readDataRecord reads the framed record at the given offset.
-func readDataRecord(f fsim.File, off int64) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := f.ReadAt(hdr[:], off); err != nil {
-		return nil, fmt.Errorf("mfs: data read at %d: %w", off, err)
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	payload := make([]byte, n)
-	if n > 0 {
-		if m, err := f.ReadAt(payload, off+4); err != nil && !(err == io.EOF && m == int(n)) {
-			return nil, fmt.Errorf("mfs: data read at %d: %w", off, err)
-		}
-	}
-	return payload, nil
-}
-
 // dataRecordLen returns the payload length of the framed record at off
 // without reading the payload.
 func dataRecordLen(f fsim.File, off int64) (int, error) {

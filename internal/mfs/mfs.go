@@ -459,8 +459,8 @@ func (mb *Mailbox) Seek(offset int, whence int) (int, error) {
 // ReadNext reads the mail under the cursor and advances it — the paper's
 // mail_read. It returns io.EOF past the last mail.
 func (mb *Mailbox) ReadNext() (Mail, error) {
-	// stateMu pins the shared-store file handles (readRecordLocked may
-	// follow a pointer into them) against a concurrent Close.
+	// stateMu pins the shared-store file handles (the record may point
+	// into them) against a concurrent Close.
 	mb.store.stateMu.RLock()
 	defer mb.store.stateMu.RUnlock()
 	mb.mu.Lock()
@@ -475,7 +475,11 @@ func (mb *Mailbox) ReadNext() (Mail, error) {
 		return Mail{}, io.EOF
 	}
 	rec := mb.entries[mb.cursor]
-	body, err := mb.readRecordLocked(rec)
+	ext, err := mb.locateLocked(rec)
+	if err != nil {
+		return Mail{}, err
+	}
+	body, err := ext.read()
 	if err != nil {
 		return Mail{}, err
 	}
@@ -484,32 +488,95 @@ func (mb *Mailbox) ReadNext() (Mail, error) {
 }
 
 // ReadID reads the mail with the given id regardless of cursor position.
+// The body is read after the locks are released, as Body's reads are.
 func (mb *Mailbox) ReadID(id string) (Mail, error) {
-	mb.store.stateMu.RLock()
-	defer mb.store.stateMu.RUnlock()
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if mb.closed {
-		return Mail{}, ErrClosed
+	ext, err := mb.locate(id)
+	if err != nil {
+		return Mail{}, err
 	}
-	j, ok := mb.index[id]
-	if !ok {
-		return Mail{}, fmt.Errorf("mfs: read %q: %w", id, ErrNotFound)
-	}
-	body, err := mb.readRecordLocked(mb.entries[j])
+	body, err := ext.read()
 	if err != nil {
 		return Mail{}, err
 	}
 	return Mail{ID: id, Body: body}, nil
 }
 
-// readRecordLocked resolves a key record to its payload, following the
-// SharedRef indirection into the shared store.
-func (mb *Mailbox) readRecordLocked(rec *keyRecord) ([]byte, error) {
-	if rec.Ref == SharedRef {
-		return readDataRecord(mb.store.shData, rec.Offset)
+// Body resolves the mail with the given id to its bytes without reading
+// any of them: the reader's Size is the body length, and its reads go
+// straight to the data file that holds the payload. The store and
+// mailbox locks are held only while the key record is resolved, so a
+// caller may copy the body to a slow peer without stalling deliveries to
+// this mailbox, and a body of any size costs the caller only the buffer
+// it reads into.
+//
+// The unlocked reads rely on one invariant: a committed payload never
+// moves or changes while its data file is open — data files are
+// append-only and a deleted payload stays behind as dead space. A read
+// after the mailbox or the store has been closed fails.
+func (mb *Mailbox) Body(id string) (io.SectionReader, error) {
+	ext, err := mb.locate(id)
+	if err != nil {
+		return io.SectionReader{}, err
 	}
-	return readDataRecord(mb.data, rec.Offset)
+	return *io.NewSectionReader(ext.f, ext.off, int64(ext.n)), nil
+}
+
+// extent is where a record's payload lies: the data file holding it (the
+// mailbox's own, or the shared store's for a pointer record), the offset
+// of its first byte past the frame header, and its length.
+type extent struct {
+	f   fsim.File
+	off int64
+	n   int
+}
+
+// locate resolves the mail with the given id under the store and
+// mailbox locks and releases them.
+func (mb *Mailbox) locate(id string) (extent, error) {
+	mb.store.stateMu.RLock()
+	defer mb.store.stateMu.RUnlock()
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	if mb.closed {
+		return extent{}, ErrClosed
+	}
+	j, ok := mb.index[id]
+	if !ok {
+		return extent{}, fmt.Errorf("mfs: read %q: %w", id, ErrNotFound)
+	}
+	return mb.locateLocked(mb.entries[j])
+}
+
+// locateLocked is the one way to find a record's bytes: it follows the
+// SharedRef indirection into the shared store and takes the length from
+// the record. A record committed by this process knows its length; one
+// found in the key file at Open reads its 4-byte frame header the first
+// time and keeps the length. mb.mu held, and stateMu, which pins the
+// shared store's file.
+func (mb *Mailbox) locateLocked(rec *keyRecord) (extent, error) {
+	f := mb.data
+	if rec.Ref == SharedRef {
+		f = mb.store.shData
+	}
+	if !rec.sized {
+		n, err := dataRecordLen(f, rec.Offset)
+		if err != nil {
+			return extent{}, err
+		}
+		rec.size, rec.sized = uint32(n), true
+	}
+	return extent{f: f, off: rec.Offset + 4, n: int(rec.size)}, nil
+}
+
+// read reads the whole payload in one ranged read.
+func (e extent) read() ([]byte, error) {
+	body := make([]byte, e.n)
+	if e.n > 0 {
+		if m, err := e.f.ReadAt(body, e.off); err != nil && !(err == io.EOF && m == e.n) {
+			return nil, fmt.Errorf("mfs: data read at %d: %w", e.off-4, err)
+		}
+	}
+	return body, nil
 }
 
 // IDs returns the live mail-ids in arrival order.
@@ -552,18 +619,11 @@ func (mb *Mailbox) Stat() ([]MailInfo, error) {
 		if r == nil {
 			continue
 		}
-		if !r.sized {
-			data := mb.data
-			if r.Ref == SharedRef {
-				data = mb.store.shData
-			}
-			n, err := dataRecordLen(data, r.Offset)
-			if err != nil {
-				return nil, err
-			}
-			r.size, r.sized = uint32(n), true
+		ext, err := mb.locateLocked(r)
+		if err != nil {
+			return nil, err
 		}
-		infos = append(infos, MailInfo{ID: r.ID, Size: int(r.size)})
+		infos = append(infos, MailInfo{ID: r.ID, Size: ext.n})
 	}
 	return infos, nil
 }

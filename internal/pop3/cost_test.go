@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -20,9 +21,9 @@ import (
 // records the ids it is asked to delete, and can be told to fail Delete.
 type countingStore struct {
 	mailstore.Store
-	stats, lists, reads, deletes atomic.Int64
-	deletedIDs                   []string
-	deleteErr                    error
+	stats, lists, reads, bodies, deletes atomic.Int64
+	deletedIDs                           []string
+	deleteErr                            error
 }
 
 func (c *countingStore) Stat(box string) ([]mailstore.MailInfo, error) {
@@ -38,6 +39,11 @@ func (c *countingStore) List(box string) ([]string, error) {
 func (c *countingStore) Read(box, id string) ([]byte, error) {
 	c.reads.Add(1)
 	return c.Store.Read(box, id)
+}
+
+func (c *countingStore) Body(box, id string) (io.SectionReader, error) {
+	c.bodies.Add(1)
+	return c.Store.Body(box, id)
 }
 
 func (c *countingStore) Delete(box, id string) error {
@@ -68,7 +74,7 @@ func (c *scriptConn) run(t testing.TB, s *session, line string) (reply string, w
 	t.Helper()
 	c.out.Reset()
 	c.writes = 0
-	if _, err := s.dispatch(splitCommand(line)); err != nil {
+	if _, err := s.dispatch([]byte(line)); err != nil {
 		t.Fatalf("%s: %v", line, err)
 	}
 	return c.out.String(), c.writes
@@ -106,8 +112,9 @@ func newTestSession(t testing.TB, store mailstore.Store) (*session, *scriptConn)
 }
 
 // TestPOP3ListingCost pins what a session costs the store and the
-// socket: one Stat at PASS and nothing else for STAT/LIST/UIDL, one Read
-// per RETR, one Delete per staged message at QUIT, a listing flushed once.
+// socket: one Stat at PASS and nothing else for STAT/LIST/UIDL, one
+// streaming Body and no Read per RETR, one Delete per staged message at
+// QUIT, a listing flushed once.
 func TestPOP3ListingCost(t *testing.T) {
 	const n = 200
 	store := &countingStore{Store: bigBox(t, n)}
@@ -158,8 +165,8 @@ func TestPOP3ListingCost(t *testing.T) {
 			t.Fatalf("%s = %q, want prefix %q", step.cmd, got, step.prefix)
 		}
 	}
-	if st, rd, del, ls := store.stats.Load(), store.reads.Load(), store.deletes.Load(), store.lists.Load(); st != 1 || rd != 1 || del != 1 || ls != 0 {
-		t.Fatalf("session made %d Stat, %d Read, %d Delete, %d List calls; want 1, 1, 1, 0", st, rd, del, ls)
+	if st, bd, rd, del, ls := store.stats.Load(), store.bodies.Load(), store.reads.Load(), store.deletes.Load(), store.lists.Load(); st != 1 || bd != 1 || rd != 0 || del != 1 || ls != 0 {
+		t.Fatalf("session made %d Stat, %d Body, %d Read, %d Delete, %d List calls; want 1, 1, 0, 1, 0", st, bd, rd, del, ls)
 	}
 
 	// The listing itself allocates nothing per message.
@@ -168,10 +175,90 @@ func TestPOP3ListingCost(t *testing.T) {
 	conn.run(t, s, "PASS x")
 	allocs := testing.AllocsPerRun(20, func() {
 		conn.out.Reset()
-		s.dispatch("LIST", "") //nolint:errcheck // the buffer cannot fail
+		s.dispatch([]byte("LIST")) //nolint:errcheck // the buffer cannot fail
 	})
 	if allocs > 8 {
 		t.Fatalf("LIST on %d messages allocates %.0f objects, want at most 8", n, allocs)
+	}
+}
+
+// TestPOP3CommandsAllocateNothing: once a session is warm, the commands
+// a mail client repeats cost no heap object — the verb is matched on the
+// line's bytes, the message number parsed from them, and RETR streams
+// the body through the Conn's pooled buffer.
+func TestPOP3CommandsAllocateNothing(t *testing.T) {
+	s, conn := newTestSession(t, bigBox(t, 20))
+	conn.run(t, s, "USER big")
+	conn.run(t, s, "PASS x")
+	for _, cmds := range [][]string{
+		{"NOOP"}, {"STAT"}, {"LIST 7"}, {"UIDL 7"}, {"DELE 7", "RSET"}, {"RETR 7"}, {"RETR 8"},
+	} {
+		lines := make([][]byte, len(cmds))
+		for i, cmd := range cmds {
+			lines[i] = []byte(cmd)
+		}
+		run := func() {
+			conn.out.Reset()
+			for _, line := range lines {
+				if _, err := s.dispatch(line); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		run() // warm: the reply and body buffers reach their size
+		if got := conn.out.String(); !strings.HasPrefix(got, "+OK") {
+			t.Fatalf("%s = %q", cmds, got)
+		}
+		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+			t.Fatalf("%s allocates %.1f objects, want 0", strings.Join(cmds, "+"), allocs)
+		}
+	}
+}
+
+// sinkConn is a connection whose client reads and discards everything.
+type sinkConn struct{ n int64 }
+
+func (c *sinkConn) Read([]byte) (int, error) { return 0, io.EOF }
+func (c *sinkConn) Write(p []byte) (int, error) {
+	c.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestRetrMemoryIsBounded: once warm, RETR of a 4 MiB mail costs the
+// heap no more than a chunk buffer would, not the body.
+func TestRetrMemoryIsBounded(t *testing.T) {
+	const size = 4 << 20
+	store, err := mailstore.NewMFS(fsim.NewMem(costmodel.FSModel{}), "mfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := store.Deliver("big1", []string{"big"}, bytes.Repeat([]byte("0123456789abcdef\r\n"), size/18)); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &sinkConn{}
+	s := srv.newSession(conn)
+	for _, cmd := range []string{"USER big", "PASS x", "RETR 1"} { // the last warms the buffers
+		if _, err := s.dispatch([]byte(cmd)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	conn.n = 0
+	runtime.ReadMemStats(&before)
+	if _, err := s.dispatch([]byte("RETR 1")); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if conn.n < size {
+		t.Fatalf("RETR wrote %d bytes of a %d-byte mail", conn.n, size)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Fatalf("RETR of a %d MiB mail allocated %d KiB, want < 64 KiB", size>>20, grew>>10)
 	}
 }
 
@@ -339,7 +426,7 @@ func FuzzPOP3Command(f *testing.F) {
 		s, conn := newTestSession(t, store)
 		for _, line := range strings.Split(script, "\n") {
 			conn.out.Reset()
-			quit, err := s.dispatch(splitCommand(strings.TrimSuffix(line, "\r")))
+			quit, err := s.dispatch([]byte(strings.TrimSuffix(line, "\r")))
 			if err != nil {
 				t.Fatalf("%q: %v", line, err)
 			}

@@ -11,16 +11,19 @@
 // A login costs the store one Stat — ids and sizes, no body read — and
 // the session answers STAT, LIST and UIDL from that snapshot, so what a
 // session costs follows the number of mails in the maildrop and the
-// bodies it actually retrieves, not the bytes the maildrop holds.
+// bodies it actually retrieves, not the bytes the maildrop holds. RETR
+// streams a body from the store to the socket in chunks of one pooled
+// buffer, so it costs no memory that follows the body's size either.
 package pop3
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -42,8 +45,13 @@ type Config struct {
 	Auth Authenticator
 	// Hostname appears in the greeting banner.
 	Hostname string
-	// IdleTimeout bounds each wait for a client command (default 60s).
+	// IdleTimeout bounds each wait for a client command, and each wait
+	// for the client to take the next chunk of a response (default 60s):
+	// a client that stops reading ends its session.
 	IdleTimeout time.Duration
+	// Registry receives the pop3_* metrics; nil keeps them private to the
+	// server (Stats still reads them).
+	Registry *metrics.Registry
 }
 
 // Stats counts server activity.
@@ -65,10 +73,13 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	sessions  metrics.Counter
-	retrieved metrics.Counter
-	deleted   metrics.Counter
-	authFails metrics.Counter
+	sessions  *metrics.Counter
+	retrieved *metrics.Counter
+	deleted   *metrics.Counter
+	authFails *metrics.Counter
+	// retrSeconds times a RETR from dispatch to the flush of its
+	// terminating dot.
+	retrSeconds *metrics.Histogram
 }
 
 // New returns an unstarted server.
@@ -82,7 +93,19 @@ func New(cfg Config) (*Server, error) {
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 60 * time.Second
 	}
-	return &Server{cfg: cfg, conns: make(map[net.Conn]bool)}, nil
+	reg := cfg.Registry
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
+	return &Server{
+		cfg:         cfg,
+		conns:       make(map[net.Conn]bool),
+		sessions:    reg.Counter("pop3_sessions_total"),
+		retrieved:   reg.Counter("pop3_retrieved_total"),
+		deleted:     reg.Counter("pop3_deleted_total"),
+		authFails:   reg.Counter("pop3_auth_failures_total"),
+		retrSeconds: reg.Histogram("pop3_retr_seconds", metrics.LatencyBounds()),
+	}, nil
 }
 
 // Stats returns a snapshot of the counters.
@@ -95,7 +118,9 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// Serve accepts connections until Close. It blocks.
+// Serve accepts connections until Close. It blocks. Running out of
+// descriptors or memory does not end it: it logs, waits and accepts
+// again (smtp.AcceptBackoff).
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -108,6 +133,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 	s.ln = ln
 	s.mu.Unlock()
+	var backoff smtp.AcceptBackoff
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -117,8 +143,14 @@ func (s *Server) Serve(ln net.Listener) error {
 			if closed {
 				return nil
 			}
+			if d, ok := backoff.Retry(err); ok {
+				log.Printf("pop3: accept: %v; retrying in %v", err, d)
+				time.Sleep(d)
+				continue
+			}
 			return fmt.Errorf("pop3: accept: %w", err)
 		}
+		backoff.Reset()
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -160,8 +192,11 @@ func (s *Server) untrack(nc net.Conn) {
 
 // session holds one connection's state.
 type session struct {
-	srv  *Server
-	c    *smtp.Conn // reuses the SMTP line/dot codec: POP3 shares both
+	srv *Server
+	c   *smtp.Conn // reuses the SMTP line/dot codec: POP3 shares both
+	// nc is the connection, whose write deadline each chunk of a RETR
+	// re-arms; nil for a session driven without one.
+	nc   net.Conn
 	user string
 	// authed marks the transition from AUTHORIZATION to TRANSACTION.
 	authed bool
@@ -174,6 +209,9 @@ type session struct {
 	deleted []bool
 	// line is the scratch every reply line is formatted into.
 	line []byte
+	// body is the reader over the mail RETR is sending; a field, so that
+	// handing it to StreamData as an io.Reader allocates nothing.
+	body io.SectionReader
 }
 
 // newSession starts a session over rw on a pooled smtp.Conn, which the
@@ -188,32 +226,63 @@ func (s *Server) serveConn(nc net.Conn) {
 	defer nc.Close()
 	s.sessions.Inc()
 	sess := s.newSession(nc)
+	sess.nc = nc
 	defer smtp.ReleaseConn(sess.c)
+	if err := nc.SetDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
+		return
+	}
 	if err := sess.ok("POP3 server ready on " + s.cfg.Hostname); err != nil {
 		return
 	}
 	for {
-		if err := nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
+		// One deadline for the command and its reply; RETR re-arms the
+		// write side per chunk of the body.
+		if err := nc.SetDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
 			return
 		}
 		line, err := sess.c.ReadLine()
 		if err != nil {
 			return
 		}
-		verb, arg := splitCommand(string(line))
-		quit, err := sess.dispatch(verb, arg)
+		quit, err := sess.dispatch(line)
 		if err != nil || quit {
 			return
 		}
 	}
 }
 
-func splitCommand(line string) (verb, arg string) {
-	verb = line
-	if i := strings.IndexByte(line, ' '); i >= 0 {
-		verb, arg = line[:i], strings.TrimSpace(line[i+1:])
+// Command verbs as foldVerb keys them.
+const (
+	keyUSER = 'u'<<24 | 's'<<16 | 'e'<<8 | 'r'
+	keyPASS = 'p'<<24 | 'a'<<16 | 's'<<8 | 's'
+	keySTAT = 's'<<24 | 't'<<16 | 'a'<<8 | 't'
+	keyLIST = 'l'<<24 | 'i'<<16 | 's'<<8 | 't'
+	keyUIDL = 'u'<<24 | 'i'<<16 | 'd'<<8 | 'l'
+	keyRETR = 'r'<<24 | 'e'<<16 | 't'<<8 | 'r'
+	keyDELE = 'd'<<24 | 'e'<<16 | 'l'<<8 | 'e'
+	keyNOOP = 'n'<<24 | 'o'<<16 | 'o'<<8 | 'p'
+	keyRSET = 'r'<<24 | 's'<<16 | 'e'<<8 | 't'
+	keyQUIT = 'q'<<24 | 'u'<<16 | 'i'<<8 | 't'
+)
+
+// foldVerb keys a verb token case-insensitively without copying it, as
+// smtp's parser does; every POP3 verb is four letters, anything else
+// keys to 0.
+func foldVerb(v []byte) uint32 {
+	if len(v) != 4 {
+		return 0
 	}
-	return strings.ToUpper(verb), arg
+	return uint32(v[0]|0x20)<<24 | uint32(v[1]|0x20)<<16 | uint32(v[2]|0x20)<<8 | uint32(v[3]|0x20)
+}
+
+// splitCommand splits a command line at its first space into the verb
+// and the argument, trimmed; both are views into line.
+func splitCommand(line []byte) (verb, arg []byte) {
+	verb = line
+	if i := bytes.IndexByte(line, ' '); i >= 0 {
+		verb, arg = line[:i], bytes.TrimSpace(line[i+1:])
+	}
+	return verb, arg
 }
 
 // Reply lines are built in the scratch buffer without fmt: begin starts
@@ -233,34 +302,37 @@ func (s *session) send() error {
 func (s *session) ok(text string) error   { s.begin("+OK "); s.str(text); return s.send() }
 func (s *session) errr(text string) error { s.begin("-ERR "); s.str(text); return s.send() }
 
-// dispatch handles one command; quit reports session end.
-func (s *session) dispatch(verb, arg string) (quit bool, err error) {
-	switch verb {
-	case "QUIT":
+// dispatch handles one command line, which it reads in place and does
+// not keep; quit reports session end.
+func (s *session) dispatch(line []byte) (quit bool, err error) {
+	verb, arg := splitCommand(line)
+	key := foldVerb(verb)
+	switch key {
+	case keyQUIT:
 		return true, s.quit()
-	case "NOOP":
+	case keyNOOP:
 		return false, s.ok("")
-	case "USER":
+	case keyUSER:
 		return false, s.cmdUser(arg)
-	case "PASS":
+	case keyPASS:
 		return false, s.cmdPass(arg)
-	case "STAT", "LIST", "UIDL", "RETR", "DELE", "RSET":
+	case keySTAT, keyLIST, keyUIDL, keyRETR, keyDELE, keyRSET:
 		if !s.authed {
 			return false, s.errr("log in first")
 		}
 	}
-	switch verb {
-	case "STAT":
+	switch key {
+	case keySTAT:
 		return false, s.cmdStat()
-	case "LIST":
+	case keyLIST:
 		return false, s.cmdList(arg)
-	case "UIDL":
+	case keyUIDL:
 		return false, s.cmdUidl(arg)
-	case "RETR":
+	case keyRETR:
 		return false, s.cmdRetr(arg)
-	case "DELE":
+	case keyDELE:
 		return false, s.cmdDele(arg)
-	case "RSET":
+	case keyRSET:
 		for i := range s.deleted {
 			s.deleted[i] = false
 		}
@@ -270,29 +342,31 @@ func (s *session) dispatch(verb, arg string) (quit bool, err error) {
 	}
 }
 
-func (s *session) cmdUser(arg string) error {
+func (s *session) cmdUser(arg []byte) error {
 	if s.authed {
 		return s.errr("already authenticated")
 	}
-	if arg == "" {
+	if len(arg) == 0 {
 		return s.errr("USER requires a name")
 	}
-	// The name becomes part of a file path in the store.
-	if !mailstore.ValidMailbox(arg) {
+	// The name becomes part of a file path in the store. It is the one
+	// argument a session keeps, so the one it copies.
+	user := string(arg)
+	if !mailstore.ValidMailbox(user) {
 		return s.errr("invalid user name")
 	}
-	s.user = arg
+	s.user = user
 	return s.ok("user accepted, send PASS")
 }
 
-func (s *session) cmdPass(arg string) error {
+func (s *session) cmdPass(arg []byte) error {
 	if s.authed {
 		return s.errr("already authenticated")
 	}
 	if s.user == "" {
 		return s.errr("send USER first")
 	}
-	if s.srv.cfg.Auth != nil && !s.srv.cfg.Auth(s.user, arg) {
+	if s.srv.cfg.Auth != nil && !s.srv.cfg.Auth(s.user, string(arg)) {
 		s.srv.authFails.Inc()
 		s.user = ""
 		return s.errr("authentication failed")
@@ -323,11 +397,17 @@ func (s *session) totals() (n, octets int) {
 	return n, octets
 }
 
-// message resolves a 1-based message number argument to its index in
-// msgs, or says why it names no message.
-func (s *session) message(arg string) (i int, problem string) {
-	n, err := strconv.Atoi(arg)
-	if err != nil || n < 1 || n > len(s.msgs) {
+// message resolves a 1-based message number argument — decimal digits
+// only — to its index in msgs, or says why it names no message.
+func (s *session) message(arg []byte) (i int, problem string) {
+	n := 0
+	for _, d := range arg {
+		if d < '0' || d > '9' || n > len(s.msgs) {
+			return 0, "no such message"
+		}
+		n = n*10 + int(d-'0')
+	}
+	if n < 1 || n > len(s.msgs) {
 		return 0, "no such message"
 	}
 	if s.deleted[n-1] {
@@ -366,8 +446,8 @@ func (s *session) listing(row func(i int)) error {
 	return s.send()
 }
 
-func (s *session) cmdList(arg string) error {
-	if arg != "" {
+func (s *session) cmdList(arg []byte) error {
+	if len(arg) > 0 {
 		i, problem := s.message(arg)
 		if problem != "" {
 			return s.errr(problem)
@@ -386,8 +466,8 @@ func (s *session) cmdList(arg string) error {
 	return s.listing(func(i int) { s.num(s.msgs[i].Size) })
 }
 
-func (s *session) cmdUidl(arg string) error {
-	if arg != "" {
+func (s *session) cmdUidl(arg []byte) error {
+	if len(arg) > 0 {
 		i, problem := s.message(arg)
 		if problem != "" {
 			return s.errr(problem)
@@ -402,28 +482,47 @@ func (s *session) cmdUidl(arg string) error {
 	return s.listing(func(i int) { s.str(" "); s.str(s.msgs[i].ID) })
 }
 
-func (s *session) cmdRetr(arg string) error {
+// cmdRetr sends one mail. The store resolves it to a reader without
+// reading it and holds no lock after that, so the size goes out first
+// and the body follows in chunks of the Conn's pooled buffer. A failed
+// read ends the session before the terminating dot: the client sees a
+// cut connection, never a short body taken for a whole one.
+func (s *session) cmdRetr(arg []byte) error {
+	start := time.Now()
 	i, problem := s.message(arg)
 	if problem != "" {
 		return s.errr(problem)
 	}
-	body, err := s.srv.cfg.Store.Read(s.user, s.msgs[i].ID)
+	body, err := s.srv.cfg.Store.Body(s.user, s.msgs[i].ID)
 	if err != nil {
 		return s.errr("message unavailable")
 	}
+	s.body = body
 	s.begin("+OK")
-	s.num(len(body))
+	s.num(int(s.body.Size()))
 	s.str(" octets")
 	if err := s.c.WriteLineLazy(s.line); err != nil {
 		return err
 	}
-	s.srv.retrieved.Inc()
 	// The SMTP dot codec is exactly POP3's multi-line response framing;
-	// its flush carries the status line too.
-	return s.c.WriteData(body)
+	// its first flush carries the status line too.
+	if err := s.c.StreamData(&s.body, s.body.Size(), s.armWrite); err != nil {
+		return err
+	}
+	s.srv.retrieved.Inc()
+	s.srv.retrSeconds.ObserveDuration(time.Since(start))
+	return nil
 }
 
-func (s *session) cmdDele(arg string) error {
+// armWrite gives the next chunk of a response IdleTimeout to leave.
+func (s *session) armWrite() error {
+	if s.nc == nil {
+		return nil
+	}
+	return s.nc.SetWriteDeadline(time.Now().Add(s.srv.cfg.IdleTimeout))
+}
+
+func (s *session) cmdDele(arg []byte) error {
 	i, problem := s.message(arg)
 	if problem != "" {
 		return s.errr(problem)

@@ -2,6 +2,7 @@ package smtp
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
@@ -151,6 +152,92 @@ func FuzzParsePath(f *testing.F) {
 		}
 		if bytes.ContainsAny(addr, "<> \t") {
 			t.Fatalf("parsePath(%q) leaked path syntax into %q", arg, addr)
+		}
+	})
+}
+
+// splitReader hands out its payload in reads whose sizes cycle through
+// sizes (1–8 bytes each; all that is asked for when sizes is empty).
+type splitReader struct {
+	p     []byte
+	sizes []byte
+	i     int
+}
+
+func (r *splitReader) Read(b []byte) (int, error) {
+	if len(r.p) == 0 {
+		return 0, io.EOF
+	}
+	n := len(b)
+	if len(r.sizes) > 0 {
+		n = min(n, int(r.sizes[r.i%len(r.sizes)]%8)+1)
+		r.i++
+	}
+	n = copy(b, r.p[:min(n, len(r.p))])
+	r.p = r.p[n:]
+	return n, nil
+}
+
+// writeDataOracle is the line-at-a-time DATA encoder WriteData was
+// before it shared the streaming encoder: split on LF, drop one CR
+// before it, double a leading dot, end every line CRLF, then the dot.
+func writeDataOracle(body []byte) []byte {
+	var out []byte
+	for len(body) > 0 {
+		line := body
+		if i := bytes.IndexByte(body, '\n'); i >= 0 {
+			line, body = bytes.TrimSuffix(body[:i], []byte("\r")), body[i+1:]
+		} else {
+			body = nil
+		}
+		if len(line) > 0 && line[0] == '.' {
+			out = append(out, '.')
+		}
+		out = append(append(out, line...), "\r\n"...)
+	}
+	return append(out, ".\r\n"...)
+}
+
+// FuzzStreamData checks that a body streamed in reads of any sizes goes
+// out byte for byte as WriteData sends it whole, and both as the
+// line-at-a-time oracle encodes it: the dot-stuffing state (start of
+// line, a CR waiting on its LF) must survive every read edge.
+func FuzzStreamData(f *testing.F) {
+	for _, seed := range []struct {
+		body   string
+		splits []byte
+	}{
+		{"", nil},
+		{".leading dot\r\n..two dots\r\n.\r\n", []byte{0}}, // 1-byte reads
+		{"a\r\nb\r\nc", []byte{1}},                         // a CR at every read edge
+		{"bare\nlf\n.x\nend\n", []byte{2, 0}},
+		{"no final newline", []byte{4}},
+		{"ends in CR\r", []byte{0, 1, 2}},
+		{"x\r\r\n\r\n\r", []byte{1, 0}},
+		{"\r", nil},
+		{". \r\n.\n", nil},
+	} {
+		f.Add([]byte(seed.body), seed.splits)
+	}
+	f.Fuzz(func(t *testing.T, body, splits []byte) {
+		c, whole := newRW("")
+		if err := c.WriteData(body); err != nil {
+			t.Fatal(err)
+		}
+		calls := 0
+		c, streamed := newRW("")
+		r := &splitReader{p: body, sizes: splits}
+		if err := c.StreamData(r, int64(len(body)), func() error { calls++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if want := writeDataOracle(body); !bytes.Equal(whole.out.Bytes(), want) {
+			t.Fatalf("body %q:\nWriteData %q\noracle    %q", body, whole.out.Bytes(), want)
+		}
+		if !bytes.Equal(streamed.out.Bytes(), whole.out.Bytes()) {
+			t.Fatalf("body %q in reads %v:\nstreamed  %q\nWriteData %q", body, splits, streamed.out.Bytes(), whole.out.Bytes())
+		}
+		if calls < 1 {
+			t.Fatal("before never ran")
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -42,6 +43,7 @@ type Conn struct {
 	scratch []byte
 	// data is the reusable DATA accumulation buffer; ReadData returns a
 	// view into it, valid until the next ReadData on this Conn.
+	// StreamData reads its chunks into the same buffer.
 	data []byte
 }
 
@@ -231,22 +233,118 @@ func (c *Conn) WriteData(body []byte) error {
 
 // writeData is WriteData without the flush.
 func (c *Conn) writeData(body []byte) error {
-	for len(body) > 0 {
-		line := body
-		if i := bytes.IndexByte(body, '\n'); i >= 0 {
-			line = trimCR(body[:i])
-			body = body[i+1:]
-		} else {
-			body = nil
+	var st dotState
+	if err := c.stuff(&st, body); err != nil {
+		return err
+	}
+	return c.endData(st)
+}
+
+// streamChunk caps the chunk StreamData reads a payload in.
+const streamChunk = 32 << 10
+
+// StreamData sends the size-byte payload r yields exactly as WriteData
+// sends it and flushes, without holding the payload: each read fills at
+// most streamChunk bytes of the Conn's pooled body buffer, and the
+// stuffing state carries across reads, so the split of the payload into
+// reads never shows on the wire. before, if not nil, runs ahead of each
+// read and of the terminator; a server arms its write deadline there, so
+// a peer that reads slowly but steadily still gets the whole payload. A
+// read error, or a payload shorter than size, returns before the
+// terminator is written: the peer never takes a truncated payload for a
+// whole one.
+func (c *Conn) StreamData(r io.Reader, size int64, before func() error) error {
+	c.data = slices.Grow(c.data[:0], int(min(size, streamChunk)))
+	chunk := c.data[:min(cap(c.data), streamChunk)]
+	var st dotState
+	for size > 0 {
+		if before != nil {
+			if err := before(); err != nil {
+				return err
+			}
 		}
-		if len(line) > 0 && line[0] == '.' {
+		n, err := r.Read(chunk[:min(size, int64(len(chunk)))])
+		if n == 0 && err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return fmt.Errorf("smtp: reading data: %w", err)
+		}
+		size -= int64(n)
+		if err := c.stuff(&st, chunk[:n]); err != nil {
+			return err
+		}
+	}
+	if before != nil {
+		if err := before(); err != nil {
+			return err
+		}
+	}
+	if err := c.endData(st); err != nil {
+		return err
+	}
+	return c.w.Flush()
+}
+
+// dotState is where a dot-stuffed payload stands between two pieces.
+type dotState struct {
+	midLine bool // the last byte written did not end a line
+	cr      bool // a CR ended the last piece; an LF next would drop it
+}
+
+// stuff writes the next piece of a payload with the DATA line rules: a
+// leading dot doubled, one CR before each LF dropped, every LF sent as
+// CRLF. A CR that ends p is held in st until the next byte shows
+// whether it ends the line.
+func (c *Conn) stuff(st *dotState, p []byte) error {
+	if len(p) == 0 {
+		return nil
+	}
+	if st.cr {
+		st.cr = false
+		if p[0] != '\n' { // the held CR is text
+			if err := c.w.WriteByte('\r'); err != nil {
+				return err
+			}
+		}
+	}
+	midLine := st.midLine
+	for len(p) > 0 {
+		if !midLine && p[0] == '.' {
 			if err := c.w.WriteByte('.'); err != nil {
 				return err
 			}
 		}
-		if _, err := c.w.Write(line); err != nil {
+		i := bytes.IndexByte(p, '\n')
+		if i < 0 {
+			st.midLine = true
+			if p[len(p)-1] == '\r' {
+				p, st.cr = p[:len(p)-1], true
+			}
+			_, err := c.w.Write(p)
 			return err
 		}
+		if _, err := c.w.Write(trimCR(p[:i])); err != nil {
+			return err
+		}
+		if _, err := c.w.WriteString("\r\n"); err != nil {
+			return err
+		}
+		p, midLine = p[i+1:], false
+	}
+	st.midLine = false
+	return nil
+}
+
+// endData ends a payload stuff has written: a CR still held is text, a
+// final line without a newline gets its CRLF, then the terminating dot.
+func (c *Conn) endData(st dotState) error {
+	if st.cr {
+		if err := c.w.WriteByte('\r'); err != nil {
+			return err
+		}
+	}
+	if st.midLine {
 		if _, err := c.w.WriteString("\r\n"); err != nil {
 			return err
 		}

@@ -2,6 +2,8 @@ package smtp
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -157,5 +159,35 @@ func TestDataRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamDataShortPayload: a payload that ends before its announced
+// size, or a before hook that fails, stops the stream without the
+// terminating dot.
+func TestStreamDataShortPayload(t *testing.T) {
+	c, rw := newRW("")
+	err := c.StreamData(strings.NewReader("line one\r\nline"), 100, nil)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("short payload: err = %v", err)
+	}
+	c.Flush() //nolint:errcheck
+	if got := rw.out.String(); strings.Contains(got, "\r\n.\r\n") || got != "line one\r\nline" {
+		t.Fatalf("short payload sent %q", got)
+	}
+
+	c, rw = newRW("")
+	stop := errors.New("deadline")
+	calls := 0
+	err = c.StreamData(strings.NewReader("a\r\n"), 3, func() error {
+		calls++
+		if calls == 2 {
+			return stop
+		}
+		return nil
+	})
+	c.Flush() //nolint:errcheck
+	if err != stop || rw.out.String() != "a\r\n" {
+		t.Fatalf("failed final hook: err = %v, sent %q", err, rw.out.String())
 	}
 }

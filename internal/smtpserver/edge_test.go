@@ -3,13 +3,16 @@ package smtpserver
 import (
 	"context"
 	"net"
+	"os"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/addr"
 	"repro/internal/dnsbl"
+	"repro/internal/eventlog"
 	"repro/internal/smtp"
 )
 
@@ -43,6 +46,80 @@ func TestServeReturnsNilAfterClose(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("Serve did not return after Close")
 	}
+}
+
+// flakyListener fails its first fails Accepts the way a process out of
+// descriptors sees it.
+type flakyListener struct {
+	net.Listener
+	fails atomic.Int64
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.fails.Add(-1) >= 0 {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept4", syscall.EMFILE)}
+	}
+	return l.Listener.Accept()
+}
+
+// TestAcceptSurvivesDescriptorExhaustion: EMFILE from Accept is waited
+// out with a warn event, not returned — a node whose Serve returns is
+// stopped — and the next connection's mail is served.
+func TestAcceptSurvivesDescriptorExhaustion(t *testing.T) {
+	forEachArch(t, func(t *testing.T, arch Architecture) {
+		mails := make(chan string, 1)
+		log := eventlog.New()
+		srv, err := New(func(_ string, _ []string, data []byte) (string, error) {
+			mails <- string(data)
+			return "Q1", nil
+		}, WithArchitecture(arch), WithEventLog(log), WithValidateRcpt(func(string) bool { return true }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		flaky := &flakyListener{Listener: ln}
+		flaky.fails.Store(2)
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve(flaky) }()
+
+		sent := make(chan error, 1)
+		go func() {
+			// The connection waits in the listen backlog until an
+			// Accept takes it.
+			c, err := smtp.Dial(ln.Addr().String(), 5*time.Second)
+			if err == nil {
+				c.Helo("client.test") //nolint:errcheck // Send reports a broken dialog
+				_, err = c.Send("s@remote.test", []string{"a@valid.test"}, []byte("hello\r\n"))
+				c.Quit() //nolint:errcheck
+			}
+			sent <- err
+		}()
+		select {
+		case got := <-mails:
+			if got != "hello\r\n" {
+				t.Fatalf("mail = %q", got)
+			}
+		case err := <-served:
+			t.Fatalf("Serve returned %v with a connection waiting", err)
+		case <-time.After(5 * time.Second):
+			t.Fatal("the waiting connection's mail was never served")
+		}
+		if err := <-sent; err != nil {
+			t.Fatal(err)
+		}
+		if evs := log.Tail(eventlog.Filter{Name: "smtpd.accept"}); len(evs) != 2 || evs[0].Level != eventlog.LevelWarn {
+			t.Fatalf("smtpd.accept events = %+v, want two warnings", evs)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-served; err != nil {
+			t.Fatalf("Serve = %v", err)
+		}
+	})
 }
 
 func TestServeTwiceRejected(t *testing.T) {

@@ -406,14 +406,23 @@ func (s *Server) startShard(workers int) *shard {
 }
 
 // acceptLoop accepts connections on ln and dispatches them into sh until
-// the listener fails (Close, or a real error).
+// the listener fails (Close, or a real error). Running out of
+// descriptors or memory is not a failure: the loop waits and accepts
+// again (smtp.AcceptBackoff).
 func (s *Server) acceptLoop(ln net.Listener, sh *shard) error {
+	var backoff smtp.AcceptBackoff
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
 			s.mu.Lock()
 			closed := s.closed
 			s.mu.Unlock()
+			if d, ok := backoff.Retry(err); ok && !closed {
+				s.cfg.events.Warn("smtpd.accept", 0,
+					eventlog.Str("err", err.Error()), eventlog.Dur("retry_in", d))
+				time.Sleep(d)
+				continue
+			}
 			if sh.conns != nil {
 				close(sh.conns)
 			}
@@ -422,6 +431,7 @@ func (s *Server) acceptLoop(ln net.Listener, sh *shard) error {
 			}
 			return fmt.Errorf("smtpserver: accept: %w", err)
 		}
+		backoff.Reset()
 		acceptedAt := time.Now()
 		id := s.connID()
 		s.connections.Inc()
