@@ -6,6 +6,7 @@ package addr
 
 import (
 	"fmt"
+	"net/netip"
 	"strconv"
 	"strings"
 )
@@ -72,6 +73,23 @@ func parseOctet(p string) (uint32, bool) {
 	return n, true
 }
 
+// FromNetIP converts an IPv4 netip.Addr without formatting or parsing
+// it; ok is false for any other address, an IPv4-mapped IPv6 one
+// included (Unmap it first).
+func FromNetIP(ip netip.Addr) (v4 IPv4, ok bool) {
+	if !ip.Is4() {
+		return 0, false
+	}
+	b := ip.As4()
+	return MakeIPv4(b[0], b[1], b[2], b[3]), true
+}
+
+// NetIP returns the address as a netip.Addr.
+func (ip IPv4) NetIP() netip.Addr {
+	a, b, c, d := ip.Octets()
+	return netip.AddrFrom4([4]byte{a, b, c, d})
+}
+
 // MustParseIPv4 is ParseIPv4 that panics on error, for tests and constants.
 func MustParseIPv4(s string) IPv4 {
 	ip, err := ParseIPv4(s)
@@ -109,9 +127,9 @@ func appendQuad(b []byte, w, x, y, z byte) []byte {
 	return strconv.AppendUint(b, uint64(z), 10)
 }
 
-// nameBuf sizes the stack buffer a query name is built in; a longer zone
+// NameBuf sizes a stack buffer to build a query name in; a longer zone
 // still works, at the cost of one more allocation.
-const nameBuf = 64
+const NameBuf = 64
 
 // appendName appends the query name "w.x.y.z.zone".
 func appendName(b []byte, w, x, y, z byte, zone string) []byte {
@@ -148,9 +166,14 @@ func (ip IPv4) IndexIn25() int { return int(ip & 0x7f) }
 // ReversedName returns the classic DNSBL query name for the address under
 // the given zone: for IP x.y.z.w it returns "w.z.y.x.zone" (§4.3).
 func (ip IPv4) ReversedName(zone string) string {
-	a, b, c, d := ip.Octets()
-	var buf [nameBuf]byte
-	return string(appendName(buf[:0], d, c, b, a, zone))
+	var buf [NameBuf]byte
+	return string(ip.AppendReversedName(buf[:0], zone))
+}
+
+// AppendReversedName appends ReversedName(zone) to b.
+func (ip IPv4) AppendReversedName(b []byte, zone string) []byte {
+	a, b1, c, d := ip.Octets()
+	return appendName(b, d, c, b1, a, zone)
 }
 
 // V6Name returns the DNSBLv6 query name for the address under the given
@@ -158,9 +181,14 @@ func (ip IPv4) ReversedName(zone string) string {
 // w < 128 and 1 otherwise, selecting which /25 half of the /24 the bitmap
 // should describe.
 func (ip IPv4) V6Name(zone string) string {
-	a, b, c, d := ip.Octets()
-	var buf [nameBuf]byte
-	return string(appendName(buf[:0], d>>7, c, b, a, zone))
+	var buf [NameBuf]byte
+	return string(ip.AppendV6Name(buf[:0], zone))
+}
+
+// AppendV6Name appends V6Name(zone) to b.
+func (ip IPv4) AppendV6Name(b []byte, zone string) []byte {
+	a, b1, c, d := ip.Octets()
+	return appendName(b, d>>7, c, b1, a, zone)
 }
 
 // ParseReversedName inverts ReversedName: given "w.z.y.x.zone" and the

@@ -2,6 +2,7 @@ package addr
 
 import (
 	"fmt"
+	"net/netip"
 	"strconv"
 	"strings"
 	"testing"
@@ -138,6 +139,31 @@ func TestFormattingMatchesSprintf(t *testing.T) {
 		if n := testing.AllocsPerRun(100, fn); n > 1 {
 			t.Errorf("%s allocates %v objects, want 1", name, n)
 		}
+	}
+}
+
+// TestNetIPRoundTrip: an IPv4 netip.Addr converts both ways without
+// allocating; every other address, a mapped one included, is not IPv4.
+func TestNetIPRoundTrip(t *testing.T) {
+	f := func(raw uint32) bool {
+		ip := IPv4(raw)
+		back, ok := FromNetIP(ip.NetIP())
+		return ok && back == ip && ip.NetIP().String() == ip.String()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{"::1", "::ffff:192.0.2.7", "2001:db8::1"} {
+		if _, ok := FromNetIP(netip.MustParseAddr(s)); ok {
+			t.Errorf("FromNetIP(%s) reports IPv4", s)
+		}
+	}
+	if _, ok := FromNetIP(netip.Addr{}); ok {
+		t.Error("FromNetIP of the zero Addr reports IPv4")
+	}
+	v4 := netip.MustParseAddr("192.0.2.7")
+	if n := testing.AllocsPerRun(100, func() { FromNetIP(v4) }); n != 0 {
+		t.Errorf("FromNetIP allocates %v objects, want 0", n)
 	}
 }
 

@@ -299,10 +299,12 @@ func NewCache(now func() time.Time, staleFor time.Duration) *Cache {
 // Get returns the cached response for (name, qtype) if still fresh, and
 // whether it arrived from a peer. Expired entries are a miss, not an
 // eviction, so Stale can serve them when the upstream is unreachable.
-func (c *Cache) Get(name string, qtype Type) (msg *Message, peer, ok bool) {
+// name is only read, and the lookup makes no string of it, so a caller
+// can build it in a stack buffer.
+func (c *Cache) Get(name []byte, qtype Type) (msg *Message, peer, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[cacheKey{name: name, qtype: qtype}]
+	e, ok := c.entries[cacheKey{name: string(name), qtype: qtype}]
 	if !ok || c.now().After(e.expires) {
 		c.misses++
 		return nil, false, false

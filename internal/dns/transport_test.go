@@ -155,22 +155,22 @@ func TestCacheHitMissExpiry(t *testing.T) {
 	clock := func() time.Time { return now }
 	c := NewCache(clock, 0)
 
-	if _, _, ok := c.Get("x.example", TypeA); ok {
+	if _, _, ok := c.Get([]byte("x.example"), TypeA); ok {
 		t.Fatal("empty cache hit")
 	}
 	msg := &Message{ID: 1}
 	c.Put("x.example", TypeA, msg, time.Hour)
-	got, peer, ok := c.Get("x.example", TypeA)
+	got, peer, ok := c.Get([]byte("x.example"), TypeA)
 	if !ok || peer || got != msg {
 		t.Fatal("fresh entry missed")
 	}
 	// Different qtype is a different key.
-	if _, _, ok := c.Get("x.example", TypeAAAA); ok {
+	if _, _, ok := c.Get([]byte("x.example"), TypeAAAA); ok {
 		t.Fatal("qtype collision")
 	}
 	// Expiry.
 	now = now.Add(2 * time.Hour)
-	if _, _, ok := c.Get("x.example", TypeA); ok {
+	if _, _, ok := c.Get([]byte("x.example"), TypeA); ok {
 		t.Fatal("expired entry returned")
 	}
 	hits, misses := c.Stats()
@@ -193,7 +193,7 @@ func TestCacheZeroTTLNotStored(t *testing.T) {
 func TestCacheDefaultClock(t *testing.T) {
 	c := NewCache(nil, 0)
 	c.Put("x", TypeA, &Message{}, time.Hour)
-	if _, _, ok := c.Get("x", TypeA); !ok {
+	if _, _, ok := c.Get([]byte("x"), TypeA); !ok {
 		t.Fatal("real-clock cache lost a fresh entry")
 	}
 }

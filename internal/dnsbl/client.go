@@ -302,7 +302,8 @@ func (c *Client) Lookup(ctx context.Context, ip addr.IPv4) (Result, error) {
 	if c.buildErr != nil {
 		return Result{}, c.buildErr
 	}
-	name, qtype := c.key(ip)
+	var buf [addr.NameBuf]byte
+	name, qtype := c.key(buf[:0], ip)
 	if r, ok, err := c.fromCache(ip, name, qtype); ok {
 		return r, c.report(ip, r, err)
 	}
@@ -312,7 +313,7 @@ func (c *Client) Lookup(ctx context.Context, ip addr.IPv4) (Result, error) {
 		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 	}
-	msg, hit, stale, err := c.fetch(ctx, name, qtype)
+	msg, hit, stale, err := c.fetch(ctx, string(name), qtype)
 	var r Result
 	if err == nil {
 		r, err = c.result(msg, ip, hit)
@@ -332,7 +333,8 @@ func (c *Client) Cached(ip addr.IPv4) (Result, bool) {
 	if c.buildErr != nil {
 		return Result{}, false
 	}
-	name, qtype := c.key(ip)
+	var buf [addr.NameBuf]byte
+	name, qtype := c.key(buf[:0], ip)
 	r, ok, err := c.fromCache(ip, name, qtype)
 	if !ok {
 		return Result{}, false
@@ -343,19 +345,20 @@ func (c *Client) Cached(ip addr.IPv4) (Result, bool) {
 	return r, true
 }
 
-// key returns the query name and type a lookup of ip asks under the
-// client's cache policy.
-func (c *Client) key(ip addr.IPv4) (string, dns.Type) {
+// key appends to b the query name a lookup of ip asks under the client's
+// cache policy, and returns it with the query type. Callers build it in a
+// stack buffer, so a lookup answered from cache allocates nothing.
+func (c *Client) key(b []byte, ip addr.IPv4) ([]byte, dns.Type) {
 	if c.policy == CachePrefix {
-		return ip.V6Name(c.zone), dns.TypeAAAA
+		return ip.AppendV6Name(b, c.zone), dns.TypeAAAA
 	}
-	return ip.ReversedName(c.zone), dns.TypeA
+	return ip.AppendReversedName(b, c.zone), dns.TypeA
 }
 
 // fromCache answers ip from a fresh cache entry under (name, qtype),
 // counting the lookup as a cache hit; ok is false, and nothing counted,
 // on a miss. err is the cached answer's own failure.
-func (c *Client) fromCache(ip addr.IPv4, name string, qtype dns.Type) (r Result, ok bool, err error) {
+func (c *Client) fromCache(ip addr.IPv4, name []byte, qtype dns.Type) (r Result, ok bool, err error) {
 	if c.policy == CacheNone {
 		return Result{}, false, nil
 	}

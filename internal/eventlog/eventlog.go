@@ -163,6 +163,10 @@ func (f Field) Str() string { return f.str }
 // and IPs share it; 0 otherwise).
 func (f Field) Int() int64 { return f.num }
 
+// IP returns the address of a field built by IP, and false for any other
+// field.
+func (f Field) IP() (addr.IPv4, bool) { return addr.IPv4(f.num), f.kind == kindIP }
+
 // Float returns the field's float payload (0 for non-float fields).
 func (f Field) Float() float64 { return f.flo }
 

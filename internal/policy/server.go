@@ -2,6 +2,7 @@ package policy
 
 import (
 	"context"
+	"net/netip"
 	"time"
 
 	"repro/internal/addr"
@@ -10,10 +11,12 @@ import (
 )
 
 // ServerPolicy adapts the clock-agnostic Engine (plus an optional
-// concurrent Scorer) to the real servers: string client addresses and
-// absolute wall time. internal/smtpserver consults it at accept time and on
-// each MAIL/RCPT; internal/simmail drives the Engine directly on
-// virtual time instead.
+// concurrent Scorer) to the real servers: netip.Addr client addresses
+// and absolute wall time. internal/smtpserver consults it at accept time
+// and on each MAIL/RCPT; internal/simmail drives the Engine directly on
+// virtual time instead. An IPv4 peer is converted without parsing; any
+// other peer (IPv6, or the zero Addr of a non-TCP one) fails open,
+// allowed and unrecorded, so an exotic address never blocks mail.
 type ServerPolicy struct {
 	eng    *Engine
 	scorer *Scorer
@@ -79,19 +82,12 @@ func (p *ServerPolicy) now() time.Duration { return p.clock().Sub(epoch) }
 // Registry returns the registry holding the policy's metrics.
 func (p *ServerPolicy) Registry() *metrics.Registry { return p.reg }
 
-// parse returns the client IP, failing open (allow, zero IP) on
-// non-IPv4 peers so an exotic address never blocks mail.
-func parse(ipStr string) (addr.IPv4, bool) {
-	ip, err := addr.ParseIPv4(ipStr)
-	return ip, err == nil
-}
-
 // Connect evaluates connection admission for a client address: the
 // DNSBL scan (when configured) followed by Engine.Admit. ctx is the
 // connection's context; the scorer bounds the scan by ctx's deadline, or
 // its own timeout when ctx has none.
-func (p *ServerPolicy) Connect(ctx context.Context, ipStr string) Decision {
-	ip, ok := parse(ipStr)
+func (p *ServerPolicy) Connect(ctx context.Context, peer netip.Addr) Decision {
+	ip, ok := addr.FromNetIP(peer)
 	if !ok {
 		return allowed
 	}
@@ -118,8 +114,8 @@ func (p *ServerPolicy) Connect(ctx context.Context, ipStr string) Decision {
 }
 
 // Mail evaluates one MAIL FROM transaction.
-func (p *ServerPolicy) Mail(ctx context.Context, ipStr, sender string) Decision {
-	ip, ok := parse(ipStr)
+func (p *ServerPolicy) Mail(ctx context.Context, peer netip.Addr, sender string) Decision {
+	ip, ok := addr.FromNetIP(peer)
 	if !ok {
 		return allowed
 	}
@@ -127,8 +123,8 @@ func (p *ServerPolicy) Mail(ctx context.Context, ipStr, sender string) Decision 
 }
 
 // Rcpt evaluates one otherwise-valid RCPT TO.
-func (p *ServerPolicy) Rcpt(ctx context.Context, ipStr, sender, rcpt string) Decision {
-	ip, ok := parse(ipStr)
+func (p *ServerPolicy) Rcpt(ctx context.Context, peer netip.Addr, sender, rcpt string) Decision {
+	ip, ok := addr.FromNetIP(peer)
 	if !ok {
 		return allowed
 	}
@@ -137,16 +133,16 @@ func (p *ServerPolicy) Rcpt(ctx context.Context, ipStr, sender, rcpt string) Dec
 
 // RecordRejectedRcpt feeds one 550-rejected recipient into the
 // reputation store.
-func (p *ServerPolicy) RecordRejectedRcpt(ipStr string) {
-	if ip, ok := parse(ipStr); ok {
+func (p *ServerPolicy) RecordRejectedRcpt(peer netip.Addr) {
+	if ip, ok := addr.FromNetIP(peer); ok {
 		p.eng.RecordRejectedRcpt(p.now(), ip)
 	}
 }
 
 // RecordBounce feeds one completed bounce connection into the
 // reputation store.
-func (p *ServerPolicy) RecordBounce(ipStr string) {
-	if ip, ok := parse(ipStr); ok {
+func (p *ServerPolicy) RecordBounce(peer netip.Addr) {
+	if ip, ok := addr.FromNetIP(peer); ok {
 		p.eng.RecordBounce(p.now(), ip)
 	}
 }

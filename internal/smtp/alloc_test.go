@@ -226,8 +226,8 @@ func TestDialogScriptSemantics(t *testing.T) {
 		}
 		switch i {
 		case 3:
-			if got := sess.Rcpts(); len(got) != 1 {
-				t.Fatalf("after duplicate RCPT, rcpts = %v, want 1", got)
+			if sess.nrcpts != 1 {
+				t.Fatalf("after duplicate RCPT, %d rcpts, want 1", sess.nrcpts)
 			}
 		case 4:
 			if sess.RejectedRcpts() != 1 {
@@ -264,11 +264,17 @@ func TestSessionPoolResets(t *testing.T) {
 	command(s, "HELO a")
 	command(s, "MAIL FROM:<x@y.z>")
 	command(s, "RCPT TO:<u@v.w>")
+	finish(t, s)
+	command(s, "MAIL FROM:<x@y.z>")
 	ReleaseSession(s)
 	s2 := AcquireSession(Config{Hostname: "two.example"})
-	if s2.State() != StateStart || s2.HasValidRcpt() || s2.Helo() != "" || s2.Sender() != "" {
-		t.Fatalf("pooled session not reset: state=%v helo=%q sender=%q rcpts=%v",
-			s2.State(), s2.Helo(), s2.Sender(), s2.Rcpts())
+	if s2.State() != StateStart || s2.HasValidRcpt() || s2.senderSet || len(s2.sender) != 0 {
+		t.Fatalf("pooled session not reset: state=%v sender=%q", s2.State(), s2.sender)
+	}
+	for _, r := range s2.envRcpts {
+		if r != "" {
+			t.Fatalf("pooled session keeps the last envelope's recipient %q", r)
+		}
 	}
 	if s2.cfg.Hostname != "two.example" {
 		t.Fatalf("pooled session kept old config: %q", s2.cfg.Hostname)

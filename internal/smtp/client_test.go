@@ -47,6 +47,10 @@ func serveSession(conn net.Conn, cfg Config, envs chan<- Envelope) {
 			}
 			env, done := s.FinishData(body)
 			if envs != nil {
+				// The channel keeps the envelope past this transaction:
+				// copy what the session and the Conn own.
+				env.Rcpts = append([]string(nil), env.Rcpts...)
+				env.Data = append([]byte(nil), env.Data...)
 				envs <- env
 			}
 			if err := c.WriteReply(done); err != nil {

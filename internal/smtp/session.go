@@ -1,6 +1,10 @@
 package smtp
 
-import "repro/internal/trace"
+import (
+	"strings"
+
+	"repro/internal/trace"
+)
 
 // State is the SMTP session state.
 type State int
@@ -64,7 +68,13 @@ type Config struct {
 	Ehlo *Reply
 }
 
-// Envelope is one completed mail transaction.
+// Envelope is one completed mail transaction, as FinishData returns it.
+// Sender and every recipient are substrings of one string FinishData
+// allocates per mail, so they are immutable and may be kept. The Rcpts
+// slice and Data are the session's and the connection's: they are valid
+// until the enqueue hook the envelope is handed to returns, and a hook
+// that keeps either past that copies it (the queue clones Rcpts when it
+// spools a mail).
 type Envelope struct {
 	Sender string
 	Rcpts  []string
@@ -80,17 +90,16 @@ type Envelope struct {
 // first valid RCPT and then hands it to a worker (§5.3 transfers exactly
 // the state this struct holds: client identity, sender, recipients).
 //
-// The machine is allocation-free in steady state: HELO name, sender, and
-// recipients are copied into buffers that are reused across transactions
-// (and, via AcquireSession, across connections), and duplicate-recipient
-// detection runs over an open-addressed index instead of a string scan.
-// Heap traffic only happens on first growth and when FinishData
-// materializes the Envelope the queue keeps.
+// The machine is allocation-free in steady state: sender and recipients
+// are copied into buffers that are reused across transactions (and, via
+// AcquireSession, across connections), and duplicate-recipient detection
+// runs over an open-addressed index instead of a string scan. Heap
+// traffic only happens on first growth and in FinishData's one envelope
+// string per mail.
 type Session struct {
 	cfg   Config
 	state State
 
-	helo   []byte
 	sender []byte
 	// senderSet distinguishes MAIL FROM:<> (bounce sender) from no MAIL.
 	senderSet bool
@@ -100,6 +109,9 @@ type Session struct {
 	nrcpts   int
 	rcptBufs [][]byte
 	rcptIdx  rcptIndex
+
+	// envRcpts backs the Rcpts of the Envelope FinishData last returned.
+	envRcpts []string
 
 	// xtrace is the trace context carried by the current transaction's
 	// XTRACE MAIL parameter (held by value: no allocation).
@@ -131,7 +143,7 @@ func (s *Session) Reset(cfg Config) {
 	}
 	s.cfg = cfg
 	s.state = StateStart
-	s.helo = s.helo[:0]
+	clear(s.envRcpts) // a pooled session keeps no mail's strings alive
 	s.resetMail()
 	s.rejectedRcpts = 0
 	s.mailsDone = 0
@@ -142,24 +154,6 @@ func (s *Session) Greeting() Reply { return Banner(s.cfg.Hostname) }
 
 // State returns the current protocol state.
 func (s *Session) State() State { return s.state }
-
-// Helo returns the client's HELO/EHLO name.
-func (s *Session) Helo() string { return string(s.helo) }
-
-// Sender returns the MAIL FROM address ("" for the null sender).
-func (s *Session) Sender() string { return string(s.sender) }
-
-// Rcpts returns the accepted recipients so far.
-func (s *Session) Rcpts() []string {
-	if s.nrcpts == 0 {
-		return nil
-	}
-	out := make([]string, s.nrcpts)
-	for i := 0; i < s.nrcpts; i++ {
-		out[i] = string(s.rcptBufs[i])
-	}
-	return out
-}
 
 // HasValidRcpt reports whether at least one recipient has been accepted —
 // the fork-after-trust delegation trigger (§5.1: "if even a single
@@ -212,7 +206,6 @@ func (s *Session) CommandBytes(line []byte) (Reply, Action) {
 		// mirroring that avoids turning VRFY into a harvesting oracle.
 		return ReplyVrfy, ActionNone
 	case VerbHELO, VerbEHLO:
-		s.helo = append(s.helo[:0], cmd.Arg...)
 		s.resetMail()
 		s.state = StateGreeted
 		if cmd.Verb == VerbEHLO && s.cfg.Ehlo != nil {
@@ -295,13 +288,31 @@ func (s *Session) appendRcpt(pos int, addr []byte) {
 // FinishData completes the DATA transaction with the decoded body and
 // returns the envelope plus the reply to send. The session returns to the
 // greeted state, ready for the next MAIL (postfix allows pipelined
-// transactions on one connection). The Envelope's strings are fresh
-// copies — this is the one deliberately allocating step, because the
-// queue keeps the envelope past the session's lifetime.
+// transactions on one connection). Sender and recipients are copied into
+// one fresh string, the transaction's only allocation once the session's
+// buffers have grown; the Envelope's Rcpts slice is the session's, valid
+// until the next FinishData (see Envelope).
 func (s *Session) FinishData(body []byte) (Envelope, Reply) {
+	n := len(s.sender)
+	for _, r := range s.rcptBufs[:s.nrcpts] {
+		n += len(r)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.Write(s.sender)
+	for _, r := range s.rcptBufs[:s.nrcpts] {
+		b.Write(r)
+	}
+	all := b.String()
+	off := len(s.sender)
+	s.envRcpts = s.envRcpts[:0]
+	for _, r := range s.rcptBufs[:s.nrcpts] {
+		s.envRcpts = append(s.envRcpts, all[off:off+len(r)])
+		off += len(r)
+	}
 	env := Envelope{
-		Sender: string(s.sender),
-		Rcpts:  s.Rcpts(),
+		Sender: all[:len(s.sender)],
+		Rcpts:  s.envRcpts,
 		Data:   body,
 		Trace:  s.xtrace,
 	}

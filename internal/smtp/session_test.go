@@ -34,6 +34,17 @@ func drive(t *testing.T, s *Session, steps []struct {
 	}
 }
 
+// finish completes the open transaction with DATA and returns its
+// envelope.
+func finish(t *testing.T, s *Session) Envelope {
+	t.Helper()
+	if r, action := command(s, "DATA"); action != ActionData {
+		t.Fatalf("DATA = %d %s", r.Code, r.Text)
+	}
+	env, _ := s.FinishData([]byte("x\r\n"))
+	return env
+}
+
 func TestHappyPathTransaction(t *testing.T) {
 	s := newTestSession()
 	if g := s.Greeting(); g.Code != 220 || !strings.Contains(g.Text, "mx.test") {
@@ -128,13 +139,18 @@ func TestRsetClearsTransaction(t *testing.T) {
 	if r.Code != 250 {
 		t.Fatalf("RSET = %d", r.Code)
 	}
-	if s.HasValidRcpt() || s.Sender() != "" {
-		t.Fatal("RSET did not clear state")
+	if s.HasValidRcpt() {
+		t.Fatal("RSET did not clear the recipients")
 	}
-	// MAIL allowed again after RSET.
+	// MAIL allowed again after RSET, and the envelope holds only the new
+	// transaction.
 	r, _ = command(s, "MAIL FROM:<c@d.test>")
 	if r.Code != 250 {
 		t.Fatalf("MAIL after RSET = %d", r.Code)
+	}
+	command(s, "RCPT TO:<b@valid.test>")
+	if env := finish(t, s); env.Sender != "c@d.test" || len(env.Rcpts) != 1 || env.Rcpts[0] != "b@valid.test" {
+		t.Fatalf("envelope after RSET = %+v", env)
 	}
 }
 
@@ -143,8 +159,12 @@ func TestHeloResetsMail(t *testing.T) {
 	command(s, "HELO one")
 	command(s, "MAIL FROM:<a@b.test>")
 	command(s, "HELO two")
-	if s.Helo() != "two" || s.Sender() != "" {
-		t.Fatal("repeated HELO should reset the transaction")
+	if r, _ := command(s, "MAIL FROM:<c@d.test>"); r.Code != 250 {
+		t.Fatalf("MAIL after a repeated HELO = %d, want 250", r.Code)
+	}
+	command(s, "RCPT TO:<b@valid.test>")
+	if env := finish(t, s); env.Sender != "c@d.test" {
+		t.Fatalf("sender = %q, want the one given after the second HELO", env.Sender)
 	}
 }
 
@@ -173,8 +193,8 @@ func TestDuplicateRcptCollapses(t *testing.T) {
 	if r.Code != 250 {
 		t.Fatalf("duplicate rcpt = %d", r.Code)
 	}
-	if len(s.Rcpts()) != 1 {
-		t.Fatalf("rcpts = %v", s.Rcpts())
+	if env := finish(t, s); len(env.Rcpts) != 1 || env.Rcpts[0] != "u@valid.test" {
+		t.Fatalf("rcpts = %v", env.Rcpts)
 	}
 }
 
@@ -186,8 +206,9 @@ func TestNullSenderAccepted(t *testing.T) {
 	if r.Code != 250 {
 		t.Fatalf("null sender = %d", r.Code)
 	}
-	if s.Sender() != "" {
-		t.Fatalf("sender = %q", s.Sender())
+	command(s, "RCPT TO:<u@valid.test>")
+	if env := finish(t, s); env.Sender != "" {
+		t.Fatalf("sender = %q", env.Sender)
 	}
 }
 

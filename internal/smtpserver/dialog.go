@@ -3,6 +3,7 @@ package smtpserver
 import (
 	"errors"
 	"net"
+	"net/netip"
 	"time"
 
 	"repro/internal/smtp"
@@ -30,8 +31,8 @@ const (
 // connection's minted message-trace context (zero when tracing is off
 // or sampled out); a context arriving on the wire as an XTRACE MAIL
 // parameter — a director upstream — takes precedence over it. ip is the
-// peer's address as the connection formatted it once.
-func (s *Server) runDialog(nc net.Conn, ip string, c *smtp.Conn, sess *smtp.Session, stopWhen func(*smtp.Session) bool, connTC trace.Context) outcome {
+// peer's address as the connection resolved it once.
+func (s *Server) runDialog(nc net.Conn, ip netip.Addr, c *smtp.Conn, sess *smtp.Session, stopWhen func(*smtp.Session) bool, connTC trace.Context) outcome {
 	for {
 		if err := nc.SetReadDeadline(time.Now().Add(s.cfg.idleTimeout)); err != nil {
 			return outcomeDropped
@@ -223,7 +224,7 @@ func (s *Server) hybridFrontEnd(nc net.Conn, id uint64, sh *shard) {
 		// them back to the pools when the connection finishes. The minted
 		// trace context travels with the task so post-trust mails keep
 		// the connection's trace.
-		sh.tasks <- &task{nc: nc, c: c, sess: sess, id: id, ip: ip, at: time.Now(), tc: tc}
+		sh.tasks <- task{nc: nc, c: c, sess: sess, id: id, ip: ip, at: time.Now(), tc: tc}
 		return
 	}
 	// Finished in the front end with no valid RCPT: a bounce that never
@@ -241,7 +242,7 @@ func (s *Server) hybridFrontEnd(nc net.Conn, id uint64, sh *shard) {
 
 // recordBounce feeds a finished pre-trust connection that drew at least
 // one 550 to the reputation store as a completed bounce.
-func (s *Server) recordBounce(ip string, sess *smtp.Session) {
+func (s *Server) recordBounce(ip netip.Addr, sess *smtp.Session) {
 	if s.cfg.policy != nil && sess.RejectedRcpts() > 0 {
 		s.cfg.policy.RecordBounce(ip)
 	}
@@ -250,7 +251,7 @@ func (s *Server) recordBounce(ip string, sess *smtp.Session) {
 // hybridWorker is one delegated-mode smtpd process: it receives trusted
 // connections mid-dialog and serves them to completion, then returns to
 // listening on the task queue (§5.3).
-func (s *Server) hybridWorker(tasks <-chan *task) {
+func (s *Server) hybridWorker(tasks <-chan task) {
 	defer s.workerWG.Done()
 	for t := range tasks {
 		// Queue wait: from the front end's enqueue attempt to this

@@ -2,8 +2,11 @@ package smtpserver
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"net/netip"
 	"os"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -248,23 +251,105 @@ func TestRemoteIPParsing(t *testing.T) {
 
 	for _, tc := range []struct {
 		peer net.Addr
-		want string
+		want netip.Addr
 	}{
-		{&net.TCPAddr{IP: net.IPv4(192, 0, 2, 7), Port: 25}, "192.0.2.7"},
-		{&net.TCPAddr{IP: net.ParseIP("2001:db8::1"), Port: 25}, "2001:db8::1"},
-		{&net.UnixAddr{Name: "/run/smtp.sock", Net: "unix"}, "/run/smtp.sock"},
-		{nil, ""},
+		{&net.TCPAddr{IP: net.IPv4(192, 0, 2, 7), Port: 25}, netip.MustParseAddr("192.0.2.7")},
+		{&net.TCPAddr{IP: net.ParseIP("2001:db8::1"), Port: 25}, netip.MustParseAddr("2001:db8::1")},
+		{&net.UnixAddr{Name: "/run/smtp.sock", Net: "unix"}, netip.Addr{}},
+		{nil, netip.Addr{}},
 	} {
 		c := peerConn{peer: tc.peer}
 		if got := remoteIP(c); got != tc.want {
-			t.Errorf("remoteIP(%v) = %q, want %q", tc.peer, got, tc.want)
+			t.Errorf("remoteIP(%v) = %v, want %v", tc.peer, got, tc.want)
 		}
 	}
-	// An IPv4 TCP peer costs the one string it returns.
+	// The peer is a value: resolving an IPv4 TCP peer allocates nothing.
 	var v4 net.Conn = peerConn{peer: &net.TCPAddr{IP: net.IPv4(192, 0, 2, 7), Port: 25}}
-	if n := testing.AllocsPerRun(100, func() { remoteIP(v4) }); n > 1 {
-		t.Errorf("remoteIP of an IPv4 TCP peer allocates %.1f objects, want 1", n)
+	if n := testing.AllocsPerRun(100, func() { remoteIP(v4) }); n != 0 {
+		t.Errorf("remoteIP of an IPv4 TCP peer allocates %.1f objects, want 0", n)
 	}
+}
+
+// TestDualStackPeerIsPolicedAsIPv4: an IPv4 client of a dual-stack
+// listener reaches the server as an IPv4-mapped IPv6 address, and is
+// policed and logged as the IPv4 address it is.
+func TestDualStackPeerIsPolicedAsIPv4(t *testing.T) {
+	ln, err := net.Listen("tcp", "[::]:0")
+	if err != nil {
+		t.Skipf("no IPv6 listener: %v", err)
+	}
+	var asked atomic.Uint32
+	log := eventlog.New()
+	serveOn(t, ln, WithEventLog(log), dnsblOnly(resolverFunc(func(_ context.Context, ip addr.IPv4) (dnsbl.Result, error) {
+		asked.Store(uint32(ip))
+		return dnsbl.Result{}, nil
+	})))
+	port := ln.Addr().(*net.TCPAddr).Port
+	c, err := smtp.Dial(net.JoinHostPort("127.0.0.1", strconv.Itoa(port)), 5*time.Second)
+	if err != nil {
+		t.Skipf("the [::] listener is not dual-stack here: %v", err)
+	}
+	c.Helo("h")
+	c.Quit()
+	evs := waitEvents(t, log, func(evs []eventlog.Event) bool { return len(evs) == 1 })
+	if got := addr.IPv4(asked.Load()); got != addr.MustParseIPv4("127.0.0.1") {
+		t.Errorf("blacklist asked about %v, want 127.0.0.1", got)
+	}
+	if line := string(evs[0].AppendText(nil)); !strings.Contains(line, " ip=127.0.0.1 ") {
+		t.Errorf("smtpd.conn = %s, want ip=127.0.0.1", line)
+	}
+}
+
+// TestOpenConnectionMailAllocs: over one open connection, a mail costs the
+// whole process at most one heap object, the string that holds its
+// envelope, whatever its recipient count and under either architecture,
+// when the enqueue hook keeps nothing.
+func TestOpenConnectionMailAllocs(t *testing.T) {
+	forEachArch(t, func(t *testing.T, arch Architecture) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveOn(t, ln, WithArchitecture(arch))
+		c, err := smtp.Dial(ln.Addr().String(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Quit()
+		if err := c.Helo("client.test"); err != nil {
+			t.Fatal(err)
+		}
+		body := []byte("Subject: alloc\r\n\r\nbody\r\n")
+		for _, n := range []int{1, 8} {
+			rcpts := make([]string, n)
+			for i := range rcpts {
+				rcpts[i] = fmt.Sprintf("user%d@example.test", i)
+			}
+			send := func() {
+				if got, err := c.Send("sender@remote.test", rcpts, body); err != nil || got != n {
+					t.Fatalf("send = %d, %v", got, err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				send() // warm-up: the handoff, pooled buffers, the session's slices
+			}
+			if allocs := testing.AllocsPerRun(200, send); allocs > 1 {
+				t.Errorf("a %d-recipient mail allocates %.0f objects, want ≤ 1", n, allocs)
+			}
+		}
+	})
+}
+
+// serveOn serves a server whose enqueue hook keeps nothing on ln until the
+// test ends.
+func serveOn(t *testing.T, ln net.Listener, opts ...Option) {
+	t.Helper()
+	srv, err := New(func(string, []string, []byte) (string, error) { return "Q", nil }, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln) //nolint:errcheck // exits on Close
+	t.Cleanup(func() { srv.Close() })
 }
 
 // peerConn is a net.Conn that reports only its remote address.

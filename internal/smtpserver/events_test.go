@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/addr"
 	"repro/internal/eventlog"
 )
 
@@ -93,8 +94,10 @@ func TestConnEventContract(t *testing.T) {
 			t.Fatalf("bounce worker = %v, want %v under %s",
 				boolField(t, *bounce, "worker"), wantWorker, arch)
 		}
-		if strField(t, *good, "ip") == "" {
+		if f, ok := good.Field("ip"); !ok {
 			t.Fatal("conn event missing source ip")
+		} else if ip, isIP := f.IP(); !isIP || ip != addr.MustParseIPv4("127.0.0.1") {
+			t.Fatalf("conn event ip = %v (an IP field: %v), want 127.0.0.1", ip, isIP)
 		}
 	})
 }

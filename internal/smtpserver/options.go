@@ -13,6 +13,11 @@ import (
 // queue id. It is the one required collaborator of a Server — everything
 // else is optional configuration. An error answers the transaction with
 // 452, or with the reply it carries when it is an smtp.ReplyError.
+//
+// The hook borrows its arguments, as smtp.Envelope describes: sender and
+// the recipient strings may be kept, but the rcpts slice and data are the
+// connection's and are reused for its next mail once the hook returns. A
+// hook that keeps either copies it.
 type Enqueue func(sender string, rcpts []string, data []byte) (string, error)
 
 // EnqueueTraced is Enqueue carrying the mail's message trace context,

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -155,13 +156,14 @@ type Server struct {
 // task is one delegated connection: exactly the state §5.3 transfers over
 // the UNIX-domain socket (client identity, sender, recipients — carried
 // inside the live Session — plus the connection itself), annotated with
-// the handoff instant and span id the instrumentation needs.
+// the handoff instant and span id the instrumentation needs. It crosses
+// the task queue by value.
 type task struct {
 	nc   net.Conn
 	c    *smtp.Conn
 	sess *smtp.Session
 	id   uint64
-	ip   string        // peer IP, resolved once by the front end
+	ip   netip.Addr    // peer address, resolved once by the front end
 	at   time.Time     // when the front end enqueued the task
 	tc   trace.Context // the connection's minted message-trace context
 }
@@ -179,7 +181,7 @@ type accepted struct {
 // accept loop; with AcceptShards > 1 the shards share the listener and
 // nothing else.
 type shard struct {
-	tasks chan *task    // hybrid handoff queue (nil under vanilla)
+	tasks chan task     // hybrid handoff queue (nil under vanilla)
 	conns chan accepted // vanilla dispatch channel (nil under hybrid)
 }
 
@@ -291,9 +293,9 @@ func (s *Server) observeStage(stage string, id uint64, start time.Time, note str
 // weather. worker reports whether the connection ever occupied an smtpd
 // worker (always true under vanilla; only on handoff under hybrid), and
 // bounce whether it ended without delivering mail — the §4.1 signal.
-func (s *Server) logConn(id uint64, ip, outcome string, worker, bounce bool) {
+func (s *Server) logConn(id uint64, ip netip.Addr, outcome string, worker, bounce bool) {
 	s.cfg.events.Info("smtpd.conn", id,
-		eventlog.Str("ip", ip),
+		ipField(ip),
 		eventlog.Str("outcome", outcome),
 		eventlog.Bool("worker", worker),
 		eventlog.Bool("bounce", bounce),
@@ -303,13 +305,13 @@ func (s *Server) logConn(id uint64, ip, outcome string, worker, bounce bool) {
 
 // logPolicy emits an smtpd.policy event for one verdict: Debug for
 // allows (high-volume; sample them), Info for rejects and tempfails.
-func (s *Server) logPolicy(id uint64, ip, phase string, d policy.Decision, took time.Duration) {
+func (s *Server) logPolicy(id uint64, ip netip.Addr, phase string, d policy.Decision, took time.Duration) {
 	lv := eventlog.LevelInfo
 	if d.Verdict == policy.Allow {
 		lv = eventlog.LevelDebug
 	}
 	s.cfg.events.Log(lv, "smtpd.policy", id,
-		eventlog.Str("ip", ip),
+		ipField(ip),
 		eventlog.Str("phase", phase),
 		eventlog.Str("verdict", d.Verdict.String()),
 		eventlog.Str("checker", d.Checker),
@@ -317,6 +319,19 @@ func (s *Server) logPolicy(id uint64, ip, phase string, d policy.Decision, took 
 		eventlog.Float("score", d.Score),
 		eventlog.Dur("took", took),
 	)
+}
+
+// ipField is a peer's "ip" event field: numeric for IPv4, so no event
+// formats it until a sink renders it, and text for any other peer ("" for
+// a peer with no IP address).
+func ipField(ip netip.Addr) eventlog.Field {
+	if v4, ok := addr.FromNetIP(ip); ok {
+		return eventlog.IP("ip", v4)
+	}
+	if !ip.IsValid() {
+		return eventlog.Str("ip", "")
+	}
+	return eventlog.Str("ip", ip.String())
 }
 
 // Stats returns a snapshot of the counters.
@@ -385,7 +400,7 @@ func (s *Server) startShard(workers int) *shard {
 	case Hybrid:
 		// Queue depth per worker ≈28: the §5.3 estimate of tasks per 64 KB
 		// socket buffer at 7 recipients/mail.
-		sh.tasks = make(chan *task, workers*costmodel.TasksPerSocketBuffer(7))
+		sh.tasks = make(chan task, workers*costmodel.TasksPerSocketBuffer(7))
 		for i := 0; i < workers; i++ {
 			s.workerWG.Add(1)
 			go s.hybridWorker(sh.tasks)
@@ -502,24 +517,17 @@ func (s *Server) untrack(nc net.Conn) {
 	s.mu.Unlock()
 }
 
-// remoteIP is the peer's bare address. A TCP peer with an IPv4 address,
-// every peer a listener sees in practice, is formatted straight from its
-// four bytes: one string, not host:port built and split again.
-func remoteIP(nc net.Conn) string {
-	ra := nc.RemoteAddr()
-	if ra == nil {
-		return ""
+// remoteIP is the peer's address as a value, the one the policy, the
+// events and the bounce record all take. A TCP peer's address is
+// unmapped, so an IPv4 client of a dual-stack listener is policed as
+// IPv4; any other peer gets the zero Addr.
+func remoteIP(nc net.Conn) netip.Addr {
+	tcp, ok := nc.RemoteAddr().(*net.TCPAddr)
+	if !ok {
+		return netip.Addr{}
 	}
-	if tcp, ok := ra.(*net.TCPAddr); ok {
-		if ip := tcp.IP.To4(); ip != nil {
-			return addr.MakeIPv4(ip[0], ip[1], ip[2], ip[3]).String()
-		}
-	}
-	host, _, err := net.SplitHostPort(ra.String())
-	if err != nil {
-		return ra.String()
-	}
-	return host
+	ip, _ := netip.AddrFromSlice(tcp.IP)
+	return ip.Unmap()
 }
 
 // sessionConfig builds the session hooks for one connection. When a
@@ -528,7 +536,7 @@ func remoteIP(nc net.Conn) string {
 // hybrid architecture is the master's event loop until trust — a
 // greylisted recipient is never recorded, so the connection stays
 // un-trusted and is finished without costing a worker.
-func (s *Server) sessionConfig(ip string, id uint64) smtp.Config {
+func (s *Server) sessionConfig(ip netip.Addr, id uint64) smtp.Config {
 	cfg := smtp.Config{
 		Hostname:          s.cfg.hostname,
 		ValidateRcptBytes: s.cfg.validateRcptBytes,
@@ -553,7 +561,7 @@ func (s *Server) sessionConfig(ip string, id uint64) smtp.Config {
 
 // policyReply logs a mid-dialog policy decision, begun at start, and
 // maps it to an overriding reply, or nil for Allow.
-func (s *Server) policyReply(id uint64, ip, phase string, d policy.Decision, start time.Time) *smtp.Reply {
+func (s *Server) policyReply(id uint64, ip netip.Addr, phase string, d policy.Decision, start time.Time) *smtp.Reply {
 	s.logPolicy(id, ip, phase, d, time.Since(start))
 	switch d.Verdict {
 	case policy.Reject:
@@ -574,7 +582,7 @@ func (s *Server) policyReply(id uint64, ip, phase string, d policy.Decision, sta
 // stalls only the connection it concerns. The verdict is timed as the
 // policy stage and noted on the connection's span
 // (allow/reject/tempfail).
-func (s *Server) admitPolicy(ip string, c *smtp.Conn, id uint64, worker bool) bool {
+func (s *Server) admitPolicy(ip netip.Addr, c *smtp.Conn, id uint64, worker bool) bool {
 	if s.cfg.policy == nil {
 		return true
 	}

@@ -23,6 +23,7 @@
 package telemetry
 
 import (
+	"net/netip"
 	"sort"
 	"sync"
 
@@ -36,7 +37,7 @@ import (
 // documented in DESIGN.md; the tracker ignores everything else, so
 // attaching it to a log with a richer stream is free.
 const (
-	evConn   = "smtpd.conn"   // fields: ip (string), outcome, bounce (bool), worker (bool)
+	evConn   = "smtpd.conn"   // fields: ip (IP, or string for a non-IPv4 peer), outcome, bounce (bool), worker (bool)
 	evLookup = "dnsbl.lookup" // fields: ip (IP), hit (bool), stale (bool)
 	evBounce = "queue.bounce" // fields: id, bounce_id, to — one DSN generated
 )
@@ -112,12 +113,12 @@ type Tracker struct {
 	prefixes                           map[addr.Prefix]struct{}
 	prefixesOverflow                   bool
 
-	talkers    map[string]uint64
+	talkers    map[netip.Addr]uint64
 	otherConns uint64
 	maxSources int
 
 	reg    *metrics.Registry
-	gauged map[string]bool
+	gauged map[netip.Addr]bool
 }
 
 const (
@@ -152,9 +153,9 @@ func New(opts ...TrackerOption) *Tracker {
 	t := &Tracker{
 		outcomes:   make(map[string]uint64, 8),
 		prefixes:   make(map[addr.Prefix]struct{}, 256),
-		talkers:    make(map[string]uint64, 256),
+		talkers:    make(map[netip.Addr]uint64, 256),
 		maxSources: 1024,
-		gauged:     make(map[string]bool, 32),
+		gauged:     make(map[netip.Addr]bool, 32),
 	}
 	for _, o := range opts {
 		o(t)
@@ -229,12 +230,9 @@ func (t *Tracker) observeConn(e *eventlog.Event) {
 	if f, ok := e.Field("outcome"); ok {
 		outcome = f.Str()
 	}
-	ip := ""
-	if f, ok := e.Field("ip"); ok {
-		ip = f.Str()
-	}
+	ip := source(e)
 
-	var gaugeIP string
+	var gaugeIP netip.Addr
 	t.mu.Lock()
 	t.conns++
 	if bounce {
@@ -255,7 +253,7 @@ func (t *Tracker) observeConn(e *eventlog.Event) {
 	} else {
 		t.ewma += ewmaAlpha * (x - t.ewma)
 	}
-	if ip != "" {
+	if ip.IsValid() {
 		if _, ok := t.talkers[ip]; ok || len(t.talkers) < t.maxSources {
 			t.talkers[ip]++
 			if t.reg != nil && !t.gauged[ip] && len(t.gauged) < maxGauged {
@@ -272,14 +270,28 @@ func (t *Tracker) observeConn(e *eventlog.Event) {
 	// Gauge-func registration takes the registry's write lock; doing it
 	// outside t.mu keeps the lock order one-way (registry snapshots call
 	// back into t.mu via the gauge closures).
-	if gaugeIP != "" {
-		ipKey := gaugeIP
+	if gaugeIP.IsValid() {
 		reg.GaugeFunc("telemetry_source_conns", func() float64 {
 			t.mu.Lock()
 			defer t.mu.Unlock()
-			return float64(t.talkers[ipKey])
-		}, "ip", ipKey)
+			return float64(t.talkers[gaugeIP])
+		}, "ip", gaugeIP.String())
 	}
+}
+
+// source is a connection event's peer address: the IPv4 value the
+// front end logs, or the text form an IPv6 peer (or an event decoded
+// from JSON) carries. The zero Addr means no usable address.
+func source(e *eventlog.Event) netip.Addr {
+	f, ok := e.Field("ip")
+	if !ok {
+		return netip.Addr{}
+	}
+	if v4, ok := f.IP(); ok {
+		return v4.NetIP()
+	}
+	ip, _ := netip.ParseAddr(f.Str())
+	return ip
 }
 
 // observeLookup folds one DNSBL lookup into the locality weather.
@@ -354,7 +366,7 @@ func (t *Tracker) Snapshot() Snapshot {
 func (t *Tracker) topTalkersLocked(n int) []Talker {
 	out := make([]Talker, 0, len(t.talkers)+1)
 	for ip, c := range t.talkers {
-		out = append(out, Talker{IP: ip, Conns: c})
+		out = append(out, Talker{IP: ip.String(), Conns: c})
 	}
 	if t.otherConns > 0 {
 		out = append(out, Talker{IP: "other", Conns: t.otherConns})
