@@ -203,7 +203,7 @@ func logStats(sh *cluster.Shard, pol *policy.ServerPolicy) {
 		ps := pol.Stats()
 		t.AddRow("policy conn rejected (554)", s.PolicyRejected)
 		t.AddRow("policy conn tempfailed (421)", s.PolicyTempfail)
-		t.AddRow("policy mail/rcpt 450", s.Greylisted)
+		t.AddRow("policy rcpt 450", s.Greylisted)
 		t.AddRow("rcpts passed policy", ps.RcptAllowed)
 		t.AddRow("rcpts greylisted", ps.RcptGreylisted)
 		t.AddRow("bounces recorded", ps.BouncesSeen)

@@ -439,9 +439,9 @@ func TestDirectorEventsCarryConnIDs(t *testing.T) {
 			t.Fatalf("smtpd.conn ids are not distinct and non-zero: %+v", ended)
 		}
 		seen[e.Conn] = true
-		// connect, MAIL and RCPT verdicts of this connection, and no other's.
-		if got := log.Tail(eventlog.Filter{Name: "smtpd.policy", Conn: e.Conn}); len(got) != 3 {
-			t.Errorf("conn %d: %d smtpd.policy events share its id, want 3", e.Conn, len(got))
+		// connect and RCPT verdicts of this connection, and no other's.
+		if got := log.Tail(eventlog.Filter{Name: "smtpd.policy", Conn: e.Conn}); len(got) != 2 {
+			t.Errorf("conn %d: %d smtpd.policy events share its id, want 2", e.Conn, len(got))
 		}
 	}
 }

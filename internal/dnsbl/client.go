@@ -103,11 +103,18 @@ type Client struct {
 	collapsed *metrics.Counter
 
 	sfMu  sync.Mutex
-	calls map[string]*call
+	calls map[queryKey]*call
 
 	negMu    sync.Mutex
-	negUntil map[string]time.Time
+	negUntil map[queryKey]time.Time
 	negSwept time.Time // last scan of negUntil for expired entries
+}
+
+// queryKey names one upstream question, the key of both the negative
+// cache and the in-flight queries.
+type queryKey struct {
+	name  string
+	qtype dns.Type
 }
 
 // call is one in-flight upstream query shared by concurrent lookups.
@@ -198,8 +205,8 @@ func New(zone string, opts ...Option) *Client {
 		zone:     zone,
 		policy:   CachePrefix,
 		timeout:  costmodel.DNSBLTimeout,
-		calls:    make(map[string]*call),
-		negUntil: make(map[string]time.Time),
+		calls:    make(map[queryKey]*call),
+		negUntil: make(map[queryKey]time.Time),
 	}
 	for _, o := range opts {
 		o(c)
@@ -510,7 +517,7 @@ func (c *Client) negCached(name string, qtype dns.Type) (time.Time, bool) {
 	if c.negTTL <= 0 {
 		return time.Time{}, false
 	}
-	key := negKey(name, qtype)
+	key := queryKey{name, qtype}
 	c.negMu.Lock()
 	defer c.negMu.Unlock()
 	until, ok := c.negUntil[key]
@@ -535,7 +542,7 @@ func (c *Client) noteFailure(name string, qtype dns.Type) {
 	c.negMu.Lock()
 	defer c.negMu.Unlock()
 	now := c.now()
-	c.negUntil[negKey(name, qtype)] = now.Add(c.negTTL)
+	c.negUntil[queryKey{name, qtype}] = now.Add(c.negTTL)
 	if now.Sub(c.negSwept) < c.negTTL {
 		return
 	}
@@ -547,14 +554,10 @@ func (c *Client) noteFailure(name string, qtype dns.Type) {
 	}
 }
 
-func negKey(name string, qtype dns.Type) string {
-	return fmt.Sprintf("%s/%d", name, qtype)
-}
-
 // querySingleflight collapses concurrent identical queries: the first
 // caller goes upstream, the rest wait on its result (or their own ctx).
 func (c *Client) querySingleflight(ctx context.Context, name string, qtype dns.Type) (*dns.Message, error) {
-	key := negKey(name, qtype)
+	key := queryKey{name, qtype}
 	c.sfMu.Lock()
 	if existing, ok := c.calls[key]; ok {
 		c.collapsed.Inc()

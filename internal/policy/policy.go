@@ -1,6 +1,6 @@
 // Package policy is the pre-trust connection policy engine: a pluggable
-// verdict pipeline evaluated per connection and per MAIL FROM / RCPT TO,
-// before the server commits an smtpd worker to the client.
+// verdict pipeline evaluated per connection and per RCPT TO, before the
+// server commits an smtpd worker to the client.
 //
 // The paper's fork-after-trust architecture (§5) moves the *resource
 // commitment* after the first valid RCPT; this package moves the
@@ -14,9 +14,7 @@
 //
 // The pipeline composes four checkers:
 //
-//   - token-bucket rate limiters per client IP and per /25 prefix
-//     (internal/addr prefix math), applied to connections and to MAIL
-//     transactions;
+//   - a token-bucket connection rate limiter per client IP;
 //   - a greylist keyed on (client /24, sender, recipient) with a
 //     configurable retry window;
 //   - an aggregated historical reputation store: exponentially decayed
@@ -101,7 +99,6 @@ type Stats struct {
 	ConnAllowed    int64 // connections admitted
 	ConnTempfailed int64 // connections tempfailed (rate / reputation / dnsbl)
 	ConnRejected   int64 // connections rejected (reputation / dnsbl)
-	MailTempfailed int64 // MAIL FROM transactions tempfailed (rate)
 	RcptGreylisted int64 // RCPT TO attempts tempfailed by the greylist
 	RcptAllowed    int64 // RCPT TO attempts passed by the greylist
 	BouncesSeen    int64 // bounce connections fed to the reputation store
@@ -230,24 +227,6 @@ func (e *Engine) admitLocked(now time.Duration, ip addr.IPv4, dnsblScore float64
 	}
 	if e.dnsblReject > 0 && dnsblScore >= e.dnsblReject {
 		return Decision{Verdict: Reject, Checker: "dnsbl", Reason: "listed by DNSBLs", Score: dnsblScore}
-	}
-	return allowed
-}
-
-// Mail evaluates one MAIL FROM transaction: the per-IP message-rate
-// bucket, throttling sources that pipeline many transactions through few
-// connections. A cancelled ctx fails open.
-func (e *Engine) Mail(ctx context.Context, now time.Duration, ip addr.IPv4, sender string) Decision {
-	if ctx.Err() != nil {
-		return allowed
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.rate != nil {
-		if d := e.rate.takeMail(now, ip); d.Verdict != Allow {
-			e.st.MailTempfailed++
-			return d
-		}
 	}
 	return allowed
 }

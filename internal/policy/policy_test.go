@@ -54,41 +54,6 @@ func TestRateLimitPerIP(t *testing.T) {
 	}
 }
 
-func TestRateLimitPerPrefix(t *testing.T) {
-	// Generous per-IP budget, tight /25 budget: two neighbours share it.
-	e := New(WithRate(RateConfig{
-		ConnPerSec: 100, ConnBurst: 100,
-		PrefixConnPerSec: 0.1, PrefixConnBurst: 2,
-	}))
-	if d := e.Admit(bg, at(0), ip1, 0); d.Verdict != Allow {
-		t.Fatalf("neighbour 1: %+v", d)
-	}
-	if d := e.Admit(bg, at(0), ip2, 0); d.Verdict != Allow {
-		t.Fatalf("neighbour 2: %+v", d)
-	}
-	if d := e.Admit(bg, at(0), ip2, 0); d.Verdict != Tempfail {
-		t.Fatalf("prefix budget exhausted but admitted: %+v", d)
-	}
-	// The other /25 half of the same /24 has its own bucket.
-	if d := e.Admit(bg, at(0), ip3, 0); d.Verdict != Allow {
-		t.Fatalf("other /25: %+v", d)
-	}
-}
-
-func TestRateLimitMail(t *testing.T) {
-	e := New(WithRate(RateConfig{MailPerSec: 0.1, MailBurst: 1}))
-	if d := e.Mail(bg, at(0), ip1, "s@x.test"); d.Verdict != Allow {
-		t.Fatalf("first mail: %+v", d)
-	}
-	if d := e.Mail(bg, at(0), ip1, "s@x.test"); d.Verdict != Tempfail {
-		t.Fatalf("second mail admitted")
-	}
-	// Connections are governed by a separate bucket.
-	if d := e.Admit(bg, at(0), ip1, 0); d.Verdict != Allow {
-		t.Fatalf("conn blocked by mail bucket: %+v", d)
-	}
-}
-
 func TestRateEvictionIsVerdictNeutral(t *testing.T) {
 	e := New(WithRate(RateConfig{ConnPerSec: 10, ConnBurst: 2, MaxEntries: 4}))
 	// Fill past the cap with sources whose buckets refill instantly.
@@ -280,9 +245,6 @@ func TestEngineZeroConfigAllowsEverything(t *testing.T) {
 		if d := e.Admit(bg, at(0), ip1, 0); d.Verdict != Allow {
 			t.Fatalf("conn %d: %+v", i, d)
 		}
-		if d := e.Mail(bg, at(0), ip1, "s@x.test"); d.Verdict != Allow {
-			t.Fatalf("mail %d: %+v", i, d)
-		}
 		if d := e.Rcpt(bg, at(0), ip1, "s@x.test", "u@y.test"); d.Verdict != Allow {
 			t.Fatalf("rcpt %d: %+v", i, d)
 		}
@@ -306,7 +268,7 @@ func TestEngineStatsCountEachVerdict(t *testing.T) {
 
 func TestEngineConcurrentUse(t *testing.T) {
 	e := New(
-		WithRate(RateConfig{ConnPerSec: 1000, ConnBurst: 1000, MailPerSec: 1000, MailBurst: 1000}),
+		WithRate(RateConfig{ConnPerSec: 1000, ConnBurst: 1000}),
 		WithGreylist(GreyConfig{MinRetry: time.Millisecond}),
 		WithReputation(ReputationConfig{}),
 	)
@@ -319,7 +281,6 @@ func TestEngineConcurrentUse(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				now := time.Duration(i) * time.Millisecond
 				e.Admit(bg, now, ip, 0)
-				e.Mail(bg, now, ip, "s@x.test")
 				e.Rcpt(bg, now, ip, "s@x.test", fmt.Sprintf("u%d@y.test", i%3))
 				e.RecordRejectedRcpt(now, ip)
 			}

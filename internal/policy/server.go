@@ -13,7 +13,7 @@ import (
 // ServerPolicy adapts the clock-agnostic Engine (plus an optional
 // concurrent Scorer) to the real servers: netip.Addr client addresses
 // and absolute wall time. internal/smtpserver consults it at accept time
-// and on each MAIL/RCPT; internal/simmail drives the Engine directly on
+// and on each valid RCPT; internal/simmail drives the Engine directly on
 // virtual time instead. An IPv4 peer is converted without parsing; any
 // other peer (IPv6, or the zero Addr of a non-TCP one) fails open,
 // allowed and unrecorded, so an exotic address never blocks mail.
@@ -111,15 +111,6 @@ func (p *ServerPolicy) Connect(ctx context.Context, peer netip.Addr) Decision {
 		eventlog.Dur("took", end.Sub(start)),
 	)
 	return d
-}
-
-// Mail evaluates one MAIL FROM transaction.
-func (p *ServerPolicy) Mail(ctx context.Context, peer netip.Addr, sender string) Decision {
-	ip, ok := addr.FromNetIP(peer)
-	if !ok {
-		return allowed
-	}
-	return p.eng.Mail(ctx, p.now(), ip, sender)
 }
 
 // Rcpt evaluates one otherwise-valid RCPT TO.

@@ -121,13 +121,6 @@ func (c *connSim) afterHelo() {
 	}
 	// MAIL FROM.
 	c.exchange(costmodel.CommandParse, func() {
-		if d := c.r.policyMail(c); d.Verdict != policy.Allow {
-			// 450 on MAIL; the client QUITs a round trip later.
-			c.exchange(costmodel.CommandParse, func() {
-				c.finish(policyFinishKind(d))
-			})
-			return
-		}
 		c.rcptIdx = 0
 		if c.r.cfg.Arch == ArchHybrid && c.r.cfg.Trust == TrustAfterMail && c.proc == 0 {
 			// Ablation: delegate before any recipient is validated —

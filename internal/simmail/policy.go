@@ -53,15 +53,6 @@ func (r *runner) policyAdmit(c *connSim) policy.Decision {
 	return p.Engine.Admit(context.Background(), r.eng.Now(), c.tc.ClientIP, score)
 }
 
-// policyMail evaluates the MAIL FROM transaction.
-func (r *runner) policyMail(c *connSim) policy.Decision {
-	p := r.cfg.Policy
-	if p == nil || p.Engine == nil {
-		return policy.Decision{}
-	}
-	return p.Engine.Mail(context.Background(), r.eng.Now(), c.tc.ClientIP, c.tc.Sender)
-}
-
 // policyRcpt evaluates one valid recipient through the greylist.
 func (r *runner) policyRcpt(c *connSim, rcpt string) policy.Decision {
 	p := r.cfg.Policy

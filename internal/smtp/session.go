@@ -1,6 +1,7 @@
 package smtp
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/trace"
@@ -49,17 +50,11 @@ type Config struct {
 	// so validation adds no per-RCPT heap traffic; the callee must not
 	// retain the slice past the call.
 	ValidateRcptBytes func(addr []byte) bool
-	// CheckMail, if non-nil, is the policy hook for MAIL FROM: a non-nil
-	// reply (e.g. a 450 rate-limit tempfail) overrides acceptance and
-	// leaves the session awaiting another MAIL.
-	CheckMail func(sender string) *Reply
 	// CheckRcpt, if non-nil, is the policy hook for recipients that
 	// passed ValidateRcptBytes: a non-nil reply (e.g. a greylist 450)
 	// overrides acceptance without recording the recipient, so the
 	// hybrid front end keeps the connection un-trusted.
 	CheckRcpt func(sender, rcpt string) *Reply
-	// MaxRcpts caps accepted recipients per mail (0 = postfix default 50).
-	MaxRcpts int
 	// MaxMessageBytes caps the DATA payload (0 = MaxMessageBytes).
 	MaxMessageBytes int
 	// Ehlo, if non-nil, is the (precomputed, possibly multiline) reply
@@ -67,6 +62,10 @@ type Config struct {
 	// per continuation. nil answers EHLO like HELO: no extensions.
 	Ehlo *Reply
 }
+
+// MaxRcpts caps accepted recipients per mail: postfix's default
+// smtpd_recipient_limit. The next RCPT draws 452.
+const MaxRcpts = 50
 
 // Envelope is one completed mail transaction, as FinishData returns it.
 // Sender and every recipient are substrings of one string FinishData
@@ -93,7 +92,7 @@ type Envelope struct {
 // The machine is allocation-free in steady state: sender and recipients
 // are copied into buffers that are reused across transactions (and, via
 // AcquireSession, across connections), and duplicate-recipient detection
-// runs over an open-addressed index instead of a string scan. Heap
+// is a case-folded scan of at most MaxRcpts-1 accepted addresses. Heap
 // traffic only happens on first growth and in FinishData's one envelope
 // string per mail.
 type Session struct {
@@ -104,11 +103,9 @@ type Session struct {
 	// senderSet distinguishes MAIL FROM:<> (bounce sender) from no MAIL.
 	senderSet bool
 
-	// Accepted recipients live in nrcpts reused slot buffers; rcptIdx is
-	// the case-folded duplicate index over them.
+	// Accepted recipients live in nrcpts reused slot buffers.
 	nrcpts   int
 	rcptBufs [][]byte
-	rcptIdx  rcptIndex
 
 	// envRcpts backs the Rcpts of the Envelope FinishData last returned.
 	envRcpts []string
@@ -134,9 +131,6 @@ func NewSession(cfg Config) *Session {
 func (s *Session) Reset(cfg Config) {
 	if cfg.Hostname == "" {
 		cfg.Hostname = "mail.example.org"
-	}
-	if cfg.MaxRcpts == 0 {
-		cfg.MaxRcpts = 50
 	}
 	if cfg.MaxMessageBytes == 0 {
 		cfg.MaxMessageBytes = MaxMessageBytes
@@ -219,11 +213,6 @@ func (s *Session) CommandBytes(line []byte) (Reply, Action) {
 		if s.state != StateGreeted {
 			return ReplyBadSequence, ActionNone
 		}
-		if s.cfg.CheckMail != nil {
-			if r := s.cfg.CheckMail(string(cmd.Addr)); r != nil {
-				return *r, ActionNone
-			}
-		}
 		s.sender = append(s.sender[:0], cmd.Addr...)
 		s.senderSet = true
 		if v := ParamValue(cmd.Params, "XTRACE"); v != nil {
@@ -237,7 +226,7 @@ func (s *Session) CommandBytes(line []byte) (Reply, Action) {
 		if s.state != StateMail && s.state != StateRcpt {
 			return ReplyBadSequence, ActionNone
 		}
-		if s.nrcpts >= s.cfg.MaxRcpts {
+		if s.nrcpts >= MaxRcpts {
 			return ReplyTooManyRcpts, ActionNone
 		}
 		if v := s.cfg.ValidateRcptBytes; v != nil && !v(cmd.Addr) {
@@ -246,8 +235,7 @@ func (s *Session) CommandBytes(line []byte) (Reply, Action) {
 			s.rejectedRcpts++
 			return ReplyUserUnknown, ActionNone
 		}
-		pos, dup := s.rcptIdx.lookup(s.rcptBufs[:s.nrcpts], cmd.Addr)
-		if dup {
+		if slices.ContainsFunc(s.rcptBufs[:s.nrcpts], func(r []byte) bool { return equalFoldBytes(r, cmd.Addr) }) {
 			// Accepted duplicate collapses silently, as postfix does.
 			return ReplyOK, ActionNone
 		}
@@ -256,7 +244,7 @@ func (s *Session) CommandBytes(line []byte) (Reply, Action) {
 				return *r, ActionNone
 			}
 		}
-		s.appendRcpt(pos, cmd.Addr)
+		s.appendRcpt(cmd.Addr)
 		s.state = StateRcpt
 		return ReplyOK, ActionNone
 	case VerbDATA:
@@ -273,16 +261,14 @@ func (s *Session) CommandBytes(line []byte) (Reply, Action) {
 	}
 }
 
-// appendRcpt stores addr in the next recipient slot (reusing its buffer)
-// and records it in the duplicate index at the probed position.
-func (s *Session) appendRcpt(pos int, addr []byte) {
+// appendRcpt stores addr in the next recipient slot, reusing its buffer.
+func (s *Session) appendRcpt(addr []byte) {
 	if s.nrcpts < len(s.rcptBufs) {
 		s.rcptBufs[s.nrcpts] = append(s.rcptBufs[s.nrcpts][:0], addr...)
 	} else {
 		s.rcptBufs = append(s.rcptBufs, append([]byte(nil), addr...))
 	}
 	s.nrcpts++
-	s.rcptIdx.insert(pos, s.nrcpts) // 1-based slot id
 }
 
 // FinishData completes the DATA transaction with the decoded body and
@@ -334,77 +320,12 @@ func (s *Session) resetMail() {
 	s.sender = s.sender[:0]
 	s.senderSet = false
 	s.nrcpts = 0
-	s.rcptIdx.clear()
 	s.xtrace = trace.Context{}
 }
 
-// ---------------------------------------------------------------------------
-// Duplicate-recipient index.
-
-// rcptIndex is a small open-addressed hash index over the session's
-// accepted-recipient slots, keyed by the ASCII-case-folded address. It
-// replaces the old O(n²) EqualFold scan: a mailbomb pushing thousands of
-// RCPTs into a generously configured session now costs O(1) per command
-// instead of a quadratic CPU burn before any trust decision. Folding is
-// ASCII-only (addresses are validated to be control-free single-@
-// tokens); exotic Unicode case pairs are treated as distinct recipients.
-type rcptIndex struct {
-	// tab holds 1-based recipient slot ids; 0 is empty. Sized to a power
-	// of two at least 2× MaxRcpts, allocated once and reused.
-	tab []int32
-}
-
-func (ri *rcptIndex) clear() {
-	for i := range ri.tab {
-		ri.tab[i] = 0
-	}
-}
-
-// ensure sizes the table for capacity n.
-func (ri *rcptIndex) ensure(n int) {
-	want := 16
-	for want < 2*n {
-		want *= 2
-	}
-	if len(ri.tab) < want {
-		ri.tab = make([]int32, want)
-	}
-}
-
-// lookup probes for addr among the populated slots. It returns the probe
-// position for a later insert and whether the address is already
-// present.
-func (ri *rcptIndex) lookup(slots [][]byte, addr []byte) (pos int, found bool) {
-	ri.ensure(cap(slots) + 1)
-	mask := uint32(len(ri.tab) - 1)
-	h := foldHash(addr)
-	for i := h & mask; ; i = (i + 1) & mask {
-		id := ri.tab[i]
-		if id == 0 {
-			return int(i), false
-		}
-		if equalFoldBytes(slots[id-1], addr) {
-			return int(i), true
-		}
-	}
-}
-
-// insert records slot id (1-based) at the position lookup returned.
-func (ri *rcptIndex) insert(pos, id int) { ri.tab[pos] = int32(id) }
-
-// foldHash is FNV-1a over the ASCII-case-folded bytes of b.
-func foldHash(b []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range b {
-		if 'A' <= c && c <= 'Z' {
-			c |= 0x20
-		}
-		h = (h ^ uint32(c)) * 16777619
-	}
-	return h
-}
-
 // equalFoldBytes compares two byte slices ASCII-case-insensitively.
+// Folding is ASCII-only (addresses are validated to be control-free
+// single-@ tokens); exotic Unicode case pairs are distinct recipients.
 func equalFoldBytes(a, b []byte) bool {
 	if len(a) != len(b) {
 		return false

@@ -2,6 +2,7 @@ package smtp
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -12,7 +13,7 @@ func validTest(addr []byte) bool {
 }
 
 func newTestSession() *Session {
-	return NewSession(Config{Hostname: "mx.test", ValidateRcptBytes: validTest, MaxRcpts: 5})
+	return NewSession(Config{Hostname: "mx.test", ValidateRcptBytes: validTest})
 }
 
 // command feeds s one command line given as a string.
@@ -172,8 +173,8 @@ func TestMaxRcptsEnforced(t *testing.T) {
 	s := newTestSession()
 	command(s, "HELO h")
 	command(s, "MAIL FROM:<a@b.test>")
-	for i := 0; i < 5; i++ {
-		r, _ := command(s, "RCPT TO:<u"+string(rune('a'+i))+"@valid.test>")
+	for i := 0; i < MaxRcpts; i++ {
+		r, _ := command(s, fmt.Sprintf("RCPT TO:<u%d@valid.test>", i))
 		if r.Code != 250 {
 			t.Fatalf("rcpt %d = %d", i, r.Code)
 		}
@@ -195,6 +196,23 @@ func TestDuplicateRcptCollapses(t *testing.T) {
 	}
 	if env := finish(t, s); len(env.Rcpts) != 1 || env.Rcpts[0] != "u@valid.test" {
 		t.Fatalf("rcpts = %v", env.Rcpts)
+	}
+
+	// The scan's worst case: MaxRcpts-1 recipients held (one more and
+	// the cap answers before the scan), then a case-variant of the first
+	// and of the last still collapse.
+	command(s, "MAIL FROM:<a@b.test>")
+	command(s, "RCPT TO:<u@valid.test>")
+	for i := 1; i < MaxRcpts-1; i++ {
+		command(s, fmt.Sprintf("RCPT TO:<u%d@valid.test>", i))
+	}
+	for _, dup := range []string{"U@Valid.Test", fmt.Sprintf("U%d@VALID.test", MaxRcpts-2)} {
+		if r, _ := command(s, "RCPT TO:<"+dup+">"); r.Code != 250 {
+			t.Fatalf("duplicate %s after %d rcpts = %d, want 250", dup, MaxRcpts-1, r.Code)
+		}
+	}
+	if env := finish(t, s); len(env.Rcpts) != MaxRcpts-1 {
+		t.Fatalf("rcpts = %d, want %d (duplicates collapse)", len(env.Rcpts), MaxRcpts-1)
 	}
 }
 
@@ -263,7 +281,7 @@ func TestCommandAfterQuit(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	s := NewSession(Config{})
-	if s.cfg.Hostname == "" || s.cfg.MaxRcpts != 50 || s.cfg.MaxMessageBytes != MaxMessageBytes {
+	if s.cfg.Hostname == "" || s.cfg.MaxMessageBytes != MaxMessageBytes {
 		t.Fatalf("defaults = %+v", s.cfg)
 	}
 	if s.MaxMessageBytes() != MaxMessageBytes {

@@ -90,7 +90,7 @@ func WithAcceptShards(n int) Option {
 }
 
 // WithPolicy installs the pre-trust policy engine, consulted at connect
-// time and on each MAIL FROM / RCPT TO. The check runs where the
+// time and on each valid RCPT TO. The check runs where the
 // corresponding postfix code would: inside the worker for Vanilla,
 // inside the master's front end for Hybrid — so a policy-rejected
 // connection never costs a Hybrid worker, extending the paper's

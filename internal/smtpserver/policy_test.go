@@ -1,9 +1,11 @@
 package smtpserver
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -242,4 +244,38 @@ func TestPolicyBounceFeedsReputation(t *testing.T) {
 		}
 		waitStats(t, env.srv, func(s Stats) bool { return s.PolicyTempfail == 1 })
 	})
+}
+
+// TestPolicyBounceTransactionAllocatesNothing: with a policy attached, a
+// bounce transaction — MAIL FROM, an unknown RCPT, RSET — costs the
+// session no heap object. The unknown recipient draws 550 before the
+// policy is asked, and MAIL has no policy check to hand a sender string.
+func TestPolicyBounceTransactionAllocatesNothing(t *testing.T) {
+	srv, err := New(func(string, []string, []byte) (string, error) { return "Q", nil },
+		WithPolicy(policy.NewServerPolicy(policy.New(policy.WithGreylist(policy.GreyConfig{})), nil)),
+		WithValidateRcptBytes(func(a []byte) bool { return bytes.HasSuffix(a, []byte("@example.test")) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := smtp.NewSession(srv.sessionConfig(netip.MustParseAddr("192.0.2.7"), 1))
+	s.CommandBytes([]byte("HELO client.test"))
+	steps := []struct {
+		line []byte
+		code int
+	}{
+		{[]byte("MAIL FROM:<s@remote.test>"), 250},
+		{[]byte("RCPT TO:<nobody@elsewhere.test>"), 550},
+		{[]byte("RSET"), 250},
+	}
+	bounce := func() {
+		for _, st := range steps {
+			if r, _ := s.CommandBytes(st.line); r.Code != st.code {
+				t.Fatalf("%s = %d, want %d", st.line, r.Code, st.code)
+			}
+		}
+	}
+	bounce() // warm-up: the session's sender buffer
+	if n := testing.AllocsPerRun(200, bounce); n != 0 {
+		t.Errorf("a bounce transaction allocates %.1f objects, want 0", n)
+	}
 }

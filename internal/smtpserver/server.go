@@ -108,7 +108,7 @@ type Stats struct {
 	EnqueueFailures int64 // queue-full 452s
 	PolicyRejected  int64 // connections 554-rejected by the policy engine
 	PolicyTempfail  int64 // connections 421-tempfailed by the policy engine
-	Greylisted      int64 // MAIL/RCPT attempts 450-tempfailed by policy
+	Greylisted      int64 // valid RCPTs 450-tempfailed by policy (the greylist)
 }
 
 // Server is a runnable mail server front end.
@@ -148,7 +148,7 @@ type Server struct {
 	enqueueFailures *metrics.Counter
 	policyRejected  *metrics.Counter
 	policyTempfail  *metrics.Counter
-	greylisted      *metrics.Counter
+	greylisted      *metrics.Counter // smtpd_greylisted_total: RCPT 450s from the policy
 
 	stage map[string]*metrics.Histogram
 }
@@ -531,11 +531,11 @@ func remoteIP(nc net.Conn) netip.Addr {
 }
 
 // sessionConfig builds the session hooks for one connection. When a
-// policy engine is configured, MAIL and RCPT are additionally checked
-// against it; both hooks run wherever the dialog runs, which for the
-// hybrid architecture is the master's event loop until trust — a
-// greylisted recipient is never recorded, so the connection stays
-// un-trusted and is finished without costing a worker.
+// policy engine is configured, each valid RCPT is additionally checked
+// against it (the greylist); the hook runs wherever the dialog runs,
+// which for the hybrid architecture is the master's event loop until
+// trust — a greylisted recipient is never recorded, so the connection
+// stays un-trusted and is finished without costing a worker.
 func (s *Server) sessionConfig(ip netip.Addr, id uint64) smtp.Config {
 	cfg := smtp.Config{
 		Hostname:          s.cfg.hostname,
@@ -544,25 +544,21 @@ func (s *Server) sessionConfig(ip netip.Addr, id uint64) smtp.Config {
 		Ehlo:              s.ehlo,
 	}
 	if p := s.cfg.policy; p != nil {
-		// Mid-dialog checks are local (rate buckets, greylist); the
-		// background context is bounded by the engine itself, and a dead
-		// connection is detected by the socket, not the verdict path.
-		cfg.CheckMail = func(sender string) *smtp.Reply {
-			start := time.Now()
-			return s.policyReply(id, ip, "mail", p.Mail(context.Background(), ip, sender), start)
-		}
+		// The greylist is local; the background context is bounded by
+		// the engine itself, and a dead connection is detected by the
+		// socket, not the verdict path.
 		cfg.CheckRcpt = func(sender, rcpt string) *smtp.Reply {
 			start := time.Now()
-			return s.policyReply(id, ip, "rcpt", p.Rcpt(context.Background(), ip, sender, rcpt), start)
+			return s.policyReply(id, ip, p.Rcpt(context.Background(), ip, sender, rcpt), start)
 		}
 	}
 	return cfg
 }
 
-// policyReply logs a mid-dialog policy decision, begun at start, and
-// maps it to an overriding reply, or nil for Allow.
-func (s *Server) policyReply(id uint64, ip netip.Addr, phase string, d policy.Decision, start time.Time) *smtp.Reply {
-	s.logPolicy(id, ip, phase, d, time.Since(start))
+// policyReply logs a RCPT policy decision, begun at start, and maps it
+// to an overriding reply, or nil for Allow.
+func (s *Server) policyReply(id uint64, ip netip.Addr, d policy.Decision, start time.Time) *smtp.Reply {
+	s.logPolicy(id, ip, "rcpt", d, time.Since(start))
 	switch d.Verdict {
 	case policy.Reject:
 		s.policyRejected.Inc()
