@@ -196,14 +196,14 @@ func renderStages(w io.Writer, ms []metrics.Metric) {
 }
 
 // pipelineCounters is the cross-stage mail flow shown under the latency
-// table: front end → queue → delivery.
+// table: front end → delivery.
 var pipelineCounters = []string{
 	"smtpd_connections_total",
 	"smtpd_pretrust_closed_total",
 	"smtpd_handoffs_total",
 	"smtpd_mails_accepted_total",
-	"queue_delivered_total",
-	"queue_deferred_total",
+	"smtpd_enqueue_failures_total",
+	"delivery_mails_total",
 	"delivery_rcpt_deliveries_total",
 }
 

@@ -1,7 +1,7 @@
 // Command smtpd runs the spam-aware mail server over real TCP: either
 // architecture, a populated recipient database, an optional DNSBL check,
-// a postfix-style queue pipeline, and the write-ahead-logged MFS mailbox
-// store.
+// and the write-ahead-logged MFS mailbox store, which holds each mail
+// before its 250 (a mail it refuses gets a 4xx: its sender keeps it).
 //
 // Example:
 //
@@ -29,23 +29,20 @@ import (
 	"repro/internal/mfs"
 	"repro/internal/policy"
 	"repro/internal/pop3"
-	"repro/internal/queue"
 	"repro/internal/smtpserver"
 	"repro/internal/trace"
 )
 
 func main() {
 	var (
-		archName    = flag.String("arch", "hybrid", "architecture: vanilla or hybrid")
-		root        = flag.String("root", "", "mail root directory (required)")
-		domain      = flag.String("domain", cluster.DefaultDomain, "local domain")
-		mailboxes   = flag.Int("mailboxes", cluster.DefaultMailboxes, "number of local user mailboxes (user0000…)")
-		workers     = flag.Int("workers", cluster.Workers, "smtpd worker limit")
-		pop3Addr    = flag.String("pop3", "", "also serve POP3 on this address (empty disables)")
-		spoolDir    = flag.String("spool-dir", cluster.DefaultSpoolDir, "spool directory (under -root) holding the active/deferred/hold lanes")
-		ckptDir     = flag.String("checkpoint-dir", "", "MFS: write online checkpoints under this directory (under -root; empty disables)")
-		ckptEvery   = flag.Duration("checkpoint-interval", 5*time.Minute, "MFS: interval between online checkpoints when -checkpoint-dir is set")
-		maxAttempts = flag.Int("max-attempts", cluster.MaxAttempts, "delivery attempts before a mail bounces")
+		archName  = flag.String("arch", "hybrid", "architecture: vanilla or hybrid")
+		root      = flag.String("root", "", "mail root directory (required)")
+		domain    = flag.String("domain", cluster.DefaultDomain, "local domain")
+		mailboxes = flag.Int("mailboxes", cluster.DefaultMailboxes, "number of local user mailboxes (user0000…)")
+		workers   = flag.Int("workers", cluster.Workers, "smtpd worker limit")
+		pop3Addr  = flag.String("pop3", "", "also serve POP3 on this address (empty disables)")
+		ckptDir   = flag.String("checkpoint-dir", "", "MFS: write online checkpoints under this directory (under -root; empty disables)")
+		ckptEvery = flag.Duration("checkpoint-interval", 5*time.Minute, "MFS: interval between online checkpoints when -checkpoint-dir is set")
 	)
 	// The listen, policy, DNSBL, tracing, event-log and admin flags are
 	// the ones every front-end binary takes.
@@ -85,15 +82,13 @@ func main() {
 		srvOpts = append(srvOpts, smtpserver.WithPolicy(pol))
 	}
 
-	// The node itself — access DB, store, agent, spool, queue, front end,
-	// in that order, listening on return — is internal/cluster's.
+	// The node itself — access DB, store, agent, front end, in that
+	// order, listening on return — is internal/cluster's.
 	sh, err := cluster.StartShard(cluster.ShardSpec{
 		Addr:      n.Addr(),
 		FS:        fsim.NewOS(*root),
 		Domain:    *domain,
 		Mailboxes: *mailboxes,
-		SpoolDir:  *spoolDir,
-		Queue:     queue.Config{MaxAttempts: *maxAttempts},
 		Options:   srvOpts,
 		Registry:  reg,
 		Events:    events,
@@ -156,7 +151,7 @@ func main() {
 		if pop != nil {
 			pop.Close() // it reads the store the shard is about to close
 		}
-		// Stop accepting, drain the queue, close the store.
+		// Stop accepting, wait for the commits in flight, close the store.
 		if err := sh.Close(); err != nil {
 			events.Error("smtpd.error", 0,
 				eventlog.Str("component", "smtpd"), eventlog.Str("err", err.Error()))
@@ -188,10 +183,9 @@ func main() {
 }
 
 // logStats dumps a counters table: the SMTP front end (policy verdicts
-// included), the queue pipeline, and delivery.
+// included) and delivery.
 func logStats(sh *cluster.Shard, pol *policy.ServerPolicy) {
 	s := sh.Server.Stats()
-	q := sh.Queue.Stats()
 	d := sh.Agent.Stats()
 	t := metrics.NewTable("counter", "value")
 	t.AddRow("connections", s.Connections)
@@ -215,11 +209,8 @@ func logStats(sh *cluster.Shard, pol *policy.ServerPolicy) {
 			t.AddRow("dnsbl early exits", sc.EarlyExits)
 		}
 	}
-	t.AddRow("queued", q.Enqueued)
-	t.AddRow("delivered", q.Delivered)
-	t.AddRow("deferred", q.Deferred)
-	t.AddRow("bounced (DSN)", q.Bounced)
-	t.AddRow("held", q.Held)
+	t.AddRow("mails refused (4xx)", s.EnqueueFailures)
+	t.AddRow("mails stored", d.Mails)
 	t.AddRow("mailbox writes", d.RcptDeliveries)
 	fmt.Fprint(log.Writer(), t.String())
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/dns"
 	"repro/internal/dnsbl"
 	"repro/internal/policy"
-	"repro/internal/queue"
 	"repro/internal/smtpserver"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -68,7 +67,6 @@ func run() error {
 	node, err := cluster.StartShard(cluster.ShardSpec{
 		Domain:    "sink.example.org",
 		Mailboxes: 50,
-		Queue:     queue.Config{IntakeLimit: 4096},
 		Options:   []smtpserver.Option{smtpserver.WithMaxWorkers(32), smtpserver.WithPolicy(blacklist)},
 	})
 	if err != nil {
@@ -95,9 +93,6 @@ func run() error {
 		Concurrency: 16,
 		Timeout:     10 * time.Second,
 	}, conns)
-	if !node.Queue.WaitIdle(10 * time.Second) {
-		return fmt.Errorf("queue never drained")
-	}
 
 	fmt.Printf("replayed %d connections: %d mails accepted, %d errors\n",
 		len(conns), res.GoodMails, res.Errors)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/queue"
 	"repro/internal/smtpserver"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -44,10 +43,9 @@ func run() error {
 
 func serveTrace(arch smtpserver.Architecture, conns []trace.Conn) error {
 	// One full node in its production defaults (400 mailboxes at
-	// dept.example.edu, MFS, 8 delivery workers) but for the architecture
+	// dept.example.edu, MFS) but for the architecture
 	// under comparison and a 32-process limit.
 	node, err := cluster.StartShard(cluster.ShardSpec{
-		Queue:   queue.Config{IntakeLimit: 4096},
 		Options: []smtpserver.Option{smtpserver.WithArchitecture(arch), smtpserver.WithMaxWorkers(32)},
 	})
 	if err != nil {
@@ -60,9 +58,6 @@ func serveTrace(arch smtpserver.Architecture, conns []trace.Conn) error {
 		Concurrency: 24,
 		Timeout:     10 * time.Second,
 	}, conns)
-	if !node.Queue.WaitIdle(10 * time.Second) {
-		return fmt.Errorf("%s: queue never drained", arch)
-	}
 
 	s := node.Server.Stats()
 	d := node.Agent.Stats()

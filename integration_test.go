@@ -1,14 +1,12 @@
 package repro
 
 // Full-stack integration tests: the complete composition a deployment
-// would run — hybrid SMTP server over TCP, postfix-style queue with a
-// spool, the delivery agent writing through MFS on real files, and a live
-// DNSBLv6 server over UDP feeding the connect-time check — driven by the
+// would run — hybrid SMTP server over TCP, the delivery agent committing
+// each mail through MFS on real files before its 250, and a live DNSBLv6
+// server over UDP feeding the connect-time check — driven by the
 // synthetic workloads.
 
 import (
-	"errors"
-	"fmt"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -18,13 +16,11 @@ import (
 	"repro/internal/addr"
 	"repro/internal/cluster"
 	"repro/internal/costmodel"
-	"repro/internal/delivery"
 	"repro/internal/dns"
 	"repro/internal/dnsbl"
 	"repro/internal/fsim"
 	"repro/internal/mailstore"
 	"repro/internal/policy"
-	"repro/internal/queue"
 	"repro/internal/smtp"
 	"repro/internal/smtpserver"
 	"repro/internal/trace"
@@ -42,8 +38,7 @@ func startStack(t *testing.T, arch smtpserver.Architecture, opts ...smtpserver.O
 	s := &stack{fs: fsim.NewOS(t.TempDir())}
 	var err error
 	s.Shard, err = cluster.StartShard(cluster.ShardSpec{
-		FS:    s.fs,
-		Queue: queue.Config{IntakeLimit: 8192},
+		FS: s.fs,
 		Options: append([]smtpserver.Option{
 			smtpserver.WithArchitecture(arch),
 			smtpserver.WithMaxWorkers(16),
@@ -77,23 +72,15 @@ func TestFullStackUnivWorkload(t *testing.T) {
 				t.Fatalf("bounce/unfinished mismatch: %+v vs %+v", res, want)
 			}
 
-			if !s.Queue.WaitIdle(10 * time.Second) {
-				t.Fatal("queue never drained")
-			}
-			qs := s.Queue.Stats()
-			if qs.Delivered != int64(want.Delivering) || qs.Held != 0 || qs.Bounced != 0 {
-				t.Fatalf("queue stats = %+v", qs)
-			}
-
 			// Every valid recipient copy landed in a mailbox.
 			ds := s.Agent.Stats()
 			if ds.Mails != int64(want.Delivering) {
 				t.Fatalf("delivered mails = %d, want %d", ds.Mails, want.Delivering)
 			}
 
-			// Spool is empty after successful delivery.
-			if leftovers := s.fs.List("queue/incoming/"); len(leftovers) != 0 {
-				t.Fatalf("spool leftovers: %v", leftovers)
+			// Nothing but the epoch record is kept outside the store.
+			if kept := s.fs.List("queue/"); len(kept) != 1 {
+				t.Fatalf("outside the store: %v", kept)
 			}
 
 			// Hybrid never delegates bounce-only or unfinished connections.
@@ -123,9 +110,6 @@ func TestFullStackMailboxContentsExact(t *testing.T) {
 		t.Fatalf("send = %d, %v", n, err)
 	}
 	client.Quit()
-	if !s.Queue.WaitIdle(5 * time.Second) {
-		t.Fatal("queue never drained")
-	}
 	for _, box := range []string{"user0001", "user0002"} {
 		ids, err := s.Store.List(box)
 		if err != nil || len(ids) != 1 {
@@ -246,63 +230,4 @@ func TestFullStackPersistenceAcrossRestart(t *testing.T) {
 			t.Fatalf("%s read = %q, %v", box, got, err)
 		}
 	}
-}
-
-func TestFullStackBackpressure(t *testing.T) {
-	// A delivery agent that times out once and then stalls: the timeout
-	// sends new mail to the spool, where the stall fills the bounded
-	// queue; the server must answer 452 instead of accepting mail it
-	// cannot durably queue, and recover once the agent drains.
-	const domain = "dept.example.edu"
-	block := make(chan struct{})
-	var timedOut atomic.Bool
-	var blocked queue.DelivererFunc = func(item *queue.Item) error {
-		if timedOut.CompareAndSwap(false, true) {
-			return errors.New("mailbox storage timed out")
-		}
-		<-block
-		return nil
-	}
-	sh, err := cluster.StartShard(cluster.ShardSpec{
-		Mailboxes: 10,
-		Deliverer: func(*delivery.Agent) queue.Deliverer { return blocked },
-		Queue:     queue.Config{ActiveLimit: 1, IntakeLimit: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
-	qm := sh.Queue
-
-	client, err := smtp.Dial(sh.Addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client.Helo("h")
-	saw452 := false
-	for i := 0; i < 5; i++ {
-		client.Mail("s@r.example")
-		client.Rcpt(fmt.Sprintf("user%04d@%s", i, domain))
-		if err := client.Data([]byte("m")); err != nil {
-			if strings.Contains(err.Error(), "452") {
-				saw452 = true
-				break
-			}
-			t.Fatal(err)
-		}
-	}
-	if !saw452 {
-		t.Fatal("queue backpressure never surfaced as 452")
-	}
-	// Unblock and verify the connection recovers.
-	close(block)
-	if !qm.WaitIdle(5 * time.Second) {
-		t.Fatal("queue never drained")
-	}
-	client.Mail("s@r.example")
-	client.Rcpt("user0001@" + domain)
-	if err := client.Data([]byte("after recovery")); err != nil {
-		t.Fatalf("post-recovery send failed: %v", err)
-	}
-	client.Quit()
 }

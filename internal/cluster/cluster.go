@@ -1,15 +1,18 @@
 // Package cluster is the one way to stand up a mail node. It owns the
 // assembly policy no caller should have to know:
 //
-//   - construction order: access DB → store → delivery agent → spool →
-//     queue (whose recovery of a previous manager's spool finishes inside
-//     queue.NewManager) → front end → listener, so a node never accepts a
-//     connection before everything behind the 250 is ready;
+//   - construction order: access DB → boot epoch → store (whose
+//     write-ahead log is replayed inside mailstore.NewMFS) → delivery
+//     agent → front end → listener, so a node never accepts a connection
+//     before everything behind the 250 is ready;
+//   - one path from DATA to the reply (Shard.Enqueue): the reply follows
+//     the mail's commit to its mailboxes, and a mail the store refuses
+//     stays with its sender, whose own queue retries it;
 //   - the cmd/smtpd production defaults, as the constants below;
-//   - two teardown verbs with one order — stop accepting, wait for Serve
-//     to return, stop the queue, close the store. Close drains the queue
-//     first and reports the first error; Kill does not drain and swallows
-//     errors, which is what a process dying looks like from inside.
+//   - two teardown verbs with one order — stop the front end, which waits
+//     for every in-flight commit, then close the store. Close reports the
+//     first error; Kill swallows errors, which is what a process dying
+//     looks like from inside.
 //
 // StartShard builds a full node and StartDirector a director front end,
 // with one listen and stop discipline. cmd/smtpd, cmd/maildirector, every
@@ -18,13 +21,16 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/access"
-	"repro/internal/bounce"
 	"repro/internal/costmodel"
 	"repro/internal/delivery"
 	"repro/internal/director"
@@ -33,9 +39,8 @@ import (
 	"repro/internal/mailstore"
 	"repro/internal/metrics"
 	"repro/internal/mfs"
-	"repro/internal/queue"
+	"repro/internal/smtp"
 	"repro/internal/smtpserver"
-	"repro/internal/spool"
 	"repro/internal/trace"
 )
 
@@ -45,19 +50,19 @@ import (
 // defaults.
 const (
 	DefaultDomain    = "dept.example.edu"
-	DefaultMailboxes = 400 // user0000 … user0399, plus the postmaster alias
-	DefaultSpoolDir  = "queue"
+	DefaultMailboxes = 400   // user0000 … user0399, plus the postmaster alias
 	MFSDir           = "mfs" // the mailbox store, every commit batch write-ahead logged
 	Workers          = 100   // smtpd worker limit, the paper's process limit
-	ActiveLimit      = 8     // delivery workers per node, for spooled mail
-	MaxAttempts      = 3     // delivery attempts before a mail bounces
-	// DrainTimeout bounds how long Close waits for the queue to go idle.
-	DrainTimeout = 5 * time.Second
+
+	// idDir holds the boot-epoch record and nothing else: it is where a
+	// spooling node kept its spool and epochs, so ids continue its sequence.
+	idDir   = "queue"
+	seqBits = 40 // a mail id's count of mails; the boot epoch is above it
 
 	loopback = "127.0.0.1:0"
 )
 
-// Hostname is a node's banner, HELO and DSN reporting-MTA name.
+// Hostname is a node's banner and HELO name.
 func Hostname(domain string) string { return "mx." + domain }
 
 // ShardSpec describes one full mail node. The zero value is cmd/smtpd's
@@ -66,31 +71,21 @@ func Hostname(domain string) string { return "mx." + domain }
 type ShardSpec struct {
 	// Addr is the SMTP listen address (default an ephemeral loopback port).
 	Addr string
-	// FS holds the spool and the mailboxes (default a zero-cost fsim.Mem).
-	// Restarting on the FS a killed shard used recovers its spool and store.
+	// FS holds the mailboxes (default a zero-cost fsim.Mem). Restarting
+	// on the FS a killed shard used recovers its store.
 	FS fsim.FS
 	// Domain is the local domain; the node calls itself Hostname(Domain).
 	Domain string
 	// Mailboxes is how many local users (user0000…) exist; postmaster
 	// aliases the first.
 	Mailboxes int
-	// SpoolDir is the spool directory on FS.
-	SpoolDir string
-	// Deliverer, if set, replaces the local delivery agent as the queue's
-	// deliverer; it is handed the agent so it can wrap it.
-	Deliverer func(local *delivery.Agent) queue.Deliverer
-	// Queue carries the queue's retry, limit and bounce settings. Its
-	// Deliverer, Store, Registry, Events and Tracer are the shard's,
-	// ActiveLimit and MaxAttempts default to this package's constants, and
-	// Bounce to DSNs reported by Hostname(Domain).
-	Queue queue.Config
 	// Options are appended to the front end's own (hostname, Workers,
 	// recipient validation, enqueue hook and the three sinks below), so
 	// they can choose the architecture, worker limit, policy and the rest.
 	Options []smtpserver.Option
 
-	// Registry, Events and Tracer are shared by the front end, the queue
-	// and the delivery agent; nil leaves each its private default.
+	// Registry, Events and Tracer are shared by the front end and the
+	// delivery agent; nil leaves each its private default.
 	Registry *metrics.Registry
 	Events   *eventlog.Log
 	Tracer   *trace.MessageRecorder
@@ -102,17 +97,20 @@ type Shard struct {
 	DB     *access.DB
 	Store  *mailstore.MFS
 	Agent  *delivery.Agent
-	Queue  *queue.Manager
 	Server *smtpserver.Server
 
-	front *frontEnd
-	once  sync.Once
-	err   error
+	tracer *trace.MessageRecorder
+	seq    atomic.Uint64 // the last mail id minted: boot epoch << seqBits | count
+	front  *frontEnd
+	once   sync.Once
+	err    error
 }
 
 // StartShard builds the node spec describes; it is listening on return.
 // A failure part-way tears down what was built: no listener, goroutine
-// or open store is left behind.
+// or open store is left behind. It refuses to start on an FS holding
+// anything but epoch records under the id directory: mail a spooling
+// node left there would otherwise never be delivered, with nobody told.
 func StartShard(spec ShardSpec) (*Shard, error) {
 	if spec.FS == nil {
 		spec.FS = fsim.NewMem(costmodel.FSModel{})
@@ -123,11 +121,8 @@ func StartShard(spec ShardSpec) (*Shard, error) {
 	if spec.Mailboxes == 0 {
 		spec.Mailboxes = DefaultMailboxes
 	}
-	if spec.SpoolDir == "" {
-		spec.SpoolDir = DefaultSpoolDir
-	}
 
-	s := &Shard{}
+	s := &Shard{tracer: spec.Tracer}
 	started := false
 	defer func() {
 		if !started {
@@ -143,11 +138,12 @@ func StartShard(spec ShardSpec) (*Shard, error) {
 		return nil, err
 	}
 
+	if err := s.beginEpoch(spec.FS); err != nil {
+		return nil, err
+	}
 	// NewMFS replays the write-ahead log a previous store left. The store
-	// is write-ahead logged because a delivered mail's only copy is in
-	// it: the queue delivers a healthy node's mail before the 250 without
-	// spooling it, and unlinks a spooled copy once the store says
-	// delivered.
+	// is write-ahead logged because it holds a mail's only copy from the
+	// 250 on.
 	var err error
 	if s.Store, err = mailstore.NewMFS(spec.FS, MFSDir, mfs.WithSync(true)); err != nil {
 		return nil, err
@@ -159,34 +155,13 @@ func StartShard(spec ShardSpec) (*Shard, error) {
 	s.Agent = delivery.NewAgent(s.DB, s.Store, delivery.WithRegistry(spec.Registry),
 		delivery.WithEventLog(spec.Events), delivery.WithMessageTracer(spec.Tracer))
 
-	qcfg := spec.Queue
-	qcfg.Deliverer = s.Agent
-	if spec.Deliverer != nil {
-		qcfg.Deliverer = spec.Deliverer(s.Agent)
-	}
-	qcfg.Store = spool.New(spec.FS, spec.SpoolDir)
-	if qcfg.ActiveLimit == 0 {
-		qcfg.ActiveLimit = ActiveLimit
-	}
-	if qcfg.MaxAttempts == 0 {
-		qcfg.MaxAttempts = MaxAttempts
-	}
-	if qcfg.Bounce == nil {
-		qcfg.Bounce = bounce.New(Hostname(spec.Domain)).Synthesize
-	}
-	qcfg.Registry, qcfg.Events, qcfg.Tracer = spec.Registry, spec.Events, spec.Tracer
-	// NewManager returns with the previous manager's spool recovered.
-	if s.Queue, err = queue.NewManager(qcfg); err != nil {
-		return nil, err
-	}
-
 	opts := []smtpserver.Option{
 		smtpserver.WithHostname(Hostname(spec.Domain)),
 		smtpserver.WithMaxWorkers(Workers),
 		smtpserver.WithRegistry(spec.Registry),
 		smtpserver.WithEventLog(spec.Events),
 		smtpserver.WithMessageTracer(spec.Tracer),
-		smtpserver.WithEnqueueTraced(s.Queue.EnqueueTraced),
+		smtpserver.WithEnqueueTraced(s.Enqueue),
 		smtpserver.WithValidateRcpt(s.DB.Valid),
 		smtpserver.WithValidateRcptBytes(s.DB.ValidBytes),
 	}
@@ -199,6 +174,55 @@ func StartShard(spec ShardSpec) (*Shard, error) {
 	s.Addr = s.front.addr
 	started = true
 	return s, nil
+}
+
+// beginEpoch claims the node's boot epoch, after checking that the id
+// directory holds epoch records and nothing else.
+func (s *Shard) beginEpoch(fs fsim.FS) error {
+	epochs := idDir + "/epoch"
+	for _, name := range fs.List(idDir + "/") {
+		if !strings.HasPrefix(name, epochs+"/") {
+			return fmt.Errorf("cluster: %s is not an epoch record: move the mail a spooling node left out of %s/ before starting", name, idDir)
+		}
+	}
+	epoch, err := fsim.BeginEpoch(fs, epochs, 0)
+	if err == nil && epoch >= 1<<(64-seqBits) {
+		err = fmt.Errorf("boot epoch %d does not fit a mail id", epoch)
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	s.seq.Store(epoch << seqBits)
+	return nil
+}
+
+// Enqueue is the front end's enqueue hook: it mints the mail's id and
+// returns it once the mail is committed to its mailboxes, under a
+// delivery span parented by tc. A refusal is an smtp.ReplyError — 452 for
+// a full disk, 451 for a stopped or closed store — that the sender
+// retries under a fresh id.
+func (s *Shard) Enqueue(sender string, rcpts []string, data []byte, tc trace.Context) (string, error) {
+	id := mailID(s.seq.Add(1))
+	start, dsp := time.Now(), s.tracer.NewSpan(tc) // no tracer, no span: the agent has none either
+	err := s.Agent.Commit(id, rcpts, data, dsp)
+	s.tracer.FinishAt(dsp, trace.MStageDelivery, start, time.Now(), "")
+	switch {
+	case err == nil:
+		return id, nil
+	case errors.Is(err, syscall.ENOSPC):
+		return "", smtp.ReplyError(smtp.ReplyInsufficient)
+	default:
+		return "", smtp.ReplyError{Code: 451, Text: "Requested action aborted: local error in processing"}
+	}
+}
+
+// mailID formats a mail id: "Q" and 16 hex digits.
+func mailID(seq uint64) string {
+	id := [17]byte{'Q'}
+	for i, v := 16, seq; i > 0; i, v = i-1, v>>4 {
+		id[i] = "0123456789ABCDEF"[v&0xf]
+	}
+	return string(id[:])
 }
 
 // exportCommitStats puts the store's commit engine on the node's
@@ -220,43 +244,32 @@ func exportCommitStats(reg *metrics.Registry, st *mfs.Store) {
 func (s *Shard) Served() <-chan error { return s.front.served }
 
 // Close shuts the node down in order: stop accepting and wait for Serve
-// to return, let the queue drain (at most DrainTimeout) and close it,
-// close the store. Every mail acknowledged before Close is delivered
-// before the store closes, or stays spooled for the next start. It
-// returns the first error; calling it again, or after Kill, does nothing
-// and returns the same result.
+// and every worker to return — so for every commit in flight — then
+// close the store. It returns the first error; calling it again, or
+// after Kill, does nothing and returns the same result.
 func (s *Shard) Close() error {
-	s.once.Do(func() { s.err = s.teardown(true) })
+	s.once.Do(func() { s.err = s.teardown() })
 	return s.err
 }
 
-// Kill is Close without the drain and with errors swallowed: what is not
-// yet delivered stays in the spool. After fsim.Fault.Crash it is how a
-// dead process's goroutines are collected before a restart on the same FS.
+// Kill is Close with errors swallowed. After fsim.Fault.Crash it is how
+// a dead process's goroutines are collected before a restart on the
+// same FS.
 func (s *Shard) Kill() {
-	s.once.Do(func() { s.teardown(false) }) //nolint:errcheck // a kill has no one to report to
+	s.once.Do(func() { s.teardown() }) //nolint:errcheck // a kill has no one to report to
 }
 
-func (s *Shard) teardown(drain bool) error {
-	var first error
-	keep := func(err error) {
-		if first == nil {
-			first = err
-		}
-	}
+func (s *Shard) teardown() error {
+	var err error
 	if s.front != nil {
-		keep(s.front.stop())
-	}
-	if s.Queue != nil {
-		if drain {
-			s.Queue.WaitIdle(DrainTimeout)
-		}
-		keep(s.Queue.Close())
+		err = s.front.stop()
 	}
 	if s.Store != nil {
-		keep(s.Store.Close())
+		if cerr := s.Store.Close(); err == nil {
+			err = cerr
+		}
 	}
-	return first
+	return err
 }
 
 // frontEnd is an smtpserver.Server with its accept loop running.

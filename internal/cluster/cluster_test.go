@@ -12,19 +12,17 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/admin"
 	"repro/internal/costmodel"
-	"repro/internal/delivery"
 	"repro/internal/director"
 	"repro/internal/fsim"
 	"repro/internal/metrics"
-	"repro/internal/queue"
 	"repro/internal/smtp"
-	"repro/internal/spool"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -93,50 +91,83 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// flaky fails every mail's first delivery attempt and is slow on the
-// second, so when the client has its last 250 part of the backlog is
-// still queued and part is parked on a retry timer.
-type flaky struct{ inner queue.Deliverer }
-
-func (f flaky) Deliver(item *queue.Item) error {
-	if item.Attempts == 1 {
-		return fmt.Errorf("transient")
-	}
-	time.Sleep(time.Millisecond)
-	return f.inner.Deliver(item)
-}
-
-func TestCloseDrainsBeforeTheStoreCloses(t *testing.T) {
-	const n = 60
-	fs := fsim.NewFault()
-	sh, err := StartShard(ShardSpec{
-		FS:        fs,
-		Mailboxes: users,
-		Deliverer: func(local *delivery.Agent) queue.Deliverer { return flaky{local} },
-		Queue:     queue.Config{ActiveLimit: 1, RetryDelay: 30 * time.Millisecond, MaxRetryDelay: 30 * time.Millisecond},
-	})
+// TestCloseWaitsForTheCommitInFlight: Close stops the front end first,
+// which waits for every worker and so for the commit a worker is in, and
+// closes the store only after that. A commit stalled in its log fsync
+// holds Close up; the stalled call returns before the store's last step
+// (removing its dirty marker) runs, and after a power cut and a restart
+// every mail that got a 250 — and the one whose commit Close waited
+// for — is in its mailbox.
+func TestCloseWaitsForTheCommitInFlight(t *testing.T) {
+	fault := fsim.NewFault()
+	spec := ShardSpec{FS: fault, Mailboxes: users}
+	sh, err := StartShard(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(t, sh.Addr, mails(n))
-	if sh.Queue.Stats().Delivered == n {
-		t.Fatal("nothing left to drain: the test does not exercise Close's order")
+	defer sh.Kill()
+	want := sendMix(t, sh.Addr, 8, nil)
+
+	stalled, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	var returned, closedUnder atomic.Bool
+	fault.SetHook(func(op, path string, _ int) error {
+		switch {
+		case op == "Sync" && path == MFSDir+"/mfs.wal":
+			stall := false
+			once.Do(func() { stall = true })
+			if stall {
+				close(stalled)
+				<-release
+				returned.Store(true)
+			}
+		case op == "Remove" && path == MFSDir+"/mfs.dirty" && !returned.Load():
+			closedUnder.Store(true)
+		}
+		return nil
+	})
+	const stuck = "Subject: stalled\r\n\r\ncommitted while the node closed\r\n"
+	sent := make(chan error, 1)
+	go func() {
+		c, err := smtp.Dial(sh.Addr, 5*time.Second)
+		if err == nil {
+			if err = c.Helo("client.test"); err == nil {
+				_, err = c.Send("late@remote.example", []string{"user0007@" + DefaultDomain}, []byte(stuck))
+			}
+			c.Abort() //nolint:errcheck
+		}
+		sent <- err
+	}()
+	<-stalled
+	closed := make(chan error, 1)
+	go func() { closed <- sh.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while a commit was stalled in its log fsync", err)
+	case <-time.After(100 * time.Millisecond):
 	}
-	if err := sh.Close(); err != nil {
+	close(release)
+	if err := <-closed; err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	// Every acked mail was delivered — retries included — while the store
-	// was still open …
-	if st := sh.Queue.Stats(); st.Delivered != n {
-		t.Fatalf("after Close: %+v, want %d delivered", st, n)
+	<-sent // the reply to the stalled mail may be lost with the connection Close cut
+	if closedUnder.Load() {
+		t.Fatal("the store closed while a commit was still in its log fsync")
 	}
 	if _, err := net.DialTimeout("tcp", sh.Addr, time.Second); err == nil {
 		t.Fatal("still listening after Close")
 	}
-	// … and is readable from the files Close left behind.
-	if got := mailboxEntries(t, fs); got != n {
-		t.Fatalf("%d mailbox entries after Close, want %d", got, n)
+
+	fault.Crash()
+	fault.Recover()
+	fault.SetHook(nil)
+	sh2, err := StartShard(spec)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
 	}
+	defer sh2.Close()
+	want["user0007"] = append(want["user0007"], stuck)
+	holdsExactly(t, sh2, want)
 }
 
 func TestTeardownIsIdempotent(t *testing.T) {
@@ -201,59 +232,8 @@ func TestFailedStartLeavesNothingBehind(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// down fails every delivery: the mail stays spooled.
-func down(*queue.Item) error { return fmt.Errorf("mailbox storage down") }
-
-func TestRestartAfterCrashRecoversTheSpool(t *testing.T) {
-	const n = 24
-	fault := fsim.NewFault()
-	spec := ShardSpec{
-		FS:        fault,
-		Mailboxes: users,
-		Deliverer: func(*delivery.Agent) queue.Deliverer { return queue.DelivererFunc(down) },
-		Queue:     queue.Config{MaxAttempts: 1 << 20, RetryDelay: 20 * time.Millisecond, MaxRetryDelay: 20 * time.Millisecond},
-	}
-	sh, err := StartShard(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	send(t, sh.Addr, mails(n))
-	if !waitFor(func() bool { return sh.Queue.Stats().Deferred >= n }) {
-		t.Fatalf("%d deferrals before the crash, want every one of %d mails tried", sh.Queue.Stats().Deferred, n)
-	}
-
-	// Power cut, then the dead process's goroutines are collected.
-	fault.Crash()
-	sh.Kill()
-	fault.Recover()
-
-	spec.Deliverer = nil
-	sh2, err := StartShard(spec)
-	if err != nil {
-		t.Fatalf("restart: %v", err)
-	}
-	defer sh2.Kill()
-	recovered := 0
-	for _, lane := range spool.Lanes {
-		recovered += sh2.Queue.RecoveryStats().Recovered[lane]
-	}
-	if recovered != n {
-		t.Fatalf("restart recovered %d spooled mails, want %d", recovered, n)
-	}
-	if !sh2.Queue.WaitIdle(10*time.Second) || sh2.Queue.Stats().Delivered != n {
-		t.Fatalf("after restart: %+v, want %d delivered", sh2.Queue.Stats(), n)
-	}
-	if err := sh2.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if got := mailboxEntries(t, fault); got != n {
-		t.Fatalf("%d mailbox entries after recovery, want %d", got, n)
-	}
-}
-
-// TestAckedMailSurvivesPowerCut: once a node has acked and delivered a
-// mail, the queue has unlinked its spool copy, so the mailbox store holds
-// the only one. A power cut right after that must lose none of it: every
+// TestAckedMailSurvivesPowerCut: once a node has acked a mail, the
+// mailbox store holds its only copy. A power cut right after that must lose none of it: every
 // addressed mailbox holds each acked body, byte for byte, exactly once.
 // The mails take every store path a node has: one recipient, three (MFS's
 // shared record) and the postmaster alias.
@@ -297,9 +277,6 @@ func TestAckedMailSurvivesPowerCut(t *testing.T) {
 	}
 	sendOne(10, "postmaster")
 	c.Quit() //nolint:errcheck
-	if !sh.Queue.WaitIdle(5 * time.Second) {
-		t.Fatalf("queue never idle: %+v", sh.Queue.Stats())
-	}
 
 	fault.Crash()
 	sh.Kill()
@@ -310,14 +287,6 @@ func TestAckedMailSurvivesPowerCut(t *testing.T) {
 		t.Fatalf("restart: %v", err)
 	}
 	defer sh2.Close()
-	if !sh2.Queue.WaitIdle(5 * time.Second) {
-		t.Fatalf("queue never idle after the restart: %+v", sh2.Queue.Stats())
-	}
-	for _, lane := range spool.Lanes {
-		if d := sh2.Queue.LaneDepth(lane); d != 0 {
-			t.Fatalf("lane %s holds %d mails after the restart", lane, d)
-		}
-	}
 	holdsExactly(t, sh2, want)
 }
 
@@ -343,54 +312,6 @@ func holdsExactly(t *testing.T, sh *Shard, want map[string][]string) {
 		if !slices.Equal(got, bodies) {
 			t.Fatalf("%s after the power cut holds %q, want %q", box, got, bodies)
 		}
-	}
-}
-
-// TestZeroSpecShardBounces: a spec that says nothing about bounces is the
-// production mode, so a mail that exhausts its attempts comes back to its
-// sender as a DSN reported by the node's own hostname; nothing the node
-// acked goes unaccounted.
-func TestZeroSpecShardBounces(t *testing.T) {
-	sh, err := StartShard(ShardSpec{
-		Mailboxes: users,
-		Deliverer: func(local *delivery.Agent) queue.Deliverer {
-			return queue.DelivererFunc(func(item *queue.Item) error {
-				if item.Sender == "" {
-					return local.Deliver(item) // the DSN on its way back
-				}
-				return down(item)
-			})
-		},
-		Queue: queue.Config{RetryDelay: time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Kill()
-	send(t, sh.Addr, []trace.Conn{{
-		Helo:   "client.test",
-		Sender: "user0001@" + DefaultDomain,
-		Rcpts:  []trace.Rcpt{{Addr: "user0000@" + DefaultDomain, Valid: true}},
-	}})
-	if !sh.Queue.WaitIdle(5 * time.Second) {
-		t.Fatalf("queue never idle: %+v", sh.Queue.Stats())
-	}
-	// Two mails entered the queue: the original, bounced, and its DSN, delivered.
-	if st := sh.Queue.Stats(); st.Bounced != 1 || st.Delivered != 1 || st.Enqueued != 2 {
-		t.Fatalf("stats = %+v, want the mail bounced and its DSN delivered", st)
-	}
-	for _, lane := range spool.Lanes {
-		if d := sh.Queue.LaneDepth(lane); d != 0 {
-			t.Fatalf("lane %s holds %d mails after the drain", lane, d)
-		}
-	}
-	ids, err := sh.Store.List("user0001")
-	if err != nil || len(ids) != 1 {
-		t.Fatalf("sender's mailbox lists %v, %v; want one DSN", ids, err)
-	}
-	dsn, err := sh.Store.Read("user0001", ids[0])
-	if err != nil || !strings.Contains(string(dsn), "Reporting-MTA: dns; "+Hostname(DefaultDomain)) {
-		t.Fatalf("sender's mailbox holds %q, %v; want this node's DSN", dsn, err)
 	}
 }
 
@@ -440,17 +361,18 @@ func TestServeAndDirector(t *testing.T) {
 	if err := sh.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sh.Queue.Stats().Delivered; got != 6 {
-		t.Fatalf("shard behind the director delivered %d mails, want 6", got)
+	if got := sh.Agent.Stats().Mails; got != 6 {
+		t.Fatalf("shard behind the director stored %d mails, want 6", got)
 	}
 	waitGoroutines(t, base)
 }
 
-// TestRestartOnEmptySpoolKeepsBothMails: a node that drained its spool and
-// restarts must not issue the queue ids of its previous life again — the
-// store skips a mailbox that already holds a mail's id, so a reused id is
-// a 250 for a mail that is never stored.
-func TestRestartOnEmptySpoolKeepsBothMails(t *testing.T) {
+// TestRestartNeverReissuesAnID: a node that restarts must not issue the
+// mail ids of its previous life again — the store skips a mailbox that
+// already holds a mail's id, so a reused id is a 250 for a mail that is
+// never stored. Two lives on one FS give two distinct ids, and the first
+// id on a fresh FS is Q0000000000000001.
+func TestRestartNeverReissuesAnID(t *testing.T) {
 	fs := fsim.NewMem(costmodel.FSModel{})
 	for life, sender := range []string{"first@remote.example", "second@remote.example"} {
 		sh, err := StartShard(ShardSpec{FS: fs, Mailboxes: users})
@@ -464,9 +386,6 @@ func TestRestartOnEmptySpoolKeepsBothMails(t *testing.T) {
 		}})
 		if err := sh.Close(); err != nil {
 			t.Fatalf("life %d: Close: %v", life, err)
-		}
-		if depth := len(fs.List(DefaultSpoolDir + "/" + string(spool.LaneActive) + "/")); depth != 0 {
-			t.Fatalf("life %d: %d mails left in the spool, the restart would not be on an empty one", life, depth)
 		}
 	}
 	sh, err := StartShard(ShardSpec{FS: fs, Mailboxes: users})
@@ -482,14 +401,69 @@ func TestRestartOnEmptySpoolKeepsBothMails(t *testing.T) {
 		t.Fatalf("mailbox holds %v after two acked mails, want two distinct ids", ids)
 	}
 	if ids[0] != "Q0000000000000001" {
-		t.Fatalf("first id on a fresh spool = %s, want Q0000000000000001", ids[0])
+		t.Fatalf("first id on a fresh FS = %s, want Q0000000000000001", ids[0])
 	}
 }
 
-// TestFullDiskRefusesWith452: on a full disk — no new file can be made, so
-// neither the store (the mail's mailbox is new) nor the spool can take the
-// mail — a shard answers DATA with a 452: the mail is refused, so its
-// sender keeps it. It leaves nothing of it for spool recovery, still
+// TestIDsContinueAnEarlierEpoch: a node started on an FS whose id
+// directory holds the epoch record an earlier node left — epoch 5 — mints
+// its ids in epoch 6, so no id of that node's lives is issued again.
+func TestIDsContinueAnEarlierEpoch(t *testing.T) {
+	fs := fsim.NewMem(costmodel.FSModel{})
+	f, err := fs.Create("queue/epoch/000005")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	sh, err := StartShard(ShardSpec{FS: fs, Mailboxes: users})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	send(t, sh.Addr, mails(1))
+	ids, err := sh.Store.List("user0000")
+	if err != nil || len(ids) != 1 {
+		t.Fatalf("user0000 lists %v, %v; want one mail", ids, err)
+	}
+	if want := fmt.Sprintf("Q%06X%010X", 6, 1); ids[0] != want {
+		t.Fatalf("first id after epoch 5 = %s, want %s", ids[0], want)
+	}
+	if names := fs.List("queue/"); !slices.Equal(names, []string{"queue/epoch/000006"}) {
+		t.Fatalf("id directory holds %v, want the epoch 6 record alone", names)
+	}
+}
+
+// TestRefusesMailLeftInTheSpool: a node does not start on an FS where a
+// spooling node left mail under queue/ — it would never be delivered —
+// and the error names the file, which it leaves as it found it.
+func TestRefusesMailLeftInTheSpool(t *testing.T) {
+	fs := fsim.NewMem(costmodel.FSModel{})
+	const left = "queue/active/Q0000000000000007"
+	f, err := fs.Create(left)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("a spooled mail")); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if sh, err := StartShard(ShardSpec{FS: fs, Mailboxes: users}); err == nil {
+		sh.Close()
+		t.Fatal("a node started over mail left in its spool")
+	} else if !strings.Contains(err.Error(), left) {
+		t.Fatalf("StartShard: %v; want an error naming %s", err, left)
+	}
+	if size, err := fs.Size(left); err != nil || size != int64(len("a spooled mail")) {
+		t.Fatalf("%s after the refused start: size %d, %v; want it untouched", left, size, err)
+	}
+	if names := fs.List("queue/"); !slices.Equal(names, []string{left}) {
+		t.Fatalf("queue/ holds %v after the refused start, want %s alone", names, left)
+	}
+}
+
+// TestFullDiskRefusesWith452: on a full disk — no new file can be made,
+// so the store cannot take a mail whose mailbox is new — a shard answers
+// DATA with a 452: the mail is refused, so its sender keeps it. It still
 // serves what it stored before, and takes mail again once the disk has
 // room.
 func TestFullDiskRefusesWith452(t *testing.T) {
@@ -502,9 +476,6 @@ func TestFullDiskRefusesWith452(t *testing.T) {
 	defer sh.Close()
 	before := mails(2)
 	send(t, sh.Addr, before[:1])
-	if !sh.Queue.WaitIdle(5 * time.Second) {
-		t.Fatalf("queue never idle: %+v", sh.Queue.Stats())
-	}
 	stored, err := sh.Store.List("user0000")
 	if err != nil || len(stored) != 1 {
 		t.Fatalf("user0000 lists %v, %v; want the mail sent before the disk filled", stored, err)
@@ -540,18 +511,12 @@ func TestFullDiskRefusesWith452(t *testing.T) {
 	}) {
 		t.Fatal("smtpd_enqueue_failures_total never reached 1")
 	}
-	if left, _, err := spool.New(fault, DefaultSpoolDir).Recover(); err != nil || len(left) != 0 {
-		t.Fatalf("spool recovery finds %d mails, %v; want nothing of the refused mail", len(left), err)
-	}
 	if _, err := sh.Store.Read("user0000", stored[0]); err != nil {
 		t.Fatalf("mail stored before the disk filled: %v", err)
 	}
 
 	fault.SetHook(nil)
 	send(t, sh.Addr, before[1:])
-	if !sh.Queue.WaitIdle(5 * time.Second) {
-		t.Fatalf("queue never idle: %+v", sh.Queue.Stats())
-	}
 	if ids, err := sh.Store.List("user0001"); err != nil || len(ids) != 1 {
 		t.Fatalf("user0001 lists %v, %v; want the one mail sent after the disk had room", ids, err)
 	}
@@ -585,9 +550,6 @@ func TestShardExportsCommitStats(t *testing.T) {
 	}
 	const n = 12
 	send(t, sh.Addr, mails(n))
-	if !sh.Queue.WaitIdle(5 * time.Second) {
-		t.Fatalf("queue never idle: %+v", sh.Queue.Stats())
-	}
 	got := scrape()
 	if got["mfs_commit_mails_total"] != n || got["mfs_commit_batches_total"] < 1 || got["mfs_commit_batches_total"] > n {
 		t.Fatalf("after %d mails /metrics reads %v", n, got)
@@ -643,28 +605,28 @@ func sendMix(t *testing.T, addr string, n int, acked func(boxes []string)) map[s
 	return want
 }
 
-// TestHealthyNodeNeverTouchesTheSpool: a node whose store takes every mail
-// commits each one to its mailboxes before the 250 — the mail is there the
-// moment the client has the reply, with no wait for the queue — and creates
-// and syncs nothing under its spool directory.
+// TestHealthyNodeNeverTouchesTheSpool: a node commits each mail to its
+// mailboxes before the 250 — the mail is there the moment the client has
+// the reply — and creates nothing under its id directory but its epoch
+// record.
 func TestHealthyNodeNeverTouchesTheSpool(t *testing.T) {
 	const n = 24
 	fault := fsim.NewFault()
+	var mu sync.Mutex
+	var created []string
+	fault.SetHook(func(op, path string, _ int) error {
+		if (op == "Create" || op == "OpenAppend" || op == "Link") && strings.HasPrefix(path, "queue/") {
+			mu.Lock()
+			created = append(created, path)
+			mu.Unlock()
+		}
+		return nil
+	})
 	sh, err := StartShard(ShardSpec{FS: fault, Mailboxes: users})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	var mu sync.Mutex
-	spoolOps := map[string]int{}
-	fault.SetHook(func(op, path string, _ int) error {
-		if strings.HasPrefix(path, DefaultSpoolDir+"/") {
-			mu.Lock()
-			spoolOps[op]++
-			mu.Unlock()
-		}
-		return nil
-	})
 	held := map[string]int{}
 	sendMix(t, sh.Addr, n, func(boxes []string) {
 		for _, box := range boxes {
@@ -677,19 +639,18 @@ func TestHealthyNodeNeverTouchesTheSpool(t *testing.T) {
 	})
 	mu.Lock()
 	defer mu.Unlock()
-	if spoolOps["Create"] != 0 || spoolOps["Sync"] != 0 {
-		t.Fatalf("%d mails to a healthy node made spool operations %v, want no Create and no Sync", n, spoolOps)
+	if !slices.Equal(created, []string{"queue/epoch/000000"}) {
+		t.Fatalf("%d mails to a node created %v under queue/, want its epoch record alone", n, created)
 	}
-	if st := sh.Queue.Stats(); st.Enqueued != n || st.Delivered != n {
-		t.Fatalf("queue stats %+v, want %d mails enqueued and delivered", st, n)
+	if got := sh.Agent.Stats().Mails; got != n {
+		t.Fatalf("agent committed %d mails, want %d", got, n)
 	}
 }
 
-// TestPowerCutRightAfterTheLast250: a healthy node's 250 follows the
-// mailbox commit, so a power cut the moment the last 250 is out — no wait
-// for the queue — finds every mail in the store's log and none in the
-// spool. After the restart nothing is lost and nothing duplicated: each
-// mailbox holds each of its bodies exactly once.
+// TestPowerCutRightAfterTheLast250: a node's 250 follows the mailbox
+// commit, so a power cut the moment the last 250 is out finds every mail
+// in the store's log. After the restart nothing is lost and nothing
+// duplicated: each mailbox holds each of its bodies exactly once.
 func TestPowerCutRightAfterTheLast250(t *testing.T) {
 	fault := fsim.NewFault()
 	spec := ShardSpec{FS: fault, Mailboxes: users}
@@ -712,8 +673,172 @@ func TestPowerCutRightAfterTheLast250(t *testing.T) {
 		t.Fatalf("restart: %v", err)
 	}
 	defer sh2.Close()
-	if rs := sh2.Queue.RecoveryStats(); len(rs.Recovered) != 0 || rs.Torn != 0 {
-		t.Fatalf("the restart replayed the spool (%+v): an acked mail was not yet in its mailbox", rs)
-	}
 	holdsExactly(t, sh2, want)
+}
+
+// outageMail is one mail of the store-outage scenario and how its
+// sender fared.
+type outageMail struct {
+	box, body string
+	attempts  int
+	err       error
+}
+
+// storeOutage runs the store-outage scenario: n mails from remote
+// senders, four sessions at a time, each sent by workload.SendRetrying.
+// Mid-storm every fsync of the store's log fails with EIO, which stops
+// the store; the senders then hold their mails and retry the 4xx. After
+// a while the node goes down — by a power cut, or by Close — and comes
+// back on the same FS and address with the disk healthy, and the senders'
+// retries get their 250s. It returns each mail and the restarted node.
+func storeOutage(t *testing.T, powerCut bool) ([]outageMail, *Shard) {
+	t.Helper()
+	const n, sessions = 48, 4
+	fault := fsim.NewFault()
+	spec := ShardSpec{FS: fault, Mailboxes: users}
+	sh, err := StartShard(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Addr = sh.Addr // the restarted node is where the senders retry
+
+	out := make([]outageMail, n)
+	var firstTry atomic.Int64 // mails stored on their first attempt so far
+	var wg sync.WaitGroup
+	deadline := time.Now().Add(30 * time.Second)
+	for s := 0; s < sessions; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := s; i < n; i += sessions {
+				m := &out[i]
+				m.box = fmt.Sprintf("user%04d", i%users)
+				m.body = fmt.Sprintf("From: s%d@remote.example\r\nSubject: outage mail %d\r\n\r\nx\r\n", i, i)
+				var sent workload.Sent
+				sent, m.err = workload.SendRetrying(spec.Addr, fmt.Sprintf("s%d@remote.example", i),
+					[]string{m.box + "@" + DefaultDomain}, []byte(m.body), trace.Context{}, deadline)
+				m.attempts = sent.Attempts
+				if m.err == nil && m.attempts == 1 {
+					firstTry.Add(1)
+				}
+			}
+		}(s)
+	}
+	if !waitFor(func() bool { return firstTry.Load() >= n/4 }) {
+		t.Fatalf("%d mails stored before the fault, want %d", firstTry.Load(), n/4)
+	}
+	fault.SetHook(func(op, path string, _ int) error {
+		if op == "Sync" && path == MFSDir+"/mfs.wal" {
+			return &os.PathError{Op: "fsync", Path: path, Err: syscall.EIO}
+		}
+		return nil
+	})
+	// Long enough for a node that acks and queues a refused mail (three
+	// attempts, then a DSN) to give up on it, so such a node fails here.
+	time.Sleep(500 * time.Millisecond)
+	if powerCut {
+		fault.Crash()
+		sh.Kill()
+		fault.Recover()
+	} else {
+		sh.Close() //nolint:errcheck // the stopped store's error
+	}
+	fault.SetHook(nil)
+	sh2, err := StartShard(spec)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	t.Cleanup(func() { sh2.Close() })
+	wg.Wait()
+	for i, m := range out {
+		if m.err != nil {
+			t.Fatalf("mail %d: %d attempts, %v", i, m.attempts, m.err)
+		}
+	}
+	return out, sh2
+}
+
+// landedMidStorm fails the test unless some mails got a 250 at once and
+// some needed a retry.
+func landedMidStorm(t *testing.T, out []outageMail) {
+	t.Helper()
+	retried := 0
+	for _, m := range out {
+		if m.attempts > 1 {
+			retried++
+		}
+	}
+	if retried == 0 || retried == len(out) {
+		t.Fatalf("%d of %d mails needed a retry: the fault did not land mid-storm", retried, len(out))
+	}
+}
+
+// copies counts each body in each of the node's mailboxes, and fails the
+// test on a mail from the null sender (a DSN).
+func copies(t *testing.T, sh *Shard) map[string]int {
+	t.Helper()
+	got := map[string]int{}
+	for i := 0; i < users; i++ {
+		box := fmt.Sprintf("user%04d", i)
+		ids, err := sh.Store.List(box)
+		if err != nil {
+			t.Fatalf("list %s: %v", box, err)
+		}
+		for _, id := range ids {
+			body, err := sh.Store.Read(box, id)
+			if err != nil {
+				t.Fatalf("read %s/%s: %v", box, id, err)
+			}
+			if strings.Contains(string(body), "MAILER-DAEMON") {
+				t.Fatalf("%s holds a DSN: %q", box, body)
+			}
+			got[box+"\x00"+string(body)]++
+		}
+	}
+	return got
+}
+
+// TestStoreOutageSendersHoldTheMail: a node whose store fails answers
+// 451 and keeps nothing, and the senders' own queues hold the mail. After
+// a power cut and a restart every mail is stored exactly once — the ones
+// that got a 250 before the fault, and the ones answered 4xx once their
+// retry got through — and no DSN exists.
+func TestStoreOutageSendersHoldTheMail(t *testing.T) {
+	out, sh := storeOutage(t, true)
+	got := copies(t, sh)
+	for i, m := range out {
+		if c := got[m.box+"\x00"+m.body]; c != 1 {
+			t.Fatalf("mail %d (%d attempts) is in %s %d times, want once", i, m.attempts, m.box, c)
+		}
+	}
+	if len(got) != len(out) {
+		t.Fatalf("mailboxes hold %d distinct mails, %d were sent", len(got), len(out))
+	}
+	landedMidStorm(t, out)
+}
+
+// TestStoreOutageRestartWithoutPowerCut: the same outage ended by Close
+// instead of a power cut. A mail that got a 250 is stored exactly once. A
+// mail answered 4xx is stored at least once, by its retry, and at most
+// twice: a failed commit whose log write reached the disk is replayed by
+// the restart under its first id, and the retry stores it again under a
+// fresh one — RFC 1047's duplicate, never a loss.
+func TestStoreOutageRestartWithoutPowerCut(t *testing.T) {
+	out, sh := storeOutage(t, false)
+	got := copies(t, sh)
+	dups := 0
+	for i, m := range out {
+		c := got[m.box+"\x00"+m.body]
+		if c == 2 {
+			dups++
+		}
+		if m.attempts == 1 && c != 1 || c < 1 || c > 2 {
+			t.Fatalf("mail %d (%d attempts) is in %s %d times", i, m.attempts, m.box, c)
+		}
+	}
+	if len(got) != len(out) {
+		t.Fatalf("mailboxes hold %d distinct mails, %d were sent", len(got), len(out))
+	}
+	landedMidStorm(t, out)
+	t.Logf("%d of %d mails stored twice", dups, len(out))
 }

@@ -220,7 +220,7 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 		run.handoffP99 = max(run.handoffP99, 1e3*fe.node.Server.HandoffQuantile(0.99)) // ms
 	}
 	for _, sh := range shards {
-		run.delivered += int(sh.Queue.Stats().Delivered)
+		run.delivered += int(sh.Agent.Stats().Mails)
 	}
 	return run, nil
 }

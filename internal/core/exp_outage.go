@@ -1,191 +1,153 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"slices"
-	"sync/atomic"
+	"os"
+	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/delivery"
+	"repro/internal/fsim"
 	"repro/internal/metrics"
-	"repro/internal/queue"
 	"repro/internal/smtpserver"
-	"repro/internal/spool"
-	"repro/internal/trace"
 )
 
 func init() {
 	register(Experiment{
 		ID:    "delivery-outage",
-		Title: "Mailbox-storage outage and recovery: spool depth, retry amplification, time-to-drain",
-		Paper: "Figure 2's queue in front of a delivery agent whose storage is down: the durable spool absorbs the outage, the backoff bounds retry amplification, and the queue drains once the storage recovers",
+		Title: "Mailbox-storage outage as senders see it: 4xx per mail, sender attempts per mail, time to the first 250 after recovery",
+		Paper: "Figure 2's queue in front of the store, moved to where SMTP keeps it: a node that cannot store a mail refuses it with a 4xx, the sending MTAs' own queues hold the mail through the outage, and their retries store every mail exactly once when the storage recovers",
 		Run:   runDeliveryOutage,
 	})
 }
 
-// outageResult is one architecture's measurement.
-type outageResult struct {
-	queue.Stats    // at the end: Enqueued counts the DSNs too
-	peakSpool      int
-	outageAttempts float64
-	totalAttempts  float64
-	drain          time.Duration
-}
-
-// amplification is total delivery attempts per mail that ultimately
-// needed them (delivered + bounced originals): 1.0 means every mail
-// went through on its first try.
-func (r outageResult) amplification() float64 {
-	mails := float64(r.Delivered + r.Bounced)
-	if mails == 0 {
-		return 0
+// outageHook makes fault refuse what an outage of the store refuses. A
+// full disk makes no new file, so the store refuses a mail for any
+// mailbox it does not hold yet (452), until there is room again. A
+// failing disk fails every fsync of the store's log, which stops the
+// store (451) until the node restarts on a healthy one.
+func outageHook(fault *fsim.Fault, fullDisk bool) func(op, path string, n int) error {
+	return func(op, path string, _ int) error {
+		switch {
+		case fullDisk && (op == "Create" || op == "OpenAppend" && !fault.Exists(path)):
+			return &os.PathError{Op: "open", Path: path, Err: syscall.ENOSPC}
+		case !fullDisk && op == "Sync" && path == cluster.MFSDir+"/mfs.wal":
+			return &os.PathError{Op: "fsync", Path: path, Err: syscall.EIO}
+		}
+		return nil
 	}
-	return r.totalAttempts / mails
 }
 
-// outageRun boots one node (cluster.StartShard: SMTP front end over
-// loopback TCP, durable spool on a simulated disk, backoff scheduler,
-// local agent and store) and walks it through an outage of its mailbox
-// storage — the node's deliverer is the local agent behind a gate that
-// refuses every delivery while the storage is down, and one mailbox's mail
-// always:
-//
-//  1. The storage refuses every delivery. n mails between local users
-//     arrive and pile up in the deferred lane under exponential backoff;
-//     deadN of them aim at a mailbox that will never take mail.
-//  2. After a hold period the storage comes back, and the drain clock
-//     starts.
-//  3. The queue drains. The dead-mailbox mails exhaust their attempts and
-//     bounce; the DSNs themselves deliver to their senders' mailboxes.
-func outageRun(arch smtpserver.Architecture, n, deadN int, hold time.Duration) (outageResult, error) {
-	const (
-		domain = "origin.test"
-		users  = 64 // user0000 is the dead mailbox, the rest send and receive
-	)
-	var res outageResult
-	user := func(i int) string { return fmt.Sprintf("user%04d@%s", i, domain) }
-	live := func(i int) string { return user(1 + i%(users-1)) }
-
-	reg := metrics.NewRegistry()
-	dead := user(0)
-	var down atomic.Bool
-	down.Store(true)
-	sh, err := cluster.StartShard(cluster.ShardSpec{
+// outageRun boots a node (cluster.StartShard) on an fsim.Fault disk whose
+// outageHook makes the store refuse mail, and records under key in m:
+// n senders, one per mail, each to a mailbox that holds no mail yet, get
+// 4xx replies and retry them (sendHeld). After hold the storage
+// recovers — on a full disk the hook is lifted, on a failing one the node
+// is power-cut and restarted on the same disk and address — and each
+// 250 is timed from then. Then every mailbox is read back.
+func outageRun(arch smtpserver.Architecture, fullDisk bool, n int, hold time.Duration, key string, m Metrics) error {
+	const domain = "origin.test"
+	fault := fsim.NewFault()
+	spec := cluster.ShardSpec{
+		FS:        fault,
 		Domain:    domain,
-		Mailboxes: users,
-		Deliverer: func(local *delivery.Agent) queue.Deliverer {
-			return queue.DelivererFunc(func(item *queue.Item) error {
-				switch {
-				case down.Load():
-					return errors.New("mailbox storage down")
-				case slices.Contains(item.Rcpts, dead):
-					return fmt.Errorf("mailbox %s unavailable", dead)
-				}
-				return local.Deliver(item)
-			})
-		},
-		Queue: queue.Config{
-			MaxAttempts:   8,
-			RetryDelay:    25 * time.Millisecond,
-			MaxRetryDelay: 250 * time.Millisecond,
-		},
-		Options:  []smtpserver.Option{smtpserver.WithArchitecture(arch), smtpserver.WithMaxWorkers(8)},
-		Registry: reg,
-	})
+		Mailboxes: n,
+		Options:   []smtpserver.Option{smtpserver.WithArchitecture(arch), smtpserver.WithMaxWorkers(8)},
+	}
+	sh, err := cluster.StartShard(spec)
 	if err != nil {
-		return res, err
+		return err
 	}
-	defer sh.Kill() // the error paths; a no-op after the Close below
-	qm := sh.Queue
-	// Every delivery attempt is one observation of the queue's own histogram.
-	attempts := reg.Histogram("queue_delivery_seconds", metrics.LatencyBounds())
+	defer func() { sh.Kill() }() // the error paths; a no-op after the Close below
+	spec.Addr = sh.Addr          // a restarted node is where the senders retry
 
-	// Inject n mails while the storage is down. A slice aims at the dead
-	// mailbox to exercise the exhaustion→DSN path.
-	conns := make([]trace.Conn, n)
-	for i := range conns {
-		rcpt := live(i + 1)
-		if i < deadN {
-			rcpt = dead
+	fault.SetHook(outageHook(fault, fullDisk))
+	mails := make([]heldMail, n)
+	for i := range mails {
+		mails[i] = heldMail{rcpts: []string{fmt.Sprintf("user%04d@%s", i, domain)}, body: fmt.Sprintf("From: <peer%d@remote.example>\r\n\r\nmail %d\r\n", i, i)}
+	}
+	wait := sendHeld(spec.Addr, mails, n, nil)
+
+	time.Sleep(hold)
+	refusals := int64(0)
+	if !fullDisk {
+		fault.Crash()
+		sh.Kill()
+		fault.Recover()
+		refusals += sh.Server.Stats().EnqueueFailures
+	}
+	fault.SetHook(nil)
+	recovered := time.Now()
+	if !fullDisk {
+		if sh, err = cluster.StartShard(spec); err != nil {
+			return fmt.Errorf("restart: %w", err)
 		}
-		conns[i] = trace.Conn{
-			Helo:      "client." + domain,
-			Sender:    live(i),
-			Rcpts:     []trace.Rcpt{{Addr: rcpt, Valid: true}},
-			SizeBytes: 284,
+	}
+	wait()
+	refusals += sh.Server.Stats().EnqueueFailures
+
+	attempts, first, last := 0, time.Hour, time.Duration(0)
+	for i, ml := range mails {
+		if ml.err != nil || ml.sent.Deferred != mails[0].sent.Deferred {
+			return fmt.Errorf("mail %d: %+v, %v; want the 4xx every mail got, then a 250", i, ml.sent, ml.err)
+		}
+		attempts += ml.sent.Attempts
+		first, last = min(first, ml.acked.Sub(recovered)), max(last, ml.acked.Sub(recovered))
+	}
+	copies, err := storedCopies(sh.Store, n)
+	if err != nil {
+		return err
+	}
+	once, dups := 0, 0
+	for _, ml := range mails {
+		switch c := copies[strings.TrimSuffix(ml.rcpts[0], "@"+domain)+"\x00"+ml.body]; {
+		case c == 1:
+			once++
+		case c > 1:
+			dups++
 		}
 	}
-	if err := inject(sh.Addr, 4, conns); err != nil {
-		return res, err
-	}
-
-	// Let the outage bite: retries accumulate against the dead storage.
-	// Nothing leaves the spool until it ends, so the deepest sample taken
-	// now is the headline "how much disk did the outage cost" number.
-	for end := time.Now().Add(hold); time.Now().Before(end); time.Sleep(2 * time.Millisecond) {
-		res.peakSpool = max(res.peakSpool, qm.LaneDepth(spool.LaneActive)+
-			qm.LaneDepth(spool.LaneDeferred)+qm.LaneDepth(spool.LaneHold))
-	}
-	res.outageAttempts = float64(attempts.Count())
-
-	// Recovery: the storage takes mail again.
-	down.Store(false)
-	recoverStart := time.Now()
-	if !qm.WaitIdle(60 * time.Second) {
-		return res, fmt.Errorf("queue did not drain after recovery: %+v", qm.Stats())
-	}
-	res.drain = time.Since(recoverStart)
-	if err := sh.Close(); err != nil {
-		return res, err
-	}
-
-	res.Stats = qm.Stats()
-	if got := sh.Agent.Stats().Mails; got != res.Delivered {
-		return res, fmt.Errorf("queue counts %d deliveries, the store committed %d", res.Delivered, got)
-	}
-	res.totalAttempts = float64(attempts.Count())
-	return res, nil
+	m["mails_"+key] = float64(n)
+	m["reply_"+key] = float64(mails[0].sent.Deferred)
+	m["refusals_per_mail_"+key] = float64(refusals) / float64(n)
+	m["attempts_per_mail_"+key] = float64(attempts) / float64(n)
+	m["first_250_ms_"+key] = float64(first.Microseconds()) / 1000
+	m["last_250_ms_"+key] = float64(last.Microseconds()) / 1000
+	m["stored_once_"+key] = float64(once)
+	m["duplicates_"+key] = float64(dups)
+	m["dsns_"+key] = float64(len(copies) - once - dups) // mail no sender sent: a DSN, say
+	return sh.Close()
 }
 
 func runDeliveryOutage(w io.Writer, opts Options) (Metrics, error) {
 	n := opts.scale(240, 32)
-	deadN := max(n/16, 2)
 	hold := 400 * time.Millisecond
 	if opts.Quick {
 		hold = 200 * time.Millisecond
 	}
-
-	t := metrics.NewTable("arch", "accepted", "peak spool", "outage attempts",
-		"total attempts", "amp", "bounced", "drain ms")
+	cols := []string{"reply", "refusals_per_mail", "attempts_per_mail", "first_250_ms", "last_250_ms",
+		"stored_once", "duplicates", "dsns"}
+	t := metrics.NewTable(append([]string{"leg", "arch", "mails"}, cols...)...)
 	m := Metrics{}
-	for _, arch := range []smtpserver.Architecture{smtpserver.Vanilla, smtpserver.Hybrid} {
-		r, err := outageRun(arch, n, deadN, hold)
-		if err != nil {
-			return nil, fmt.Errorf("delivery-outage %s: %v", arch, err)
+	for _, leg := range []string{"full", "eio"} {
+		for _, arch := range []smtpserver.Architecture{smtpserver.Vanilla, smtpserver.Hybrid} {
+			key := leg + "_" + arch.String()
+			if err := outageRun(arch, leg == "full", n, hold, key, m); err != nil {
+				return nil, fmt.Errorf("delivery-outage %s: %v", key, err)
+			}
+			row := []any{leg, arch.String(), n}
+			for _, c := range cols {
+				row = append(row, m[c+"_"+key])
+			}
+			t.AddRow(row...)
 		}
-		t.AddRow(arch.String(), r.Enqueued, r.peakSpool, r.outageAttempts,
-			r.totalAttempts, r.amplification(), r.Bounced, float64(r.drain.Milliseconds()))
-		key := arch.String()
-		m["accepted_"+key] = float64(r.Enqueued)
-		m["delivered_"+key] = float64(r.Delivered)
-		m["bounced_"+key] = float64(r.Bounced)
-		m["deferrals_"+key] = float64(r.Deferred)
-		m["peak_spool_"+key] = float64(r.peakSpool)
-		m["outage_attempts_"+key] = r.outageAttempts
-		m["total_attempts_"+key] = r.totalAttempts
-		m["amplification_"+key] = r.amplification()
-		m["drain_ms_"+key] = float64(r.drain.Milliseconds())
 	}
 	fmt.Fprint(w, t.String())
-	fmt.Fprintf(w, "\nboth architectures accept at full speed while the mailbox storage is down: "+
-		"the spool absorbs the backlog (peak %.0f mails), exponential "+
-		"backoff caps retry amplification at %.1f attempts/mail, and the queue drains "+
-		"in %.0f ms once the storage returns; %.0f mails aimed at a permanently dead "+
-		"mailbox exhausted their attempts and bounced as DSNs\n",
-		m["peak_spool_hybrid"], m["amplification_hybrid"], m["drain_ms_hybrid"],
-		m["bounced_hybrid"])
+	fmt.Fprintf(w, "\nthe node keeps no mail it cannot store (%.0f on a full disk, %.0f on a failing log fsync); "+
+		"the senders hold every mail and retry it (%.1f attempts/mail, hybrid, failing fsync), the first "+
+		"retry after recovery is stored %.1f ms in, each mail exactly once, and no DSN exists\n",
+		m["reply_full_hybrid"], m["reply_eio_hybrid"], m["attempts_per_mail_eio_hybrid"], m["first_250_ms_eio_hybrid"])
 	return m, nil
 }

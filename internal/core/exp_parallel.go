@@ -8,6 +8,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/fsim"
 	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 func init() {
@@ -20,7 +21,7 @@ func init() {
 }
 
 // parallelDeliveryRun drives one shard — `workers` concurrent senders
-// (the front end's workers) enqueueing into its queue, which delivers each
+// (the front end's workers) calling its enqueue hook, which commits each
 // mail through the local agent into the synced MFS store before it
 // returns — over the metered in-memory Ext3 and returns the throughput in
 // mails per metered disk-second plus the mean commit batch size. The
@@ -34,7 +35,7 @@ func parallelDeliveryRun(workers, nMails, users, rcpts int) (thr, batch float64,
 		return 0, 0, err
 	}
 	defer sh.Kill()
-	fs.ResetMeter() // the store's and spool's set-up is not delivery
+	fs.ResetMeter() // the store's set-up is not delivery
 	body := make([]byte, 4096)
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -44,7 +45,7 @@ func parallelDeliveryRun(workers, nMails, users, rcpts int) (thr, batch float64,
 				for j := range to {
 					to[j] = fmt.Sprintf("user%04d@%s", (i*rcpts+j)%users, cluster.DefaultDomain)
 				}
-				if _, err := sh.Queue.Enqueue("peer@remote.example", to, body); err != nil {
+				if _, err := sh.Enqueue("peer@remote.example", to, body, trace.Context{}); err != nil {
 					errs <- err
 					return
 				}
@@ -62,8 +63,8 @@ func parallelDeliveryRun(workers, nMails, users, rcpts int) (thr, batch float64,
 	}
 	// Each Enqueue returned with its mail committed; closing the store
 	// is not delivery either.
-	if st := sh.Queue.Stats(); st.Delivered != int64(nMails) {
-		return 0, 0, fmt.Errorf("parallel-delivery: %d of %d mails delivered", st.Delivered, nMails)
+	if got := sh.Agent.Stats().Mails; got != int64(nMails) {
+		return 0, 0, fmt.Errorf("parallel-delivery: %d of %d mails delivered", got, nMails)
 	}
 	cs := sh.Store.Store().CommitStats()
 	if cs.Batches > 0 {

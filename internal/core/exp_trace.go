@@ -5,9 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"sort"
-	"syscall"
 	"time"
 
 	"repro/internal/admin"
@@ -18,13 +16,14 @@ import (
 	"repro/internal/smtpserver"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func init() {
 	register(Experiment{
 		ID:    "trace-propagation",
-		Title: "End-to-end message tracing across the director tier: id minted at the front end, spans stitched from 3 nodes, trace survives a spool crash",
-		Paper: "the scale-out architecture's observability contract: one trace id follows a mail from the director's pre-trust phase over the XTRACE hop into a shard's queue, delivery, and store commit, and a cluster aggregator reassembles the lifecycle from per-node span fragments",
+		Title: "End-to-end message tracing across the director tier: id minted at the front end, spans stitched from 3 nodes, trace survives a 451 and a crash",
+		Paper: "the scale-out architecture's observability contract: one trace id follows a mail from the director's pre-trust phase over the XTRACE hop into a shard's delivery and store commit, and a cluster aggregator reassembles the lifecycle from per-node span fragments",
 		Run:   runTracePropagation,
 	})
 }
@@ -93,8 +92,9 @@ func startTraceDirector(node string, backends map[string]string) (*cluster.Direc
 // runTracePropagation drives mails through a director and two shards
 // with tracing at sample 1, then replays the cluster read side: the
 // aggregator fetches each node's span fragments over HTTP and stitches
-// them by trace id. A second leg crashes a spooled traced mail and
-// proves the recovered delivery resumes the same trace.
+// them by trace id. A second leg refuses a traced mail with a 451 and
+// crashes the node, and proves the sender's retry after the restart
+// resumes the same trace.
 func runTracePropagation(w io.Writer, opts Options) (Metrics, error) {
 	const domain = "example.org"
 	mails := opts.scale(120, 24)
@@ -140,12 +140,11 @@ func runTracePropagation(w io.Writer, opts Options) (Metrics, error) {
 			SizeBytes: 64,
 		}
 	}
-	if err := inject(d.Addr, 1, conns); err != nil {
-		return nil, err
+	sent := workload.RunClosed(workload.ClosedConfig{Addr: d.Addr, Concurrency: 1, Timeout: 2 * time.Second}, conns)
+	if sent.Errors != 0 || sent.GoodMails != int64(len(conns)) {
+		return nil, fmt.Errorf("trace-propagation: %d of %d mails acked, %d errors", sent.GoodMails, len(conns), sent.Errors)
 	}
 	acked := len(conns)
-	shardA.Queue.WaitIdle(5 * time.Second)
-	shardB.Queue.WaitIdle(5 * time.Second)
 
 	// The cluster read side: exactly what mailtop -cluster runs.
 	agg := telemetry.NewAggregator(
@@ -180,12 +179,11 @@ func runTracePropagation(w io.Writer, opts Options) (Metrics, error) {
 		}
 	}
 
-	// Leg 2: a traced mail crashes in the spool and must resume its
-	// trace after recovery. The node's store refuses the mail — an EIO on
-	// its log fsync stops it, as a failing disk does — so the queue spools
-	// it before the 250. Then the power fails, and the node restarted on
-	// the same disk recovers the spool and delivers the mail: the trace id
-	// on that delivery must be the one minted before the crash.
+	// Leg 2: an EIO on the log fsync stops a node's store, so it answers
+	// a traced mail 451 and keeps nothing; the sender holds the mail and
+	// its trace context and retries. The power fails, and the node
+	// restarted on the same disk and address stores the retry: the trace
+	// id on that commit must be the one the first attempt carried.
 	crashFS := fsim.NewFault()
 	crashRec := trace.NewMessageRecorder("crash-node", 256, 1)
 	crashSpec := cluster.ShardSpec{FS: crashFS, Domain: domain, Mailboxes: users, Tracer: crashRec}
@@ -193,25 +191,31 @@ func runTracePropagation(w io.Writer, opts Options) (Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	crashFS.SetHook(func(op, path string, _ int) error {
-		if op == "Sync" && path == cluster.MFSDir+"/mfs.wal" {
-			return &os.PathError{Op: "fsync", Path: path, Err: syscall.EIO}
-		}
-		return nil
-	})
-	if err := inject(crashed.Addr, 1, conns[:1]); err != nil {
+	crashSpec.Addr = crashed.Addr // where the sender retries
+	crashFS.SetHook(outageHook(crashFS, false))
+	tc := trace.NewMessageRecorder("sender", 16, 1).Mint()
+	mail := conns[0]
+	var retry workload.Sent
+	retried := make(chan error, 1)
+	go func() {
+		var err error
+		retry, err = workload.SendRetrying(crashSpec.Addr, mail.Sender,
+			[]string{mail.Rcpts[0].Addr, mail.Rcpts[1].Addr}, []byte("Subject: traced\r\n\r\nx\r\n"),
+			tc, time.Now().Add(10*time.Second))
+		retried <- err
+	}()
+	if !waitFor(func() bool { return crashed.Server.Stats().EnqueueFailures > 0 }, 5*time.Second) {
 		crashed.Kill()
-		return nil, err
+		return nil, fmt.Errorf("trace-propagation: the failing node refused nothing")
 	}
 	crashFS.Crash()
 	crashed.Kill()
 	crashFS.Recover()
 	crashFS.SetHook(nil)
 	ids1 := crashRec.TraceIDs(1)
-	if len(ids1) != 1 {
-		return nil, fmt.Errorf("trace-propagation: the crashed node recorded %d traces, want 1", len(ids1))
+	if len(ids1) != 1 || ids1[0] != tc.TraceID() {
+		return nil, fmt.Errorf("trace-propagation: the crashed node recorded traces %v, want %s alone", ids1, tc.TraceID())
 	}
-	hi, lo, _ := trace.ParseTraceID(ids1[0])
 
 	restartRec := trace.NewMessageRecorder("crash-node", 256, 1)
 	crashSpec.Tracer = restartRec
@@ -220,13 +224,12 @@ func runTracePropagation(w io.Writer, opts Options) (Metrics, error) {
 		return nil, err
 	}
 	defer restarted.Kill()
-	restarted.Queue.WaitIdle(5 * time.Second)
-	// Leg 1's mails were delivered by the shards before their 250s and
-	// never waited in a queue; this mail's queue span is its wait for the
-	// restarted node's workers.
+	if err := <-retried; err != nil {
+		return nil, fmt.Errorf("trace-propagation: the retry after the restart: %w", err)
+	}
 	traceSurvived := 0.0
 	for _, rec := range []*trace.MessageRecorder{crashRec, restartRec} {
-		for _, sp := range rec.Trace(hi, lo) {
+		for _, sp := range rec.Trace(tc.Hi, tc.Lo) {
 			stages[sp.Stage]++
 			if rec == restartRec && sp.Stage == trace.MStageStore {
 				traceSurvived = 1
@@ -251,8 +254,8 @@ func runTracePropagation(w io.Writer, opts Options) (Metrics, error) {
 	fmt.Fprintf(w, "\nmails acked: %d/%d   traces: %d   multi-node: %d   max nodes/trace: %d\n",
 		acked, mails, len(ids), multiNode, maxNodes)
 	fmt.Fprintf(w, "stages observed: %v\n", stageNames)
-	fmt.Fprintf(w, "director trace_stitched_total: %d   spool-recovered trace retained: %v\n",
-		int(stitchedCounter(d.Server)), traceSurvived == 1)
+	fmt.Fprintf(w, "director trace_stitched_total: %d   refused with %d, trace retained on the retry after the crash: %v\n",
+		int(stitchedCounter(d.Server)), retry.Deferred, traceSurvived == 1)
 
 	return Metrics{
 		"mails_acked":        float64(acked),
@@ -264,9 +267,9 @@ func runTracePropagation(w io.Writer, opts Options) (Metrics, error) {
 		"stage_pretrust":     float64(stages[trace.MStagePretrust]),
 		"stage_forward":      float64(stages[trace.MStageForward]),
 		"stage_smtp":         float64(stages[trace.MStageSMTP]),
-		"stage_queue":        float64(stages[trace.MStageQueue]),
 		"stage_delivery":     float64(stages[trace.MStageDelivery]),
 		"stage_store":        float64(stages[trace.MStageStore]),
+		"crash_reply":        float64(retry.Deferred),
 		"recovered_trace_ok": traceSurvived,
 	}, nil
 }

@@ -1,9 +1,10 @@
 // Package delivery implements the local delivery agent of the paper's
-// Figure 2 (postfix's local(8)): it takes items from the queue manager,
-// resolves every recipient through the access database (aliases
-// included), deduplicates the target mailboxes, and writes the mail
-// through a mailstore.Store — one call per mail, so a multi-recipient
-// mail reaches an MFS store as a single NWrite (§6.1).
+// Figure 2 (postfix's local(8)): a node's enqueue hook hands it each
+// accepted mail (Commit), and it resolves every recipient through the
+// access database (aliases included), deduplicates the target
+// mailboxes, and writes the mail through a mailstore.Store — one call
+// per mail, so a multi-recipient mail reaches an MFS store as a single
+// NWrite (§6.1).
 package delivery
 
 import (
@@ -21,10 +22,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Agent is a queue.Deliverer writing into a mailbox store. It is safe
-// for concurrent use by the queue manager's delivery workers; the stat
-// counters are registry-vended atomics so the per-mail hot path takes no
-// lock here.
+// Agent writes mails into a mailbox store. It is safe for concurrent
+// use by a front end's workers; the stat counters are registry-vended
+// atomics so the per-mail hot path takes no lock here.
 type Agent struct {
 	db     *access.DB
 	store  mailstore.Store
@@ -43,17 +43,16 @@ var _ queue.Deliverer = (*Agent)(nil)
 
 // Stats counts delivery outcomes.
 type Stats struct {
-	// Mails is the number of queue items processed successfully.
+	// Mails is the number of mails committed.
 	Mails int64
 	// RcptDeliveries is the number of (mail, mailbox) pairs written.
 	RcptDeliveries int64
 	// DroppedRcpts counts recipients that no longer resolved at delivery
 	// time (e.g. removed between RCPT and delivery).
 	DroppedRcpts int64
-	// Redelivered counts mails committed on an attempt after their first:
-	// the retry of a deferral, in this process or replayed from the
-	// spool's deferred lane after a crash. MFS commits these idempotently,
-	// so a redelivery never duplicates a mailbox copy.
+	// Redelivered counts queue items (Deliver) committed on an attempt
+	// after their first. MFS commits these idempotently, so a
+	// redelivery never duplicates a mailbox copy.
 	Redelivered int64
 }
 
@@ -76,8 +75,8 @@ func WithEventLog(log *eventlog.Log) AgentOption {
 }
 
 // WithMessageTracer records a "store" message-lifecycle span per store
-// commit into rec, parented under the queue's delivery span riding on
-// item.Trace. Nil disables (the default).
+// commit into rec, parented under the trace context the mail is
+// committed with. Nil disables (the default).
 func WithMessageTracer(rec *trace.MessageRecorder) AgentOption {
 	return func(a *Agent) { a.tracer = rec }
 }
@@ -101,15 +100,26 @@ func NewAgent(db *access.DB, store mailstore.Store, opts ...AgentOption) *Agent 
 	return a
 }
 
-// Registry returns the registry holding the agent's metrics.
-func (a *Agent) Registry() *metrics.Registry { return a.reg }
-
-// mailboxLists recycles Deliver's resolved mailbox lists: a store does
+// mailboxLists recycles Commit's resolved mailbox lists: a store does
 // not keep the recipient slice past its Deliver call.
 var mailboxLists = sync.Pool{New: func() any { return new([]string) }}
 
-// Deliver implements queue.Deliverer.
+// Deliver implements queue.Deliverer over Commit.
 func (a *Agent) Deliver(item *queue.Item) error {
+	err := a.Commit(item.ID, item.Rcpts, item.Data, item.Trace)
+	// The queue counts this attempt before calling Deliver.
+	if err == nil && item.Attempts > 1 {
+		a.redelivered.Inc()
+	}
+	return err
+}
+
+// Commit writes the mail id with body data into the mailboxes of rcpts,
+// in one store call, and returns once the store has it or refused it.
+// A recipient that no longer resolves is dropped and counted; a mail
+// none of whose recipients resolves succeeds with nothing written. The
+// store span is parented under tc. rcpts and data stay the caller's.
+func (a *Agent) Commit(id string, rcpts []string, data []byte, tc trace.Context) error {
 	// Resolve to mailbox names (local parts of canonical addresses),
 	// deduplicating: two aliases of one user get a single copy, like
 	// postfix's duplicate elimination (a scan: a mail has few recipients,
@@ -121,7 +131,7 @@ func (a *Agent) Deliver(item *queue.Item) error {
 	}()
 	mailboxes := (*list)[:0]
 	dropped := int64(0)
-	for _, rcpt := range item.Rcpts {
+	for _, rcpt := range rcpts {
 		canonical, ok := a.db.Resolve(rcpt)
 		if !ok {
 			dropped++
@@ -133,37 +143,33 @@ func (a *Agent) Deliver(item *queue.Item) error {
 		}
 	}
 	if len(mailboxes) == 0 {
-		// Nothing deliverable; succeed so the queue drops the item
-		// instead of retrying a permanent condition.
+		// Nothing deliverable; succeed so nobody retries a permanent
+		// condition.
 		a.droppedRcpts.Add(dropped)
 		return nil
 	}
 	start := time.Now()
 	*list = mailboxes // keep the grown array for the next mail
-	err := a.store.Deliver(item.ID, mailboxes, item.Data)
+	err := a.store.Deliver(id, mailboxes, data)
 	took := time.Since(start)
 	a.commitHist.ObserveDuration(took)
-	sp := a.tracer.NewSpan(item.Trace)
+	sp := a.tracer.NewSpan(tc)
 	a.tracer.FinishAt(sp, trace.MStageStore, start, time.Now(), a.store.Name())
 	if err != nil {
 		a.events.Warn("delivery.failed", 0,
-			eventlog.Str("id", item.ID),
+			eventlog.Str("id", id),
 			eventlog.Str("err", err.Error()),
 		)
-		return fmt.Errorf("delivery: %s: %w", item.ID, err)
+		return fmt.Errorf("delivery: %s: %w", id, err)
 	}
 	a.events.Debug("delivery.commit", 0,
-		eventlog.Str("id", item.ID),
+		eventlog.Str("id", id),
 		eventlog.Int("mailboxes", int64(len(mailboxes))),
 		eventlog.Dur("took", took),
 	)
 	a.mails.Inc()
 	a.rcptDeliveries.Add(int64(len(mailboxes)))
 	a.droppedRcpts.Add(dropped)
-	// The queue counts this attempt before calling Deliver.
-	if item.Attempts > 1 {
-		a.redelivered.Inc()
-	}
 	return nil
 }
 

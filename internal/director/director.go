@@ -198,7 +198,7 @@ func (s *Server) shutdown(quit bool) {
 	})
 }
 
-// enqueue is the front end's enqueue hook: what a shard's queue manager
+// enqueue is the front end's enqueue hook: what a shard's store commit
 // is to an smtpd, the ring fan-out is to a director. tc is the mail's
 // "smtp" span, so the forward spans nest under it. The two refusals ride
 // back as the replies the client must see.

@@ -827,9 +827,6 @@ func (m *Manager) Stats() Stats {
 // LaneDepth reports the number of spooled mails in a lane.
 func (m *Manager) LaneDepth(lane spool.Lane) int { return m.store.LaneDepth(lane) }
 
-// Registry returns the registry holding the manager's metrics.
-func (m *Manager) Registry() *metrics.Registry { return m.reg }
-
 // WaitIdle blocks until no mail is pending, in flight, or deferred, or
 // until timeout; it reports whether the queue went idle.
 func (m *Manager) WaitIdle(timeout time.Duration) bool {

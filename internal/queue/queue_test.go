@@ -401,7 +401,9 @@ func TestRetryDelayFollowsTheMailsOwnAttempts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, func() bool { return m.Stats().Deferred == n })
+	// Waiting, not Deferred: a mail is counted deferred before its file
+	// moves to the deferred lane, and waiting only after.
+	waitFor(t, func() bool { return m.Stats().Waiting == n })
 	after := time.Now()
 	mails, _, err := spool.New(fs, "").Recover()
 	if err != nil {

@@ -83,7 +83,7 @@ func (s *Server) runDialog(nc net.Conn, ip netip.Addr, c *smtp.Conn, sess *smtp.
 			if _, err := s.cfg.enqueue(env.Sender, env.Rcpts, env.Data, sp); err != nil {
 				s.enqueueFailures.Inc()
 				done = smtp.ReplyInsufficient
-				// A hook that knows better than "queue full" says so.
+				// A hook that knows better than "insufficient storage" says so.
 				var re smtp.ReplyError
 				if errors.As(err, &re) {
 					done = smtp.Reply(re)

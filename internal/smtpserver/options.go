@@ -9,10 +9,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Enqueue hands an accepted mail to the queue manager and returns its
-// queue id. It is the one required collaborator of a Server — everything
-// else is optional configuration. An error answers the transaction with
-// 452, or with the reply it carries when it is an smtp.ReplyError.
+// Enqueue hands an accepted mail on — on a mail node, to its store, which
+// has the mail when the hook returns — and returns its id. It is the one
+// required collaborator of a Server — everything else is optional
+// configuration. An error answers the transaction with 452, or with the
+// reply it carries when it is an smtp.ReplyError.
 //
 // The hook borrows its arguments, as smtp.Envelope describes: sender and
 // the recipient strings may be kept, but the rcpts slice and data are the
@@ -21,8 +22,9 @@ import (
 type Enqueue func(sender string, rcpts []string, data []byte) (string, error)
 
 // EnqueueTraced is Enqueue carrying the mail's message trace context,
-// so the queue's spans (queue wait, delivery, store commit) attach to
-// the same trace as the SMTP dialog that accepted the mail.
+// so the hook's spans (delivery and store commit, or a director's
+// forwards) attach to the same trace as the SMTP dialog that accepted
+// the mail.
 type EnqueueTraced func(sender string, rcpts []string, data []byte, tc trace.Context) (string, error)
 
 // settings is the resolved configuration New builds from its options;
@@ -137,7 +139,7 @@ func WithMessageTracer(rec *trace.MessageRecorder) Option {
 }
 
 // WithEnqueueTraced installs the trace-aware enqueue hook, replacing
-// New's plain Enqueue, so the queue receives each mail's trace context
+// New's plain Enqueue, so the hook receives each mail's trace context
 // alongside its envelope.
 func WithEnqueueTraced(f EnqueueTraced) Option {
 	return func(s *settings) {

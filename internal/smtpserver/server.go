@@ -105,7 +105,7 @@ type Stats struct {
 	MailsAccepted   int64 // DATA transactions queued
 	RcptRejected    int64 // 550 replies (bounce recipients)
 	SessionsServed  int64 // connections fully completed
-	EnqueueFailures int64 // queue-full 452s
+	EnqueueFailures int64 // DATA transactions the enqueue hook refused (4xx)
 	PolicyRejected  int64 // connections 554-rejected by the policy engine
 	PolicyTempfail  int64 // connections 421-tempfailed by the policy engine
 	Greylisted      int64 // valid RCPTs 450-tempfailed by policy (the greylist)

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"time"
 
 	"repro/internal/fsim"
@@ -411,43 +410,17 @@ func frame(data []byte) (payload, rest []byte, err error) {
 	return data[4 : 4+n], data[4+n:], nil
 }
 
-// BeginEpoch claims the calling process's boot epoch: 0 on a fresh spool,
-// otherwise one more than the highest epoch an earlier process recorded.
-// The record is durable before BeginEpoch returns, so ids that carry the
-// epoch are never issued again by a later process even if every mail of
-// this one has left the spool by then. Earlier records are removed once
-// the new one is safe.
+// BeginEpoch claims the calling process's boot epoch under <dir>/epoch
+// (fsim.BeginEpoch): 0 on a fresh spool, at least 1 on one holding mail
+// (from before epoch records existed, its ids are all in epoch 0).
 func (s *Store) BeginEpoch() (uint64, error) {
-	prefix := s.dir + "/epoch/"
-	old := s.fs.List(prefix)
-	var epoch uint64
-	for _, name := range old {
-		if v, err := strconv.ParseUint(name[len(prefix):], 16, 64); err == nil && v >= epoch {
-			epoch = v + 1
+	floor := uint64(0)
+	for _, lane := range Lanes {
+		if s.LaneDepth(lane) > 0 {
+			floor = 1
 		}
 	}
-	if len(old) == 0 {
-		// No record and mail in a lane: a spool written before epochs
-		// existed, whose ids are all in epoch 0.
-		for _, lane := range Lanes {
-			if s.LaneDepth(lane) > 0 {
-				epoch = 1
-			}
-		}
-	}
-	f, err := s.fs.Create(fmt.Sprintf("%s%06X", prefix, epoch))
-	if err != nil {
-		return 0, fmt.Errorf("spool: epoch %d: %w", epoch, err)
-	}
-	err = f.Sync()
-	f.Close()
-	if err != nil {
-		return 0, fmt.Errorf("spool: epoch %d: %w", epoch, err)
-	}
-	for _, name := range old {
-		_ = s.fs.Remove(name) // best effort: the highest record decides
-	}
-	return epoch, nil
+	return fsim.BeginEpoch(s.fs, s.dir+"/epoch", floor)
 }
 
 // LaneDepth returns the number of mails currently in a lane.

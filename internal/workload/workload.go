@@ -263,3 +263,59 @@ func RunOpen(cfg OpenConfig, conns []trace.Conn) Result {
 	res.Elapsed = time.Since(start)
 	return res
 }
+
+// Sent is how a mail SendRetrying sent fared.
+type Sent struct {
+	Attempts int           // connections tried, the last one included
+	Deferred int           // the code of the first 4xx reply, 0 if none came
+	Took     time.Duration // from the first attempt to the 250
+}
+
+// SendRetrying sends one mail the way a sending MTA's queue does (RFC
+// 5321 §4.5.4): one connection per attempt (EHLO, SendTraced with tc —
+// the same context every time, so a retry keeps the first attempt's
+// trace id — and QUIT). A 4xx at any step, or a failed connection, is
+// retried after a backoff that doubles from 5 ms up to 80 ms, until
+// deadline; a 5xx, or every recipient refused, ends it at once. The
+// error is the last attempt's when no attempt got a 250.
+func SendRetrying(addr, sender string, rcpts []string, body []byte, tc trace.Context, deadline time.Time) (Sent, error) {
+	var sent Sent
+	start := time.Now()
+	for wait := 5 * time.Millisecond; ; wait = min(2*wait, 80*time.Millisecond) {
+		sent.Attempts++
+		err := sendAttempt(addr, sender, rcpts, body, tc, deadline)
+		if err == nil {
+			sent.Took = time.Since(start)
+			return sent, nil
+		}
+		var reply *smtp.UnexpectedReplyError
+		if errors.As(err, &reply) && reply.Reply.Code/100 == 4 && sent.Deferred == 0 {
+			sent.Deferred = reply.Reply.Code
+		}
+		if reply != nil && reply.Reply.Code/100 == 5 || time.Now().Add(wait).After(deadline) {
+			return sent, err
+		}
+		time.Sleep(wait)
+	}
+}
+
+// sendAttempt is one attempt of SendRetrying.
+func sendAttempt(addr, sender string, rcpts []string, body []byte, tc trace.Context, deadline time.Time) error {
+	timeout := max(time.Until(deadline), time.Millisecond)
+	c, err := smtp.Dial(addr, timeout, smtp.WithCommandTimeout(timeout))
+	if err != nil {
+		return err
+	}
+	defer c.Abort() //nolint:errcheck // after QUIT the connection is already closed
+	accepted := 0
+	if err = c.Hello("retrying.client"); err == nil {
+		accepted, err = c.SendTraced(sender, rcpts, body, tc)
+	}
+	if err == nil && accepted == 0 {
+		err = &smtp.UnexpectedReplyError{Op: "RCPT", Reply: smtp.ReplyUserUnknown}
+	}
+	if err == nil {
+		c.Quit() //nolint:errcheck // the mail is stored; a lost QUIT changes nothing
+	}
+	return err
+}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/dnsbl"
 	"repro/internal/policy"
+	"repro/internal/smtp"
 	"repro/internal/smtpserver"
 	"repro/internal/trace"
 )
@@ -187,5 +189,66 @@ func TestBodyForRespectsSize(t *testing.T) {
 func TestGoodputZeroElapsed(t *testing.T) {
 	if (Result{GoodMails: 5}).Goodput() != 0 {
 		t.Fatal("zero elapsed should give zero goodput")
+	}
+}
+
+// TestSendRetryingRetries4xx: against a server that answers DATA with 451
+// twice and then 250, the sender makes three attempts, each carrying the
+// one trace context it was given, and reports the first 4xx and the time
+// to the 250; a 5xx is not retried.
+func TestSendRetryingRetries4xx(t *testing.T) {
+	var mu sync.Mutex
+	var seen []trace.Context
+	hook := func(_ string, _ []string, _ []byte, tc trace.Context) (string, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		seen = append(seen, tc)
+		if len(seen) <= 2 {
+			return "", smtp.ReplyError{Code: 451, Text: "try again later"}
+		}
+		return "Q", nil
+	}
+	rec := trace.NewMessageRecorder("stub", 64, 1)
+	addr, _, _ := startServer(t, smtpserver.WithEnqueueTraced(hook), smtpserver.WithMessageTracer(rec))
+
+	tc := rec.Mint()
+	sent, err := SendRetrying(addr, "s@x.test", []string{"u@d.test"}, []byte("Subject: r\r\n\r\nx\r\n"),
+		tc, time.Now().Add(5*time.Second))
+	if err != nil || sent.Attempts != 3 || sent.Deferred != 451 {
+		t.Fatalf("SendRetrying = %+v, %v; want 3 attempts, the first refused 451, and a 250", sent, err)
+	}
+	if sent.Took < 15*time.Millisecond {
+		t.Fatalf("250 after %v, want at least the two backoffs (15ms)", sent.Took)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != 3 {
+		t.Fatalf("server saw %d transactions, want 3", len(seen))
+	}
+	for i, got := range seen {
+		if got.Hi != tc.Hi || got.Lo != tc.Lo {
+			t.Fatalf("attempt %d carried trace %s, want %s", i+1, got.TraceID(), tc.TraceID())
+		}
+	}
+
+	// Every recipient refused with a 550: a permanent failure, one attempt.
+	sent, err = SendRetrying(addr, "s@x.test", []string{"ghost@other.test"}, []byte("x"),
+		trace.Context{}, time.Now().Add(5*time.Second))
+	var reply *smtp.UnexpectedReplyError
+	if sent.Attempts != 1 || !errors.As(err, &reply) || reply.Reply.Code/100 != 5 {
+		t.Fatalf("refused recipient: %+v, %v; want one attempt and a 5xx", sent, err)
+	}
+
+	// A server that is not there is retried until the deadline.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	sent, err = SendRetrying(dead, "s@x.test", []string{"u@d.test"}, []byte("x"),
+		trace.Context{}, time.Now().Add(100*time.Millisecond))
+	if err == nil || sent.Attempts < 2 || sent.Deferred != 0 {
+		t.Fatalf("dead server: %+v, %v; want retries, no 4xx, and then an error", sent, err)
 	}
 }
