@@ -35,7 +35,6 @@ type Agent struct {
 	mails          *metrics.Counter
 	rcptDeliveries *metrics.Counter
 	droppedRcpts   *metrics.Counter
-	redelivered    *metrics.Counter
 	commitHist     *metrics.Histogram
 }
 
@@ -50,10 +49,6 @@ type Stats struct {
 	// DroppedRcpts counts recipients that no longer resolved at delivery
 	// time (e.g. removed between RCPT and delivery).
 	DroppedRcpts int64
-	// Redelivered counts queue items (Deliver) committed on an attempt
-	// after their first. MFS commits these idempotently, so a
-	// redelivery never duplicates a mailbox copy.
-	Redelivered int64
 }
 
 // AgentOption configures an Agent (see NewAgent).
@@ -95,7 +90,6 @@ func NewAgent(db *access.DB, store mailstore.Store, opts ...AgentOption) *Agent 
 	a.mails = a.reg.Counter("delivery_mails_total", "store", name)
 	a.rcptDeliveries = a.reg.Counter("delivery_rcpt_deliveries_total", "store", name)
 	a.droppedRcpts = a.reg.Counter("delivery_dropped_rcpts_total", "store", name)
-	a.redelivered = a.reg.Counter("delivery_redelivered_total", "store", name)
 	a.commitHist = a.reg.Histogram("delivery_commit_seconds", metrics.LatencyBounds(), "store", name)
 	return a
 }
@@ -106,12 +100,7 @@ var mailboxLists = sync.Pool{New: func() any { return new([]string) }}
 
 // Deliver implements queue.Deliverer over Commit.
 func (a *Agent) Deliver(item *queue.Item) error {
-	err := a.Commit(item.ID, item.Rcpts, item.Data, item.Trace)
-	// The queue counts this attempt before calling Deliver.
-	if err == nil && item.Attempts > 1 {
-		a.redelivered.Inc()
-	}
-	return err
+	return a.Commit(item.ID, item.Rcpts, item.Data, item.Trace)
 }
 
 // Commit writes the mail id with body data into the mailboxes of rcpts,
@@ -179,6 +168,5 @@ func (a *Agent) Stats() Stats {
 		Mails:          a.mails.Value(),
 		RcptDeliveries: a.rcptDeliveries.Value(),
 		DroppedRcpts:   a.droppedRcpts.Value(),
-		Redelivered:    a.redelivered.Value(),
 	}
 }

@@ -2,7 +2,6 @@ package delivery
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -131,54 +130,6 @@ func TestDeliverThroughQueue(t *testing.T) {
 	got, err := store.Read("bob", id)
 	if err != nil || string(got) != "queued" {
 		t.Fatalf("read = %q, %v", got, err)
-	}
-}
-
-// deferFirst fails the first attempt of the mail with the marked body and
-// hands every other call to the agent.
-type deferFirst struct{ agent *Agent }
-
-func (d deferFirst) Deliver(item *queue.Item) error {
-	if string(item.Data) == "defer me" && item.Attempts == 1 {
-		return errors.New("forced deferral")
-	}
-	return d.agent.Deliver(item)
-}
-
-// TestRedeliveredCountsOnlyRetries: the queue numbers the attempt before
-// it calls Deliver, so a first attempt arrives with Attempts == 1 and must
-// not count as a redelivery; the retry of a deferral must.
-func TestRedeliveredCountsOnlyRetries(t *testing.T) {
-	_, _, agent := newEnv(t)
-	m, err := queue.NewManager(queue.Config{
-		Deliverer:  deferFirst{agent},
-		RetryDelay: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	enqueue := func(body string) {
-		t.Helper()
-		if _, err := m.Enqueue("s@x.test", []string{"alice@dept.test"}, []byte(body)); err != nil {
-			t.Fatal(err)
-		}
-		if !m.WaitIdle(2 * time.Second) {
-			t.Fatal("queue never idle")
-		}
-	}
-	for i := 0; i < 5; i++ {
-		enqueue("first attempt")
-	}
-	if st := agent.Stats(); st.Mails != 5 || st.Redelivered != 0 {
-		t.Fatalf("after 5 first-attempt mails: %+v, want Mails 5 Redelivered 0", st)
-	}
-	enqueue("defer me")
-	if st := agent.Stats(); st.Mails != 6 || st.Redelivered != 1 {
-		t.Fatalf("after one forced deferral: %+v, want Mails 6 Redelivered 1", st)
-	}
-	if qs := m.Stats(); qs.Deferred != 1 {
-		t.Fatalf("queue deferred %d mails, want 1", qs.Deferred)
 	}
 }
 

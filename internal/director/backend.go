@@ -105,34 +105,40 @@ func (b *backend) markUp() {
 }
 
 // forward delivers the envelope to this shard: pooled connection first,
-// then one fresh dial. A non-nil error is a transport-level failure —
-// nothing was delivered and the caller should try the next ring
-// candidate. A nil error with accepted < len(rcpts) means the shard
-// REFUSED some recipients over clean SMTP (550s): the accepted subset
-// is already delivered, so retrying elsewhere would duplicate it — the
-// caller records the skew instead. The pooled flag drives the retry
-// story: a pooled connection may simply be stale (the shard restarted,
-// the socket idled out), so its failure drains the pool and one fresh
-// dial decides whether the shard itself is sick.
+// then one fresh dial. A non-nil error is a transport-level failure or a
+// refused transaction — nothing was delivered and the caller should try
+// the next ring candidate. A nil error means the shard committed the mail
+// for its accepted recipients; those it deferred (4xx) come back for the
+// next candidate, and those it REFUSED (5xx) are the caller's skew. The
+// pooled flag drives the retry story: a pooled connection may simply be
+// stale (the shard restarted, the socket idled out), so its failure
+// drains the pool and one fresh dial decides whether the shard itself is
+// sick.
 //
 // tc is the mail's trace context; when it is valid and the shard
 // advertised XTRACE it rides MAIL FROM, and traced reports that it did
 // — the caller's trace-stitched signal.
-func (b *backend) forward(helo string, timeout time.Duration, sender string, rcpts []string, data []byte, tc trace.Context) (accepted int, retried, traced bool, err error) {
+func (b *backend) forward(helo string, timeout time.Duration, sender string, rcpts []string, data []byte, tc trace.Context) (accepted int, deferred []string, retried, traced bool, err error) {
 	for attempt := 0; ; attempt++ {
 		retried = attempt > 0
 		c, pooled, err := b.get(helo, timeout)
 		if err != nil {
-			return 0, retried, false, err
+			return 0, nil, retried, false, err
 		}
 		accepted, err = c.SendTraced(sender, rcpts, data, tc)
 		if err == nil {
+			for i, r := range c.RcptReplies() {
+				if r.Code/100 == 4 {
+					deferred = append(deferred, rcpts[i])
+				}
+			}
+			traced = tc.Valid() && c.Supports("XTRACE")
 			b.put(c)
-			return accepted, retried, tc.Valid() && c.Supports("XTRACE"), nil
+			return accepted, deferred, retried, traced, nil
 		}
 		c.Abort() //nolint:errcheck
 		if !pooled || retried {
-			return 0, retried, false, err
+			return 0, nil, retried, false, err
 		}
 		b.dropIdle(false)
 	}

@@ -74,7 +74,7 @@ func WithCooldown(d time.Duration) Option {
 // end's own: Front().Stats().
 type Stats struct {
 	MailsForwarded int64 // envelopes replayed to a shard successfully
-	MailsFailed    int64 // envelopes tempfailed 451 (every candidate down)
+	MailsFailed    int64 // envelopes tempfailed 451 (a recipient no shard took)
 	MailsRefused   int64 // envelopes 554'd (shards refused every recipient)
 	ForwardRetries int64 // pooled-connection retries + candidate failovers
 	RcptSkew       int64 // recipients the director admitted but a shard refused
@@ -222,9 +222,12 @@ func (s *Server) enqueue(sender string, rcpts []string, data []byte, tc trace.Co
 // deliver fans one accepted envelope out to the shards owning its
 // recipients (usually one). The whole replay is timed as the handoff —
 // the network-stretched equivalent of the in-process worker handoff.
-// It returns the recipients a shard took and whether every group found
-// a live shard; ok with accepted == 0 means the shards cleanly refused
-// everything (config skew), which the caller must not ack.
+// It returns the recipients a shard took and whether every recipient
+// found a shard that took or refused it; ok with accepted == 0 means the
+// shards cleanly refused everything (config skew), which the caller
+// must not ack. When ok is false the recipients some shard took are
+// stored and the sender's retry stores them again: the split-mail
+// duplicate.
 func (s *Server) deliver(sender string, rcpts []string, data []byte, tc trace.Context) (accepted int, ok bool) {
 	start := time.Now()
 	owner, groups := s.groupByShard(rcpts)
@@ -264,25 +267,32 @@ func (s *Server) groupByShard(rcpts []string) (owner string, groups map[string][
 }
 
 // forwardGroup forwards one recipient group to its owner shard and,
-// when the owner is latched down or fails, walks the other ring
-// candidates in order until a shard takes the mail. Down shards are
-// skipped inside their cooldown unless every candidate is down — then
-// each is probed anyway rather than failing mail on a stale latch.
-func (s *Server) forwardGroup(owner, sender string, rcpts []string, data []byte, tc trace.Context) (int, bool) {
+// when the owner is latched down, fails or defers recipients, walks the
+// other ring candidates in order with what is left. A shard that
+// deferred recipients committed the rest and is not latched down. Down
+// shards are skipped inside their cooldown unless every candidate is
+// down — then each is probed anyway rather than failing mail on a stale
+// latch. ok reports that no recipient was left over.
+func (s *Server) forwardGroup(owner, sender string, rcpts []string, data []byte, tc trace.Context) (accepted int, ok bool) {
 	now := time.Now()
+	key := rcpts[0]
 	probed := 0
-	if !s.bk[owner].down(now) {
+	// try forwards what is left to one shard; true when nothing is left.
+	try := func(name string) bool {
 		probed++
-		if n, ok := s.forwardTo(owner, sender, rcpts, data, tc); ok {
-			return n, true
-		}
+		n, left := s.forwardTo(name, sender, rcpts, data, tc)
+		accepted, rcpts = accepted+n, left
+		return len(rcpts) == 0
+	}
+	if !s.bk[owner].down(now) && try(owner) {
+		return accepted, true
 	}
 	// Pass 0 probes the other candidates whose cooldown is clear. If
 	// every candidate was latched down before this call, pass 1 probes
 	// them all anyway, the owner first — better to pay a probe than
 	// tempfail mail on a stale latch. A shard that failed a probe in
 	// this call is NOT re-probed.
-	candidates := s.ring.Candidates(rcpts[0], len(s.bk))
+	candidates := s.ring.Candidates(key, len(s.bk))
 	for pass := 0; pass < 2; pass++ {
 		if pass == 1 && probed > 0 {
 			break
@@ -291,27 +301,27 @@ func (s *Server) forwardGroup(owner, sender string, rcpts []string, data []byte,
 			if pass == 0 && (i == 0 || s.bk[name].down(now)) {
 				continue
 			}
-			probed++
 			if i > 0 {
 				s.forwardRetries.Inc()
 			}
-			if n, ok := s.forwardTo(name, sender, rcpts, data, tc); ok {
-				return n, true
+			if try(name) {
+				return accepted, true
 			}
 		}
 	}
-	return 0, false
+	return accepted, false
 }
 
-// forwardTo replays the group to one shard. On failure it latches the
-// shard down and reports false, and the caller tries the next candidate.
-func (s *Server) forwardTo(name, sender string, rcpts []string, data []byte, tc trace.Context) (int, bool) {
+// forwardTo replays the group to one shard and returns how many
+// recipients it took and those left for the next candidate: the ones it
+// deferred, or all of them when it failed and was latched down.
+func (s *Server) forwardTo(name, sender string, rcpts []string, data []byte, tc trace.Context) (int, []string) {
 	b := s.bk[name]
 	// The forward span's context crosses the wire as XTRACE, so the
 	// shard's own spans parent under this replay.
 	fsp := s.srv.MessageTracer().NewSpan(tc)
 	probeStart := time.Now()
-	accepted, retried, traced, err := b.forward(s.srv.Hostname(), s.cfg.forwardTimeout, sender, rcpts, data, fsp)
+	accepted, deferred, retried, traced, err := b.forward(s.srv.Hostname(), s.cfg.forwardTimeout, sender, rcpts, data, fsp)
 	if retried {
 		s.forwardRetries.Inc()
 	}
@@ -322,7 +332,7 @@ func (s *Server) forwardTo(name, sender string, rcpts []string, data []byte, tc 
 			eventlog.Str("shard", name),
 			eventlog.Str("err", err.Error()),
 		)
-		return 0, false
+		return 0, rcpts
 	}
 	b.markUp()
 	b.forwarded.Inc()
@@ -333,21 +343,22 @@ func (s *Server) forwardTo(name, sender string, rcpts []string, data []byte, tc 
 		// will stitch into this trace.
 		s.traceStitched.Inc()
 	}
-	if accepted < len(rcpts) {
+	if refused := len(rcpts) - accepted - len(deferred); refused > 0 {
 		// The shard refused recipients the director admitted: an
-		// access-config skew between the tiers. The accepted subset is
-		// already delivered, so retrying another shard would duplicate
-		// it — count the skew and move on. Keep the tiers'
-		// -domain/mailbox config in lockstep to keep this at zero.
-		s.rcptSkew.Add(int64(len(rcpts) - accepted))
+		// access-config skew between the tiers. A 5xx is permanent and
+		// the other shards share the config, so count the skew and move
+		// on. Keep the tiers' -domain/mailbox config in lockstep to keep
+		// this at zero.
+		s.rcptSkew.Add(int64(refused))
 		s.srv.EventLog().Warn("director.skew", 0,
 			eventlog.Str("shard", name),
-			eventlog.Int("refused", int64(len(rcpts)-accepted)),
+			eventlog.Int("refused", int64(refused)),
 		)
 	}
 	s.srv.EventLog().Debug("director.forward", 0,
 		eventlog.Str("shard", name),
 		eventlog.Int("rcpts", int64(len(rcpts))),
+		eventlog.Int("deferred", int64(len(deferred))),
 	)
-	return accepted, true
+	return accepted, deferred
 }

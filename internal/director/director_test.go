@@ -2,6 +2,8 @@ package director
 
 import (
 	"bufio"
+	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -292,6 +294,96 @@ func TestDirectorValidateRcpt(t *testing.T) {
 	if st := d.Front().Stats(); st.RcptRejected != 1 {
 		t.Fatalf("RcptRejected = %d, want 1", st.RcptRejected)
 	}
+}
+
+// TestDirectorMovesDeferredRcptsOn: shard A's greylist defers one of a
+// mail's two recipients. A stores the other, the deferred one alone moves
+// on to the next ring candidate, A is not latched down, and no recipient
+// is stored twice. When every candidate defers, the sender gets 451.
+func TestDirectorMovesDeferredRcptsOn(t *testing.T) {
+	greylist := func(minRetry time.Duration) smtpserver.Option {
+		return smtpserver.WithPolicy(policy.NewServerPolicy(policy.New(policy.WithGreylist(policy.GreyConfig{MinRetry: minRetry})), nil))
+	}
+	const sender = "s@remote.net"
+	// rcpt reports the RCPT code a shard gives rcpt from sender.
+	rcpt := func(addr, rcpt string) int {
+		c, err := smtp.Dial(addr, 2*time.Second, smtp.WithCommandTimeout(2*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Quit() //nolint:errcheck
+		if err := c.Helo("client.test"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Mail(sender); err != nil {
+			t.Fatal(err)
+		}
+		r, _ := c.Rcpt(rcpt)
+		return r.Code
+	}
+
+	t.Run("the deferred recipient is stored on the next candidate", func(t *testing.T) {
+		addrA, sinkA, _ := startShardServer(t, greylist(time.Millisecond))
+		addrB, sinkB, _ := startShardServer(t)
+		d, feAddr := startDirector(t, WithBackend("shard-a", addrA), WithBackend("shard-b", addrB))
+		var rcpts []string
+		for i := 0; len(rcpts) < 2; i++ {
+			if r := fmt.Sprintf("u%d@example.org", i); d.ring.Pick(r) == "shard-a" {
+				rcpts = append(rcpts, r)
+			}
+		}
+		// A has seen rcpts[0] from this sender before, past its retry
+		// window, so only rcpts[1] is a first contact there.
+		if code := rcpt(addrA, rcpts[0]); code != 450 {
+			t.Fatalf("first contact = %d, want 450", code)
+		}
+		time.Sleep(5 * time.Millisecond)
+		if code := rcpt(addrA, rcpts[0]); code != 250 {
+			t.Fatalf("retry = %d, want 250", code)
+		}
+
+		if got := sendMail(t, feAddr, sender, rcpts); got != 2 {
+			t.Fatalf("director accepted %d rcpts, want 2", got)
+		}
+		if sinkA.count(rcpts[0]) != 1 || sinkA.count(rcpts[1]) != 0 || sinkB.count(rcpts[1]) != 1 || sinkB.count(rcpts[0]) != 0 {
+			t.Fatalf("shard A stored %d/%d, shard B %d/%d copies of the two recipients; want 1/0 and 0/1",
+				sinkA.count(rcpts[0]), sinkA.count(rcpts[1]), sinkB.count(rcpts[0]), sinkB.count(rcpts[1]))
+		}
+		if d.bk["shard-a"].down(time.Now()) {
+			t.Fatal("the shard that deferred a recipient was latched down")
+		}
+		if st := d.Stats(); st.MailsForwarded != 1 || st.MailsFailed != 0 || st.RcptSkew != 0 {
+			t.Fatalf("stats = %+v, want one forwarded mail and no skew", st)
+		}
+	})
+
+	t.Run("every candidate defers: 451", func(t *testing.T) {
+		addrA, sinkA, _ := startShardServer(t, greylist(time.Hour))
+		addrB, sinkB, _ := startShardServer(t, greylist(time.Hour))
+		d, feAddr := startDirector(t, WithBackend("shard-a", addrA), WithBackend("shard-b", addrB))
+		c, err := smtp.Dial(feAddr, 2*time.Second, smtp.WithCommandTimeout(2*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Quit() //nolint:errcheck
+		if err := c.Helo("client.test"); err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.Send(sender, []string{"alice@example.org"}, []byte("m\r\n"))
+		var unexpected *smtp.UnexpectedReplyError
+		if !errors.As(err, &unexpected) || unexpected.Reply.Code != 451 {
+			t.Fatalf("Send err = %v, want a 451", err)
+		}
+		if sinkA.total()+sinkB.total() != 0 {
+			t.Fatalf("shards stored %d and %d mails, want none", sinkA.total(), sinkB.total())
+		}
+		if d.bk["shard-a"].down(time.Now()) || d.bk["shard-b"].down(time.Now()) {
+			t.Fatal("a shard that deferred the recipient was latched down")
+		}
+		if st := d.Stats(); st.MailsFailed != 1 || st.MailsForwarded != 0 {
+			t.Fatalf("stats = %+v, want one failed mail", st)
+		}
+	})
 }
 
 // TestDirectorSkewIsNotRetried: a shard refusing a recipient over

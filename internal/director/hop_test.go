@@ -1,7 +1,6 @@
 package director
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"testing"
@@ -51,17 +50,17 @@ func startHopShard(t *testing.T) (string, *sink) {
 }
 
 // TestSendWireShape pins what the director hop puts on the wire against
-// a real shard: the whole envelope in one write when the shard
-// advertises PIPELINING, and the refusal rules of the burst.
+// a real shard: the whole mail, body included, in one write when the
+// shard advertises CHUNKING, and the verdict rules of the burst.
 func TestSendWireShape(t *testing.T) {
 	body := []byte("Subject: hop\r\n\r\nbody\r\n")
 
-	t.Run("a 1-rcpt mail is 2 writes after EHLO, 4 after HELO", func(t *testing.T) {
+	t.Run("a 1-rcpt mail is 1 write after EHLO, 4 after HELO", func(t *testing.T) {
 		addr, sk := startHopShard(t)
 		for _, row := range []struct {
 			greet  func(*smtp.Client, string) error
 			writes int
-		}{{(*smtp.Client).Hello, 2}, {(*smtp.Client).Helo, 4}} {
+		}{{(*smtp.Client).Hello, 1}, {(*smtp.Client).Helo, 4}} {
 			c, cc := dialCounted(t, addr)
 			if err := row.greet(c, "director.test"); err != nil {
 				t.Fatal(err)
@@ -82,34 +81,38 @@ func TestSendWireShape(t *testing.T) {
 		}
 	})
 
-	t.Run("a RCPT 4xx in the burst sends no body and enqueues nothing", func(t *testing.T) {
+	t.Run("a 4xx rcpt is not stored, a rcpt-less chunk is discarded", func(t *testing.T) {
 		addr, sk := startHopShard(t)
 		c, cc := dialCounted(t, addr)
+		defer c.Quit() //nolint:errcheck
 		if err := c.Hello("director.test"); err != nil {
 			t.Fatal(err)
 		}
 		// A session takes 50 recipients (postfix's default); the 51st
-		// draws 452, after the first has earned DATA its 354.
+		// draws 452, and the mail is stored for the other 50.
 		rcpts := make([]string, 51)
 		for i := range rcpts {
 			rcpts[i] = fmt.Sprintf("u%d@valid.test", i)
 		}
 		cc.writes = 0
-		_, err := c.Send("s@remote.test", rcpts, body)
-		var unexpected *smtp.UnexpectedReplyError
-		if !errors.As(err, &unexpected) || unexpected.Reply.Code != 452 || unexpected.Op != "RCPT" {
-			t.Fatalf("Send err = %v, want the RCPT's 452", err)
+		if n, err := c.Send("s@remote.test", rcpts, body); err != nil || n != 50 {
+			t.Fatalf("Send = %d, %v; want 50, nil", n, err)
 		}
-		if cc.writes != 1 {
-			t.Fatalf("Send wrote %d times, want 1: the burst and no body", cc.writes)
+		if r := c.RcptReplies(); len(r) != 51 || r[49].Code != 250 || r[50].Code != 452 {
+			t.Fatalf("RcptReplies = %v, want 50 × 250 and a 452", r)
 		}
-		// The shard's one worker serves the next mail only once it has
-		// finished the abandoned transaction.
-		if got := sendMail(t, addr, "s@remote.test", []string{"a@valid.test"}); got != 1 {
-			t.Fatalf("next mail accepted %d rcpts, want 1", got)
+		if n, err := c.Send("s@remote.test", []string{"x@wrong.test"}, body); err != nil || n != 0 {
+			t.Fatalf("all-refused Send = %d, %v; want 0, nil", n, err)
 		}
-		if sk.total() != 1 || sk.count("u0@valid.test") != 0 {
-			t.Fatalf("shard enqueued %d mails (u0: %d), want only the next one", sk.total(), sk.count("u0@valid.test"))
+		if cc.writes != 2 {
+			t.Fatalf("two Sends wrote %d times, want 2", cc.writes)
+		}
+		if n, err := c.Send("s@remote.test", []string{"a@valid.test"}, body); err != nil || n != 1 {
+			t.Fatalf("next Send on the same client = %d, %v; want 1, nil", n, err)
+		}
+		if sk.total() != 2 || sk.count("u0@valid.test") != 1 || sk.count("u50@valid.test") != 0 {
+			t.Fatalf("shard enqueued %d mails (u0: %d, u50: %d), want 2 with u0 and without u50",
+				sk.total(), sk.count("u0@valid.test"), sk.count("u50@valid.test"))
 		}
 	})
 

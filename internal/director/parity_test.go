@@ -1,6 +1,7 @@
 package director
 
 import (
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -101,7 +102,8 @@ const (
 	mail     = "MAIL FROM:<s@remote.test>\r\n"
 	rcptOK   = "RCPT TO:<a@valid.test>\r\n"
 	rcptBad  = "RCPT TO:<guess@wrong.test>\r\n"
-	bodyQuit = "Subject: x\r\n\r\nbody\r\n.\r\nQUIT\r\n"
+	body     = "Subject: x\r\n\r\nbody\r\n"
+	bodyQuit = body + ".\r\nQUIT\r\n"
 )
 
 func TestDialogParityWithSmtpserver(t *testing.T) {
@@ -131,6 +133,13 @@ func TestDialogParityWithSmtpserver(t *testing.T) {
 			{bodyQuit, 2},
 		}}},
 		want: [][]string{{"220", "250", "250", "250", "550", "354", "250", "221"}},
+	}, {
+		name: "chunked burst, a refused chunk read past",
+		script: []dialogConn{{steps: []dialogStep{
+			{"EHLO client.test\r\n" + mail + rcptBad + "BDAT 5 LAST\r\nhello", 4},
+			{mail + rcptOK + fmt.Sprintf("BDAT %d LAST\r\n%sQUIT\r\n", len(body), body), 4},
+		}}},
+		want: [][]string{{"220", "250 PIPELINING,CHUNKING", "250", "550", "554", "250", "250", "250", "221"}},
 	}, {
 		name: "over-long line draws 500 and the dialog continues",
 		script: []dialogConn{{steps: []dialogStep{
@@ -191,7 +200,7 @@ func TestDialogParityWithSmtpserver(t *testing.T) {
 		name:   "EHLO advertises XTRACE when a message tracer is attached",
 		tracer: true,
 		script: []dialogConn{{steps: []dialogStep{{"EHLO client.test\r\nQUIT\r\n", 2}}}},
-		want:   [][]string{{"220", "250 PIPELINING,XTRACE", "221"}},
+		want:   [][]string{{"220", "250 PIPELINING,CHUNKING,XTRACE", "221"}},
 	}, {
 		name:  "director only: every shard down tempfails 451",
 		shard: "dead",

@@ -104,25 +104,32 @@ func TestDialogZeroAllocPerCommand(t *testing.T) {
 	}
 }
 
-// clientReplies is a shard's answer to a 1-recipient transaction in the
-// canonical texts: MAIL, RCPT, DATA, then the verdict on the body.
-const clientReplies = "250 Ok\r\n250 Ok\r\n354 End data with <CR><LF>.<CR><LF>\r\n250 Ok: queued\r\n"
+// lockStepReplies is a shard's answer to a 1-recipient transaction in
+// the canonical texts: MAIL, RCPT, DATA, then the verdict on the body;
+// chunkedReplies is its answer to the same transaction as one burst
+// ending in BDAT.
+const (
+	lockStepReplies = "250 Ok\r\n250 Ok\r\n354 End data with <CR><LF>.<CR><LF>\r\n250 Ok: queued\r\n"
+	chunkedReplies  = "250 Ok\r\n250 Ok\r\n250 Ok: queued\r\n"
+)
 
 // TestClientZeroAllocPerCommand is the client side of the dialog gate —
 // the director's forwarding hop: after warmup, a 1-recipient transaction
-// costs zero heap allocations, whether it goes out as one pipelined
-// burst (with or without an XTRACE context) or command by command.
+// costs zero heap allocations, whether it goes out as one chunked burst
+// (with or without an XTRACE context) or command by command.
 func TestClientZeroAllocPerCommand(t *testing.T) {
 	body := []byte("Subject: gate\r\n\r\n.dot line\r\nbody\r\n")
 	rcpts := []string{"good@valid.example"}
 	tc := trace.Context{Hi: 1, Lo: 2, Span: 3}
 	for _, row := range []struct {
-		name string
-		exts map[string]bool
-		send func(c *Client) error
+		name    string
+		exts    map[string]bool
+		replies string
+		send    func(c *Client) error
 	}{{
-		name: "pipelined Send",
-		exts: map[string]bool{"PIPELINING": true},
+		name:    "pipelined Send",
+		exts:    map[string]bool{"PIPELINING": true, "CHUNKING": true},
+		replies: chunkedReplies,
 		send: func(c *Client) error {
 			n, err := c.Send("s@remote.example", rcpts, body)
 			if err == nil && n != 1 {
@@ -131,14 +138,24 @@ func TestClientZeroAllocPerCommand(t *testing.T) {
 			return err
 		},
 	}, {
-		name: "pipelined SendTraced over XTRACE",
-		exts: map[string]bool{"PIPELINING": true, "XTRACE": true},
+		name:    "pipelined SendTraced over XTRACE",
+		exts:    map[string]bool{"PIPELINING": true, "CHUNKING": true, "XTRACE": true},
+		replies: chunkedReplies,
 		send: func(c *Client) error {
 			_, err := c.SendTraced("s@remote.example", rcpts, body, tc)
 			return err
 		},
 	}, {
-		name: "lock-step Mail, Rcpt, Data",
+		name:    "lock-step Send without CHUNKING",
+		exts:    map[string]bool{"PIPELINING": true},
+		replies: lockStepReplies,
+		send: func(c *Client) error {
+			_, err := c.Send("s@remote.example", rcpts, body)
+			return err
+		},
+	}, {
+		name:    "lock-step Mail, Rcpt, Data",
+		replies: lockStepReplies,
 		send: func(c *Client) error {
 			if err := c.Mail("s@remote.example"); err != nil {
 				return err
@@ -150,7 +167,7 @@ func TestClientZeroAllocPerCommand(t *testing.T) {
 		},
 	}} {
 		t.Run(row.name, func(t *testing.T) {
-			rw := loopRW{loopReader: &loopReader{script: []byte(clientReplies)}}
+			rw := loopRW{loopReader: &loopReader{script: []byte(row.replies)}}
 			c := &Client{conn: NewConn(rw), exts: row.exts}
 			run := func() {
 				if err := row.send(c); err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"time"
 
@@ -31,6 +32,8 @@ type Client struct {
 	exts map[string]bool
 	// line is the reused buffer each command line is formatted into.
 	line []byte
+	// rcptReplies holds the replies the last SendTraced's RCPTs drew.
+	rcptReplies []Reply
 }
 
 // ClientOption configures a Client at construction.
@@ -280,9 +283,9 @@ func (c *Client) Mail(sender string) error {
 	return err
 }
 
-// Rcpt sends RCPT TO and returns the server reply; a 550 reply (bounce)
-// is returned as the reply with a nil error so callers can count bounces
-// without error plumbing.
+// Rcpt sends RCPT TO and returns the server reply; a 4xx or 5xx verdict
+// (a greylist, a bounce) is returned as the reply with a nil error so
+// callers can count bounces without error plumbing.
 func (c *Client) Rcpt(addr string) (Reply, error) {
 	c.armDeadline()
 	c.writeRcpt(addr)
@@ -294,13 +297,13 @@ func (c *Client) Rcpt(addr string) (Reply, error) {
 }
 
 // rcptVerdict classifies the reply to a RCPT: a 2xx accepts the
-// recipient, a 550 refuses it cleanly (a nil error, accepted false), and
-// any other reply is the returned error.
+// recipient, a 4xx defers it and a 5xx refuses it (a nil error, accepted
+// false), and any other reply is the returned error.
 func rcptVerdict(r Reply) (accepted bool, err error) {
-	switch {
-	case r.Code/100 == 2:
+	switch r.Code / 100 {
+	case 2:
 		return true, nil
-	case r.Code == 550:
+	case 4, 5:
 		return false, nil
 	}
 	return false, &UnexpectedReplyError{Op: "RCPT", Reply: r}
@@ -311,11 +314,6 @@ func (c *Client) Data(body []byte) error {
 	if _, err := c.command("DATA", "", 354); err != nil {
 		return err
 	}
-	return c.sendBody(body)
-}
-
-// sendBody sends the dot-encoded body after a 354 and reads the verdict.
-func (c *Client) sendBody(body []byte) error {
 	c.armDeadline()
 	c.conn.writeData(body) //nolint:errcheck // reported by await's Flush
 	_, err := c.expect("DATA body", 250)
@@ -342,10 +340,10 @@ func (c *Client) Quit() error {
 // transaction" behaviour of §4.1.
 func (c *Client) Abort() error { return c.raw.Close() }
 
-// Send performs one whole mail transaction (MAIL, RCPTs, DATA). It
-// returns the number of accepted recipients; if none are accepted no
-// body is sent, mirroring what real clients (and spammers probing with
-// random guesses) experience.
+// Send performs one whole mail transaction (MAIL, RCPTs, the body). It
+// returns the number of accepted recipients; if none are accepted the
+// peer takes no body, mirroring what real clients (and spammers probing
+// with random guesses) experience.
 func (c *Client) Send(sender string, rcpts []string, body []byte) (accepted int, err error) {
 	return c.SendTraced(sender, rcpts, body, trace.Context{})
 }
@@ -354,91 +352,89 @@ func (c *Client) Send(sender string, rcpts []string, body []byte) (accepted int,
 // XTRACE parameter of MAIL — only when tc is a sampled context and the
 // peer advertised XTRACE; otherwise the trace is silently dropped.
 //
-// MAIL, each RCPT and DATA go into the write buffer in turn. When the
-// peer advertised PIPELINING (RFC 2920) they leave in one flush and the
-// replies are read after DATA: with the body, the transaction costs two
-// round trips. Otherwise each command is flushed and answered before the
-// next is written, and DATA is skipped when no recipient was accepted.
-// Either way the replies count alike: MAIL must draw a 250, and each
-// RCPT reply is judged as Rcpt judges it (rcptVerdict); any other reply
-// is the returned error, and so is the first such refusal even when a
-// later read fails. A refused transaction whose DATA already drew its 354
-// is ended by closing the connection, since the peer would take any body
-// that followed. When no recipient was accepted, RSET clears the
-// transaction and the connection stays usable.
+// When the peer advertised CHUNKING and PIPELINING (RFC 3030, RFC 2920)
+// MAIL, every RCPT, "BDAT <size> LAST" and the raw body leave in one
+// flush and the replies are read after it: one round trip, no
+// dot-stuffing. The peer reads past the chunk of a transaction with no
+// accepted recipient, so the connection stays usable. With any other
+// peer each command is answered before the next is written, and the body
+// goes through DATA only when a recipient was accepted (else RSET).
+//
+// A RCPT reply is a verdict on its recipient (rcptVerdict; RcptReplies
+// keeps them). The error is the transaction's: a MAIL reply other than
+// 250, a RCPT reply of no verdict class, a body reply other than 250
+// once a recipient was accepted, or the connection failing. The first
+// refusal stays the error even when a later read fails.
 func (c *Client) SendTraced(sender string, rcpts []string, body []byte, tc trace.Context) (accepted int, err error) {
-	pipelined := c.Supports("PIPELINING")
-	var refused error // the first reply to MAIL or a RCPT that is an error
-	var data Reply
-	// Command 0 is MAIL, 1..len(rcpts) the RCPTs, last DATA. After
-	// command i is written, the replies of commands read..i are read.
-	last, read := len(rcpts)+1, 0
-	for i := 0; i <= last && refused == nil; i++ {
-		if i == last && !pipelined && accepted == 0 {
-			return 0, c.Reset()
+	c.rcptReplies = c.rcptReplies[:0]
+	c.armDeadline()
+	c.writeMail(sender, tc)
+	if !c.Supports("CHUNKING") || !c.Supports("PIPELINING") {
+		if _, err := c.expect("MAIL", 250); err != nil {
+			return 0, err
 		}
-		if read == i {
-			c.armDeadline() // command i starts a round trip
-		}
-		switch {
-		case i == 0:
-			c.writeMail(sender, tc)
-		case i < last:
-			c.writeRcpt(rcpts[i-1])
-		default:
-			c.writeLine(append(c.line[:0], "DATA"...))
-		}
-		if pipelined && i < last {
-			continue
-		}
-		op := sendOp(read, last)
-		err := c.conn.Flush()
-		for ; err == nil && read <= i; read++ {
-			op = sendOp(read, last)
-			var r Reply
-			if r, err = c.conn.ReadReply(); err != nil {
-				break
+		for _, rcpt := range rcpts {
+			r, err := c.Rcpt(rcpt)
+			if err != nil {
+				return accepted, err
 			}
-			var ok bool
-			var bad error
-			switch read {
-			case 0:
-				if r.Code != 250 {
-					bad = &UnexpectedReplyError{Op: "MAIL", Reply: r}
-				}
-			case last:
-				data = r
-			default:
-				ok, bad = rcptVerdict(r)
-			}
-			if ok {
+			c.rcptReplies = append(c.rcptReplies, r)
+			if r.Code/100 == 2 {
 				accepted++
 			}
-			if refused == nil {
-				refused = bad
-			}
 		}
-		if err = c.disarm(op, err); err != nil {
-			if refused != nil {
-				return accepted, refused
-			}
-			return accepted, fmt.Errorf("smtp: %s: %w", op, err)
+		if accepted == 0 {
+			return 0, c.Reset()
+		}
+		return accepted, c.Data(body)
+	}
+	for _, rcpt := range rcpts {
+		c.writeRcpt(rcpt)
+	}
+	line := strconv.AppendInt(append(c.line[:0], "BDAT "...), int64(len(body)), 10)
+	c.writeLine(append(line, " LAST"...))
+	c.conn.w.Write(body) //nolint:errcheck // reported by the Flush
+	err = c.conn.Flush()
+	// Reply 0 is MAIL's, 1..len(rcpts) the RCPTs', last the chunk's.
+	var refused error // the first reply that is an error
+	last, i := len(rcpts)+1, 0
+	for ; err == nil && i <= last; i++ {
+		var r Reply
+		if r, err = c.conn.ReadReply(); err != nil {
+			break
+		}
+		var ok bool
+		var bad error
+		switch {
+		case i == 0 && r.Code != 250:
+			bad = &UnexpectedReplyError{Op: "MAIL", Reply: r}
+		case i > 0 && i < last:
+			c.rcptReplies = append(c.rcptReplies, r)
+			ok, bad = rcptVerdict(r)
+		case i == last && accepted > 0 && r.Code != 250:
+			bad = &UnexpectedReplyError{Op: "BDAT", Reply: r}
+		}
+		if ok {
+			accepted++
+		}
+		if refused == nil {
+			refused = bad
 		}
 	}
-	switch {
-	case data.Code == 354 && refused == nil:
-		return accepted, c.sendBody(body)
-	case data.Code == 354:
-		c.Abort() //nolint:errcheck // the refusal is the error to report
-		return accepted, refused
-	case refused != nil:
-		return accepted, refused
-	case accepted == 0:
-		return 0, c.Reset()
-	default:
-		return accepted, &UnexpectedReplyError{Op: "DATA", Reply: data}
+	op := sendOp(i, last)
+	if err = c.disarm(op, err); err != nil {
+		if refused != nil {
+			return accepted, refused
+		}
+		return accepted, fmt.Errorf("smtp: %s: %w", op, err)
 	}
+	return accepted, refused
 }
+
+// RcptReplies returns the replies the RCPTs of the last SendTraced
+// drew, in order; fewer than its recipients when it ended early. The
+// slice is reused by the next SendTraced.
+func (c *Client) RcptReplies() []Reply { return c.rcptReplies }
 
 // sendOp names command i of SendTraced's sequence for errors.
 func sendOp(i, last int) string {
@@ -446,7 +442,7 @@ func sendOp(i, last int) string {
 	case 0:
 		return "MAIL"
 	case last:
-		return "DATA"
+		return "BDAT"
 	}
 	return "RCPT"
 }

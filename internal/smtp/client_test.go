@@ -256,9 +256,9 @@ func TestClientCommandTimeout(t *testing.T) {
 }
 
 // scriptedPeer greets over conn and answers each command line: EHLO
-// advertises PIPELINING, DATA draws 354, anything else 250. The first
-// line starting with stopAt draws stop instead (its usual answer when
-// stop is zero) and ends the script: nothing more is read.
+// advertises PIPELINING and CHUNKING, DATA draws 354, anything else 250.
+// The first line starting with stopAt draws stop instead (its usual
+// answer when stop is zero) and ends the script: nothing more is read.
 func scriptedPeer(conn net.Conn, stopAt string, stop Reply) {
 	c := NewConn(conn)
 	if c.WriteReply(Reply{220, "peer.test ESMTP"}) != nil {
@@ -272,7 +272,7 @@ func scriptedPeer(conn net.Conn, stopAt string, stop Reply) {
 		r := Reply{250, "Ok"}
 		switch {
 		case bytes.HasPrefix(line, []byte("EHLO")):
-			r = Reply{250, "peer.test\nPIPELINING"}
+			r = Reply{250, "peer.test\nPIPELINING\nCHUNKING"}
 		case string(line) == "DATA":
 			r = Reply{354, "go ahead"}
 		}
@@ -288,8 +288,9 @@ func scriptedPeer(conn net.Conn, stopAt string, stop Reply) {
 
 // TestClientWriteTimeout: a peer that stops reading mid-transaction
 // must not pin a client whose data overflows its write buffer — the
-// body after a 354, lock-step or pipelined, and a pipelined burst of
-// many recipients. Each surfaces as a *CommandTimeoutError.
+// body after a 354, or a chunked burst whose body or recipients overflow
+// it. Each surfaces as a *CommandTimeoutError naming the first reply
+// that never came.
 func TestClientWriteTimeout(t *testing.T) {
 	body := bytes.Repeat([]byte("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcd\r\n"), 1024)
 	many := make([]string, 500)
@@ -314,7 +315,7 @@ func TestClientWriteTimeout(t *testing.T) {
 			return c.Data(body)
 		},
 	}, {
-		name: "pipelined body", stallAt: "DATA", op: "DATA body",
+		name: "pipelined body", stallAt: "EHLO", op: "MAIL",
 		send: func(c *Client) error {
 			if err := c.Ehlo("me"); err != nil {
 				return err
@@ -328,7 +329,7 @@ func TestClientWriteTimeout(t *testing.T) {
 			if err := c.Ehlo("me"); err != nil {
 				return err
 			}
-			_, err := c.Send("s@remote.test", many, body)
+			_, err := c.Send("s@remote.test", many, []byte("x"))
 			return err
 		},
 	}} {
@@ -379,13 +380,14 @@ func TestClientBurstKeepsFirstRefusal(t *testing.T) {
 }
 
 // TestRcptVerdict pins the one rule Rcpt and Send share for a RCPT
-// reply: a 2xx accepts, a 550 refuses cleanly, anything else is an error.
+// reply: a 2xx accepts, a 4xx defers and a 5xx refuses without an error,
+// and any other reply is the error.
 func TestRcptVerdict(t *testing.T) {
 	for _, row := range []struct {
 		code     int
 		accepted bool
 		err      bool
-	}{{250, true, false}, {251, true, false}, {550, false, false}, {354, false, true}, {452, false, true}, {553, false, true}} {
+	}{{250, true, false}, {251, true, false}, {550, false, false}, {354, false, true}, {452, false, false}, {553, false, false}} {
 		accepted, err := rcptVerdict(Reply{row.code, "verdict"})
 		if accepted != row.accepted || (err != nil) != row.err {
 			t.Errorf("rcptVerdict(%d) = %v, %v; want accepted %v, error %v", row.code, accepted, err, row.accepted, row.err)

@@ -27,6 +27,16 @@ var parseSeeds = []string{
 	"RCPT TO:<a@>",
 	"MAIL FROM:<a b@c>",
 	"BDAT 86 LAST",
+	"BDAT 0 LAST",
+	"bdat 4096 last",
+	"BDAT 4096",
+	"BDAT",
+	"BDAT LAST",
+	"BDAT 16777217 LAST",
+	"BDAT 99999999999999999999999",
+	"BDAT 86 LAST junk",
+	"BDAT 86LAST",
+	"BDAT 8 6",
 	"",
 	"   ",
 	"MAIL FROM:<\x00@d>",
@@ -106,6 +116,9 @@ func FuzzParseEquivalence(f *testing.F) {
 		}
 		if string(got.Addr) != want.Addr {
 			t.Fatalf("ParseCommand(%q) addr = %q, oracle = %q", s, got.Addr, want.Addr)
+		}
+		if got.Size != want.Size || got.Last != want.Last {
+			t.Fatalf("ParseCommand(%q) chunk = %d %v, oracle = %d %v", s, got.Size, got.Last, want.Size, want.Last)
 		}
 	})
 }

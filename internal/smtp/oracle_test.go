@@ -9,6 +9,7 @@ package smtp
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -16,6 +17,8 @@ type oracleCommand struct {
 	Verb Verb
 	Arg  string
 	Addr string
+	Size int
+	Last bool
 }
 
 type oracleErrSyntax struct{ Line string }
@@ -64,6 +67,18 @@ func oracleParseCommand(line string) (oracleCommand, error) {
 			return cmd, &oracleErrSyntax{Line: line}
 		}
 		cmd.Addr = strings.Trim(arg, "<>")
+		return cmd, nil
+	case VerbBDAT:
+		digits := strings.TrimRight(arg, " LASTlast")
+		rest := arg[len(digits):]
+		if digits == "" || strings.Trim(digits, "0123456789") != "" ||
+			rest != "" && (rest[0] != ' ' || strings.ToUpper(strings.TrimLeft(rest, " ")) != "LAST") {
+			return cmd, &oracleErrSyntax{Line: line}
+		}
+		cmd.Size, cmd.Last = MaxChunkSize, rest != ""
+		if n, err := strconv.Atoi(digits); err == nil && n < MaxChunkSize {
+			cmd.Size = n
+		}
 		return cmd, nil
 	case VerbDATA, VerbRSET, VerbNOOP, VerbQUIT:
 		return cmd, nil

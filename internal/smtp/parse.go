@@ -16,6 +16,7 @@ const (
 	VerbMAIL Verb = "MAIL"
 	VerbRCPT Verb = "RCPT"
 	VerbDATA Verb = "DATA"
+	VerbBDAT Verb = "BDAT"
 	VerbRSET Verb = "RSET"
 	VerbNOOP Verb = "NOOP"
 	VerbVRFY Verb = "VRFY"
@@ -35,7 +36,14 @@ type Command struct {
 	// Params is the raw ESMTP parameter text after the path for
 	// MAIL/RCPT (e.g. "SIZE=1024 XTRACE=..."), empty when absent.
 	Params []byte
+	// Size and Last are a BDAT chunk's octet count (capped at
+	// MaxChunkSize) and its LAST marker (RFC 3030).
+	Size int
+	Last bool
 }
+
+// MaxChunkSize caps the size a BDAT command parses to, past any limit.
+const MaxChunkSize = 1 << 40
 
 // ErrSyntax reports an unparseable command argument. Line is optional
 // detail: the hot-path parser deliberately leaves it empty, because
@@ -79,6 +87,7 @@ const (
 	keyMAIL = 'm'<<24 | 'a'<<16 | 'i'<<8 | 'l'
 	keyRCPT = 'r'<<24 | 'c'<<16 | 'p'<<8 | 't'
 	keyDATA = 'd'<<24 | 'a'<<16 | 't'<<8 | 'a'
+	keyBDAT = 'b'<<24 | 'd'<<16 | 'a'<<8 | 't'
 	keyRSET = 'r'<<24 | 's'<<16 | 'e'<<8 | 't'
 	keyNOOP = 'n'<<24 | 'o'<<16 | 'o'<<8 | 'p'
 	keyVRFY = 'v'<<24 | 'r'<<16 | 'f'<<8 | 'y'
@@ -103,6 +112,8 @@ func matchVerb(v []byte) Verb {
 		return VerbRCPT
 	case keyDATA:
 		return VerbDATA
+	case keyBDAT:
+		return VerbBDAT
 	case keyRSET:
 		return VerbRSET
 	case keyNOOP:
@@ -157,6 +168,18 @@ func ParseCommand(line []byte) (Command, error) {
 			return cmd, errSyntax
 		}
 		cmd.Addr = bytes.Trim(arg, "<>")
+		return cmd, nil
+	case VerbBDAT:
+		// "BDAT" SP chunk-size [SP "LAST"], the size in decimal digits.
+		i := 0
+		for ; i < len(arg) && '0' <= arg[i] && arg[i] <= '9'; i++ {
+			cmd.Size = min(cmd.Size*10+int(arg[i]-'0'), MaxChunkSize)
+		}
+		rest := arg[i:]
+		if i == 0 || len(rest) > 0 && (rest[0] != ' ' || !equalFoldASCII(bytes.TrimLeft(rest, " "), "LAST")) {
+			return cmd, errSyntax
+		}
+		cmd.Last = len(rest) > 0
 		return cmd, nil
 	case VerbDATA, VerbRSET, VerbNOOP, VerbQUIT:
 		return cmd, nil

@@ -35,6 +35,12 @@ func TestParseCommandVerbs(t *testing.T) {
 		{"VRFY user", VerbVRFY, "user", true},
 		{"VRFY <u@d.com>", VerbVRFY, "u@d.com", true},
 		{"VRFY", VerbVRFY, "", false},
+		{"BDAT 86 LAST", VerbBDAT, "", true},
+		{"bdat 0 last", VerbBDAT, "", true},
+		{"BDAT 86", VerbBDAT, "", true},
+		{"BDAT", VerbBDAT, "", false},
+		{"BDAT -1", VerbBDAT, "", false},
+		{"BDAT 86 FIRST", VerbBDAT, "", false},
 		{"BOGUS arg", Verb(""), "", false},
 		{"", Verb(""), "", false},
 	}
@@ -79,7 +85,7 @@ func TestParseErrorsFormatLazily(t *testing.T) {
 	if msg := (&ErrSyntax{Line: "MAIL oops"}).Error(); !strings.Contains(msg, `"MAIL oops"`) {
 		t.Errorf("detailed syntax message = %q", msg)
 	}
-	if msg := (&ErrUnknownVerb{VerbText: "BDAT"}).Error(); !strings.Contains(msg, `"BDAT"`) {
+	if msg := (&ErrUnknownVerb{VerbText: "TURN"}).Error(); !strings.Contains(msg, `"TURN"`) {
 		t.Errorf("detailed unknown-verb message = %q", msg)
 	}
 }
@@ -91,7 +97,7 @@ func TestMatchVerbFolding(t *testing.T) {
 	}{
 		{"HELO", VerbHELO}, {"helo", VerbHELO}, {"HeLo", VerbHELO},
 		{"EHLO", VerbEHLO}, {"MAIL", VerbMAIL}, {"rcpt", VerbRCPT},
-		{"DATA", VerbDATA}, {"RSET", VerbRSET}, {"NOOP", VerbNOOP},
+		{"DATA", VerbDATA}, {"bDaT", VerbBDAT}, {"RSET", VerbRSET}, {"NOOP", VerbNOOP},
 		{"VRFY", VerbVRFY}, {"quit", VerbQUIT},
 		// Non-letters must not fold into verbs: '(' is 'H'^0x60 away…
 		{"HEL\x2f", ""}, {"H\x05LO", ""}, {"HEL", ""}, {"HELOX", ""},

@@ -4,9 +4,9 @@
 // client for the load generators.
 //
 // The subset implemented is the one the paper's workloads exercise —
-// HELO/EHLO, MAIL, RCPT (multi-recipient), DATA with dot-stuffing, RSET,
-// NOOP, VRFY, QUIT — with the postfix-compatible reply codes, notably
-// "550 User unknown" for the bounce mails of §4.1.
+// HELO/EHLO, MAIL, RCPT (multi-recipient), DATA with dot-stuffing, BDAT,
+// RSET, NOOP, VRFY, QUIT — with the postfix-compatible reply codes,
+// notably "550 User unknown" for the bounce mails of §4.1.
 package smtp
 
 import (
@@ -25,9 +25,6 @@ type Reply struct {
 
 // String renders the reply as a single-line response without CRLF.
 func (r Reply) String() string { return fmt.Sprintf("%d %s", r.Code, r.Text) }
-
-// IsPositive reports whether the reply is a 2xx or 3xx success code.
-func (r Reply) IsPositive() bool { return r.Code >= 200 && r.Code < 400 }
 
 // ReplyError is a Reply travelling as an error: a server's enqueue hook
 // returns one to have that reply, rather than the generic 452, answer the

@@ -20,6 +20,9 @@ const (
 	StateMail
 	// StateRcpt has at least one accepted recipient; DATA is allowed.
 	StateRcpt
+	// StateChunk has taken a BDAT chunk without LAST: only more chunks,
+	// RSET, NOOP, QUIT or a new greeting may follow.
+	StateChunk
 	// StateQuit is terminal.
 	StateQuit
 )
@@ -37,6 +40,12 @@ const (
 	ActionData
 	// ActionQuit closes the connection after the reply.
 	ActionQuit
+	// ActionChunk reads the BDAT chunk Session.Chunk describes into the
+	// body; after a LAST chunk the body goes to FinishData.
+	ActionChunk
+	// ActionDiscard reads the refused chunk Session.Chunk describes and
+	// drops it.
+	ActionDiscard
 )
 
 // Config parameterizes a session. The zero value works for tests; servers
@@ -114,6 +123,11 @@ type Session struct {
 	// XTRACE MAIL parameter (held by value: no allocation).
 	xtrace trace.Context
 
+	// held counts the octets the transaction's accepted BDAT chunks
+	// hold; chunkOff, chunkLen and chunkLast describe the last BDAT.
+	held, chunkOff, chunkLen int
+	chunkLast                bool
+
 	rejectedRcpts int
 	mailsDone     int
 }
@@ -168,6 +182,10 @@ func (s *Session) Trace() trace.Context { return s.xtrace }
 
 // MaxMessageBytes returns the configured DATA cap for Conn.ReadData.
 func (s *Session) MaxMessageBytes() int { return s.cfg.MaxMessageBytes }
+
+// Chunk describes the last BDAT's chunk: its offset in the body (0 for
+// a refused chunk), its size, and whether it is LAST.
+func (s *Session) Chunk() (off, size int, last bool) { return s.chunkOff, s.chunkLen, s.chunkLast }
 
 // CommandBytes feeds one raw command line (without CRLF) to the state
 // machine and returns the reply to send plus the driver action. The line
@@ -256,6 +274,26 @@ func (s *Session) CommandBytes(line []byte) (Reply, Action) {
 			return ReplyBadSequence, ActionNone
 		}
 		return ReplyStartData, ActionData
+	case VerbBDAT:
+		if s.held+cmd.Size > s.cfg.MaxMessageBytes {
+			// Too big to read for nothing: the session ends instead.
+			s.state = StateQuit
+			return ReplyTooBig, ActionQuit
+		}
+		s.chunkOff, s.chunkLen, s.chunkLast = 0, cmd.Size, cmd.Last
+		switch s.state {
+		case StateRcpt, StateChunk:
+			s.chunkOff = s.held
+			s.held += cmd.Size
+			s.state = StateChunk
+			return ReplyOK, ActionChunk
+		case StateMail:
+			// The refused chunk fails the transaction (RFC 3030 §2).
+			s.resetMail()
+			s.state = StateGreeted
+			return ReplyNoValidRcpts, ActionDiscard
+		}
+		return ReplyBadSequence, ActionDiscard
 	default:
 		return ReplyUnknownCommand, ActionNone
 	}
@@ -271,13 +309,13 @@ func (s *Session) appendRcpt(addr []byte) {
 	s.nrcpts++
 }
 
-// FinishData completes the DATA transaction with the decoded body and
-// returns the envelope plus the reply to send. The session returns to the
-// greeted state, ready for the next MAIL (postfix allows pipelined
-// transactions on one connection). Sender and recipients are copied into
-// one fresh string, the transaction's only allocation once the session's
-// buffers have grown; the Envelope's Rcpts slice is the session's, valid
-// until the next FinishData (see Envelope).
+// FinishData completes the transaction with its body, decoded from DATA
+// or joined from BDAT chunks, and returns the envelope plus the reply to
+// send. The session returns to the greeted state, ready for the next
+// MAIL (postfix allows pipelined transactions on one connection). Sender
+// and recipients are copied into one fresh string, the transaction's only
+// allocation once the session's buffers have grown; the Envelope's Rcpts
+// slice is the session's, valid until the next FinishData (see Envelope).
 func (s *Session) FinishData(body []byte) (Envelope, Reply) {
 	n := len(s.sender)
 	for _, r := range s.rcptBufs[:s.nrcpts] {
@@ -321,6 +359,7 @@ func (s *Session) resetMail() {
 	s.senderSet = false
 	s.nrcpts = 0
 	s.xtrace = trace.Context{}
+	s.held = 0
 }
 
 // equalFoldBytes compares two byte slices ASCII-case-insensitively.

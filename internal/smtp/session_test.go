@@ -295,3 +295,48 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatalf("nil validator rcpt = %d", r.Code)
 	}
 }
+
+// TestBdatSequence walks the BDAT rules: a chunk before any valid RCPT
+// is discarded and fails the transaction, accepted chunks line up one
+// after another in the body, DATA, MAIL and RCPT may not follow one, and
+// a chunk past the size cap ends the session unread.
+func TestBdatSequence(t *testing.T) {
+	s := NewSession(Config{Hostname: "mx.test", ValidateRcptBytes: validTest, MaxMessageBytes: 100})
+	type step struct {
+		cmd           string
+		code          int
+		action        Action
+		off, size     int
+		last          bool
+		state         State
+		hasValidRcpts bool
+	}
+	for _, st := range []step{
+		{"BDAT 5", 503, ActionDiscard, 0, 5, false, StateStart, false},
+		{"HELO h", 250, ActionNone, 0, 5, false, StateGreeted, false},
+		{"MAIL FROM:<a@b.test>", 250, ActionNone, 0, 5, false, StateMail, false},
+		{"RCPT TO:<ghost@wrong.test>", 550, ActionNone, 0, 5, false, StateMail, false},
+		{"BDAT 7 LAST", 554, ActionDiscard, 0, 7, true, StateGreeted, false},
+		{"MAIL FROM:<a@b.test>", 250, ActionNone, 0, 7, true, StateMail, false},
+		{"RCPT TO:<u@valid.test>", 250, ActionNone, 0, 7, true, StateRcpt, true},
+		{"BDAT 40", 250, ActionChunk, 0, 40, false, StateChunk, true},
+		{"DATA", 503, ActionNone, 0, 40, false, StateChunk, true},
+		{"RCPT TO:<v@valid.test>", 503, ActionNone, 0, 40, false, StateChunk, true},
+		{"MAIL FROM:<a@b.test>", 503, ActionNone, 0, 40, false, StateChunk, true},
+		{"NOOP", 250, ActionNone, 0, 40, false, StateChunk, true},
+		{"BDAT 60 LAST", 250, ActionChunk, 40, 60, true, StateChunk, true},
+		{"RSET", 250, ActionNone, 40, 60, true, StateGreeted, false},
+		{"MAIL FROM:<a@b.test>", 250, ActionNone, 40, 60, true, StateMail, false},
+		{"RCPT TO:<u@valid.test>", 250, ActionNone, 40, 60, true, StateRcpt, true},
+		{"BDAT 0 LAST", 250, ActionChunk, 0, 0, true, StateChunk, true},
+		{"BDAT 101", 552, ActionQuit, 0, 0, true, StateQuit, true},
+	} {
+		r, action := command(s, st.cmd)
+		off, size, last := s.Chunk()
+		if r.Code != st.code || action != st.action || off != st.off || size != st.size || last != st.last ||
+			s.State() != st.state || s.HasValidRcpt() != st.hasValidRcpts {
+			t.Fatalf("%q = %d %v, chunk %d+%d last %v, state %v, valid rcpt %v; want %+v",
+				st.cmd, r.Code, action, off, size, last, s.State(), s.HasValidRcpt(), st)
+		}
+	}
+}

@@ -41,9 +41,9 @@ type Conn struct {
 	w *bufio.Writer
 	// scratch formats non-canonical replies without fmt.
 	scratch []byte
-	// data is the reusable DATA accumulation buffer; ReadData returns a
-	// view into it, valid until the next ReadData on this Conn.
-	// StreamData reads its chunks into the same buffer.
+	// data is the reusable DATA accumulation buffer; ReadData and
+	// ReadChunk return a view into it, valid until the next of either
+	// on this Conn. StreamData reads its chunks into the same buffer.
 	data []byte
 }
 
@@ -221,6 +221,22 @@ func (c *Conn) ReadData(limit int) ([]byte, error) {
 		atStart = full
 	}
 }
+
+// ReadChunk reads the size octets of a BDAT chunk raw (no dot codec)
+// into the body buffer after its first off octets and returns the body
+// so far: a view valid until the next ReadData or ReadChunk.
+func (c *Conn) ReadChunk(off, size int) ([]byte, error) {
+	c.data = slices.Grow(c.data[:off], size)
+	body := c.data[:off+size]
+	if _, err := io.ReadFull(c.r, body[off:]); err != nil {
+		return nil, fmt.Errorf("smtp: reading chunk: %w", err)
+	}
+	return body, nil
+}
+
+// DiscardChunk reads the size octets of a refused BDAT chunk and drops
+// them; the body buffer does not grow.
+func (c *Conn) DiscardChunk(size int) error { _, err := c.r.Discard(size); return err }
 
 // WriteData sends a payload with dot-stuffing applied and the terminating
 // dot, then flushes. The payload is split on CRLF or LF.

@@ -60,7 +60,7 @@ func (s *Server) runDialog(nc net.Conn, ip netip.Addr, c *smtp.Conn, sess *smtp.
 		case smtp.ActionData:
 			// The 354 must reach the client before it will send the body,
 			// so this flush also drains any batched pipelined replies.
-			dataStart := time.Now()
+			start := time.Now()
 			if err := c.WriteReply(reply); err != nil {
 				return outcomeDropped
 			}
@@ -68,54 +68,74 @@ func (s *Server) runDialog(nc net.Conn, ip netip.Addr, c *smtp.Conn, sess *smtp.
 				return outcomeDropped
 			}
 			body, err := c.ReadData(sess.MaxMessageBytes())
+			switch {
+			case errors.Is(err, smtp.ErrMessageTooBig):
+				reply = sess.AbortData()
+			case err != nil:
+				return outcomeDropped
+			default:
+				reply = s.finishMail(sess, body, start, connTC)
+			}
+		case smtp.ActionChunk:
+			start := time.Now()
+			off, size, last := sess.Chunk()
+			body, err := c.ReadChunk(off, size)
 			if err != nil {
-				if errors.Is(err, smtp.ErrMessageTooBig) {
-					if c.WriteReply(sess.AbortData()) == nil {
-						continue
-					}
-				}
 				return outcomeDropped
 			}
-			env, done := sess.FinishData(body)
-			// NewSpan on an invalid base is a free no-op, keeping the
-			// sampled-out path allocation-free.
-			sp := s.cfg.mtrace.NewSpan(traceBase(env.Trace, connTC))
-			if _, err := s.cfg.enqueue(env.Sender, env.Rcpts, env.Data, sp); err != nil {
-				s.enqueueFailures.Inc()
-				done = smtp.ReplyInsufficient
-				// A hook that knows better than "insufficient storage" says so.
-				var re smtp.ReplyError
-				if errors.As(err, &re) {
-					done = smtp.Reply(re)
-				}
-			} else {
-				s.mailsAccepted.Inc()
+			if last {
+				reply = s.finishMail(sess, body, start, connTC)
 			}
-			s.cfg.mtrace.FinishAt(sp, trace.MStageSMTP, dataStart, time.Now(), s.cfg.arch.String())
-			if err := c.WriteReply(done); err != nil {
+		case smtp.ActionDiscard:
+			_, size, _ := sess.Chunk()
+			if c.DiscardChunk(size) != nil {
 				return outcomeDropped
 			}
 		case smtp.ActionQuit:
 			c.WriteReply(reply) //nolint:errcheck // closing anyway
+			if reply != smtp.ReplyBye {
+				return outcomeDropped // the server ended it: an oversize BDAT
+			}
 			return outcomeQuit
-		default:
-			// Pipelining batch: while the client has already sent the next
-			// command, buffer the reply and answer the whole burst with one
-			// flush — one writev for N replies instead of N small writes.
-			// Only safe when input is pending: a lazy reply to a client
-			// that is waiting for it would deadlock the dialog.
-			if c.InputPending() {
-				if err := c.WriteReplyLazy(reply); err != nil {
-					return outcomeDropped
-				}
-			} else if err := c.WriteReply(reply); err != nil {
+		}
+		// Pipelining batch: while the client has already sent the next
+		// command, buffer the reply and answer the whole burst with one
+		// flush — one writev for N replies instead of N small writes.
+		// Only safe when input is pending: a lazy reply to a client
+		// that is waiting for it would deadlock the dialog.
+		if c.InputPending() {
+			if err := c.WriteReplyLazy(reply); err != nil {
 				return outcomeDropped
 			}
+		} else if err := c.WriteReply(reply); err != nil {
+			return outcomeDropped
 		}
 		if stopWhen != nil && stopWhen(sess) {
 			return outcomeTrusted
 		}
 	}
+}
+
+// finishMail hands a transaction's body, from DATA or BDAT, to the
+// enqueue hook under the mail's "smtp" span and returns its reply.
+func (s *Server) finishMail(sess *smtp.Session, body []byte, start time.Time, connTC trace.Context) smtp.Reply {
+	env, done := sess.FinishData(body)
+	// NewSpan on an invalid base is a free no-op, keeping the
+	// sampled-out path allocation-free.
+	sp := s.cfg.mtrace.NewSpan(traceBase(env.Trace, connTC))
+	if _, err := s.cfg.enqueue(env.Sender, env.Rcpts, env.Data, sp); err != nil {
+		s.enqueueFailures.Inc()
+		done = smtp.ReplyInsufficient
+		// A hook that knows better than "insufficient storage" says so.
+		var re smtp.ReplyError
+		if errors.As(err, &re) {
+			done = smtp.Reply(re)
+		}
+	} else {
+		s.mailsAccepted.Inc()
+	}
+	s.cfg.mtrace.FinishAt(sp, trace.MStageSMTP, start, time.Now(), s.cfg.arch.String())
+	return done
 }
 
 // outcomeNote maps a dialog outcome to its span note.

@@ -302,40 +302,51 @@ func TestDualStackPeerIsPolicedAsIPv4(t *testing.T) {
 
 // TestOpenConnectionMailAllocs: over one open connection, a mail costs the
 // whole process at most one heap object, the string that holds its
-// envelope, whatever its recipient count and under either architecture,
-// when the enqueue hook keeps nothing.
+// envelope, whatever its recipient count, under either architecture, and
+// whether its body comes through DATA (after HELO) or as one BDAT chunk
+// (after EHLO), when the enqueue hook keeps nothing.
 func TestOpenConnectionMailAllocs(t *testing.T) {
 	forEachArch(t, func(t *testing.T, arch Architecture) {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		serveOn(t, ln, WithArchitecture(arch))
-		c, err := smtp.Dial(ln.Addr().String(), 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Quit()
-		if err := c.Helo("client.test"); err != nil {
-			t.Fatal(err)
-		}
-		body := []byte("Subject: alloc\r\n\r\nbody\r\n")
-		for _, n := range []int{1, 8} {
-			rcpts := make([]string, n)
-			for i := range rcpts {
-				rcpts[i] = fmt.Sprintf("user%d@example.test", i)
-			}
-			send := func() {
-				if got, err := c.Send("sender@remote.test", rcpts, body); err != nil || got != n {
-					t.Fatalf("send = %d, %v", got, err)
+		for _, greet := range []struct {
+			verb  string
+			hello func(*smtp.Client, string) error
+		}{{"DATA", (*smtp.Client).Helo}, {"BDAT", (*smtp.Client).Ehlo}} {
+			t.Run(greet.verb, func(t *testing.T) {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			for i := 0; i < 3; i++ {
-				send() // warm-up: the handoff, pooled buffers, the session's slices
-			}
-			if allocs := testing.AllocsPerRun(200, send); allocs > 1 {
-				t.Errorf("a %d-recipient mail allocates %.0f objects, want ≤ 1", n, allocs)
-			}
+				serveOn(t, ln, WithArchitecture(arch))
+				c, err := smtp.Dial(ln.Addr().String(), 5*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Quit()
+				if err := greet.hello(c, "client.test"); err != nil {
+					t.Fatal(err)
+				}
+				if c.Supports("CHUNKING") != (greet.verb == "BDAT") {
+					t.Fatalf("after %s the client sees CHUNKING %v", greet.verb, c.Supports("CHUNKING"))
+				}
+				body := []byte("Subject: alloc\r\n\r\nbody\r\n")
+				for _, n := range []int{1, 8} {
+					rcpts := make([]string, n)
+					for i := range rcpts {
+						rcpts[i] = fmt.Sprintf("user%d@example.test", i)
+					}
+					send := func() {
+						if got, err := c.Send("sender@remote.test", rcpts, body); err != nil || got != n {
+							t.Fatalf("send = %d, %v", got, err)
+						}
+					}
+					for i := 0; i < 3; i++ {
+						send() // warm-up: the handoff, pooled buffers, the session's slices
+					}
+					if allocs := testing.AllocsPerRun(200, send); allocs > 1 {
+						t.Errorf("a %d-recipient mail allocates %.0f objects, want ≤ 1", n, allocs)
+					}
+				}
+			})
 		}
 	})
 }

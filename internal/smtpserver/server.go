@@ -102,10 +102,10 @@ type Stats struct {
 	Connections     int64 // accepted connections
 	PreTrustClosed  int64 // connections that ended before any valid RCPT
 	Handoffs        int64 // hybrid: delegations to the worker pool
-	MailsAccepted   int64 // DATA transactions queued
+	MailsAccepted   int64 // mail transactions (DATA or BDAT) queued
 	RcptRejected    int64 // 550 replies (bounce recipients)
 	SessionsServed  int64 // connections fully completed
-	EnqueueFailures int64 // DATA transactions the enqueue hook refused (4xx)
+	EnqueueFailures int64 // mail transactions the enqueue hook refused (4xx)
 	PolicyRejected  int64 // connections 554-rejected by the policy engine
 	PolicyTempfail  int64 // connections 421-tempfailed by the policy engine
 	Greylisted      int64 // valid RCPTs 450-tempfailed by policy (the greylist)
@@ -116,8 +116,8 @@ type Server struct {
 	cfg settings
 
 	// ehlo is the precomputed EHLO reply. It always advertises PIPELINING
-	// (runDialog answers a burst in one flush), and XTRACE when a message
-	// tracer is attached.
+	// (runDialog answers a burst in one flush) and CHUNKING (BDAT), and
+	// XTRACE when a message tracer is attached.
 	ehlo *smtp.Reply
 
 	mu     sync.Mutex
@@ -245,7 +245,7 @@ func New(enqueue Enqueue, opts ...Option) (*Server, error) {
 	}
 	// One preformatted multiline EHLO reply for the server's lifetime;
 	// advertising extensions costs nothing per connection.
-	exts := []string{"PIPELINING"}
+	exts := []string{"PIPELINING", "CHUNKING"}
 	if s.cfg.mtrace != nil {
 		exts = append(exts, "XTRACE")
 	}

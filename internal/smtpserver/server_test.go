@@ -216,11 +216,12 @@ func TestMixedBounceThenValidDelegates(t *testing.T) {
 	}
 }
 
-// TestHandoffMidBurst: a pipelined MAIL/RCPT/DATA burst earns trust at
-// its RCPT, so the front end hands the connection to a worker with two
-// replies still buffered and DATA still unread. While the only worker is
-// busy they wait for it: no reply goes out early, none is lost, and the
-// mail is enqueued exactly once.
+// TestHandoffMidBurst: a pipelined MAIL/RCPT/BDAT burst, body and QUIT
+// included, earns trust at its RCPT, so the front end hands the
+// connection to a worker with two replies still buffered and the chunk
+// still unread. While the only worker is busy they wait for it: no
+// reply goes out early, none is lost, and the mail is enqueued exactly
+// once.
 func TestHandoffMidBurst(t *testing.T) {
 	env := startServer(t, Hybrid, WithMaxWorkers(1))
 	// A trusted connection idling in its dialog holds the one worker.
@@ -261,7 +262,8 @@ func TestHandoffMidBurst(t *testing.T) {
 	read(220)
 	write("HELO burst.test\r\n")
 	read(250)
-	write("MAIL FROM:<s@x.test>\r\nRCPT TO:<b@valid.test>\r\nDATA\r\n")
+	body := "Subject: burst\r\n\r\nbody\r\n"
+	write(fmt.Sprintf("MAIL FROM:<s@x.test>\r\nRCPT TO:<b@valid.test>\r\nBDAT %d LAST\r\n%sQUIT\r\n", len(body), body))
 	waitStats(t, env.srv, func(s Stats) bool { return s.Handoffs == 2 })
 	nc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
 	r, err := c.ReadReply()
@@ -273,13 +275,63 @@ func TestHandoffMidBurst(t *testing.T) {
 	if err := holder.Quit(); err != nil {
 		t.Fatal(err)
 	}
-	read(250, 250, 354)
-	write("Subject: burst\r\n\r\nbody\r\n.\r\nQUIT\r\n")
-	read(250, 221)
+	read(250, 250, 250, 221)
 	got := env.captured()
-	if len(got) != 1 || len(got[0].rcpts) != 1 || got[0].rcpts[0] != "b@valid.test" {
+	if len(got) != 1 || len(got[0].rcpts) != 1 || got[0].rcpts[0] != "b@valid.test" || string(got[0].data) != body {
 		t.Fatalf("captured = %+v, want the burst's mail once", got)
 	}
+}
+
+// TestChunking plays the BDAT rules (RFC 3030) against a real server of
+// either architecture, over a raw connection that pipelines each line.
+func TestChunking(t *testing.T) {
+	forEachArch(t, func(t *testing.T, arch Architecture) {
+		env := startServer(t, arch, WithMaxMessageBytes(1024))
+		nc, err := net.Dial("tcp", env.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		nc.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+		c := smtp.NewConn(nc)
+		play := func(send string, codes ...int) {
+			t.Helper()
+			if _, err := nc.Write([]byte(send)); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range codes {
+				if r, err := c.ReadReply(); err != nil || r.Code != want {
+					t.Fatalf("after %q: reply %v, %v; want %d", send, r, err, want)
+				}
+			}
+		}
+		const mail = "MAIL FROM:<s@x.test>\r\n"
+		play("", 220)
+		play("EHLO c.test\r\n", 250)
+
+		// A chunk before any valid RCPT is read past and fails the
+		// transaction, in the front end: no handoff.
+		play(mail+"RCPT TO:<g@wrong.test>\r\nBDAT 5 LAST\r\nhello", 250, 550, 554)
+		if arch == Hybrid && env.srv.Stats().Handoffs != 0 {
+			t.Fatal("a refused chunk was handed to a worker")
+		}
+		// Chunks line up in the body, raw: no dot codec.
+		play(mail+"RCPT TO:<a@valid.test>\r\nBDAT 8\r\n.first\r\nBDAT 0 LAST\r\n", 250, 250, 250, 250)
+		// DATA may not follow a chunk, and RSET drops the chunks.
+		play(mail+"RCPT TO:<b@valid.test>\r\nBDAT 4\r\ndropDATA\r\nRSET\r\n", 250, 250, 250, 503, 250)
+		play(mail+"RCPT TO:<b@valid.test>\r\nBDAT 3 LAST\r\n.\r\n", 250, 250, 250)
+		// A chunk past the size cap is not read: 552, and the session ends.
+		play(mail+"RCPT TO:<c@valid.test>\r\nBDAT 1025 LAST\r\n", 250, 250, 552)
+		if r, err := c.ReadReply(); err == nil {
+			t.Fatalf("after the 552 read %v, want the connection closed", r)
+		}
+
+		got := env.captured()
+		if len(got) != 2 || got[0].rcpts[0] != "a@valid.test" || string(got[0].data) != ".first\r\n" ||
+			got[1].rcpts[0] != "b@valid.test" || string(got[1].data) != ".\r\n" {
+			t.Fatalf("captured = %+v, want the two chunked mails", got)
+		}
+	})
 }
 
 func TestMultipleMailsPerConnection(t *testing.T) {

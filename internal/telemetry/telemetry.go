@@ -39,7 +39,6 @@ import (
 const (
 	evConn   = "smtpd.conn"   // fields: ip (IP, or string for a non-IPv4 peer), outcome, bounce (bool), worker (bool)
 	evLookup = "dnsbl.lookup" // fields: ip (IP), hit (bool), stale (bool)
-	evBounce = "queue.bounce" // fields: id, bounce_id, to — one DSN generated
 )
 
 // Talker is one source in the top-talkers list.
@@ -81,10 +80,6 @@ type Snapshot struct {
 	// BounceRatioEWMA is the exponentially weighted bounce ratio — the
 	// live weather, responsive to shifts in the mix.
 	BounceRatioEWMA float64 `json:"bounce_ratio_ewma"`
-	// DSNsGenerated counts outbound DSN bounces the queue synthesized
-	// for undeliverable mail — the sending side of the paper's §4.1
-	// bounce traffic, as opposed to Bounced which observes it arriving.
-	DSNsGenerated uint64 `json:"dsns_generated"`
 	// HandoffSavings is 1 − WorkerConns ⁄ Conns: the fraction of
 	// connections that never cost a worker.
 	HandoffSavings float64 `json:"handoff_savings"`
@@ -106,7 +101,6 @@ type Tracker struct {
 	ewmaInit bool
 
 	conns, bounced, worker uint64
-	dsns                   uint64
 	outcomes               map[string]uint64
 
 	lookups, repeats, cacheHits, stale uint64
@@ -177,7 +171,6 @@ func (t *Tracker) Register(reg *metrics.Registry) {
 		defer t.mu.Unlock()
 		return t.ewma
 	})
-	reg.GaugeFunc("telemetry_dsns_generated", func() float64 { return float64(t.get(&t.dsns)) })
 	reg.GaugeFunc("telemetry_handoff_savings", func() float64 { return t.Snapshot().HandoffSavings })
 	reg.GaugeFunc("telemetry_dnsbl_prefix_locality", func() float64 { return t.Snapshot().DNSBL.PrefixLocality })
 	reg.GaugeFunc("telemetry_dnsbl_cache_savings_est", func() float64 { return t.Snapshot().DNSBL.CacheSavingsEst })
@@ -209,10 +202,6 @@ func (t *Tracker) Emit(e eventlog.Event) {
 		t.observeConn(&e)
 	case evLookup:
 		t.observeLookup(&e)
-	case evBounce:
-		t.mu.Lock()
-		t.dsns++
-		t.mu.Unlock()
 	}
 }
 
@@ -338,7 +327,6 @@ func (t *Tracker) Snapshot() Snapshot {
 		Bounced:         t.bounced,
 		WorkerConns:     t.worker,
 		BounceRatioEWMA: t.ewma,
-		DSNsGenerated:   t.dsns,
 		Outcomes:        make(map[string]uint64, len(t.outcomes)),
 	}
 	for k, v := range t.outcomes {

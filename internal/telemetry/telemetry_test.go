@@ -258,23 +258,3 @@ func TestConcurrentEmitAndSnapshot(t *testing.T) {
 		t.Fatalf("counts = %d/%d, want 1600/1600", s.Conns, s.DNSBL.Lookups)
 	}
 }
-
-func TestTrackerCountsGeneratedDSNs(t *testing.T) {
-	tr, log := newTracked()
-	reg := metrics.NewRegistry()
-	tr.Register(reg)
-	log.Info("queue.bounce", 0,
-		eventlog.Str("id", "Q1"), eventlog.Str("bounce_id", "Q2"))
-	log.Info("queue.bounce", 0,
-		eventlog.Str("id", "Q3"), eventlog.Str("bounce_id", "Q4"))
-	if got := tr.Snapshot().DSNsGenerated; got != 2 {
-		t.Fatalf("DSNsGenerated = %d, want 2", got)
-	}
-	mt, ok := reg.Find("telemetry_dsns_generated")
-	if !ok {
-		t.Fatal("telemetry_dsns_generated gauge missing")
-	}
-	if mt.Value != 2 {
-		t.Fatalf("gauge = %v, want 2", mt.Value)
-	}
-}

@@ -276,14 +276,16 @@ type Sent struct {
 // the same context every time, so a retry keeps the first attempt's
 // trace id — and QUIT). A 4xx at any step, or a failed connection, is
 // retried after a backoff that doubles from 5 ms up to 80 ms, until
-// deadline; a 5xx, or every recipient refused, ends it at once. The
-// error is the last attempt's when no attempt got a 250.
+// deadline, only for the recipients a 4xx deferred once the mail is
+// stored for others. A 5xx, or every recipient refused, ends it at once.
+// The error is the last attempt's when no attempt got a 250.
 func SendRetrying(addr, sender string, rcpts []string, body []byte, tc trace.Context, deadline time.Time) (Sent, error) {
 	var sent Sent
 	start := time.Now()
 	for wait := 5 * time.Millisecond; ; wait = min(2*wait, 80*time.Millisecond) {
 		sent.Attempts++
-		err := sendAttempt(addr, sender, rcpts, body, tc, deadline)
+		var err error
+		rcpts, err = sendAttempt(addr, sender, rcpts, body, tc, deadline)
 		if err == nil {
 			sent.Took = time.Since(start)
 			return sent, nil
@@ -299,17 +301,29 @@ func SendRetrying(addr, sender string, rcpts []string, body []byte, tc trace.Con
 	}
 }
 
-// sendAttempt is one attempt of SendRetrying.
-func sendAttempt(addr, sender string, rcpts []string, body []byte, tc trace.Context, deadline time.Time) error {
+// sendAttempt is one attempt of SendRetrying. It returns the recipients
+// the next one carries: only the deferred ones once the mail is stored.
+func sendAttempt(addr, sender string, rcpts []string, body []byte, tc trace.Context, deadline time.Time) ([]string, error) {
 	timeout := max(time.Until(deadline), time.Millisecond)
 	c, err := smtp.Dial(addr, timeout, smtp.WithCommandTimeout(timeout))
 	if err != nil {
-		return err
+		return rcpts, err
 	}
 	defer c.Abort() //nolint:errcheck // after QUIT the connection is already closed
-	accepted := 0
+	accepted, left := 0, rcpts
 	if err = c.Hello("retrying.client"); err == nil {
 		accepted, err = c.SendTraced(sender, rcpts, body, tc)
+	}
+	if err == nil {
+		left = nil
+		for i, r := range c.RcptReplies() {
+			if r.Code/100 == 4 {
+				left = append(left, rcpts[i])
+				if err == nil {
+					err = &smtp.UnexpectedReplyError{Op: "RCPT", Reply: r}
+				}
+			}
+		}
 	}
 	if err == nil && accepted == 0 {
 		err = &smtp.UnexpectedReplyError{Op: "RCPT", Reply: smtp.ReplyUserUnknown}
@@ -317,5 +331,5 @@ func sendAttempt(addr, sender string, rcpts []string, body []byte, tc trace.Cont
 	if err == nil {
 		c.Quit() //nolint:errcheck // the mail is stored; a lost QUIT changes nothing
 	}
-	return err
+	return left, err
 }
