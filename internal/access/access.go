@@ -174,17 +174,6 @@ func (db *DB) ValidBytes(addr []byte) bool {
 	return ok
 }
 
-// Users returns the number of mailboxes across all local domains.
-func (db *DB) Users() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	n := 0
-	for _, users := range db.domains {
-		n += len(users)
-	}
-	return n
-}
-
 // Populate registers n mailboxes named user0000…user<n-1> under domain,
 // the shape the workload generators and examples use (the paper's Univ
 // server hosts "over 400 mailboxes").

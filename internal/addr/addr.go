@@ -251,15 +251,6 @@ func (p Prefix) AppendTo(b []byte) []byte {
 	return strconv.AppendInt(b, int64(p.Bits), 10)
 }
 
-// Contains reports whether ip falls inside the prefix.
-func (p Prefix) Contains(ip IPv4) bool {
-	if p.Bits == 0 {
-		return true
-	}
-	mask := ^IPv4(0) << (32 - p.Bits)
-	return ip&mask == p.Addr&mask
-}
-
 // Size returns the number of addresses covered by the prefix.
 func (p Prefix) Size() int { return 1 << (32 - p.Bits) }
 
@@ -285,14 +276,6 @@ func (b *Bitmap128) Set(i int) {
 	b[i/8] |= 0x80 >> (i % 8)
 }
 
-// Clear unmarks bit i (0–127).
-func (b *Bitmap128) Clear(i int) {
-	if i < 0 || i > 127 {
-		panic("addr: bitmap index out of range")
-	}
-	b[i/8] &^= 0x80 >> (i % 8)
-}
-
 // Get reports whether bit i is set.
 func (b *Bitmap128) Get(i int) bool {
 	if i < 0 || i > 127 {
@@ -311,16 +294,6 @@ func (b *Bitmap128) Count() int {
 		}
 	}
 	return n
-}
-
-// IsZero reports whether no bit is set.
-func (b *Bitmap128) IsZero() bool {
-	for _, by := range b {
-		if by != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the bitmap as 32 hex digits, for logs and tests.

@@ -345,21 +345,11 @@ func (d *Director) Served() <-chan error { return d.front.served }
 
 // Close stops accepting, waits for in-flight dialogs and for Serve to
 // return, and QUITs the back-end connection pools. It returns Serve's
-// error; calling it again, or after Kill, does nothing and returns the
-// same result.
+// error; calling it again does nothing and returns the same result.
 func (d *Director) Close() error {
 	d.once.Do(func() {
 		d.err = d.front.stop()
 		d.Server.Close()
 	})
 	return d.err
-}
-
-// Kill is Close without the QUITs and with errors swallowed: the pooled
-// back-end connections are dropped, as a dying process's are.
-func (d *Director) Kill() {
-	d.once.Do(func() {
-		d.front.stop() //nolint:errcheck // a kill has no one to report to
-		d.Server.Kill()
-	})
 }

@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Metrics holds an experiment's headline numbers, keyed by stable metric
@@ -77,16 +76,6 @@ func Find(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs returns every experiment id, sorted.
-func IDs() []string {
-	ids := make([]string, 0, len(registry))
-	for _, e := range registry {
-		ids = append(ids, e.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // RunAll executes every experiment in order, writing each section to w.

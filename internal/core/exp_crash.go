@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,24 +62,25 @@ func crashRun(arch smtpserver.Architecture, n, allow, users int, key string, m M
 		}
 		ml.body = fmt.Sprintf("From: <peer%d@remote.example>\r\n\r\nmail %d for %v\r\n", i, i, ml.rcpts)
 	}
+	// After `allow` 250s the log fsync stalls until the power cut. The
+	// hook is in place before the first mail, so a sender fast enough to
+	// finish every mail between two polls cannot slip past the stall.
 	var acked atomic.Int64
-	wait := sendHeld(spec.Addr, mails, 4, func() { acked.Add(1) })
-
-	// After `allow` 250s the log fsync stalls until the power cut.
-	if !waitFor(func() bool { return acked.Load() >= int64(allow) }, 10*time.Second) {
-		return fmt.Errorf("%d of %d mails acked before the stall", acked.Load(), allow)
-	}
 	var stalled atomic.Bool
 	release := make(chan struct{})
+	var unstall sync.Once
+	unblock := func() { unstall.Do(func() { close(release) }) }
+	defer unblock() // on an error path too: a stalled teardown must finish
 	fault.SetHook(func(op, path string, _ int) error {
-		if op == "Sync" && path == cluster.MFSDir+"/mfs.wal" {
+		if op == "Sync" && path == cluster.MFSDir+"/mfs.wal" && acked.Load() >= int64(allow) {
 			stalled.Store(true)
 			<-release
 		}
 		return nil
 	})
+	wait := sendHeld(spec.Addr, mails, 4, func() { acked.Add(1) })
 	if !waitFor(stalled.Load, 10*time.Second) {
-		return fmt.Errorf("no commit reached the stalled fsync")
+		return fmt.Errorf("%d of %d mails acked and no commit reached the stalled fsync", acked.Load(), allow)
 	}
 	time.Sleep(20 * time.Millisecond) // let more commits queue behind it
 	m["acked_"+key] = float64(acked.Load())
@@ -87,7 +89,7 @@ func crashRun(arch smtpserver.Architecture, n, allow, users int, key string, m M
 	// Power cut: drop everything unsynced, fail the stalled fsync, tear
 	// the process down. The teardown's own writes fail — that is the point.
 	fault.Crash()
-	close(release)
+	unblock()
 	sh.Kill()
 	fault.Recover()
 	fault.SetHook(nil)

@@ -199,12 +199,6 @@ var Reiser = FSModel{
 	Sync:        800 * time.Microsecond,
 }
 
-// SwitchCost returns the modelled context-switch penalty given the number
-// of runnable processes (see SwitchBase/SwitchPerRunnable).
-func SwitchCost(runnable int) time.Duration {
-	return SwitchBase + time.Duration(runnable)*SwitchPerRunnable
-}
-
 // TasksPerSocketBuffer returns how many delegated tasks fit in the
 // master→smtpd socket buffer for a given recipients-per-mail average
 // (§5.3: ≈28 for 7 recipients).

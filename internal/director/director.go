@@ -96,6 +96,7 @@ type Server struct {
 	mailsFailed    *metrics.Counter
 	mailsRefused   *metrics.Counter
 	forwardRetries *metrics.Counter
+	rcptDeferred   *metrics.Counter // recipients a live shard deferred (4xx), e.g. greylisting
 	rcptSkew       *metrics.Counter
 	shardDown      *metrics.Counter
 	traceStitched  *metrics.Counter
@@ -134,6 +135,7 @@ func New(opts ...Option) (*Server, error) {
 	s.mailsFailed = reg.Counter("director_mails_failed_total")
 	s.mailsRefused = reg.Counter("director_mails_refused_total")
 	s.forwardRetries = reg.Counter("director_forward_retries_total")
+	s.rcptDeferred = reg.Counter("director_rcpt_deferred_total")
 	s.rcptSkew = reg.Counter("director_rcpt_skew_total")
 	s.shardDown = reg.Counter("director_shard_down_total")
 	s.traceStitched = reg.Counter("director_trace_stitched_total")
@@ -183,17 +185,11 @@ func (s *Server) Serve(ln net.Listener) {
 // Close stops accepting, waits for in-flight dialogs, and QUITs the
 // pooled back-end connections. The pools drain once, also when whoever
 // serves Front() has already closed it; later calls do nothing.
-func (s *Server) Close() { s.shutdown(true) }
-
-// Kill is Close without the QUITs: the pooled connections are dropped,
-// as a dying process's sockets are.
-func (s *Server) Kill() { s.shutdown(false) }
-
-func (s *Server) shutdown(quit bool) {
+func (s *Server) Close() {
 	s.stop.Do(func() {
 		s.srv.Close() //nolint:errcheck // "already closed" when the front end was stopped first
 		for _, b := range s.bk {
-			b.dropIdle(quit)
+			b.dropIdle(true)
 		}
 	})
 }
@@ -336,6 +332,7 @@ func (s *Server) forwardTo(name, sender string, rcpts []string, data []byte, tc 
 	}
 	b.markUp()
 	b.forwarded.Inc()
+	s.rcptDeferred.Add(int64(len(deferred)))
 	b.forwardSec.ObserveDuration(time.Since(probeStart))
 	s.srv.MessageTracer().FinishAt(fsp, trace.MStageForward, probeStart, time.Now(), name)
 	if traced {

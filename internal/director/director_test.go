@@ -230,6 +230,16 @@ func TestDirectorFailsOverOnShardDeath(t *testing.T) {
 	if st.MailsFailed != 0 {
 		t.Fatalf("mails failed despite a live survivor: %+v", st)
 	}
+	// A dead shard defers nothing: /metrics tells it from a greylisting one.
+	if n := rcptDeferred(d); n != 0 {
+		t.Fatalf("director_rcpt_deferred_total = %v after a shard death, want 0", n)
+	}
+}
+
+// rcptDeferred reads director_rcpt_deferred_total off d's registry.
+func rcptDeferred(d *Server) float64 {
+	m, _ := d.Registry().Find("director_rcpt_deferred_total")
+	return m.Value
 }
 
 // TestDirectorTempfailsWhenAllShardsDead: with every shard gone the
@@ -355,6 +365,9 @@ func TestDirectorMovesDeferredRcptsOn(t *testing.T) {
 		if st := d.Stats(); st.MailsForwarded != 1 || st.MailsFailed != 0 || st.RcptSkew != 0 {
 			t.Fatalf("stats = %+v, want one forwarded mail and no skew", st)
 		}
+		if n := rcptDeferred(d); n != 1 {
+			t.Fatalf("director_rcpt_deferred_total = %v, want 1 (shard A's greylisted recipient)", n)
+		}
 	})
 
 	t.Run("every candidate defers: 451", func(t *testing.T) {
@@ -382,6 +395,9 @@ func TestDirectorMovesDeferredRcptsOn(t *testing.T) {
 		}
 		if st := d.Stats(); st.MailsFailed != 1 || st.MailsForwarded != 0 {
 			t.Fatalf("stats = %+v, want one failed mail", st)
+		}
+		if n := rcptDeferred(d); n != 2 {
+			t.Fatalf("director_rcpt_deferred_total = %v, want 2 (one deferral per shard)", n)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package director
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"reflect"
 	"strings"
 	"testing"
@@ -107,12 +108,14 @@ const (
 )
 
 func TestDialogParityWithSmtpserver(t *testing.T) {
-	oneBounceCondemns := func() *policy.ServerPolicy {
-		return policy.NewServerPolicy(policy.New(policy.WithReputation(policy.ReputationConfig{
-			HalfLife:      time.Hour,
-			TempfailScore: 1, // one bounce connection with one 550 scores ~1.95
-			RejectScore:   100,
-		})), nil)
+	// Two bounces on record score 3.0, below the tempfail threshold 4;
+	// one more bounce connection with one 550 (~1.95) tips the source over.
+	oneMoreBounceCondemns := func() *policy.ServerPolicy {
+		p := policy.NewServerPolicy(policy.New(policy.WithReputation(policy.ReputationConfig{})), nil)
+		for i := 0; i < 2; i++ {
+			p.RecordBounce(netip.MustParseAddr("127.0.0.1"))
+		}
+		return p
 	}
 	rows := []struct {
 		name     string
@@ -166,7 +169,7 @@ func TestDialogParityWithSmtpserver(t *testing.T) {
 		want: [][]string{{"220", "250", "250", "250", "250", "503", "250", "250", "354", "250", "221"}},
 	}, {
 		name:   "550-only bounce, then policy refuses the reconnect",
-		policy: oneBounceCondemns,
+		policy: oneMoreBounceCondemns,
 		script: []dialogConn{
 			{steps: []dialogStep{{helo + mail + rcptBad + "QUIT\r\n", 4}}, bounce: true},
 			{},

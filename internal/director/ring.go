@@ -95,25 +95,6 @@ func (r *Ring) Add(node string) {
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 }
 
-// Remove deletes a node and its points; unknown nodes are a no-op.
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			out = append(out, p)
-		}
-	}
-	r.points = out
-	for i, n := range r.nodes {
-		if n == node {
-			r.nodes = append(r.nodes[:i], r.nodes[i+1:]...)
-			break
-		}
-	}
-}
-
 // Pick returns the node owning key, or "" on an empty ring.
 func (r *Ring) Pick(key string) string {
 	r.mu.RLock()

@@ -407,15 +407,3 @@ func TXTRecord(name string, ttl uint32, text string) RR {
 	rd := append([]byte{byte(len(text))}, text...)
 	return RR{Name: name, Type: TypeTXT, Class: ClassIN, TTL: ttl, RData: rd}
 }
-
-// TXT extracts the text of a TXT record.
-func (rr RR) TXT() (string, error) {
-	if rr.Type != TypeTXT || len(rr.RData) == 0 {
-		return "", fmt.Errorf("%w: not a TXT record", ErrCorrupt)
-	}
-	n := int(rr.RData[0])
-	if 1+n > len(rr.RData) {
-		return "", ErrCorrupt
-	}
-	return string(rr.RData[1 : 1+n]), nil
-}

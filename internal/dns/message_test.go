@@ -2,6 +2,7 @@ package dns
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -72,6 +73,18 @@ func TestEncodeDecodeAAAA(t *testing.T) {
 	if !bytes.Equal(got.Answers[0].RData, bitmap[:]) {
 		t.Fatalf("bitmap = %x", got.Answers[0].RData)
 	}
+}
+
+// TXT extracts the text of a TXT record.
+func (rr RR) TXT() (string, error) {
+	if rr.Type != TypeTXT || len(rr.RData) == 0 {
+		return "", fmt.Errorf("%w: not a TXT record", ErrCorrupt)
+	}
+	n := int(rr.RData[0])
+	if 1+n > len(rr.RData) {
+		return "", ErrCorrupt
+	}
+	return string(rr.RData[1 : 1+n]), nil
 }
 
 func TestTXTRecordRoundTrip(t *testing.T) {

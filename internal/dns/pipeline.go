@@ -151,10 +151,6 @@ func (p *Pipelined) Close() error {
 	return err
 }
 
-// Retries returns the number of re-sent attempts (loss or truncation
-// recovery).
-func (p *Pipelined) Retries() int64 { return p.retries.Load() }
-
 // Hedges returns the number of hedged duplicate queries launched.
 func (p *Pipelined) Hedges() int64 { return p.hedges.Load() }
 

@@ -254,9 +254,6 @@ type Cache struct {
 	staleFor time.Duration
 	swept    time.Time
 	entries  map[cacheKey]cacheEntry
-
-	hits   int64
-	misses int64
 }
 
 type cacheKey struct {
@@ -306,10 +303,8 @@ func (c *Cache) Get(name []byte, qtype Type) (msg *Message, peer, ok bool) {
 	defer c.mu.Unlock()
 	e, ok := c.entries[cacheKey{name: string(name), qtype: qtype}]
 	if !ok || c.now().After(e.expires) {
-		c.misses++
 		return nil, false, false
 	}
-	c.hits++
 	return e.msg, e.peer, true
 }
 
@@ -417,20 +412,4 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// Stats returns (hits, misses).
-func (c *Cache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// HitRatio returns hits/(hits+misses), or 0 with no traffic.
-func (c *Cache) HitRatio() float64 {
-	h, m := c.Stats()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
 }

@@ -160,12 +160,6 @@ func WithClock(now func() time.Time) Option {
 	return func(c *Client) { c.now = now }
 }
 
-// WithTimeout bounds each Lookup when the caller's context carries no
-// deadline (default costmodel.DNSBLTimeout).
-func WithTimeout(d time.Duration) Option {
-	return func(c *Client) { c.timeout = d }
-}
-
 // WithStale serves expired cache entries up to maxAge past expiry when
 // the upstream query fails, so cached /25 bitmaps outlive an unreachable
 // blacklist instead of turning into accept-path stalls. Zero disables
@@ -250,9 +244,6 @@ func New(zone string, opts ...Option) *Client {
 	return c
 }
 
-// Registry returns the registry holding the client's metrics.
-func (c *Client) Registry() *metrics.Registry { return c.reg }
-
 // Close releases the transport when the client built it (WithUpstreams);
 // it never closes a transport supplied by the caller.
 func (c *Client) Close() error {
@@ -279,18 +270,6 @@ func (c *Client) CacheHits() int64 { return c.cacheHits.Value() }
 // PeerHits returns how many of the cache hits were on entries merged
 // from a peer — upstream queries this node never had to send.
 func (c *Client) PeerHits() int64 { return c.peerHits.Value() }
-
-// StaleServed returns how many lookups were answered from expired cache
-// entries because the upstream was unreachable.
-func (c *Client) StaleServed() int64 { return c.stale.Value() }
-
-// NegativeHits returns how many lookups were short-circuited by the
-// negative (failure) cache.
-func (c *Client) NegativeHits() int64 { return c.negHits.Value() }
-
-// Collapsed returns how many concurrent duplicate lookups were merged
-// into another lookup's in-flight upstream query.
-func (c *Client) Collapsed() int64 { return c.collapsed.Value() }
 
 // HitRatio returns the cache hit ratio over all lookups (0 under
 // CacheNone).

@@ -332,19 +332,25 @@ func TestFigure5Distributions(t *testing.T) {
 	}
 	lo, hi := 1.0, 0.0
 	for _, l := range Figure5 {
-		f := l.FractionAbove(100)
+		// Each distribution spans [0, 250] ms and has a point at 100 ms.
+		first, last := l.Points[0], l.Points[len(l.Points)-1]
+		if first.X != 0 || first.Frac != 0 || last.X != 250 || last.Frac != 1 {
+			t.Errorf("%s: support not [0,250]", l.Zone)
+		}
+		f := -1.0
+		for _, p := range l.Points {
+			if p.X == 100 {
+				f = 1 - p.Frac
+			}
+		}
+		if f < 0 {
+			t.Fatalf("%s: no point at 100 ms", l.Zone)
+		}
 		if f < lo {
 			lo = f
 		}
 		if f > hi {
 			hi = f
-		}
-		// Each distribution spans [0, 250] ms.
-		if l.FractionAbove(0) != 1 || l.FractionAbove(250) != 0 {
-			t.Errorf("%s: support not [0,250]", l.Zone)
-		}
-		if l.FractionAbove(-5) != 1 {
-			t.Errorf("%s: below-support fraction wrong", l.Zone)
 		}
 	}
 	// §4.3: "between 16%–50% of … queries took more than 100 msec".

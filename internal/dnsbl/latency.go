@@ -1,7 +1,6 @@
 package dnsbl
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/sim"
@@ -14,27 +13,6 @@ type LatencyCDF struct {
 	Zone string
 	// Points are (latency ms, cumulative fraction) pairs.
 	Points []struct{ X, Frac float64 }
-}
-
-// FractionAbove returns the fraction of queries slower than ms.
-func (l LatencyCDF) FractionAbove(ms float64) float64 {
-	pts := l.Points
-	if len(pts) == 0 {
-		return 0
-	}
-	if ms <= pts[0].X {
-		return 1 - pts[0].Frac
-	}
-	if ms >= pts[len(pts)-1].X {
-		return 0
-	}
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].X >= ms })
-	p0, p1 := pts[i-1], pts[i]
-	if p1.X == p0.X {
-		return 1 - p1.Frac
-	}
-	t := (ms - p0.X) / (p1.X - p0.X)
-	return 1 - (p0.Frac + t*(p1.Frac-p0.Frac))
 }
 
 // Sampler returns a deterministic sampler over the distribution.
@@ -51,7 +29,7 @@ func pts(pairs ...float64) []struct{ X, Frac float64 } {
 // Figure5 holds the latency distributions of the six DNSBLs the paper
 // measured with its 19,492 sinkhole IPs (Figure 5: between 16% and 50%
 // of queries took more than 100 ms). The curves are reconstructed from
-// the figure; FractionAbove(100) spans that published range.
+// the figure; the fraction above 100 ms spans that published range.
 var Figure5 = []LatencyCDF{
 	{Zone: "cbl.abuseat.org", Points: pts(0, 0, 10, 0.35, 30, 0.60, 60, 0.78, 100, 0.84, 150, 0.92, 250, 1)},
 	{Zone: "sbl-xbl.spamhaus.org", Points: pts(0, 0, 10, 0.40, 30, 0.65, 100, 0.80, 200, 0.95, 250, 1)},

@@ -12,6 +12,24 @@ import (
 	"repro/internal/dns"
 )
 
+// WithTimeout bounds each Lookup when the caller's context carries no
+// deadline (default costmodel.DNSBLTimeout).
+func WithTimeout(d time.Duration) Option {
+	return func(c *Client) { c.timeout = d }
+}
+
+// StaleServed returns how many lookups were answered from expired cache
+// entries because the upstream was unreachable.
+func (c *Client) StaleServed() int64 { return c.stale.Value() }
+
+// NegativeHits returns how many lookups were short-circuited by the
+// negative (failure) cache.
+func (c *Client) NegativeHits() int64 { return c.negHits.Value() }
+
+// Collapsed returns how many concurrent duplicate lookups were merged
+// into another lookup's in-flight upstream query.
+func (c *Client) Collapsed() int64 { return c.collapsed.Value() }
+
 func netListenUDP() (net.PacketConn, error) {
 	return net.ListenPacket("udp", "127.0.0.1:0")
 }

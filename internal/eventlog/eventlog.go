@@ -107,7 +107,6 @@ const (
 	kindNone fieldKind = iota
 	kindStr
 	kindInt
-	kindUint
 	kindFloat
 	kindBool
 	kindDur
@@ -115,7 +114,7 @@ const (
 )
 
 // Field is one typed key/value pair on an event. Construct with Str,
-// Int, Uint, Float, Bool, Dur, or IP; the value lives in the field
+// Int, Float, Bool, Dur, or IP; the value lives in the field
 // itself, so building fields never allocates.
 type Field struct {
 	Key  string
@@ -130,11 +129,6 @@ func Str(key, value string) Field { return Field{Key: key, kind: kindStr, str: v
 
 // Int returns an integer field.
 func Int(key string, value int64) Field { return Field{Key: key, kind: kindInt, num: value} }
-
-// Uint returns an unsigned integer field (connection counts, ids).
-func Uint(key string, value uint64) Field {
-	return Field{Key: key, kind: kindUint, num: int64(value)}
-}
 
 // Float returns a float field.
 func Float(key string, value float64) Field { return Field{Key: key, kind: kindFloat, flo: value} }
@@ -159,16 +153,13 @@ func IP(key string, ip addr.IPv4) Field { return Field{Key: key, kind: kindIP, n
 // Str returns the field's string value ("" for non-string fields).
 func (f Field) Str() string { return f.str }
 
-// Int returns the field's integer payload (ints, uints, bools, durations
-// and IPs share it; 0 otherwise).
+// Int returns the field's integer payload (ints, bools, durations and IPs
+// share it; 0 otherwise).
 func (f Field) Int() int64 { return f.num }
 
 // IP returns the address of a field built by IP, and false for any other
 // field.
 func (f Field) IP() (addr.IPv4, bool) { return addr.IPv4(f.num), f.kind == kindIP }
-
-// Float returns the field's float payload (0 for non-float fields).
-func (f Field) Float() float64 { return f.flo }
 
 // appendValue renders the field value as a single token.
 func (f Field) appendValue(b []byte) []byte {
@@ -177,8 +168,6 @@ func (f Field) appendValue(b []byte) []byte {
 		return append(b, sanitizeToken(f.str)...)
 	case kindInt:
 		return strconv.AppendInt(b, f.num, 10)
-	case kindUint:
-		return strconv.AppendUint(b, uint64(f.num), 10)
 	case kindFloat:
 		return strconv.AppendFloat(b, f.flo, 'g', -1, 64)
 	case kindBool:
@@ -323,12 +312,6 @@ type Sink interface {
 	Emit(e Event)
 }
 
-// SinkFunc adapts a function to Sink.
-type SinkFunc func(e Event)
-
-// Emit implements Sink.
-func (f SinkFunc) Emit(e Event) { f(e) }
-
 // sampler keeps 1 in n events of one name.
 type sampler struct {
 	n   uint64
@@ -354,7 +337,6 @@ type Log struct {
 	samplers  map[string]*sampler
 	sinks     []Sink
 	observers []Sink
-	sampled   atomic.Uint64 // events dropped by sampling
 }
 
 // Option configures a Log (see New).
@@ -419,44 +401,6 @@ func New(opts ...Option) *Log {
 	return lg
 }
 
-// Level returns the current minimum retained level.
-func (l *Log) Level() Level {
-	if l == nil {
-		return LevelOff
-	}
-	return Level(l.level.Load())
-}
-
-// SetLevel changes the minimum retained level at runtime.
-func (l *Log) SetLevel(lv Level) {
-	if l != nil {
-		l.level.Store(int32(lv))
-	}
-}
-
-// Enabled reports whether events at lv currently reach the ring and
-// sinks. Call sites with expensive field construction can gate on it;
-// plain field lists don't need to (fields are allocation-free).
-func (l *Log) Enabled(lv Level) bool {
-	return l != nil && lv >= Level(l.level.Load())
-}
-
-// SampledOut returns how many events sampling dropped from the ring.
-func (l *Log) SampledOut() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.sampled.Load()
-}
-
-// Seq returns the last assigned ring sequence number (0 = none yet).
-func (l *Log) Seq() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.seq.Load()
-}
-
 // Log records one event. The fields slice is copied into the event and
 // never retained, so variadic call sites stay on the caller's stack; the
 // below-level path with no observers is one atomic load.
@@ -488,7 +432,6 @@ func (l *Log) Log(lv Level, name string, conn uint64, fields ...Field) {
 		return
 	}
 	if s := l.samplers[name]; s != nil && !s.keep() {
-		l.sampled.Add(1)
 		return
 	}
 	e.Seq = l.seq.Add(1)

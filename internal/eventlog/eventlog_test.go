@@ -53,25 +53,8 @@ func TestRingRetainsByLevel(t *testing.T) {
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
 	l.Info("anything", 1, Str("k", "v"))
-	if l.Enabled(LevelError) {
-		t.Error("nil log claims enabled")
-	}
 	if got := l.Tail(Filter{}); got != nil {
 		t.Errorf("nil Tail = %v", got)
-	}
-	if l.Level() != LevelOff {
-		t.Errorf("nil Level = %v", l.Level())
-	}
-}
-
-func TestSetLevel(t *testing.T) {
-	l := New(WithCapacity(8))
-	l.Debug("a", 0)
-	l.SetLevel(LevelDebug)
-	l.Debug("b", 0)
-	evs := l.Tail(Filter{})
-	if len(evs) != 1 || evs[0].Name != "b" {
-		t.Fatalf("SetLevel not applied: %v", evs)
 	}
 }
 
@@ -84,19 +67,21 @@ func TestSampling(t *testing.T) {
 	if len(evs) != 4 {
 		t.Fatalf("sampled ring holds %d events, want 4", len(evs))
 	}
-	if l.SampledOut() != 12 {
-		t.Errorf("SampledOut = %d, want 12", l.SampledOut())
-	}
 	// The kept events are the 1st of each group of 4.
 	if i, _ := evs[0].Field("i"); i.Int() != 0 {
 		t.Errorf("first kept sample i=%d, want 0", i.Int())
 	}
 }
 
+// sinkFunc adapts a function to Sink.
+type sinkFunc func(e Event)
+
+func (f sinkFunc) Emit(e Event) { f(e) }
+
 func TestObserverSeesEverything(t *testing.T) {
 	var mu sync.Mutex
 	var seen []string
-	obs := SinkFunc(func(e Event) {
+	obs := sinkFunc(func(e Event) {
 		mu.Lock()
 		seen = append(seen, e.Name)
 		mu.Unlock()
@@ -190,11 +175,10 @@ func TestConcurrentWriters(t *testing.T) {
 		t.Fatalf("ring holds %d, want %d", len(evs), capacity)
 	}
 	total := uint64(writers * each)
-	if l.Seq() != total {
-		t.Fatalf("seq = %d, want %d", l.Seq(), total)
-	}
 	seen := make(map[uint64]bool, capacity)
+	var last uint64
 	for _, e := range evs {
+		last = max(last, e.Seq)
 		if e.Seq <= total-capacity || e.Seq > total {
 			t.Errorf("retained seq %d outside final window (%d, %d]", e.Seq, total-capacity, total)
 		}
@@ -202,6 +186,9 @@ func TestConcurrentWriters(t *testing.T) {
 			t.Errorf("duplicate seq %d", e.Seq)
 		}
 		seen[e.Seq] = true
+	}
+	if last != total {
+		t.Fatalf("last seq = %d, want %d", last, total)
 	}
 }
 
@@ -217,7 +204,6 @@ func TestJSONRoundtrip(t *testing.T) {
 		Dur("took", 1500*time.Microsecond),
 		Bool("worker", false),
 		Int("n", -3),
-		Uint("u", 9),
 		Float("score", 2.5),
 	)
 	sent := l.Tail(Filter{})
@@ -243,7 +229,6 @@ func TestJSONRoundtrip(t *testing.T) {
 		{"took", "1.5ms"},
 		{"worker", "false"},
 		{"n", "-3"},
-		{"u", "9"},
 		{"score", "2.5"},
 	}
 	if e.NFields != len(want) {

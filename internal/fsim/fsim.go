@@ -318,11 +318,6 @@ func (m *Mem) ResetMeter() {
 	m.ops.Store(0)
 }
 
-// Ops returns the number of metered operations.
-func (m *Mem) Ops() int64 {
-	return m.ops.Load()
-}
-
 func (m *Mem) charge(d time.Duration) {
 	m.elapsed.Add(int64(d))
 	m.ops.Add(1)

@@ -14,6 +14,11 @@ import (
 
 // backends returns a fresh instance of each FS implementation so every
 // behavioural test runs against both.
+// Ops returns the number of metered operations.
+func (m *Mem) Ops() int64 {
+	return m.ops.Load()
+}
+
 func backends(t *testing.T) map[string]FS {
 	t.Helper()
 	return map[string]FS{

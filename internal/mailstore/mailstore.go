@@ -4,30 +4,18 @@
 // write plus N pointer records, write-ahead logged; see internal/mfs):
 // every mail node stores into it.
 //
-// Mbox, Maildir and Hardlink are the delivery paths the paper's Figures
-// 10 and 11 compare MFS against, kept only as the references the
-// simulator's closed-form delivery cost is checked against:
-//
-//   - Mbox: the vanilla postfix format — one file per mailbox, a
-//     multi-recipient mail is appended once per recipient (N duplicate
-//     writes).
-//   - Maildir: one file per mail per recipient (N file creations).
-//   - Hardlink: maildir that stores one copy and hard-links the other
-//     N−1 names to it.
-//
-// They have a Deliver and nothing else: no read side, and no fsync, so a
-// power cut loses what they were handed. No node may store into them.
+// The delivery paths the paper's Figures 10 and 11 compare MFS against
+// (mbox, maildir, hardlinked maildir) are test types in this package's
+// baselines_test.go, where the simulator's closed-form delivery cost is
+// calibrated against them; no node can build one.
 package mailstore
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/fsim"
 	"repro/internal/mfs"
@@ -98,167 +86,6 @@ func validateDelivery(id string, recipients []string) error {
 		// A scan, not a set: a mail has few recipients, ham nearly always one.
 		if slices.Contains(recipients[:i], r) {
 			return fmt.Errorf("mailstore: duplicate recipient %q", r)
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Mbox
-
-// mboxStripes is the number of independently locked mailbox partitions
-// of an Mbox store; deliveries to mailboxes in different stripes run in
-// parallel.
-const mboxStripes = 64
-
-// Mbox is the one-file-per-mailbox format vanilla postfix delivers into.
-// Records are framed as [u16 idLen][id][u32 bodyLen][body] rather than
-// "From " separator lines so that bodies need no escaping; the I/O
-// pattern — one append per recipient, full body duplicated — is identical
-// to classic mbox, which is what the cost model measures.
-//
-// Locking is striped per mailbox (hash of the name), mirroring the
-// per-mailbox dot-locks real mbox delivery takes: appends to one mailbox
-// serialize with each other but not with other mailboxes.
-type Mbox struct {
-	stripes [mboxStripes]sync.Mutex
-	fs      fsim.FS
-}
-
-// NewMbox returns an mbox store over fs.
-func NewMbox(fs fsim.FS) *Mbox { return &Mbox{fs: fs} }
-
-func (m *Mbox) boxPath(mailbox string) string { return "mbox/" + mailbox }
-
-// stripe returns the lock guarding mailbox (FNV-1a on the name).
-func (m *Mbox) stripe(mailbox string) *sync.Mutex {
-	h := uint32(2166136261)
-	for i := 0; i < len(mailbox); i++ {
-		h ^= uint32(mailbox[i])
-		h *= 16777619
-	}
-	return &m.stripes[h%mboxStripes]
-}
-
-func (m *Mbox) Deliver(id string, recipients []string, body []byte) error {
-	if err := validateDelivery(id, recipients); err != nil {
-		return err
-	}
-	frame := makeMboxFrame(id, body)
-	for _, rcpt := range recipients {
-		// One stripe at a time — never nested, so no ordering concerns.
-		if err := m.deliverOne(rcpt, frame); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (m *Mbox) deliverOne(rcpt string, frame []byte) error {
-	mu := m.stripe(rcpt)
-	mu.Lock()
-	defer mu.Unlock()
-	f, err := m.fs.OpenAppend(m.boxPath(rcpt))
-	if err != nil {
-		return err
-	}
-	// The whole body is written once per recipient — the duplicated
-	// disk I/O the paper's §4.2 identifies.
-	if _, err := f.Write(frame); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func makeMboxFrame(id string, body []byte) []byte {
-	buf := make([]byte, 0, 2+len(id)+4+len(body))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(id)))
-	buf = append(buf, id...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
-	buf = append(buf, body...)
-	return buf
-}
-
-// ---------------------------------------------------------------------------
-// Maildir
-
-// Maildir stores one file per mail per recipient under
-// maildir/<user>/<seq>-<id>. The sequence prefix preserves delivery order.
-//
-// Maildir needs no store-level lock: every delivery creates fresh
-// uniquely named files (the sequence counter is atomic), which is
-// exactly the lock-free-delivery property real maildir was designed for.
-type Maildir struct {
-	fs  fsim.FS
-	seq atomic.Uint64
-}
-
-// NewMaildir returns a maildir store over fs.
-func NewMaildir(fs fsim.FS) *Maildir { return &Maildir{fs: fs} }
-
-func (m *Maildir) mailPath(mailbox string, seq uint64, id string) string {
-	return fmt.Sprintf("maildir/%s/%016x-%s", mailbox, seq, id)
-}
-
-func (m *Maildir) Deliver(id string, recipients []string, body []byte) error {
-	if err := validateDelivery(id, recipients); err != nil {
-		return err
-	}
-	seq := m.seq.Add(1) - 1
-	for _, rcpt := range recipients {
-		// One small-file creation per recipient — the op mix that makes
-		// maildir collapse on Ext3 (Fig 10).
-		f, err := m.fs.Create(m.mailPath(rcpt, seq, id))
-		if err != nil {
-			return err
-		}
-		if _, err := f.Write(body); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Hardlink
-
-// Hardlink is the optimized maildir of the paper's Figure 10: the mail is
-// written once into the first recipient's directory and the remaining
-// recipients get hard links to it. Deleting any name leaves the other
-// links intact (link-count semantics).
-type Hardlink struct {
-	Maildir
-}
-
-// NewHardlink returns a hardlink-maildir store over fs.
-func NewHardlink(fs fsim.FS) *Hardlink { return &Hardlink{Maildir{fs: fs}} }
-
-func (h *Hardlink) Deliver(id string, recipients []string, body []byte) error {
-	if err := validateDelivery(id, recipients); err != nil {
-		return err
-	}
-	seq := h.seq.Add(1) - 1
-	first := h.mailPath(recipients[0], seq, id)
-	f, err := h.fs.Create(first)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(body); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	for _, rcpt := range recipients[1:] {
-		// A link instead of a copy: one inode, N directory entries.
-		if err := h.fs.Link(first, h.mailPath(rcpt, seq, id)); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -42,34 +42,6 @@ func (c *Counter) Value() int64 {
 	return c.n.Load()
 }
 
-// Gauge is a settable instantaneous value safe for concurrent use.
-// The zero value is ready to use. Like Counter it is lock-free: gauges
-// sit next to counters on hot paths (queue depths, worker occupancy).
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set records the current value of the gauge.
-func (g *Gauge) Set(v float64) {
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adjusts the gauge by delta (which may be negative).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the last value passed to Set, or 0.
-func (g *Gauge) Value() float64 {
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Sample is an exact-sample reservoir of float64 observations. It retains
 // every observation (no reservoir sampling) so quantiles and CDFs are
 // exact; this is appropriate for the trace sizes used in the paper
@@ -95,21 +67,11 @@ func (s *Sample) Observe(x float64) {
 	s.mu.Unlock()
 }
 
-// ObserveDuration records a duration observation in seconds.
-func (s *Sample) ObserveDuration(d time.Duration) { s.Observe(d.Seconds()) }
-
 // Count returns the number of observations.
 func (s *Sample) Count() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.xs)
-}
-
-// Sum returns the sum of all observations.
-func (s *Sample) Sum() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sum
 }
 
 // Mean returns the arithmetic mean, or 0 for an empty sample.
@@ -155,9 +117,6 @@ func (s *Sample) Quantile(q float64) float64 {
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
 }
 
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 { return s.Quantile(0) }
-
 // Max returns the largest observation, or 0 for an empty sample.
 func (s *Sample) Max() float64 { return s.Quantile(1) }
 
@@ -175,41 +134,11 @@ func (s *Sample) FractionBelow(x float64) float64 {
 	return float64(i) / float64(len(s.xs))
 }
 
-// CDFPoint is one (x, cumulative fraction) point of an empirical CDF.
-type CDFPoint struct {
-	X    float64
-	Frac float64
-}
-
-// CDF returns the empirical CDF evaluated at n evenly spaced points
-// spanning [min, max]. An empty sample yields nil.
-func (s *Sample) CDF(n int) []CDFPoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.xs) == 0 || n <= 0 {
-		return nil
-	}
-	s.ensureSorted()
-	lo, hi := s.xs[0], s.xs[len(s.xs)-1]
-	pts := make([]CDFPoint, 0, n)
-	for i := 0; i < n; i++ {
-		var x float64
-		if n == 1 {
-			x = hi
-		} else {
-			x = lo + (hi-lo)*float64(i)/float64(n-1)
-		}
-		j := sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))
-		pts = append(pts, CDFPoint{X: x, Frac: float64(j) / float64(len(s.xs))})
-	}
-	return pts
-}
-
 // Histogram is a fixed-bucket histogram. Buckets are defined by their
 // upper bounds (inclusive, Prometheus "le" semantics); an implicit +Inf
 // bucket catches the rest. Observe is lock-free — the per-stage latency
 // histograms the Registry vends sit on every connection's path — at the
-// cost of snapshot reads (Buckets, Count, Mean) being only eventually
+// cost of snapshot reads (Buckets, Count, Sum) being only eventually
 // consistent with each other under concurrent recording.
 type Histogram struct {
 	bounds []float64 // sorted strictly-increasing upper bounds
@@ -291,15 +220,6 @@ func (h *Histogram) Count() int64 { return h.total.Load() }
 
 // Sum returns the sum of all observations (exact, not bucketed).
 func (h *Histogram) Sum() float64 { return h.sum.Load() }
-
-// Mean returns the mean of all observations (exact, not bucketed).
-func (h *Histogram) Mean() float64 {
-	n := h.total.Load()
-	if n == 0 {
-		return 0
-	}
-	return h.sum.Load() / float64(n)
-}
 
 // Buckets returns (upper bound, count) pairs including the +Inf bucket.
 func (h *Histogram) Buckets() ([]float64, []int64) {

@@ -78,7 +78,7 @@ func TestParsePrometheusRoundtrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("mails_total", "arch", "hybrid").Add(42)
 	reg.Counter("mails_total", "arch", "vanilla").Add(7)
-	reg.Gauge("queue_depth").Set(3.5)
+	reg.GaugeFunc("queue_depth", func() float64 { return 3.5 })
 	reg.GaugeFunc("inflight", func() float64 { return 2 })
 	h := reg.Histogram("stage_seconds", []float64{0.01, 0.1, 1}, "stage", "dialog")
 	for _, v := range []float64{0.005, 0.05, 0.05, 0.5, 2} {

@@ -11,7 +11,8 @@ import (
 // Kind discriminates the metric types a Registry vends.
 type Kind int
 
-// The metric kinds.
+// The metric kinds. A Registry registers gauges only as functions;
+// KindGauge is what such a series reads back as from its JSON form.
 const (
 	KindCounter Kind = iota + 1
 	KindGauge
@@ -61,10 +62,11 @@ type Label struct {
 
 // Registry is a named, labeled metric namespace: the observability API
 // every subsystem registers its instruments into, and the single thing
-// an admin endpoint needs to expose them all. Counter, Gauge and
-// Histogram vend the package's primitive types get-or-create style —
-// calling twice with the same name and labels returns the same instance,
-// so independently wired components share series naturally. Registration
+// an admin endpoint needs to expose them all. Counter and Histogram vend
+// the package's primitive types get-or-create style — calling twice with
+// the same name and labels returns the same instance, so independently
+// wired components share series naturally; GaugeFunc registers a gauge
+// read from state another component already keeps. Registration
 // takes a lock; the returned instruments record lock-free, so the
 // intended pattern is to register once at construction time and hold the
 // pointer on the hot path.
@@ -91,7 +93,6 @@ type entry struct {
 	kind   Kind
 
 	counter *Counter
-	gauge   *Gauge
 	fn      func() float64
 	hist    *Histogram
 }
@@ -283,18 +284,6 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	return e.checkKind(KindCounter).counter
 }
 
-// Gauge returns the gauge registered under name and the given key/value
-// label pairs, creating it on first use.
-func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	ls := parseLabels(name, labels)
-	key := keyFor(name, ls)
-	if e := r.lookup(key); e != nil {
-		return e.checkKind(KindGauge).gauge
-	}
-	e := r.register(key, &entry{name: name, labels: ls, kind: KindGauge, gauge: &Gauge{}})
-	return e.checkKind(KindGauge).gauge
-}
-
 // GaugeFunc registers a gauge whose value is computed by fn at snapshot
 // time — for quantities another component already tracks (queue depths,
 // transport counters). Re-registering the same identity replaces fn, so
@@ -386,8 +375,6 @@ func (e *entry) snapshot() Metric {
 	switch e.kind {
 	case KindCounter:
 		m.Value = float64(e.counter.Value())
-	case KindGauge:
-		m.Value = e.gauge.Value()
 	case KindGaugeFunc:
 		m.Value = e.fn()
 	case KindHistogram:

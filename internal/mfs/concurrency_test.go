@@ -159,7 +159,7 @@ func TestConcurrentStress(t *testing.T) {
 			for _, mb := range boxes {
 				wantIDs[mb.Name()] = mb.IDs()
 			}
-			wantRecords, wantRefs := s.SharedCount(), s.SharedRefTotal()
+			wantRecords, wantRefs := s.Stats().SharedRecords, s.Stats().SharedRefs
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -168,10 +168,10 @@ func TestConcurrentStress(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s2.Close()
-			if got := s2.SharedCount(); got != wantRecords {
+			if got := s2.Stats().SharedRecords; got != wantRecords {
 				t.Errorf("reopen: SharedCount = %d, want %d", got, wantRecords)
 			}
-			if got := s2.SharedRefTotal(); got != wantRefs {
+			if got := s2.Stats().SharedRefs; got != wantRefs {
 				t.Errorf("reopen: SharedRefTotal = %d, want %d", got, wantRefs)
 			}
 			for name, want := range wantIDs {
@@ -219,10 +219,10 @@ func TestConcurrentSharedDedup(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := s.SharedCount(); got != 1 {
+	if got := s.Stats().SharedRecords; got != 1 {
 		t.Fatalf("SharedCount = %d, want 1", got)
 	}
-	if got := s.SharedRefTotal(); got != 2*nWriters {
+	if got := s.Stats().SharedRefs; got != 2*nWriters {
 		t.Fatalf("SharedRefTotal = %d, want %d", got, 2*nWriters)
 	}
 	checkSharedInvariants(t, s)
@@ -268,10 +268,10 @@ func TestConcurrentCollisionDetected(t *testing.T) {
 	if ok != 1 || collided != nWriters-1 {
 		t.Fatalf("got %d successes and %d collisions, want 1 and %d", ok, collided, nWriters-1)
 	}
-	if got := s.SharedCount(); got != 1 {
+	if got := s.Stats().SharedRecords; got != 1 {
 		t.Fatalf("SharedCount = %d, want 1", got)
 	}
-	if got := s.SharedRefTotal(); got != 2 {
+	if got := s.Stats().SharedRefs; got != 2 {
 		t.Fatalf("SharedRefTotal = %d, want 2", got)
 	}
 	checkSharedInvariants(t, s)
@@ -309,10 +309,10 @@ func TestConcurrentDeleteShared(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := s.SharedCount(); got != 0 {
+	if got := s.Stats().SharedRecords; got != 0 {
 		t.Fatalf("SharedCount = %d, want 0", got)
 	}
-	if got := s.SharedRefTotal(); got != 0 {
+	if got := s.Stats().SharedRefs; got != 0 {
 		t.Fatalf("SharedRefTotal = %d, want 0", got)
 	}
 	checkSharedInvariants(t, s)

@@ -22,7 +22,7 @@ import (
 //     Checkpoint included, holds it shared; Close alone holds it
 //     exclusively, which quiesces all activity.
 //  2. Store.openMu — the open-mailbox handle map.
-//  3. Mailbox.mu — one per mailbox: key/data appends, cursor, in-memory
+//  3. Mailbox.mu — one per mailbox: key/data appends, the in-memory
 //     index. NWrite locks its destination set in sorted name order.
 //  4. sharedIndex shard locks — 64-way, hash-by-mail-id.
 //  5. committer.mu — WAL state; held per flush by the committer
@@ -75,20 +75,6 @@ type Option func(*options)
 // against; every mail node (internal/cluster) turns it on.
 func WithSync(on bool) Option {
 	return func(o *options) { o.sync = on }
-}
-
-// withWALRotateSize sets the log size (bytes) at which the next batch
-// switches logs and hands the full one to a background rotation, which
-// syncs every file the log touches and retires it (wal.go). Only
-// meaningful with WithSync(true); the default is walRotateSize (32 MiB),
-// and tests lower it to rotate often. The age trigger, walRotateAge,
-// applies either way.
-func withWALRotateSize(n int64) Option {
-	return func(o *options) {
-		if n > 0 {
-			o.walRotate = n
-		}
-	}
 }
 
 // Mail is one mail record read back from a mailbox.
@@ -239,10 +225,11 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Mailbox is an open MFS mailbox: a key file, a data file, an in-memory
-// index rebuilt at open, and a record-granularity seek pointer — the
-// mail_file of the paper's API. A Mailbox has its own lock, so operations
-// on different mailboxes proceed in parallel.
+// Mailbox is an open MFS mailbox: a key file, a data file and an
+// in-memory index rebuilt at open — the mail_file of the paper's API,
+// read by id (Stat, ReadID, Body) rather than through the paper's
+// sequential mail_seek/mail_read cursor. A Mailbox has its own lock, so
+// operations on different mailboxes proceed in parallel.
 type Mailbox struct {
 	store    *Store
 	name     string
@@ -256,14 +243,11 @@ type Mailbox struct {
 
 	// entries holds records in arrival order; a deleted mail leaves a nil
 	// slot (tombstone) so deletion is O(1), and the slice is compacted
-	// once dead slots pile up. index maps id to its position in entries;
-	// cursor is a physical position into entries (nil slots are skipped
-	// on read).
+	// once dead slots pile up. index maps id to its position in entries.
 	entries []*keyRecord
 	index   map[string]int
 	dead    int
 
-	cursor int
 	closed bool
 }
 
@@ -354,59 +338,24 @@ func (mb *Mailbox) deleteAt(j int) {
 }
 
 // compactEntriesLocked rebuilds entries without nil slots, remapping the
-// index and translating the cursor to its live position. mb.mu held.
+// index. mb.mu held.
 func (mb *Mailbox) compactEntriesLocked() {
 	if mb.dead == 0 {
 		return
 	}
 	live := make([]*keyRecord, 0, len(mb.entries)-mb.dead)
-	cursor := -1
-	for i, r := range mb.entries {
-		if i == mb.cursor {
-			cursor = len(live)
-		}
+	for _, r := range mb.entries {
 		if r == nil {
 			continue
 		}
 		mb.index[r.ID] = len(live)
 		live = append(live, r)
 	}
-	if cursor < 0 { // cursor was at or past the end
-		cursor = len(live)
-	}
-	mb.entries, mb.dead, mb.cursor = live, 0, cursor
+	mb.entries, mb.dead = live, 0
 }
 
 // liveLenLocked returns the number of live mails. mb.mu held.
 func (mb *Mailbox) liveLenLocked() int { return len(mb.entries) - mb.dead }
-
-// livePosLocked returns the live position of the physical cursor: the
-// count of live entries before it. mb.mu held.
-func (mb *Mailbox) livePosLocked() int {
-	n := 0
-	for _, r := range mb.entries[:mb.cursor] {
-		if r != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// physicalOfLocked returns the physical index of the pos-th live entry
-// (len(entries) when pos equals the live length). mb.mu held.
-func (mb *Mailbox) physicalOfLocked(pos int) int {
-	n := 0
-	for i, r := range mb.entries {
-		if r == nil {
-			continue
-		}
-		if n == pos {
-			return i
-		}
-		n++
-	}
-	return len(mb.entries)
-}
 
 // Name returns the mailbox name.
 func (mb *Mailbox) Name() string { return mb.name }
@@ -418,76 +367,7 @@ func (mb *Mailbox) Len() int {
 	return mb.liveLenLocked()
 }
 
-// Whence values for Seek, mirroring io.Seek* but at mail granularity.
-const (
-	SeekStart   = io.SeekStart
-	SeekCurrent = io.SeekCurrent
-	SeekEnd     = io.SeekEnd
-)
-
-// Seek moves the read cursor by offset mails relative to whence — the
-// paper's mail_seek, which "operates at the granularity of a mail instead
-// of a byte". The resulting position is clamped to [0, Len].
-func (mb *Mailbox) Seek(offset int, whence int) (int, error) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if mb.closed {
-		return 0, ErrClosed
-	}
-	var base int
-	switch whence {
-	case SeekStart:
-		base = 0
-	case SeekCurrent:
-		base = mb.livePosLocked()
-	case SeekEnd:
-		base = mb.liveLenLocked()
-	default:
-		return 0, fmt.Errorf("mfs: bad whence %d", whence)
-	}
-	pos := base + offset
-	if pos < 0 {
-		pos = 0
-	}
-	if n := mb.liveLenLocked(); pos > n {
-		pos = n
-	}
-	mb.cursor = mb.physicalOfLocked(pos)
-	return pos, nil
-}
-
-// ReadNext reads the mail under the cursor and advances it — the paper's
-// mail_read. It returns io.EOF past the last mail.
-func (mb *Mailbox) ReadNext() (Mail, error) {
-	// stateMu pins the shared-store file handles (the record may point
-	// into them) against a concurrent Close.
-	mb.store.stateMu.RLock()
-	defer mb.store.stateMu.RUnlock()
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if mb.closed {
-		return Mail{}, ErrClosed
-	}
-	for mb.cursor < len(mb.entries) && mb.entries[mb.cursor] == nil {
-		mb.cursor++
-	}
-	if mb.cursor >= len(mb.entries) {
-		return Mail{}, io.EOF
-	}
-	rec := mb.entries[mb.cursor]
-	ext, err := mb.locateLocked(rec)
-	if err != nil {
-		return Mail{}, err
-	}
-	body, err := ext.read()
-	if err != nil {
-		return Mail{}, err
-	}
-	mb.cursor++
-	return Mail{ID: rec.ID, Body: body}, nil
-}
-
-// ReadID reads the mail with the given id regardless of cursor position.
+// ReadID reads the mail with the given id.
 // The body is read after the locks are released, as Body's reads are.
 func (mb *Mailbox) ReadID(id string) (Mail, error) {
 	ext, err := mb.locate(id)
@@ -606,7 +486,7 @@ type MailInfo struct {
 // header of the data frame — so the first Stat after a reopen reads that
 // header once per such record and keeps it.
 func (mb *Mailbox) Stat() ([]MailInfo, error) {
-	// stateMu pins the shared-store data file, as in ReadNext.
+	// stateMu pins the shared-store data file against a concurrent Close.
 	mb.store.stateMu.RLock()
 	defer mb.store.stateMu.RUnlock()
 	mb.mu.Lock()
@@ -969,18 +849,4 @@ func (mb *Mailbox) addEntry(rec keyRecord) {
 	r := rec
 	mb.index[r.ID] = len(mb.entries)
 	mb.entries = append(mb.entries, &r)
-}
-
-// SharedCount returns the number of live records in the shared store —
-// each is a single stored copy of a multi-recipient mail.
-func (s *Store) SharedCount() int {
-	records, _ := s.shared.counts()
-	return records
-}
-
-// SharedRefTotal returns the sum of live shared reference counts, i.e.
-// the number of mailbox pointers the single copies are standing in for.
-func (s *Store) SharedRefTotal() int {
-	_, refs := s.shared.counts()
-	return refs
 }

@@ -37,6 +37,34 @@ func newStores(t *testing.T) map[string]struct {
 	return out
 }
 
+// readMails reads every live mail of mb the way POP3 does: the listing
+// from Stat, then each body by id.
+func readMails(mb *Mailbox) ([]Mail, error) {
+	infos, err := mb.Stat()
+	if err != nil {
+		return nil, err
+	}
+	mails := make([]Mail, len(infos))
+	for i, info := range infos {
+		if mails[i], err = mb.ReadID(info.ID); err != nil {
+			return nil, err
+		}
+	}
+	return mails, nil
+}
+
+// readFirst reads mb's oldest live mail through readMails.
+func readFirst(mb *Mailbox) (Mail, error) {
+	mails, err := readMails(mb)
+	if err == nil && len(mails) == 0 {
+		err = io.EOF
+	}
+	if err != nil {
+		return Mail{}, err
+	}
+	return mails[0], nil
+}
+
 func TestSingleRecipientWriteRead(t *testing.T) {
 	for name, env := range newStores(t) {
 		t.Run(name, func(t *testing.T) {
@@ -50,18 +78,15 @@ func TestSingleRecipientWriteRead(t *testing.T) {
 			if mb.Len() != 1 {
 				t.Fatalf("len = %d, want 1", mb.Len())
 			}
-			m, err := mb.ReadNext()
+			mails, err := readMails(mb)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.ID != "id-1" || string(m.Body) != "hello alice" {
-				t.Fatalf("read = %q/%q", m.ID, m.Body)
-			}
-			if _, err := mb.ReadNext(); err != io.EOF {
-				t.Fatalf("past-end read = %v, want EOF", err)
+			if len(mails) != 1 || mails[0].ID != "id-1" || string(mails[0].Body) != "hello alice" {
+				t.Fatalf("read = %q", mails)
 			}
 			// Single-recipient mails do not enter the shared store.
-			if env.store.SharedCount() != 0 {
+			if env.store.Stats().SharedRecords != 0 {
 				t.Fatal("single-recipient write touched shared store")
 			}
 		})
@@ -84,16 +109,16 @@ func TestMultiRecipientSingleCopy(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Exactly one copy, 15 references.
-			if got := env.store.SharedCount(); got != 1 {
+			if got := env.store.Stats().SharedRecords; got != 1 {
 				t.Fatalf("shared records = %d, want 1", got)
 			}
-			if got := env.store.SharedRefTotal(); got != 15 {
+			if got := env.store.Stats().SharedRefs; got != 15 {
 				t.Fatalf("shared refs = %d, want 15", got)
 			}
 			// Every recipient reads the same bytes; their own data files
 			// stay empty.
 			for _, mb := range boxes {
-				m, err := mb.ReadNext()
+				m, err := readFirst(mb)
 				if err != nil {
 					t.Fatalf("%s: %v", mb.Name(), err)
 				}
@@ -132,10 +157,10 @@ func TestNWriteDedupSkipsDataWrite(t *testing.T) {
 			if before != after {
 				t.Fatalf("shared data grew %d -> %d on dedup write", before, after)
 			}
-			if got := env.store.SharedRefTotal(); got != 4 {
+			if got := env.store.Stats().SharedRefs; got != 4 {
 				t.Fatalf("refs = %d, want 4", got)
 			}
-			m, err := c.ReadNext()
+			m, err := readFirst(c)
 			if err != nil || string(m.Body) != "once only" {
 				t.Fatalf("read after dedup: %v %q", err, m.Body)
 			}
@@ -190,7 +215,7 @@ func TestDuplicateInMailboxRejected(t *testing.T) {
 				t.Fatalf("err = %v, want ErrDuplicate", err)
 			}
 			// Refcount unchanged by the failed write.
-			if got := env.store.SharedRefTotal(); got != 2 {
+			if got := env.store.Stats().SharedRefs; got != 2 {
 				t.Fatalf("refs = %d, want 2", got)
 			}
 		})
@@ -212,47 +237,6 @@ func TestNWriteValidation(t *testing.T) {
 	other, _ := New(fsim.NewMem(costmodel.FSModel{}), "other")
 	if err := other.NWrite([]*Mailbox{a}, "m", []byte("x")); err == nil {
 		t.Error("cross-store mailbox accepted")
-	}
-}
-
-func TestSeekGranularity(t *testing.T) {
-	for name, env := range newStores(t) {
-		t.Run(name, func(t *testing.T) {
-			mb, _ := env.store.Open("a")
-			for i := 0; i < 5; i++ {
-				id := fmt.Sprintf("m%d", i)
-				if err := env.store.NWrite([]*Mailbox{mb}, id, []byte(id+"-body")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			pos, err := mb.Seek(2, SeekStart)
-			if err != nil || pos != 2 {
-				t.Fatalf("Seek(2, start) = %d, %v", pos, err)
-			}
-			m, _ := mb.ReadNext()
-			if m.ID != "m2" {
-				t.Fatalf("after seek read %s, want m2", m.ID)
-			}
-			pos, _ = mb.Seek(-1, SeekEnd)
-			if pos != 4 {
-				t.Fatalf("Seek(-1, end) = %d, want 4", pos)
-			}
-			m, _ = mb.ReadNext()
-			if m.ID != "m4" {
-				t.Fatalf("read %s, want m4", m.ID)
-			}
-			pos, _ = mb.Seek(-100, SeekCurrent)
-			if pos != 0 {
-				t.Fatalf("clamped seek = %d, want 0", pos)
-			}
-			pos, _ = mb.Seek(100, SeekStart)
-			if pos != 5 {
-				t.Fatalf("clamped seek = %d, want 5", pos)
-			}
-			if _, err := mb.Seek(0, 99); err == nil {
-				t.Fatal("bad whence accepted")
-			}
-		})
 	}
 }
 
@@ -282,7 +266,7 @@ func TestDeleteLocal(t *testing.T) {
 			if mb.Len() != 1 || mb.Contains("m1") {
 				t.Fatal("delete did not remove entry")
 			}
-			m, err := mb.ReadNext()
+			m, err := readFirst(mb)
 			if err != nil || m.ID != "m2" {
 				t.Fatalf("read after delete = %v %v", m.ID, err)
 			}
@@ -303,34 +287,20 @@ func TestDeleteSharedDecrementsRef(t *testing.T) {
 			if err := a.Delete("m1"); err != nil {
 				t.Fatal(err)
 			}
-			if got := env.store.SharedRefTotal(); got != 2 {
+			if got := env.store.Stats().SharedRefs; got != 2 {
 				t.Fatalf("refs = %d, want 2", got)
 			}
 			// Remaining readers still see the mail.
-			m, err := b.ReadNext()
+			m, err := readFirst(b)
 			if err != nil || string(m.Body) != "shared" {
 				t.Fatalf("b read = %v %q", err, m.Body)
 			}
 			b.Delete("m1")
 			c.Delete("m1")
-			if env.store.SharedCount() != 0 {
+			if env.store.Stats().SharedRecords != 0 {
 				t.Fatal("record should die with last reference")
 			}
 		})
-	}
-}
-
-func TestCursorStableAcrossDeleteBefore(t *testing.T) {
-	env := newStores(t)["mem"]
-	mb, _ := env.store.Open("a")
-	for i := 0; i < 4; i++ {
-		env.store.NWrite([]*Mailbox{mb}, fmt.Sprintf("m%d", i), []byte("x"))
-	}
-	mb.Seek(2, SeekStart)
-	mb.Delete("m0") // deletion before the cursor shifts it back
-	m, err := mb.ReadNext()
-	if err != nil || m.ID != "m2" {
-		t.Fatalf("read = %v %v, want m2", m.ID, err)
 	}
 }
 
@@ -362,12 +332,12 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 			if a2.Len() != 1 || !a2.Contains("multi") || a2.Contains("solo") {
 				t.Fatalf("reopened a: len=%d ids=%v", a2.Len(), a2.IDs())
 			}
-			m, err := a2.ReadNext()
+			m, err := readFirst(a2)
 			if err != nil || string(m.Body) != "shared mail" {
 				t.Fatalf("reopened read = %v %q", err, m.Body)
 			}
-			if s2.SharedRefTotal() != 2 {
-				t.Fatalf("reopened refs = %d, want 2", s2.SharedRefTotal())
+			if s2.Stats().SharedRefs != 2 {
+				t.Fatalf("reopened refs = %d, want 2", s2.Stats().SharedRefs)
 			}
 		})
 	}
@@ -384,11 +354,11 @@ func TestRefCountPersistedInPlace(t *testing.T) {
 
 	s2, _ := New(fs, "mfs")
 	defer s2.Close()
-	if got := s2.SharedRefTotal(); got != 1 {
+	if got := s2.Stats().SharedRefs; got != 1 {
 		t.Fatalf("persisted ref = %d, want 1", got)
 	}
 	b2, _ := s2.Open("b")
-	if m, err := b2.ReadNext(); err != nil || string(m.Body) != "x" {
+	if m, err := readFirst(b2); err != nil || string(m.Body) != "x" {
 		t.Fatalf("read = %v %q", err, m.Body)
 	}
 }
@@ -452,11 +422,11 @@ func TestClosedOperations(t *testing.T) {
 	if err := mb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mb.ReadNext(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("read after close = %v", err)
+	if _, err := mb.Stat(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("stat after close = %v", err)
 	}
-	if _, err := mb.Seek(0, SeekStart); !errors.Is(err, ErrClosed) {
-		t.Fatalf("seek after close = %v", err)
+	if _, err := mb.ReadID("m"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("read after close = %v", err)
 	}
 	if err := mb.Delete("m"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("delete after close = %v", err)
@@ -500,7 +470,7 @@ func TestEmptyBodyMail(t *testing.T) {
 	if err := env.store.NWrite([]*Mailbox{a, b}, "empty", nil); err != nil {
 		t.Fatal(err)
 	}
-	m, err := a.ReadNext()
+	m, err := readFirst(a)
 	if err != nil || len(m.Body) != 0 || m.ID != "empty" {
 		t.Fatalf("empty mail read = %v %q", err, m.Body)
 	}
@@ -542,28 +512,20 @@ func TestNWriteManyProperty(t *testing.T) {
 				want[d.Name()] = append(want[d.Name()], body)
 			}
 		}
-		if s.SharedCount() != multi {
+		if s.Stats().SharedRecords != multi {
 			return false
 		}
 		for _, mb := range boxes {
-			mb.Seek(0, SeekStart)
-			var got []string
-			for {
-				m, err := mb.ReadNext()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return false
-				}
-				got = append(got, string(m.Body))
+			got, err := readMails(mb)
+			if err != nil {
+				return false
 			}
 			exp := want[mb.Name()]
 			if len(got) != len(exp) {
 				return false
 			}
 			for i := range got {
-				if got[i] != exp[i] {
+				if string(got[i].Body) != exp[i] {
 					return false
 				}
 			}
@@ -607,7 +569,7 @@ func TestRefcountNeverNegativeProperty(t *testing.T) {
 					pointers++
 				}
 			}
-			if s.SharedRefTotal() != pointers {
+			if s.Stats().SharedRefs != pointers {
 				return false
 			}
 		}

@@ -113,8 +113,8 @@ func TestLoggedAndUnloggedStoresAreOnePath(t *testing.T) {
 		must(s.NWrite([]*Mailbox{box["a"], box["b"], box["c"]}, "S1", shared))
 		// The same id arrives for more recipients: §6.2, no second copy.
 		must(s.NWrite([]*Mailbox{box["d"], box["e"]}, "S1", shared))
-		if got := s.SharedRefTotal(); s.SharedCount() != 1 || got != 5 {
-			t.Fatalf("sync=%v: %d shared copies, %d refs; want 1 and 5", sync, s.SharedCount(), got)
+		if got := s.Stats().SharedRefs; s.Stats().SharedRecords != 1 || got != 5 {
+			t.Fatalf("sync=%v: %d shared copies, %d refs; want 1 and 5", sync, s.Stats().SharedRecords, got)
 		}
 		// §6.4: a guessed id with another payload, shared and local.
 		if err := s.NWrite([]*Mailbox{box["f"], box["g"]}, "S1", shared[:100]); !errors.Is(err, ErrIDCollision) {
@@ -127,7 +127,7 @@ func TestLoggedAndUnloggedStoresAreOnePath(t *testing.T) {
 		for _, name := range []string{"a", "b", "c", "d", "e"} {
 			must(box[name].Delete("S1"))
 		}
-		if s.SharedCount() != 0 {
+		if s.Stats().SharedRecords != 0 {
 			t.Fatalf("sync=%v: shared copy outlived its last reference", sync)
 		}
 		must(s.NWrite([]*Mailbox{box["b"], box["f"]}, "S2", shared))

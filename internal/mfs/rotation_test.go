@@ -15,6 +15,20 @@ import (
 	"repro/internal/fsim"
 )
 
+// withWALRotateSize sets the log size (bytes) at which the next batch
+// switches logs and hands the full one to a background rotation, which
+// syncs every file the log touches and retires it (wal.go). Only
+// meaningful with WithSync(true); the default is walRotateSize (32 MiB),
+// and these tests lower it to rotate often. The age trigger, walRotateAge,
+// applies either way.
+func withWALRotateSize(n int64) Option {
+	return func(o *options) {
+		if n > 0 {
+			o.walRotate = n
+		}
+	}
+}
+
 // writeUntilSwitch writes 1000-byte mails to mb until one of them is
 // committed to the second log: its batch switched logs and started the
 // store's first rotation. It returns the ids written.

@@ -272,14 +272,3 @@ func (e *Engine) RecordBounce(now time.Duration, ip addr.IPv4) {
 		e.rep.RecordBounce(e.at(now), ip)
 	}
 }
-
-// Score returns the current combined reputation score for ip, for
-// observability (0 when the reputation checker is disabled).
-func (e *Engine) Score(now time.Duration, ip addr.IPv4) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.rep == nil {
-		return 0
-	}
-	return e.rep.Score(e.at(now), ip)
-}

@@ -132,10 +132,11 @@ func TestGreylistWindowExpiry(t *testing.T) {
 
 // --- reputation ---
 
+// repEngine runs the reputation store's constants: a bounce weighs 1 at
+// the address plus 0.5 through its /25, thresholds 4 (tempfail) and 8
+// (reject), half-life 1 h.
 func repEngine() *Engine {
-	return New(WithReputation(ReputationConfig{
-		HalfLife: time.Hour, TempfailScore: 2, RejectScore: 4,
-	}))
+	return New(WithReputation(ReputationConfig{}))
 }
 
 func TestReputationAccumulatesAndRejects(t *testing.T) {
@@ -147,25 +148,27 @@ func TestReputationAccumulatesAndRejects(t *testing.T) {
 	if d := e.Admit(bg, at(2), ip1, 0); d.Verdict != Allow {
 		t.Fatalf("one bounce already condemned: %+v", d)
 	}
-	e.RecordBounce(at(3), ip1) // combined 3.0
-	d := e.Admit(bg, at(4), ip1, 0)
+	e.RecordBounce(at(3), ip1)
+	e.RecordBounce(at(4), ip1) // combined 4.5
+	d := e.Admit(bg, at(5), ip1, 0)
 	if d.Verdict != Tempfail || d.Checker != "reputation" {
-		t.Fatalf("two bounces: %+v", d)
+		t.Fatalf("three bounces: %+v", d)
 	}
-	e.RecordBounce(at(5), ip1)
-	e.RecordBounce(at(6), ip1) // combined 6.0
-	if d := e.Admit(bg, at(7), ip1, 0); d.Verdict != Reject {
-		t.Fatalf("four bounces: %+v", d)
+	for i := 6; i < 9; i++ {
+		e.RecordBounce(at(float64(i)), ip1) // combined 9.0
+	}
+	if d := e.Admit(bg, at(9), ip1, 0); d.Verdict != Reject {
+		t.Fatalf("six bounces: %+v", d)
 	}
 }
 
 func TestReputationPrefixAggregation(t *testing.T) {
 	e := repEngine()
 	// Evidence is recorded only against ip1's neighbours, never ip2.
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 10; i++ {
 		e.RecordBounce(at(float64(i)), ip1)
 	}
-	// ip2 shares the /25: prefix score 6 × 0.5 = 3 ≥ Tempfail threshold.
+	// ip2 shares the /25: prefix score 10 × 0.5 = 5 ≥ Tempfail threshold.
 	if d := e.Admit(bg, at(10), ip2, 0); d.Verdict != Tempfail {
 		t.Fatalf("neighbourhood history ignored: %+v", d)
 	}
@@ -177,28 +180,29 @@ func TestReputationPrefixAggregation(t *testing.T) {
 
 func TestReputationDecay(t *testing.T) {
 	e := repEngine()
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 6; i++ {
 		e.RecordBounce(at(float64(i)), ip1)
 	}
-	if d := e.Admit(bg, at(5), ip1, 0); d.Verdict != Reject {
+	if d := e.Admit(bg, at(7), ip1, 0); d.Verdict != Reject {
 		t.Fatalf("fresh history: %+v", d)
 	}
-	// Two half-lives later the score has quartered: 6 → 1.5 < Tempfail.
-	if d := e.Admit(bg, at(2*3600+5), ip1, 0); d.Verdict != Allow {
+	// Two half-lives later the score has quartered: 9 → 2.25 < Tempfail.
+	if d := e.Admit(bg, at(2*3600+7), ip1, 0); d.Verdict != Allow {
 		t.Fatalf("decayed history still condemns: %+v", d)
 	}
 }
 
 func TestReputationRejectedRcptWeighsLess(t *testing.T) {
 	e := repEngine()
-	for i := 0; i < 4; i++ {
-		e.RecordRejectedRcpt(at(float64(i)), ip1) // 4 × 0.3 × 1.5 = 1.8 < 2
+	// Three bounces (4.5) would tempfail; eight rejected RCPTs do not.
+	for i := 0; i < 8; i++ {
+		e.RecordRejectedRcpt(at(float64(i)), ip1) // 8 × 0.3 × 1.5 = 3.6 < 4
 	}
-	if d := e.Admit(bg, at(5), ip1, 0); d.Verdict != Allow {
+	if d := e.Admit(bg, at(9), ip1, 0); d.Verdict != Allow {
 		t.Fatalf("rejected rcpts over-weighted: %+v", d)
 	}
 	st := e.Stats()
-	if st.RejectsSeen != 4 {
+	if st.RejectsSeen != 8 {
 		t.Fatalf("RejectsSeen = %d", st.RejectsSeen)
 	}
 }
@@ -222,17 +226,20 @@ func TestDNSBLScoreThresholds(t *testing.T) {
 func TestDNSBLHitFeedsReputation(t *testing.T) {
 	e := New(
 		WithDNSBLReject(3),
-		WithReputation(ReputationConfig{HalfLife: time.Hour, TempfailScore: 2, RejectScore: 40}),
+		WithReputation(ReputationConfig{}),
 	)
-	// Score 1 is below the DNSBL thresholds, but the hit is remembered:
-	// 2.0 × 1.5 = 3 ≥ TempfailScore on the next visit.
-	if d := e.Admit(bg, at(0), ip1, 1); d.Verdict != Allow {
-		t.Fatalf("first visit: %+v", d)
+	// Score 1 is below the DNSBL thresholds, but each hit is remembered:
+	// 2.0 × 1.5 = 3 per hit, and two reach the tempfail threshold 4 on
+	// the next visit.
+	for i := 0; i < 2; i++ {
+		if d := e.Admit(bg, at(float64(i)), ip1, 1); d.Verdict != Allow {
+			t.Fatalf("visit %d: %+v", i+1, d)
+		}
 	}
-	if d := e.Admit(bg, at(1), ip1, 0); d.Verdict != Tempfail {
+	if d := e.Admit(bg, at(2), ip1, 0); d.Verdict != Tempfail {
 		t.Fatalf("history of DNSBL hits ignored: %+v", d)
 	}
-	if st := e.Stats(); st.DNSBLHitsSeen != 1 {
+	if st := e.Stats(); st.DNSBLHitsSeen != 2 {
 		t.Fatalf("DNSBLHitsSeen = %d", st.DNSBLHitsSeen)
 	}
 }
@@ -409,13 +416,15 @@ func TestServerPolicyFailsOpenOnBadAddress(t *testing.T) {
 }
 
 func TestServerPolicyRecordsEvents(t *testing.T) {
-	eng := New(WithReputation(ReputationConfig{TempfailScore: 1, RejectScore: 100}))
+	eng := New(WithReputation(ReputationConfig{}))
 	p := NewServerPolicy(eng, nil)
-	p.RecordBounce(netip.MustParseAddr("198.51.100.7"))
-	if d := p.Connect(bg, netip.MustParseAddr("198.51.100.7")); d.Verdict != Tempfail {
-		t.Fatalf("recorded bounce ignored: %+v", d)
+	for i := 0; i < 3; i++ { // 3 × 1.5 = 4.5 ≥ the tempfail threshold
+		p.RecordBounce(netip.MustParseAddr("198.51.100.7"))
 	}
-	if st := p.Stats(); st.BouncesSeen != 1 {
+	if d := p.Connect(bg, netip.MustParseAddr("198.51.100.7")); d.Verdict != Tempfail {
+		t.Fatalf("recorded bounces ignored: %+v", d)
+	}
+	if st := p.Stats(); st.BouncesSeen != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -10,61 +10,34 @@ import (
 	"repro/internal/addr"
 )
 
-// ReputationConfig parameterizes the aggregated historical reputation
-// store: exponentially decayed per-source event scores, the
-// aggregated-historical-data idea of Menahem & Puzis applied at two
-// aggregation levels (exact IP and /25 prefix).
-type ReputationConfig struct {
-	// HalfLife is the score decay half-life (default 1 h): an event's
-	// weight halves every HalfLife of (virtual or wall) clock.
-	HalfLife time.Duration
-	// BounceWeight, RejectWeight, and DNSBLWeight are the per-event
-	// score increments (defaults 1.0, 0.3, 2.0). Rejected RCPTs weigh
-	// less than whole bounce connections because one bounce connection
-	// typically carries several of them.
-	BounceWeight float64
-	RejectWeight float64
-	DNSBLWeight  float64
-	// PrefixFactor scales the /25-prefix score's contribution to the
-	// combined score (default 0.5): neighbourhood history matters, but
-	// less than the exact address's own record.
-	PrefixFactor float64
-	// TempfailScore and RejectScore are the combined-score thresholds
-	// (defaults 4 and 8).
-	TempfailScore float64
-	RejectScore   float64
-	// MaxEntries softly caps tracked sources per map (default 1<<17);
-	// only fully decayed entries are evicted.
-	MaxEntries int
-}
+// The reputation store's parameters: an aggregated historical score per
+// source, the aggregated-historical-data idea of Menahem & Puzis applied
+// at two aggregation levels (exact IP and /25 prefix).
+const (
+	// repHalfLife is the score decay half-life: an event's weight halves
+	// every repHalfLife of (virtual or wall) clock.
+	repHalfLife = time.Hour
+	// Per-event score increments. Rejected RCPTs weigh less than whole
+	// bounce connections because one bounce connection typically carries
+	// several of them.
+	repBounceWeight = 1.0
+	repRejectWeight = 0.3
+	repDNSBLWeight  = 2.0
+	// repPrefixFactor scales the /25-prefix score's contribution to the
+	// combined score: neighbourhood history matters, but less than the
+	// exact address's own record.
+	repPrefixFactor = 0.5
+	// The combined-score thresholds.
+	repTempfailScore = 4
+	repRejectScore   = 8
+	// repMaxEntries softly caps tracked sources per map; only fully
+	// decayed entries are evicted.
+	repMaxEntries = 1 << 17
+)
 
-func (c ReputationConfig) withDefaults() ReputationConfig {
-	if c.HalfLife <= 0 {
-		c.HalfLife = time.Hour
-	}
-	if c.BounceWeight == 0 {
-		c.BounceWeight = 1.0
-	}
-	if c.RejectWeight == 0 {
-		c.RejectWeight = 0.3
-	}
-	if c.DNSBLWeight == 0 {
-		c.DNSBLWeight = 2.0
-	}
-	if c.PrefixFactor == 0 {
-		c.PrefixFactor = 0.5
-	}
-	if c.TempfailScore == 0 {
-		c.TempfailScore = 4
-	}
-	if c.RejectScore == 0 {
-		c.RejectScore = 8
-	}
-	if c.MaxEntries <= 0 {
-		c.MaxEntries = 1 << 17
-	}
-	return c
-}
+// ReputationConfig configures the reputation store. It has no fields:
+// the store runs on the constants above.
+type ReputationConfig struct{}
 
 // ewma is one decayed score: value as of last.
 type ewma struct {
@@ -93,16 +66,14 @@ func (e *ewma) add(at time.Time, halfLife time.Duration, w float64) {
 // concurrent use, so several front ends — or a front end plus a gossip
 // loop — can share one instance.
 type Reputation struct {
-	cfg    ReputationConfig
 	mu     sync.Mutex
 	byIP   map[addr.IPv4]*ewma
 	byPref map[addr.Prefix]*ewma
 }
 
-// NewReputation builds a reputation store from cfg.
-func NewReputation(cfg ReputationConfig) *Reputation {
+// NewReputation builds an empty reputation store.
+func NewReputation(ReputationConfig) *Reputation {
 	return &Reputation{
-		cfg:    cfg.withDefaults(),
 		byIP:   make(map[addr.IPv4]*ewma),
 		byPref: make(map[addr.Prefix]*ewma),
 	}
@@ -110,17 +81,17 @@ func NewReputation(cfg ReputationConfig) *Reputation {
 
 // RecordBounce adds one completed bounce connection's weight.
 func (r *Reputation) RecordBounce(at time.Time, ip addr.IPv4) {
-	r.record(at, ip, r.cfg.BounceWeight)
+	r.record(at, ip, repBounceWeight)
 }
 
 // RecordRejectedRcpt adds one 550-rejected recipient's weight.
 func (r *Reputation) RecordRejectedRcpt(at time.Time, ip addr.IPv4) {
-	r.record(at, ip, r.cfg.RejectWeight)
+	r.record(at, ip, repRejectWeight)
 }
 
 // RecordDNSBLHit adds one DNSBL listing's weight.
 func (r *Reputation) RecordDNSBLHit(at time.Time, ip addr.IPv4) {
-	r.record(at, ip, r.cfg.DNSBLWeight)
+	r.record(at, ip, repDNSBLWeight)
 }
 
 func (r *Reputation) record(at time.Time, ip addr.IPv4, w float64) {
@@ -128,28 +99,29 @@ func (r *Reputation) record(at time.Time, ip addr.IPv4, w float64) {
 	defer r.mu.Unlock()
 	ipE, ok := r.byIP[ip]
 	if !ok {
-		if len(r.byIP) >= r.cfg.MaxEntries {
-			sweepEwma(r.byIP, at, r.cfg.HalfLife)
+		if len(r.byIP) >= repMaxEntries {
+			sweepEwma(r.byIP, at, repHalfLife)
 		}
 		ipE = &ewma{last: at}
 		r.byIP[ip] = ipE
 	}
-	ipE.add(at, r.cfg.HalfLife, w)
+	ipE.add(at, repHalfLife, w)
 
 	pref := ip.Prefix25()
 	prefE, ok := r.byPref[pref]
 	if !ok {
-		if len(r.byPref) >= r.cfg.MaxEntries {
-			sweepEwma(r.byPref, at, r.cfg.HalfLife)
+		if len(r.byPref) >= repMaxEntries {
+			sweepEwma(r.byPref, at, repHalfLife)
 		}
 		prefE = &ewma{last: at}
 		r.byPref[pref] = prefE
 	}
-	prefE.add(at, r.cfg.HalfLife, w)
+	prefE.add(at, repHalfLife, w)
 }
 
-// Score returns the combined decayed score, for observability — the
-// exact IP's history plus a fraction of its /25 neighbourhood's.
+// Score returns the combined decayed score — the exact IP's history plus
+// a fraction of its /25 neighbourhood's — for tests that read a
+// replicated store.
 func (r *Reputation) Score(at time.Time, ip addr.IPv4) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -159,10 +131,10 @@ func (r *Reputation) Score(at time.Time, ip addr.IPv4) float64 {
 func (r *Reputation) scoreLocked(at time.Time, ip addr.IPv4) float64 {
 	var s float64
 	if e, ok := r.byIP[ip]; ok {
-		s += e.decayed(at, r.cfg.HalfLife)
+		s += e.decayed(at, repHalfLife)
 	}
 	if e, ok := r.byPref[ip.Prefix25()]; ok {
-		s += r.cfg.PrefixFactor * e.decayed(at, r.cfg.HalfLife)
+		s += repPrefixFactor * e.decayed(at, repHalfLife)
 	}
 	return s
 }
@@ -173,9 +145,9 @@ func (r *Reputation) Check(at time.Time, ip addr.IPv4) Decision {
 	defer r.mu.Unlock()
 	s := r.scoreLocked(at, ip)
 	switch {
-	case s >= r.cfg.RejectScore:
+	case s >= repRejectScore:
 		return Decision{Verdict: Reject, Checker: "reputation", Reason: "poor sending history", Score: s}
-	case s >= r.cfg.TempfailScore:
+	case s >= repTempfailScore:
 		return Decision{Verdict: Tempfail, Checker: "reputation", Reason: "deferred on sending history", Score: s}
 	}
 	return allowed
@@ -224,8 +196,8 @@ func (r *Reputation) Merge(entries []RepEntry) int {
 			}
 			e, ok := r.byPref[pref]
 			if !ok {
-				if len(r.byPref) >= r.cfg.MaxEntries {
-					sweepEwma(r.byPref, re.Last, r.cfg.HalfLife)
+				if len(r.byPref) >= repMaxEntries {
+					sweepEwma(r.byPref, re.Last, repHalfLife)
 				}
 				e = &ewma{}
 				r.byPref[pref] = e
@@ -238,8 +210,8 @@ func (r *Reputation) Merge(entries []RepEntry) int {
 			}
 			e, ok := r.byIP[ip]
 			if !ok {
-				if len(r.byIP) >= r.cfg.MaxEntries {
-					sweepEwma(r.byIP, re.Last, r.cfg.HalfLife)
+				if len(r.byIP) >= repMaxEntries {
+					sweepEwma(r.byIP, re.Last, repHalfLife)
 				}
 				e = &ewma{}
 				r.byIP[ip] = e
@@ -250,8 +222,8 @@ func (r *Reputation) Merge(entries []RepEntry) int {
 		if re.Last.After(ref) {
 			ref = re.Last
 		}
-		local := slot.decayed(ref, r.cfg.HalfLife)
-		remote := remoteDecayed(re, ref, r.cfg.HalfLife)
+		local := slot.decayed(ref, repHalfLife)
+		remote := remoteDecayed(re, ref, repHalfLife)
 		if remote > local {
 			slot.value = re.Value
 			slot.last = re.Last

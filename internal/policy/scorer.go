@@ -96,9 +96,6 @@ func NewScorer(opts ...ScorerOption) *Scorer {
 	}
 }
 
-// Registry returns the registry holding the scorer's metrics.
-func (s *Scorer) Registry() *metrics.Registry { return s.reg }
-
 // listVote is one list's contribution to a scan.
 type listVote struct {
 	weight float64

@@ -79,9 +79,6 @@ func NewServerPolicy(eng *Engine, scorer *Scorer, opts ...ServerPolicyOption) *S
 // now is the Engine's offset for the current instant.
 func (p *ServerPolicy) now() time.Duration { return p.clock().Sub(epoch) }
 
-// Registry returns the registry holding the policy's metrics.
-func (p *ServerPolicy) Registry() *metrics.Registry { return p.reg }
-
 // Connect evaluates connection admission for a client address: the
 // DNSBL scan (when configured) followed by Engine.Admit. ctx is the
 // connection's context; the scorer bounds the scan by ctx's deadline, or

@@ -46,7 +46,7 @@ func TestReputationDeltaFiltersByStamp(t *testing.T) {
 }
 
 func TestReputationMergeAdoptsLargerDecayedScore(t *testing.T) {
-	cfg := ReputationConfig{HalfLife: time.Hour}
+	cfg := ReputationConfig{}
 	a := NewReputation(cfg)
 	b := NewReputation(cfg)
 	// a saw one bounce; b saw three, later.
@@ -70,7 +70,7 @@ func TestReputationMergeAdoptsLargerDecayedScore(t *testing.T) {
 }
 
 func TestReputationMergeIsIdempotentAndCommutative(t *testing.T) {
-	cfg := ReputationConfig{HalfLife: time.Hour}
+	cfg := ReputationConfig{}
 	mk := func() (*Reputation, *Reputation) {
 		a, b := NewReputation(cfg), NewReputation(cfg)
 		a.RecordBounce(abs(0), ip1)
@@ -105,7 +105,7 @@ func TestReputationMergeIsIdempotentAndCommutative(t *testing.T) {
 // TestReputationMergeNeverInflates pins the anti-echo property: gossiping
 // the same observation back and forth must not grow the score.
 func TestReputationMergeNeverInflates(t *testing.T) {
-	cfg := ReputationConfig{HalfLife: time.Hour}
+	cfg := ReputationConfig{}
 	a, b := NewReputation(cfg), NewReputation(cfg)
 	a.RecordBounce(abs(0), ip1)
 	want := a.Score(abs(0), ip1)
@@ -118,20 +118,18 @@ func TestReputationMergeNeverInflates(t *testing.T) {
 	}
 }
 
-// TestReputationExpiryDeterministic drives the MaxEntries sweep on an
+// TestReputationExpiryDeterministic drives the repMaxEntries sweep on an
 // injected clock: which entries survive depends only on recorded stamps,
-// never on the wall clock (satellite bugfix: no flaking on wall-clock
-// boundaries).
+// never on the wall clock (no flaking on wall-clock boundaries).
 func TestReputationExpiryDeterministic(t *testing.T) {
-	cfg := ReputationConfig{HalfLife: time.Second, MaxEntries: 4}
 	for trial := 0; trial < 3; trial++ {
-		r := NewReputation(cfg)
-		for i := 0; i < 4; i++ {
-			r.RecordBounce(abs(float64(i)), mkIP(10, 0, byte(i), 1))
+		r := NewReputation(ReputationConfig{})
+		for i := 0; i < repMaxEntries; i++ {
+			r.RecordBounce(abs(float64(i%4)), mkIP(10, byte(i>>16), byte(i>>8), byte(i)))
 		}
-		// 30 half-lives later a fifth source triggers the sweep; every
+		// 30 half-lives later one more source triggers the sweep; every
 		// earlier entry has decayed below the negligible threshold.
-		r.RecordBounce(abs(30), mkIP(10, 9, 9, 9))
+		r.RecordBounce(abs(30*repHalfLife.Seconds()), mkIP(11, 9, 9, 9))
 		r.mu.Lock()
 		n := len(r.byIP)
 		r.mu.Unlock()
@@ -253,7 +251,6 @@ func TestStoresConcurrentMergeAndRead(t *testing.T) {
 				eng.Admit(bg, now, ip, 0)
 				eng.Rcpt(bg, now, ip, "s@x.test", fmt.Sprintf("u%d@y.test", i%3))
 				eng.RecordBounce(now, ip)
-				eng.Score(now, ip)
 			}
 		}(g)
 	}

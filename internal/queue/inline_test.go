@@ -16,6 +16,11 @@ import (
 )
 
 // spoolOps counts the spool-changing operations fs performs from now on.
+// sinkFunc adapts a function to eventlog.Sink.
+type sinkFunc func(e eventlog.Event)
+
+func (f sinkFunc) Emit(e eventlog.Event) { f(e) }
+
 func spoolOps(fs *fsim.Fault) *atomic.Int64 {
 	var n atomic.Int64
 	fs.SetHook(func(op, _ string, _ int) error {
@@ -40,7 +45,7 @@ func TestInlineDeliveryNeverTouchesTheSpool(t *testing.T) {
 	rec := trace.NewMessageRecorder("node", 64, 1)
 	var mu sync.Mutex
 	var events []string
-	log := eventlog.New(eventlog.WithLevel(eventlog.LevelDebug), eventlog.WithSink(eventlog.SinkFunc(func(e eventlog.Event) {
+	log := eventlog.New(eventlog.WithLevel(eventlog.LevelDebug), eventlog.WithSink(sinkFunc(func(e eventlog.Event) {
 		mu.Lock()
 		events = append(events, e.Name)
 		mu.Unlock()

@@ -104,12 +104,6 @@ type Deliverer interface {
 	Deliver(item *Item) error
 }
 
-// DelivererFunc adapts a function to Deliverer.
-type DelivererFunc func(item *Item) error
-
-// Deliver implements Deliverer.
-func (f DelivererFunc) Deliver(item *Item) error { return f(item) }
-
 // BounceFunc synthesizes a DSN for a mail that exhausted its delivery
 // attempts. It returns the bounce recipients and body; ok=false means
 // no bounce may be sent (the failed mail was itself a bounce) and the
@@ -350,9 +344,6 @@ func (m *Manager) recover() error {
 	)
 	return nil
 }
-
-// RecoveryStats reports what the startup spool scan found.
-func (m *Manager) RecoveryStats() spool.RecoveryStats { return m.recovery }
 
 // seqBits is how much of a queue id counts mails; the bits above it hold
 // the spool's boot epoch, so a manager never reissues an id of an earlier

@@ -24,6 +24,15 @@ type collector struct {
 	failUntil map[string]int // id -> fail attempts below this
 }
 
+// DelivererFunc adapts a function to Deliverer.
+type DelivererFunc func(item *Item) error
+
+// Deliver implements Deliverer.
+func (f DelivererFunc) Deliver(item *Item) error { return f(item) }
+
+// RecoveryStats reports what the startup spool scan found.
+func (m *Manager) RecoveryStats() spool.RecoveryStats { return m.recovery }
+
 func (c *collector) Deliver(item *Item) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

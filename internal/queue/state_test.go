@@ -103,7 +103,7 @@ func TestStateTableRandomSchedule(t *testing.T) {
 			del := &fates{seed: seed, ok: map[string]int{}}
 			var mu sync.Mutex
 			final := map[string]int{} // id -> bounce and hold events
-			events := eventlog.New(eventlog.WithSink(eventlog.SinkFunc(func(e eventlog.Event) {
+			events := eventlog.New(eventlog.WithSink(sinkFunc(func(e eventlog.Event) {
 				switch e.Name {
 				case "queue.bounce", "queue.hold":
 					id, _ := e.Field("id")

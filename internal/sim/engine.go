@@ -26,16 +26,7 @@ type Event struct {
 	seq uint64
 	fn  func()
 
-	index     int // heap index, -1 once popped or cancelled
-	cancelled bool
-}
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.cancelled = true
-	}
+	index int // heap index, -1 once popped
 }
 
 // eventHeap orders events by (time, sequence).
@@ -72,11 +63,9 @@ func (h *eventHeap) Pop() interface{} {
 // it is not safe for concurrent use (the simulation is single-threaded by
 // design).
 type Engine struct {
-	now     time.Duration
-	seq     uint64
-	events  eventHeap
-	running bool
-	fired   uint64
+	now    time.Duration
+	seq    uint64
+	events eventHeap
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -86,21 +75,6 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
-
-// Fired returns the number of events executed so far, a cheap progress and
-// determinism probe for tests.
-func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending returns the number of scheduled, uncancelled events.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.events {
-		if !ev.cancelled {
-			n++
-		}
-	}
-	return n
-}
 
 // At schedules fn at absolute virtual time t, which must not be in the
 // past.
@@ -128,39 +102,13 @@ func (e *Engine) After(d time.Duration, fn func()) *Event {
 // Step fires the single earliest event, advancing the clock to it. It
 // returns false if no events remain.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Event)
-		if ev.cancelled {
-			continue
-		}
-		e.now = ev.at
-		e.fired++
-		ev.fn()
-		return true
+	if len(e.events) == 0 {
+		return false
 	}
-	return false
-}
-
-// Run fires events until the clock passes until or the queue drains.
-// Events scheduled exactly at until still fire. The clock finishes at
-// min(until, last event time) — it does not jump past the final event.
-func (e *Engine) Run(until time.Duration) {
-	for len(e.events) > 0 {
-		// Peek without popping so events after the horizon stay queued.
-		next := e.events[0]
-		if next.cancelled {
-			heap.Pop(&e.events)
-			continue
-		}
-		if next.at > until {
-			e.now = until
-			return
-		}
-		e.Step()
-	}
-	if e.now < until {
-		e.now = until
-	}
+	ev := heap.Pop(&e.events).(*Event)
+	e.now = ev.at
+	ev.fn()
+	return true
 }
 
 // RunUntilIdle fires every remaining event.

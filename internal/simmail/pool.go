@@ -71,15 +71,9 @@ func (p *pool) release(id int) {
 	p.free = append(p.free, id)
 }
 
-// busy returns the number of in-use processes.
-func (p *pool) busy() int { return p.inUse }
-
 // forked returns the number of processes created so far — the resident
 // smtpd population whose footprint scales the context-switch penalty.
 func (p *pool) forked() int { return p.next - 1 }
-
-// waiting returns the number of queued acquisitions.
-func (p *pool) waiting() int { return len(p.queue) }
 
 // integrate advances the busy-time integral to the current virtual time.
 // Called before every inUse mutation.

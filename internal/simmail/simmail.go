@@ -33,14 +33,6 @@ const (
 	ArchHybrid
 )
 
-// String names the architecture.
-func (a Architecture) String() string {
-	if a == ArchHybrid {
-		return "hybrid"
-	}
-	return "vanilla"
-}
-
 // TrustPoint selects where in the dialog the hybrid master delegates a
 // connection to an smtpd worker — the design choice §5.1 makes (after the
 // first valid RCPT) and the ablation compares.

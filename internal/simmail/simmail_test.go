@@ -12,53 +12,6 @@ import (
 	"repro/internal/trace"
 )
 
-func TestDeliveryCostMatchesRealStores(t *testing.T) {
-	// The closed-form DeliveryCost must equal what the real mailstore
-	// implementations charge on the metered in-memory filesystem, for
-	// both personalities, across recipient counts and sizes.
-	// MFS is excluded here because its real store amortizes opens across
-	// deliveries; see TestDeliveryCostMatchesRealMFS.
-	type deliverer interface {
-		Deliver(id string, recipients []string, body []byte) error
-	}
-	for _, model := range []costmodel.FSModel{costmodel.Ext3, costmodel.Reiser} {
-		for _, rcpts := range []int{1, 2, 7, 15} {
-			for _, size := range []int{500, 4096, 65536} {
-				cases := map[StoreKind]func(fs *fsim.Mem) deliverer{
-					StoreMbox:     func(fs *fsim.Mem) deliverer { return mailstore.NewMbox(fs) },
-					StoreMaildir:  func(fs *fsim.Mem) deliverer { return mailstore.NewMaildir(fs) },
-					StoreHardlink: func(fs *fsim.Mem) deliverer { return mailstore.NewHardlink(fs) },
-				}
-				for kind, mk := range cases {
-					fs := fsim.NewMem(model)
-					store := mk(fs)
-					recipients := make([]string, rcpts)
-					for i := range recipients {
-						recipients[i] = fmt.Sprintf("u%02d", i)
-					}
-					// Pre-create mailbox files (steady state) for mbox.
-					if kind == StoreMbox {
-						if err := store.Deliver("Qwarmup0000000000", recipients, []byte("x")); err != nil {
-							t.Fatal(err)
-						}
-					}
-					fs.ResetMeter()
-					id := "Q0000000000000001" // 17 bytes like queue ids
-					if err := store.Deliver(id, recipients, make([]byte, size)); err != nil {
-						t.Fatal(err)
-					}
-					got := fs.Elapsed()
-					want := DeliveryCost(kind, model, rcpts, size)
-					if got != want {
-						t.Errorf("%s/%s r=%d s=%d: real %v, closed-form %v",
-							kind, model.Name, rcpts, size, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestDeliveryCostMatchesRealMFS(t *testing.T) {
 	for _, model := range []costmodel.FSModel{costmodel.Ext3, costmodel.Reiser} {
 		for _, rcpts := range []int{1, 2, 7, 15} {
@@ -288,12 +241,6 @@ func TestMFSStoreReducesDiskUtil(t *testing.T) {
 	mfsDisk := mfs.DiskUtil * mfs.Duration.Seconds()
 	if mfsDisk >= mboxDisk {
 		t.Fatalf("MFS disk time %.2fs should undercut mbox %.2fs", mfsDisk, mboxDisk)
-	}
-}
-
-func TestArchitectureStringSim(t *testing.T) {
-	if ArchVanilla.String() != "vanilla" || ArchHybrid.String() != "hybrid" {
-		t.Fatal("architecture names wrong")
 	}
 }
 

@@ -285,8 +285,8 @@ func TestSessionPoolResets(t *testing.T) {
 	command(s, "MAIL FROM:<x@y.z>")
 	ReleaseSession(s)
 	s2 := AcquireSession(Config{Hostname: "two.example"})
-	if s2.State() != StateStart || s2.HasValidRcpt() || s2.senderSet || len(s2.sender) != 0 {
-		t.Fatalf("pooled session not reset: state=%v sender=%q", s2.State(), s2.sender)
+	if s2.state != StateStart || s2.HasValidRcpt() || s2.senderSet || len(s2.sender) != 0 {
+		t.Fatalf("pooled session not reset: state=%v sender=%q", s2.state, s2.sender)
 	}
 	for _, r := range s2.envRcpts {
 		if r != "" {

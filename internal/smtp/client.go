@@ -164,9 +164,6 @@ func DialFrom(addr, local string, timeout time.Duration, opts ...ClientOption) (
 	return NewClient(nc, opts...)
 }
 
-// Banner returns the server's 220 greeting.
-func (c *Client) Banner() Reply { return c.banner }
-
 // writeLine buffers line, built in c.line, as one command without
 // flushing, and keeps its buffer for the next command. The write buffer
 // keeps its first error and the next Flush returns it, so the writers

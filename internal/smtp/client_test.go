@@ -91,7 +91,7 @@ func validCfg() Config {
 
 func TestClientFullTransaction(t *testing.T) {
 	client, envs, wg := startTestServer(t, validCfg())
-	if got := client.Banner().Code; got != 220 {
+	if got := client.banner.Code; got != 220 {
 		t.Fatalf("banner = %d", got)
 	}
 	if err := client.Helo("load.test"); err != nil {

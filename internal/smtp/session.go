@@ -132,13 +132,6 @@ type Session struct {
 	mailsDone     int
 }
 
-// NewSession returns a session awaiting HELO.
-func NewSession(cfg Config) *Session {
-	s := &Session{}
-	s.Reset(cfg)
-	return s
-}
-
 // Reset re-initializes the session for a new connection with cfg,
 // keeping grown buffers so a pooled session serves its next connection
 // without allocating.
@@ -159,9 +152,6 @@ func (s *Session) Reset(cfg Config) {
 
 // Greeting returns the 220 banner to send on accept.
 func (s *Session) Greeting() Reply { return Banner(s.cfg.Hostname) }
-
-// State returns the current protocol state.
-func (s *Session) State() State { return s.state }
 
 // HasValidRcpt reports whether at least one recipient has been accepted —
 // the fork-after-trust delegation trigger (§5.1: "if even a single

@@ -8,6 +8,14 @@ import (
 )
 
 // validTest accepts recipients at @valid.test.
+// NewSession returns a session awaiting HELO, as the server's pooled
+// sessions are after Reset.
+func NewSession(cfg Config) *Session {
+	s := &Session{}
+	s.Reset(cfg)
+	return s
+}
+
 func validTest(addr []byte) bool {
 	return bytes.HasSuffix(bytes.ToLower(addr), []byte("@valid.test"))
 }
@@ -334,9 +342,9 @@ func TestBdatSequence(t *testing.T) {
 		r, action := command(s, st.cmd)
 		off, size, last := s.Chunk()
 		if r.Code != st.code || action != st.action || off != st.off || size != st.size || last != st.last ||
-			s.State() != st.state || s.HasValidRcpt() != st.hasValidRcpts {
+			s.state != st.state || s.HasValidRcpt() != st.hasValidRcpts {
 			t.Fatalf("%q = %d %v, chunk %d+%d last %v, state %v, valid rcpt %v; want %+v",
-				st.cmd, r.Code, action, off, size, last, s.State(), s.HasValidRcpt(), st)
+				st.cmd, r.Code, action, off, size, last, s.state, s.HasValidRcpt(), st)
 		}
 	}
 }

@@ -139,17 +139,6 @@ func (c *Conn) InputPending() bool {
 	return bytes.IndexByte(buf, '\n') >= 0
 }
 
-// WriteLine sends one raw line with CRLF and flushes.
-func (c *Conn) WriteLine(line string) error {
-	if _, err := c.w.WriteString(line); err != nil {
-		return err
-	}
-	if _, err := c.w.WriteString("\r\n"); err != nil {
-		return err
-	}
-	return c.w.Flush()
-}
-
 // WriteLineLazy buffers one raw line with CRLF without flushing, for a
 // multi-line response (a POP3 listing) that goes out in one Flush after
 // its terminating line rather than in one write(2) per line.
@@ -238,16 +227,8 @@ func (c *Conn) ReadChunk(off, size int) ([]byte, error) {
 // them; the body buffer does not grow.
 func (c *Conn) DiscardChunk(size int) error { _, err := c.r.Discard(size); return err }
 
-// WriteData sends a payload with dot-stuffing applied and the terminating
-// dot, then flushes. The payload is split on CRLF or LF.
-func (c *Conn) WriteData(body []byte) error {
-	if err := c.writeData(body); err != nil {
-		return err
-	}
-	return c.w.Flush()
-}
-
-// writeData is WriteData without the flush.
+// writeData buffers a payload with dot-stuffing applied and the
+// terminating dot, without flushing. The payload is split on CRLF or LF.
 func (c *Conn) writeData(body []byte) error {
 	var st dotState
 	if err := c.stuff(&st, body); err != nil {

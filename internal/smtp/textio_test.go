@@ -109,6 +109,15 @@ func TestReadDataEOFMidBody(t *testing.T) {
 	}
 }
 
+// WriteData sends a payload with dot-stuffing applied and the terminating
+// dot, then flushes. The payload is split on CRLF or LF.
+func (c *Conn) WriteData(body []byte) error {
+	if err := c.writeData(body); err != nil {
+		return err
+	}
+	return c.w.Flush()
+}
+
 func TestWriteDataStuffsDots(t *testing.T) {
 	c, b := newRW("")
 	if err := c.WriteData([]byte(".starts with dot\r\nplain\r\n")); err != nil {

@@ -60,7 +60,6 @@ func (s *Server) runDialog(nc net.Conn, ip netip.Addr, c *smtp.Conn, sess *smtp.
 		case smtp.ActionData:
 			// The 354 must reach the client before it will send the body,
 			// so this flush also drains any batched pipelined replies.
-			start := time.Now()
 			if err := c.WriteReply(reply); err != nil {
 				return outcomeDropped
 			}
@@ -74,17 +73,16 @@ func (s *Server) runDialog(nc net.Conn, ip netip.Addr, c *smtp.Conn, sess *smtp.
 			case err != nil:
 				return outcomeDropped
 			default:
-				reply = s.finishMail(sess, body, start, connTC)
+				reply = s.finishMail(sess, body, connTC)
 			}
 		case smtp.ActionChunk:
-			start := time.Now()
 			off, size, last := sess.Chunk()
 			body, err := c.ReadChunk(off, size)
 			if err != nil {
 				return outcomeDropped
 			}
 			if last {
-				reply = s.finishMail(sess, body, start, connTC)
+				reply = s.finishMail(sess, body, connTC)
 			}
 		case smtp.ActionDiscard:
 			_, size, _ := sess.Chunk()
@@ -117,8 +115,11 @@ func (s *Server) runDialog(nc net.Conn, ip netip.Addr, c *smtp.Conn, sess *smtp.
 }
 
 // finishMail hands a transaction's body, from DATA or BDAT, to the
-// enqueue hook under the mail's "smtp" span and returns its reply.
-func (s *Server) finishMail(sess *smtp.Session, body []byte, start time.Time, connTC trace.Context) smtp.Reply {
+// enqueue hook under the mail's "smtp" span and returns its reply. The
+// span starts here, once the whole body is in, so it measures the same
+// stage under either verb: never the client's time sending the body.
+func (s *Server) finishMail(sess *smtp.Session, body []byte, connTC trace.Context) smtp.Reply {
+	start := time.Now()
 	env, done := sess.FinishData(body)
 	// NewSpan on an invalid base is a free no-op, keeping the
 	// sampled-out path allocation-free.

@@ -3,6 +3,7 @@ package smtpserver
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/netip"
 	"os"
@@ -177,7 +178,7 @@ func TestOverlongCommandLineGets500(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A line far over MaxLineLen: the server answers 500 and stays up.
-		if err := c.WriteLine("HELO " + strings.Repeat("x", smtp.MaxLineLen+100)); err != nil {
+		if _, err := io.WriteString(nc, "HELO "+strings.Repeat("x", smtp.MaxLineLen+100)+"\r\n"); err != nil {
 			t.Fatal(err)
 		}
 		reply, err := c.ReadReply()
@@ -188,7 +189,7 @@ func TestOverlongCommandLineGets500(t *testing.T) {
 			t.Fatalf("overlong line reply = %d, want 500", reply.Code)
 		}
 		// Session continues normally afterwards.
-		if err := c.WriteLine("HELO ok.example"); err != nil {
+		if _, err := io.WriteString(nc, "HELO ok.example\r\n"); err != nil {
 			t.Fatal(err)
 		}
 		reply, err = c.ReadReply()

@@ -211,23 +211,21 @@ func TestPolicyRateLimitTempfail(t *testing.T) {
 // all.
 func TestPolicyBounceFeedsReputation(t *testing.T) {
 	forEachArch(t, func(t *testing.T, arch Architecture) {
-		eng := policy.New(policy.WithReputation(policy.ReputationConfig{
-			HalfLife:      time.Hour,
-			TempfailScore: 3,   // one bounce scores ~1.95 (with the /25 echo), two ~3.9
-			RejectScore:   100, // keep the verdict at tempfail for the test
-		}))
+		// One bounce connection scores ~1.95 (with the /25 echo), three
+		// ~5.85: past the tempfail threshold 4, short of the reject one 8.
+		eng := policy.New(policy.WithReputation(policy.ReputationConfig{}))
 		env := startServer(t, arch, WithPolicy(policy.NewServerPolicy(eng, nil)))
 
-		// Two bounce connections: each records rejected RCPTs plus a
-		// completed bounce. (Weights: 2 bounces ×1.0 + 2 rejects ×0.3.)
-		for i := 0; i < 2; i++ {
+		// Three bounce connections: each records a rejected RCPT plus a
+		// completed bounce. (Weights: 3 bounces ×1.0 + 3 rejects ×0.3.)
+		for i := 0; i < 3; i++ {
 			c := dial(t, env)
 			c.Helo("h")
 			c.Send("spam@bot.test", []string{"guess@wrong.test"}, []byte("x"))
 			c.Quit()
 		}
-		waitStats(t, env.srv, func(s Stats) bool { return s.PreTrustClosed == 2 })
-		waitStats(t, env.srv, func(s Stats) bool { return s.RcptRejected == 2 })
+		waitStats(t, env.srv, func(s Stats) bool { return s.PreTrustClosed == 3 })
+		waitStats(t, env.srv, func(s Stats) bool { return s.RcptRejected == 3 })
 
 		// The next connection is refused from history alone.
 		nc, err := net.Dial("tcp", env.addr)
@@ -257,7 +255,8 @@ func TestPolicyBounceTransactionAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := smtp.NewSession(srv.sessionConfig(netip.MustParseAddr("192.0.2.7"), 1))
+	s := new(smtp.Session)
+	s.Reset(srv.sessionConfig(netip.MustParseAddr("192.0.2.7"), 1))
 	s.CommandBytes([]byte("HELO client.test"))
 	steps := []struct {
 		line []byte

@@ -13,6 +13,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/dnsbl"
 	"repro/internal/smtp"
+	"repro/internal/trace"
 )
 
 // testEnv is a running server plus a sink capturing enqueued mails.
@@ -330,6 +331,65 @@ func TestChunking(t *testing.T) {
 		if len(got) != 2 || got[0].rcpts[0] != "a@valid.test" || string(got[0].data) != ".first\r\n" ||
 			got[1].rcpts[0] != "b@valid.test" || string(got[1].data) != ".\r\n" {
 			t.Fatalf("captured = %+v, want the two chunked mails", got)
+		}
+	})
+}
+
+// TestSMTPSpanExcludesBodyTransfer: a mail's "smtp" span starts once its
+// whole body is in, so it measures the same stage under DATA and BDAT. A
+// client that pauses before its body — after the 354, or between the
+// BDAT LAST line and its bytes — does not lengthen the span.
+func TestSMTPSpanExcludesBodyTransfer(t *testing.T) {
+	const pause = 30 * time.Millisecond
+	const body = "Subject: x\r\n\r\nbody\r\n"
+	forEachArch(t, func(t *testing.T, arch Architecture) {
+		for _, verb := range []string{"DATA", "BDAT"} {
+			t.Run(verb, func(t *testing.T) {
+				rec := trace.NewMessageRecorder("node", 64, 1)
+				env := startServer(t, arch, WithMessageTracer(rec))
+				nc, err := net.Dial("tcp", env.addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer nc.Close()
+				nc.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+				c := smtp.NewConn(nc)
+				play := func(send string, codes ...int) {
+					t.Helper()
+					if _, err := nc.Write([]byte(send)); err != nil {
+						t.Fatal(err)
+					}
+					for _, want := range codes {
+						if r, err := c.ReadReply(); err != nil || r.Code != want {
+							t.Fatalf("after %q: reply %v, %v; want %d", send, r, err, want)
+						}
+					}
+				}
+				play("", 220)
+				play("EHLO c.test\r\n", 250)
+				play("MAIL FROM:<s@x.test>\r\nRCPT TO:<a@valid.test>\r\n", 250, 250)
+				if verb == "DATA" {
+					play("DATA\r\n", 354)
+					time.Sleep(pause)
+					play(body+".\r\n", 250)
+				} else {
+					play(fmt.Sprintf("BDAT %d LAST\r\n", len(body)))
+					time.Sleep(pause)
+					play(body, 250)
+				}
+				var spans []trace.MessageSpan
+				for _, sp := range rec.Spans() {
+					if sp.Stage == trace.MStageSMTP {
+						spans = append(spans, sp)
+					}
+				}
+				if len(spans) != 1 {
+					t.Fatalf("%d smtp spans recorded, want 1", len(spans))
+				}
+				if d := spans[0].Duration(); d >= pause {
+					t.Fatalf("smtp span %v holds the client's %v pause before its body", d, pause)
+				}
+			})
 		}
 	})
 }

@@ -208,14 +208,6 @@ func NewMessageRecorder(node string, capacity, sampleN int) *MessageRecorder {
 	return r
 }
 
-// Node returns the recorder's node name.
-func (r *MessageRecorder) Node() string {
-	if r == nil {
-		return ""
-	}
-	return r.node
-}
-
 // rand64 is an atomic splitmix64 step: lock-free, allocation-free.
 func (r *MessageRecorder) rand64() uint64 {
 	x := r.rng.Add(0x9e3779b97f4a7c15)

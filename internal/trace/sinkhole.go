@@ -228,11 +228,6 @@ func (s *Sinkhole) CBLPopulation() []addr.IPv4 {
 	return append([]addr.IPv4(nil), s.cblListed...)
 }
 
-// Prefixes returns the /24 population.
-func (s *Sinkhole) Prefixes() []addr.Prefix {
-	return append([]addr.Prefix(nil), s.prefixes...)
-}
-
 // recentConn is one entry of the generator's recency window.
 type recentConn struct {
 	at     time.Duration

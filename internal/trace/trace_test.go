@@ -40,12 +40,12 @@ func TestSinkholePopulationShape(t *testing.T) {
 		t.Fatalf("connections = %d", st.Connections)
 	}
 	// The IPs:prefixes ratio of the real trace is ≈2.2.
-	ratio := float64(len(s.SpamIPs())) / float64(len(s.Prefixes()))
+	ratio := float64(len(s.SpamIPs())) / float64(len(s.prefixes))
 	if ratio < 1.8 || ratio > 2.6 {
 		t.Fatalf("IPs per prefix = %.2f, want ≈2.2", ratio)
 	}
-	if len(s.Prefixes()) != 700 {
-		t.Fatalf("prefixes = %d", len(s.Prefixes()))
+	if len(s.prefixes) != 700 {
+		t.Fatalf("prefixes = %d", len(s.prefixes))
 	}
 	// Every spammer is CBL-listed.
 	listed := make(map[addr.IPv4]bool)

@@ -125,10 +125,6 @@ func NewUniv(cfg UnivConfig) *Univ {
 	return u
 }
 
-// Sinkhole exposes the embedded spam-origin model (for DNSBL zone
-// construction).
-func (u *Univ) Sinkhole() *Sinkhole { return u.sinkhole }
-
 // Generate produces the mixed trace in arrival order.
 func (u *Univ) Generate() []Conn {
 	spam := u.sinkhole.Generate()
