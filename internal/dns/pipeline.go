@@ -154,6 +154,10 @@ func (p *Pipelined) Close() error {
 // Hedges returns the number of hedged duplicate queries launched.
 func (p *Pipelined) Hedges() int64 { return p.hedges.Load() }
 
+// Retries returns the number of re-sent attempts (loss or truncation
+// recovery).
+func (p *Pipelined) Retries() int64 { return p.retries.Load() }
+
 // Query implements Transport: it races up to two flights (primary, plus
 // a hedged replica flight after the hedge delay) and returns the first
 // successful response. Each flight retries with backoff on loss and

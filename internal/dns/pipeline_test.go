@@ -11,10 +11,6 @@ import (
 
 // startEchoServer boots a UDP server whose listener is optionally wrapped
 // in fault injection, answering every A question with 127.0.0.2.
-// Retries returns the number of re-sent attempts (loss or truncation
-// recovery).
-func (p *Pipelined) Retries() int64 { return p.retries.Load() }
-
 func startEchoServer(t *testing.T, faults *FaultConfig) *Server {
 	t.Helper()
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")

@@ -237,9 +237,11 @@ func New(zone string, opts ...Option) *Client {
 		c.buildErr = fmt.Errorf("dnsbl: no transport configured (use WithTransport or WithUpstreams)")
 	}
 	if p, ok := c.transport.(*dns.Pipelined); ok {
-		// Hedges live inside the transport; expose them through the same
-		// registry so /metrics shows the resilience machinery at work.
+		// Hedges and retries live inside the transport; expose them through
+		// the same registry so /metrics shows the resilience machinery at
+		// work.
 		c.reg.GaugeFunc("dnsbl_hedges", func() float64 { return float64(p.Hedges()) }, "zone", zone)
+		c.reg.GaugeFunc("dnsbl_retries", func() float64 { return float64(p.Retries()) }, "zone", zone)
 	}
 	return c
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/addr"
 	"repro/internal/costmodel"
 	"repro/internal/dns"
+	"repro/internal/metrics"
 )
 
 // WithTimeout bounds each Lookup when the caller's context carries no
@@ -305,16 +306,19 @@ func TestClassicV4LookupPath(t *testing.T) {
 // TestClientEndToEndOverPipelined exercises the full production stack —
 // client, singleflight, prefix cache, pipelined transport, real UDP
 // server behind injected loss — and expects every verdict to match the
-// ground-truth list.
+// ground-truth list, and the attempts the loss cost to show on the
+// client's registry as dnsbl_retries.
 func TestClientEndToEndOverPipelined(t *testing.T) {
 	l := NewList("bl6.test")
 	listed := addr.MustParseIPv4("10.1.1.40")
 	l.Add(listed, CodeSpamSrc)
 	srv, faultStats := startFaultyV6Server(t, l, dns.FaultConfig{Loss: 0.2, Seed: 42})
 
+	reg := metrics.NewRegistry()
 	c := New("bl6.test",
 		WithUpstreams(srv.Addr().String()),
-		WithTimeout(5*time.Second))
+		WithTimeout(5*time.Second),
+		WithRegistry(reg))
 	defer c.Close()
 
 	var wg sync.WaitGroup
@@ -343,6 +347,11 @@ func TestClientEndToEndOverPipelined(t *testing.T) {
 	}
 	if faultStats().Dropped == 0 {
 		t.Fatal("fault injection never fired; the test is vacuous")
+	}
+	// One upstream, so no hedge: every dropped answer was re-sent.
+	m, ok := reg.Find("dnsbl_retries", "zone", "bl6.test")
+	if want := c.transport.(*dns.Pipelined).Retries(); !ok || want == 0 || m.Value != float64(want) {
+		t.Fatalf("dnsbl_retries = %+v (found %v), want the transport's %d retries, at least one", m, ok, want)
 	}
 }
 

@@ -282,7 +282,7 @@ func (o *OS) List(prefix string) []string {
 // Mem is safe for concurrent use and designed not to become the
 // bottleneck under parallel delivery: the namespace map has its own
 // lock, each node (file) has its own lock for data operations, and the
-// meter is a pair of atomics. Virtual disk time is a sum of per-op
+// meter is an atomic. Virtual disk time is a sum of per-op
 // charges, so the total is independent of interleaving.
 type Mem struct {
 	mu    sync.RWMutex
@@ -290,7 +290,6 @@ type Mem struct {
 	nodes map[string]*memNode // name -> node (hardlinks share nodes)
 
 	elapsed atomic.Int64 // nanoseconds
-	ops     atomic.Int64
 }
 
 var _ FS = (*Mem)(nil)
@@ -312,15 +311,13 @@ func (m *Mem) Elapsed() time.Duration {
 	return time.Duration(m.elapsed.Load())
 }
 
-// ResetMeter zeroes the accumulated time and op count.
+// ResetMeter zeroes the accumulated time.
 func (m *Mem) ResetMeter() {
 	m.elapsed.Store(0)
-	m.ops.Store(0)
 }
 
 func (m *Mem) charge(d time.Duration) {
 	m.elapsed.Add(int64(d))
-	m.ops.Add(1)
 }
 
 func perKB(rate time.Duration, n int) time.Duration {

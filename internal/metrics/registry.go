@@ -392,17 +392,17 @@ func (e *entry) snapshot() Metric {
 // exposition formats and experiments rely on.
 func (r *Registry) Snapshot() []Metric {
 	r.mu.RLock()
-	entries := make([]*entry, 0, len(r.entries))
+	entries := make([]entry, 0, len(r.entries))
 	keys := make([]string, 0, len(r.entries))
 	for k, e := range r.entries {
 		keys = append(keys, k)
-		entries = append(entries, e)
+		entries = append(entries, *e) // fn is guarded by r.mu; the copy is called unlocked
 	}
 	r.mu.RUnlock()
 	sort.Sort(&keyedEntries{keys: keys, entries: entries})
 	out := make([]Metric, len(entries))
-	for i, e := range entries {
-		out[i] = e.snapshot()
+	for i := range entries {
+		out[i] = entries[i].snapshot()
 	}
 	return out
 }
@@ -411,17 +411,23 @@ func (r *Registry) Snapshot() []Metric {
 // given key/value label pairs.
 func (r *Registry) Find(name string, labels ...string) (Metric, bool) {
 	key := keyFor(name, parseLabels(name, labels))
-	e := r.lookup(key)
-	if e == nil {
+	r.mu.RLock()
+	e, ok := r.entries[key]
+	var snap entry
+	if ok {
+		snap = *e // fn is guarded by r.mu; the copy is called unlocked
+	}
+	r.mu.RUnlock()
+	if !ok {
 		return Metric{}, false
 	}
-	return e.snapshot(), true
+	return snap.snapshot(), true
 }
 
 // keyedEntries sorts entries by their identity key.
 type keyedEntries struct {
 	keys    []string
-	entries []*entry
+	entries []entry
 }
 
 func (s *keyedEntries) Len() int           { return len(s.keys) }

@@ -134,8 +134,12 @@ func TestRegistryConcurrent(t *testing.T) {
 				// Registration races on the same identities on purpose.
 				r.Counter("conns_total", "arch", arch).Inc()
 				r.Histogram("stage_seconds", bounds, "arch", arch, "stage", "dialog").Observe(float64(i) * 1e-4)
+				// A re-registered GaugeFunc re-points its series while
+				// Snapshot and Find call it.
+				r.GaugeFunc("depth", func() float64 { return float64(i) }, "arch", arch)
 				if i%50 == 0 {
 					r.Snapshot()
+					r.Find("depth", "arch", arch)
 				}
 			}
 		}(w)

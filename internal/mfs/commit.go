@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,12 +23,11 @@ const (
 	encKey               // key, encoded at flush time: one key-file record
 )
 
-// segment is one file mutation riding in a commit request: an append ('A',
-// off is the file end at enqueue time — the enqueuer holds the lock
-// serializing that file, so the end is stable until the flush) or an
-// in-place patch ('P'). Its bytes are buf, buf behind a data-frame header
-// (the mail body of a caller blocked until the flush is over), or key,
-// which the committer encodes straight into its record buffer.
+// segment is one file mutation riding in a commit request: an append ('A')
+// at off, the file end its caller placed it at (appendFile), or an
+// in-place patch ('P') at off. Its bytes are buf, buf behind a data-frame
+// header (the mail body of a caller blocked until the flush is over), or
+// key, which the committer encodes straight into its record buffer.
 type segment struct {
 	kind byte
 	enc  byte
@@ -40,6 +38,44 @@ type segment struct {
 	key  keyRecord
 }
 
+// refPos is the position of a key segment's Ref field in its file.
+func (s *segment) refPos() int64 { return s.off + keyRecordLen(s.key.ID) - 4 }
+
+// appendFile is a file written only by appends placed through it: end is
+// the file's end, read once at open and moved by each placement, under
+// the lock that serializes the file's appends (the mailbox lock, or the
+// store's appendMu for the shared files). Requests reach the committer in
+// the order their placements were made, so every append lands at its off.
+type appendFile struct {
+	f    fsim.File
+	path string
+	end  int64
+}
+
+// frame places a data frame holding body at the file's end.
+func (a *appendFile) frame(body []byte) segment {
+	s := segment{kind: walSegApp, enc: encFrame, file: a.f, path: a.path, off: a.end, buf: body}
+	a.end += 4 + int64(len(body))
+	return s
+}
+
+// record places key record r at the file's end.
+func (a *appendFile) record(r keyRecord) segment {
+	s := segment{kind: walSegApp, enc: encKey, file: a.f, path: a.path, off: a.end, key: r}
+	a.end += keyRecordLen(r.ID)
+	return s
+}
+
+// readEnds reads the files' ends, which from then on only placements move.
+func readEnds(files ...*appendFile) (err error) {
+	for _, a := range files {
+		if a.end, err = a.f.Size(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // stagedSeg is one segment of the batch being flushed and where its bytes
 // sit in the committer's record buffer.
 type stagedSeg struct {
@@ -47,46 +83,20 @@ type stagedSeg struct {
 	lo, hi int
 }
 
-// pointerTarget names one mailbox key file that should receive an
-// (id, offset, SharedRef) pointer record for the request's shared append.
-// The offset is assigned at flush time, so the record bytes cannot be
-// prebuilt; refPos is filled in by the flush.
-type pointerTarget struct {
-	file   fsim.File
-	path   string
-	off    int64 // key-file end at enqueue time
-	refPos int64 // out: Ref-field position of the appended pointer record
-}
-
-// commitReq is one atomic MFS mutation submitted to the group committer.
-// With the log open the whole request — shared append, pointer records,
-// segments — is covered by a single commit record, so it either survives
-// a crash in full or not at all.
+// commitReq is one atomic MFS mutation submitted to the group committer:
+// segments its caller placed. With the log open the whole request is
+// covered by a single commit record, so it either survives a crash in
+// full or not at all.
 //
-// Requests are pooled: newReq hands one out with its segments in the
-// inline segBuf, the committer answers on its reusable done channel with a
-// send, and free returns it once that answer is received. A local
-// delivery or a delete allocates no request at all.
+// Requests are pooled with their segment arrays, the inline segBuf or
+// the one a shared write grew: newReq hands one out, the committer
+// answers on its reusable done channel with a send, and free returns it
+// once that answer is received. A delivery or a delete allocates no
+// request at all.
 type commitReq struct {
-	// Shared-store append (id != ""): framed payload for shmailbox.data
-	// plus an (id, offset, ref) tuple for shmailbox.key. The committer
-	// assigns off/refPos at flush time.
-	id   string
-	body []byte
-	ref  int32
-
-	// Pointer records to fan out once the shared offset is known.
-	ptrs []pointerTarget
-
-	// Appends and patches (box key/data appends, tombstones, in-place
-	// refcount patches) with enqueue-time offsets.
-	segs []segment
-
-	off    int64
-	refPos int64
+	segs   []segment
 	err    error
 	done   chan struct{} // buffered 1: the flush's one signal
-
 	segBuf [2]segment
 	patch  [4]byte // a refcount patch's bytes
 }
@@ -96,15 +106,17 @@ var reqPool = sync.Pool{New: func() any { return &commitReq{done: make(chan stru
 // newReq returns an empty request from the pool.
 func newReq() *commitReq {
 	r := reqPool.Get().(*commitReq)
-	r.segs = r.segBuf[:0]
+	if r.segs == nil {
+		r.segs = r.segBuf[:0]
+	}
 	return r
 }
 
 // free returns r to the pool. Its signal must have been received (or it
 // was never enqueued); r must not be used afterwards.
 func (r *commitReq) free() {
-	clear(r.ptrs)
-	*r = commitReq{done: r.done, ptrs: r.ptrs[:0]}
+	clear(r.segs)
+	*r = commitReq{done: r.done, segs: r.segs[:0]}
 	reqPool.Put(r)
 }
 
@@ -128,13 +140,13 @@ type walLog struct {
 // (the log makes them recoverable). Callers block only until the flush
 // carrying their request completes.
 //
-// The committer is the sole appender of the shared files, which also
-// makes the size-then-write append sequence atomic without a file lock.
-// Requests drain in channel FIFO order, and a request's enqueueing
-// caller holds the lock that serializes its target files (mailbox lock,
-// shard lock for refcount patches), so segment offsets computed at
-// enqueue time are valid at flush time and later patches to one position
-// are applied last.
+// The committer places nothing: it stages each request's segments and
+// applies them. Requests drain in channel FIFO order, and a request's
+// caller enqueues it under the lock that placed its appends (appendFile)
+// or computed its patches (shard lock for refcount patches), so every
+// offset is valid at flush time and later patches to one position are
+// applied last. Because in-memory ends and counts run ahead of the files
+// until their batch lands, a batch that fails stops the store.
 //
 // Rotation (wal.go) runs beside the commit stream: the committer switches
 // appends to the other log and a rotator goroutine syncs the old log's
@@ -142,19 +154,15 @@ type walLog struct {
 // old log and its dirty set until it answers on rotDone.
 type committer struct {
 	// mu guards the WAL state. The flush path holds it for the duration of
-	// one batch; Checkpoint, close and release rotate or sync while
-	// holding it, so no batch lands under them.
-	mu   sync.Mutex
-	key  fsim.File
-	data fsim.File
+	// one batch; Checkpoint and close rotate while holding it, so no batch
+	// lands under them.
+	mu sync.Mutex
 
 	// WAL state; logs[cur].f is nil when the store was opened without
 	// the log.
 	fs         fsim.FS
 	logs       [2]walLog
 	cur        int
-	keyPath    string
-	dataPath   string
 	walSeq     uint64
 	walSize    int64
 	walBorn    time.Time // when the current log took its first record
@@ -166,10 +174,12 @@ type committer struct {
 	syncing  map[fsim.File]struct{}
 	rotating bool
 	rotDone  chan error // buffered 1: the rotator's outcome
-	// failed is the log or rotation error that stopped the store: replay
-	// ends at a torn record, so nothing may be appended behind one, and a
-	// failed fsync may have dropped its pages, so it is not retried. Every
-	// later request is refused with it; no file is touched again.
+	// failed is the error that stopped the store: a failed batch, log
+	// write or rotation. Replay ends at a torn record, so nothing may be
+	// appended behind one; a failed fsync may have dropped its pages, so
+	// it is not retried; and a batch that did not land leaves the files
+	// behind the in-memory state. Every later request is refused with it;
+	// no file is touched again.
 	failed error
 
 	// rec is the batch being flushed, in log-record form; staged says where
@@ -191,11 +201,7 @@ type committer struct {
 
 func newCommitter(s *Store) *committer {
 	c := &committer{
-		key:        s.shKey,
-		data:       s.shData,
 		fs:         s.fs,
-		keyPath:    s.path("shmailbox.key"),
-		dataPath:   s.path("shmailbox.data"),
 		rotateSize: s.opts.walRotate,
 		dirty:      make(map[fsim.File]struct{}),
 		syncing:    make(map[fsim.File]struct{}),
@@ -307,30 +313,12 @@ func (c *committer) flush(batch []*commitReq) {
 // batches stay far below it), so one 16 MiB mail pins nothing.
 const maxStagedRecord = 1 << 20
 
-// beginSeg starts a segment in the record buffer (its log header, length
-// still to come) and endSeg closes it over every byte appended since.
-func (c *committer) beginSeg(s *segment) {
-	c.rec = append(c.rec, s.kind)
-	c.rec = binary.LittleEndian.AppendUint16(c.rec, uint16(len(s.path)))
-	c.rec = append(c.rec, s.path...)
-	c.rec = binary.LittleEndian.AppendUint64(c.rec, uint64(s.off))
-	c.rec = append(c.rec, 0, 0, 0, 0)
-	c.staged = append(c.staged, stagedSeg{segment: *s, lo: len(c.rec)})
-}
-
-func (c *committer) endSeg() {
-	s := &c.staged[len(c.staged)-1]
-	s.hi = len(c.rec)
-	binary.LittleEndian.PutUint32(c.rec[s.lo-4:], uint32(s.hi-s.lo))
-}
-
 // flushLocked stages the batch once, in c.rec, as the log record covering
-// it (wal.go has the layout): all shared-store appends as one data and one
-// key segment, every request's own segments, then the pointer records,
-// whose offsets are known only now. With the log open the record is written
-// and synced — the commit point — after a log past its size or age has
-// been switched out for rotation. Then each segment goes to its file from
-// where it sits in the record.
+// it (wal.go has the layout): every request's segments in order. With the
+// log open the record is written and synced — the commit point — after a
+// log past its size or age has been switched out for rotation. Then each
+// segment goes to its file from where it sits in the record. Every error
+// stops the store.
 func (c *committer) flushLocked(batch []*commitReq) error {
 	if err := c.reapLocked(false); err != nil {
 		return err
@@ -340,67 +328,30 @@ func (c *committer) flushLocked(batch []*commitReq) error {
 			return err
 		}
 	}
-	dataBase, err := c.data.Size()
-	if err != nil {
-		return err
-	}
-	keyBase, err := c.key.Size()
-	if err != nil {
-		return err
-	}
 	c.rec = append(c.rec, walMagic)
 	c.rec = append(c.rec, make([]byte, 8+4)...) // seq and nsegs, filled in once the batch is staged
-	if slices.ContainsFunc(batch, func(r *commitReq) bool { return r.id != "" }) {
-		c.beginSeg(&segment{kind: walSegApp, file: c.data, path: c.dataPath, off: dataBase})
-		lo := len(c.rec)
-		for _, r := range batch {
-			if r.id != "" {
-				r.off = dataBase + int64(len(c.rec)-lo)
-				c.rec = appendDataFrame(c.rec, r.body)
-			}
-		}
-		c.endSeg()
-		c.beginSeg(&segment{kind: walSegApp, file: c.key, path: c.keyPath, off: keyBase})
-		lo = len(c.rec)
-		for _, r := range batch {
-			if r.id != "" {
-				c.rec, err = appendKeyRecordBuf(c.rec, keyRecord{Type: recEntry, ID: r.id, Offset: r.off, Ref: r.ref})
-				if err != nil {
-					return err
-				}
-				r.refPos = keyBase + int64(len(c.rec)-lo) - 4
-			}
-		}
-		c.endSeg()
-	}
 	for _, r := range batch {
 		for i := range r.segs {
 			s := &r.segs[i]
-			c.beginSeg(s)
+			c.rec = append(c.rec, s.kind)
+			c.rec = binary.LittleEndian.AppendUint16(c.rec, uint16(len(s.path)))
+			c.rec = append(c.rec, s.path...)
+			c.rec = binary.LittleEndian.AppendUint64(c.rec, uint64(s.off))
+			c.rec = append(c.rec, 0, 0, 0, 0)
+			lo := len(c.rec)
 			switch s.enc {
 			case encFrame:
 				c.rec = appendDataFrame(c.rec, s.buf)
 			case encKey:
+				var err error
 				if c.rec, err = appendKeyRecordBuf(c.rec, s.key); err != nil {
-					return err
+					return c.stopLocked("commit record", err)
 				}
 			default:
 				c.rec = append(c.rec, s.buf...)
 			}
-			c.endSeg()
-		}
-	}
-	for _, r := range batch {
-		for i := range r.ptrs {
-			p := &r.ptrs[i]
-			c.beginSeg(&segment{kind: walSegApp, file: p.file, path: p.path, off: p.off})
-			lo := len(c.rec)
-			c.rec, err = appendKeyRecordBuf(c.rec, keyRecord{Type: recEntry, ID: r.id, Offset: r.off, Ref: SharedRef})
-			if err != nil {
-				return err
-			}
-			c.endSeg()
-			p.refPos = p.off + int64(len(c.rec)-lo) - 4
+			binary.LittleEndian.PutUint32(c.rec[lo-4:], uint32(len(c.rec)-lo))
+			c.staged = append(c.staged, stagedSeg{segment: *s, lo: lo, hi: len(c.rec)})
 		}
 	}
 
@@ -427,13 +378,14 @@ func (c *committer) flushLocked(batch []*commitReq) error {
 
 	for i := range c.staged {
 		s := &c.staged[i]
+		var err error
 		if s.kind == walSegApp {
 			_, err = s.file.Write(c.rec[s.lo:s.hi])
 		} else {
 			_, err = s.file.WriteAt(c.rec[s.lo:s.hi], s.off)
 		}
 		if err != nil {
-			return err
+			return c.stopLocked("write to "+s.path, err)
 		}
 		if c.logged() {
 			c.dirty[s.file] = struct{}{}
@@ -549,28 +501,6 @@ func (c *committer) rotateLocked() error {
 	clear(c.dirty)
 	c.walSize = 0
 	c.rotations.Add(1)
-	return nil
-}
-
-// release makes the logged writes to files durable before their owner
-// closes them (Mailbox.Close), so no rotation ever syncs a closed handle:
-// it waits for the rotation in flight, whose set may hold them, then
-// syncs those the current log has dirty and drops them from its set.
-func (c *committer) release(files ...fsim.File) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.reapLocked(true); err != nil {
-		return err
-	}
-	for _, f := range files {
-		if _, ok := c.dirty[f]; !ok {
-			continue
-		}
-		if err := f.Sync(); err != nil {
-			return c.stopLocked("write-ahead log rotation", err)
-		}
-		delete(c.dirty, f)
-	}
 	return nil
 }
 

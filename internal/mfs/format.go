@@ -53,7 +53,8 @@ var (
 	// ErrNoMailbox is returned by Lookup for a mailbox that does not exist.
 	ErrNoMailbox = errors.New("mfs: no such mailbox")
 
-	// ErrClosed is returned by operations on a closed mailbox or store.
+	// ErrClosed is returned by operations on a closed store and on the
+	// mailboxes opened through it.
 	ErrClosed = errors.New("mfs: closed")
 )
 
@@ -107,9 +108,9 @@ func appendKeyRecordBuf(buf []byte, r keyRecord) ([]byte, error) {
 }
 
 // appendKeyRecord serializes r and appends it to f, returning the file
-// offset where the Ref field landed. The caller must serialize appends to
-// f (mailbox key files are guarded by the mailbox lock; the shared key
-// file is written only by the committer).
+// offset where the Ref field landed. Only reconcile appends this way,
+// before the store serves traffic and reads its files' ends; a serving
+// store appends only through the committer.
 func appendKeyRecord(f fsim.File, r keyRecord) (refPos int64, err error) {
 	start, err := f.Size()
 	if err != nil {

@@ -22,9 +22,12 @@ import (
 //     Checkpoint included, holds it shared; Close alone holds it
 //     exclusively, which quiesces all activity.
 //  2. Store.openMu — the open-mailbox handle map.
-//  3. Mailbox.mu — one per mailbox: key/data appends, the in-memory
-//     index. NWrite locks its destination set in sorted name order.
-//  4. sharedIndex shard locks — 64-way, hash-by-mail-id.
+//  3. Mailbox.mu — one per mailbox: the placement of its key/data
+//     appends, the in-memory index. NWrite locks its destination set in
+//     sorted name order.
+//  4. sharedIndex shard locks — 64-way, hash-by-mail-id — and
+//     Store.appendMu, the placement of shared-file appends; neither is
+//     held with the other.
 //  5. committer.mu — WAL state; held per flush by the committer
 //     goroutine, which takes no other lock (so callers may block on a
 //     commit while holding any of the above), and by Checkpoint for its
@@ -35,12 +38,16 @@ type Store struct {
 	opts options
 
 	// stateMu is the narrow store-level lifecycle lock; see the hierarchy
-	// above. closed changes, and shKey and shData are closed, only while
-	// it is held exclusively.
+	// above. closed changes, and every file is closed, only while it is
+	// held exclusively.
 	stateMu sync.RWMutex
 	closed  bool
-	shKey   fsim.File
-	shData  fsim.File
+
+	// appendMu guards the shared files' ends: an owner of a new shared
+	// mail holds it to place its frame and key tuple and to enqueue them.
+	appendMu sync.Mutex
+	shKey    appendFile
+	shData   appendFile
 
 	openMu sync.RWMutex
 	open   map[string]*Mailbox
@@ -114,19 +121,30 @@ func New(fs fsim.FS, dir string, opts ...Option) (*Store, error) {
 			return nil, fmt.Errorf("mfs: wal replay: %w", err)
 		}
 	}
+	s.shKey.path, s.shData.path = s.path("shmailbox.key"), s.path("shmailbox.data")
 	var err error
-	if s.shKey, err = fs.OpenAppend(s.path("shmailbox.key")); err != nil {
+	if s.shKey.f, err = fs.OpenAppend(s.shKey.path); err != nil {
 		return nil, fmt.Errorf("mfs: open shared key file: %w", err)
 	}
-	if s.shData, err = fs.OpenAppend(s.path("shmailbox.data")); err != nil {
-		s.shKey.Close()
+	if s.shData.f, err = fs.OpenAppend(s.shData.path); err != nil {
+		s.shKey.f.Close()
 		return nil, fmt.Errorf("mfs: open shared data file: %w", err)
 	}
-	recs, err := readKeyRecords(s.shKey)
-	if err != nil {
-		s.shKey.Close()
-		s.shData.Close()
+	if err := s.load(); err != nil {
+		s.shKey.f.Close()
+		s.shData.f.Close()
 		return nil, err
+	}
+	return s, nil
+}
+
+// load rebuilds the shared index from the shared key file, reconciles a
+// store that was not closed cleanly, reads the shared files' ends and
+// starts the committer.
+func (s *Store) load() error {
+	recs, err := readKeyRecords(s.shKey.f)
+	if err != nil {
+		return err
 	}
 	for i := range recs {
 		r := recs[i]
@@ -140,28 +158,25 @@ func New(fs fsim.FS, dir string, opts ...Option) (*Store, error) {
 			s.shared.remove(r.ID)
 		}
 	}
-	if fs.Exists(s.path(dirtyMarker)) {
+	if s.fs.Exists(s.path(dirtyMarker)) {
 		if err := s.reconcile(); err != nil {
-			s.shKey.Close()
-			s.shData.Close()
-			return nil, fmt.Errorf("mfs: reconcile: %w", err)
+			return fmt.Errorf("mfs: reconcile: %w", err)
 		}
 	}
+	if err := readEnds(&s.shKey, &s.shData); err != nil {
+		return err
+	}
 	if err := s.writeDirtyMarker(); err != nil {
-		s.shKey.Close()
-		s.shData.Close()
-		return nil, err
+		return err
 	}
 	s.commit = newCommitter(s)
 	if s.opts.sync {
 		if err := s.commit.openWAL(); err != nil {
 			s.commit.close() //nolint:errcheck
-			s.shKey.Close()
-			s.shData.Close()
-			return nil, fmt.Errorf("mfs: open wal: %w", err)
+			return fmt.Errorf("mfs: open wal: %w", err)
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // writeDirtyMarker creates and syncs the open-store sentinel.
@@ -205,16 +220,14 @@ func (s *Store) Close() error {
 	err := s.commit.close()
 	s.openMu.Lock()
 	for _, mb := range s.open {
-		mb.mu.Lock()
-		mb.closeLocked() //nolint:errcheck
-		mb.mu.Unlock()
+		mb.key.f.Close()
+		mb.data.f.Close()
 	}
 	s.openMu.Unlock()
-	if cerr := s.shKey.Close(); err == nil {
-		err = cerr
-	}
-	if cerr := s.shData.Close(); err == nil {
-		err = cerr
+	for _, f := range []fsim.File{s.shKey.f, s.shData.f} {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
 	if err == nil {
 		// Only a fully clean shutdown may declare the store consistent.
@@ -229,17 +242,17 @@ func (s *Store) Close() error {
 // in-memory index rebuilt at open — the mail_file of the paper's API,
 // read by id (Stat, ReadID, Body) rather than through the paper's
 // sequential mail_seek/mail_read cursor. A Mailbox has its own lock, so
-// operations on different mailboxes proceed in parallel.
+// operations on different mailboxes proceed in parallel. Its files stay
+// open until the store closes them: there is no mail_close.
 type Mailbox struct {
-	store    *Store
-	name     string
-	keyPath  string
-	dataPath string
+	store *Store
+	name  string
 
-	// mu guards everything below plus appends to key/data.
+	// mu guards everything below: the files' ends, which place every
+	// append to them, and the in-memory index.
 	mu   sync.Mutex
-	key  fsim.File
-	data fsim.File
+	key  appendFile
+	data appendFile
 
 	// entries holds records in arrival order; a deleted mail leaves a nil
 	// slot (tombstone) so deletion is O(1), and the slice is compacted
@@ -247,8 +260,6 @@ type Mailbox struct {
 	entries []*keyRecord
 	index   map[string]int
 	dead    int
-
-	closed bool
 }
 
 // Open opens mailbox name, creating its key and data files if they do not
@@ -288,24 +299,27 @@ func (s *Store) openBox(name string, create bool) (*Mailbox, error) {
 		return mb, nil
 	}
 	mb = &Mailbox{
-		store:    s,
-		name:     name,
-		keyPath:  s.path("boxes/" + name + ".key"),
-		dataPath: s.path("boxes/" + name + ".data"),
-		index:    make(map[string]int),
+		store: s,
+		name:  name,
+		key:   appendFile{path: s.path("boxes/" + name + ".key")},
+		data:  appendFile{path: s.path("boxes/" + name + ".data")},
+		index: make(map[string]int),
 	}
 	var err error
-	if mb.key, err = s.fs.OpenAppend(mb.keyPath); err != nil {
+	if mb.key.f, err = s.fs.OpenAppend(mb.key.path); err != nil {
 		return nil, fmt.Errorf("mfs: open mailbox %s: %w", name, err)
 	}
-	if mb.data, err = s.fs.OpenAppend(mb.dataPath); err != nil {
-		mb.key.Close()
+	if mb.data.f, err = s.fs.OpenAppend(mb.data.path); err != nil {
+		mb.key.f.Close()
 		return nil, fmt.Errorf("mfs: open mailbox %s: %w", name, err)
 	}
-	recs, err := readKeyRecords(mb.key)
+	recs, err := readKeyRecords(mb.key.f)
+	if err == nil {
+		err = readEnds(&mb.key, &mb.data)
+	}
 	if err != nil {
-		mb.key.Close()
-		mb.data.Close()
+		mb.key.f.Close()
+		mb.data.f.Close()
 		return nil, err
 	}
 	for i := range recs {
@@ -392,7 +406,7 @@ func (mb *Mailbox) ReadID(id string) (Mail, error) {
 // The unlocked reads rely on one invariant: a committed payload never
 // moves or changes while its data file is open — data files are
 // append-only and a deleted payload stays behind as dead space. A read
-// after the mailbox or the store has been closed fails.
+// after the store has been closed fails.
 func (mb *Mailbox) Body(id string) (io.SectionReader, error) {
 	ext, err := mb.locate(id)
 	if err != nil {
@@ -415,11 +429,11 @@ type extent struct {
 func (mb *Mailbox) locate(id string) (extent, error) {
 	mb.store.stateMu.RLock()
 	defer mb.store.stateMu.RUnlock()
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if mb.closed {
+	if mb.store.closed {
 		return extent{}, ErrClosed
 	}
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
 	j, ok := mb.index[id]
 	if !ok {
 		return extent{}, fmt.Errorf("mfs: read %q: %w", id, ErrNotFound)
@@ -434,9 +448,9 @@ func (mb *Mailbox) locate(id string) (extent, error) {
 // time and keeps the length. mb.mu held, and stateMu, which pins the
 // shared store's file.
 func (mb *Mailbox) locateLocked(rec *keyRecord) (extent, error) {
-	f := mb.data
+	f := mb.data.f
 	if rec.Ref == SharedRef {
-		f = mb.store.shData
+		f = mb.store.shData.f
 	}
 	if !rec.sized {
 		n, err := dataRecordLen(f, rec.Offset)
@@ -489,11 +503,11 @@ func (mb *Mailbox) Stat() ([]MailInfo, error) {
 	// stateMu pins the shared-store data file against a concurrent Close.
 	mb.store.stateMu.RLock()
 	defer mb.store.stateMu.RUnlock()
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if mb.closed {
+	if mb.store.closed {
 		return nil, ErrClosed
 	}
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
 	infos := make([]MailInfo, 0, mb.liveLenLocked())
 	for _, r := range mb.entries {
 		if r == nil {
@@ -528,9 +542,6 @@ func (mb *Mailbox) Delete(id string) error {
 	}
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	if mb.closed {
-		return ErrClosed
-	}
 	j, ok := mb.index[id]
 	if !ok {
 		return fmt.Errorf("mfs: delete %q: %w", id, ErrNotFound)
@@ -551,16 +562,9 @@ func (mb *Mailbox) Delete(id string) error {
 // the committer never takes shard locks, so enqueueing under one cannot
 // deadlock.
 func (s *Store) commitTombstone(mb *Mailbox, id string, rec *keyRecord) error {
-	keyEnd, err := mb.key.Size()
-	if err != nil {
-		return err
-	}
 	req := newReq()
 	defer req.free()
-	req.segs = append(req.segs, segment{
-		kind: walSegApp, enc: encKey, file: mb.key, path: mb.keyPath, off: keyEnd,
-		key: keyRecord{Type: recTombstone, ID: id},
-	})
+	req.segs = append(req.segs, mb.key.record(keyRecord{Type: recTombstone, ID: id}))
 	if rec.Ref != SharedRef {
 		return s.commit.submit(req)
 	}
@@ -568,11 +572,7 @@ func (s *Store) commitTombstone(mb *Mailbox, id string, rec *keyRecord) error {
 	sh.mu.Lock()
 	if shr, ok := sh.m[id]; ok {
 		shr.Ref--
-		putRef(req.patch[:], shr.Ref)
-		req.segs = append(req.segs, segment{
-			kind: walSegPat, file: s.shKey, path: s.commit.keyPath,
-			off: shr.refPos, buf: req.patch[:],
-		})
+		s.patchRef(req, shr)
 		if shr.Ref <= 0 {
 			delete(sh.m, id)
 		}
@@ -582,37 +582,13 @@ func (s *Store) commitTombstone(mb *Mailbox, id string, rec *keyRecord) error {
 	return req.wait()
 }
 
-// Close closes the mailbox — the paper's mail_close. On a logged store
-// the committer first syncs what the log still covers of its files, so
-// no rotation is left to sync a closed handle.
-func (mb *Mailbox) Close() error {
-	mb.store.stateMu.RLock()
-	defer mb.store.stateMu.RUnlock()
-	mb.store.openMu.Lock()
-	defer mb.store.openMu.Unlock()
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	if mb.closed {
-		return ErrClosed
-	}
-	delete(mb.store.open, mb.name)
-	err := mb.store.commit.release(mb.key, mb.data)
-	if cerr := mb.closeLocked(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func (mb *Mailbox) closeLocked() error {
-	if mb.closed {
-		return nil
-	}
-	mb.closed = true
-	err := mb.key.Close()
-	if err2 := mb.data.Close(); err == nil {
-		err = err2
-	}
-	return err
+// patchRef adds to req the in-place rewrite of rec's reference count in
+// the shared key file. rec's shard lock held.
+func (s *Store) patchRef(req *commitReq, rec *sharedRec) {
+	putRef(req.patch[:], rec.Ref)
+	req.segs = append(req.segs, segment{
+		kind: walSegPat, file: s.shKey.f, path: s.shKey.path, off: rec.refPos, buf: req.patch[:],
+	})
 }
 
 // lockBoxes acquires every destination's lock in sorted name order (the
@@ -675,9 +651,6 @@ func (s *Store) NWrite(boxes []*Mailbox, id string, body []byte) error {
 		}
 	}()
 	for _, mb := range boxes {
-		if mb.closed {
-			return ErrClosed
-		}
 		if _, dup := mb.index[id]; dup {
 			return fmt.Errorf("mfs: NWrite %q to %s: %w", id, mb.name, ErrDuplicate)
 		}
@@ -700,32 +673,19 @@ func (s *Store) NWrite(boxes []*Mailbox, id string, body []byte) error {
 // writeLocal commits a single-recipient mail — data frame plus key tuple,
 // which the committer encodes into its record — as one pooled commit
 // request: the in-memory index entry is all it allocates. The mailbox lock
-// (held by the caller) keeps the enqueue-time file ends valid until the
-// flush.
+// (held by the caller) places both appends.
 func (s *Store) writeLocal(mb *Mailbox, id string, body []byte) error {
-	dataEnd, err := mb.data.Size()
-	if err != nil {
-		return err
-	}
-	keyEnd, err := mb.key.Size()
-	if err != nil {
-		return err
-	}
-	rec := keyRecord{Type: recEntry, ID: id, Offset: dataEnd, Ref: 1}
 	req := newReq()
-	req.segs = append(req.segs,
-		segment{kind: walSegApp, enc: encFrame, file: mb.data, path: mb.dataPath, off: dataEnd, buf: body},
-		segment{kind: walSegApp, enc: encKey, file: mb.key, path: mb.keyPath, off: keyEnd, key: rec},
-	)
-	err = s.commit.submit(req)
+	req.segs = append(req.segs, mb.data.frame(body))
+	req.segs = append(req.segs, mb.key.record(keyRecord{Type: recEntry, ID: id, Offset: req.segs[0].off, Ref: 1}))
+	rec := req.segs[1].key
+	rec.refPos, rec.size, rec.sized = req.segs[1].refPos(), uint32(len(body)), true
+	err := s.commit.submit(req)
 	req.free()
-	if err != nil {
-		return err
+	if err == nil {
+		mb.addEntry(rec)
 	}
-	rec.refPos = keyEnd + keyRecordLen(id) - 4
-	rec.size, rec.sized = uint32(len(body)), true
-	mb.addEntry(rec)
-	return nil
+	return err
 }
 
 // writeShared commits a multi-recipient mail as one commit request: the
@@ -751,28 +711,19 @@ func (s *Store) writeShared(boxes []*Mailbox, id string, body []byte) error {
 			sh.m[id] = rec
 			sh.mu.Unlock()
 			req := newReq()
-			req.id, req.body, req.ref = id, body, int32(len(boxes))
-			for _, mb := range boxes {
-				keyEnd, err := mb.key.Size()
-				if err != nil {
-					req.free()
-					return s.abandonReservation(sh, id, rec, err)
-				}
-				req.ptrs = append(req.ptrs, pointerTarget{file: mb.key, path: mb.keyPath, off: keyEnd})
-			}
-			if err := s.commit.submit(req); err != nil {
+			s.appendMu.Lock()
+			req.segs = append(req.segs, s.shData.frame(body))
+			rec.Offset = req.segs[0].off
+			req.segs = append(req.segs, s.shKey.record(rec.keyRecord))
+			rec.refPos = req.segs[1].refPos()
+			s.commit.enqueue(pointTo(req, boxes, rec))
+			s.appendMu.Unlock()
+			if err := req.wait(); err != nil {
 				req.free()
 				return s.abandonReservation(sh, id, rec, err)
 			}
-			rec.Offset, rec.refPos = req.off, req.refPos
 			close(rec.ready)
-			for i, mb := range boxes {
-				mb.addEntry(keyRecord{
-					Type: recEntry, ID: id, Offset: req.off, Ref: SharedRef,
-					refPos: req.ptrs[i].refPos, size: uint32(len(body)), sized: true,
-				})
-			}
-			req.free()
+			addPointers(req, boxes, len(body))
 			return nil
 		}
 		sh.mu.Unlock()
@@ -789,7 +740,7 @@ func (s *Store) writeShared(boxes []*Mailbox, id string, body []byte) error {
 		// check), then commit refcount patch + pointer records together.
 		// Enqueued under the shard lock so refcount patches stay in
 		// compute order (see commitTombstone).
-		n, err := dataRecordLen(s.shData, rec.Offset)
+		n, err := dataRecordLen(s.shData.f, rec.Offset)
 		if err != nil {
 			sh.mu.Unlock()
 			return err
@@ -801,37 +752,41 @@ func (s *Store) writeShared(boxes []*Mailbox, id string, body []byte) error {
 		}
 		rec.Ref += int32(len(boxes))
 		req := newReq()
-		putRef(req.patch[:], rec.Ref)
-		req.segs = append(req.segs, segment{
-			kind: walSegPat, file: s.shKey, path: s.commit.keyPath,
-			off: rec.refPos, buf: req.patch[:],
-		})
-		ptr := keyRecord{Type: recEntry, ID: id, Offset: rec.Offset, Ref: SharedRef}
-		for _, mb := range boxes {
-			keyEnd, err := mb.key.Size()
-			if err != nil {
-				rec.Ref -= int32(len(boxes))
-				sh.mu.Unlock()
-				req.free()
-				return err
-			}
-			req.segs = append(req.segs, segment{
-				kind: walSegApp, enc: encKey, file: mb.key, path: mb.keyPath, off: keyEnd, key: ptr,
-			})
-		}
-		s.commit.enqueue(req)
+		s.patchRef(req, rec)
+		s.commit.enqueue(pointTo(req, boxes, rec))
 		sh.mu.Unlock()
-		err = req.wait()
-		if err == nil {
-			ptr.size, ptr.sized = uint32(len(body)), true // the stored length was checked equal above
-			for i, mb := range boxes {
-				ptr.refPos = req.segs[1+i].off + keyRecordLen(id) - 4
-				mb.addEntry(ptr)
-			}
+		if err = req.wait(); err != nil {
+			req.free()
+			return err
 		}
-		req.free()
-		return err
+		addPointers(req, boxes, len(body)) // the stored length was checked equal above
+		return nil
 	}
+}
+
+// pointTo adds to req one pointer record to rec per box, placed at the
+// box's key-file end, and returns req. Every box's lock held.
+func pointTo(req *commitReq, boxes []*Mailbox, rec *sharedRec) *commitReq {
+	ptr := keyRecord{Type: recEntry, ID: rec.ID, Offset: rec.Offset, Ref: SharedRef}
+	if n := len(req.segs) + len(boxes); n > cap(req.segs) {
+		req.segs = append(make([]segment, 0, n), req.segs...) // kept by the pool
+	}
+	for _, mb := range boxes {
+		req.segs = append(req.segs, mb.key.record(ptr))
+	}
+	return req
+}
+
+// addPointers indexes the committed pointer records that end req's
+// segments — one per box, in order — and frees req. Every box's lock held.
+func addPointers(req *commitReq, boxes []*Mailbox, size int) {
+	ptrs := req.segs[len(req.segs)-len(boxes):]
+	for i, mb := range boxes {
+		ptr := ptrs[i].key
+		ptr.refPos, ptr.size, ptr.sized = ptrs[i].refPos(), uint32(size), true
+		mb.addEntry(ptr)
+	}
+	req.free()
 }
 
 // abandonReservation unwinds a failed owner commit so waiters retry.

@@ -415,11 +415,13 @@ func TestOpenSameMailboxReturnsSameHandle(t *testing.T) {
 	}
 }
 
+// TestClosedOperations: once the store is closed, every operation on it
+// and on the mailboxes opened through it answers ErrClosed.
 func TestClosedOperations(t *testing.T) {
 	env := newStores(t)["mem"]
 	mb, _ := env.store.Open("a")
 	env.store.NWrite([]*Mailbox{mb}, "m", []byte("x"))
-	if err := mb.Close(); err != nil {
+	if err := env.store.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mb.Stat(); !errors.Is(err, ErrClosed) {
@@ -428,24 +430,20 @@ func TestClosedOperations(t *testing.T) {
 	if _, err := mb.ReadID("m"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("read after close = %v", err)
 	}
+	if _, err := mb.Body("m"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("body after close = %v", err)
+	}
 	if err := mb.Delete("m"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("delete after close = %v", err)
 	}
-	if err := mb.Close(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("double close = %v", err)
-	}
-	// Reopening yields a fresh handle over the same data.
-	mb2, err := env.store.Open("a")
-	if err != nil || mb2.Len() != 1 {
-		t.Fatalf("reopen = %v, len %d", err, mb2.Len())
-	}
-
-	env.store.Close()
 	if _, err := env.store.Open("x"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("open on closed store = %v", err)
 	}
-	if err := env.store.NWrite([]*Mailbox{mb2}, "y", nil); !errors.Is(err, ErrClosed) {
+	if err := env.store.NWrite([]*Mailbox{mb}, "y", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("NWrite on closed store = %v", err)
+	}
+	if _, err := env.store.Checkpoint("ckpt"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("checkpoint of a closed store = %v", err)
 	}
 	if err := env.store.Close(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("double store close = %v", err)

@@ -161,13 +161,13 @@ func (s *Store) reconcile() error {
 		n := tally[rec.ID]
 		switch {
 		case n == 0:
-			if _, err := appendKeyRecord(s.shKey, keyRecord{Type: recTombstone, ID: rec.ID}); err != nil {
+			if _, err := appendKeyRecord(s.shKey.f, keyRecord{Type: recTombstone, ID: rec.ID}); err != nil {
 				return err
 			}
 			s.shared.remove(rec.ID)
 			s.recovery.SharedDropped++
 		case int32(n) != rec.Ref:
-			if err := updateRef(s.shKey, rec.refPos, int32(n)); err != nil {
+			if err := updateRef(s.shKey.f, rec.refPos, int32(n)); err != nil {
 				return err
 			}
 			rec.Ref = int32(n)
@@ -175,7 +175,7 @@ func (s *Store) reconcile() error {
 		}
 	}
 	if s.recovery.RefsFixed > 0 || s.recovery.SharedDropped > 0 {
-		if err := s.shKey.Sync(); err != nil {
+		if err := s.shKey.f.Sync(); err != nil {
 			return err
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -300,5 +301,107 @@ func TestRotationSyncErrorIsFailStop(t *testing.T) {
 				t.Fatalf("acknowledged %s in %s after reopen: %d bytes, %v", id, mb.Name(), len(m.Body), err)
 			}
 		}
+	}
+}
+
+var errInjectedWrite = errors.New("injected write failure")
+
+// TestApplyErrorIsFailStop: a write to a mailbox data file failing after
+// the log sync stops the store, as a log error does — the files now lag
+// the in-memory ends and counts the next requests would be placed by. The
+// batch that hit the error and every later mutation and checkpoint are
+// refused with it and no file changes; a reopen after the machine dies
+// holds every acknowledged mail once, and the failed batch, which the log
+// committed, replayed from it.
+func TestApplyErrorIsFailStop(t *testing.T) {
+	fault := fsim.NewFault()
+	var armed atomic.Bool
+	fault.SetHook(func(op, path string, _ int) error {
+		if op == "Write" && path == "m/boxes/a.data" && armed.CompareAndSwap(true, false) {
+			return errInjectedWrite
+		}
+		return nil
+	})
+	s, err := New(fault, "m", WithSync(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := s.mustOpen(t, "a"), s.mustOpen(t, "b")
+	c, d := s.mustOpen(t, "c"), s.mustOpen(t, "d") // empty: targets of a late dedup
+	body := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, 2000) }
+	for i, dests := range [][]*Mailbox{{a}, {a, b}, {b}, {a, b}} {
+		if err := s.NWrite(dests, fmt.Sprintf("acked-%d", i), body(i)); err != nil {
+			t.Fatalf("acked-%d: %v", i, err)
+		}
+	}
+	armed.Store(true)
+	if err := s.NWrite([]*Mailbox{a}, "failed", body(4)); !errors.Is(err, errInjectedWrite) {
+		t.Fatalf("the write that failed returned %v, want the write error", err)
+	}
+	files := func() map[string]string {
+		m := map[string]string{}
+		for _, name := range fault.List("") {
+			data, err := readFull(fault, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[name] = string(data)
+		}
+		return m
+	}
+	before := files()
+	for _, op := range []struct {
+		what string
+		err  error
+	}{
+		{"local NWrite", s.NWrite([]*Mailbox{b}, "late-local", []byte("x"))},
+		{"shared NWrite", s.NWrite([]*Mailbox{a, b}, "late-shared", []byte("x"))},
+		{"dedup NWrite", s.NWrite([]*Mailbox{c, d}, "acked-1", body(1))},
+		{"local Delete", a.Delete("acked-0")},
+		{"shared Delete", b.Delete("acked-1")},
+		{"Checkpoint", func() error { _, err := s.Checkpoint("ckpt"); return err }()},
+		{"Close", s.Close()},
+	} {
+		if !errors.Is(op.err, errInjectedWrite) {
+			t.Errorf("%s after the failed write returned %v, want the write error", op.what, op.err)
+		}
+	}
+	if after := files(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("files changed after the store stopped: %d files before, %d after", len(before), len(after))
+	}
+
+	fault.Crash()
+	fault.Recover()
+	s2, err := New(fault, "m", WithSync(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if r := s2.Recovery(); r.Replayed == 0 {
+		t.Fatalf("reopen replayed no log record: %+v", r)
+	}
+	want := map[string][]string{
+		"a": {"acked-0", "acked-1", "acked-3", "failed"},
+		"b": {"acked-1", "acked-2", "acked-3"},
+		"c": nil,
+		"d": nil,
+	}
+	for name, ids := range want {
+		mb := s2.mustOpen(t, name)
+		if got := mb.IDs(); !slices.Equal(got, ids) {
+			t.Fatalf("%s after reopen holds %v, want %v", name, got, ids)
+		}
+		for _, id := range ids {
+			i := int(id[len(id)-1] - '0')
+			if id == "failed" {
+				i = 4
+			}
+			if m, err := mb.ReadID(id); err != nil || !bytes.Equal(m.Body, body(i)) {
+				t.Fatalf("%s/%s after reopen: %d bytes, %v", name, id, len(m.Body), err)
+			}
+		}
+	}
+	if st := s2.Stats(); st.SharedRecords != 2 || st.SharedRefs != 4 {
+		t.Fatalf("shared store after reopen: %+v, want 2 records and 4 refs", st)
 	}
 }
