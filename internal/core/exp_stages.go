@@ -23,8 +23,8 @@ func init() {
 // architecture and returns its front end so the caller can read the
 // stage histograms back out of the registry.
 func stageRun(arch smtpserver.Architecture, conns []trace.Conn) (*smtpserver.Server, error) {
-	// Few workers against many client slots, so connections queue for
-	// an smtpd worker and the handoff_wait stage has something to show.
+	// Few worker slots against many client slots, so connections wait
+	// for a worker and the handoff_wait stage has something to show.
 	sh, err := replayShard(cluster.ShardSpec{Options: []smtpserver.Option{
 		smtpserver.WithArchitecture(arch), smtpserver.WithMaxWorkers(4)}}, conns, false)
 	if err != nil {
@@ -42,8 +42,8 @@ func stageQuantiles(srv *smtpserver.Server, arch smtpserver.Architecture, stage 
 
 func runStageLatency(w io.Writer, opts Options) (Metrics, error) {
 	// A bounce-heavy trace (§4.1's regime) is where the architectures
-	// diverge: vanilla queues every bounce for a worker, hybrid kills
-	// them in the front end.
+	// diverge: vanilla makes every bounce wait for a worker slot, hybrid
+	// ends them before they take one.
 	n := opts.scale(3000, 400)
 	conns := trace.BounceSweep(opts.seed()+7, n, 0.5, cluster.DefaultDomain, cluster.DefaultMailboxes)
 

@@ -89,15 +89,6 @@ const (
 
 	// NetPerKB is the serialization time per KB on the gigabit path.
 	NetPerKB = 8 * time.Microsecond
-
-	// SocketBufferBytes is the default kernel UNIX-domain socket buffer;
-	// with ≈7-recipient tasks this holds ≈28 queued delegations (§5.3).
-	SocketBufferBytes = 64 * 1024
-
-	// TaskBytesPerRcpt approximates the wire size of one delegated task's
-	// per-recipient payload (addresses + envelope + descriptor record).
-	// 64 KB / (7 rcpt × TaskBytesPerRcpt) ≈ 28 tasks, matching §5.3.
-	TaskBytesPerRcpt = 325
 )
 
 // DNSQueryCPU is the effective server-side cost of issuing one upstream
@@ -197,14 +188,4 @@ var Reiser = FSModel{
 	Unlink:      200 * time.Microsecond,
 	ReadPerKB:   32 * time.Microsecond,
 	Sync:        800 * time.Microsecond,
-}
-
-// TasksPerSocketBuffer returns how many delegated tasks fit in the
-// master→smtpd socket buffer for a given recipients-per-mail average
-// (§5.3: ≈28 for 7 recipients).
-func TasksPerSocketBuffer(rcptsPerMail int) int {
-	if rcptsPerMail < 1 {
-		rcptsPerMail = 1
-	}
-	return SocketBufferBytes / (rcptsPerMail * TaskBytesPerRcpt)
 }

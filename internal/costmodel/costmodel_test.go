@@ -5,21 +5,6 @@ import (
 	"time"
 )
 
-func TestTasksPerSocketBuffer(t *testing.T) {
-	// §5.3: with ~7 recipients per mail, the 64 KB socket buffer holds
-	// about 28 queued tasks.
-	got := TasksPerSocketBuffer(7)
-	if got < 26 || got > 30 {
-		t.Fatalf("TasksPerSocketBuffer(7) = %d, want ≈28", got)
-	}
-	if TasksPerSocketBuffer(0) != TasksPerSocketBuffer(1) {
-		t.Fatal("rcpts < 1 should clamp to 1")
-	}
-	if TasksPerSocketBuffer(1) <= TasksPerSocketBuffer(7) {
-		t.Fatal("fewer recipients per task should fit more tasks")
-	}
-}
-
 func TestSwitchCostMonotone(t *testing.T) {
 	// The load-dependent term grows with the runnable count and must be
 	// material at 1000 runnable processes (it drives the §3 degradation
@@ -64,9 +49,6 @@ func TestHeadlineConstants(t *testing.T) {
 	}
 	if DNSBLCacheTTL != 24*time.Hour {
 		t.Error("§7.2 uses a 24-hour DNSBL reply TTL")
-	}
-	if SocketBufferBytes != 64*1024 {
-		t.Error("§5.3 assumes the default 64 KB kernel socket buffer")
 	}
 	if ForkCost <= ProcessWakeup {
 		t.Error("fork must dominate a mere wakeup")

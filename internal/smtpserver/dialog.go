@@ -19,20 +19,22 @@ const (
 	// outcomeDropped: connection error or EOF (an unfinished transaction
 	// in §4.1 terms when it happens pre-trust).
 	outcomeDropped
-	// outcomeTrusted: the stop predicate fired (hybrid pre-trust phase
-	// saw its first valid RCPT); the dialog should continue elsewhere.
+	// outcomeTrusted: a dialog run until trust saw its first valid RCPT;
+	// the connection takes a slot and the dialog continues.
 	outcomeTrusted
 )
 
 // runDialog drives the session over c until QUIT, connection loss, or —
-// when stopWhen is non-nil — the predicate becomes true after a reply is
-// written. It is the single dialog loop both architectures share; the
-// phases differ only in where it runs and when it stops. connTC is the
+// when untilTrust is set — the first reply written with a valid RCPT
+// recorded. It is the single dialog loop both architectures share; a
+// hybrid connection runs it until trust, takes its slot, and runs it
+// again to the end. A reply to a pipelined burst may still be buffered
+// at trust; the next flush sends it. connTC is the
 // connection's minted message-trace context (zero when tracing is off
 // or sampled out); a context arriving on the wire as an XTRACE MAIL
 // parameter — a director upstream — takes precedence over it. ip is the
 // peer's address as the connection resolved it once.
-func (s *Server) runDialog(nc net.Conn, ip netip.Addr, c *smtp.Conn, sess *smtp.Session, stopWhen func(*smtp.Session) bool, connTC trace.Context) outcome {
+func (s *Server) runDialog(nc net.Conn, ip netip.Addr, c *smtp.Conn, sess *smtp.Session, untilTrust bool, connTC trace.Context) outcome {
 	for {
 		if err := nc.SetReadDeadline(time.Now().Add(s.cfg.idleTimeout)); err != nil {
 			return outcomeDropped
@@ -108,7 +110,7 @@ func (s *Server) runDialog(nc net.Conn, ip netip.Addr, c *smtp.Conn, sess *smtp.
 		} else if err := c.WriteReply(reply); err != nil {
 			return outcomeDropped
 		}
-		if stopWhen != nil && stopWhen(sess) {
+		if untilTrust && sess.HasValidRcpt() {
 			return outcomeTrusted
 		}
 	}
@@ -170,95 +172,75 @@ func (s *Server) finish(nc net.Conn, c *smtp.Conn, sess *smtp.Session) {
 	smtp.ReleaseSession(sess)
 }
 
-// vanillaWorker is one smtpd process of Figure 6: it takes whole
-// connections and serves the entire dialog, bounces included.
-func (s *Server) vanillaWorker(conns <-chan accepted) {
-	defer s.workerWG.Done()
-	for a := range conns {
-		nc := a.nc
-		// The time since the accept loop dispatched is the vanilla
-		// handoff wait: master blocked until a worker freed up.
-		s.observeStage(StageHandoffWait, a.id, a.at, "")
-		c := smtp.AcquireConn(nc)
-		ip := remoteIP(nc)
-		// The vanilla architecture pays a worker for the policy check
-		// itself — the cost contrast the policy-sweep experiment measures.
-		if !s.admitPolicy(ip, c, a.id, true) {
-			s.finish(nc, c, nil)
-			continue
-		}
-		dialogStart := time.Now()
-		sess := smtp.AcquireSession(s.sessionConfig(ip, a.id))
-		out, bounce := outcomeDropped, true
-		if c.WriteReply(sess.Greeting()) == nil {
-			out = s.runDialog(nc, ip, c, sess, nil, s.cfg.mtrace.Mint())
-			if out == outcomeQuit {
-				s.sessionsServed.Inc()
-			}
-			bounce = !sess.HasValidRcpt() && sess.MailsCompleted() == 0
-			if bounce {
-				s.recordBounce(ip, sess)
-				s.preTrustClosed.Inc()
-			}
-		}
-		s.observeStage(StageDialog, a.id, dialogStart, outcomeNote(out))
-		s.logConn(a.id, ip, outcomeNote(out), true, bounce)
-		s.finish(nc, c, sess)
+// serve runs one connection's whole life on its own goroutine: the
+// connect-time policy verdict, the banner, the dialog to its end, and the
+// teardown. A worker is a slot, and the architecture decides only where
+// the connection takes it: under vanilla the accept loop took it before
+// starting serve, so the slot pays for the policy check and for every
+// bounce; under hybrid serve takes it where runDialog first sees a valid
+// RCPT, so a connection that never names one — a bounce, an unfinished
+// session, a policy refusal — ends without costing a worker. A held slot
+// is given back when the connection ends.
+func (s *Server) serve(nc net.Conn, id uint64) {
+	defer s.served.Done()
+	held := s.cfg.arch == Vanilla
+	c := smtp.AcquireConn(nc)
+	ip := remoteIP(nc)
+	var sess *smtp.Session
+	if s.admitPolicy(ip, c, id, held) {
+		sess = smtp.AcquireSession(s.sessionConfig(ip, id))
+		held = s.dialog(nc, ip, c, sess, id, held)
+	}
+	s.finish(nc, c, sess)
+	if held {
+		<-s.slots
 	}
 }
 
-// hybridFrontEnd is the master's event-loop role in Figure 7: it serves
-// the banner and the dialog up to the first valid RCPT. Connections that
-// never produce one — random-guessing bounces and unfinished sessions —
-// are finished right here, costing no worker. Trusted connections are
-// delegated to the worker pool through the bounded task queue.
-func (s *Server) hybridFrontEnd(nc net.Conn, id uint64, sh *shard) {
-	defer s.frontWG.Done()
-	c := smtp.AcquireConn(nc)
-	ip := remoteIP(nc)
-	// Policy runs in the master's event loop: a rejected connection is
-	// finished here, before any worker is committed — the paper's
-	// fork-after-trust thesis extended from bounces to policy verdicts.
-	if !s.admitPolicy(ip, c, id, false) {
-		s.finish(nc, c, nil)
-		return
-	}
-	preTrustStart := time.Now()
-	sess := smtp.AcquireSession(s.sessionConfig(ip, id))
+// dialog greets the client and serves the dialog to its end, taking a
+// slot at trust when it does not hold one yet, and reports whether it
+// holds one at the end. The stage before trust is timed as pretrust; the
+// one holding a slot, as dialog.
+func (s *Server) dialog(nc net.Conn, ip netip.Addr, c *smtp.Conn, sess *smtp.Session, id uint64, held bool) bool {
+	start := time.Now()
 	tc := s.cfg.mtrace.Mint()
-	out := outcomeDropped
+	out, trusted := outcomeDropped, false
 	greeted := c.WriteReply(sess.Greeting()) == nil
 	if greeted {
-		out = s.runDialog(nc, ip, c, sess, (*smtp.Session).HasValidRcpt, tc)
+		out = s.runDialog(nc, ip, c, sess, !held, tc)
 	}
-	s.observeStage(StagePreTrust, id, preTrustStart, outcomeNote(out))
-	// The edge span of the mail's trace: what the front end spent before
-	// trusting (or finishing) the connection. A trusted connection has seen
-	// its MAIL, so a context the upstream hop sent is already known.
-	psp := s.cfg.mtrace.NewSpan(traceBase(sess.Trace(), tc))
-	s.cfg.mtrace.Finish(psp, trace.MStagePretrust, preTrustStart, outcomeNote(out))
-	if out == outcomeTrusted {
-		s.handoffs.Inc()
-		// A full queue blocks the front end — the finite socket buffer
-		// acting "as a natural throttle for the master process" (§5.3).
-		// Conn and Session ownership moves to the worker, which releases
-		// them back to the pools when the connection finishes. The minted
-		// trace context travels with the task so post-trust mails keep
-		// the connection's trace.
-		sh.tasks <- task{nc: nc, c: c, sess: sess, id: id, ip: ip, at: time.Now(), tc: tc}
-		return
+	if !held {
+		s.observeStage(StagePreTrust, id, start, outcomeNote(out))
+		// The edge span of the mail's trace: what the connection spent
+		// before trust (or its end). A trusted connection has seen its
+		// MAIL, so a context the upstream hop sent is already known.
+		psp := s.cfg.mtrace.NewSpan(traceBase(sess.Trace(), tc))
+		s.cfg.mtrace.Finish(psp, trace.MStagePretrust, start, outcomeNote(out))
+		if out == outcomeTrusted {
+			s.handoffs.Inc()
+			start = time.Now()
+			s.slots <- struct{}{}
+			s.observeStage(StageHandoffWait, id, start, "")
+			held, trusted = true, true
+			start = time.Now()
+			out = s.runDialog(nc, ip, c, sess, false, tc)
+		}
 	}
-	// Finished in the front end with no valid RCPT: a bounce that never
-	// cost a worker — the connection fork-after-trust saves.
+	if held {
+		s.observeStage(StageDialog, id, start, outcomeNote(out))
+	}
 	if out == outcomeQuit {
 		s.sessionsServed.Inc()
 	}
-	if greeted {
+	// A bounce ends with no mail delivered and no valid recipient held
+	// (§4.1); a connection trusted at a valid RCPT is never one.
+	bounce := !trusted && !sess.HasValidRcpt() && sess.MailsCompleted() == 0
+	if greeted && bounce {
 		s.recordBounce(ip, sess)
 		s.preTrustClosed.Inc()
 	}
-	s.logConn(id, ip, outcomeNote(out), false, true)
-	s.finish(nc, c, sess)
+	s.logConn(id, ip, outcomeNote(out), held, bounce)
+	return held
 }
 
 // recordBounce feeds a finished pre-trust connection that drew at least
@@ -266,26 +248,5 @@ func (s *Server) hybridFrontEnd(nc net.Conn, id uint64, sh *shard) {
 func (s *Server) recordBounce(ip netip.Addr, sess *smtp.Session) {
 	if s.cfg.policy != nil && sess.RejectedRcpts() > 0 {
 		s.cfg.policy.RecordBounce(ip)
-	}
-}
-
-// hybridWorker is one delegated-mode smtpd process: it receives trusted
-// connections mid-dialog and serves them to completion, then returns to
-// listening on the task queue (§5.3).
-func (s *Server) hybridWorker(tasks <-chan task) {
-	defer s.workerWG.Done()
-	for t := range tasks {
-		// Queue wait: from the front end's enqueue attempt to this
-		// pickup — the §5.3 socket-buffer throttle made visible.
-		s.observeStage(StageHandoffWait, t.id, t.at, "")
-		dialogStart := time.Now()
-		out := s.runDialog(t.nc, t.ip, t.c, t.sess, nil, t.tc)
-		if out == outcomeQuit {
-			s.sessionsServed.Inc()
-		}
-		s.observeStage(StageDialog, t.id, dialogStart, outcomeNote(out))
-		// Trusted by definition (it was handed off), so never a bounce.
-		s.logConn(t.id, t.ip, outcomeNote(out), true, false)
-		s.finish(t.nc, t.c, t.sess)
 	}
 }

@@ -64,8 +64,9 @@ func WithArchitecture(a Architecture) Option {
 	return func(s *settings) { s.arch = a }
 }
 
-// WithMaxWorkers sets the smtpd pool size — the paper's process limit
-// (default 100, like stock postfix). It is divided across accept shards.
+// WithMaxWorkers sets the number of worker slots — the paper's smtpd
+// process limit (default 100, like stock postfix): at most n connections
+// hold a slot at once, however many accept loops there are.
 func WithMaxWorkers(n int) Option {
 	return func(s *settings) { s.maxWorkers = n }
 }
@@ -85,18 +86,18 @@ func WithValidateRcptBytes(f func(addr []byte) bool) Option {
 }
 
 // WithAcceptShards runs n accept loops on the one listener Serve is
-// given, each feeding its own worker ring of MaxWorkers/n workers. 0 or
-// 1 (the default) is the paper's single accept loop.
+// given, all sharing the server's one pool of MaxWorkers slots. 0 or 1
+// (the default) is the paper's single accept loop.
 func WithAcceptShards(n int) Option {
 	return func(s *settings) { s.acceptShards = n }
 }
 
 // WithPolicy installs the pre-trust policy engine, consulted at connect
 // time and on each valid RCPT TO. The check runs where the
-// corresponding postfix code would: inside the worker for Vanilla,
-// inside the master's front end for Hybrid — so a policy-rejected
-// connection never costs a Hybrid worker, extending the paper's
-// fork-after-trust thesis from bounces to policy rejects.
+// corresponding postfix code would: holding a worker slot for Vanilla,
+// before any slot is taken for Hybrid — so a policy-rejected connection
+// never costs a Hybrid worker, extending the paper's fork-after-trust
+// thesis from bounces to policy rejects.
 func WithPolicy(p *policy.ServerPolicy) Option {
 	return func(s *settings) { s.policy = p }
 }

@@ -1,17 +1,20 @@
 // Package smtpserver implements the mail server's network front end in
-// both of the paper's architectures:
+// both of the paper's architectures. Each accepted connection is served
+// by one goroutine that runs its whole dialog; what the paper calls an
+// smtpd worker is a slot, one of MaxWorkers, that a connection holds
+// while it is being served as a worker would serve it. The two
+// architectures differ only in where the slot is taken:
 //
 //   - Vanilla (§2, Figure 6): the postfix process-per-connection model.
-//     A fixed pool of MaxWorkers smtpd workers each owns one connection
-//     at a time and runs the whole SMTP dialog, including the bounce
-//     connections that never deliver anything.
+//     The accept loop takes a slot before it starts the connection, so
+//     it blocks at the process limit the way master does, and the slot
+//     pays for the policy check and the whole dialog, including the
+//     bounce connections that never deliver anything.
 //
-//   - Hybrid "fork-after-trust" (§5, Figure 7): a cheap front end drives
-//     the dialog only until the first *valid* RCPT TO. Bounce and
-//     unfinished connections (§4.1) die in the front end without ever
-//     occupying an smtpd worker; trusted connections are delegated over
-//     a bounded task queue — the analogue of the 64 KB UNIX-domain
-//     socket whose finite capacity throttles the master (§5.3).
+//   - Hybrid "fork-after-trust" (§5, Figure 7): the connection is served
+//     slot-free up to its first *valid* RCPT TO and takes a slot there,
+//     waiting for one if all are held. Bounce and unfinished connections
+//     (§4.1) end without ever holding a slot.
 //
 // Go's runtime schedules goroutines rather than forking processes, so
 // the *costs* the paper measures are reproduced by internal/simmail; this
@@ -31,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/addr"
-	"repro/internal/costmodel"
 	"repro/internal/eventlog"
 	"repro/internal/metrics"
 	"repro/internal/policy"
@@ -45,23 +47,23 @@ import (
 // the observability API: DESIGN.md documents it and experiments read
 // histograms back by these names.
 const (
-	// StageAccept is the accept loop's dispatch time for one connection:
-	// from Accept returning to the connection being handed off toward
-	// its handler (tracking, DNSBL accept-time check, dispatch).
+	// StageAccept is the accept loop's own time for one connection: from
+	// Accept returning to the connection being tracked and numbered. The
+	// policy verdict is not in it; it runs on the connection's goroutine.
 	StageAccept = "accept"
 	// StagePolicy is the connect-time policy verdict, DNSBL scan
 	// included.
 	StagePolicy = "policy"
-	// StagePreTrust is the hybrid front end's share of the dialog: from
-	// banner write until the connection is trusted or finished.
+	// StagePreTrust is the hybrid dialog before a slot is taken: from
+	// the banner until the connection is trusted or finished.
 	StagePreTrust = "pretrust"
-	// StageHandoffWait is the time a connection waits for an smtpd
-	// worker: hybrid, from task enqueue to worker pickup (the §5.3
-	// socket-buffer queue); vanilla, from accept-loop dispatch to worker
-	// pickup — master blocked on the process limit.
+	// StageHandoffWait is the time a connection waits for a worker slot:
+	// vanilla, from Accept returning to the accept loop taking the slot —
+	// master blocked on the process limit; hybrid, from the first valid
+	// RCPT (trust) to the connection taking its slot.
 	StageHandoffWait = "handoff_wait"
-	// StageDialog is the worker's share of the dialog: the whole session
-	// for vanilla, the post-trust remainder for hybrid.
+	// StageDialog is the dialog served while holding a slot: the whole
+	// session for vanilla, the post-trust remainder for hybrid.
 	StageDialog = "dialog"
 )
 
@@ -101,7 +103,7 @@ func (a Architecture) String() string {
 type Stats struct {
 	Connections     int64 // accepted connections
 	PreTrustClosed  int64 // connections that ended before any valid RCPT
-	Handoffs        int64 // hybrid: delegations to the worker pool
+	Handoffs        int64 // hybrid: trusted connections, each of which takes a worker slot
 	MailsAccepted   int64 // mail transactions (DATA or BDAT) queued
 	RcptRejected    int64 // 550 replies (bounce recipients)
 	SessionsServed  int64 // connections fully completed
@@ -120,9 +122,13 @@ type Server struct {
 	// XTRACE when a message tracer is attached.
 	ehlo *smtp.Reply
 
+	// slots holds one token per worker in use: a connection sends to take
+	// one, blocking while all MaxWorkers are held, and receives to give it
+	// back.
+	slots chan struct{}
+
 	mu     sync.Mutex
 	ln     net.Listener
-	shards []*shard
 	conns  map[net.Conn]bool
 	closed bool
 
@@ -130,11 +136,9 @@ type Server struct {
 	// one connection carries.
 	nextConn atomic.Uint64
 
-	// frontWG tracks hybrid front ends; workerWG tracks the smtpd pools.
-	// Close must wait for fronts before closing the task queues the
-	// workers drain, so the two lifetimes are tracked separately.
-	frontWG  sync.WaitGroup
-	workerWG sync.WaitGroup
+	// served counts the tracked connections whose serve has not
+	// returned; track adds to it under mu, so Close waits for every one.
+	served sync.WaitGroup
 
 	// Counters are vended by the registry under their documented names;
 	// Stats() reads them back, so the table API and /metrics agree by
@@ -153,41 +157,9 @@ type Server struct {
 	stage map[string]*metrics.Histogram
 }
 
-// task is one delegated connection: exactly the state §5.3 transfers over
-// the UNIX-domain socket (client identity, sender, recipients — carried
-// inside the live Session — plus the connection itself), annotated with
-// the handoff instant and span id the instrumentation needs. It crosses
-// the task queue by value.
-type task struct {
-	nc   net.Conn
-	c    *smtp.Conn
-	sess *smtp.Session
-	id   uint64
-	ip   netip.Addr    // peer address, resolved once by the front end
-	at   time.Time     // when the front end enqueued the task
-	tc   trace.Context // the connection's minted message-trace context
-}
-
-// accepted is one connection in flight from the accept loop to a
-// vanilla worker.
-type accepted struct {
-	nc net.Conn
-	id uint64
-	at time.Time // when the accept loop accepted the connection
-}
-
-// shard is one slice of the accept path: an accept loop plus the worker
-// ring it feeds. A single-shard server (the default) is the paper's one
-// accept loop; with AcceptShards > 1 the shards share the listener and
-// nothing else.
-type shard struct {
-	tasks chan task     // hybrid handoff queue (nil under vanilla)
-	conns chan accepted // vanilla dispatch channel (nil under hybrid)
-}
-
 // New returns an unstarted server delivering accepted mail through
 // enqueue, configured by functional options. The default server is the
-// paper's hybrid architecture with 100 workers and a private metrics
+// paper's hybrid architecture with 100 worker slots and a private metrics
 // registry; see the With* options, in particular WithRegistry to expose
 // the server on a shared /metrics endpoint and WithSpans for
 // per-connection stage spans.
@@ -225,6 +197,7 @@ func New(enqueue Enqueue, opts ...Option) (*Server, error) {
 	reg, arch := cfg.registry, cfg.arch.String()
 	s := &Server{
 		cfg:   cfg,
+		slots: make(chan struct{}, cfg.maxWorkers),
 		conns: make(map[net.Conn]bool),
 
 		connections:     reg.Counter("smtpd_connections_total", "arch", arch),
@@ -290,8 +263,8 @@ func (s *Server) observeStage(stage string, id uint64, start time.Time, note str
 
 // logConn emits the one smtpd.conn event a connection gets when it
 // finishes: the record internal/telemetry folds into the live spam
-// weather. worker reports whether the connection ever occupied an smtpd
-// worker (always true under vanilla; only on handoff under hybrid), and
+// weather. worker reports whether the connection ever held a worker slot
+// (always under vanilla; only once trusted under hybrid), and
 // bounce whether it ended without delivering mail — the §4.1 signal.
 func (s *Server) logConn(id uint64, ip netip.Addr, outcome string, worker, bounce bool) {
 	s.cfg.events.Info("smtpd.conn", id,
@@ -352,13 +325,11 @@ func (s *Server) Stats() Stats {
 
 // Serve accepts connections on ln until Close. It blocks; run it in a
 // goroutine, and it returns nil on Close or the accept error that ended
-// it. With AcceptShards > 1 that many accept loops share ln, each
-// feeding its own worker ring. The listener is the server's from the
-// call on: a refused call (server closed, already serving) closes it
-// before returning its error.
+// it. With AcceptShards > 1 that many accept loops share ln and the one
+// pool of worker slots. The listener is the server's from the call on: a
+// refused call (server closed, already serving) closes it before
+// returning its error.
 func (s *Server) Serve(ln net.Listener) error {
-	nshards := max(s.cfg.acceptShards, 1)
-	workers := max(s.cfg.maxWorkers/nshards, 1)
 	s.mu.Lock()
 	var refused error
 	switch {
@@ -373,19 +344,15 @@ func (s *Server) Serve(ln net.Listener) error {
 		return refused
 	}
 	s.ln = ln
-	shards := make([]*shard, nshards)
-	for i := range shards {
-		shards[i] = s.startShard(workers)
-	}
-	s.shards = shards
 	s.mu.Unlock()
 
-	errc := make(chan error, nshards)
-	for _, sh := range shards {
-		go func() { errc <- s.acceptLoop(ln, sh) }()
+	loops := max(s.cfg.acceptShards, 1)
+	errc := make(chan error, loops)
+	for range loops {
+		go func() { errc <- s.acceptLoop(ln) }()
 	}
 	var first error
-	for range shards {
+	for range loops {
 		if err := <-errc; err != nil && first == nil {
 			first = err
 		}
@@ -393,38 +360,11 @@ func (s *Server) Serve(ln net.Listener) error {
 	return first
 }
 
-// startShard launches one shard's worker ring and returns its channels.
-func (s *Server) startShard(workers int) *shard {
-	sh := &shard{}
-	switch s.cfg.arch {
-	case Hybrid:
-		// Queue depth per worker ≈28: the §5.3 estimate of tasks per 64 KB
-		// socket buffer at 7 recipients/mail.
-		sh.tasks = make(chan task, workers*costmodel.TasksPerSocketBuffer(7))
-		for i := 0; i < workers; i++ {
-			s.workerWG.Add(1)
-			go s.hybridWorker(sh.tasks)
-		}
-	case Vanilla:
-		// The worker ring mirrors postfix's reuse of smtpd processes:
-		// long-lived workers each take one connection at a time; the
-		// unbuffered channel makes the shard's accept loop wait when all
-		// are busy, exactly like master refusing to fork past the process
-		// limit.
-		sh.conns = make(chan accepted)
-		for i := 0; i < workers; i++ {
-			s.workerWG.Add(1)
-			go s.vanillaWorker(sh.conns)
-		}
-	}
-	return sh
-}
-
-// acceptLoop accepts connections on ln and dispatches them into sh until
-// the listener fails (Close, or a real error). Running out of
+// acceptLoop accepts connections on ln and starts a serve goroutine for
+// each until the listener fails (Close, or a real error). Running out of
 // descriptors or memory is not a failure: the loop waits and accepts
 // again (smtp.AcceptBackoff).
-func (s *Server) acceptLoop(ln net.Listener, sh *shard) error {
+func (s *Server) acceptLoop(ln net.Listener) error {
 	var backoff smtp.AcceptBackoff
 	for {
 		nc, err := ln.Accept()
@@ -437,9 +377,6 @@ func (s *Server) acceptLoop(ln net.Listener, sh *shard) error {
 					eventlog.Str("err", err.Error()), eventlog.Dur("retry_in", d))
 				time.Sleep(d)
 				continue
-			}
-			if sh.conns != nil {
-				close(sh.conns)
 			}
 			if closed {
 				return nil
@@ -454,24 +391,19 @@ func (s *Server) acceptLoop(ln net.Listener, sh *shard) error {
 			nc.Close()
 			continue
 		}
-		switch s.cfg.arch {
-		case Vanilla:
+		s.observeStage(StageAccept, id, acceptedAt, "")
+		if s.cfg.arch == Vanilla {
 			// Under vanilla, waiting here IS the architecture's cost:
-			// master blocked on the process limit. The wait lands in the
-			// handoff_wait histogram (observed by the worker); accept's
-			// own share ends at the send.
-			s.observeStage(StageAccept, id, acceptedAt, "")
-			sh.conns <- accepted{nc: nc, id: id, at: acceptedAt}
-		case Hybrid:
-			s.frontWG.Add(1)
-			go s.hybridFrontEnd(nc, id, sh)
-			s.observeStage(StageAccept, id, acceptedAt, "")
+			// master blocked on the process limit, accepting no one.
+			s.slots <- struct{}{}
+			s.observeStage(StageHandoffWait, id, acceptedAt, "")
 		}
+		go s.serve(nc, id)
 	}
 }
 
-// Close stops accepting, force-closes open connections, and waits for all
-// workers to exit.
+// Close stops accepting, force-closes open connections, and waits for
+// every connection's serve to return.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -487,20 +419,13 @@ func (s *Server) Close() error {
 	if ln != nil {
 		ln.Close()
 	}
-	s.frontWG.Wait()
-	s.mu.Lock()
-	for _, sh := range s.shards {
-		if sh.tasks != nil {
-			close(sh.tasks)
-		}
-	}
-	s.shards = nil
-	s.mu.Unlock()
-	s.workerWG.Wait()
+	s.served.Wait()
 	return nil
 }
 
-// track registers a live connection; false means the server is closing.
+// track registers a live connection and counts it in served; false means
+// the server is closing. The count is taken under the lock that Close
+// sets closed under, so no connection is added once Close waits.
 func (s *Server) track(nc net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -508,6 +433,7 @@ func (s *Server) track(nc net.Conn) bool {
 		return false
 	}
 	s.conns[nc] = true
+	s.served.Add(1)
 	return true
 }
 
@@ -533,8 +459,8 @@ func remoteIP(nc net.Conn) netip.Addr {
 // sessionConfig builds the session hooks for one connection. When a
 // policy engine is configured, each valid RCPT is additionally checked
 // against it (the greylist); the hook runs wherever the dialog runs,
-// which for the hybrid architecture is the master's event loop until
-// trust — a greylisted recipient is never recorded, so the connection
+// which for the hybrid architecture is before the connection holds a
+// slot — a greylisted recipient is never recorded, so the connection
 // stays un-trusted and is finished without costing a worker.
 func (s *Server) sessionConfig(ip netip.Addr, id uint64) smtp.Config {
 	cfg := smtp.Config{
@@ -573,9 +499,10 @@ func (s *Server) policyReply(id uint64, ip netip.Addr, d policy.Decision, start 
 
 // admitPolicy runs the connect-time policy check for the peer at ip;
 // false means a verdict reply has been written and the connection must
-// be closed by the caller. It is called from the vanilla worker and the
-// hybrid front end, never from the accept loop, so a slow DNSBL scan
-// stalls only the connection it concerns. The verdict is timed as the
+// be closed by the caller. It runs on the connection's own goroutine,
+// never in the accept loop, so a slow DNSBL scan stalls only the
+// connection it concerns; worker reports whether that connection holds
+// a slot already (vanilla) or not (hybrid). The verdict is timed as the
 // policy stage and noted on the connection's span
 // (allow/reject/tempfail).
 func (s *Server) admitPolicy(ip netip.Addr, c *smtp.Conn, id uint64, worker bool) bool {

@@ -61,9 +61,8 @@ func TestAcceptShardsServeBothArchitectures(t *testing.T) {
 }
 
 func TestAcceptShardsFallbackSharedListener(t *testing.T) {
-	// Four accept loops on one listener, each feeding its own one-worker
-	// ring (startServer's four workers split four ways): behaviour must be
-	// a single accept loop's.
+	// Four accept loops on one listener sharing startServer's four worker
+	// slots: behaviour must be a single accept loop's.
 	env := startServer(t, Hybrid, WithAcceptShards(4))
 	for i := 0; i < 6; i++ {
 		client := dial(t, env)
