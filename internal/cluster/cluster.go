@@ -149,7 +149,7 @@ func StartShard(spec ShardSpec) (*Shard, error) {
 		return nil, err
 	}
 	if spec.Registry != nil {
-		exportCommitStats(spec.Registry, s.Store.Store())
+		exportStoreStats(spec.Registry, s.Store.Store())
 	}
 
 	s.Agent = delivery.NewAgent(s.DB, s.Store, delivery.WithRegistry(spec.Registry),
@@ -225,17 +225,21 @@ func mailID(seq uint64) string {
 	return string(id[:])
 }
 
-// exportCommitStats puts the store's commit engine on the node's
-// registry: its group commits and the log rotations behind them.
-func exportCommitStats(reg *metrics.Registry, st *mfs.Store) {
-	for name, value := range map[string]func(mfs.CommitStats) float64{
-		"mfs_commit_batches_total":     func(c mfs.CommitStats) float64 { return float64(c.Batches) },
-		"mfs_commit_mails_total":       func(c mfs.CommitStats) float64 { return float64(c.Mails) },
-		"mfs_wal_rotations_total":      func(c mfs.CommitStats) float64 { return float64(c.Rotations) },
-		"mfs_wal_rotation_syncs_total": func(c mfs.CommitStats) float64 { return float64(c.RotationSyncs) },
-		"mfs_wal_rotation_seconds":     func(c mfs.CommitStats) float64 { return c.LastRotation.Seconds() },
+// exportStoreStats puts the store on the node's registry: its group
+// commits, the log rotations behind them, and the shared store's
+// footprint — live single copies and the mailbox pointers they serve,
+// the §6 saving.
+func exportStoreStats(reg *metrics.Registry, st *mfs.Store) {
+	for name, value := range map[string]func() float64{
+		"mfs_commit_batches_total":     func() float64 { return float64(st.CommitStats().Batches) },
+		"mfs_commit_mails_total":       func() float64 { return float64(st.CommitStats().Mails) },
+		"mfs_wal_rotations_total":      func() float64 { return float64(st.CommitStats().Rotations) },
+		"mfs_wal_rotation_syncs_total": func() float64 { return float64(st.CommitStats().RotationSyncs) },
+		"mfs_wal_rotation_seconds":     func() float64 { return st.CommitStats().LastRotation.Seconds() },
+		"mfs_shared_records":           func() float64 { return float64(st.Stats().SharedRecords) },
+		"mfs_shared_refs":              func() float64 { return float64(st.Stats().SharedRefs) },
 	} {
-		reg.GaugeFunc(name, func() float64 { return value(st.CommitStats()) })
+		reg.GaugeFunc(name, value)
 	}
 }
 

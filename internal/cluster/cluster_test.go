@@ -532,25 +532,9 @@ func TestShardExportsCommitStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	scrape := func() map[string]float64 {
-		t.Helper()
-		rec := httptest.NewRecorder()
-		admin.NewHandler(reg, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=json", nil))
-		var ms []metrics.Metric
-		if err := json.Unmarshal(rec.Body.Bytes(), &ms); err != nil {
-			t.Fatal(err)
-		}
-		out := map[string]float64{}
-		for _, m := range ms {
-			if strings.HasPrefix(m.Name, "mfs_") {
-				out[m.Name] = m.Value
-			}
-		}
-		return out
-	}
 	const n = 12
 	send(t, sh.Addr, mails(n))
-	got := scrape()
+	got := scrapeMFS(t, reg)
 	if got["mfs_commit_mails_total"] != n || got["mfs_commit_batches_total"] < 1 || got["mfs_commit_batches_total"] > n {
 		t.Fatalf("after %d mails /metrics reads %v", n, got)
 	}
@@ -562,9 +546,78 @@ func TestShardExportsCommitStats(t *testing.T) {
 	if _, err := sh.Store.Checkpoint("ckpt"); err != nil {
 		t.Fatal(err)
 	}
-	got = scrape()
+	got = scrapeMFS(t, reg)
 	if got["mfs_wal_rotations_total"] != 1 || got["mfs_wal_rotation_syncs_total"] < 2 || got["mfs_wal_rotation_seconds"] <= 0 {
 		t.Fatalf("after a checkpoint's rotation /metrics reads %v", got)
+	}
+}
+
+// scrapeMFS reads reg's mfs_ series through the admin handler, as a
+// scraper sees them.
+func scrapeMFS(t *testing.T, reg *metrics.Registry) map[string]float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	admin.NewHandler(reg, nil).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics?format=json", nil))
+	var ms []metrics.Metric
+	if err := json.Unmarshal(rec.Body.Bytes(), &ms); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, m := range ms {
+		if strings.HasPrefix(m.Name, "mfs_") {
+			out[m.Name] = m.Value
+		}
+	}
+	return out
+}
+
+// TestShardExportsSharedStore: a shard's /metrics carries the shared
+// store's footprint — one 3-recipient mail is one single copy serving
+// three mailboxes, and deleting it from all three leaves none.
+func TestShardExportsSharedStore(t *testing.T) {
+	reg := metrics.NewRegistry()
+	sh, err := StartShard(ShardSpec{Mailboxes: users, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	footprint := func() [2]float64 {
+		got := scrapeMFS(t, reg)
+		return [2]float64{got["mfs_shared_records"], got["mfs_shared_refs"]}
+	}
+	if got := footprint(); got != [2]float64{0, 0} {
+		t.Fatalf("an empty store reads records/refs %v", got)
+	}
+	boxes := []string{"user0000", "user0001", "user0002"}
+	c, err := smtp.Dial(sh.Addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Helo("client.test"); err != nil {
+		t.Fatal(err)
+	}
+	rcpts := make([]string, len(boxes))
+	for i, box := range boxes {
+		rcpts[i] = box + "@" + DefaultDomain
+	}
+	if got, err := c.Send("s@remote.example", rcpts, []byte("Subject: three\r\n\r\nfor three\r\n")); err != nil || got != len(rcpts) {
+		t.Fatalf("%d of %d recipients accepted, %v", got, len(rcpts), err)
+	}
+	c.Quit() //nolint:errcheck
+	if got := footprint(); got != [2]float64{1, 3} {
+		t.Fatalf("after one 3-recipient mail records/refs read %v, want [1 3]", got)
+	}
+	for _, box := range boxes {
+		ids, err := sh.Store.List(box)
+		if err != nil || len(ids) != 1 {
+			t.Fatalf("%s lists %v, %v", box, ids, err)
+		}
+		if err := sh.Store.Delete(box, ids[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := footprint(); got != [2]float64{0, 0} {
+		t.Fatalf("after deleting it from every mailbox records/refs read %v, want [0 0]", got)
 	}
 }
 

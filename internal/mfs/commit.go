@@ -44,7 +44,7 @@ func (s *segment) refPos() int64 { return s.off + keyRecordLen(s.key.ID) - 4 }
 // appendFile is a file written only by appends placed through it: end is
 // the file's end, read once at open and moved by each placement, under
 // the lock that serializes the file's appends (the mailbox lock, or the
-// store's appendMu for the shared files). Requests reach the committer in
+// store's sharedMu for the shared files). Requests reach the committer in
 // the order their placements were made, so every append lands at its off.
 type appendFile struct {
 	f    fsim.File
@@ -143,7 +143,7 @@ type walLog struct {
 // The committer places nothing: it stages each request's segments and
 // applies them. Requests drain in channel FIFO order, and a request's
 // caller enqueues it under the lock that placed its appends (appendFile)
-// or computed its patches (shard lock for refcount patches), so every
+// or computed its patches (sharedMu for refcount patches), so every
 // offset is valid at flush time and later patches to one position are
 // applied last. Because in-memory ends and counts run ahead of the files
 // until their batch lands, a batch that fails stops the store.
@@ -244,7 +244,7 @@ func (c *committer) submit(req *commitReq) error {
 }
 
 // enqueue sends req without waiting. Callers that must preserve FIFO
-// order relative to a lock (refcount patches under a shard lock) enqueue
+// order relative to a lock (refcount patches under sharedMu) enqueue
 // while holding it and wait on req after releasing it.
 func (c *committer) enqueue(req *commitReq) { c.ch <- req }
 

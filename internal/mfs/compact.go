@@ -9,7 +9,9 @@ type Stats struct {
 
 // Stats returns current store statistics.
 func (s *Store) Stats() Stats {
-	records, refs := s.shared.counts()
+	s.sharedMu.Lock()
+	records, refs := len(s.shared), s.refs
+	s.sharedMu.Unlock()
 	s.openMu.RLock()
 	open := len(s.open)
 	s.openMu.RUnlock()

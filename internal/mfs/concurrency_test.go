@@ -11,7 +11,7 @@ import (
 	"repro/internal/fsim"
 )
 
-// checkSharedInvariants cross-checks the sharded index against the open
+// checkSharedInvariants cross-checks the shared index against the open
 // mailboxes: every shared record's reference count must equal the number
 // of pointer entries across mailboxes, and every pointer must have a live
 // record. It also verifies each mailbox's id index matches its entries.
@@ -48,14 +48,11 @@ func checkSharedInvariants(t *testing.T, s *Store) {
 	}
 
 	records := map[string]int32{}
-	for i := range s.shared.shards {
-		sh := &s.shared.shards[i]
-		sh.mu.Lock()
-		for id, rec := range sh.m {
-			records[id] = rec.Ref
-		}
-		sh.mu.Unlock()
+	s.sharedMu.Lock()
+	for id, rec := range s.shared {
+		records[id] = rec.Ref
 	}
+	s.sharedMu.Unlock()
 
 	for id, n := range pointers {
 		if records[id] != n {

@@ -183,7 +183,7 @@ func checkInvariants(t *testing.T, fs fsim.FS, acked map[string]*crashAck, label
 		mb.mu.Unlock()
 	}
 	seen := make(map[string]bool)
-	for _, rec := range s.shared.snapshot() {
+	for _, rec := range s.shared {
 		if seen[rec.ID] {
 			t.Fatalf("%s: duplicate live shared copy of %s", label, rec.ID)
 		}
@@ -519,7 +519,7 @@ func TestMFSCheckpointUnderLoad(t *testing.T) {
 				}
 			}
 		}
-		for _, rec := range cs.shared.snapshot() {
+		for _, rec := range cs.shared {
 			if int(rec.Ref) != tally[rec.ID] {
 				t.Fatalf("%s: shared %s ref %d, tally %d", dir, rec.ID, rec.Ref, tally[rec.ID])
 			}

@@ -25,9 +25,8 @@ import (
 //  3. Mailbox.mu — one per mailbox: the placement of its key/data
 //     appends, the in-memory index. NWrite locks its destination set in
 //     sorted name order.
-//  4. sharedIndex shard locks — 64-way, hash-by-mail-id — and
-//     Store.appendMu, the placement of shared-file appends; neither is
-//     held with the other.
+//  4. Store.sharedMu — the shared store: its live records and the
+//     placement of its files' appends.
 //  5. committer.mu — WAL state; held per flush by the committer
 //     goroutine, which takes no other lock (so callers may block on a
 //     commit while holding any of the above), and by Checkpoint for its
@@ -43,17 +42,19 @@ type Store struct {
 	stateMu sync.RWMutex
 	closed  bool
 
-	// appendMu guards the shared files' ends: an owner of a new shared
-	// mail holds it to place its frame and key tuple and to enqueue them.
-	appendMu sync.Mutex
+	// sharedMu guards the shared store: shared maps each mail-id with a
+	// live shared record to it, refs is the sum of their refcounts (so
+	// Stats need not walk them), and the files' ends place their appends.
+	// Every request that appends to the shared files or patches a shared
+	// refcount is enqueued while it is held (see commitTombstone).
+	sharedMu sync.Mutex
+	shared   map[string]*keyRecord
+	refs     int
 	shKey    appendFile
 	shData   appendFile
 
 	openMu sync.RWMutex
 	open   map[string]*Mailbox
-
-	// shared index: mail-id -> live shared record, sharded 64 ways.
-	shared *sharedIndex
 
 	// commit is the group-commit writer: every NWrite and Delete is a
 	// request to it.
@@ -109,7 +110,7 @@ func New(fs fsim.FS, dir string, opts ...Option) (*Store, error) {
 	s := &Store{
 		fs:     fs,
 		dir:    dir,
-		shared: newSharedIndex(),
+		shared: make(map[string]*keyRecord),
 		open:   make(map[string]*Mailbox),
 	}
 	s.opts.walRotate = walRotateSize
@@ -146,22 +147,22 @@ func (s *Store) load() error {
 	if err != nil {
 		return err
 	}
-	for i := range recs {
-		r := recs[i]
-		switch {
-		case r.Type == recTombstone:
-			s.shared.remove(r.ID)
-		case r.Ref > 0:
-			s.shared.insertCommitted(r)
-		default:
-			// Ref 0: fully released; the payload is dead space.
-			s.shared.remove(r.ID)
+	for _, r := range recs {
+		if r.Type == recEntry && r.Ref > 0 {
+			s.shared[r.ID] = &r
+		} else {
+			// A tombstone, or Ref 0: fully released; the payload is dead
+			// space.
+			delete(s.shared, r.ID)
 		}
 	}
 	if s.fs.Exists(s.path(dirtyMarker)) {
 		if err := s.reconcile(); err != nil {
 			return fmt.Errorf("mfs: reconcile: %w", err)
 		}
+	}
+	for _, r := range s.shared {
+		s.refs += int(r.Ref)
 	}
 	if err := readEnds(&s.shKey, &s.shData); err != nil {
 		return err
@@ -452,14 +453,26 @@ func (mb *Mailbox) locateLocked(rec *keyRecord) (extent, error) {
 	if rec.Ref == SharedRef {
 		f = mb.store.shData.f
 	}
+	n, err := rec.payloadLen(f)
+	if err != nil {
+		return extent{}, err
+	}
+	return extent{f: f, off: rec.Offset + 4, n: n}, nil
+}
+
+// payloadLen returns the length of rec's payload, which f holds: known
+// for a record committed by this process, read from its 4-byte frame
+// header the first time for one found in a key file at open, and kept.
+// The lock that guards rec held.
+func (rec *keyRecord) payloadLen(f fsim.File) (int, error) {
 	if !rec.sized {
 		n, err := dataRecordLen(f, rec.Offset)
 		if err != nil {
-			return extent{}, err
+			return 0, err
 		}
 		rec.size, rec.sized = uint32(n), true
 	}
-	return extent{f: f, off: rec.Offset + 4, n: int(rec.size)}, nil
+	return int(rec.size), nil
 }
 
 // read reads the whole payload in one ranged read.
@@ -556,11 +569,10 @@ func (mb *Mailbox) Delete(id string) error {
 // commitTombstone commits a tombstone and, for a shared mail, the
 // refcount decrement as one commit request, so the delete is atomic (and,
 // with the log open, durable) when this returns. The request carrying a
-// refcount patch is enqueued while the shard lock is held: the committer
-// drains in FIFO order, so patches to one position land in the order
-// their in-memory counts were computed (last write wins correctly), and
-// the committer never takes shard locks, so enqueueing under one cannot
-// deadlock.
+// refcount patch is enqueued while sharedMu is held: the committer drains
+// in FIFO order, so patches to one position land in the order their
+// in-memory counts were computed (last write wins correctly), and the
+// committer takes no store lock, so enqueueing under one cannot deadlock.
 func (s *Store) commitTombstone(mb *Mailbox, id string, rec *keyRecord) error {
 	req := newReq()
 	defer req.free()
@@ -568,23 +580,23 @@ func (s *Store) commitTombstone(mb *Mailbox, id string, rec *keyRecord) error {
 	if rec.Ref != SharedRef {
 		return s.commit.submit(req)
 	}
-	sh := s.shared.shard(id)
-	sh.mu.Lock()
-	if shr, ok := sh.m[id]; ok {
+	s.sharedMu.Lock()
+	if shr, ok := s.shared[id]; ok {
 		shr.Ref--
+		s.refs--
 		s.patchRef(req, shr)
 		if shr.Ref <= 0 {
-			delete(sh.m, id)
+			delete(s.shared, id)
 		}
 	}
 	s.commit.enqueue(req)
-	sh.mu.Unlock()
+	s.sharedMu.Unlock()
 	return req.wait()
 }
 
 // patchRef adds to req the in-place rewrite of rec's reference count in
-// the shared key file. rec's shard lock held.
-func (s *Store) patchRef(req *commitReq, rec *sharedRec) {
+// the shared key file. sharedMu held.
+func (s *Store) patchRef(req *commitReq, rec *keyRecord) {
 	putRef(req.patch[:], rec.Ref)
 	req.segs = append(req.segs, segment{
 		kind: walSegPat, file: s.shKey.f, path: s.shKey.path, off: rec.refPos, buf: req.patch[:],
@@ -661,7 +673,10 @@ func (s *Store) NWrite(boxes []*Mailbox, id string, body []byte) error {
 		// A single-recipient id colliding with a shared record is the
 		// §6.4 guessing attack: accepting it would alias another user's
 		// mail into this mailbox on later reads.
-		if s.shared.contains(id) {
+		s.sharedMu.Lock()
+		_, shared := s.shared[id]
+		s.sharedMu.Unlock()
+		if shared {
 			return fmt.Errorf("mfs: NWrite %q: %w", id, ErrIDCollision)
 		}
 		return s.writeLocal(mb, id, body)
@@ -691,82 +706,53 @@ func (s *Store) writeLocal(mb *Mailbox, id string, body []byte) error {
 // writeShared commits a multi-recipient mail as one commit request: the
 // shared copy, its key tuple, and every destination's pointer record are
 // one WAL record when the log is open, so they become durable together or
-// not at all. If id is already live, the dedup path (§6.2) patches the
-// existing record's refcount and appends only the pointer records, again
-// as one request.
+// not at all. If id is already live — committed, or its owner's request
+// still in flight — the dedup path (§6.2) patches the record's refcount
+// and appends only the pointer records, again as one request.
 //
-// Exactly one concurrent writer of a given id becomes the owner and
-// commits the record; others wait for that commit and then take the
-// dedup path.
+// The request is enqueued under sharedMu, so a dedup lands behind the
+// request that created its record. If that request's batch fails, the
+// store stops and refuses the dedup too: no writer waits for another.
 func (s *Store) writeShared(boxes []*Mailbox, id string, body []byte) error {
-	sh := s.shared.shard(id)
-	for {
-		sh.mu.Lock()
-		rec, exists := sh.m[id]
-		if !exists {
-			rec = &sharedRec{
-				keyRecord: keyRecord{Type: recEntry, ID: id, Ref: int32(len(boxes))},
-				ready:     make(chan struct{}),
-			}
-			sh.m[id] = rec
-			sh.mu.Unlock()
-			req := newReq()
-			s.appendMu.Lock()
-			req.segs = append(req.segs, s.shData.frame(body))
-			rec.Offset = req.segs[0].off
-			req.segs = append(req.segs, s.shKey.record(rec.keyRecord))
-			rec.refPos = req.segs[1].refPos()
-			s.commit.enqueue(pointTo(req, boxes, rec))
-			s.appendMu.Unlock()
-			if err := req.wait(); err != nil {
-				req.free()
-				return s.abandonReservation(sh, id, rec, err)
-			}
-			close(rec.ready)
-			addPointers(req, boxes, len(body))
-			return nil
+	req := newReq()
+	s.sharedMu.Lock()
+	rec, dedup := s.shared[id]
+	if dedup {
+		// The cheap §6.4 collision check: the offered payload must be as
+		// long as the stored one.
+		n, err := rec.payloadLen(s.shData.f)
+		if err == nil && n != len(body) {
+			err = fmt.Errorf("mfs: NWrite %q: stored %dB vs offered %dB: %w", id, n, len(body), ErrIDCollision)
 		}
-		sh.mu.Unlock()
-		<-rec.ready
-		if rec.err != nil {
-			continue // the owner failed and removed the reservation; retry
-		}
-		sh.mu.Lock()
-		if cur, ok := sh.m[id]; !ok || cur != rec {
-			sh.mu.Unlock()
-			continue // record died or was replaced; start over
-		}
-		// Dedup path: verify the payload length (the cheap §6.4 collision
-		// check), then commit refcount patch + pointer records together.
-		// Enqueued under the shard lock so refcount patches stay in
-		// compute order (see commitTombstone).
-		n, err := dataRecordLen(s.shData.f, rec.Offset)
 		if err != nil {
-			sh.mu.Unlock()
-			return err
-		}
-		if n != len(body) {
-			sh.mu.Unlock()
-			return fmt.Errorf("mfs: NWrite %q: stored %dB vs offered %dB: %w",
-				id, n, len(body), ErrIDCollision)
-		}
-		rec.Ref += int32(len(boxes))
-		req := newReq()
-		s.patchRef(req, rec)
-		s.commit.enqueue(pointTo(req, boxes, rec))
-		sh.mu.Unlock()
-		if err = req.wait(); err != nil {
+			s.sharedMu.Unlock()
 			req.free()
 			return err
 		}
-		addPointers(req, boxes, len(body)) // the stored length was checked equal above
-		return nil
+		rec.Ref += int32(len(boxes))
+		s.patchRef(req, rec)
+	} else {
+		req.segs = append(req.segs, s.shData.frame(body))
+		req.segs = append(req.segs, s.shKey.record(keyRecord{Type: recEntry, ID: id, Offset: req.segs[0].off, Ref: int32(len(boxes))}))
+		r := req.segs[1].key
+		r.refPos, r.size, r.sized = req.segs[1].refPos(), uint32(len(body)), true
+		rec = &r
+		s.shared[id] = rec
 	}
+	s.refs += len(boxes)
+	s.commit.enqueue(pointTo(req, boxes, rec))
+	s.sharedMu.Unlock()
+	if err := req.wait(); err != nil {
+		req.free()
+		return err
+	}
+	addPointers(req, boxes, len(body))
+	return nil
 }
 
 // pointTo adds to req one pointer record to rec per box, placed at the
 // box's key-file end, and returns req. Every box's lock held.
-func pointTo(req *commitReq, boxes []*Mailbox, rec *sharedRec) *commitReq {
+func pointTo(req *commitReq, boxes []*Mailbox, rec *keyRecord) *commitReq {
 	ptr := keyRecord{Type: recEntry, ID: rec.ID, Offset: rec.Offset, Ref: SharedRef}
 	if n := len(req.segs) + len(boxes); n > cap(req.segs) {
 		req.segs = append(make([]segment, 0, n), req.segs...) // kept by the pool
@@ -787,16 +773,6 @@ func addPointers(req *commitReq, boxes []*Mailbox, size int) {
 		mb.addEntry(ptr)
 	}
 	req.free()
-}
-
-// abandonReservation unwinds a failed owner commit so waiters retry.
-func (s *Store) abandonReservation(sh *indexShard, id string, rec *sharedRec, err error) error {
-	rec.err = err
-	sh.mu.Lock()
-	delete(sh.m, id)
-	sh.mu.Unlock()
-	close(rec.ready)
-	return err
 }
 
 // addEntry appends a record to the in-memory index. mb.mu held.

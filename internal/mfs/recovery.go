@@ -157,14 +157,14 @@ func (s *Store) reconcile() error {
 		}
 	}
 	// Repair shared refcounts against the pointer tally.
-	for _, rec := range s.shared.snapshot() {
+	for _, rec := range s.shared {
 		n := tally[rec.ID]
 		switch {
 		case n == 0:
 			if _, err := appendKeyRecord(s.shKey.f, keyRecord{Type: recTombstone, ID: rec.ID}); err != nil {
 				return err
 			}
-			s.shared.remove(rec.ID)
+			delete(s.shared, rec.ID)
 			s.recovery.SharedDropped++
 		case int32(n) != rec.Ref:
 			if err := updateRef(s.shKey.f, rec.refPos, int32(n)); err != nil {
@@ -223,7 +223,7 @@ func (s *Store) reconcileBox(keyPath string, tally map[string]int) error {
 			continue
 		}
 		if r.Ref == SharedRef {
-			if !s.shared.contains(r.ID) {
+			if _, ok := s.shared[r.ID]; !ok {
 				// Orphan pointer: its shared copy never committed or is
 				// gone. Tombstone it — the mail was never acknowledged
 				// with this destination durable.

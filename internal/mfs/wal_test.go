@@ -10,7 +10,9 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/fsim"
@@ -403,5 +405,103 @@ func TestApplyErrorIsFailStop(t *testing.T) {
 	}
 	if st := s2.Stats(); st.SharedRecords != 2 || st.SharedRefs != 4 {
 		t.Fatalf("shared store after reopen: %+v, want 2 records and 4 refs", st)
+	}
+}
+
+// TestDedupQueuesBehindItsOwner: a second writer of a mail-id whose
+// owner's batch is still in flight takes the dedup path at once — its
+// refcount patch and pointer records are queued behind the owner's
+// request, not held back until that request lands — and a single-recipient
+// write of the id meanwhile is a collision. The owner's log fsync is
+// stalled until the second request is queued. Released, the two land in
+// order: one shared copy serving four mailboxes, before and after a
+// crash. Failed, the stopped store refuses both writers with its error,
+// and after a crash neither left a trace.
+func TestDedupQueuesBehindItsOwner(t *testing.T) {
+	for _, injected := range []error{nil, syscall.EIO} {
+		name := "released"
+		if injected != nil {
+			name = "failed"
+		}
+		t.Run(name, func(t *testing.T) {
+			fault := fsim.NewFault()
+			s, err := New(fault, "m", WithSync(true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var boxes []*Mailbox
+			for _, name := range []string{"a", "b", "c", "d", "e"} {
+				boxes = append(boxes, s.mustOpen(t, name))
+			}
+			const id = "in-flight"
+			body := bytes.Repeat([]byte("q"), 2000)
+			stalled, release := make(chan struct{}), make(chan error)
+			var armed atomic.Bool
+			armed.Store(true)
+			fault.SetHook(func(op, path string, _ int) error {
+				if op == "Sync" && path == "m/mfs.wal" && armed.CompareAndSwap(true, false) {
+					close(stalled)
+					return <-release
+				}
+				return nil
+			})
+			owner, second := make(chan error, 1), make(chan error, 1)
+			go func() { owner <- s.NWrite(boxes[0:2], id, body) }()
+			<-stalled
+			go func() { second <- s.NWrite(boxes[2:4], id, body) }()
+			for deadline := time.Now().Add(5 * time.Second); len(s.commit.ch) == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					release <- injected
+					t.Fatal("the second writer never queued behind the owner's request")
+				}
+			}
+			if err := s.NWrite(boxes[4:], id, body); !errors.Is(err, ErrIDCollision) {
+				t.Fatalf("a 1-recipient write of the in-flight id returned %v, want ErrIDCollision", err)
+			}
+			release <- injected
+			for who, ch := range map[string]chan error{"owner": owner, "second writer": second} {
+				if err := <-ch; !errors.Is(err, injected) {
+					t.Fatalf("%s returned %v, want %v", who, err, injected)
+				}
+			}
+
+			holds := func(s *Store, label string) {
+				t.Helper()
+				want, wantRefs := boxes[0:4], 4
+				if injected != nil {
+					want, wantRefs = nil, 0
+				}
+				for _, box := range boxes {
+					mb := s.mustOpen(t, box.Name())
+					if got := mb.Contains(id); got != slices.Contains(want, box) {
+						t.Fatalf("%s: %s holds the id: %v", label, mb.Name(), got)
+					} else if got {
+						if m, err := mb.ReadID(id); err != nil || !bytes.Equal(m.Body, body) {
+							t.Fatalf("%s: %s reads %d bytes, %v", label, mb.Name(), len(m.Body), err)
+						}
+					}
+				}
+				if st := s.Stats(); st.SharedRecords != min(wantRefs, 1) || st.SharedRefs != wantRefs {
+					t.Fatalf("%s: shared store %+v, want %d records and %d refs", label, st, min(wantRefs, 1), wantRefs)
+				}
+				if size, _ := fault.Size("m/shmailbox.data"); size != int64(min(wantRefs, 1)*(4+len(body))) {
+					t.Fatalf("%s: shared data file holds %d bytes", label, size)
+				}
+				checkSharedInvariants(t, s)
+			}
+			if injected == nil {
+				holds(s, "released")
+			}
+			fault.Crash()
+			s.Close() //nolint:errcheck // dead fs; reap the committer
+			fault.SetHook(nil)
+			fault.Recover()
+			s2, err := New(fault, "m", WithSync(true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			holds(s2, name+", reopened after a crash")
+		})
 	}
 }
