@@ -1,8 +1,11 @@
 // Package node is what cmd/smtpd and cmd/maildirector share: both are
 // SMTP front-end nodes, so both take the same listen, policy, DNSBL,
-// tracing, event-log and admin flags and build the same collaborators
-// from them. Each binary declares its own flags beside these and passes
-// its own defaults (e.g. -policy false vs true) as arguments.
+// tracing, event-log and admin flags. It builds the process's registry,
+// event log, tracer and admin endpoint from them, and turns the policy
+// and DNSBL flags into the cluster.PolicySpec the node is started with:
+// internal/cluster builds the pre-trust stack itself. Each binary
+// declares its own flags beside these and passes its own defaults (e.g.
+// -policy false vs true) as arguments.
 package node
 
 import (
@@ -16,23 +19,11 @@ import (
 	"time"
 
 	"repro/internal/admin"
-	"repro/internal/dnsbl"
+	"repro/internal/cluster"
 	"repro/internal/eventlog"
 	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-)
-
-// The DNSBL client's resilience settings, the same on every front end:
-// one pipelined socket per replica, a query hedged to the next replica
-// after dnsblHedge, a cached /25 bitmap served up to dnsblStale past its
-// expiry while every replica is down, and a failed query not repeated
-// for dnsblNegativeTTL.
-const (
-	dnsblHedge       = 20 * time.Millisecond
-	dnsblStale       = time.Hour
-	dnsblNegativeTTL = 5 * time.Second
 )
 
 // Node holds the shared flags and, after Start, what was built from them.
@@ -126,63 +117,19 @@ func (n *Node) Start(hostname string) {
 	}
 }
 
-// DNSBL returns the -dnsbl client — prefix-cached, hedged, serving stale
-// and caching failures — or nil when no replica is configured. The
-// caller closes it.
-func (n *Node) DNSBL() *dnsbl.Client {
-	if *n.dnsbl == "" {
-		return nil
+// Policy is the pre-trust stack -policy, -grey-retry, -conn-rate,
+// -dnsbl and -dnsbl-zone describe.
+func (n *Node) Policy() cluster.PolicySpec {
+	spec := cluster.PolicySpec{
+		Engine:    *n.policy,
+		GreyRetry: *n.greyRetry,
+		ConnRate:  *n.connRate,
+		DNSBLZone: *n.dnsblZone,
 	}
-	return dnsbl.New(*n.dnsblZone,
-		dnsbl.WithRegistry(n.Reg),
-		dnsbl.WithEventLog(n.Events),
-		dnsbl.WithUpstreams(strings.Split(*n.dnsbl, ",")...),
-		dnsbl.WithHedge(dnsblHedge),
-		dnsbl.WithStale(dnsblStale),
-		dnsbl.WithNegativeTTL(dnsblNegativeTTL),
-	)
-}
-
-// Policy builds the pre-trust policy from -policy, -grey-retry and
-// -conn-rate, scoring connections against resolver when -dnsbl is set.
-// With -dnsbl and no -policy it holds the blacklist alone: listed clients
-// draw 554 at connect, nothing is rate-limited, greylisted or remembered.
-// It also returns the reputation and greylist stores, for a caller that
-// replicates them; the policy is nil when -policy is off and -dnsbl
-// empty, and the greylist nil when -grey-retry is 0.
-func (n *Node) Policy(resolver dnsbl.Resolver) (*policy.ServerPolicy, *policy.Reputation, *policy.Greylist) {
-	rep := policy.NewReputation(policy.ReputationConfig{})
-	var grey *policy.Greylist
-	if *n.greyRetry > 0 {
-		grey = policy.NewGreylist(policy.GreyConfig{MinRetry: *n.greyRetry})
-	}
-	if !*n.policy && *n.dnsbl == "" {
-		return nil, rep, grey
-	}
-	var pOpts []policy.Option
-	if *n.policy {
-		pOpts = append(pOpts, policy.WithReputationStore(rep))
-		if grey != nil {
-			pOpts = append(pOpts, policy.WithGreylistStore(grey))
-		}
-		if *n.connRate > 0 {
-			pOpts = append(pOpts, policy.WithRate(policy.RateConfig{
-				ConnPerSec: *n.connRate,
-				ConnBurst:  5 * *n.connRate,
-			}))
-		}
-	}
-	var scorer *policy.Scorer
 	if *n.dnsbl != "" {
-		pOpts = append(pOpts, policy.WithDNSBLReject(1))
-		scorer = policy.NewScorer(
-			policy.WithLists(policy.List{Name: *n.dnsblZone, Resolver: resolver, Weight: 1}),
-			policy.WithThreshold(1),
-			policy.WithScorerRegistry(n.Reg),
-		)
+		spec.DNSBL = strings.Split(*n.dnsbl, ",")
 	}
-	return policy.NewServerPolicy(policy.New(pOpts...), scorer,
-		policy.WithRegistry(n.Reg), policy.WithEventLog(n.Events)), rep, grey
+	return spec
 }
 
 // ServeAdmin serves the admin endpoint on -admin; spans may be nil.

@@ -20,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"os/signal"
 	"strings"
@@ -60,24 +59,9 @@ func main() {
 	n.Start(*hostname)
 	events := n.Events
 
-	// The DNSBL client's cache is gossiped: a /25 bitmap any peer paid an
-	// upstream query for answers the whole neighbourhood here.
-	client := n.DNSBL()
-	if client != nil {
-		defer client.Close()
-	}
-	// The node-local pre-trust stores are exposed to gossip through the
-	// transport-agnostic sync contracts. The policy stamps their entries
-	// with absolute wall time, so deltas gossiped to peers decay on a
-	// shared timeline.
-	pol, rep, grey := n.Policy(client)
-
 	dOpts := []director.Option{director.WithFront(
 		smtpserver.WithHostname(*hostname),
-		smtpserver.WithRegistry(n.Reg),
-		smtpserver.WithEventLog(events),
 		smtpserver.WithMessageTracer(n.Tracer),
-		smtpserver.WithPolicy(pol),
 	)}
 	for _, spec := range backends {
 		name, addr, ok := strings.Cut(spec, "=")
@@ -90,42 +74,30 @@ func main() {
 		dOpts = append(dOpts, director.WithValidateRcpt(atDomain(*domain)))
 	}
 
-	var gossip *director.Gossip
-	if *gossipAddr != "" {
-		gOpts := []director.GossipOption{
-			director.WithGossipName(*hostname),
-			director.WithInterval(*gossipIvl),
-			director.WithReputationSync(rep),
-			director.WithGossipEventLog(events),
-		}
-		if grey != nil {
-			gOpts = append(gOpts, director.WithGreylistSync(grey))
-		}
-		if client != nil {
-			gOpts = append(gOpts, director.WithDNSBLSync(client))
-		}
-		if *peers != "" {
-			gOpts = append(gOpts, director.WithPeers(strings.Split(*peers, ",")...))
-		}
-		gossip = director.NewGossip(gOpts...)
-		gln, err := net.Listen("tcp", *gossipAddr)
-		if err != nil {
-			log.Fatalf("maildirector: gossip listen: %v", err)
-		}
-		go gossip.Serve(gln)
-		if *peers != "" {
-			gossip.Start()
-		}
-		defer gossip.Close()
-		events.Info("director.start", 0,
-			eventlog.Str("component", "gossip"), eventlog.Str("addr", gln.Addr().String()))
-	}
-
 	n.ServeAdmin(nil) // the director records no connection spans
 
-	dir, err := cluster.StartDirector(cluster.DirectorSpec{Addr: n.Addr(), Options: dOpts})
+	// The pre-trust stores are replicated to the peers through the
+	// transport-agnostic sync contracts, and so is the DNSBL client's
+	// cache: a /25 bitmap any peer paid an upstream query for answers the
+	// whole neighbourhood here.
+	gossip := cluster.GossipSpec{Addr: *gossipAddr, Interval: *gossipIvl}
+	if *peers != "" {
+		gossip.Peers = strings.Split(*peers, ",")
+	}
+	dir, err := cluster.StartDirector(cluster.DirectorSpec{
+		Addr:     n.Addr(),
+		Policy:   n.Policy(),
+		Gossip:   gossip,
+		Options:  dOpts,
+		Registry: n.Reg,
+		Events:   events,
+	})
 	if err != nil {
 		log.Fatalf("maildirector: %v", err)
+	}
+	if dir.Gossip != nil {
+		events.Info("director.start", 0,
+			eventlog.Str("component", "gossip"), eventlog.Str("addr", dir.GossipAddr))
 	}
 	d := dir.Server
 	events.Info("director.start", 0,
@@ -140,7 +112,7 @@ func main() {
 	for {
 		select {
 		case <-tick:
-			logStats(d, gossip)
+			logStats(d, dir.Gossip)
 		case err := <-dir.Served():
 			if err != nil {
 				log.Fatalf("maildirector: %v", err)
@@ -152,7 +124,7 @@ func main() {
 				events.Error("director.error", 0,
 					eventlog.Str("component", "director"), eventlog.Str("err", err.Error()))
 			}
-			logStats(d, gossip)
+			logStats(d, dir.Gossip)
 			return
 		}
 	}

@@ -27,7 +27,6 @@ import (
 	"repro/internal/fsim"
 	"repro/internal/metrics"
 	"repro/internal/mfs"
-	"repro/internal/policy"
 	"repro/internal/pop3"
 	"repro/internal/smtpserver"
 	"repro/internal/trace"
@@ -76,19 +75,15 @@ func main() {
 		smtpserver.WithMaxWorkers(*workers),
 		smtpserver.WithSpans(spans),
 	}
-	dnsblClient := n.DNSBL()
-	pol, _, _ := n.Policy(dnsblClient)
-	if pol != nil {
-		srvOpts = append(srvOpts, smtpserver.WithPolicy(pol))
-	}
 
-	// The node itself — access DB, store, agent, front end, in that
-	// order, listening on return — is internal/cluster's.
+	// The node itself — access DB, store, agent, pre-trust stack, front
+	// end, in that order, listening on return — is internal/cluster's.
 	sh, err := cluster.StartShard(cluster.ShardSpec{
 		Addr:      n.Addr(),
 		FS:        fsim.NewOS(*root),
 		Domain:    *domain,
 		Mailboxes: *mailboxes,
+		Policy:    n.Policy(),
 		Options:   srvOpts,
 		Registry:  reg,
 		Events:    events,
@@ -151,21 +146,19 @@ func main() {
 		if pop != nil {
 			pop.Close() // it reads the store the shard is about to close
 		}
-		// Stop accepting, wait for the commits in flight, close the store.
+		// Stop accepting, wait for the commits in flight, close the store
+		// and the DNSBL client.
 		if err := sh.Close(); err != nil {
 			events.Error("smtpd.error", 0,
 				eventlog.Str("component", "smtpd"), eventlog.Str("err", err.Error()))
 		}
-		if dnsblClient != nil {
-			dnsblClient.Close()
-		}
-		logStats(sh, pol)
+		logStats(sh)
 	}
 	tick := n.StatsTick()
 	for {
 		select {
 		case <-tick:
-			logStats(sh, pol)
+			logStats(sh)
 		case err := <-sh.Served():
 			if err != nil {
 				// The listener failed for good (running out of descriptors
@@ -184,7 +177,7 @@ func main() {
 
 // logStats dumps a counters table: the SMTP front end (policy verdicts
 // included) and delivery.
-func logStats(sh *cluster.Shard, pol *policy.ServerPolicy) {
+func logStats(sh *cluster.Shard) {
 	s := sh.Server.Stats()
 	d := sh.Agent.Stats()
 	t := metrics.NewTable("counter", "value")
@@ -193,7 +186,7 @@ func logStats(sh *cluster.Shard, pol *policy.ServerPolicy) {
 	t.AddRow("pre-trust closed", s.PreTrustClosed)
 	t.AddRow("handoffs", s.Handoffs)
 	t.AddRow("rcpt 550", s.RcptRejected)
-	if pol != nil {
+	if pol := sh.Policy; pol != nil {
 		ps := pol.Stats()
 		t.AddRow("policy conn rejected (554)", s.PolicyRejected)
 		t.AddRow("policy conn tempfailed (421)", s.PolicyTempfail)

@@ -17,7 +17,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dns"
 	"repro/internal/dnsbl"
-	"repro/internal/policy"
 	"repro/internal/smtpserver"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -51,28 +50,23 @@ func run() error {
 	defer dnsSrv.Close()
 	fmt.Printf("DNSBLv6 server on %s with %d listed IPs\n", dnsSrv.Addr(), list.Len())
 
-	// --- The lookup client with prefix caching (§7.1). ---
-	lookup := dnsbl.New(zone,
-		dnsbl.WithUpstreams(dnsSrv.Addr().String()),
-		dnsbl.WithStale(time.Hour))
-	defer lookup.Close()
-
-	// --- The sinkhole mail server, wired the way `smtpd -dnsbl` is
-	// without -policy: the blacklist alone decides at connect. The replay
-	// dials from 127.0.0.1, which nobody lists, so every bot gets in (a
+	// --- The sinkhole mail server, run the way `smtpd -dnsbl` runs it
+	// without -policy: the blacklist alone decides at connect, through
+	// the node's prefix-caching lookup client (§7.1). The replay dials
+	// from 127.0.0.1, which nobody lists, so every bot gets in (a
 	// sinkhole wants the spam); the trace-assigned origins are probed
 	// below instead. A production peer address goes straight through.
-	blacklist := policy.NewServerPolicy(policy.New(policy.WithDNSBLReject(1)),
-		policy.NewScorer(policy.WithLists(policy.List{Name: zone, Resolver: lookup, Weight: 1})))
 	node, err := cluster.StartShard(cluster.ShardSpec{
 		Domain:    "sink.example.org",
 		Mailboxes: 50,
-		Options:   []smtpserver.Option{smtpserver.WithMaxWorkers(32), smtpserver.WithPolicy(blacklist)},
+		Policy:    cluster.PolicySpec{DNSBL: []string{dnsSrv.Addr().String()}, DNSBLZone: zone},
+		Options:   []smtpserver.Option{smtpserver.WithMaxWorkers(32)},
 	})
 	if err != nil {
 		return err
 	}
 	defer node.Close()
+	lookup := node.DNSBL
 
 	// Probe the DNSBL for every trace origin as the connections replay —
 	// the §7.2 measurement: how many lookups go upstream under prefix

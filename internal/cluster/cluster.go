@@ -9,10 +9,15 @@
 //     the mail's commit to its mailboxes, and a mail the store refuses
 //     stays with its sender, whose own queue retries it;
 //   - the cmd/smtpd production defaults, as the constants below;
+//   - the pre-trust stack a PolicySpec describes — policy engine,
+//     scorer, DNSBL client, reputation and greylist stores — and a
+//     director's gossip over those stores (pretrust.go), so a binary, an
+//     experiment and an example that name the same flags run the same
+//     stack;
 //   - two teardown verbs with one order — stop the front end, which waits
-//     for every in-flight commit, then close the store. Close reports the
-//     first error; Kill swallows errors, which is what a process dying
-//     looks like from inside.
+//     for every in-flight commit, then close the store and the DNSBL
+//     client. Close reports the first error; Kill swallows errors, which
+//     is what a process dying looks like from inside.
 //
 // StartShard builds a full node and StartDirector a director front end,
 // with one listen and stop discipline. cmd/smtpd, cmd/maildirector, every
@@ -79,13 +84,17 @@ type ShardSpec struct {
 	// Mailboxes is how many local users (user0000…) exist; postmaster
 	// aliases the first.
 	Mailboxes int
+	// Policy is the pre-trust stack the front end consults.
+	Policy PolicySpec
 	// Options are appended to the front end's own (hostname, Workers,
-	// recipient validation, enqueue hook and the three sinks below), so
-	// they can choose the architecture, worker limit, policy and the rest.
+	// recipient validation, enqueue hook, policy and the three sinks
+	// below), so they can choose the architecture, worker limit and the
+	// rest.
 	Options []smtpserver.Option
 
-	// Registry, Events and Tracer are shared by the front end and the
-	// delivery agent; nil leaves each its private default.
+	// Registry, Events and Tracer are shared by the front end, the
+	// pre-trust stack and the delivery agent; nil leaves each its private
+	// default.
 	Registry *metrics.Registry
 	Events   *eventlog.Log
 	Tracer   *trace.MessageRecorder
@@ -98,6 +107,7 @@ type Shard struct {
 	Store  *mailstore.MFS
 	Agent  *delivery.Agent
 	Server *smtpserver.Server
+	preTrust
 
 	tracer *trace.MessageRecorder
 	seq    atomic.Uint64 // the last mail id minted: boot epoch << seqBits | count
@@ -155,6 +165,7 @@ func StartShard(spec ShardSpec) (*Shard, error) {
 	s.Agent = delivery.NewAgent(s.DB, s.Store, delivery.WithRegistry(spec.Registry),
 		delivery.WithEventLog(spec.Events), delivery.WithMessageTracer(spec.Tracer))
 
+	s.preTrust = startPreTrust(spec.Policy, spec.Registry, spec.Events)
 	opts := []smtpserver.Option{
 		smtpserver.WithHostname(Hostname(spec.Domain)),
 		smtpserver.WithMaxWorkers(Workers),
@@ -164,6 +175,9 @@ func StartShard(spec ShardSpec) (*Shard, error) {
 		smtpserver.WithEnqueueTraced(s.Enqueue),
 		smtpserver.WithValidateRcpt(s.DB.Valid),
 		smtpserver.WithValidateRcptBytes(s.DB.ValidBytes),
+	}
+	if s.Policy != nil {
+		opts = append(opts, smtpserver.WithPolicy(s.Policy))
 	}
 	if s.Server, err = smtpserver.New(nil, append(opts, spec.Options...)...); err != nil {
 		return nil, err
@@ -249,8 +263,9 @@ func (s *Shard) Served() <-chan error { return s.front.served }
 
 // Close shuts the node down in order: stop accepting and wait for Serve
 // and every worker to return — so for every commit in flight — then
-// close the store. It returns the first error; calling it again, or
-// after Kill, does nothing and returns the same result.
+// close the store and the DNSBL client. It returns the first error;
+// calling it again, or after Kill, does nothing and returns the same
+// result.
 func (s *Shard) Close() error {
 	s.once.Do(func() { s.err = s.teardown() })
 	return s.err
@@ -273,6 +288,7 @@ func (s *Shard) teardown() error {
 			err = cerr
 		}
 	}
+	s.preTrust.close()
 	return err
 }
 
@@ -314,8 +330,17 @@ func (f *frontEnd) stop() error {
 type DirectorSpec struct {
 	// Addr is the SMTP listen address (default an ephemeral loopback port).
 	Addr string
+	// Policy is the pre-trust stack the front end consults, and Gossip
+	// the endpoint that replicates its stores.
+	Policy PolicySpec
+	Gossip GossipSpec
 	// Options configure the director: its backends, and whatever else.
 	Options []director.Option
+
+	// Registry and Events are shared by the front end, the pre-trust
+	// stack and the gossip; nil leaves each its private default.
+	Registry *metrics.Registry
+	Events   *eventlog.Log
 }
 
 // Director is a running director front end. Its front end is listened
@@ -323,24 +348,45 @@ type DirectorSpec struct {
 type Director struct {
 	Addr   string // the SMTP address it listens on
 	Server *director.Server
+	preTrust
+	gossip
 
 	front *frontEnd
 	once  sync.Once
 	err   error
 }
 
-// StartDirector builds the director and has it listening on return.
+// StartDirector builds the director — pre-trust stack, forwarding
+// engine, gossip endpoint, front end — and has it listening on return.
+// A failure part-way tears down what was built.
 func StartDirector(spec DirectorSpec) (*Director, error) {
-	srv, err := director.New(spec.Options...)
-	if err != nil {
+	d := &Director{preTrust: startPreTrust(spec.Policy, spec.Registry, spec.Events)}
+	started := false
+	defer func() {
+		if !started {
+			d.Close()
+		}
+	}()
+
+	front := []smtpserver.Option{smtpserver.WithRegistry(spec.Registry), smtpserver.WithEventLog(spec.Events)}
+	if d.Policy != nil {
+		front = append(front, smtpserver.WithPolicy(d.Policy))
+	}
+	var err error
+	if d.Server, err = director.New(append([]director.Option{director.WithFront(front...)}, spec.Options...)...); err != nil {
 		return nil, err
 	}
-	front, err := listen(srv.Front(), spec.Addr)
-	if err != nil {
-		srv.Close()
+	if spec.Gossip.Addr != "" {
+		if d.gossip, err = startGossip(spec.Gossip, d.Server.Front().Hostname(), d.preTrust, spec.Policy.Clock, spec.Events); err != nil {
+			return nil, err
+		}
+	}
+	if d.front, err = listen(d.Server.Front(), spec.Addr); err != nil {
 		return nil, err
 	}
-	return &Director{Addr: front.addr, Server: srv, front: front}, nil
+	d.Addr = d.front.addr
+	started = true
+	return d, nil
 }
 
 // Served receives the accept loop's error once if it ends on its own,
@@ -348,12 +394,19 @@ func StartDirector(spec DirectorSpec) (*Director, error) {
 func (d *Director) Served() <-chan error { return d.front.served }
 
 // Close stops accepting, waits for in-flight dialogs and for Serve to
-// return, and QUITs the back-end connection pools. It returns Serve's
-// error; calling it again does nothing and returns the same result.
+// return, QUITs the back-end connection pools, then stops the gossip
+// and closes the DNSBL client. It returns Serve's error; calling it
+// again does nothing and returns the same result.
 func (d *Director) Close() error {
 	d.once.Do(func() {
-		d.err = d.front.stop()
-		d.Server.Close()
+		if d.front != nil {
+			d.err = d.front.stop()
+		}
+		if d.Server != nil {
+			d.Server.Close()
+		}
+		d.gossip.close()
+		d.preTrust.close()
 	})
 	return d.err
 }

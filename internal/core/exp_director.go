@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"net"
 	"sync"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"repro/internal/director"
 	"repro/internal/dns"
 	"repro/internal/dnsbl"
-	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/smtpserver"
 	"repro/internal/trace"
@@ -26,23 +24,6 @@ func init() {
 		Paper: "§5's fork-after-trust boundary stretched over a network hop: front ends run the whole pre-trust phase and replay trusted envelopes to consistent-hashed shards; shared pre-trust state (gossip) lifts the DNSBL cache hit rate and the aggregate accept rate, and a dying shard must not lose acknowledged mail",
 		Run:   runDirectorScaleout,
 	})
-}
-
-// scaleoutFE is one front end: a director whose own policy runs the
-// pre-trust phase over its node-local stores (greylist, reputation, DNSBL
-// client), which its gossip endpoint replicates. The client's upstream is
-// a DNSBLv6 zone served in memory.
-type scaleoutFE struct {
-	node       *cluster.Director
-	pol        *policy.ServerPolicy
-	dnsbl      *dnsbl.Client
-	gossip     *director.Gossip
-	addrGossip string
-}
-
-func (fe *scaleoutFE) close() {
-	fe.gossip.Close()
-	fe.node.Close()
 }
 
 // scaleoutRun is one full storm at a fixed gossip setting. The pre-trust
@@ -123,52 +104,40 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 		return vnow
 	}
 
-	newFE := func(name string) (*scaleoutFE, error) {
-		grey := policy.NewGreylist(policy.GreyConfig{MinRetry: 5 * time.Second, MaxValid: time.Hour})
-		rep := policy.NewReputation(policy.ReputationConfig{})
-		fe := &scaleoutFE{dnsbl: dnsbl.New(zone, dnsbl.WithClock(clock),
-			dnsbl.WithTransport(&dns.MemTransport{Handler: &dnsbl.V6Handler{List: list}}))}
-		fe.pol = policy.NewServerPolicy(
-			policy.New(policy.WithReputationStore(rep), policy.WithGreylistStore(grey), policy.WithDNSBLReject(1)),
-			policy.NewScorer(policy.WithLists(policy.List{Name: zone, Resolver: fe.dnsbl, Weight: 1}), policy.WithThreshold(1)),
-			policy.WithClock(clock))
-		var err error
-		fe.node, err = cluster.StartDirector(cluster.DirectorSpec{Options: []director.Option{
-			director.WithFront(smtpserver.WithHostname(name+".test"), smtpserver.WithPolicy(fe.pol)),
-			director.WithBackend("shard-a", shards[0].Addr),
-			director.WithBackend("shard-b", shards[1].Addr),
-			director.WithForwardTimeout(2 * time.Second),
-			director.WithCooldown(50 * time.Millisecond),
-		}})
-		if err != nil {
-			return nil, err
-		}
-		fe.gossip = director.NewGossip(
-			director.WithGossipName(name),
-			director.WithReputationSync(rep),
-			director.WithGreylistSync(grey),
-			director.WithDNSBLSync(fe.dnsbl),
-			director.WithGossipClock(clock),
-		)
-		gln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		go fe.gossip.Serve(gln)
-		fe.addrGossip = gln.Addr().String()
-		return fe, nil
+	// A front end is a director whose own policy runs the pre-trust
+	// phase over its node-local stores (greylist, reputation, DNSBL
+	// client), which its gossip endpoint replicates when the storm asks
+	// it to. The client's upstream is the DNSBLv6 zone served in memory.
+	newFE := func(name string) (*cluster.Director, error) {
+		return cluster.StartDirector(cluster.DirectorSpec{
+			Policy: cluster.PolicySpec{
+				Engine:    true,
+				GreyRetry: 5 * time.Second,
+				DNSBLZone: zone,
+				Transport: &dns.MemTransport{Handler: &dnsbl.V6Handler{List: list}},
+				Clock:     clock,
+			},
+			Gossip: cluster.GossipSpec{Addr: "127.0.0.1:0"},
+			Options: []director.Option{
+				director.WithFront(smtpserver.WithHostname(name + ".test")),
+				director.WithBackend("shard-a", shards[0].Addr),
+				director.WithBackend("shard-b", shards[1].Addr),
+				director.WithForwardTimeout(2 * time.Second),
+				director.WithCooldown(50 * time.Millisecond),
+			},
+		})
 	}
 	fe1, err := newFE("fe-1")
 	if err != nil {
 		return nil, err
 	}
-	defer fe1.close()
+	defer fe1.Close()
 	fe2, err := newFE("fe-2")
 	if err != nil {
 		return nil, err
 	}
-	defer fe2.close()
-	fes := []*scaleoutFE{fe1, fe2}
+	defer fe2.Close()
+	fes := []*cluster.Director{fe1, fe2}
 
 	run := &scaleoutRun{conns: conns}
 	killAt := conns / 2
@@ -183,8 +152,8 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 			shards[1].Kill()
 		}
 		if gossipOn && i%exchangeEvery == exchangeEvery-1 {
-			fe1.gossip.Exchange(fe2.addrGossip) //nolint:errcheck // next round retries
-			fe2.gossip.Exchange(fe1.addrGossip) //nolint:errcheck
+			fe1.Gossip.Exchange(fe2.GossipAddr) //nolint:errcheck // next round retries
+			fe2.Gossip.Exchange(fe1.GossipAddr) //nolint:errcheck
 		}
 
 		// The front end refuses a listed or condemned source at connect
@@ -193,7 +162,7 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 		// the expected shard-death tempfail (451 at end-of-data).
 		h := rng.Intn(hosts)
 		sent := workload.RunClosed(workload.ClosedConfig{
-			Addr:           fes[i%2].node.Addr,
+			Addr:           fes[i%2].Addr,
 			Timeout:        2 * time.Second,
 			SourceLoopback: true,
 		}, []trace.Conn{{
@@ -207,17 +176,17 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 	}
 
 	for _, fe := range fes {
-		ps, ss, ds := fe.pol.Stats(), fe.pol.ScorerStats(), fe.node.Server.Stats()
+		ps, ss, ds := fe.Policy.Stats(), fe.Policy.ScorerStats(), fe.Server.Stats()
 		run.refused += int(ps.ConnRejected + ps.ConnTempfailed)
 		run.listed += int(ss.Hits)
 		run.greylisted += int(ps.RcptGreylisted)
 		run.tempfailed += int(ds.MailsFailed)
 		run.retries += ds.ForwardRetries
-		run.upstream += int(fe.dnsbl.Queries())
-		run.lookups += int(fe.dnsbl.Lookups())
-		run.cacheHits += int(fe.dnsbl.CacheHits())
-		run.peerHits += int(fe.dnsbl.PeerHits())
-		run.handoffP99 = max(run.handoffP99, 1e3*fe.node.Server.HandoffQuantile(0.99)) // ms
+		run.upstream += int(fe.DNSBL.Queries())
+		run.lookups += int(fe.DNSBL.Lookups())
+		run.cacheHits += int(fe.DNSBL.CacheHits())
+		run.peerHits += int(fe.DNSBL.PeerHits())
+		run.handoffP99 = max(run.handoffP99, 1e3*fe.Server.HandoffQuantile(0.99)) // ms
 	}
 	for _, sh := range shards {
 		run.delivered += int(sh.Agent.Stats().Mails)

@@ -7,6 +7,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dns"
 	"repro/internal/dnsbl"
 	"repro/internal/metrics"
@@ -30,9 +31,10 @@ const resolverStallMs = 100
 // runResolverResilience replays a sinkhole connection trace against a
 // live DNSBLv6 server pair whose response path drops 5% of packets, once
 // through the seed transport (one socket per query, single send, full
-// timeout on loss) and once through the production resolver (shared
-// pipelined sockets, 30 ms attempt timeout with retries, hedging to the
-// replica, serve-stale) — for each of the three cache policies.
+// timeout on loss) and once through the resolver every node runs
+// (cluster.NewDNSBL: shared pipelined sockets with the transport's
+// default attempt timeout and retries, hedging to the replica,
+// serve-stale, a negative cache) — for each of the three cache policies.
 func runResolverResilience(w io.Writer, opts Options) (Metrics, error) {
 	const lossRate = 0.05
 	sink := trace.NewSinkhole(trace.SinkholeConfig{
@@ -65,10 +67,7 @@ func runResolverResilience(w io.Writer, opts Options) (Metrics, error) {
 	var totalSeedStalls, totalResilientStalls float64
 	for _, pol := range []dnsbl.CachePolicy{dnsbl.CacheNone, dnsbl.CacheIP, dnsbl.CachePrefix} {
 		for _, kind := range []string{"seed", "resilient"} {
-			client, cleanup, err := resolverClient(kind, pol, servers)
-			if err != nil {
-				return nil, err
-			}
+			client := resolverClient(kind, pol, servers)
 			s := metrics.NewSample(len(conns))
 			stalls, errors := 0, 0
 			for i := range conns {
@@ -83,7 +82,7 @@ func runResolverResilience(w io.Writer, opts Options) (Metrics, error) {
 					errors++
 				}
 			}
-			cleanup()
+			client.Close()
 			key := fmt.Sprintf("%s_%s", kind, pol)
 			m["p50_"+key] = s.Quantile(0.5)
 			m["p99_"+key] = s.Quantile(0.99)
@@ -111,27 +110,11 @@ func runResolverResilience(w io.Writer, opts Options) (Metrics, error) {
 const seedTimeout = 120 * time.Millisecond
 
 // resolverClient builds the lookup client for one arm of the comparison.
-func resolverClient(kind string, pol dnsbl.CachePolicy, servers []string) (*dnsbl.Client, func(), error) {
+func resolverClient(kind string, pol dnsbl.CachePolicy, servers []string) *dnsbl.Client {
 	if kind == "seed" {
 		tr := &dns.UDPTransport{Server: servers[0], Timeout: seedTimeout}
-		c := dnsbl.New("bl6.exp", dnsbl.WithTransport(tr), dnsbl.WithPolicy(pol))
-		return c, func() {}, nil
+		return dnsbl.New("bl6.exp", dnsbl.WithTransport(tr), dnsbl.WithPolicy(pol))
 	}
-	// The production resolver: shared pipelined sockets over both
-	// replicas, loss detected at 30 ms and retried, hedged to the replica
-	// at 20 ms, expired bitmaps served while the blacklist is down.
-	p, err := dns.NewPipelined(servers,
-		dns.WithAttemptTimeout(30*time.Millisecond),
-		dns.WithAttempts(3),
-		dns.WithBackoff(5*time.Millisecond),
-		dns.WithHedgeDelay(20*time.Millisecond),
-		dns.WithQueryTimeout(2*time.Second))
-	if err != nil {
-		return nil, nil, err
-	}
-	c := dnsbl.New("bl6.exp",
-		dnsbl.WithTransport(p),
-		dnsbl.WithPolicy(pol),
-		dnsbl.WithStale(time.Hour))
-	return c, func() { p.Close() }, nil
+	// The resolver every node runs, varied only in its cache policy.
+	return cluster.NewDNSBL("bl6.exp", servers, dnsbl.WithPolicy(pol))
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/dnsbl"
 	"repro/internal/eventlog"
 	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/smtpserver"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -65,33 +64,19 @@ func weatherRun(arch smtpserver.Architecture, conns []trace.Conn, listed map[add
 		eventlog.WithObserver(tracker),
 	)
 
-	client := dnsbl.New(weatherZone,
-		dnsbl.WithUpstreams(dsrv.Addr().String()),
-		dnsbl.WithPolicy(dnsbl.CachePrefix),
-		dnsbl.WithRegistry(reg),
-		dnsbl.WithEventLog(events))
-	defer client.Close()
-
-	// Reputation plus a hard DNSBL reject; greylisting and rate limits
-	// stay off because the closed-system replayer never retries, so they
-	// would refuse ham.
-	eng := policy.New(
-		policy.WithReputation(policy.ReputationConfig{}),
-		policy.WithDNSBLReject(1),
-	)
-	scorer := policy.NewScorer(
-		policy.WithLists(policy.List{Name: weatherZone, Resolver: client, Weight: 1}),
-		policy.WithThreshold(1),
-		policy.WithScorerRegistry(reg),
-	)
-	pol := policy.NewServerPolicy(eng, scorer,
-		policy.WithRegistry(reg), policy.WithEventLog(events))
-
+	// Reputation plus a hard DNSBL reject, as `smtpd -policy -grey-retry
+	// 0 -conn-rate 0 -dnsbl …` runs it; greylisting and rate limits stay
+	// off because the closed-system replayer never retries, so they would
+	// refuse ham.
 	if _, err := replayShard(cluster.ShardSpec{
+		Policy: cluster.PolicySpec{
+			Engine:    true,
+			DNSBL:     []string{dsrv.Addr().String()},
+			DNSBLZone: weatherZone,
+		},
 		Options: []smtpserver.Option{
 			smtpserver.WithArchitecture(arch),
 			smtpserver.WithMaxWorkers(8),
-			smtpserver.WithPolicy(pol),
 		},
 		Registry: reg,
 		Events:   events,

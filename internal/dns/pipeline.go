@@ -37,10 +37,10 @@ type Pipelined struct {
 
 var _ Transport = (*Pipelined)(nil)
 
-// pipelineConfig holds the tunables; see the With* options.
+// pipelineConfig holds the tunables: every node runs NewPipelined's
+// attempt timeout, attempts and backoff, and sets only WithHedgeDelay.
 type pipelineConfig struct {
 	attemptTimeout time.Duration
-	queryTimeout   time.Duration
 	attempts       int
 	backoff        time.Duration
 	hedgeDelay     time.Duration
@@ -48,31 +48,6 @@ type pipelineConfig struct {
 
 // PipelinedOption configures a Pipelined transport.
 type PipelinedOption func(*pipelineConfig)
-
-// WithAttemptTimeout bounds each individual send-and-wait attempt
-// (default 500ms). Loss is detected after this long, not after the whole
-// query deadline.
-func WithAttemptTimeout(d time.Duration) PipelinedOption {
-	return func(c *pipelineConfig) { c.attemptTimeout = d }
-}
-
-// WithQueryTimeout is the overall per-query deadline applied when the
-// caller's context has none (default 2s).
-func WithQueryTimeout(d time.Duration) PipelinedOption {
-	return func(c *pipelineConfig) { c.queryTimeout = d }
-}
-
-// WithAttempts sets how many times a flight sends the query before
-// giving up (default 3: the original send plus two retries).
-func WithAttempts(n int) PipelinedOption {
-	return func(c *pipelineConfig) { c.attempts = n }
-}
-
-// WithBackoff sets the base delay between retries, doubled per attempt
-// (default 10ms).
-func WithBackoff(d time.Duration) PipelinedOption {
-	return func(c *pipelineConfig) { c.backoff = d }
-}
 
 // WithHedgeDelay launches a duplicate query against the next upstream if
 // the first has not answered within d. The first successful response
@@ -102,7 +77,6 @@ func NewPipelined(upstreams []string, opts ...PipelinedOption) (*Pipelined, erro
 	}
 	p := &Pipelined{cfg: pipelineConfig{
 		attemptTimeout: 500 * time.Millisecond,
-		queryTimeout:   2 * time.Second,
 		attempts:       3,
 		backoff:        10 * time.Millisecond,
 	}}
@@ -161,13 +135,9 @@ func (p *Pipelined) Retries() int64 { return p.retries.Load() }
 // Query implements Transport: it races up to two flights (primary, plus
 // a hedged replica flight after the hedge delay) and returns the first
 // successful response. Each flight retries with backoff on loss and
-// truncation.
+// truncation, so a query ends at ctx's deadline or when every flight
+// has spent its attempts, whichever comes first.
 func (p *Pipelined) Query(ctx context.Context, m *Message) (*Message, error) {
-	if _, ok := ctx.Deadline(); !ok && p.cfg.queryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.cfg.queryTimeout)
-		defer cancel()
-	}
 	// One cancel scope for every flight: the first success cancels the
 	// rest.
 	fctx, cancel := context.WithCancel(ctx)
@@ -248,23 +218,13 @@ func (p *Pipelined) flight(ctx context.Context, u *upstream, m *Message) (*Messa
 				backoff *= 2
 			}
 		}
-		actx := ctx
-		if p.cfg.attemptTimeout > 0 {
-			var cancel context.CancelFunc
-			actx, cancel = context.WithTimeout(ctx, p.cfg.attemptTimeout)
-			resp, err := u.roundTrip(actx, m)
-			cancel()
-			if err == nil {
-				return resp, nil
-			}
-			lastErr = err
-		} else {
-			resp, err := u.roundTrip(actx, m)
-			if err == nil {
-				return resp, nil
-			}
-			lastErr = err
+		actx, cancel := context.WithTimeout(ctx, p.cfg.attemptTimeout)
+		resp, err := u.roundTrip(actx, m)
+		cancel()
+		if err == nil {
+			return resp, nil
 		}
+		lastErr = err
 		if ctx.Err() != nil {
 			return nil, lastErr
 		}

@@ -9,6 +9,28 @@ import (
 	"time"
 )
 
+// The attempt schedule's knobs: no node sets them (every node runs the
+// defaults NewPipelined sets), so they live with the tests that do.
+
+// WithAttemptTimeout bounds each individual send-and-wait attempt
+// (default 500ms). Loss is detected after this long, not after the whole
+// query deadline.
+func WithAttemptTimeout(d time.Duration) PipelinedOption {
+	return func(c *pipelineConfig) { c.attemptTimeout = d }
+}
+
+// WithAttempts sets how many times a flight sends the query before
+// giving up (default 3: the original send plus two retries).
+func WithAttempts(n int) PipelinedOption {
+	return func(c *pipelineConfig) { c.attempts = n }
+}
+
+// WithBackoff sets the base delay between retries, doubled per attempt
+// (default 10ms).
+func WithBackoff(d time.Duration) PipelinedOption {
+	return func(c *pipelineConfig) { c.backoff = d }
+}
+
 // startEchoServer boots a UDP server whose listener is optionally wrapped
 // in fault injection, answering every A question with 127.0.0.2.
 func startEchoServer(t *testing.T, faults *FaultConfig) *Server {
@@ -101,7 +123,9 @@ func TestPipelinedSharedSocketDemux(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				tag := byte((g*perG + i) % 200)
 				name := fmt.Sprintf("h%d.bl.example", tag)
-				resp, err := p.Query(context.Background(), NewQuery(0, name, TypeA))
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				resp, err := p.Query(ctx, NewQuery(0, name, TypeA))
+				cancel()
 				if err != nil {
 					errs <- err
 					return
@@ -143,15 +167,16 @@ func TestPipelinedRecoversFromFaults(t *testing.T) {
 			p, err := NewPipelined([]string{srv.Addr().String()},
 				WithAttemptTimeout(40*time.Millisecond),
 				WithBackoff(time.Millisecond),
-				WithAttempts(8),
-				WithQueryTimeout(10*time.Second))
+				WithAttempts(8))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer p.Close()
 			for i := 0; i < 40; i++ {
 				name := fmt.Sprintf("q%d.bl.example", i)
-				resp, err := p.Query(context.Background(), NewQuery(0, name, TypeA))
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				resp, err := p.Query(ctx, NewQuery(0, name, TypeA))
+				cancel()
 				if err != nil {
 					t.Fatalf("query %d under %s: %v", i, tc.name, err)
 				}
@@ -182,15 +207,16 @@ func TestPipelinedHedgeRecoversFromBlackholePrimary(t *testing.T) {
 	p, err := NewPipelined(
 		[]string{blackhole.LocalAddr().String(), srv.Addr().String()},
 		WithHedgeDelay(10*time.Millisecond),
-		WithAttemptTimeout(50*time.Millisecond),
-		WithQueryTimeout(5*time.Second))
+		WithAttemptTimeout(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
 	start := time.Now()
-	resp, err := p.Query(context.Background(), NewQuery(0, "x.bl.example", TypeA))
+	resp, err := p.Query(ctx, NewQuery(0, "x.bl.example", TypeA))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,9 +229,6 @@ func New(zone string, opts ...Option) *Client {
 		if c.hedge > 0 {
 			popts = append(popts, dns.WithHedgeDelay(c.hedge))
 		}
-		if c.timeout > 0 {
-			popts = append(popts, dns.WithQueryTimeout(c.timeout))
-		}
 		c.transport, c.buildErr = dns.NewPipelined(c.upstreams, popts...)
 	case c.transport == nil:
 		c.buildErr = fmt.Errorf("dnsbl: no transport configured (use WithTransport or WithUpstreams)")

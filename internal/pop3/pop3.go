@@ -77,8 +77,8 @@ type Server struct {
 	retrieved *metrics.Counter
 	deleted   *metrics.Counter
 	authFails *metrics.Counter
-	// retrSeconds times a RETR from dispatch to the flush of its
-	// terminating dot.
+	// retrSeconds times a RETR from dispatch until its terminating dot
+	// is written, just before the flush that sends the dot's last byte.
 	retrSeconds *metrics.Histogram
 }
 
@@ -505,13 +505,15 @@ func (s *session) cmdRetr(arg []byte) error {
 		return err
 	}
 	// The SMTP dot codec is exactly POP3's multi-line response framing;
-	// its first flush carries the status line too.
+	// its first flush carries the status line too. The RETR is counted
+	// before the last flush, so a client holding the dot reads it in the
+	// counters.
 	if err := s.c.StreamData(&s.body, s.body.Size(), s.armWrite); err != nil {
 		return err
 	}
 	s.srv.retrieved.Inc()
 	s.srv.retrSeconds.ObserveDuration(time.Since(start))
-	return nil
+	return s.c.Flush()
 }
 
 // armWrite gives the next chunk of a response IdleTimeout to leave.

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/costmodel"
 	"repro/internal/fsim"
 	"repro/internal/mailstore"
 	"repro/internal/metrics"
@@ -304,5 +305,48 @@ func TestMetricsOnTheRegistry(t *testing.T) {
 	}
 	if m, ok := reg.Find("pop3_retr_seconds"); !ok || m.Count != 2 || m.Sum <= 0 {
 		t.Fatalf("pop3_retr_seconds = %+v", m)
+	}
+}
+
+// TestRetrCountedBeforeTheDot: a RETR moves pop3_retrieved_total and
+// pop3_retr_seconds before the last byte of its terminating dot leaves,
+// so a client that holds the dot never scrapes a count without its
+// RETR. Over net.Pipe a write returns only once the client has read it,
+// which makes the order visible.
+func TestRetrCountedBeforeTheDot(t *testing.T) {
+	store, err := mailstore.NewMFS(fsim.NewMem(costmodel.FSModel{}), "mfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	if err := store.Deliver("m1", []string{"alice"}, []byte("Subject: one\r\n\r\nfirst\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	srv, err := New(Config{Store: store, Hostname: "pop.test", IdleTimeout: 5 * time.Second, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, client := net.Pipe()
+	srv.wg.Add(1)
+	go srv.serveConn(server)
+	t.Cleanup(func() {
+		client.Close() // the session ends at EOF, then Close has nothing to wait for
+		srv.Close()
+	})
+	c := &testClient{t: t, nc: client, r: bufio.NewReader(client)}
+	if got := c.line(); !strings.HasPrefix(got, "+OK") {
+		t.Fatalf("banner = %q", got)
+	}
+	login(t, c, "alice")
+	if got := c.cmd("RETR 1"); !strings.HasPrefix(got, "+OK") {
+		t.Fatalf("RETR = %q", got)
+	}
+	c.multi()
+	if m, _ := reg.Find("pop3_retrieved_total"); m.Value != 1 {
+		t.Fatalf("pop3_retrieved_total = %v with the dot read, want 1", m.Value)
+	}
+	if m, _ := reg.Find("pop3_retr_seconds"); m.Count != 1 {
+		t.Fatalf("pop3_retr_seconds has %d samples with the dot read, want 1", m.Count)
 	}
 }

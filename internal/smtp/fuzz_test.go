@@ -243,6 +243,9 @@ func FuzzStreamData(f *testing.F) {
 		if err := c.StreamData(r, int64(len(body)), func() error { calls++; return nil }); err != nil {
 			t.Fatal(err)
 		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		if want := writeDataOracle(body); !bytes.Equal(whole.out.Bytes(), want) {
 			t.Fatalf("body %q:\nWriteData %q\noracle    %q", body, whole.out.Bytes(), want)
 		}

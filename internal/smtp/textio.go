@@ -240,16 +240,19 @@ func (c *Conn) writeData(body []byte) error {
 // streamChunk caps the chunk StreamData reads a payload in.
 const streamChunk = 32 << 10
 
-// StreamData sends the size-byte payload r yields exactly as WriteData
-// sends it and flushes, without holding the payload: each read fills at
-// most streamChunk bytes of the Conn's pooled body buffer, and the
-// stuffing state carries across reads, so the split of the payload into
-// reads never shows on the wire. before, if not nil, runs ahead of each
-// read and of the terminator; a server arms its write deadline there, so
-// a peer that reads slowly but steadily still gets the whole payload. A
-// read error, or a payload shorter than size, returns before the
-// terminator is written: the peer never takes a truncated payload for a
-// whole one.
+// StreamData writes the size-byte payload r yields with the DATA line
+// rules — a leading dot doubled, every line ended CRLF — and the
+// terminating dot, without holding the payload: each read fills at most
+// streamChunk bytes of the Conn's pooled body buffer, and the stuffing
+// state carries across reads, so the split of the payload into reads
+// never shows on the wire. It does not flush: the terminator's last byte
+// stays buffered until the caller's Flush, so whatever the caller does
+// on completion is done before the peer holds the whole payload. before,
+// if not nil, runs ahead of each read and of the terminator; a server
+// arms its write deadline there, so a peer that reads slowly but
+// steadily still gets the whole payload. A read error, or a payload
+// shorter than size, returns before the terminator is written: the peer
+// never takes a truncated payload for a whole one.
 func (c *Conn) StreamData(r io.Reader, size int64, before func() error) error {
 	c.data = slices.Grow(c.data[:0], int(min(size, streamChunk)))
 	chunk := c.data[:min(cap(c.data), streamChunk)]
@@ -277,10 +280,7 @@ func (c *Conn) StreamData(r io.Reader, size int64, before func() error) error {
 			return err
 		}
 	}
-	if err := c.endData(st); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	return c.endData(st)
 }
 
 // dotState is where a dot-stuffed payload stands between two pieces.
