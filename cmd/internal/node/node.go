@@ -1,9 +1,7 @@
 // Package node is what cmd/smtpd and cmd/maildirector share: both are
 // SMTP front-end nodes, so both take the same listen, policy, DNSBL,
-// tracing, event-log and admin flags. It builds the process's registry,
-// event log, tracer and admin endpoint from them, and turns the policy
-// and DNSBL flags into the cluster.PolicySpec the node is started with:
-// internal/cluster builds the pre-trust stack itself. Each binary
+// tracing, event-log and admin flags, build the same collaborators from
+// them and hand internal/cluster the same PolicySpec. Each binary
 // declares its own flags beside these and passes its own defaults (e.g.
 // -policy false vs true) as arguments.
 package node

@@ -76,10 +76,8 @@ func main() {
 
 	n.ServeAdmin(nil) // the director records no connection spans
 
-	// The pre-trust stores are replicated to the peers through the
-	// transport-agnostic sync contracts, and so is the DNSBL client's
-	// cache: a /25 bitmap any peer paid an upstream query for answers the
-	// whole neighbourhood here.
+	// Gossip replicates the pre-trust stores and the DNSBL cache: a /25
+	// bitmap any peer paid an upstream query for answers here too.
 	gossip := cluster.GossipSpec{Addr: *gossipAddr, Interval: *gossipIvl}
 	if *peers != "" {
 		gossip.Peers = strings.Split(*peers, ",")

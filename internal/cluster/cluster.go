@@ -9,15 +9,11 @@
 //     the mail's commit to its mailboxes, and a mail the store refuses
 //     stays with its sender, whose own queue retries it;
 //   - the cmd/smtpd production defaults, as the constants below;
-//   - the pre-trust stack a PolicySpec describes — policy engine,
-//     scorer, DNSBL client, reputation and greylist stores — and a
-//     director's gossip over those stores (pretrust.go), so a binary, an
-//     experiment and an example that name the same flags run the same
-//     stack;
+//   - the pre-trust stack a PolicySpec describes, and a director's gossip
+//     over its stores (pretrust.go);
 //   - two teardown verbs with one order — stop the front end, which waits
-//     for every in-flight commit, then close the store and the DNSBL
-//     client. Close reports the first error; Kill swallows errors, which
-//     is what a process dying looks like from inside.
+//     for every in-flight commit, then close the store and the pre-trust
+//     stack. Close reports the first error; Kill swallows errors.
 //
 // StartShard builds a full node and StartDirector a director front end,
 // with one listen and stop discipline. cmd/smtpd, cmd/maildirector, every
@@ -87,14 +83,12 @@ type ShardSpec struct {
 	// Policy is the pre-trust stack the front end consults.
 	Policy PolicySpec
 	// Options are appended to the front end's own (hostname, Workers,
-	// recipient validation, enqueue hook, policy and the three sinks
-	// below), so they can choose the architecture, worker limit and the
-	// rest.
+	// recipient validation, enqueue hook, policy and the sinks below), so
+	// they can choose the architecture, worker limit and the rest.
 	Options []smtpserver.Option
 
-	// Registry, Events and Tracer are shared by the front end, the
-	// pre-trust stack and the delivery agent; nil leaves each its private
-	// default.
+	// Registry, Events and Tracer are shared by every part of the node;
+	// nil leaves each its private default.
 	Registry *metrics.Registry
 	Events   *eventlog.Log
 	Tracer   *trace.MessageRecorder
@@ -175,9 +169,7 @@ func StartShard(spec ShardSpec) (*Shard, error) {
 		smtpserver.WithEnqueueTraced(s.Enqueue),
 		smtpserver.WithValidateRcpt(s.DB.Valid),
 		smtpserver.WithValidateRcptBytes(s.DB.ValidBytes),
-	}
-	if s.Policy != nil {
-		opts = append(opts, smtpserver.WithPolicy(s.Policy))
+		smtpserver.WithPolicy(s.Policy),
 	}
 	if s.Server, err = smtpserver.New(nil, append(opts, spec.Options...)...); err != nil {
 		return nil, err
@@ -264,8 +256,7 @@ func (s *Shard) Served() <-chan error { return s.front.served }
 // Close shuts the node down in order: stop accepting and wait for Serve
 // and every worker to return — so for every commit in flight — then
 // close the store and the DNSBL client. It returns the first error;
-// calling it again, or after Kill, does nothing and returns the same
-// result.
+// calling it again, or after Kill, does nothing and returns the same.
 func (s *Shard) Close() error {
 	s.once.Do(func() { s.err = s.teardown() })
 	return s.err
@@ -336,9 +327,8 @@ type DirectorSpec struct {
 	Gossip GossipSpec
 	// Options configure the director: its backends, and whatever else.
 	Options []director.Option
-
-	// Registry and Events are shared by the front end, the pre-trust
-	// stack and the gossip; nil leaves each its private default.
+	// Registry and Events are shared by every part of the node; nil
+	// leaves each its private default.
 	Registry *metrics.Registry
 	Events   *eventlog.Log
 }
@@ -349,7 +339,10 @@ type Director struct {
 	Addr   string // the SMTP address it listens on
 	Server *director.Server
 	preTrust
-	gossip
+	// Gossip replicates the pre-trust stores with the peers, answering on
+	// GossipAddr; nil when the spec gives no gossip address.
+	Gossip     *director.Gossip
+	GossipAddr string
 
 	front *frontEnd
 	once  sync.Once
@@ -359,25 +352,21 @@ type Director struct {
 // StartDirector builds the director — pre-trust stack, forwarding
 // engine, gossip endpoint, front end — and has it listening on return.
 // A failure part-way tears down what was built.
-func StartDirector(spec DirectorSpec) (*Director, error) {
+func StartDirector(spec DirectorSpec) (_ *Director, err error) {
 	d := &Director{preTrust: startPreTrust(spec.Policy, spec.Registry, spec.Events)}
-	started := false
 	defer func() {
-		if !started {
+		if err != nil {
 			d.Close()
 		}
 	}()
 
-	front := []smtpserver.Option{smtpserver.WithRegistry(spec.Registry), smtpserver.WithEventLog(spec.Events)}
-	if d.Policy != nil {
-		front = append(front, smtpserver.WithPolicy(d.Policy))
-	}
-	var err error
-	if d.Server, err = director.New(append([]director.Option{director.WithFront(front...)}, spec.Options...)...); err != nil {
+	front := director.WithFront(smtpserver.WithRegistry(spec.Registry),
+		smtpserver.WithEventLog(spec.Events), smtpserver.WithPolicy(d.Policy))
+	if d.Server, err = director.New(append([]director.Option{front}, spec.Options...)...); err != nil {
 		return nil, err
 	}
 	if spec.Gossip.Addr != "" {
-		if d.gossip, err = startGossip(spec.Gossip, d.Server.Front().Hostname(), d.preTrust, spec.Policy.Clock, spec.Events); err != nil {
+		if d.Gossip, d.GossipAddr, err = startGossip(spec.Gossip, d.Server.Front().Hostname(), d.preTrust, spec.Events); err != nil {
 			return nil, err
 		}
 	}
@@ -385,7 +374,6 @@ func StartDirector(spec DirectorSpec) (*Director, error) {
 		return nil, err
 	}
 	d.Addr = d.front.addr
-	started = true
 	return d, nil
 }
 
@@ -405,7 +393,9 @@ func (d *Director) Close() error {
 		if d.Server != nil {
 			d.Server.Close()
 		}
-		d.gossip.close()
+		if d.Gossip != nil {
+			d.Gossip.Close()
+		}
 		d.preTrust.close()
 	})
 	return d.err

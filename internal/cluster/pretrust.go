@@ -28,43 +28,28 @@ const (
 // PolicySpec describes a node's pre-trust stack: the policy engine, the
 // DNSBL client its scorer asks, and the reputation and greylist stores a
 // director's gossip replicates. Its fields are the front-end binaries'
-// flags, plus two test seams; the zero value runs no policy.
+// flags plus two test seams; the zero value runs no policy.
 type PolicySpec struct {
-	// Engine runs the policy engine (-policy): rate limits, greylist,
-	// reputation, and DNSBL scoring when a DNSBL is set. Without it a
-	// DNSBL still refuses listed clients at connect, and nothing else
-	// is refused, limited or remembered.
-	Engine bool
-	// GreyRetry is the greylist's minimum retry window (-grey-retry; 0
-	// disables greylisting).
-	GreyRetry time.Duration
-	// ConnRate is the connections per second admitted per client IP,
-	// with a burst of five seconds' worth (-conn-rate; 0 disables rate
-	// limiting).
-	ConnRate float64
-	// DNSBL lists the blacklist's replica addresses (-dnsbl) and
-	// DNSBLZone names its zone (-dnsbl-zone).
-	DNSBL     []string
-	DNSBLZone string
+	// Engine runs the policy engine (-policy). Without it a DNSBL still
+	// refuses listed clients at connect, and nothing else is refused.
+	Engine    bool
+	GreyRetry time.Duration // -grey-retry; 0 disables greylisting
+	ConnRate  float64       // -conn-rate, burst 5 s' worth; 0 disables it
+	DNSBL     []string      // -dnsbl: the blacklist's replicas
+	DNSBLZone string        // -dnsbl-zone
 	// Transport, when set, answers the DNSBL's queries in place of
-	// replicas; the caller owns it.
+	// replicas; the caller owns it. Clock is the time the stores, the
+	// DNSBL cache and the gossip watermarks read (default time.Now).
 	Transport dns.Transport
-	// Clock is the time the stores, the DNSBL cache and the gossip
-	// watermarks read (default time.Now).
-	Clock func() time.Time
+	Clock     func() time.Time
 }
 
 // GossipSpec describes a director's anti-entropy endpoint, over which
 // it replicates its reputation, greylist and DNSBL answers.
 type GossipSpec struct {
-	// Addr is where the node answers its peers' exchanges (-gossip-addr;
-	// empty runs no gossip).
-	Addr string
-	// Peers are dialled every Interval (-peers); with none, exchanges
-	// happen only when the caller asks (Gossip.Exchange).
-	Peers []string
-	// Interval is the exchange period (-gossip-interval; default 1 s).
-	Interval time.Duration
+	Addr     string        // -gossip-addr; empty runs no gossip
+	Peers    []string      // -peers; with none, only Gossip.Exchange dials
+	Interval time.Duration // -gossip-interval; default 1 s
 }
 
 // NewDNSBL returns the DNSBL client every node runs for zone over its
@@ -82,21 +67,24 @@ func NewDNSBL(zone string, upstreams []string, opts ...dnsbl.Option) *dnsbl.Clie
 // preTrust is a node's running pre-trust stack.
 type preTrust struct {
 	// Policy is what the front end consults at connect and RCPT; nil
-	// when the spec runs no engine and names no DNSBL.
+	// when the spec runs no engine and names no DNSBL. DNSBL is the
+	// client its scorer asks; nil when the spec names no DNSBL.
 	Policy *policy.ServerPolicy
-	// DNSBL is the client the policy's scorer asks; nil when the spec
-	// names no DNSBL.
-	DNSBL *dnsbl.Client
+	DNSBL  *dnsbl.Client
 
-	rep  *policy.Reputation
-	grey *policy.Greylist // nil when GreyRetry is 0
+	rep   *policy.Reputation
+	grey  *policy.Greylist // nil when GreyRetry is 0
+	clock func() time.Time
 }
 
 // startPreTrust builds spec's stack on the node's registry and event log.
 // The reputation and greylist stores exist whether or not the engine
 // runs, so a director's gossip relays them either way.
 func startPreTrust(spec PolicySpec, reg *metrics.Registry, events *eventlog.Log) preTrust {
-	p := preTrust{rep: policy.NewReputation(policy.ReputationConfig{})}
+	p := preTrust{rep: policy.NewReputation(policy.ReputationConfig{}), clock: spec.Clock}
+	if p.clock == nil {
+		p.clock = time.Now
+	}
 	if spec.GreyRetry > 0 {
 		p.grey = policy.NewGreylist(policy.GreyConfig{MinRetry: spec.GreyRetry})
 	}
@@ -106,105 +94,54 @@ func startPreTrust(spec PolicySpec, reg *metrics.Registry, events *eventlog.Log)
 	}
 	var engine []policy.Option
 	if spec.Engine {
-		engine = append(engine, policy.WithReputationStore(p.rep))
-		if p.grey != nil {
-			engine = append(engine, policy.WithGreylistStore(p.grey))
-		}
+		engine = append(engine, policy.WithReputationStore(p.rep), policy.WithGreylistStore(p.grey))
 		if spec.ConnRate > 0 {
-			engine = append(engine, policy.WithRate(policy.RateConfig{
-				ConnPerSec: spec.ConnRate,
-				ConnBurst:  5 * spec.ConnRate,
-			}))
+			engine = append(engine, policy.WithRate(policy.RateConfig{ConnPerSec: spec.ConnRate, ConnBurst: 5 * spec.ConnRate}))
 		}
 	}
 	var scorer *policy.Scorer
 	if listed {
-		opts := []dnsbl.Option{dnsbl.WithRegistry(reg), dnsbl.WithEventLog(events)}
-		if spec.Transport != nil {
-			opts = append(opts, dnsbl.WithTransport(spec.Transport))
-		}
-		if spec.Clock != nil {
-			opts = append(opts, dnsbl.WithClock(spec.Clock))
-		}
-		p.DNSBL = NewDNSBL(spec.DNSBLZone, spec.DNSBL, opts...)
+		p.DNSBL = NewDNSBL(spec.DNSBLZone, spec.DNSBL, dnsbl.WithTransport(spec.Transport),
+			dnsbl.WithClock(p.clock), dnsbl.WithRegistry(reg), dnsbl.WithEventLog(events))
 		engine = append(engine, policy.WithDNSBLReject(1))
-		scorer = policy.NewScorer(
-			policy.WithLists(policy.List{Name: spec.DNSBLZone, Resolver: p.DNSBL, Weight: 1}),
-			policy.WithThreshold(1),
-			policy.WithScorerRegistry(reg),
-		)
+		scorer = policy.NewScorer(policy.WithThreshold(1), policy.WithScorerRegistry(reg),
+			policy.WithLists(policy.List{Name: spec.DNSBLZone, Resolver: p.DNSBL, Weight: 1}))
 	}
-	opts := []policy.ServerPolicyOption{policy.WithRegistry(reg), policy.WithEventLog(events)}
-	if spec.Clock != nil {
-		opts = append(opts, policy.WithClock(spec.Clock))
-	}
-	p.Policy = policy.NewServerPolicy(policy.New(engine...), scorer, opts...)
+	p.Policy = policy.NewServerPolicy(policy.New(engine...), scorer,
+		policy.WithRegistry(reg), policy.WithEventLog(events), policy.WithClock(p.clock))
 	return p
 }
 
-// close releases the DNSBL client's sockets.
 func (p *preTrust) close() {
 	if p.DNSBL != nil {
 		p.DNSBL.Close()
 	}
 }
 
-// gossip is a director's running anti-entropy endpoint.
-type gossip struct {
-	// Gossip replicates the director's pre-trust stores with its peers;
-	// nil when the spec gives no gossip address. GossipAddr is the
-	// address it answers on.
-	Gossip     *director.Gossip
-	GossipAddr string
-
-	ln     net.Listener
-	served chan struct{} // closed when Serve has returned
-}
-
-// startGossip listens on spec.Addr and serves exchanges over p's stores
-// under name, dialling spec.Peers every spec.Interval when there are any.
-func startGossip(spec GossipSpec, name string, p preTrust, clock func() time.Time, events *eventlog.Log) (gossip, error) {
+// startGossip serves exchanges over p's stores on spec.Addr under name,
+// dialling spec.Peers every spec.Interval when there are any. It returns
+// the node and the address it answers on.
+func startGossip(spec GossipSpec, name string, p preTrust, events *eventlog.Log) (*director.Gossip, string, error) {
 	ln, err := net.Listen("tcp", spec.Addr)
 	if err != nil {
-		return gossip{}, fmt.Errorf("cluster: gossip listen %s: %w", spec.Addr, err)
+		return nil, "", fmt.Errorf("cluster: gossip listen %s: %w", spec.Addr, err)
 	}
 	opts := []director.GossipOption{
 		director.WithGossipName(name),
 		director.WithReputationSync(p.rep),
+		director.WithGreylistSync(p.grey),
+		director.WithDNSBLSync(p.DNSBL),
+		director.WithGossipClock(p.clock),
 		director.WithGossipEventLog(events),
 		director.WithPeers(spec.Peers...),
 	}
 	if spec.Interval > 0 {
 		opts = append(opts, director.WithInterval(spec.Interval))
 	}
-	if p.grey != nil {
-		opts = append(opts, director.WithGreylistSync(p.grey))
-	}
-	if p.DNSBL != nil {
-		opts = append(opts, director.WithDNSBLSync(p.DNSBL))
-	}
-	if clock != nil {
-		opts = append(opts, director.WithGossipClock(clock))
-	}
-	g := gossip{Gossip: director.NewGossip(opts...), GossipAddr: ln.Addr().String(),
-		ln: ln, served: make(chan struct{})}
-	go func() {
-		g.Gossip.Serve(ln)
-		close(g.served)
-	}()
+	g := director.NewGossip(opts...)
+	go g.Serve(ln)
 	if len(spec.Peers) > 0 {
-		g.Gossip.Start()
+		g.Start()
 	}
-	return g, nil
-}
-
-// close stops the exchanges and waits for Serve to return. Closing the
-// listener here as well covers a Close that ran before Serve took it.
-func (g *gossip) close() {
-	if g.Gossip == nil {
-		return
-	}
-	g.Gossip.Close()
-	g.ln.Close()
-	<-g.served
+	return g, ln.Addr().String(), nil
 }

@@ -290,9 +290,12 @@ func TestResolverResilienceShape(t *testing.T) {
 	if m["stalls_seed"] < 3 {
 		t.Errorf("stalls_seed = %v, want ≥3 (loss should stall the naive transport)", m["stalls_seed"])
 	}
-	// The pipelined resolver detects loss at 30 ms and retries/hedges, so
-	// the accept path stays under the 100 ms stall line (≤1 tolerated for
-	// scheduler noise on loaded CI machines).
+	// The pipelined resolver hedges to the replica at 20 ms, so one lost
+	// response costs no stall; only a loss on both replicas waits out the
+	// 500 ms attempt timeout. At full scale, seed 1 reads 9 such stalls in
+	// about 4 300 upstream queries, so the ≈ 360 queries of a quick run
+	// expect about one: this bound holds at this seed, not by design,
+	// until ROADMAP item 21's RTT-derived attempt timeout lands.
 	if m["stalls_resilient"] > 1 {
 		t.Errorf("stalls_resilient = %v, want ≤1", m["stalls_resilient"])
 	}

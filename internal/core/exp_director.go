@@ -104,10 +104,8 @@ func runScaleoutStorm(opts Options, gossipOn bool) (*scaleoutRun, error) {
 		return vnow
 	}
 
-	// A front end is a director whose own policy runs the pre-trust
-	// phase over its node-local stores (greylist, reputation, DNSBL
-	// client), which its gossip endpoint replicates when the storm asks
-	// it to. The client's upstream is the DNSBLv6 zone served in memory.
+	// A front end runs its pre-trust stack over node-local stores, which
+	// its gossip replicates when the storm asks; the DNSBL is in memory.
 	newFE := func(name string) (*cluster.Director, error) {
 		return cluster.StartDirector(cluster.DirectorSpec{
 			Policy: cluster.PolicySpec{

@@ -64,10 +64,9 @@ func weatherRun(arch smtpserver.Architecture, conns []trace.Conn, listed map[add
 		eventlog.WithObserver(tracker),
 	)
 
-	// Reputation plus a hard DNSBL reject, as `smtpd -policy -grey-retry
-	// 0 -conn-rate 0 -dnsbl …` runs it; greylisting and rate limits stay
-	// off because the closed-system replayer never retries, so they would
-	// refuse ham.
+	// Reputation plus a hard DNSBL reject, as `smtpd -policy -grey-retry 0
+	// -conn-rate 0 -dnsbl …` runs it: the replayer never retries, so a
+	// greylist or a rate limit would refuse ham.
 	if _, err := replayShard(cluster.ShardSpec{
 		Policy: cluster.PolicySpec{
 			Engine:    true,

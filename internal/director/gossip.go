@@ -144,11 +144,21 @@ func (g *Gossip) Stats() GossipStats {
 	return g.st
 }
 
-// Serve answers exchange requests on ln until Close. It owns ln.
+// Serve answers exchange requests on ln until Close, which waits for it
+// to return. It owns ln: after Close it closes ln and returns at once.
 func (g *Gossip) Serve(ln net.Listener) {
 	g.mu.Lock()
+	select {
+	case <-g.done:
+		g.mu.Unlock()
+		ln.Close()
+		return
+	default:
+	}
 	g.ln = ln
+	g.wg.Add(1)
 	g.mu.Unlock()
+	defer g.wg.Done()
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -187,7 +197,8 @@ func (g *Gossip) Start() {
 	}()
 }
 
-// Close stops the loops and the responder listener.
+// Close stops the loops and the responder listener, and waits for
+// Serve and the exchanges in flight to return.
 func (g *Gossip) Close() {
 	g.once.Do(func() { close(g.done) })
 	g.mu.Lock()

@@ -404,3 +404,34 @@ func TestGossipConcurrentMergeVsReads(t *testing.T) {
 			a.rep.Score(now, ip), b.rep.Score(now, ip))
 	}
 }
+
+// TestGossipCloseBeforeServe: a Close that runs before Serve has taken
+// its listener still stops it. Serve then closes the listener and
+// returns at once, and no Close leaves the listener accepting.
+func TestGossipCloseBeforeServe(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		g := NewGossip()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			g.Close() // surely before Serve; later rounds race it
+		}
+		served := make(chan struct{})
+		go func() {
+			g.Serve(ln)
+			close(served)
+		}()
+		g.Close()
+		select {
+		case <-served:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: Serve still running 5 s after Close", i)
+		}
+		if nc, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+			nc.Close()
+			t.Fatalf("round %d: the listener still accepts after Close", i)
+		}
+	}
+}

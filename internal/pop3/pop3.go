@@ -506,8 +506,7 @@ func (s *session) cmdRetr(arg []byte) error {
 	}
 	// The SMTP dot codec is exactly POP3's multi-line response framing;
 	// its first flush carries the status line too. The RETR is counted
-	// before the last flush, so a client holding the dot reads it in the
-	// counters.
+	// before the flush that sends the dot.
 	if err := s.c.StreamData(&s.body, s.body.Size(), s.armWrite); err != nil {
 		return err
 	}

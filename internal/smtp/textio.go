@@ -240,14 +240,12 @@ func (c *Conn) writeData(body []byte) error {
 // streamChunk caps the chunk StreamData reads a payload in.
 const streamChunk = 32 << 10
 
-// StreamData writes the size-byte payload r yields with the DATA line
-// rules — a leading dot doubled, every line ended CRLF — and the
+// StreamData writes the size-byte payload r yields, dot-stuffed, and the
 // terminating dot, without holding the payload: each read fills at most
 // streamChunk bytes of the Conn's pooled body buffer, and the stuffing
 // state carries across reads, so the split of the payload into reads
-// never shows on the wire. It does not flush: the terminator's last byte
-// stays buffered until the caller's Flush, so whatever the caller does
-// on completion is done before the peer holds the whole payload. before,
+// never shows on the wire. It does not flush: what the caller does
+// before its Flush is done before the peer holds the whole payload. before,
 // if not nil, runs ahead of each read and of the terminator; a server
 // arms its write deadline there, so a peer that reads slowly but
 // steadily still gets the whole payload. A read error, or a payload
